@@ -379,6 +379,8 @@ class CycloElem:
     def inverse(self) -> "CycloElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
+        if self.is_rational():
+            return CycloElem.from_rational(self.order, 1 / self.coeffs[0])
         phi = tuple(Fraction(c) for c in cyclotomic_poly(self.order))
         # extended Euclid in Q[z] for gcd(self, Phi) = 1
         r0, r1 = phi, rpoly_trim(self.coeffs)

@@ -24,8 +24,9 @@ def matrix_make(rows: Sequence[Sequence[LaurentPoly]]) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def matrix_shape(mat: Matrix) -> tuple[int, int]:
-    return (len(mat), len(mat[0]) if mat else 0)
+def matrix_shape(mat: Matrix, ncols: int = 0) -> tuple[int, int]:
+    """Rows and columns; a matrix without rows has the given column count."""
+    return (len(mat), len(mat[0]) if mat else ncols)
 
 
 def empty_matrix(nrows: int, ncols: int, nvars: int, order: int) -> Matrix:
@@ -34,8 +35,8 @@ def empty_matrix(nrows: int, ncols: int, nvars: int, order: int) -> Matrix:
 
 
 def matrix_mul(a: Matrix, b: Matrix, nvars: int, order: int) -> Matrix:
-    ra, ca = matrix_shape(a)
     rb, cb = matrix_shape(b)
+    ra, ca = matrix_shape(a, rb)
     if ca != rb:
         raise ValueError("matrix shapes do not compose")
     out = []
@@ -182,9 +183,9 @@ class FreeComplex:
                 mat = matrix_make(
                     [[entry.lift(order) for entry in row] for row in given]
                 )
-                if matrix_shape(mat) != (target, source):
+                if matrix_shape(mat, source) != (target, source):
                     raise ValueError(
-                        f"differential at degree {i} has shape {matrix_shape(mat)}, "
+                        f"differential at degree {i} has shape {matrix_shape(mat, source)}, "
                         f"expected {(target, source)}"
                     )
             diff_map[i] = mat

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .arith import TorsionAngle, lcm_all
+from .arith import lcm_all
 from .bsloci import HyperplaneLocus
 from .complexes import FreeComplex, Matrix, matrix_make
 from .poly import LaurentPoly, ParseError, Ring, denominators_in, format_poly, parse_poly
@@ -231,10 +231,6 @@ def divisor_to_json(d: PrimeTorusDivisor, mult: int | None = None) -> dict:
     if mult is not None:
         out["mult"] = mult
     return out
-
-
-def angle_to_str(a: TorsionAngle) -> str:
-    return str(a)
 
 
 def fraction_to_str(q: Fraction) -> str:

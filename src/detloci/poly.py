@@ -432,14 +432,43 @@ def _root_multiplicity_sparse(coeffs: dict[int, CycloElem], value: CycloElem) ->
             raise ArithmeticError("root multiplicity chain hit the zero polynomial")
 
 
+def fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, CycloElem]]:
+    """The one-variable parts of f along the primitive direction u, fewest terms first.
+
+    A unimodular monomial change of coordinates sends u to the first new
+    variable x; the terms sharing the remaining exponents form one fibre,
+    keyed by the exponent of x.  t^u - xi divides f in the Laurent ring
+    exactly when xi is a root of every fibre.
+    """
+    transform = _lattice_transform(u)
+    groups: dict[tuple[int, ...], dict[int, CycloElem]] = {}
+    for e, c in f.terms.items():
+        w = tuple(sum(a * b for a, b in zip(row, e)) for row in transform)
+        groups.setdefault(w[1:], {})[w[0]] = c
+    return sorted(groups.values(), key=len)
+
+
+def fibre_has_root(fibre: dict[int, CycloElem], xi: TorsionAngle) -> bool:
+    """Whether the root of unity xi is a root of a one-variable fibre.
+
+    Each c_k xi^k is spread over the powers of zeta_M, M the lcm of the field
+    order and the angle's denominator, and the sum is reduced modulo Phi_M once.
+    """
+    order = lcm_all([xi.den] + [c.order for c in fibre.values()])
+    dense: list = [0] * order
+    for k, c in fibre.items():
+        step, shift = order // c.order, order // xi.den * xi.num * k
+        for i, q in enumerate(c.coeffs):
+            dense[(i * step + shift) % order] += q
+    return CycloElem.make(order, dense).is_zero()
+
+
 def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
     """Largest m with (t^u - xi)^m dividing f in the Laurent ring.
 
-    A unimodular monomial change of coordinates turns the binomial into
-    x - xi for the first new variable; the valuation is then the minimum,
-    over the groups of terms sharing the remaining exponents, of the root
-    multiplicity of xi in the group's one-variable part.  Agrees with
-    repeated exact division, which the tests use as the oracle.
+    The minimum, over the fibres of f along u, of the root multiplicity of
+    xi.  Agrees with repeated exact division, which the tests use as the
+    oracle.
     """
     if f.is_zero():
         raise ValueError("infinite valuation: zero polynomial")
@@ -447,13 +476,8 @@ def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
         raise ValueError("divisor lives in a different torus")
     order = lcm(f.order, divisor.xi.den)
     value = CycloElem.from_angle(order, divisor.xi)
-    transform = _lattice_transform(divisor.u)
-    groups: dict[tuple[int, ...], dict[int, CycloElem]] = {}
-    for e, c in f.terms.items():
-        w = tuple(sum(row[j] * e[j] for j in range(f.nvars)) for row in transform)
-        groups.setdefault(w[1:], {})[w[0]] = c
     return min(
-        _root_multiplicity_sparse(coeffs, value) for coeffs in groups.values()
+        _root_multiplicity_sparse(coeffs, value) for coeffs in fibres(f, divisor.u)
     )
 
 
@@ -684,13 +708,7 @@ def u_divmod(f: LaurentPoly, g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 def u_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    a, b = f, g
-    while not b.is_zero():
-        _, r = u_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.monic()
+    return _euclid_univariate(f, g, 0)
 
 
 def linear_factor_multiplicity(f: LaurentPoly, value: CycloElem) -> int:

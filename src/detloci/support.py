@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .arith import CycloElem, TorsionAngle, angle_roots, lcm
 from .complexes import FreeComplex, base_change, cdf_ideal
-from .poly import IdealGens, LaurentPoly, exact_divide, gcd_generators, ideal_valuation, linear_factor_multiplicity
+from .poly import IdealGens, fibre_has_root, fibres, gcd_generators, ideal_valuation, linear_factor_multiplicity
 from .smith import annihilator_generator, cohomology_presentation
 from .torus import PrimeTorusDivisor, TorusDivisor
 
@@ -35,27 +35,16 @@ class NonTorsionComplexError(ValueError):
 
 
 def _primitive_vectors(r: int, bound: int) -> list[tuple[int, ...]]:
-    out = []
-    for u in itertools.product(range(bound + 1), repeat=r):
-        if all(x == 0 for x in u):
-            continue
-        g = 0
-        for x in u:
-            g = math.gcd(g, x)
-        if g == 1:
-            out.append(u)
-    return sorted(out)
+    return [u for u in itertools.product(range(bound + 1), repeat=r) if math.gcd(*u) == 1]
 
 
 def _angles_up_to(max_den: int) -> list[TorsionAngle]:
-    out = []
-    for den in range(1, max_den + 1):
-        for num in range(den):
-            if math.gcd(num, den) == 1 or (num == 0 and den == 1):
-                if num == 0 and den > 1:
-                    continue
-                out.append(TorsionAngle(num, den))
-    return sorted(out, key=lambda a: (a.den, a.num))
+    return [
+        TorsionAngle(num, den)
+        for den in range(1, max_den + 1)
+        for num in range(den)
+        if math.gcd(num, den) == 1
+    ]
 
 
 def candidate_divisors(complex_: FreeComplex, bound: int = 4) -> list[PrimeTorusDivisor]:
@@ -86,15 +75,16 @@ def candidate_divisors(complex_: FreeComplex, bound: int = 4) -> list[PrimeTorus
         if ideal.contains_one():
             continue
         gcds.append(gcd_generators(ideal))
+    angles = _angles_up_to(bound * max_degree)
     found = []
     for u in _primitive_vectors(r, bound):
-        for xi in _angles_up_to(bound * max_degree):
-            divisor = PrimeTorusDivisor(u, xi)
-            binomial = LaurentPoly.binomial_divisor(r, divisor)
-            if any(
-                exact_divide(g, binomial, laurent=True) is not None for g in gcds
-            ):
-                found.append(divisor)
+        # a one-term fibre has no root on the torus: skip that gcd along u
+        split = [fs for fs in (fibres(g, u) for g in gcds) if len(fs[0]) > 1]
+        if not split:
+            continue
+        for xi in angles:
+            if any(all(fibre_has_root(f, xi) for f in fs) for fs in split):
+                found.append(PrimeTorusDivisor(u, xi))
     return sorted(found, key=lambda d: d.sort_key())
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .arith import TorsionAngle, angle_roots
 
@@ -315,19 +315,3 @@ def nondegeneracy_check(
         if nonempty_mask[i] and sum(row[i] for row in rows) == 0:
             return False
     return True
-
-
-def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in v)
-
-
-def divisor_sum(parts: Iterable[TorusDivisor]) -> TorusDivisor:
-    out = TorusDivisor()
-    for part in parts:
-        out = out + part
-    return out

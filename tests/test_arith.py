@@ -192,3 +192,33 @@ class TestCycloElem:
     def test_from_angle_requires_divisibility(self):
         with pytest.raises(ValueError):
             CycloElem.from_angle(4, TorsionAngle.make(1, 3))
+
+
+INVERSE_ORDERS = [1, 2, 3, 4, 6, 12]
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def field_elems(draw, rational: bool) -> CycloElem:
+    """Nonzero elements; rational ones have no z^j part, the others have one."""
+    orders = [n for n in INVERSE_ORDERS if rational or euler_phi(n) > 1]
+    order = draw(st.sampled_from(orders))
+    d = euler_phi(order)
+    if rational:
+        head = draw(small_fractions.filter(bool))
+        return CycloElem(order, (head,) + (Fraction(0),) * (d - 1))
+    head = draw(small_fractions)
+    tail = draw(st.lists(small_fractions, min_size=d - 1, max_size=d - 1).filter(any))
+    return CycloElem(order, (head, *tail))
+
+
+class TestInverse:
+    @given(field_elems(rational=True))
+    def test_rational(self, x):
+        assert x.is_rational()
+        assert x * x.inverse() == CycloElem.one(x.order)
+
+    @given(field_elems(rational=False))
+    def test_non_rational(self, x):
+        assert not x.is_rational()
+        assert x * x.inverse() == CycloElem.one(x.order)

@@ -185,6 +185,26 @@ class TestComplexCommands:
             }
         ]
 
+    def test_support_rank_zero_after_nonzero_degree(self, capsys, tmp_path):
+        path = write_json(
+            tmp_path / "rank0.json",
+            {
+                "ring": {"nvars": 1, "laurent": True},
+                "degrees": [0, 2],
+                "ranks": {"0": 1, "1": 1, "2": 0},
+                "differentials": {"0": [["t1-1"]]},
+            },
+        )
+        code, out, _ = run_cli(capsys, ["support", "--complex", path, "--bound", "2"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["candidates"] == [{"u": [1], "xi": "0/1"}]
+        assert data["degrees"]["1"]["minimal"] == [{"u": [1], "xi": "0/1", "mult": 1}]
+        [row] = data["ord_jordan_table"]
+        assert row["degree"] == 1
+        assert row["ord"] == row["jordan"] == 1
+        assert row["generic"] is True
+
 
 class TestSmithCommands:
     def test_smith(self, capsys, tmp_path):

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from detloci.arith import TorsionAngle
-from detloci.complexes import FreeComplex, base_change, direct_sum
-from detloci.poly import LaurentPoly, Ring, parse_poly
+from detloci.complexes import FreeComplex, base_change, cdf_ideal, direct_sum
+from detloci.poly import LaurentPoly, Ring, fibre_has_root, fibres, gcd_generators, parse_poly
 from detloci.support import (
     NonTorsionComplexError,
+    _angles_up_to,
+    _primitive_vectors,
     candidate_divisors,
     generic_point_on_divisor,
     point_on_divisor,
@@ -13,7 +17,12 @@ from detloci.support import (
 )
 from detloci.torus import PrimeTorusDivisor, tau_preimage
 
-from conftest import oracle_minor_gens, oracle_valuation, shifted_piece
+from conftest import (
+    oracle_minor_gens,
+    oracle_valuation,
+    random_torsion_complex,
+    shifted_piece,
+)
 
 R2 = Ring(2, True, 3)
 
@@ -64,6 +73,84 @@ class TestCandidateDivisors:
             PrimeTorusDivisor((0, 1), angle(0, 1)),
             H_DIVISOR,
         }
+
+
+def oracle_candidates(E: FreeComplex, bound: int) -> list[PrimeTorusDivisor]:
+    """Every (u, xi) of the search grid whose binomial divides a top-minor gcd.
+
+    Decided by trial division of each gcd by t^u - xi, pair by pair.
+    """
+    gcds = []
+    for i in E.degrees():
+        ideal = cdf_ideal(E, i, 0)
+        if not ideal.contains_one():
+            gcds.append(gcd_generators(ideal))
+    max_degree = max(
+        [1]
+        + [
+            e.max_total_degree()
+            for mat in E.diffs.values()
+            for row in mat
+            for e in row
+            if not e.is_zero()
+        ]
+    )
+    found = [
+        PrimeTorusDivisor(u, xi)
+        for u in _primitive_vectors(E.ring.nvars, bound)
+        for xi in _angles_up_to(bound * max_degree)
+        if any(oracle_valuation(g, PrimeTorusDivisor(u, xi)) > 0 for g in gcds)
+    ]
+    return sorted(found, key=lambda d: d.sort_key())
+
+
+class TestCandidatesAgainstTrialDivision:
+    @pytest.mark.parametrize("r,bound,seed", [(2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 2, 4)])
+    def test_random_planted(self, r, bound, seed):
+        rng = random.Random(seed)
+        ring = Ring(r, True, 6)
+        for _ in range(3):
+            E = random_torsion_complex(rng, ring, max_pieces=2, degrees=(0, 1))
+            assert candidate_divisors(E, bound) == oracle_candidates(E, bound)
+
+    def test_cyclotomic_factor_gives_two_angles(self):
+        E = diag_complex([P("t1^2+t1+1") * P("t2-1")])
+        got = candidate_divisors(E, 2)
+        assert got == oracle_candidates(E, 2)
+        assert [(d.u, str(d.xi)) for d in got] == [
+            ((0, 1), "0/1"),
+            ((1, 0), "1/3"),
+            ((1, 0), "2/3"),
+        ]
+
+    def test_single_term_fibre_skips_direction(self):
+        # along (0, 1) the t1^2 part of (t1-1)(t1+t2) is a lone monomial
+        g = P("t1-1") * P("t1+t2")
+        assert min(len(f) for f in fibres(g, (0, 1))) == 1
+        E = diag_complex([g])
+        got = candidate_divisors(E, 3)
+        assert got == oracle_candidates(E, 3)
+        assert got == [PrimeTorusDivisor((1, 0), angle(0, 1))]
+
+    def test_every_fibre_must_vanish(self):
+        # along (1, 0) the fibre t1-1 vanishes at 1, the fibre t1^2+t1+1 does not
+        g = P("t1-1+t1^2*t2+t1*t2+t2")
+        smallest = fibres(g, (1, 0))[0]
+        assert fibre_has_root(smallest, angle(0, 1))
+        E = diag_complex([g])
+        got = candidate_divisors(E, 2)
+        assert got == oracle_candidates(E, 2)
+        assert PrimeTorusDivisor((1, 0), angle(0, 1)) not in got
+
+    def test_angle_at_denominator_edge(self):
+        # t1^2+1 has degree 2, so bound 2 searches denominators up to 4
+        E = diag_complex([P("t1^2+1", Ring(2, True, 1))], Ring(2, True, 1))
+        edge = [
+            PrimeTorusDivisor((1, 0), angle(1, 4)),
+            PrimeTorusDivisor((1, 0), angle(3, 4)),
+        ]
+        assert candidate_divisors(E, 2) == oracle_candidates(E, 2) == edge
+        assert candidate_divisors(E, 1) == oracle_candidates(E, 1) == []
 
 
 class TestSupportReport:
