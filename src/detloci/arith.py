@@ -226,78 +226,116 @@ def unit_root_multiplicity(p: Sequence[Fraction], xi: TorsionAngle) -> int:
 
 
 @lru_cache(maxsize=None)
-def _zpow_table(order: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Reductions of z^k modulo Phi_order for k = 0 .. max(2*(d-1), order-1)."""
-    phi = [Fraction(c) for c in cyclotomic_poly(order)]
+def _zpow_table(order: int) -> tuple[tuple[int, ...], ...]:
+    """Reductions of z^k modulo Phi_order for k = 0 .. order-1.
+
+    Phi_order is monic with integer coefficients, so every row is integral.
+    """
+    phi = cyclotomic_poly(order)
     d = len(phi) - 1
-    top = max(2 * (d - 1), order - 1, 0)
-    rows: list[tuple[Fraction, ...]] = []
-    current = [Fraction(0)] * d
-    if d > 0:
-        current[0] = Fraction(1)
-    rows.append(tuple(current))
-    for _ in range(top):
-        shifted = [Fraction(0)] + current[:]
-        if len(shifted) > d and shifted[d] != 0:
-            lead = shifted[d]
-            for j in range(d):
-                shifted[j] -= lead * phi[j]
-        current = shifted[:d]
+    current = [1] + [0] * (d - 1)
+    rows = [tuple(current)]
+    for _ in range(order - 1):
+        lead = current[-1]
+        current = [0] + current[:-1]
+        if lead:
+            current = [c - lead * p for c, p in zip(current, phi)]
         rows.append(tuple(current))
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _sparse_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (index, coefficient) pairs of each row of _zpow_table."""
+    return tuple(
+        tuple((j, c) for j, c in enumerate(row) if c) for row in _zpow_table(order)
+    )
+
+
+def reduce_mod_phi(order: int, dense: Sequence[int]) -> list[int]:
+    """Residue of an integer coefficient list (constant first) modulo Phi_order."""
+    d = euler_phi(order)
+    out = list(dense[:d]) + [0] * (d - len(dense))
+    rows = _sparse_rows(order)
+    for k in range(d, len(dense)):
+        if dense[k]:
+            for j, r in rows[k % order]:
+                out[j] += dense[k] * r
+    return out
+
+
+def _mul_nums(order: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer residues modulo Phi_order."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    return reduce_mod_phi(order, conv)
+
+
+def _elem(order: int, nums: tuple[int, ...], den: int) -> "CycloElem":
+    """Wrap numerators and a denominator that are already canonical."""
+    e = _new(CycloElem)
+    _set_order(e, order)
+    _set_nums(e, nums)
+    _set_den(e, den)
+    return e
+
+
+def _canonical(order: int, nums: Sequence[int], den: int) -> "CycloElem":
+    """nums/den (den > 0) with the common factor of numerators and den removed."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            return _elem(order, tuple(n // g for n in nums), den // g)
+    return _elem(order, tuple(nums), den)
+
+
 class CycloElem:
-    """An element of Q(zeta_order) as a reduced residue modulo Phi_order."""
+    """An element of Q(zeta_order) as a reduced residue modulo Phi_order.
 
-    __slots__ = ("order", "coeffs")
+    Stored as integer numerators over one positive common denominator, kept
+    canonical: gcd(*nums, den) == 1, so zero is (0, ..., 0)/1 and equal
+    elements of one field have equal (nums, den).
+    """
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("order", "nums", "den")
+
+    def __new__(cls, order: int, coeffs: Sequence[Fraction]):
         if len(coeffs) != euler_phi(order):
             raise ValueError("coefficient vector has wrong length")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        return CycloElem.make(order, coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloElem values are immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients of 1, z, ..., z^(d-1), reduced."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
     @staticmethod
     def make(order: int, dense: Iterable[Fraction]) -> "CycloElem":
         """Reduce an arbitrary Q[z] coefficient list modulo Phi_order."""
-        table = _zpow_table(order)
-        d = euler_phi(order)
-        out = [Fraction(0)] * d
-        for k, c in enumerate(dense):
-            if c == 0:
-                continue
-            c = Fraction(c)
-            if k < d:
-                out[k] += c
-            else:
-                row = table[k]
-                for j, rj in enumerate(row):
-                    if rj != 0:
-                        out[j] += c * rj
-        return CycloElem(order, tuple(out))
+        qs = [Fraction(c) for c in dense]
+        den = math.lcm(*(q.denominator for q in qs))
+        nums = [q.numerator * (den // q.denominator) for q in qs]
+        return _canonical(order, reduce_mod_phi(order, nums), den)
 
     @staticmethod
     def zero(order: int) -> "CycloElem":
-        return CycloElem(order, tuple([Fraction(0)] * euler_phi(order)))
+        return _elem(order, (0,) * euler_phi(order), 1)
 
     @staticmethod
     def one(order: int) -> "CycloElem":
-        return CycloElem.from_rational(order, Fraction(1))
+        return _elem(order, (1,) + (0,) * (euler_phi(order) - 1), 1)
 
     @staticmethod
     def from_rational(order: int, q) -> "CycloElem":
-        d = euler_phi(order)
-        coeffs = [Fraction(0)] * d
-        if d > 0:
-            coeffs[0] = Fraction(q)
-        elem = CycloElem(order, tuple(coeffs))
-        if d == 0:
-            raise ValueError("degenerate cyclotomic order")
-        return elem
+        q = Fraction(q)
+        return _elem(order, (q.numerator,) + (0,) * (euler_phi(order) - 1), q.denominator)
 
     @staticmethod
     def from_angle(order: int, angle: TorsionAngle) -> "CycloElem":
@@ -311,24 +349,21 @@ class CycloElem:
         if new_order % self.order != 0:
             raise ValueError("can only lift along divisibility of orders")
         step = new_order // self.order
-        dense: dict[int, Fraction] = {}
-        for j, c in enumerate(self.coeffs):
-            if c != 0:
-                dense[j * step] = c
-        top = max(dense, default=0)
-        arr = [dense.get(k, Fraction(0)) for k in range(top + 1)]
-        return CycloElem.make(new_order, arr)
+        dense = [0] * ((len(self.nums) - 1) * step + 1)
+        for j, n in enumerate(self.nums):
+            dense[j * step] = n
+        return _canonical(new_order, reduce_mod_phi(new_order, dense), self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def _pair(self, other: "CycloElem") -> tuple["CycloElem", "CycloElem"]:
         if self.order == other.order:
@@ -338,72 +373,69 @@ class CycloElem:
 
     def __add__(self, other: "CycloElem") -> "CycloElem":
         a, b = self._pair(other)
-        return CycloElem(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        if da == db:
+            return _canonical(a.order, [x + y for x, y in zip(a.nums, b.nums)], da)
+        return _canonical(a.order, [x * db + y * da for x, y in zip(a.nums, b.nums)], da * db)
 
     def __sub__(self, other: "CycloElem") -> "CycloElem":
         a, b = self._pair(other)
-        return CycloElem(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        if da == db:
+            return _canonical(a.order, [x - y for x, y in zip(a.nums, b.nums)], da)
+        return _canonical(a.order, [x * db - y * da for x, y in zip(a.nums, b.nums)], da * db)
 
     def __neg__(self) -> "CycloElem":
-        return CycloElem(self.order, tuple(-x for x in self.coeffs))
+        return _elem(self.order, tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other: "CycloElem") -> "CycloElem":
         a, b = self._pair(other)
-        d = len(a.coeffs)
-        if d == 1:
-            return CycloElem(a.order, (a.coeffs[0] * b.coeffs[0],))
-        if d == 2:
-            a0, a1 = a.coeffs
-            b0, b1 = b.coeffs
+        an, bn = a.nums, b.nums
+        if len(an) == 1:
+            return _canonical(a.order, (an[0] * bn[0],), a.den * b.den)
+        if len(an) == 2:
+            # orders 3, 4 and 6: z^2 = r0 + r1*z
+            a0, a1 = an
+            b0, b1 = bn
             c2 = a1 * b1
-            if c2 == 0:
-                return CycloElem(a.order, (a0 * b0, a0 * b1 + a1 * b0))
-            row = _zpow_table(a.order)[2]
-            return CycloElem(
-                a.order,
-                (a0 * b0 + c2 * row[0], a0 * b1 + a1 * b0 + c2 * row[1]),
-            )
-        conv = [Fraction(0)] * (2 * d - 1 if d else 0)
-        for i, ca in enumerate(a.coeffs):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b.coeffs):
-                if cb != 0:
-                    conv[i + j] += ca * cb
-        return CycloElem.make(a.order, conv)
+            r0, r1 = _zpow_table(a.order)[2]
+            nums = (a0 * b0 + c2 * r0, a0 * b1 + a1 * b0 + c2 * r1)
+            return _canonical(a.order, nums, a.den * b.den)
+        return _canonical(a.order, _mul_nums(a.order, an, bn), a.den * b.den)
 
     def scale(self, q) -> "CycloElem":
         q = Fraction(q)
-        return CycloElem(self.order, tuple(c * q for c in self.coeffs))
+        return _canonical(
+            self.order, [n * q.numerator for n in self.nums], self.den * q.denominator
+        )
 
     def inverse(self) -> "CycloElem":
+        """1/x as the product of the other Galois conjugates of x over its norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
+        nums, order = self.nums, self.order
         if self.is_rational():
-            return CycloElem.from_rational(self.order, 1 / self.coeffs[0])
-        phi = tuple(Fraction(c) for c in cyclotomic_poly(self.order))
-        # extended Euclid in Q[z] for gcd(self, Phi) = 1
-        r0, r1 = phi, rpoly_trim(self.coeffs)
-        s0: tuple[Fraction, ...] = ()
-        s1: tuple[Fraction, ...] = (Fraction(1),)
-        while r1:
-            q, r = rpoly_divmod(r0, r1)
-            s = _rpoly_sub(s0, rpoly_mul(q, s1))
-            r0, r1 = r1, r
-            s0, s1 = s1, s
-        if len(r0) != 1:
-            raise ArithmeticError("cyclotomic polynomial not coprime to element")
-        inv_const = Fraction(1) / r0[0]
-        return CycloElem.make(self.order, tuple(c * inv_const for c in s0))
-
-    def __truediv__(self, other: "CycloElem") -> "CycloElem":
-        return self * other.inverse()
+            return CycloElem.from_rational(order, Fraction(self.den, nums[0]))
+        # x = A/den, and A * prod_{a != 1} sigma_a(A) = norm(A), a nonzero integer,
+        # where sigma_a sends z to z^a for each unit a modulo the order
+        cofactor = [1]
+        for a in range(2, order):
+            if math.gcd(a, order) == 1:
+                dense = [0] * order
+                for j, n in enumerate(nums):
+                    dense[j * a % order] = n
+                cofactor = _mul_nums(order, cofactor, reduce_mod_phi(order, dense))
+        norm = _mul_nums(order, nums, cofactor)
+        if any(norm[1:]) or not norm[0]:
+            raise ArithmeticError("norm of a nonzero element is not a nonzero rational")
+        sign = -1 if norm[0] < 0 else 1
+        return _canonical(order, [sign * self.den * c for c in cofactor], abs(norm[0]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloElem):
             return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     __hash__ = None  # values compare across field extensions; use sort keys instead
 
@@ -412,6 +444,13 @@ class CycloElem:
 
     def __repr__(self) -> str:
         return f"CycloElem(order={self.order}, coeffs={self.coeffs})"
+
+
+_new = object.__new__
+# slot setters: CycloElem.__setattr__ refuses every assignment
+_set_order = CycloElem.order.__set__
+_set_nums = CycloElem.nums.__set__
+_set_den = CycloElem.den.__set__
 
 
 @lru_cache(maxsize=None)
@@ -424,20 +463,7 @@ def _angle_elem(order: int, num: int, den: int) -> "CycloElem":
 @lru_cache(maxsize=None)
 def zeta_power(order: int, k: int) -> "CycloElem":
     """The power zeta_order^k as a reduced field element."""
-    table = _zpow_table(order)
-    return CycloElem(order, table[k % order] if order > 1 else table[0])
-
-
-def _rpoly_sub(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return rpoly_trim(out)
+    return _elem(order, _zpow_table(order)[k % order], 1)
 
 
 def lcm(a: int, b: int) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .arith import CycloElem, TorsionAngle, lcm, lcm_all, zeta_power
+from .arith import CycloElem, TorsionAngle, lcm, lcm_all, reduce_mod_phi, zeta_power
 from .torus import PrimeTorusDivisor
 
 
@@ -42,6 +42,12 @@ class Ring:
 def term_key(exps: tuple[int, ...]) -> tuple:
     """Graded-lexicographic key: total degree first, then lex on exponents."""
     return (sum(exps), exps)
+
+
+def _reduced_pairs(c: CycloElem) -> tuple[tuple[int, int], ...]:
+    """(numerator, denominator) of each reduced rational coefficient of c."""
+    gs = [math.gcd(n, c.den) for n in c.nums]
+    return tuple((n // g, c.den // g) for n, g in zip(c.nums, gs))
 
 
 class LaurentPoly:
@@ -209,14 +215,7 @@ class LaurentPoly:
             items = sorted(
                 self.terms.items(), key=lambda kv: term_key(kv[0]), reverse=True
             )
-            cached = tuple(
-                (
-                    e,
-                    c.order,
-                    tuple((q.numerator, q.denominator) for q in c.coeffs),
-                )
-                for e, c in items
-            )
+            cached = tuple((e, c.order, _reduced_pairs(c)) for e, c in items)
             object.__setattr__(self, "_key", cached)
         return cached
 
@@ -452,23 +451,27 @@ def fibre_has_root(fibre: dict[int, CycloElem], xi: TorsionAngle) -> bool:
     """Whether the root of unity xi is a root of a one-variable fibre.
 
     Each c_k xi^k is spread over the powers of zeta_M, M the lcm of the field
-    order and the angle's denominator, and the sum is reduced modulo Phi_M once.
+    order and the angle's denominator, over one common denominator, and the
+    integer sum is reduced modulo Phi_M once.
     """
     order = lcm_all([xi.den] + [c.order for c in fibre.values()])
-    dense: list = [0] * order
+    den = math.lcm(*(c.den for c in fibre.values()))
+    dense = [0] * order
     for k, c in fibre.items():
         step, shift = order // c.order, order // xi.den * xi.num * k
-        for i, q in enumerate(c.coeffs):
-            dense[(i * step + shift) % order] += q
-    return CycloElem.make(order, dense).is_zero()
+        factor = den // c.den
+        for i, n in enumerate(c.nums):
+            if n:
+                dense[(i * step + shift) % order] += n * factor
+    return not any(reduce_mod_phi(order, dense))
 
 
 def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
     """Largest m with (t^u - xi)^m dividing f in the Laurent ring.
 
     The minimum, over the fibres of f along u, of the root multiplicity of
-    xi.  Agrees with repeated exact division, which the tests use as the
-    oracle.
+    xi; the first fibre without the root ends the search.  Agrees with
+    repeated exact division, which the tests use as the oracle.
     """
     if f.is_zero():
         raise ValueError("infinite valuation: zero polynomial")
@@ -476,9 +479,13 @@ def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
         raise ValueError("divisor lives in a different torus")
     order = lcm(f.order, divisor.xi.den)
     value = CycloElem.from_angle(order, divisor.xi)
-    return min(
-        _root_multiplicity_sparse(coeffs, value) for coeffs in fibres(f, divisor.u)
-    )
+    mults = []
+    for coeffs in fibres(f, divisor.u):
+        m = _root_multiplicity_sparse(coeffs, value)
+        if m == 0:
+            return 0
+        mults.append(m)
+    return min(mults)
 
 
 @dataclass(frozen=True)
@@ -550,9 +557,12 @@ class IdealGens:
 
 def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
     """min of valuation_along over the generators; infinity exactly for (0)."""
-    if ideal.is_zero():
-        return math.inf
-    return min(valuation_along(g, divisor) for g in ideal.gens)
+    best = math.inf
+    for g in ideal.gens:
+        best = min(best, valuation_along(g, divisor))
+        if best == 0:
+            break
+    return best
 
 
 def gcd_generators(ideal: IdealGens) -> LaurentPoly:
@@ -867,9 +877,10 @@ def format_poly(p: LaurentPoly, laurent: bool = True) -> str:
     pieces: list[str] = []
     for e in sorted(p.terms, key=term_key, reverse=True):
         c = p.terms[e]
-        for j, q in enumerate(c.coeffs):
-            if q == 0:
+        for j, n in enumerate(c.nums):
+            if n == 0:
                 continue
+            q = Fraction(n, c.den)
             factors: list[str] = []
             if abs(q) != 1:
                 factors.append(str(abs(q)))

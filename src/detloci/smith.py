@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import CycloElem, TorsionAngle, lcm
+from .arith import CycloElem, TorsionAngle, lcm, lcm_all
 from .complexes import FreeComplex, Matrix, empty_matrix, matrix_make, matrix_mul, matrix_shape
 from .poly import (
     IdealGens,
@@ -190,24 +190,28 @@ def fitting_generator(presentation: Matrix, k: int) -> LaurentPoly:
     is the gcd of the (n-k)-minors, read off the Smith diagonal as the product
     of its first n-k invariants.
     """
+    return _fitting_generators(presentation, (k,))[0]
+
+
+def _fitting_generators(presentation: Matrix, ks: Sequence[int]) -> list[LaurentPoly]:
+    """fitting_generator for each k, from at most one Smith form."""
     nrows, ncols = matrix_shape(presentation)
-    size = nrows - k
-    order = 1
-    for row in presentation:
-        for entry in row:
-            order = lcm(order, entry.order)
-    if size <= 0:
-        return LaurentPoly.one(1, order)
-    if size > min(nrows, ncols):
-        return LaurentPoly.zero(1, order)
-    form = smith_normal_form(presentation)
-    result = LaurentPoly.one(1, order)
-    for idx in range(size):
-        entry = form.diagonal[idx]
-        if entry.is_zero():
-            return LaurentPoly.zero(1, order)
-        result = result * entry
-    return result
+    order = lcm_all(entry.order for row in presentation for entry in row)
+    diagonal = None
+    out = []
+    for k in ks:
+        size = nrows - k
+        if size > min(nrows, ncols):
+            out.append(LaurentPoly.zero(1, order))
+            continue
+        result = LaurentPoly.one(1, order)
+        if size > 0:
+            if diagonal is None:
+                diagonal = smith_normal_form(presentation).diagonal
+            for entry in diagonal[:size]:
+                result = result * entry
+        out.append(result)
+    return out
 
 
 @dataclass(frozen=True)
@@ -302,13 +306,6 @@ def _cleared_polynomial_matrix(mat: Matrix, order: int) -> Matrix:
     )
 
 
-def _poly_rank(mat: Matrix) -> int:
-    nrows, ncols = matrix_shape(mat)
-    if nrows == 0 or ncols == 0:
-        return 0
-    return smith_normal_form(mat).rank
-
-
 def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
     """Presentation matrix of H^i of a one-variable complex with torsion cohomology.
 
@@ -323,16 +320,19 @@ def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
         j: _cleared_polynomial_matrix(complex_.differential(j), order)
         for j in range(complex_.imin - 1, complex_.imax + 1)
     }
-    ranks = {j: _poly_rank(mat) for j, mat in cleared.items()}
+    # one Smith form per nonempty differential gives its rank and its column transform
+    forms = {
+        j: smith_normal_form(mat) for j, mat in cleared.items() if 0 not in matrix_shape(mat)
+    }
+    ranks = {j: forms[j].rank if j in forms else 0 for j in cleared}
     for j in complex_.degrees():
         if complex_.rank(j) != ranks[j] + ranks[j - 1]:
             raise NonTorsionError(j)
     if not complex_.imin <= i <= complex_.imax:
         return empty_matrix(0, 0, 1, order)
-    d2 = cleared[i]
     d1 = cleared[i - 1]
     n_i = complex_.rank(i)
-    form2 = smith_normal_form(d2) if matrix_shape(d2)[0] else None
+    form2 = forms.get(i)
     if form2 is None:
         rank2 = 0
         expressed = d1
@@ -376,8 +376,7 @@ def annihilator_generator(presentation: Matrix) -> LaurentPoly:
     """Monic generator of the annihilator of coker(presentation): Fitt_0/Fitt_1."""
     from .poly import exact_divide
 
-    b0 = fitting_generator(presentation, 0)
-    b1 = fitting_generator(presentation, 1)
+    b0, b1 = _fitting_generators(presentation, (0, 1))
     if b0.is_zero():
         raise ValueError("annihilator of a non-torsion module is zero")
     quotient = exact_divide(b0, b1, laurent=False)

@@ -178,7 +178,7 @@ class TestCycloElem:
         one = CycloElem.one(12)
         for a, b in pairs:
             if not b.is_zero():
-                assert (a * b) / b == a
+                assert (a * b) * b.inverse() == a
         for _ in range(50):
             a, b, c = (rng.choice(elems) for _ in range(3))
             assert a * (b + c) == a * b + a * c
@@ -222,3 +222,98 @@ class TestInverse:
     def test_non_rational(self, x):
         assert not x.is_rational()
         assert x * x.inverse() == CycloElem.one(x.order)
+
+
+FIELD_ORDERS = [1, 2, 3, 4, 6, 8, 12, 24]
+
+
+@st.composite
+def same_field(draw, count: int) -> list[CycloElem]:
+    """count elements of one field Q(zeta_N), N drawn from FIELD_ORDERS."""
+    order = draw(st.sampled_from(FIELD_ORDERS))
+    d = euler_phi(order)
+    vectors = st.lists(small_fractions, min_size=d, max_size=d)
+    return [CycloElem(order, tuple(draw(vectors))) for _ in range(count)]
+
+
+def assert_canonical(x: CycloElem):
+    assert len(x.nums) == euler_phi(x.order)
+    assert all(type(n) is int for n in x.nums) and type(x.den) is int
+    assert x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+    if x.is_zero():
+        assert x.den == 1
+
+
+def oracle_product(a: CycloElem, b: CycloElem) -> tuple[Fraction, ...]:
+    """Rational coefficients of a*b by long division by Phi_N, no z^k table."""
+    phi = [Fraction(c) for c in cyclotomic_poly(a.order)]
+    _, rem = rpoly_divmod(rpoly_mul(a.coeffs, b.coeffs), phi)
+    d = euler_phi(a.order)
+    return tuple(rem) + (Fraction(0),) * (d - len(rem))
+
+
+class TestFieldLaws:
+    @given(same_field(3))
+    def test_associative(self, xs):
+        a, b, c = xs
+        assert (a * b) * c == a * (b * c)
+        assert (a + b) + c == a + (b + c)
+
+    @given(same_field(2))
+    def test_commutative(self, xs):
+        a, b = xs
+        assert a * b == b * a
+        assert a + b == b + a
+        assert (a - b) == -(b - a)
+
+    @given(same_field(3))
+    def test_distributive(self, xs):
+        a, b, c = xs
+        assert a * (b + c) == a * b + a * c
+        assert a * (b - c) == a * b - a * c
+
+    @given(same_field(2))
+    def test_product_against_long_division(self, xs):
+        a, b = xs
+        assert (a * b).coeffs == oracle_product(a, b)
+
+    @given(same_field(1))
+    def test_inverse(self, xs):
+        (x,) = xs
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        else:
+            assert x * x.inverse() == CycloElem.one(x.order)
+
+    @given(same_field(2), st.sampled_from([1, 2, 3, 5]))
+    def test_lift_is_ring_homomorphism(self, xs, factor):
+        a, b = xs
+        m = a.order * factor
+        la, lb = a.lift(m), b.lift(m)
+        assert la.order == m
+        assert (a * b).lift(m) == la * lb
+        assert (a + b).lift(m) == la + lb
+        assert CycloElem.one(a.order).lift(m) == CycloElem.one(m)
+        assert la == a
+        assert_canonical(la)
+
+    @given(same_field(2), small_fractions)
+    def test_canonical_form(self, xs, q):
+        a, b = xs
+        results = [a, b, a + b, a - b, a * b, -a, a.scale(q), a - a, a.lift(2 * a.order)]
+        results.append(CycloElem.make(a.order, a.coeffs + b.coeffs))
+        if not b.is_zero():
+            results.append(b.inverse())
+        for x in results:
+            assert_canonical(x)
+        assert (a - a).nums == (0,) * euler_phi(a.order)
+
+    @given(same_field(2))
+    def test_sort_key(self, xs):
+        a, b = xs
+        for x in (a, b, a * b):
+            assert x.sort_key() == (x.order, tuple(Fraction(n, x.den) for n in x.nums))
+            assert x.coeffs == tuple(Fraction(n, x.den) for n in x.nums)
+        assert (a.sort_key() == b.sort_key()) == (a == b)

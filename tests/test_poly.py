@@ -131,6 +131,45 @@ class TestIdealValuation:
             assert ideal_valuation(ideal, C) == ideal_valuation(scaled, C)
 
 
+def record_results(monkeypatch, name: str) -> list:
+    """Record the return value of every call to detloci.poly.<name> from here on."""
+    import detloci.poly as poly_module
+
+    results = []
+    real = getattr(poly_module, name)
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(poly_module, name, recording)
+    return results
+
+
+class TestValuationStopsAtZero:
+    def test_fibres_stop_at_first_zero(self, monkeypatch):
+        # along u = (1, 0) the fibres are t2^0: t1^2-2t1+1 and t2^1: t1-2
+        f = P("t1^2-2*t1+1") + P("t1*t2-2*t2")
+        C = PrimeTorusDivisor((1, 0), TorsionAngle.make(0, 1))
+        mults = record_results(monkeypatch, "_root_multiplicity_sparse")
+        assert valuation_along(f, C) == 0
+        assert mults == [0]
+
+    def test_generators_stop_at_first_zero(self, monkeypatch, rng):
+        for _ in range(25):
+            gens = [random_binomial_product(rng, R2) for _ in range(4)]
+            gens = [g for g in gens if not g.is_zero()]
+            if not gens:
+                continue
+            C = random_divisor(rng, 2)
+            ideal = IdealGens.make(R2, gens)
+            values = record_results(monkeypatch, "valuation_along")
+            v = ideal_valuation(ideal, C)
+            monkeypatch.undo()
+            assert v == min(valuation_along(g, C) for g in ideal.gens)
+            assert 0 not in values[:-1]
+
+
 class TestGcd:
     def test_examples(self):
         ring = Ring(2, True, 3)

@@ -273,3 +273,46 @@ class TestPidEquivalenceSample:
                     assert lhs == rhs
                 assert cdf_ideal(F, i, -1).is_zero()
                 assert not cdf_ideal(F, i, 0).is_zero()
+
+
+def count_smith_calls(monkeypatch) -> list:
+    """Record every Smith form the smith module computes from here on."""
+    import detloci.smith as smith_module
+
+    calls = []
+    real = smith_module.smith_normal_form
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(smith_module, "smith_normal_form", counting)
+    return calls
+
+
+class TestOneSmithFormPerMatrix:
+    def test_annihilator_from_one_form(self, monkeypatch):
+        t = P("t1")
+        zero = LaurentPoly.zero(1)
+        pres = matrix_make([[t * t * P("t1-1"), zero], [zero, t]])
+        b0, b1 = fitting_generator(pres, 0), fitting_generator(pres, 1)
+        calls = count_smith_calls(monkeypatch)
+        ann = annihilator_generator(pres)
+        assert len(calls) == 1
+        assert ann == exact_divide(b0, b1, laurent=False) == P("t1^3-t1^2")
+
+    def test_presentation_one_form_per_differential(self, monkeypatch, rng):
+        ring = Ring(1, True, 6)
+        for _ in range(10):
+            F = random_torsion_complex(rng, ring)
+            for i in F.degrees():
+                expected = cohomology_presentation(F, i)
+                calls = count_smith_calls(monkeypatch)
+                assert cohomology_presentation(F, i) == expected
+                nonempty = [
+                    j
+                    for j in range(F.imin - 1, F.imax + 1)
+                    if F.rank(j) and F.rank(j + 1)
+                ]
+                assert len(calls) == len(nonempty)
+                monkeypatch.undo()
