@@ -9,7 +9,7 @@ ideals and the block-sum jump ideals; base change substitutes monomial powers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .arith import CycloElem, TorsionAngle, lcm, lcm_all
@@ -57,18 +57,6 @@ def matrix_is_zero(mat: Matrix) -> bool:
     return all(entry.is_zero() for row in mat for entry in row)
 
 
-def block_diag(a: Matrix, b: Matrix, nvars: int, order: int) -> Matrix:
-    ra, ca = matrix_shape(a)
-    rb, cb = matrix_shape(b)
-    zero = LaurentPoly.zero(nvars, order)
-    rows = []
-    for i in range(ra):
-        rows.append(tuple(a[i]) + tuple(zero for _ in range(cb)))
-    for i in range(rb):
-        rows.append(tuple(zero for _ in range(ca)) + tuple(b[i]))
-    return tuple(rows)
-
-
 class MinorEngine:
     """Shared-memo determinant expansion over all minors of one matrix."""
 
@@ -106,8 +94,11 @@ class MinorEngine:
         return result
 
 
-def _minors_from_engine(engine: MinorEngine, m: int, ring: Ring) -> IdealGens:
-    nrows, ncols = matrix_shape(engine.mat)
+def _decided_by_size(nrows: int, ncols: int, m: int, ring: Ring) -> IdealGens | None:
+    """The unit or zero ideal where the size conventions decide it, else None.
+
+    Raises ValueError for a matrix beyond the enumeration limit.
+    """
     if m <= 0:
         return IdealGens.unit_ideal(ring)
     if m > min(nrows, ncols):
@@ -116,6 +107,14 @@ def _minors_from_engine(engine: MinorEngine, m: int, ring: Ring) -> IdealGens:
         raise ValueError(
             f"matrix exceeds the {MAX_MINOR_DIM}x{MAX_MINOR_DIM} minor enumeration limit"
         )
+    return None
+
+
+def _minors_from_engine(engine: MinorEngine, m: int, ring: Ring) -> IdealGens:
+    nrows, ncols = matrix_shape(engine.mat)
+    decided = _decided_by_size(nrows, ncols, m, ring)
+    if decided is not None:
+        return decided
     gens = []
     for rows in itertools.combinations(range(nrows), m):
         for cols in itertools.combinations(range(ncols), m):
@@ -150,6 +149,8 @@ class FreeComplex:
     imax: int
     ranks: Mapping[int, int]
     diffs: Mapping[int, Matrix]
+    # minor engines, minors ideals and jump ideals, filled on demand
+    minor_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(
@@ -235,17 +236,9 @@ def euler_truncation(complex_: FreeComplex, i: int) -> int:
     return total
 
 
-def _scratch(complex_: FreeComplex) -> dict:
-    cache = getattr(complex_, "_minor_scratch", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(complex_, "_minor_scratch", cache)
-    return cache
-
-
 def differential_minors(complex_: FreeComplex, i: int, size: int) -> IdealGens:
     """Minors ideal of d^i, sharing the expansion memo across all sizes."""
-    cache = _scratch(complex_)
+    cache = complex_.minor_cache
     key = ("ideal", i, size)
     found = cache.get(key)
     if found is not None:
@@ -266,24 +259,29 @@ def cdf_ideal(complex_: FreeComplex, i: int, k: int) -> IdealGens:
 
 
 def jump_ideal(complex_: FreeComplex, i: int, k: int) -> IdealGens:
-    """Minors ideal of the block sum of adjacent differentials."""
-    cache = _scratch(complex_)
+    """Minors ideal of the block sum diag(d^{i-1}, d^i) at size rank_i - k + 1.
+
+    A minor of a block-diagonal matrix vanishes unless its rows and columns
+    split alike between the blocks, and is then the product of the two block
+    minors, so I_m(diag(A, B)) is the sum over a + b = m of I_a(A) I_b(B).  The
+    size conventions and the enumeration limit apply to the block sum.
+    """
+    cache = complex_.minor_cache
     key = ("jump", i, k)
     found = cache.get(key)
     if found is not None:
         return found
-    engine = cache.get(("jump-engine", i))
-    if engine is None:
-        mat = block_diag(
-            complex_.differential(i - 1),
-            complex_.differential(i),
-            complex_.ring.nvars,
-            complex_.ring.cyclotomic_order,
-        )
-        engine = _engine_for(mat, complex_.ring)
-        cache[("jump-engine", i)] = engine
+    ra, ca = matrix_shape(complex_.differential(i - 1), complex_.rank(i - 1))
+    rb, cb = matrix_shape(complex_.differential(i), complex_.rank(i))
     size = complex_.rank(i) - k + 1
-    ideal = _minors_from_engine(engine, size, complex_.ring)
+    ideal = _decided_by_size(ra + rb, ca + cb, size, complex_.ring)
+    if ideal is None:
+        gens = []
+        for a in range(size + 1):
+            lower = differential_minors(complex_, i - 1, a).gens
+            upper = differential_minors(complex_, i, size - a).gens
+            gens.extend(f * g for f in lower for g in upper)
+        ideal = IdealGens.make(complex_.ring, gens)
     cache[key] = ideal
     return ideal
 

@@ -2,19 +2,25 @@ import pytest
 
 from detloci.complexes import (
     FreeComplex,
+    MinorEngine,
     alternating_cohomology_sum,
     base_change,
     cdf_ideal,
+    differential_minors,
+    direct_sum,
     euler_truncation,
     insert_trivial_summand,
     jump_ideal,
+    matrix_make,
     minors_ideal,
 )
 from detloci.poly import LaurentPoly, Ring, ideal_valuation, parse_poly
 
 from conftest import (
     canon_gens,
+    conjugate_complex,
     oracle_minor_gens,
+    random_binomial,
     random_divisor,
     random_torsion_point,
     random_two_term,
@@ -56,6 +62,13 @@ class TestConstruction:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             FreeComplex.make(R2, (0, 1), {0: 2, 1: 1}, {0: [[P("t1")]]})
+
+    def test_minor_cache_outside_equality_and_repr(self):
+        F, G = koszul_complex(), koszul_complex()
+        jump_ideal(F, 1, 1)
+        assert F.minor_cache and not G.minor_cache
+        assert F == G
+        assert repr(F) == repr(G) and "minor_cache" not in repr(F)
 
 
 class TestEulerTruncation:
@@ -127,6 +140,113 @@ class TestJumpIdeal:
     def test_unit_convention(self):
         F = koszul_complex()
         assert jump_ideal(F, 1, 4).contains_one()
+
+
+def block_sum(F: FreeComplex, i: int):
+    """diag(d^{i-1}, d^i) written out entry by entry, zero blocks included."""
+    zero = LaurentPoly.zero(F.ring.nvars, F.ring.cyclotomic_order)
+    left, right = F.rank(i - 1), F.rank(i)
+    rows = [list(row) + [zero] * right for row in F.differential(i - 1)]
+    rows += [[zero] * left + list(row) for row in F.differential(i)]
+    return matrix_make(rows)
+
+
+def random_koszul(rng) -> FreeComplex:
+    f, g = (random_binomial(rng, R2) * random_binomial(rng, R2) for _ in range(2))
+    return FreeComplex.make(
+        R2, (0, 2), {0: 1, 1: 2, 2: 1}, {0: [[f], [g]], 1: [[g, P("-1") * f]]}
+    )
+
+
+def random_adjacent_sum(rng) -> FreeComplex:
+    """Two random two-term complexes in degrees (0, 1) and (1, 2), summed."""
+    pieces = []
+    for low in (0, 1):
+        piece = random_two_term(rng, R2, max_rank=2)
+        mat = piece.differential(piece.imin)
+        pieces.append(two_term_complex(R2, [list(row) for row in mat], low=low))
+    return direct_sum(*pieces)
+
+
+def block_test_complexes(rng) -> list[FreeComplex]:
+    out = [random_koszul(rng) for _ in range(4)]
+    out += [random_adjacent_sum(rng) for _ in range(5)]
+    out += [conjugate_complex(rng, random_adjacent_sum(rng)) for _ in range(3)]
+    f = random_binomial(rng, R2)
+    # rank 0 after a nonzero degree, and in the middle of the range
+    out.append(FreeComplex.make(R2, (0, 2), {0: 1, 1: 2, 2: 0}, {0: [[f], [P("-1") * f]]}))
+    out.append(FreeComplex.make(R2, (0, 2), {0: 2, 1: 0, 2: 2}, {}))
+    return out
+
+
+class TestJumpAgainstBlockSum:
+    def test_every_degree_and_size(self, rng):
+        for F in block_test_complexes(rng):
+            for i in range(F.imin - 1, F.imax + 2):
+                for k in range(-1, F.rank(i) + 3):
+                    expected = minors_ideal(block_sum(F, i), F.rank(i) - k + 1, F.ring)
+                    assert jump_ideal(F, i, k) == expected
+
+    def test_size_guard_on_block_sum(self):
+        # each block is 7x7, within the limit; their block sum is 14x14
+        h = h_poly()
+        zero = LaurentPoly.zero(2, 3)
+        diag = [[h if r == c else zero for c in range(7)] for r in range(7)]
+        F = FreeComplex.make(R2, (0, 2), {0: 7, 1: 7, 2: 7}, {0: diag})
+        with pytest.raises(ValueError, match="exceeds the 12x12 minor enumeration limit"):
+            jump_ideal(F, 1, 1)
+        assert jump_ideal(F, 1, 8).contains_one()
+        assert jump_ideal(F, 1, -7).is_zero()
+        # the block without rows still brings its columns: 7 x 14
+        top = FreeComplex.make(R2, (0, 1), {0: 7, 1: 7}, {0: diag})
+        with pytest.raises(ValueError, match="12x12"):
+            jump_ideal(top, 1, 1)
+
+
+class TestJumpFromBlockMinors:
+    @staticmethod
+    def fixed_complex() -> FreeComplex:
+        h = h_poly()
+        upper = two_term_complex(R2, [[h, P("t1")], [P("0"), h * h]], low=1)
+        return direct_sum(koszul_complex(), upper)
+
+    def test_det_calls_and_engines(self, monkeypatch):
+        built, calls = [], []
+        init, det = MinorEngine.__init__, MinorEngine.det
+
+        def counting_init(self, mat, nvars, order):
+            built.append(mat)
+            init(self, mat, nvars, order)
+
+        def counting_det(self, rows, cols):
+            calls.append(len(rows))
+            return det(self, rows, cols)
+
+        monkeypatch.setattr(MinorEngine, "__init__", counting_init)
+        monkeypatch.setattr(MinorEngine, "det", counting_det)
+
+        F = self.fixed_complex()
+        degrees = range(F.imin - 1, F.imax + 2)
+        for i in degrees:
+            for k in range(-1, F.rank(i) + 3):
+                jump_ideal(F, i, k)
+        jump_calls = len(calls)
+        diffs = [F.differential(j) for j in range(F.imin - 2, F.imax + 2)]
+        assert all(any(mat == d for d in diffs) for mat in built)
+
+        # the same count as enumerating every minor of every differential once,
+        # and no more once those minors are cached
+        G = self.fixed_complex()
+        calls.clear()
+        for j in range(G.imin - 2, G.imax + 2):
+            for size in range(1, max(G.rank(j), G.rank(j + 1)) + 1):
+                differential_minors(G, j, size)
+        assert len(calls) == jump_calls > 0
+        calls.clear()
+        for i in degrees:
+            for k in range(-1, G.rank(i) + 3):
+                jump_ideal(G, i, k)
+        assert not calls
 
 
 class TestBaseChange:
