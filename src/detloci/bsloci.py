@@ -11,9 +11,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .torus import AffineHyperplane, PrimeTorusDivisor, exp_hyperplane, is_oblique, slope
+from .torus import (
+    AffineHyperplane,
+    PrimeTorusDivisor,
+    exp_hyperplane,
+    is_oblique,
+    rref,
+    slope,
+)
 
 Piece = tuple[AffineHyperplane, ...]
 
@@ -24,29 +32,10 @@ def _piece_make(hyperplanes: Sequence[AffineHyperplane], r: int) -> Piece:
     for h in hyperplanes:
         if h.nvars != r:
             raise ValueError("piece member has wrong dimension")
-    rows = [[Fraction(x) for x in h.c] for h in hyperplanes]
-    if _row_rank(rows) != len(rows):
+    pivots, _ = rref([h.c for h in hyperplanes], r)
+    if len(pivots) != len(hyperplanes):
         raise ValueError("piece normals must be linearly independent")
     return tuple(sorted(hyperplanes, key=lambda h: h.sort_key()))
-
-
-def _row_rank(rows: list[list[Fraction]]) -> int:
-    mat = [row[:] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
 
 
 @dataclass(frozen=True)
@@ -170,100 +159,105 @@ def combine_bm(
 # Containment with rational witnesses
 
 
-def _piece_rows(piece: Piece) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in h.c] + [Fraction(h.c0)] for h in piece]
+def _parametrize(member: Piece) -> tuple[list[int], list[list[int]], int]:
+    """The member's points as (base + sum_j v_j dirs[j]) / den over its free
+    coordinates v (ascending), with integer base and directions, den > 0."""
+    n = member[0].nvars
+    pivots, rows = rref([(*h.c, -h.c0) for h in member], n)
+    free = [i for i in range(n) if i not in pivots]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    base = [0] * n
+    dirs = [[0] * n for _ in free]
+    for row, col in zip(rows, pivots):
+        base[col] = int(row[n] * den)
+        for d, f in zip(dirs, free):
+            d[col] = int(-row[f] * den)
+    for d, f in zip(dirs, free):
+        d[f] = den
+    return base, dirs, den
 
 
-def _in_row_span(rows: list[list[Fraction]], target: list[Fraction]) -> bool:
-    mat = [row[:] for row in rows]
-    width = len(target)
-    vec = target[:]
-    pivot_cols = []
-    rank = 0
-    for col in range(width):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    residual = vec[:]
-    for row, col in zip(mat[:rank], pivot_cols):
-        f = residual[col]
-        if f != 0:
-            residual = [x - f * y for x, y in zip(residual, row)]
-    return all(x == 0 for x in residual)
+def _restrict(h: AffineHyperplane, base: list[int], dirs: list[list[int]], den: int) -> tuple:
+    """den * (c.x + c0) on a parametrized member, as (a0, a_1, ..., a_k)."""
+    return (
+        sum(ci * x for ci, x in zip(h.c, base)) + h.c0 * den,
+        *(sum(ci * x for ci, x in zip(h.c, d)) for d in dirs),
+    )
 
 
 def piece_in_hyperplane(piece: Piece, h: AffineHyperplane) -> bool:
     """Whether the common zero set of the piece satisfies the hyperplane equation."""
-    target = [Fraction(x) for x in h.c] + [Fraction(h.c0)]
-    return _in_row_span(_piece_rows(piece), target)
+    return not any(_restrict(h, *_parametrize(piece)))
 
 
-def piece_in_piece(inner: Piece, outer: Piece) -> bool:
-    return all(piece_in_hyperplane(inner, h) for h in outer)
+def _grid_order(bound: int | None) -> Iterator[int]:
+    """0, 1, -1, 2, -2, ... up to +-bound, or without end for bound None."""
+    yield 0
+    for v in itertools.count(1) if bound is None else range(1, bound + 1):
+        yield v
+        yield -v
 
 
-def _grid_values() -> Iterable[Fraction]:
-    yield Fraction(0)
-    for k in range(1, 65):
-        yield Fraction(k)
-        yield Fraction(-k)
-
-
-def _point_on_hyperplane_avoiding(
-    h: AffineHyperplane, locus: HyperplaneLocus
-) -> list[Fraction]:
-    pivot = next(i for i, ci in enumerate(h.c) if ci != 0)
-    free = [i for i in range(h.nvars) if i != pivot]
-    for assignment in itertools.product(_grid_values(), repeat=len(free)):
-        point = [Fraction(0)] * h.nvars
-        for i, value in zip(free, assignment):
-            point[i] = value
-        rest = sum(Fraction(h.c[i]) * point[i] for i in free)
-        point[pivot] = Fraction(-(h.c0) - rest, h.c[pivot])
-        if not locus.contains_rational_point(point):
-            return point
-    raise ArithmeticError("witness search exhausted its grid")
-
-
-def _point_on_piece_avoiding(piece: Piece, locus: HyperplaneLocus) -> list[Fraction]:
-    rows = [[Fraction(x) for x in h.c] for h in piece]
-    rhs = [Fraction(-h.c0) for h in piece]
-    n = len(rows[0])
-    mat = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
+def _blocked_value(funcs: list[tuple[int, ...]], fixed: tuple[int, ...]) -> int | None:
+    """The value of the next free coordinate at which the outer member with
+    these restrictions contains the whole slice through the fixed ones, if any."""
+    level = len(fixed)
+    value = None
+    for f in funcs:
+        if any(f[level + 2 :]):
+            return None
+        const = f[0] + sum(a * v for a, v in zip(f[1:], fixed))
+        a = f[level + 1]
+        if not a:
+            if const:
+                return None
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    free = [i for i in range(n) if i not in pivot_cols]
-    for assignment in itertools.product(_grid_values(), repeat=len(free)):
-        point = [Fraction(0)] * n
-        for i, value in zip(free, assignment):
-            point[i] = value
-        for row, col in zip(mat[:rank], pivot_cols):
-            point[col] = row[n] - sum(row[i] * point[i] for i in free)
-        if not locus.contains_rational_point(point):
-            return point
-    raise ArithmeticError("witness search exhausted its grid")
+        q, rem = divmod(-const, a)
+        if rem or value not in (None, q):
+            return None
+        value = q
+    return value
+
+
+def _first_free_values(
+    outer: list[list[tuple[int, ...]]], k: int, bound: int | None, fixed: tuple[int, ...] = ()
+) -> list[int] | None:
+    """Lexicographically first k free values in grid order, extending the fixed
+    ones, of a point in no outer member; None if none lies within +-bound.
+
+    An outer member that does not contain the current slice contains its
+    sub-slice x_j = v for at most one v, so only those values are skipped and
+    the search backtracks only where every grid value of a level is blocked.
+    """
+    if len(fixed) == k:
+        return list(fixed)
+    blocked = {_blocked_value(funcs, fixed) for funcs in outer}
+    for v in _grid_order(bound):
+        if v not in blocked:
+            found = _first_free_values(outer, k, bound, fixed + (v,))
+            if found is not None:
+                return found
+    return None
+
+
+def _point_avoiding(member: Piece, outer: list[Piece]) -> list[Fraction] | None:
+    """The first point of the member, in grid order over its free coordinates,
+    that lies in no outer member; None if some outer member contains it.
+
+    The grid is +-64 in each free coordinate; where it holds no such point the
+    search runs on past it in the same order, so it always ends with a point.
+    """
+    base, dirs, den = _parametrize(member)
+    restricted = [[_restrict(h, base, dirs, den) for h in other] for other in outer]
+    if any(all(not any(f) for f in funcs) for funcs in restricted):
+        return None  # that outer member contains the whole member
+    values = _first_free_values(restricted, len(dirs), 64)
+    if values is None:
+        values = _first_free_values(restricted, len(dirs), None)
+    return [
+        Fraction(b + sum(v * d[i] for v, d in zip(values, dirs)), den)
+        for i, b in enumerate(base)
+    ]
 
 
 def containment_check(
@@ -271,22 +265,19 @@ def containment_check(
 ) -> tuple[bool, list[Fraction] | None]:
     """Set-theoretic containment of unions; returns a rational witness on failure.
 
-    Hyperplanes are irreducible, so a hyperplane member must coincide (up to
-    scaling) with an outer member; a piece may land inside an outer hyperplane
-    (checked by exact linear algebra on its affine span) or an outer piece.
+    A member (a hyperplane is a one-equation piece) is contained when the
+    restrictions of some outer member's equations to it vanish identically.
+    The witness is the first such point of the first member not contained.
     """
     if inner.r != outer.r:
         raise ValueError("loci live in different dimensions")
-    outer_canonicals = {h.set_canonical() for h in outer.members()}
-    for h in inner.members():
-        if h.set_canonical() not in outer_canonicals:
-            return False, _point_on_hyperplane_avoiding(h, outer)
-    for piece in inner.pieces:
-        inside = any(piece_in_hyperplane(piece, h) for h in outer.members()) or any(
-            piece_in_piece(piece, other) for other in outer.pieces
-        )
-        if not inside:
-            return False, _point_on_piece_avoiding(piece, outer)
+    outer_members = [(h,) for h in outer.members()] + list(outer.pieces)
+    for member in [(h,) for h in inner.members()] + list(inner.pieces):
+        witness = _point_avoiding(member, outer_members)
+        if witness is not None:
+            if outer.contains_rational_point(witness):
+                raise ArithmeticError("containment witness lies in the outer locus")
+            return False, witness
     return True, None
 
 

@@ -95,26 +95,24 @@ class MinorEngine:
 
 
 def _decided_by_size(nrows: int, ncols: int, m: int, ring: Ring) -> IdealGens | None:
-    """The unit or zero ideal where the size conventions decide it, else None.
-
-    Raises ValueError for a matrix beyond the enumeration limit.
-    """
+    """The unit or zero ideal where the size conventions decide it, else None."""
     if m <= 0:
         return IdealGens.unit_ideal(ring)
     if m > min(nrows, ncols):
         return IdealGens.zero_ideal(ring)
-    if nrows > MAX_MINOR_DIM or ncols > MAX_MINOR_DIM:
-        raise ValueError(
-            f"matrix exceeds the {MAX_MINOR_DIM}x{MAX_MINOR_DIM} minor enumeration limit"
-        )
     return None
 
 
 def _minors_from_engine(engine: MinorEngine, m: int, ring: Ring) -> IdealGens:
+    """Raises ValueError for a matrix beyond the enumeration limit."""
     nrows, ncols = matrix_shape(engine.mat)
     decided = _decided_by_size(nrows, ncols, m, ring)
     if decided is not None:
         return decided
+    if nrows > MAX_MINOR_DIM or ncols > MAX_MINOR_DIM:
+        raise ValueError(
+            f"matrix exceeds the {MAX_MINOR_DIM}x{MAX_MINOR_DIM} minor enumeration limit"
+        )
     gens = []
     for rows in itertools.combinations(range(nrows), m):
         for cols in itertools.combinations(range(ncols), m):
@@ -264,7 +262,8 @@ def jump_ideal(complex_: FreeComplex, i: int, k: int) -> IdealGens:
     A minor of a block-diagonal matrix vanishes unless its rows and columns
     split alike between the blocks, and is then the product of the two block
     minors, so I_m(diag(A, B)) is the sum over a + b = m of I_a(A) I_b(B).  The
-    size conventions and the enumeration limit apply to the block sum.
+    size conventions apply to the block sum, the enumeration limit to each
+    differential whose minors are enumerated.
     """
     cache = complex_.minor_cache
     key = ("jump", i, k)
@@ -350,12 +349,6 @@ def insert_trivial_summand(complex_: FreeComplex, position: int) -> FreeComplex:
 # Pointwise evaluation: exact vector-space data at a torsion point
 
 
-def evaluate_matrix(
-    mat: Matrix, point: Sequence[TorsionAngle], order: int
-) -> list[list[CycloElem]]:
-    return [[entry.evaluate(point, order) for entry in row] for row in mat]
-
-
 def field_rank(rows: list[list[CycloElem]], order: int) -> int:
     """Exact rank over Q(zeta_order) by Gaussian elimination."""
     if not rows or not rows[0]:
@@ -393,8 +386,8 @@ def cohomology_dims_at_point(
     )
     ranks = {}
     for i in range(complex_.imin - 1, complex_.imax + 1):
-        mat = evaluate_matrix(complex_.differential(i), point, order)
-        ranks[i] = field_rank(mat, order)
+        mat = complex_.differential(i)
+        ranks[i] = field_rank([[e.evaluate(point, order) for e in row] for row in mat], order)
     return {
         i: complex_.rank(i) - ranks[i] - ranks[i - 1]
         for i in complex_.degrees()

@@ -214,8 +214,8 @@ class TranslatedSubtorus:
     def __post_init__(self):
         if not self.equations:
             raise ValueError("a translated subtorus needs at least one equation")
-        rows = [[Fraction(x) for x in u] for u, _ in self.equations]
-        if _rank(rows) != len(rows):
+        pivots, _ = rref([u for u, _ in self.equations], len(self.equations[0][0]))
+        if len(pivots) != len(self.equations):
             raise ValueError("subtorus equations must be linearly independent")
 
     @property
@@ -247,16 +247,14 @@ def _eq_key(eq: tuple[tuple[int, ...], TorsionAngle]) -> tuple:
     return (u, xi.as_fraction())
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    mat = [row[:] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
+def rref(rows: list, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Gauss-Jordan elimination over Fraction pivoting in the first ncols columns
+    only: the pivot columns (as many as the rank of those columns), reduced rows."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
     for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
@@ -264,10 +262,10 @@ def _rank(rows: list[list[Fraction]]) -> int:
         mat[rank] = [x * inv for x in mat[rank]]
         for i in range(len(mat)):
             if i != rank and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        pivots.append(col)
+    return pivots, mat[: len(pivots)]
 
 
 def tau_preimage(
@@ -304,11 +302,10 @@ def nondegeneracy_check(
     Requires full row rank over Q (surjective torus map) and nonzero column
     sums over every coordinate flagged as having a nonempty divisor.
     """
-    rows = [[Fraction(int(x)) for x in row] for row in m_rows]
-    p = len(rows)
-    if _rank(rows) != p:
-        return False
+    rows = [[int(x) for x in row] for row in m_rows]
     r = len(rows[0]) if rows else 0
+    if len(rref(rows, r)[0]) != len(rows):
+        return False
     if len(nonempty_mask) != r:
         raise ValueError("mask length must match number of columns")
     for i in range(r):

@@ -134,6 +134,159 @@ class TestContainment:
             assert ok, (name, witness)
 
 
+GRID = [0] + [v for k in range(1, 65) for v in (k, -k)]
+
+
+def _rref(rows, ncols):
+    """Gauss-Jordan elimination over Fraction, pivoting in the first ncols
+    columns: pivot columns, reduced rows."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        mat[rank] = [x / mat[rank][col] for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        pivots.append(col)
+    return pivots, mat[: len(pivots)]
+
+
+def grid_walk_containment(inner, outer):
+    """Containment by the point-by-point grid walk: the first point, in
+    lexicographic grid order over the free coordinates of the first member
+    not inside an outer member, that the outer locus misses.  Returns None
+    where the grid (+-64 per free coordinate) holds no such point."""
+    canonicals = {h.set_canonical() for h in outer.members()}
+
+    def rows(piece):
+        return [list(h.c) + [-h.c0] for h in piece]
+
+    def inside(piece, h):
+        return len(_rref(rows(piece) + rows((h,)), inner.r + 1)[0]) == len(piece)
+
+    members = [(h,) for h in inner.members()] + list(inner.pieces)
+    for member in members:
+        if len(member) == 1 and member[0].set_canonical() in canonicals:
+            continue
+        if len(member) > 1 and (
+            any(inside(member, h) for h in outer.members())
+            or any(all(inside(member, h) for h in p) for p in outer.pieces)
+        ):
+            continue
+        pivots, reduced = _rref(rows(member), inner.r)
+        n = inner.r
+        free = [i for i in range(n) if i not in pivots]
+        for assignment in itertools.product(GRID, repeat=len(free)):
+            point = [Fraction(0)] * n
+            for i, v in zip(free, assignment):
+                point[i] = Fraction(v)
+            for row, col in zip(reduced, pivots):
+                point[col] = row[n] - sum(row[i] * point[i] for i in free)
+            if not outer.contains_rational_point(point):
+                return False, point
+        return None
+    return True, None
+
+
+def random_hyperplane(rng, r):
+    c = [0] * r
+    while not any(c):
+        c = [rng.randint(0, 3) for _ in range(r)]
+    return H(c, rng.randint(-6, 6))
+
+
+def random_locus(rng, r, n_hyperplanes, n_pieces):
+    pieces = []
+    while len(pieces) < n_pieces:
+        piece = [random_hyperplane(rng, r) for _ in range(rng.randint(2, r))]
+        try:
+            HyperplaneLocus.make(r, [], [piece])
+        except ValueError:
+            continue
+        pieces.append(piece)
+    hyperplanes = [random_hyperplane(rng, r) for _ in range(n_hyperplanes)]
+    return HyperplaneLocus.make(r, hyperplanes, pieces)
+
+
+def contained_case(rng, r):
+    """Rescaled outer members, a piece inside an outer hyperplane and, where
+    the normals allow it, a piece inside the outer piece."""
+    outer = random_locus(rng, r, 3, 1)
+    h = outer.members()[0]
+    other = random_hyperplane(rng, r)
+    while len(_rref([h.c, other.c], r)[0]) < 2:
+        other = random_hyperplane(rng, r)
+    pieces = [[h, other]]
+    deeper = list(outer.pieces[0]) + [other]
+    if len(_rref([g.c for g in deeper], r)[0]) == len(deeper):
+        pieces.append(deeper)
+    rescaled = [H(tuple(3 * x for x in g.c), 3 * g.c0) for g in outer.members()[1:]]
+    return HyperplaneLocus.make(r, rescaled, pieces), outer
+
+
+class TestContainmentWitness:
+    def test_against_grid_walk(self, rng):
+        cases = []
+        for _ in range(400):
+            r = rng.randint(2, 4)
+            inner = random_locus(rng, r, rng.randint(0, 2), rng.randint(0, 2))
+            outer = random_locus(rng, r, rng.randint(0, 6), rng.randint(0, 3))
+            cases.append((inner, outer))
+        for _ in range(20):
+            cases.append(contained_case(rng, rng.randint(2, 4)))
+        # a grid line of the missing member blocked value by value: the first
+        # slice x_2 = 0 holds no grid witness and the search moves to x_2 = 1
+        cases.append(
+            (
+                HyperplaneLocus.make(3, [H((1, 0, 0), 0)]),
+                HyperplaneLocus.make(
+                    3, [], [[H((0, 1, 0), 0), H((0, 0, 1), -v)] for v in range(65)]
+                    + [[H((0, 1, 0), 0), H((0, 0, 1), v)] for v in range(1, 65)]
+                ),
+            )
+        )
+        seen = set()
+        for inner, outer in cases:
+            expected = grid_walk_containment(inner, outer)
+            assert expected is not None
+            assert containment_check(inner, outer) == expected
+            seen.add(expected[0])
+        assert seen == {True, False}
+        assert containment_check(*cases[-1])[1] == [0, 1, 0]
+
+    def test_plane_blocking_member(self, monkeypatch):
+        # the outer member meets the missing one in its grid plane x_1 = 0
+        inner = HyperplaneLocus.make(4, [H((1, 3, 3, 3), 2)])
+        outer = HyperplaneLocus.make(4, [H((1, 1, 3, 3), 2)])
+        calls = []
+        original = HyperplaneLocus.contains_rational_point
+
+        def counting(self, point):
+            calls.append(point)
+            return original(self, point)
+
+        monkeypatch.setattr(HyperplaneLocus, "contains_rational_point", counting)
+        ok, witness = containment_check(inner, outer)
+        assert not ok
+        assert witness == [-5, 1, 0, 0]
+        assert len(calls) <= 1
+
+    def test_no_witness_inside_the_grid(self):
+        inner = HyperplaneLocus.make(2, [H((1, 0), 0)])
+        outer = HyperplaneLocus.make(
+            2, [H((0, 1), -v) for v in range(65)] + [H((0, 1), v) for v in range(1, 65)]
+        )
+        ok, witness = containment_check(inner, outer)
+        assert not ok
+        assert witness == [0, 65]
+
+
 class TestOblique:
     def test_first_example(self):
         loci = ex71_loci()

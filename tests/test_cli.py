@@ -107,6 +107,21 @@ class TestContain:
         assert code == 1 and not data["contained"]
         assert "witness" in data
 
+    def test_witness_beyond_the_grid(self, capsys, tmp_path):
+        # s2 = v for every v in [-64, 64] blocks the whole grid of s1 = 0
+        inner = {"r": 2, "hyperplanes": [{"c": [1, 0], "c0": 0}]}
+        outer = {"r": 2, "hyperplanes": [{"c": [0, 1], "c0": v} for v in range(-64, 65)]}
+        code, out, err = run_cli(
+            capsys,
+            [
+                "contain",
+                "--inner", write_json(tmp_path / "inner.json", inner),
+                "--outer", write_json(tmp_path / "outer.json", outer),
+            ],
+        )
+        assert code == 1 and not err
+        assert json.loads(out) == {"contained": False, "witness": ["0", "65"]}
+
 
 class TestFilterSlice:
     def test_filter(self, capsys, ex71_bf_file):

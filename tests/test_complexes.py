@@ -14,7 +14,7 @@ from detloci.complexes import (
     matrix_make,
     minors_ideal,
 )
-from detloci.poly import LaurentPoly, Ring, ideal_valuation, parse_poly
+from detloci.poly import IdealGens, LaurentPoly, Ring, ideal_valuation, parse_poly
 
 from conftest import (
     canon_gens,
@@ -187,20 +187,29 @@ class TestJumpAgainstBlockSum:
                     expected = minors_ideal(block_sum(F, i), F.rank(i) - k + 1, F.ring)
                     assert jump_ideal(F, i, k) == expected
 
-    def test_size_guard_on_block_sum(self):
-        # each block is 7x7, within the limit; their block sum is 14x14
+    def test_size_guard_per_differential(self):
+        # each block is 7x7, within the limit, so the 14x14 block sum is not
+        # refused; the one nonzero block-minor product is det(d^0) = h^7
         h = h_poly()
         zero = LaurentPoly.zero(2, 3)
-        diag = [[h if r == c else zero for c in range(7)] for r in range(7)]
-        F = FreeComplex.make(R2, (0, 2), {0: 7, 1: 7, 2: 7}, {0: diag})
-        with pytest.raises(ValueError, match="exceeds the 12x12 minor enumeration limit"):
-            jump_ideal(F, 1, 1)
+
+        def diag(n):
+            return [[h if r == c else zero for c in range(n)] for r in range(n)]
+
+        det = IdealGens.make(R2, [h**7])
+        F = FreeComplex.make(R2, (0, 2), {0: 7, 1: 7, 2: 7}, {0: diag(7)})
+        assert jump_ideal(F, 1, 1) == det
         assert jump_ideal(F, 1, 8).contains_one()
         assert jump_ideal(F, 1, -7).is_zero()
-        # the block without rows still brings its columns: 7 x 14
-        top = FreeComplex.make(R2, (0, 1), {0: 7, 1: 7}, {0: diag})
-        with pytest.raises(ValueError, match="12x12"):
-            jump_ideal(top, 1, 1)
+        # a block without rows still brings its columns: 7 x 14, same product
+        top = FreeComplex.make(R2, (0, 1), {0: 7, 1: 7}, {0: diag(7)})
+        assert jump_ideal(top, 1, 1) == det
+        # a differential beyond the limit is still refused once enumerated
+        big = FreeComplex.make(R2, (0, 1), {0: 13, 1: 13}, {0: diag(13)})
+        with pytest.raises(ValueError, match="exceeds the 12x12 minor enumeration limit"):
+            jump_ideal(big, 1, 1)
+        assert jump_ideal(big, 1, 14).contains_one()
+        assert jump_ideal(big, 1, -13).is_zero()
 
 
 class TestJumpFromBlockMinors:
