@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -87,71 +87,9 @@ def angle_roots(xi: TorsionAngle, g: int) -> list[TorsionAngle]:
     return sorted(roots, key=lambda a: a.as_fraction())
 
 
-# ---------------------------------------------------------------------------
-# Dense univariate polynomials over Q (coefficient lists, constant term first)
-
-
-def rpoly_trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    end = len(coeffs)
-    while end > 0 and coeffs[end - 1] == 0:
-        end -= 1
-    return tuple(Fraction(c) for c in coeffs[:end])
-
-
-def rpoly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb != 0:
-                out[i + j] += ca * cb
-    return rpoly_trim(out)
-
-
-def rpoly_divmod(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    b = rpoly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(rpoly_trim(a))
-    quot = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
-    inv_lead = Fraction(1) / Fraction(b[-1])
-    while len(rem) >= len(b):
-        c = rem[-1] * inv_lead
-        k = len(rem) - len(b)
-        quot[k] = c
-        for j, cb in enumerate(b):
-            rem[k + j] -= c * cb
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rpoly_trim(quot), rpoly_trim(rem)
-
-
 def divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out
-
-
-@lru_cache(maxsize=None)
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius undefined for n < 1")
-    result, m = 1, n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
 
 
 @lru_cache(maxsize=None)
@@ -175,50 +113,37 @@ def euler_phi(n: int) -> int:
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """The n-th cyclotomic polynomial, dense integer coefficients, constant first.
 
-    Computed from the Moebius product of (t^d - 1) factors; monic of degree
-    phi(n), and the product over d | n recovers t^n - 1 exactly.
+    t^n - 1 divided by Phi_d for every proper divisor d of n; each Phi_d is
+    monic and integral, so every division is exact over the integers.
     """
     if n < 1:
         raise ValueError("cyclotomic polynomial needs n >= 1")
-    num: Sequence[Fraction] = (Fraction(1),)
-    den: Sequence[Fraction] = (Fraction(1),)
-    for d in divisors(n):
-        mu = mobius(n // d)
-        if mu == 0:
-            continue
-        factor = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
-        if mu == 1:
-            num = rpoly_mul(num, factor)
-        else:
-            den = rpoly_mul(den, factor)
-    quot, rem = rpoly_divmod(num, den)
-    if rem:
-        raise ArithmeticError("cyclotomic product did not divide exactly")
-    if any(c.denominator != 1 for c in quot):
-        raise ArithmeticError("cyclotomic polynomial not integral")
-    return tuple(int(c) for c in quot)
+    rem = [-1] + [0] * (n - 1) + [1]
+    for d in divisors(n)[:-1]:
+        phi = cyclotomic_poly(d)
+        top = len(phi) - 1
+        quot = [0] * (len(rem) - top)
+        for k in range(len(quot) - 1, -1, -1):
+            c = quot[k] = rem[k + top]
+            if c:
+                for i, p in enumerate(phi):
+                    rem[k + i] -= c * p
+        if any(rem):
+            raise ArithmeticError("cyclotomic product did not divide exactly")
+        rem = quot
+    return tuple(rem)
 
 
 def unit_root_multiplicity(p: Sequence[Fraction], xi: TorsionAngle) -> int:
     """Multiplicity of e^{2*pi*i*xi} as a root of the rational polynomial p.
 
-    Equals the largest m with Phi_b^m | p for xi = a/b, since a polynomial
-    with rational coefficients has the same multiplicity at every primitive
-    b-th root of unity.
+    p lists the coefficients constant first; a thin wrapper around
+    root_multiplicity.
     """
-    coeffs = rpoly_trim(p)
+    coeffs = {k: CycloElem.from_rational(1, c) for k, c in enumerate(p) if c}
     if not coeffs:
         raise ValueError("zero polynomial has infinite multiplicity")
-    phi = tuple(Fraction(c) for c in cyclotomic_poly(xi.den))
-    mult = 0
-    while True:
-        quot, rem = rpoly_divmod(coeffs, phi)
-        if rem:
-            return mult
-        mult += 1
-        coeffs = quot
-        if not coeffs:
-            raise ArithmeticError("division chain reached zero polynomial")
+    return root_multiplicity(coeffs, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +285,9 @@ class CycloElem:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
+    def is_one(self) -> bool:
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
+
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
@@ -475,3 +403,70 @@ def lcm_all(values: Iterable[int]) -> int:
     for v in values:
         out = lcm(out, v)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sums at roots of unity, spread over the powers of zeta
+
+
+def _spread(
+    order: int, terms: Sequence[tuple[CycloElem, int]], weights: Sequence[int] | None = None
+) -> tuple[list[int], int]:
+    """den * sum w * c * zeta_order^shift over the (c, shift) terms, as integers
+    indexed by the exponent of zeta_order, and den.
+
+    den is the lcm of the coefficients' denominators; the weights w are
+    integers, all 1 when none are given.
+    """
+    den = math.lcm(*(c.den for c, _ in terms))
+    dense = [0] * order
+    for t, (c, shift) in enumerate(terms):
+        w = 1 if weights is None else weights[t]
+        if not w:
+            continue
+        if order % c.order:
+            raise ValueError("can only lift along divisibility of orders")
+        step, factor = order // c.order, den // c.den * w
+        for i, n in enumerate(c.nums):
+            if n:
+                dense[(i * step + shift) % order] += n * factor
+    return dense, den
+
+
+def torsion_sum(order: int, terms: Sequence[tuple[CycloElem, int]]) -> CycloElem:
+    """sum c * zeta_order^shift over the (c, shift) terms, in Q(zeta_order).
+
+    One integer spread of every term and one reduction modulo Phi_order.
+    """
+    dense, den = _spread(order, terms)
+    return _canonical(order, reduce_mod_phi(order, dense), den)
+
+
+def root_multiplicity(
+    coeffs: Mapping[int, CycloElem], xi: TorsionAngle, cap: int | None = None
+) -> int:
+    """Multiplicity of the root of unity xi in the Laurent polynomial sum c_k t^k.
+
+    The multiplicity is the least j with sum_k C(k - low, j) c_k xi^k != 0,
+    low the least exponent: that sum is xi^(low + j) times the j-th Hasse
+    derivative of t^-low * f at xi.  Each j costs one integer spread of the
+    weighted c_k xi^k over the powers of zeta_M, M the lcm of the
+    coefficient orders and xi's denominator, and one reduction modulo
+    Phi_M; no field multiplication.  With a cap, min(multiplicity, cap) is
+    returned and no j >= cap is tried; without one, the zero polynomial
+    raises ArithmeticError.
+    """
+    order = math.lcm(xi.den, *{c.order for c in coeffs.values()})
+    rot = order // xi.den * xi.num
+    terms = [(c, rot * k) for k, c in coeffs.items()]
+    low = min(coeffs, default=0)
+    j = 0
+    while cap is None or j < cap:
+        weights = [math.comb(k - low, j) for k in coeffs] if j else None
+        dense, _ = _spread(order, terms, weights)
+        if any(reduce_mod_phi(order, dense)):
+            return j
+        if j and not any(weights):
+            raise ArithmeticError("the zero polynomial has no root multiplicity")
+        j += 1
+    return cap

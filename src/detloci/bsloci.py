@@ -198,16 +198,18 @@ def _grid_order(bound: int | None) -> Iterator[int]:
         yield -v
 
 
-def _blocked_value(funcs: list[tuple[int, ...]], fixed: tuple[int, ...]) -> int | None:
+def _blocked_value(funcs: list[tuple[int, ...]]) -> int | None:
     """The value of the next free coordinate at which the outer member with
-    these restrictions contains the whole slice through the fixed ones, if any."""
-    level = len(fixed)
+    these restrictions contains the whole slice, if any.
+
+    The fixed coordinates are substituted: each restriction is
+    (a0, a_1, ...) with a_1 the coefficient of the next free coordinate.
+    """
     value = None
     for f in funcs:
-        if any(f[level + 2 :]):
+        if any(f[2:]):
             return None
-        const = f[0] + sum(a * v for a, v in zip(f[1:], fixed))
-        a = f[level + 1]
+        const, a = f[0], f[1]
         if not a:
             if const:
                 return None
@@ -220,24 +222,35 @@ def _blocked_value(funcs: list[tuple[int, ...]], fixed: tuple[int, ...]) -> int 
 
 
 def _first_free_values(
-    outer: list[list[tuple[int, ...]]], k: int, bound: int | None, fixed: tuple[int, ...] = ()
+    outer: list[list[tuple[int, ...]]], k: int, bound: int | None, memo: dict | None = None
 ) -> list[int] | None:
-    """Lexicographically first k free values in grid order, extending the fixed
-    ones, of a point in no outer member; None if none lies within +-bound.
+    """Lexicographically first k free values in grid order of a point in no
+    outer member; None if none lies within +-bound.
 
     An outer member that does not contain the current slice contains its
     sub-slice x_j = v for at most one v, so only those values are skipped and
     the search backtracks only where every grid value of a level is blocked.
+    A sub-search depends only on the restrictions with the fixed coordinates
+    substituted, so equal ones share one result through the memo.
     """
-    if len(fixed) == k:
-        return list(fixed)
-    blocked = {_blocked_value(funcs, fixed) for funcs in outer}
+    if k == 0:
+        return []
+    if memo is None:
+        memo = {}
+    key = (k, tuple(tuple(funcs) for funcs in outer))
+    if key in memo:
+        return memo[key]
+    blocked = {_blocked_value(funcs) for funcs in outer}
+    found = None
     for v in _grid_order(bound):
         if v not in blocked:
-            found = _first_free_values(outer, k, bound, fixed + (v,))
-            if found is not None:
-                return found
-    return None
+            inner = [[(f[0] + f[1] * v, *f[2:]) for f in funcs] for funcs in outer]
+            rest = _first_free_values(inner, k - 1, bound, memo)
+            if rest is not None:
+                found = [v] + rest
+                break
+    memo[key] = found
+    return found
 
 
 def _point_avoiding(member: Piece, outer: list[Piece]) -> list[Fraction] | None:

@@ -1,7 +1,8 @@
 """Command-line front end: JSON in, canonical JSON out.
 
 Exit codes: 0 on success, 1 when a requested check fails (a false containment
-or a failing fixture), 2 on malformed input.
+or a failing fixture), 2 on malformed input, 4 when an internal invariant
+check fails (an ArithmeticError, reported as one stderr line).
 """
 
 from __future__ import annotations
@@ -368,6 +369,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return code

@@ -9,12 +9,13 @@ workhorses for everything downstream; no Groebner machinery anywhere.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .arith import CycloElem, TorsionAngle, lcm, lcm_all, reduce_mod_phi, zeta_power
+from .arith import CycloElem, TorsionAngle, lcm, lcm_all, root_multiplicity, torsion_sum
 from .torus import PrimeTorusDivisor
 
 
@@ -254,7 +255,7 @@ class LaurentPoly:
         if self.is_zero():
             return self
         _, lead = self.leading()
-        return self.scale(lead.inverse())
+        return self if lead.is_one() else self.scale(lead.inverse())
 
     def normalized(self, laurent: bool) -> "LaurentPoly":
         """Canonical generator form: unit content removed, leading coeff 1."""
@@ -267,7 +268,7 @@ class LaurentPoly:
         if len(self.terms) != 1:
             return False
         (e, c), = self.terms.items()
-        return all(x == 0 for x in e) and c == CycloElem.one(c.order)
+        return all(x == 0 for x in e) and c.is_one()
 
     def max_total_degree(self) -> int:
         """Largest term degree after removing the monomial unit content."""
@@ -302,14 +303,10 @@ class LaurentPoly:
             if order % a.den != 0:
                 raise ValueError("field order does not contain the point")
         powers = [(order // a.den) * a.num for a in point]
-        total = CycloElem.zero(order)
-        for e, c in self.terms.items():
-            k = 0
-            for x, p in zip(e, powers):
-                if x:
-                    k += x * p
-            total = total + c.lift(order) * zeta_power(order, k % order)
-        return total
+        return torsion_sum(
+            order,
+            [(c, sum(x * p for x, p in zip(e, powers))) for e, c in self.terms.items()],
+        )
 
     def __repr__(self) -> str:
         return f"LaurentPoly({format_poly(self, laurent=True)})"
@@ -343,7 +340,7 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly, laurent: bool = True) -> Lauren
 
 def _reduce_by_single(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
     eg, cg = g.leading()
-    cg_inv = cg.inverse()
+    cg_inv = None if cg.is_one() else cg.inverse()
     tail = [(e, c) for e, c in g.terms.items() if e != eg]
     quot: dict[tuple[int, ...], CycloElem] = {}
     rem = dict(f.terms)
@@ -352,7 +349,9 @@ def _reduce_by_single(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
         diff = tuple(a - b for a, b in zip(ef, eg))
         if any(d < 0 for d in diff):
             return None
-        ratio = rem.pop(ef) * cg_inv
+        ratio = rem.pop(ef)
+        if cg_inv is not None:
+            ratio = ratio * cg_inv
         quot[diff] = ratio
         for e2, c2 in tail:
             key = tuple(a + b for a, b in zip(diff, e2))
@@ -407,30 +406,6 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _root_multiplicity_sparse(coeffs: dict[int, CycloElem], value: CycloElem) -> int:
-    """Multiplicity of a root in a sparse one-variable Laurent polynomial."""
-    low = min(coeffs)
-    high = max(coeffs)
-    dense = [coeffs.get(k) for k in range(low, high + 1)]
-    zero = CycloElem.zero(value.order)
-    dense = [zero if c is None else c.lift(value.order) for c in dense]
-    count = 0
-    while True:
-        # synthetic division by (x - value), descending Horner
-        remainder = zero
-        quotient: list[CycloElem] = []
-        for coeff in reversed(dense):
-            remainder = coeff + value * remainder
-            quotient.append(remainder)
-        if not remainder.is_zero():
-            return count
-        quotient = quotient[::-1][1:]
-        count += 1
-        dense = quotient if quotient else [zero]
-        if all(c.is_zero() for c in dense):
-            raise ArithmeticError("root multiplicity chain hit the zero polynomial")
-
-
 def fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, CycloElem]]:
     """The one-variable parts of f along the primitive direction u, fewest terms first.
 
@@ -439,53 +414,41 @@ def fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, CycloElem]]:
     keyed by the exponent of x.  t^u - xi divides f in the Laurent ring
     exactly when xi is a root of every fibre.
     """
-    transform = _lattice_transform(u)
+    first, *rest = _lattice_transform(u)
     groups: dict[tuple[int, ...], dict[int, CycloElem]] = {}
     for e, c in f.terms.items():
-        w = tuple(sum(a * b for a, b in zip(row, e)) for row in transform)
-        groups.setdefault(w[1:], {})[w[0]] = c
+        key = tuple([sum(map(operator.mul, row, e)) for row in rest])
+        groups.setdefault(key, {})[sum(map(operator.mul, first, e))] = c
     return sorted(groups.values(), key=len)
 
 
 def fibre_has_root(fibre: dict[int, CycloElem], xi: TorsionAngle) -> bool:
     """Whether the root of unity xi is a root of a one-variable fibre.
 
-    Each c_k xi^k is spread over the powers of zeta_M, M the lcm of the field
-    order and the angle's denominator, over one common denominator, and the
-    integer sum is reduced modulo Phi_M once.
+    The j = 0 test of root_multiplicity: one integer spread of every
+    c_k xi^k and one reduction modulo Phi_M.
     """
-    order = lcm_all([xi.den] + [c.order for c in fibre.values()])
-    den = math.lcm(*(c.den for c in fibre.values()))
-    dense = [0] * order
-    for k, c in fibre.items():
-        step, shift = order // c.order, order // xi.den * xi.num * k
-        factor = den // c.den
-        for i, n in enumerate(c.nums):
-            if n:
-                dense[(i * step + shift) % order] += n * factor
-    return not any(reduce_mod_phi(order, dense))
+    return root_multiplicity(fibre, xi, 1) == 1
 
 
 def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
     """Largest m with (t^u - xi)^m dividing f in the Laurent ring.
 
     The minimum, over the fibres of f along u, of the root multiplicity of
-    xi; the first fibre without the root ends the search.  Agrees with
-    repeated exact division, which the tests use as the oracle.
+    xi; each fibre is tested only up to the least multiplicity so far, and
+    the first fibre without the root ends the search.  Agrees with repeated
+    exact division, which the tests use as the oracle.
     """
     if f.is_zero():
         raise ValueError("infinite valuation: zero polynomial")
     if f.nvars != divisor.nvars:
         raise ValueError("divisor lives in a different torus")
-    order = lcm(f.order, divisor.xi.den)
-    value = CycloElem.from_angle(order, divisor.xi)
-    mults = []
+    best = None
     for coeffs in fibres(f, divisor.u):
-        m = _root_multiplicity_sparse(coeffs, value)
-        if m == 0:
+        best = root_multiplicity(coeffs, divisor.xi, best)
+        if best == 0:
             return 0
-        mults.append(m)
-    return min(mults)
+    return best
 
 
 @dataclass(frozen=True)
@@ -692,7 +655,8 @@ def upoly_divmod_in(
         e != (0,) * f.nvars for e in lead_b.terms
     ):
         raise ValueError("divisor is not univariate in the chosen variable")
-    inv = next(iter(lead_b.terms.values())).inverse()
+    lead = next(iter(lead_b.terms.values()))
+    inv = None if lead.is_one() else lead.inverse()
     quot = LaurentPoly.zero(f.nvars, f.order)
     rem = f
     while not rem.is_zero() and _deg_in(rem, var) >= db:
@@ -700,7 +664,7 @@ def upoly_divmod_in(
         lead_a = _coeff_in(rem, var, da)
         shift = [0] * f.nvars
         shift[var] = da - db
-        piece = lead_a.scale(inv).shift(tuple(shift))
+        piece = (lead_a if inv is None else lead_a.scale(inv)).shift(tuple(shift))
         quot = quot + piece
         rem = rem - piece * g
     return quot, rem
@@ -719,24 +683,6 @@ def u_divmod(f: LaurentPoly, g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
 
 def u_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return _euclid_univariate(f, g, 0)
-
-
-def linear_factor_multiplicity(f: LaurentPoly, value: CycloElem) -> int:
-    """Multiplicity of the exact linear factor (t - value) in a 1-variable poly."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has infinite multiplicity")
-    order = lcm(f.order, value.order)
-    factor = LaurentPoly.make(
-        1, order, {(1,): CycloElem.one(order), (0,): -value.lift(order)}
-    )
-    count = 0
-    current = f.lift(order)
-    while True:
-        q, r = u_divmod(current, factor)
-        if not r.is_zero():
-            return count
-        count += 1
-        current = q
 
 
 # ---------------------------------------------------------------------------

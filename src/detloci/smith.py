@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import CycloElem, TorsionAngle, lcm, lcm_all
+from .arith import CycloElem, TorsionAngle, lcm, lcm_all, root_multiplicity
 from .complexes import FreeComplex, Matrix, empty_matrix, matrix_make, matrix_mul, matrix_shape
 from .poly import (
     IdealGens,
     LaurentPoly,
-    linear_factor_multiplicity,
     u_degree,
     u_divmod,
     u_gcd,
@@ -271,9 +270,7 @@ def max_jordan_size(phi: Sequence[Sequence[CycloElem]], xi: TorsionAngle) -> int
         return 0
     factors = determinantal_factors(phi)
     minimal = factors.minimal_polynomial()
-    order = lcm(minimal.order, xi.den)
-    value = CycloElem.from_angle(order, xi)
-    return linear_factor_multiplicity(minimal.lift(order), value)
+    return root_multiplicity({k: c for (k,), c in minimal.terms.items()}, xi)
 
 
 # ---------------------------------------------------------------------------

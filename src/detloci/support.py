@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import CycloElem, TorsionAngle, angle_roots, lcm
+from .arith import TorsionAngle, angle_roots, root_multiplicity
 from .complexes import FreeComplex, base_change, cdf_ideal
-from .poly import IdealGens, fibre_has_root, fibres, gcd_generators, ideal_valuation, linear_factor_multiplicity
+from .poly import IdealGens, fibre_has_root, fibres, gcd_generators, ideal_valuation
 from .smith import annihilator_generator, cohomology_presentation
 from .torus import PrimeTorusDivisor, TorusDivisor
 
@@ -232,9 +232,7 @@ def specialization_multiplicity(
     specialized = base_change(complex_, b)
     presentation = cohomology_presentation(specialized, i)
     annihilator = annihilator_generator(presentation)
-    order = lcm(annihilator.order, lam.den)
-    value = CycloElem.from_angle(order, lam)
-    jordan = linear_factor_multiplicity(annihilator.lift(order), value)
+    jordan = root_multiplicity({k: c for (k,), c in annihilator.terms.items()}, lam)
     if not generic or jordan != order_at:
         logger.info(
             "non-generic specialization at lambda=%s b=%s: ord=%d jordan=%d",

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from detloci.arith import TorsionAngle
+from detloci.arith import CycloElem, TorsionAngle
 from detloci.complexes import FreeComplex, Matrix, direct_sum, matrix_make
 from detloci.poly import IdealGens, LaurentPoly, Ring
 from detloci.torus import PrimeTorusDivisor
@@ -223,6 +223,24 @@ def oracle_valuation(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
             return count
         f = q
         count += 1
+
+
+def division_multiplicity(f: LaurentPoly, value: CycloElem) -> int:
+    """Multiplicity of (t - value) in a one-variable f by repeated u_divmod."""
+    from detloci.poly import u_divmod
+
+    order = math.lcm(f.order, value.order)
+    factor = LaurentPoly.make(
+        1, order, {(1,): CycloElem.one(order), (0,): -value.lift(order)}
+    )
+    count = 0
+    current = f.lift(order)
+    while True:
+        q, r = u_divmod(current, factor)
+        if not r.is_zero():
+            return count
+        count += 1
+        current = q
 
 
 def canon_gens(ring: Ring, gens) -> list[tuple]:

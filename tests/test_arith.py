@@ -12,8 +12,6 @@ from detloci.arith import (
     angle_roots,
     cyclotomic_poly,
     euler_phi,
-    rpoly_divmod,
-    rpoly_mul,
     unit_root_multiplicity,
 )
 
@@ -22,6 +20,44 @@ angles = st.builds(
     st.integers(-30, 30),
     st.integers(1, 24),
 )
+
+
+# Dense polynomials over Q (Fraction lists, constant first) for the oracles;
+# the library divides only by monic integer polynomials and has no such helpers.
+
+
+def rpoly_trim(coeffs) -> tuple[Fraction, ...]:
+    end = len(coeffs)
+    while end > 0 and coeffs[end - 1] == 0:
+        end -= 1
+    return tuple(Fraction(c) for c in coeffs[:end])
+
+
+def rpoly_mul(a, b) -> tuple[Fraction, ...]:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return rpoly_trim(out)
+
+
+def rpoly_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    b = rpoly_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(rpoly_trim(a))
+    quot = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        c = rem[-1] / b[-1]
+        k = len(rem) - len(b)
+        quot[k] = c
+        for j, cb in enumerate(b):
+            rem[k + j] -= c * cb
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rpoly_trim(quot), rpoly_trim(rem)
 
 
 def oracle_cyclotomic(n: int) -> tuple[int, ...]:
@@ -38,6 +74,19 @@ def oracle_cyclotomic(n: int) -> tuple[int, ...]:
 
 def oracle_cyclotomic_frac(n: int) -> list[Fraction]:
     return [Fraction(c) for c in oracle_cyclotomic(n)]
+
+
+def oracle_unit_root_multiplicity(p, xi: TorsionAngle) -> int:
+    """Largest m with Phi_b^m | p, xi = a/b, by long division over Fractions."""
+    coeffs = rpoly_trim(p)
+    phi = [Fraction(c) for c in cyclotomic_poly(xi.den)]
+    mult = 0
+    while True:
+        quot, rem = rpoly_divmod(coeffs, phi)
+        if rem:
+            return mult
+        mult += 1
+        coeffs = quot
 
 
 class TestTorsionAngle:
@@ -159,6 +208,24 @@ class TestUnitRootMultiplicity:
             ]
             left = unit_root_multiplicity(rpoly_mul(p, q), xi)
             assert left == unit_root_multiplicity(p, xi) + unit_root_multiplicity(q, xi)
+
+    @given(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=5),
+        st.lists(st.integers(0, 2), min_size=5, max_size=5),
+        angles,
+    )
+    @settings(max_examples=150)
+    def test_against_cyclotomic_division(self, cofactor, powers, xi):
+        # plant Phi_b^m for the b of xi and for nearby orders, then divide
+        p = [Fraction(c) for c in cofactor]
+        if not any(p):
+            p = [Fraction(1)]
+        for b, m in zip((xi.den, 1, 2, 3, 6), powers):
+            for _ in range(m):
+                p = list(rpoly_mul(p, [Fraction(c) for c in cyclotomic_poly(b)]))
+        expected = oracle_unit_root_multiplicity(p, xi)
+        assert unit_root_multiplicity(p, xi) == expected
+        assert expected >= powers[0]
 
 
 class TestCycloElem:

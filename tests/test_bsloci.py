@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from detloci import bsloci
 from detloci.arith import TorsionAngle
 from detloci.bsloci import (
     HyperplaneLocus,
@@ -285,6 +286,26 @@ class TestContainmentWitness:
         ok, witness = containment_check(inner, outer)
         assert not ok
         assert witness == [0, 65]
+
+    def test_deep_level_blocked_for_every_prefix(self, monkeypatch):
+        # every outer member s4 + v = 0 leaves s2 and s3 free, so the last
+        # level is blocked alike under each of the 129 * 129 grid prefixes
+        inner = HyperplaneLocus.make(4, [H((1, 0, 0, 0), 0)])
+        outer = HyperplaneLocus.make(4, [H((0, 0, 0, 1), v) for v in range(-64, 65)])
+        calls = []
+        original = bsloci._blocked_value
+
+        def counting(funcs):
+            calls.append(1)
+            return original(funcs)
+
+        monkeypatch.setattr(bsloci, "_blocked_value", counting)
+        ok, witness = containment_check(inner, outer)
+        assert not ok
+        assert witness == [0, 0, 0, 65]
+        # one blocked test per member and level in each of the two searches,
+        # where a search without the memo makes 129 for each of 129 ** 2 prefixes
+        assert len(calls) <= 2 * 3 * 129
 
 
 class TestOblique:

@@ -310,6 +310,22 @@ class TestErrors:
         # lcm of the forced order 4 and the e(1/3) denominator
         assert data["ring"]["cyclotomic_order"] == 12
 
+    def test_internal_error_exit_code(self, capsys, tmp_path, monkeypatch):
+        import detloci.cli as cli_module
+
+        def failing(mat):
+            raise ArithmeticError("Smith verification failed: U*M*V != D")
+
+        monkeypatch.setattr(cli_module, "smith_normal_form", failing)
+        matrix = write_json(
+            tmp_path / "m.json",
+            {"ring": {"nvars": 1, "laurent": False}, "rows": [["s1", "1"], ["0", "s1"]]},
+        )
+        code, out, err = run_cli(capsys, ["smith", "--matrix", matrix])
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: Smith verification failed: U*M*V != D\n"
+
 
 class TestHyperplaneStrings:
     def test_locus_accepts_linear_polynomial_strings(self, capsys, tmp_path):

@@ -1,14 +1,20 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from detloci.arith import TorsionAngle
+from detloci.arith import CycloElem, TorsionAngle, euler_phi, root_multiplicity, zeta_power
 from detloci.poly import (
     IdealGens,
     LaurentPoly,
     ParseError,
     Ring,
     exact_divide,
+    fibre_has_root,
+    fibres,
     format_poly,
     gcd_generators,
     ideal_valuation,
@@ -18,10 +24,12 @@ from detloci.poly import (
 from detloci.torus import PrimeTorusDivisor
 
 from conftest import (
+    division_multiplicity,
     oracle_valuation,
     random_binomial,
     random_binomial_product,
     random_divisor,
+    random_torsion_point,
 )
 
 R2 = Ring(2, True, 1)
@@ -151,7 +159,7 @@ class TestValuationStopsAtZero:
         # along u = (1, 0) the fibres are t2^0: t1^2-2t1+1 and t2^1: t1-2
         f = P("t1^2-2*t1+1") + P("t1*t2-2*t2")
         C = PrimeTorusDivisor((1, 0), TorsionAngle.make(0, 1))
-        mults = record_results(monkeypatch, "_root_multiplicity_sparse")
+        mults = record_results(monkeypatch, "root_multiplicity")
         assert valuation_along(f, C) == 0
         assert mults == [0]
 
@@ -168,6 +176,150 @@ class TestValuationStopsAtZero:
             monkeypatch.undo()
             assert v == min(valuation_along(g, C) for g in ideal.gens)
             assert 0 not in values[:-1]
+
+
+# ---------------------------------------------------------------------------
+# The torsion-point kernel: root multiplicities and evaluation
+
+ORDERS = [1, 2, 3, 4, 6, 12]
+ANGLE_DENS = [1, 2, 3, 4, 6, 8, 12]
+
+
+def field_elems(order: int):
+    d = euler_phi(order)
+    return st.builds(
+        lambda nums, den: CycloElem(order, [Fraction(n, den) for n in nums]),
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+        st.integers(1, 3),
+    )
+
+
+def torsion_angles():
+    return st.builds(TorsionAngle.make, st.integers(0, 23), st.sampled_from(ANGLE_DENS))
+
+
+@st.composite
+def one_variable_polys(draw, order: int, laurent: bool = True):
+    """A nonzero one-variable polynomial with at most four consecutive terms."""
+    low = draw(st.integers(-2, 2)) if laurent else draw(st.integers(0, 2))
+    coeffs = draw(st.lists(field_elems(order), min_size=1, max_size=4))
+    f = LaurentPoly.make(1, order, {(low + k,): c for k, c in enumerate(coeffs)})
+    return f if not f.is_zero() else LaurentPoly.one(1, order)
+
+
+@st.composite
+def planted_roots(draw, laurent: bool = True):
+    """(f, xi) with f = (t - xi)^m * g, m in 0..3 and g a random cofactor."""
+    order = draw(st.sampled_from(ORDERS))
+    xi = draw(torsion_angles())
+    g = draw(one_variable_polys(order, laurent))
+    h = LaurentPoly.binomial_divisor(1, PrimeTorusDivisor((1,), xi), order)
+    return h ** draw(st.integers(0, 3)) * g, xi
+
+
+def coeff_map(f: LaurentPoly) -> dict:
+    return {k: c for (k,), c in f.terms.items()}
+
+
+def termwise_value(f: LaurentPoly, point, order: int) -> CycloElem:
+    """sum of c * zeta^k over the terms, one field multiply and add per term."""
+    powers = [(order // a.den) * a.num for a in point]
+    total = CycloElem.zero(order)
+    for e, c in f.terms.items():
+        k = sum(x * p for x, p in zip(e, powers))
+        total = total + c.lift(order) * zeta_power(order, k % order)
+    return total
+
+
+class TestRootMultiplicity:
+    @given(planted_roots())
+    @settings(max_examples=150)
+    def test_against_repeated_exact_division(self, case):
+        f, xi = case
+        expected = oracle_valuation(f, PrimeTorusDivisor((1,), xi))
+        assert root_multiplicity(coeff_map(f), xi) == expected
+        assert fibre_has_root(coeff_map(f), xi) == (expected > 0)
+        for cap in range(4):
+            assert root_multiplicity(coeff_map(f), xi, cap) == min(expected, cap)
+
+    @given(planted_roots(laurent=False))
+    @settings(max_examples=100)
+    def test_against_repeated_linear_division(self, case):
+        f, xi = case
+        value = CycloElem.from_angle(math.lcm(f.order, xi.den), xi)
+        assert root_multiplicity(coeff_map(f), xi) == division_multiplicity(f, value)
+
+    def test_seeded_fibres_against_exact_division(self, rng):
+        ring = Ring(2, True, 6)
+        for _ in range(60):
+            f = random_binomial_product(rng, ring, max_factors=3)
+            if f.is_zero():
+                continue
+            divisor = random_divisor(rng, 2)
+            for fibre in fibres(f, divisor.u):
+                g = LaurentPoly.make(1, f.order, {(k,): c for k, c in fibre.items()})
+                expected = oracle_valuation(g, PrimeTorusDivisor((1,), divisor.xi))
+                assert root_multiplicity(fibre, divisor.xi) == expected
+            assert valuation_along(f, divisor) == oracle_valuation(f, divisor)
+
+    def test_valuation_is_least_fibre_multiplicity(self, rng):
+        # sum_s t2^s (t1 - xi)^(m_s) g_s(t1): the fibres along (1, 0) carry
+        # different multiplicities, in no particular order of fibre length
+        ring = Ring(2, True, 6)
+        seen = set()
+        for _ in range(40):
+            xi = TorsionAngle.make(rng.randrange(6), 6)
+            h = parse_poly(f"t1-e({xi})", ring)
+            f = LaurentPoly.zero(2, 6)
+            for s in range(rng.randint(2, 3)):
+                g = parse_poly(
+                    "+".join(f"{rng.randint(1, 3)}*t1^{k}" for k in range(rng.randint(1, 3))),
+                    ring,
+                )
+                f = f + P(f"t2^{s}", ring) * h ** rng.randint(0, 3) * g
+            divisor = PrimeTorusDivisor((1, 0), xi)
+            expected = oracle_valuation(f, divisor)
+            assert valuation_along(f, divisor) == expected
+            seen.add(expected)
+        assert len(seen) >= 3
+
+    @given(st.sampled_from(ORDERS).flatmap(
+        lambda n: st.tuples(one_variable_polys(n), one_variable_polys(n))
+    ), torsion_angles())
+    @settings(max_examples=100)
+    def test_additive_on_products(self, pair, xi):
+        f, g = pair
+        assert root_multiplicity(coeff_map(f * g), xi) == (
+            root_multiplicity(coeff_map(f), xi) + root_multiplicity(coeff_map(g), xi)
+        )
+
+    def test_zero_polynomial_raises(self):
+        xi = TorsionAngle.make(1, 3)
+        with pytest.raises(ArithmeticError):
+            root_multiplicity({}, xi)
+        with pytest.raises(ArithmeticError):
+            root_multiplicity({0: CycloElem.zero(3), 2: CycloElem.zero(3)}, xi)
+
+
+class TestEvaluate:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_against_termwise_sum(self, seed):
+        rng = random.Random(seed)
+        ring = Ring(2, True, rng.choice([1, 3, 4, 6]))
+        f = random_binomial_product(rng, ring, max_factors=3)
+        f = f + random_binomial_product(rng, ring)
+        point = random_torsion_point(rng, 2)
+        order = math.lcm(f.order, *(a.den for a in point)) * rng.choice([1, 2])
+        value = f.evaluate(point, order)
+        expected = termwise_value(f, point, order)
+        assert value == expected
+        assert (value.order, value.nums, value.den) == (order, expected.nums, expected.den)
+
+    def test_order_must_contain_the_coefficients(self):
+        f = parse_poly("t1-e(1/3)", Ring(1, True, 3))
+        with pytest.raises(ValueError):
+            f.evaluate((TorsionAngle.make(1, 2),), 2)
 
 
 class TestGcd:

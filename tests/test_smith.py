@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from detloci.arith import CycloElem, TorsionAngle
+from detloci.arith import CycloElem, TorsionAngle, lcm
 from detloci.complexes import FreeComplex, matrix_make
 from detloci.poly import (
     LaurentPoly,
@@ -23,7 +23,7 @@ from detloci.smith import (
     smith_normal_form,
 )
 
-from conftest import oracle_det, random_torsion_complex
+from conftest import division_multiplicity, oracle_det, random_torsion_complex
 
 R1 = Ring(1, False, 1)
 R1L = Ring(1, True, 1)
@@ -184,6 +184,23 @@ class TestMaxJordanSize:
         assert max_jordan_size(identity, angle(0, 1)) == 1
         j2 = [[lam, one], [zero, lam]]
         assert max_jordan_size(j2, angle(1, 3)) == 0
+
+    def test_against_linear_division(self, rng):
+        # upper-triangular matrices with root-of-unity eigenvalues and random
+        # superdiagonal couplings, so Jordan blocks of several sizes occur
+        for _ in range(40):
+            order = rng.choice([1, 2, 3, 4, 6])
+            m = rng.randint(1, 4)
+            eigen = [angle(rng.randrange(order), order) for _ in range(2)]
+            phi = [[CycloElem.zero(order)] * m for _ in range(m)]
+            for i in range(m):
+                phi[i][i] = CycloElem.from_angle(order, rng.choice(eigen))
+                for j in range(i + 1, m):
+                    phi[i][j] = CycloElem.from_rational(order, rng.choice([0, 0, 1, -1, 2]))
+            minimal = determinantal_factors(phi).minimal_polynomial()
+            for xi in eigen + [angle(1, 5)]:
+                value = CycloElem.from_angle(lcm(order, xi.den), xi)
+                assert max_jordan_size(phi, xi) == division_multiplicity(minimal, value)
 
 
 class TestCohomologyPresentation:
