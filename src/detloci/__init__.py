@@ -36,11 +36,13 @@ from .poly import (
 )
 from .smith import (
     DeterminantalFactors,
+    SmithDiagonal,
     SmithForm,
     cohomology_presentation,
     determinantal_factors,
     fitting_generator,
     max_jordan_size,
+    smith_diagonal,
     smith_normal_form,
 )
 from .support import (

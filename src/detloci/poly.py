@@ -54,13 +54,14 @@ def _reduced_pairs(c: CycloElem) -> tuple[tuple[int, int], ...]:
 class LaurentPoly:
     """Sparse polynomial with exponents in Z^nvars and Q(zeta_order) coefficients."""
 
-    __slots__ = ("nvars", "order", "terms", "_key")
+    __slots__ = ("nvars", "order", "terms", "_key", "_fibres")
 
     def __init__(self, nvars: int, order: int, terms: dict[tuple[int, ...], CycloElem]):
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_fibres", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly values are immutable")
@@ -412,8 +413,20 @@ def fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, CycloElem]]:
     A unimodular monomial change of coordinates sends u to the first new
     variable x; the terms sharing the remaining exponents form one fibre,
     keyed by the exponent of x.  t^u - xi divides f in the Laurent ring
-    exactly when xi is a root of every fibre.
+    exactly when xi is a root of every fibre.  The split is remembered on f
+    per direction, so callers must not modify the returned fibres.
     """
+    memo = f._fibres
+    if memo is None:
+        memo = {}
+        object.__setattr__(f, "_fibres", memo)
+    split = memo.get(u)
+    if split is None:
+        split = memo[u] = _split_fibres(f, u)
+    return split
+
+
+def _split_fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, CycloElem]]:
     first, *rest = _lattice_transform(u)
     groups: dict[tuple[int, ...], dict[int, CycloElem]] = {}
     for e, c in f.terms.items():
@@ -678,11 +691,55 @@ def u_degree(f: LaurentPoly) -> int:
     return _deg_in(f, 0)
 
 def u_divmod(f: LaurentPoly, g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    return upoly_divmod_in(f, g, 0)
+    """Long division of one-variable polynomials: f = q*g + r with deg r < deg g.
+
+    Runs on {exponent: coefficient} maps; a monic divisor needs no inverse.
+    """
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if f.nvars != 1 or g.nvars != 1:
+        raise ValueError("u_divmod needs one-variable polynomials")
+    f, g = f._pair(g)
+    tail = {e: c for (e,), c in g.terms.items()}
+    db = max(tail)
+    lead = tail.pop(db)
+    inv = None if lead.is_one() else lead.inverse()
+    rem = {e: c for (e,), c in f.terms.items()}
+    quot = {}
+    while rem:
+        da = max(rem)
+        if da < db:
+            break
+        c = rem.pop(da)
+        if inv is not None:
+            c = c * inv
+        shift = da - db
+        quot[(shift,)] = c
+        minus_c = -c
+        for e, gc in tail.items():
+            key = e + shift
+            term = minus_c * gc
+            current = rem.get(key)
+            if current is None:
+                rem[key] = term
+            else:
+                updated = current + term
+                if updated.is_zero():
+                    del rem[key]
+                else:
+                    rem[key] = updated
+    return (
+        LaurentPoly(1, f.order, quot),
+        LaurentPoly(1, f.order, {(e,): c for e, c in rem.items()}),
+    )
 
 
 def u_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    return _euclid_univariate(f, g, 0)
+    a, b = f, g
+    while not b.is_zero():
+        _, r = u_divmod(a, b)
+        a, b = b, r
+    return a.monic()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ generators of torsion modules, determinantal factors b_k of a square matrix
 over the field (with b_0/b_1 the minimal polynomial), maximal Jordan block
 sizes at unit-root eigenvalues, and presentations of the cohomology of
 one-variable complexes with torsion cohomology.
+
+One pivoting loop (`_pivot`) serves two entry points.  `smith_normal_form`
+tracks U and V and checks U*M*V = D; `smith_diagonal`, for callers that read
+only the diagonal and V^-1, tracks U and V^-1 and checks U*M = D*V^-1.  Both
+check the divisibility chain of the diagonal.
 """
 
 from __future__ import annotations
@@ -23,19 +28,34 @@ from .poly import (
 )
 
 
+def _rank(diagonal: Sequence[LaurentPoly]) -> int:
+    return sum(1 for entry in diagonal if not entry.is_zero())
+
+
 @dataclass(frozen=True)
 class SmithForm:
     """U * M * V = D with unimodular U, V and a divisibility-chained diagonal."""
 
     u: Matrix
     v: Matrix
-    v_inv: Matrix
     d: Matrix
     diagonal: tuple[LaurentPoly, ...]
 
     @property
     def rank(self) -> int:
-        return sum(1 for entry in self.diagonal if not entry.is_zero())
+        return _rank(self.diagonal)
+
+
+@dataclass(frozen=True)
+class SmithDiagonal:
+    """The Smith diagonal of M and V^-1, where U * M * V = D for a unimodular U."""
+
+    diagonal: tuple[LaurentPoly, ...]
+    v_inv: Matrix
+
+    @property
+    def rank(self) -> int:
+        return _rank(self.diagonal)
 
 
 def _identity(n: int, order: int) -> list[list[LaurentPoly]]:
@@ -44,13 +64,38 @@ def _identity(n: int, order: int) -> list[list[LaurentPoly]]:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithForm:
-    """Smith normal form over Q(zeta)[t] with degree-minimal deterministic pivoting.
+def _add_rows(mat: list, i_target: int, i_source: int, c: LaurentPoly):
+    """Row i_target += c * row i_source, skipping zero source entries."""
+    target = mat[i_target]
+    for j, s in enumerate(mat[i_source]):
+        if not s.is_zero():
+            target[j] = target[j] + c * s
 
-    Entries must be one-variable polynomials without negative exponents
-    (Laurent matrices are unit-cleared by the callers first).
+
+def _add_cols(mat: list, j_target: int, j_source: int, c: LaurentPoly):
+    """Column j_target += c * column j_source, skipping zero source entries."""
+    for row in mat:
+        s = row[j_source]
+        if not s.is_zero():
+            row[j_target] = row[j_target] + c * s
+
+
+def _inverse_col_op(v_inv: list, j_target: int, j_source: int, q: LaurentPoly):
+    """Keep V^-1 in step with V's column j_target -= q * column j_source.
+
+    The inverse elementary matrix acts on the left: row j_source += q * row j_target.
     """
-    rows = [list(r) for r in mat]
+    _add_rows(v_inv, j_source, j_target, q)
+
+
+def _pivot(rows: list[list[LaurentPoly]], inverse: bool):
+    """Diagonalize with degree-minimal deterministic pivoting.
+
+    Returns (d, u, w, order) with U * M * V = d, where w is V^-1 when
+    `inverse` is set and V otherwise; every transform is a product of
+    elementary matrices.  Entries must be one-variable polynomials without
+    negative exponents (Laurent matrices are unit-cleared by the callers).
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     order = 1
@@ -63,23 +108,20 @@ def smith_normal_form(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithFor
             order = lcm(order, entry.order)
     d = [[entry.lift(order) for entry in row] for row in rows]
     u = _identity(nrows, order)
-    v = _identity(ncols, order)
-    v_inv = _identity(ncols, order)
+    w = _identity(ncols, order)
 
     def row_op(i_target: int, i_source: int, q: LaurentPoly):
-        for j in range(ncols):
-            d[i_target][j] = d[i_target][j] - q * d[i_source][j]
-        for j in range(nrows):
-            u[i_target][j] = u[i_target][j] - q * u[i_source][j]
+        minus_q = -q
+        _add_rows(d, i_target, i_source, minus_q)
+        _add_rows(u, i_target, i_source, minus_q)
 
     def col_op(j_target: int, j_source: int, q: LaurentPoly):
-        for i in range(nrows):
-            d[i][j_target] = d[i][j_target] - q * d[i][j_source]
-        for i in range(ncols):
-            v[i][j_target] = v[i][j_target] - q * v[i][j_source]
-        # inverse op applied on the left of v_inv: row j_source += q * row j_target
-        for j in range(ncols):
-            v_inv[j_source][j] = v_inv[j_source][j] + q * v_inv[j_target][j]
+        minus_q = -q
+        _add_cols(d, j_target, j_source, minus_q)
+        if inverse:
+            _inverse_col_op(w, j_target, j_source, q)
+        else:
+            _add_cols(w, j_target, j_source, minus_q)
 
     def swap_rows(a: int, b: int):
         if a != b:
@@ -88,11 +130,13 @@ def smith_normal_form(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithFor
 
     def swap_cols(a: int, b: int):
         if a != b:
-            for i in range(nrows):
-                d[i][a], d[i][b] = d[i][b], d[i][a]
-            for i in range(ncols):
-                v[i][a], v[i][b] = v[i][b], v[i][a]
-            v_inv[a], v_inv[b] = v_inv[b], v_inv[a]
+            for row in d:
+                row[a], row[b] = row[b], row[a]
+            if inverse:
+                w[a], w[b] = w[b], w[a]
+            else:
+                for row in w:
+                    row[a], row[b] = row[b], row[a]
 
     limit = min(nrows, ncols)
     for idx in range(limit):
@@ -146,20 +190,51 @@ def smith_normal_form(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithFor
         if not entry.is_zero():
             _, lead = entry.leading()
             inv = lead.inverse()
-            for j in range(ncols):
-                d[idx][j] = d[idx][j].scale(inv)
-            for j in range(nrows):
-                u[idx][j] = u[idx][j].scale(inv)
+            d[idx] = [e.scale(inv) for e in d[idx]]
+            u[idx] = [e.scale(inv) for e in u[idx]]
+    return d, u, w, order
 
+
+def smith_normal_form(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithForm:
+    """Smith normal form over Q(zeta)[t] with tracked U and V, checked as U*M*V = D.
+
+    Entries must be one-variable polynomials without negative exponents
+    (Laurent matrices are unit-cleared by the callers first).
+    """
+    rows = [list(r) for r in mat]
+    d, u, v, order = _pivot(rows, inverse=False)
     form = SmithForm(
         u=matrix_make(u),
         v=matrix_make(v),
-        v_inv=matrix_make(v_inv),
         d=matrix_make(d),
-        diagonal=tuple(d[i][i] for i in range(limit)),
+        diagonal=tuple(d[i][i] for i in range(min(len(d), len(v)))),
     )
     _verify_smith(form, rows, order)
     return form
+
+
+def smith_diagonal(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithDiagonal:
+    """The Smith diagonal and V^-1 of a matrix, checked as U*M = D*V^-1.
+
+    Runs the pivoting of `smith_normal_form` but tracks V^-1 instead of V;
+    D is diagonal, so the check is one matrix product and a row scaling.
+    """
+    rows = [list(r) for r in mat]
+    d, u, v_inv, order = _pivot(rows, inverse=True)
+    diagonal = tuple(d[i][i] for i in range(min(len(d), len(v_inv))))
+    if rows:
+        lifted = matrix_make([[e.lift(order) for e in row] for row in rows])
+        left = matrix_mul(matrix_make(u), lifted, 1, order)
+        zero = LaurentPoly.zero(1, order)
+        for i, row in enumerate(left):
+            if i < len(diagonal):
+                want = [diagonal[i] * w for w in v_inv[i]]
+            else:
+                want = [zero] * len(row)
+            if list(row) != want:
+                raise ArithmeticError("Smith verification failed: U*M != D*V^-1")
+    _check_chain(diagonal)
+    return SmithDiagonal(diagonal, matrix_make(v_inv))
 
 
 def _verify_smith(form: SmithForm, original: Sequence[Sequence[LaurentPoly]], order: int):
@@ -173,7 +248,11 @@ def _verify_smith(form: SmithForm, original: Sequence[Sequence[LaurentPoly]], or
         for j in range(len(original[0])):
             if both[i][j] != form.d[i][j]:
                 raise ArithmeticError("Smith verification failed: U*M*V != D")
-    for a, b in zip(form.diagonal, form.diagonal[1:]):
+    _check_chain(form.diagonal)
+
+
+def _check_chain(diagonal: Sequence[LaurentPoly]):
+    for a, b in zip(diagonal, diagonal[1:]):
         if a.is_zero() and not b.is_zero():
             raise ArithmeticError("Smith diagonal has a zero before a nonzero entry")
         if not a.is_zero() and not b.is_zero():
@@ -206,7 +285,7 @@ def _fitting_generators(presentation: Matrix, ks: Sequence[int]) -> list[Laurent
         result = LaurentPoly.one(1, order)
         if size > 0:
             if diagonal is None:
-                diagonal = smith_normal_form(presentation).diagonal
+                diagonal = smith_diagonal(presentation).diagonal
             for entry in diagonal[:size]:
                 result = result * entry
         out.append(result)
@@ -220,8 +299,11 @@ class DeterminantalFactors:
     b: tuple[LaurentPoly, ...]
 
     def minimal_polynomial(self) -> LaurentPoly:
+        """b_0/b_1; b_0 = 1 itself when there is no b_1 (the 0x0 matrix)."""
         from .poly import exact_divide
 
+        if len(self.b) == 1:
+            return self.b[0]
         quotient = exact_divide(self.b[0], self.b[1], laurent=False)
         if quotient is None:
             raise ArithmeticError("determinantal factors failed divisibility")
@@ -253,15 +335,13 @@ def determinantal_factors(phi: Sequence[Sequence[CycloElem]]) -> DeterminantalFa
     if any(len(row) != m for row in phi):
         raise ValueError("determinantal factors need a square matrix")
     char = characteristic_matrix(phi)
-    form = smith_normal_form(char)
+    diagonal = smith_diagonal(char).diagonal
     order = char[0][0].order if m else 1
-    factors = []
-    for k in range(m + 1):
-        result = LaurentPoly.one(1, order)
-        for idx in range(m - k):
-            result = result * form.diagonal[idx]
-        factors.append(result)
-    return DeterminantalFactors(tuple(factors))
+    # prefixes[j] is the product of the first j invariant factors; b_k = prefixes[m - k]
+    prefixes = [LaurentPoly.one(1, order)]
+    for entry in diagonal:
+        prefixes.append(prefixes[-1] * entry)
+    return DeterminantalFactors(tuple(reversed(prefixes)))
 
 
 def max_jordan_size(phi: Sequence[Sequence[CycloElem]], xi: TorsionAngle) -> int:
@@ -317,9 +397,9 @@ def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
         j: _cleared_polynomial_matrix(complex_.differential(j), order)
         for j in range(complex_.imin - 1, complex_.imax + 1)
     }
-    # one Smith form per nonempty differential gives its rank and its column transform
+    # one Smith diagonal per nonempty differential gives its rank and its V^-1
     forms = {
-        j: smith_normal_form(mat) for j, mat in cleared.items() if 0 not in matrix_shape(mat)
+        j: smith_diagonal(mat) for j, mat in cleared.items() if 0 not in matrix_shape(mat)
     }
     ranks = {j: forms[j].rank if j in forms else 0 for j in cleared}
     for j in complex_.degrees():

@@ -249,6 +249,14 @@ class TestSmithCommands:
         assert data["b"][1] == "1"
         assert data["minimal_polynomial"] == data["b"][0]
 
+    def test_detfactors_empty_matrix(self, capsys, tmp_path):
+        matrix = write_json(
+            tmp_path / "empty.json", {"ring": {"nvars": 1, "laurent": False}, "rows": []}
+        )
+        code, out, _ = run_cli(capsys, ["detfactors", "--matrix", matrix])
+        assert code == 0
+        assert json.loads(out) == {"b": ["1"], "minimal_polynomial": "1"}
+
 
 class TestFixturesCommand:
     def test_run_all(self, capsys):

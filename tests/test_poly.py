@@ -19,6 +19,10 @@ from detloci.poly import (
     gcd_generators,
     ideal_valuation,
     parse_poly,
+    u_degree,
+    u_divmod,
+    u_gcd,
+    upoly_divmod_in,
     valuation_along,
 )
 from detloci.torus import PrimeTorusDivisor
@@ -402,3 +406,88 @@ class TestGrammar:
     def test_rational_coefficients(self):
         p = parse_poly("1/2*t1+3/2", R2)
         assert p + p == parse_poly("t1+3", R2)
+
+
+class TestFibresSplitOnce:
+    def test_one_split_per_generator_and_direction(self, monkeypatch):
+        import detloci.poly as poly_module
+
+        ring = Ring(2, True, 6)
+        angles = [TorsionAngle.make(*a) for a in ((0, 1), (1, 2), (1, 3), (1, 6))]
+        base = LaurentPoly.one(2, 6)
+        for xi in angles:
+            base = base * LaurentPoly.binomial_divisor(2, PrimeTorusDivisor((1, 1), xi), 6)
+        ideal = IdealGens.make(ring, [base, base * P("t1-2"), base * P("t2+3")])
+        splits = []
+        real = poly_module._split_fibres
+
+        def counting(f, u):
+            splits.append((id(f), u))
+            return real(f, u)
+
+        monkeypatch.setattr(poly_module, "_split_fibres", counting)
+        calls = record_results(monkeypatch, "valuation_along")
+        for xi in angles:
+            assert ideal_valuation(ideal, PrimeTorusDivisor((1, 1), xi)) == 1
+            # no generator vanishes along (1, 0): the first one ends each search
+            assert ideal_valuation(ideal, PrimeTorusDivisor((1, 0), xi)) == 0
+        assert len(calls) == 4 * (len(ideal.gens) + 1)
+        assert len(splits) == len(set(splits)) == len(ideal.gens) + 1
+        for g in ideal.gens:
+            assert fibres(g, (1, 1)) == real(g, (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# One-variable long division against the multivariate division as the oracle
+
+
+@st.composite
+def division_cases(draw):
+    """(f, g): a dividend with 0-6 coefficients (maybe zero), a nonzero divisor."""
+    order = draw(st.sampled_from(ORDERS))
+    coeffs = draw(st.lists(field_elems(order), min_size=0, max_size=6))
+    f = LaurentPoly.make(1, order, {(k,): c for k, c in enumerate(coeffs)})
+    lower = draw(st.lists(field_elems(order), min_size=0, max_size=3))
+    if draw(st.booleans()):
+        lead = CycloElem.one(order)
+    else:
+        lead = draw(field_elems(order).filter(lambda c: not c.is_zero()))
+    g = LaurentPoly.make(
+        1, order, {**{(k,): c for k, c in enumerate(lower)}, (len(lower),): lead}
+    )
+    return f, g
+
+
+class TestUDivmod:
+    @given(division_cases())
+    @settings(max_examples=200)
+    def test_against_multivariate_division(self, case):
+        f, g = case
+        q, r = u_divmod(f, g)
+        assert (q, r) == upoly_divmod_in(f, g, 0)
+        assert q * g + r == f
+        assert r.is_zero() or u_degree(r) < u_degree(g)
+
+    @given(division_cases(), st.data())
+    @settings(max_examples=100)
+    def test_planted_quotient_and_remainder(self, case, data):
+        # f = h*g + r cancels exactly at every step of the division
+        h, g = case
+        lower = data.draw(st.lists(field_elems(g.order), max_size=u_degree(g)))
+        r = LaurentPoly.make(1, g.order, {(k,): c for k, c in enumerate(lower)})
+        assert u_divmod(h * g + r, g) == (h, r)
+
+    @given(division_cases())
+    @settings(max_examples=50)
+    def test_gcd_divides_both(self, case):
+        f, g = case
+        h = u_gcd(f, g)
+        assert h.leading()[1].is_one()
+        for p in (f, g):
+            assert u_divmod(p, h)[1].is_zero()
+
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            u_divmod(LaurentPoly.one(1, 6), LaurentPoly.zero(1, 6))
+        with pytest.raises(ZeroDivisionError):
+            u_divmod(LaurentPoly.zero(1), LaurentPoly.zero(1))

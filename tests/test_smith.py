@@ -1,9 +1,10 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from detloci.arith import CycloElem, TorsionAngle, lcm
-from detloci.complexes import FreeComplex, matrix_make
+from detloci.arith import CycloElem, TorsionAngle, euler_phi, lcm
+from detloci.complexes import FreeComplex, matrix_make, matrix_mul
 from detloci.poly import (
     LaurentPoly,
     Ring,
@@ -15,11 +16,13 @@ from detloci.poly import (
 from detloci.smith import (
     NonTorsionError,
     annihilator_generator,
+    characteristic_matrix,
     cohomology_presentation,
     determinantal_factors,
     fitting_generator,
     laurent_canonical,
     max_jordan_size,
+    smith_diagonal,
     smith_normal_form,
 )
 
@@ -81,6 +84,87 @@ class TestSmithNormalForm:
     def test_laurent_entries_rejected(self):
         with pytest.raises(ValueError, match="clear units"):
             smith_normal_form([[parse_poly("t1^-1", R1L)]])
+
+
+def random_entry(rng, order: int) -> LaurentPoly:
+    """A polynomial of degree <= 2 over Q(zeta_order), zero about a third of the time."""
+    if rng.random() < 0.3:
+        return LaurentPoly.zero(1, order)
+    terms = {}
+    for k in range(rng.randint(1, 3)):
+        nums = [rng.randint(-2, 2) for _ in range(euler_phi(order))]
+        terms[(k,)] = CycloElem(order, [Fraction(n) for n in nums])
+    return LaurentPoly.make(1, order, terms)
+
+
+def seeded_matrices(rng, order: int) -> list[list[list[LaurentPoly]]]:
+    """Square, rectangular, rank-deficient and zero matrices over Q(zeta_order)[t]."""
+    def block(nrows, ncols):
+        return [[random_entry(rng, order) for _ in range(ncols)] for _ in range(nrows)]
+
+    square, wide, tall = block(3, 3), block(2, 3), block(3, 2)
+    a, b = random_entry(rng, order), random_entry(rng, order)
+    top = block(2, 3)
+    deficient = top + [[a * x + b * y for x, y in zip(*top)]]
+    zero = [[LaurentPoly.zero(1, order)] * 3 for _ in range(2)]
+    return [square, wide, tall, deficient, zero]
+
+
+class TestSmithDiagonal:
+    @pytest.mark.parametrize("order", [1, 3, 4, 6, 12])
+    def test_matches_the_full_form(self, rng, order):
+        for _ in range(2):
+            for mat in seeded_matrices(rng, order):
+                full = smith_normal_form(mat)
+                short = smith_diagonal(mat)
+                assert short.diagonal == full.diagonal
+                assert short.rank == full.rank
+                ncols = len(mat[0])
+                product = matrix_mul(short.v_inv, full.v, 1, order)
+                assert product == matrix_make(
+                    [
+                        [LaurentPoly.one(1, order) if i == j else LaurentPoly.zero(1, order)
+                         for j in range(ncols)]
+                        for i in range(ncols)
+                    ]
+                )
+
+    def test_rank_deficient_has_trailing_zero(self, rng):
+        for order in (1, 6):
+            deficient = seeded_matrices(rng, order)[3]
+            assert smith_diagonal(deficient).diagonal[-1].is_zero()
+
+    def test_corrupt_inverse_update_raises(self, monkeypatch):
+        import detloci.smith as smith_module
+
+        phi = [[CycloElem.from_rational(6, x) for x in row] for row in
+               [[1, 2, 0], [3, -1, 1], [0, 1, 2]]]
+        char = characteristic_matrix(phi)
+        smith_diagonal(char)
+        real = smith_module._inverse_col_op
+
+        def negated(v_inv, j_target, j_source, q):
+            real(v_inv, j_target, j_source, -q)
+
+        monkeypatch.setattr(smith_module, "_inverse_col_op", negated)
+        with pytest.raises(ArithmeticError, match="U\\*M != D\\*V\\^-1"):
+            smith_diagonal(char)
+
+    @pytest.mark.parametrize("entry", [smith_normal_form, smith_diagonal])
+    def test_corrupt_row_transform_raises(self, monkeypatch, entry):
+        import detloci.smith as smith_module
+
+        t = P("t1")
+        real = smith_module._pivot
+
+        def corrupt(rows, inverse):
+            d, u, w, order = real(rows, inverse)
+            u[0][0] = u[0][0] + t
+            return d, u, w, order
+
+        monkeypatch.setattr(smith_module, "_pivot", corrupt)
+        with pytest.raises(ArithmeticError, match="Smith verification failed"):
+            entry([[t, LaurentPoly.one(1)], [LaurentPoly.zero(1), t]])
 
 
 class TestFitting:
@@ -148,6 +232,11 @@ class TestDeterminantalFactors:
         linear = parse_poly("t1-e(1/6)", Ring(1, False, 6))
         assert factors.b[0] == linear * linear
         assert factors.b[1] == linear
+
+    def test_empty_matrix(self):
+        factors = determinantal_factors([])
+        assert len(factors.b) == 1 and factors.b[0].is_one()
+        assert factors.minimal_polynomial().is_one()
 
     def test_three_by_three(self):
         lam = CycloElem.from_angle(6, angle(1, 6))
@@ -293,17 +382,17 @@ class TestPidEquivalenceSample:
 
 
 def count_smith_calls(monkeypatch) -> list:
-    """Record every Smith form the smith module computes from here on."""
+    """Record every run of the shared pivoting core from here on."""
     import detloci.smith as smith_module
 
     calls = []
-    real = smith_module.smith_normal_form
+    real = smith_module._pivot
 
-    def counting(mat):
-        calls.append(mat)
-        return real(mat)
+    def counting(rows, inverse):
+        calls.append(rows)
+        return real(rows, inverse)
 
-    monkeypatch.setattr(smith_module, "smith_normal_form", counting)
+    monkeypatch.setattr(smith_module, "_pivot", counting)
     return calls
 
 
