@@ -8,6 +8,7 @@ check fails (an ArithmeticError, reported as one stderr line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -262,7 +263,9 @@ def _cmd_fixtures(args) -> tuple[int, dict]:
     return (0 if ok else 1), {"passed": ok, "fixtures": report}
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="detloci",
         description=(
@@ -359,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code, payload = args.handler(args)
     except (InputError, ParseError) as exc:

@@ -34,7 +34,9 @@ def empty_matrix(nrows: int, ncols: int, nvars: int, order: int) -> Matrix:
     return tuple(tuple(zero for _ in range(ncols)) for _ in range(nrows))
 
 
-def matrix_mul(a: Matrix, b: Matrix, nvars: int, order: int) -> Matrix:
+def matrix_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero) -> tuple:
+    """a*b for matrices over any ring whose elements have is_zero, + and *;
+    zero is that ring's zero, the value of an empty sum."""
     rb, cb = matrix_shape(b)
     ra, ca = matrix_shape(a, rb)
     if ca != rb:
@@ -43,7 +45,7 @@ def matrix_mul(a: Matrix, b: Matrix, nvars: int, order: int) -> Matrix:
     for i in range(ra):
         row = []
         for j in range(cb):
-            acc = LaurentPoly.zero(nvars, order)
+            acc = zero
             for k in range(ca):
                 if a[i][k].is_zero() or b[k][j].is_zero():
                     continue
@@ -201,8 +203,7 @@ class FreeComplex:
             prod = matrix_mul(
                 self.differential(i + 1),
                 self.differential(i),
-                self.ring.nvars,
-                self.ring.cyclotomic_order,
+                LaurentPoly.zero(self.ring.nvars, self.ring.cyclotomic_order),
             )
             if not matrix_is_zero(prod):
                 raise ValueError(

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .arith import CycloElem, TorsionAngle, lcm, lcm_all, root_multiplicity, torsion_sum
 from .torus import PrimeTorusDivisor
+from .upoly import UPoly
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,6 @@ class Ring:
 
     def with_order(self, order: int) -> "Ring":
         return Ring(self.nvars, self.laurent, lcm(self.cyclotomic_order, order))
-
-    def univariate(self) -> "Ring":
-        return Ring(1, self.laurent, self.cyclotomic_order)
 
 
 def term_key(exps: tuple[int, ...]) -> tuple:
@@ -580,7 +578,14 @@ def _mv_gcd_poly(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.one(f.nvars, lcm(f.order, g.order))
     var = active[-1]
     if len(active) == 1:
-        return _euclid_univariate(f, g, var)
+        # univariate in var: a dense gcd on the exponents of var
+        order = lcm(f.order, g.order)
+        a, b = (UPoly.from_terms(order, ((e[var], c) for e, c in p.terms.items())) for p in (f, g))
+        return LaurentPoly(
+            f.nvars,
+            order,
+            {tuple(k if i == var else 0 for i in range(f.nvars)): c for k, c in a.gcd(b).terms()},
+        )
     cont_f, pp_f = _content_pp(f, var)
     cont_g, pp_g = _content_pp(g, var)
     cont_gcd = _mv_gcd_poly(cont_f, cont_g) if not (
@@ -647,99 +652,31 @@ def _pseudo_rem(a: LaurentPoly, b: LaurentPoly, var: int) -> LaurentPoly:
     return rem
 
 
-def _euclid_univariate(f: LaurentPoly, g: LaurentPoly, var: int) -> LaurentPoly:
-    a, b = f, g
-    while not b.is_zero():
-        _, r = upoly_divmod_in(a, b, var)
-        a, b = b, r
-    return a.monic()
-
-
-def upoly_divmod_in(
-    f: LaurentPoly, g: LaurentPoly, var: int
-) -> tuple[LaurentPoly, LaurentPoly]:
-    """Long division treating both inputs as univariate in the given variable."""
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    f, g = f._pair(g)
-    db = _deg_in(g, var)
-    lead_b = _coeff_in(g, var, db)
-    if len(lead_b.terms) != 1 or any(
-        e != (0,) * f.nvars for e in lead_b.terms
-    ):
-        raise ValueError("divisor is not univariate in the chosen variable")
-    lead = next(iter(lead_b.terms.values()))
-    inv = None if lead.is_one() else lead.inverse()
-    quot = LaurentPoly.zero(f.nvars, f.order)
-    rem = f
-    while not rem.is_zero() and _deg_in(rem, var) >= db:
-        da = _deg_in(rem, var)
-        lead_a = _coeff_in(rem, var, da)
-        shift = [0] * f.nvars
-        shift[var] = da - db
-        piece = (lead_a if inv is None else lead_a.scale(inv)).shift(tuple(shift))
-        quot = quot + piece
-        rem = rem - piece * g
-    return quot, rem
-
-
 # ---------------------------------------------------------------------------
 # Univariate helpers on one-variable polynomials (exponents >= 0)
 
 
-def u_degree(f: LaurentPoly) -> int:
-    return _deg_in(f, 0)
+def u_dense(f: LaurentPoly, order: int) -> UPoly:
+    """A one-variable polynomial without negative exponents as a dense one over Q(zeta_order)."""
+    return UPoly.from_terms(order, ((k, c) for (k,), c in f.terms.items()))
+
+
+def u_laurent(f: UPoly) -> LaurentPoly:
+    return LaurentPoly(1, f.order, {(k,): c for k, c in f.terms()})
+
 
 def u_divmod(f: LaurentPoly, g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Long division of one-variable polynomials: f = q*g + r with deg r < deg g.
-
-    Runs on {exponent: coefficient} maps; a monic divisor needs no inverse.
-    """
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
+    """Long division of one-variable polynomials: f = q*g + r with deg r < deg g."""
     if f.nvars != 1 or g.nvars != 1:
         raise ValueError("u_divmod needs one-variable polynomials")
-    f, g = f._pair(g)
-    tail = {e: c for (e,), c in g.terms.items()}
-    db = max(tail)
-    lead = tail.pop(db)
-    inv = None if lead.is_one() else lead.inverse()
-    rem = {e: c for (e,), c in f.terms.items()}
-    quot = {}
-    while rem:
-        da = max(rem)
-        if da < db:
-            break
-        c = rem.pop(da)
-        if inv is not None:
-            c = c * inv
-        shift = da - db
-        quot[(shift,)] = c
-        minus_c = -c
-        for e, gc in tail.items():
-            key = e + shift
-            term = minus_c * gc
-            current = rem.get(key)
-            if current is None:
-                rem[key] = term
-            else:
-                updated = current + term
-                if updated.is_zero():
-                    del rem[key]
-                else:
-                    rem[key] = updated
-    return (
-        LaurentPoly(1, f.order, quot),
-        LaurentPoly(1, f.order, {(e,): c for e, c in rem.items()}),
-    )
+    order = lcm(f.order, g.order)
+    q, r = u_dense(f, order).divmod(u_dense(g, order))
+    return u_laurent(q), u_laurent(r)
 
 
 def u_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    a, b = f, g
-    while not b.is_zero():
-        _, r = u_divmod(a, b)
-        a, b = b, r
-    return a.monic()
+    order = lcm(f.order, g.order)
+    return u_laurent(u_dense(f, order).gcd(u_dense(g, order)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,11 @@ One pivoting loop (`_pivot`) serves two entry points.  `smith_normal_form`
 tracks U and V and checks U*M*V = D; `smith_diagonal`, for callers that read
 only the diagonal and V^-1, tracks U and V^-1 and checks U*M = D*V^-1.  Both
 check the divisibility chain of the diagonal.
+
+The loop, both checks and the products behind the determinantal factors,
+Fitting generators and presentations run on `upoly.UPoly` (integer numerator
+rows per power of t over one denominator); matrices are converted from
+LaurentPoly once on entry and back once on exit.
 """
 
 from __future__ import annotations
@@ -19,16 +24,11 @@ from typing import Sequence
 
 from .arith import CycloElem, TorsionAngle, lcm, lcm_all, root_multiplicity
 from .complexes import FreeComplex, Matrix, empty_matrix, matrix_make, matrix_mul, matrix_shape
-from .poly import (
-    IdealGens,
-    LaurentPoly,
-    u_degree,
-    u_divmod,
-    u_gcd,
-)
+from .poly import IdealGens, LaurentPoly, u_dense, u_divmod, u_gcd, u_laurent
+from .upoly import UPoly
 
 
-def _rank(diagonal: Sequence[LaurentPoly]) -> int:
+def _rank(diagonal: Sequence[LaurentPoly | UPoly]) -> int:
     return sum(1 for entry in diagonal if not entry.is_zero())
 
 
@@ -58,70 +58,74 @@ class SmithDiagonal:
         return _rank(self.diagonal)
 
 
-def _identity(n: int, order: int) -> list[list[LaurentPoly]]:
-    one = LaurentPoly.one(1, order)
-    zero = LaurentPoly.zero(1, order)
+def _identity(n: int, order: int) -> list[list[UPoly]]:
+    one = UPoly.one(order)
+    zero = UPoly(order, 1, ())
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def _add_rows(mat: list, i_target: int, i_source: int, c: LaurentPoly):
-    """Row i_target += c * row i_source, skipping zero source entries."""
-    target = mat[i_target]
-    for j, s in enumerate(mat[i_source]):
-        if not s.is_zero():
-            target[j] = target[j] + c * s
-
-
-def _add_cols(mat: list, j_target: int, j_source: int, c: LaurentPoly):
-    """Column j_target += c * column j_source, skipping zero source entries."""
-    for row in mat:
-        s = row[j_source]
-        if not s.is_zero():
-            row[j_target] = row[j_target] + c * s
-
-
-def _inverse_col_op(v_inv: list, j_target: int, j_source: int, q: LaurentPoly):
-    """Keep V^-1 in step with V's column j_target -= q * column j_source.
-
-    The inverse elementary matrix acts on the left: row j_source += q * row j_target.
-    """
-    _add_rows(v_inv, j_source, j_target, q)
-
-
-def _pivot(rows: list[list[LaurentPoly]], inverse: bool):
-    """Diagonalize with degree-minimal deterministic pivoting.
-
-    Returns (d, u, w, order) with U * M * V = d, where w is V^-1 when
-    `inverse` is set and V otherwise; every transform is a product of
-    elementary matrices.  Entries must be one-variable polynomials without
-    negative exponents (Laurent matrices are unit-cleared by the callers).
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+def _dense_matrix(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> list[list[UPoly]]:
+    """The entries as dense polynomials over the lcm of their cyclotomic orders."""
     order = 1
-    for row in rows:
+    for row in mat:
         for entry in row:
             if entry.nvars != 1:
                 raise ValueError("Smith form needs one-variable entries")
             if not entry.is_zero() and entry.min_exponents()[0] < 0:
                 raise ValueError("Smith form needs polynomial entries; clear units first")
             order = lcm(order, entry.order)
-    d = [[entry.lift(order) for entry in row] for row in rows]
+    return [[u_dense(entry, order) for entry in row] for row in mat]
+
+
+def _laurent_matrix(mat: Sequence[Sequence[UPoly]]) -> Matrix:
+    return matrix_make([[u_laurent(entry) for entry in row] for row in mat])
+
+
+def _sub_rows(mat: list, i_target: int, i_source: int, q: UPoly):
+    """Row i_target -= q * row i_source."""
+    target = mat[i_target]
+    for j, s in enumerate(mat[i_source]):
+        target[j] = target[j].submul(q, s)
+
+
+def _sub_cols(mat: list, j_target: int, j_source: int, q: UPoly):
+    """Column j_target -= q * column j_source."""
+    for row in mat:
+        row[j_target] = row[j_target].submul(q, row[j_source])
+
+
+def _inverse_col_op(v_inv: list, j_target: int, j_source: int, q: UPoly):
+    """Keep V^-1 in step with V's column j_target -= q * column j_source.
+
+    The inverse elementary matrix acts on the left: row j_source += q * row j_target.
+    """
+    _sub_rows(v_inv, j_source, j_target, -q)
+
+
+def _pivot(rows: list[list[UPoly]], inverse: bool):
+    """Diagonalize with degree-minimal deterministic pivoting.
+
+    Takes the dense entries of `_dense_matrix`, all of one order, and returns
+    (d, u, w, order) with U * M * V = d, where w is V^-1 when `inverse` is set
+    and V otherwise; every transform is a product of elementary matrices.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    order = rows[0][0].order if nrows and ncols else 1
+    d = [list(row) for row in rows]
     u = _identity(nrows, order)
     w = _identity(ncols, order)
 
-    def row_op(i_target: int, i_source: int, q: LaurentPoly):
-        minus_q = -q
-        _add_rows(d, i_target, i_source, minus_q)
-        _add_rows(u, i_target, i_source, minus_q)
+    def row_op(i_target: int, i_source: int, q: UPoly):
+        _sub_rows(d, i_target, i_source, q)
+        _sub_rows(u, i_target, i_source, q)
 
-    def col_op(j_target: int, j_source: int, q: LaurentPoly):
-        minus_q = -q
-        _add_cols(d, j_target, j_source, minus_q)
+    def col_op(j_target: int, j_source: int, q: UPoly):
+        _sub_cols(d, j_target, j_source, q)
         if inverse:
             _inverse_col_op(w, j_target, j_source, q)
         else:
-            _add_cols(w, j_target, j_source, minus_q)
+            _sub_cols(w, j_target, j_source, q)
 
     def swap_rows(a: int, b: int):
         if a != b:
@@ -145,53 +149,47 @@ def _pivot(rows: list[list[LaurentPoly]], inverse: bool):
             best = None
             for i in range(idx, nrows):
                 for j in range(idx, ncols):
-                    entry = d[i][j]
-                    if entry.is_zero():
-                        continue
-                    deg = u_degree(entry)
-                    if best is None or deg < best:
+                    deg = len(d[i][j].rows)
+                    if deg and (best is None or deg < best):
                         best = deg
                         pivot = (i, j)
             if pivot is None:
                 break
             swap_rows(idx, pivot[0])
             swap_cols(idx, pivot[1])
+            p = d[idx][idx]
             dirty = False
             for i in range(nrows):
-                if i != idx and not d[i][idx].is_zero():
-                    q, _ = u_divmod(d[i][idx], d[idx][idx])
+                if i != idx and d[i][idx].rows:
+                    q, _ = d[i][idx].divmod(p)
                     row_op(i, idx, q)
-                    if not d[i][idx].is_zero():
+                    if d[i][idx].rows:
                         dirty = True
             for j in range(ncols):
-                if j != idx and not d[idx][j].is_zero():
-                    q, _ = u_divmod(d[idx][j], d[idx][idx])
+                if j != idx and d[idx][j].rows:
+                    q, _ = d[idx][j].divmod(p)
                     col_op(j, idx, q)
-                    if not d[idx][j].is_zero():
+                    if d[idx][j].rows:
                         dirty = True
             if dirty:
                 continue
             offender = None
             for i in range(idx + 1, nrows):
                 for j in range(idx + 1, ncols):
-                    if d[i][j].is_zero():
-                        continue
-                    _, rem = u_divmod(d[i][j], d[idx][idx])
-                    if not rem.is_zero():
+                    if d[i][j].rows and d[i][j].divmod(p)[1].rows:
                         offender = i
                         break
                 if offender is not None:
                     break
             if offender is None:
                 break
-            minus_one = LaurentPoly.from_rational(1, -1, order)
-            row_op(idx, offender, minus_one)  # add offending row to the pivot row
+            row_op(idx, offender, -UPoly.one(order))  # add offending row to the pivot row
         entry = d[idx][idx]
-        if not entry.is_zero():
-            _, lead = entry.leading()
-            inv = lead.inverse()
-            d[idx] = [e.scale(inv) for e in d[idx]]
-            u[idx] = [e.scale(inv) for e in u[idx]]
+        if entry.rows:
+            _, inv = entry.monic_pair()
+            if inv is not None:
+                d[idx] = [e.scale(inv) for e in d[idx]]
+                u[idx] = [e.scale(inv) for e in u[idx]]
     return d, u, w, order
 
 
@@ -201,64 +199,63 @@ def smith_normal_form(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithFor
     Entries must be one-variable polynomials without negative exponents
     (Laurent matrices are unit-cleared by the callers first).
     """
-    rows = [list(r) for r in mat]
+    rows = _dense_matrix(mat)
     d, u, v, order = _pivot(rows, inverse=False)
-    form = SmithForm(
-        u=matrix_make(u),
-        v=matrix_make(v),
-        d=matrix_make(d),
-        diagonal=tuple(d[i][i] for i in range(min(len(d), len(v)))),
+    diagonal = tuple(d[i][i] for i in range(min(len(d), len(v))))
+    zero = UPoly(order, 1, ())
+    if rows and matrix_mul(matrix_mul(u, rows, zero), v, zero) != matrix_make(d):
+        raise ArithmeticError("Smith verification failed: U*M*V != D")
+    _check_chain(diagonal)
+    return SmithForm(
+        u=_laurent_matrix(u),
+        v=_laurent_matrix(v),
+        d=_laurent_matrix(d),
+        diagonal=tuple(u_laurent(e) for e in diagonal),
     )
-    _verify_smith(form, rows, order)
-    return form
 
 
-def smith_diagonal(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithDiagonal:
-    """The Smith diagonal and V^-1 of a matrix, checked as U*M = D*V^-1.
+def _diagonal_and_inverse(mat: Matrix | Sequence[Sequence[LaurentPoly]]):
+    """(diagonal, V^-1, order) as dense polynomials, checked as U*M = D*V^-1.
 
     Runs the pivoting of `smith_normal_form` but tracks V^-1 instead of V;
     D is diagonal, so the check is one matrix product and a row scaling.
     """
-    rows = [list(r) for r in mat]
+    rows = _dense_matrix(mat)
     d, u, v_inv, order = _pivot(rows, inverse=True)
     diagonal = tuple(d[i][i] for i in range(min(len(d), len(v_inv))))
     if rows:
-        lifted = matrix_make([[e.lift(order) for e in row] for row in rows])
-        left = matrix_mul(matrix_make(u), lifted, 1, order)
-        zero = LaurentPoly.zero(1, order)
-        for i, row in enumerate(left):
+        zero = UPoly(order, 1, ())
+        for i, row in enumerate(matrix_mul(u, rows, zero)):
             if i < len(diagonal):
-                want = [diagonal[i] * w for w in v_inv[i]]
+                want = tuple(diagonal[i] * w for w in v_inv[i])
             else:
-                want = [zero] * len(row)
-            if list(row) != want:
+                want = (zero,) * len(row)
+            if row != want:
                 raise ArithmeticError("Smith verification failed: U*M != D*V^-1")
     _check_chain(diagonal)
-    return SmithDiagonal(diagonal, matrix_make(v_inv))
+    return diagonal, v_inv, order
 
 
-def _verify_smith(form: SmithForm, original: Sequence[Sequence[LaurentPoly]], order: int):
-    nrows = len(original)
-    if nrows == 0:
-        return
-    lifted = matrix_make([[e.lift(order) for e in row] for row in original])
-    left = matrix_mul(form.u, lifted, 1, order)
-    both = matrix_mul(left, form.v, 1, order)
-    for i in range(nrows):
-        for j in range(len(original[0])):
-            if both[i][j] != form.d[i][j]:
-                raise ArithmeticError("Smith verification failed: U*M*V != D")
-    _check_chain(form.diagonal)
+def smith_diagonal(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithDiagonal:
+    """The Smith diagonal and V^-1 of a matrix, checked as U*M = D*V^-1."""
+    diagonal, v_inv, _ = _diagonal_and_inverse(mat)
+    return SmithDiagonal(tuple(u_laurent(e) for e in diagonal), _laurent_matrix(v_inv))
 
 
-def _check_chain(diagonal: Sequence[LaurentPoly]):
+def _exact_quotient(f: LaurentPoly, g: LaurentPoly, chain: str) -> LaurentPoly:
+    """f/g for one-variable polynomials of a chain in which g must divide f."""
+    q, r = u_divmod(f, g)
+    if not r.is_zero():
+        raise ArithmeticError(f"{chain} failed divisibility")
+    return q
+
+
+def _check_chain(diagonal: Sequence[UPoly]):
     for a, b in zip(diagonal, diagonal[1:]):
-        if a.is_zero() and not b.is_zero():
+        if not a.rows and b.rows:
             raise ArithmeticError("Smith diagonal has a zero before a nonzero entry")
-        if not a.is_zero() and not b.is_zero():
-            _, rem = u_divmod(b, a)
-            if not rem.is_zero():
-                raise ArithmeticError("Smith diagonal is not divisibility-chained")
+        if a.rows and b.rows and b.divmod(a)[1].rows:
+            raise ArithmeticError("Smith diagonal is not divisibility-chained")
 
 
 def fitting_generator(presentation: Matrix, k: int) -> LaurentPoly:
@@ -282,13 +279,13 @@ def _fitting_generators(presentation: Matrix, ks: Sequence[int]) -> list[Laurent
         if size > min(nrows, ncols):
             out.append(LaurentPoly.zero(1, order))
             continue
-        result = LaurentPoly.one(1, order)
+        result = UPoly.one(order)
         if size > 0:
             if diagonal is None:
-                diagonal = smith_diagonal(presentation).diagonal
+                diagonal = _diagonal_and_inverse(presentation)[0]
             for entry in diagonal[:size]:
                 result = result * entry
-        out.append(result)
+        out.append(u_laurent(result))
     return out
 
 
@@ -300,14 +297,9 @@ class DeterminantalFactors:
 
     def minimal_polynomial(self) -> LaurentPoly:
         """b_0/b_1; b_0 = 1 itself when there is no b_1 (the 0x0 matrix)."""
-        from .poly import exact_divide
-
         if len(self.b) == 1:
             return self.b[0]
-        quotient = exact_divide(self.b[0], self.b[1], laurent=False)
-        if quotient is None:
-            raise ArithmeticError("determinantal factors failed divisibility")
-        return quotient
+        return _exact_quotient(self.b[0], self.b[1], "determinantal factors")
 
 
 def characteristic_matrix(phi: Sequence[Sequence[CycloElem]]) -> Matrix:
@@ -334,14 +326,12 @@ def determinantal_factors(phi: Sequence[Sequence[CycloElem]]) -> DeterminantalFa
     m = len(phi)
     if any(len(row) != m for row in phi):
         raise ValueError("determinantal factors need a square matrix")
-    char = characteristic_matrix(phi)
-    diagonal = smith_diagonal(char).diagonal
-    order = char[0][0].order if m else 1
+    diagonal, _, order = _diagonal_and_inverse(characteristic_matrix(phi))
     # prefixes[j] is the product of the first j invariant factors; b_k = prefixes[m - k]
-    prefixes = [LaurentPoly.one(1, order)]
+    prefixes = [UPoly.one(order)]
     for entry in diagonal:
         prefixes.append(prefixes[-1] * entry)
-    return DeterminantalFactors(tuple(reversed(prefixes)))
+    return DeterminantalFactors(tuple(u_laurent(p) for p in reversed(prefixes)))
 
 
 def max_jordan_size(phi: Sequence[Sequence[CycloElem]], xi: TorsionAngle) -> int:
@@ -367,20 +357,9 @@ class NonTorsionError(ValueError):
 
 def _cleared_polynomial_matrix(mat: Matrix, order: int) -> Matrix:
     """Scale the whole matrix by a t-power so all entries are polynomial."""
-    low = 0
-    for row in mat:
-        for entry in row:
-            if not entry.is_zero():
-                low = min(low, entry.min_exponents()[0])
-    if low >= 0:
-        return matrix_make([[e.lift(order) for e in row] for row in mat])
-    shift = (-low,)
-    return matrix_make(
-        [
-            [e.shift(shift).lift(order) if not e.is_zero() else e.lift(order) for e in row]
-            for row in mat
-        ]
-    )
+    low = min((e.min_exponents()[0] for row in mat for e in row if not e.is_zero()), default=0)
+    shift = (max(0, -low),)
+    return matrix_make([[e.shift(shift).lift(order) for e in row] for row in mat])
 
 
 def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
@@ -399,9 +378,11 @@ def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
     }
     # one Smith diagonal per nonempty differential gives its rank and its V^-1
     forms = {
-        j: smith_diagonal(mat) for j, mat in cleared.items() if 0 not in matrix_shape(mat)
+        j: _diagonal_and_inverse(mat)
+        for j, mat in cleared.items()
+        if 0 not in matrix_shape(mat)
     }
-    ranks = {j: forms[j].rank if j in forms else 0 for j in cleared}
+    ranks = {j: _rank(forms[j][0]) if j in forms else 0 for j in cleared}
     for j in complex_.degrees():
         if complex_.rank(j) != ranks[j] + ranks[j - 1]:
             raise NonTorsionError(j)
@@ -409,21 +390,16 @@ def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
         return empty_matrix(0, 0, 1, order)
     d1 = cleared[i - 1]
     n_i = complex_.rank(i)
-    form2 = forms.get(i)
-    if form2 is None:
-        rank2 = 0
-        expressed = d1
-    else:
-        rank2 = form2.rank
-        expressed = matrix_mul(form2.v_inv, d1, 1, order)
-        for row in expressed[:rank2]:
-            for entry in row:
-                if not entry.is_zero():
-                    raise ArithmeticError(
-                        "image of the previous differential escapes the kernel"
-                    )
-    presentation = expressed[rank2:] if n_i else empty_matrix(0, 0, 1, order)
-    return matrix_make(presentation)
+    if not n_i:
+        return empty_matrix(0, 0, 1, order)
+    if i not in forms:
+        return d1
+    diagonal, v_inv, _ = forms[i]
+    rank2 = _rank(diagonal)
+    expressed = matrix_mul(v_inv, _dense_matrix(d1), UPoly(order, 1, ()))
+    if any(entry.rows for row in expressed[:rank2] for entry in row):
+        raise ArithmeticError("image of the previous differential escapes the kernel")
+    return _laurent_matrix(expressed[rank2:])
 
 
 def principal_generator(ideal: IdealGens) -> LaurentPoly:
@@ -451,12 +427,7 @@ def laurent_canonical(p: LaurentPoly) -> LaurentPoly:
 
 def annihilator_generator(presentation: Matrix) -> LaurentPoly:
     """Monic generator of the annihilator of coker(presentation): Fitt_0/Fitt_1."""
-    from .poly import exact_divide
-
     b0, b1 = _fitting_generators(presentation, (0, 1))
     if b0.is_zero():
         raise ValueError("annihilator of a non-torsion module is zero")
-    quotient = exact_divide(b0, b1, laurent=False)
-    if quotient is None:
-        raise ArithmeticError("Fitting chain failed divisibility")
-    return quotient
+    return _exact_quotient(b0, b1, "Fitting chain")

@@ -137,12 +137,8 @@ def conjugate_complex(rng: random.Random, complex_: FreeComplex) -> FreeComplex:
     for i in range(complex_.imin, complex_.imax):
         p_next, _ = transforms[i + 1]
         _, p_inv = transforms[i]
-        mat = matrix_mul(
-            matrix_mul(p_next, complex_.differential(i), ring.nvars, order),
-            p_inv,
-            ring.nvars,
-            order,
-        )
+        zero = LaurentPoly.zero(ring.nvars, order)
+        mat = matrix_mul(matrix_mul(p_next, complex_.differential(i), zero), p_inv, zero)
         diffs[i] = [list(row) for row in mat]
     return FreeComplex.make(
         ring, (complex_.imin, complex_.imax), dict(complex_.ranks), diffs
@@ -195,6 +191,36 @@ def oracle_det(mat: list[list[LaurentPoly]], ring: Ring) -> LaurentPoly:
             term = term * mat[i][perm[i]]
         total = total + term
     return total
+
+
+def upoly_divmod_in(
+    f: LaurentPoly, g: LaurentPoly, var: int
+) -> tuple[LaurentPoly, LaurentPoly]:
+    """Long division in one variable on LaurentPoly term maps; g must be
+    univariate in var.  Independent of the dense division it checks."""
+    def degree(p):
+        return max(e[var] for e in p.terms)
+
+    def coeff(p, k):
+        return LaurentPoly.make(p.nvars, p.order, {
+            tuple(0 if i == var else x for i, x in enumerate(e)): c
+            for e, c in p.terms.items() if e[var] == k
+        })
+
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    db = degree(g)
+    lead = coeff(g, db)
+    inv = lead.terms[(0,) * g.nvars].inverse()
+    quot = LaurentPoly.zero(f.nvars, f.order)
+    rem = f
+    while not rem.is_zero() and degree(rem) >= db:
+        shift = [0] * f.nvars
+        shift[var] = degree(rem) - db
+        piece = coeff(rem, degree(rem)).scale(inv).shift(tuple(shift))
+        quot = quot + piece
+        rem = rem - piece * g
+    return quot, rem
 
 
 def oracle_minor_gens(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +257,65 @@ class TestSmithCommands:
         code, out, _ = run_cli(capsys, ["detfactors", "--matrix", matrix])
         assert code == 0
         assert json.loads(out) == {"b": ["1"], "minimal_polynomial": "1"}
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (cyclotomic order, rows) of fixed matrices whose full `detloci smith` stdout
+# is pinned in golden/smith_<name>.out, so any change in pivot order shows up
+SMITH_GOLDEN = {
+    "order1_nonmonic_wide": (1, [["2*s1+1", "3*s1^2", "s1"], ["4*s1^2-1", "6*s1", "2*s1^2+s1"]]),
+    "order1_square": (
+        1,
+        [["3*s1^2-3", "2*s1+2", "0"], ["s1^2", "s1^3-s1", "5"], ["2*s1-2", "0", "7*s1^2"]],
+    ),
+    # third row = (s1+1) * first row + e(1/4) * second row
+    "order4_rank_deficient": (
+        4,
+        [
+            ["s1-e(1/4)", "2*s1", "1/2*s1^2+e(1/4)"],
+            ["3*e(1/4)*s1+1", "s1^2-1", "0"],
+            [
+                "s1^2-2*s1-e(1/4)*s1",
+                "2*s1^2+e(1/4)*s1^2+2*s1-e(1/4)",
+                "1/2*s1^3+1/2*s1^2+e(1/4)*s1+e(1/4)",
+            ],
+        ],
+    ),
+    "order12_chain": (12, [["e(1/3)*s1-e(5/12)", "s1^2"], ["0", "3*s1^2-3*e(1/6)"]]),
+    "order12_tall": (
+        12,
+        [
+            ["2*e(1/12)*s1+1", "s1^2-e(1/3)"],
+            ["e(1/4)*s1^2", "3*s1-e(5/12)"],
+            ["s1-1", "1/3*e(1/6)*s1"],
+        ],
+    ),
+}
+
+
+class TestSmithGolden:
+    @pytest.mark.parametrize("name", sorted(SMITH_GOLDEN))
+    def test_full_stdout(self, capsys, tmp_path, name):
+        order, rows = SMITH_GOLDEN[name]
+        matrix = write_json(
+            tmp_path / f"{name}.json",
+            {"ring": {"nvars": 1, "laurent": False, "cyclotomic_order": order}, "rows": rows},
+        )
+        code, out, err = run_cli(capsys, ["smith", "--matrix", matrix])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"smith_{name}.out").read_text()
+
+
+class TestParserReuse:
+    def test_built_once_for_two_calls(self, capsys, ex71_bf_file):
+        from detloci.cli import build_parser
+
+        build_parser.cache_clear()
+        first = run_cli(capsys, ["exp", "--locus", ex71_bf_file])
+        second = run_cli(capsys, ["exp", "--locus", ex71_bf_file])
+        assert build_parser.cache_info().misses == 1
+        assert first == second and first[0] == 0
 
 
 class TestFixturesCommand:

@@ -10,6 +10,7 @@ from detloci.poly import (
     Ring,
     exact_divide,
     parse_poly,
+    u_dense,
     u_divmod,
     u_gcd,
 )
@@ -120,7 +121,7 @@ class TestSmithDiagonal:
                 assert short.diagonal == full.diagonal
                 assert short.rank == full.rank
                 ncols = len(mat[0])
-                product = matrix_mul(short.v_inv, full.v, 1, order)
+                product = matrix_mul(short.v_inv, full.v, LaurentPoly.zero(1, order))
                 assert product == matrix_make(
                     [
                         [LaurentPoly.one(1, order) if i == j else LaurentPoly.zero(1, order)
@@ -159,7 +160,7 @@ class TestSmithDiagonal:
 
         def corrupt(rows, inverse):
             d, u, w, order = real(rows, inverse)
-            u[0][0] = u[0][0] + t
+            u[0][0] = u[0][0] + u_dense(t, order)
             return d, u, w, order
 
         monkeypatch.setattr(smith_module, "_pivot", corrupt)

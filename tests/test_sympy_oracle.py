@@ -1,0 +1,107 @@
+"""Differential tests against sympy's Smith forms over QQ[x] (test-only dependency)."""
+
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+
+from detloci.arith import CycloElem  # noqa: E402
+from detloci.poly import LaurentPoly  # noqa: E402
+from detloci.smith import determinantal_factors, smith_diagonal  # noqa: E402
+
+X = sympy.symbols("x")
+QQX = sympy.QQ[X]
+
+
+def random_poly(rng, degree: int):
+    """A rational polynomial of degree <= degree, zero about a quarter of the time."""
+    if rng.random() < 0.25:
+        return sympy.Integer(0)
+    return sum(
+        sympy.Rational(rng.randint(-3, 3), rng.randint(1, 2)) * X**k
+        for k in range(rng.randint(0, degree) + 1)
+    )
+
+
+def to_laurent(expr) -> LaurentPoly:
+    coeffs = sympy.Poly(expr, X).all_coeffs()[::-1]
+    return LaurentPoly.make(1, 1, {
+        (k,): CycloElem.from_rational(1, Fraction(int(c.p), int(c.q)))
+        for k, c in enumerate(coeffs) if c
+    })
+
+
+def monic_coeffs(expr) -> list[Fraction]:
+    """Coefficients of the monic form of a sympy polynomial, highest first; [] for zero."""
+    if expr == 0:
+        return []
+    return [Fraction(int(c.p), int(c.q)) for c in sympy.Poly(expr, X).monic().all_coeffs()]
+
+
+def detloci_coeffs(p: LaurentPoly) -> list[Fraction]:
+    if p.is_zero():
+        return []
+    top = max(k for (k,) in p.terms)
+    return [
+        p.terms[(k,)].rational_value() if (k,) in p.terms else Fraction(0)
+        for k in range(top, -1, -1)
+    ]
+
+
+def seeded_matrices(rng):
+    """Random square, rectangular and rank-deficient matrices over QQ[x], and a
+    planted chain diag(p, p*q, p*q*r) mixed by elementary row and column moves."""
+    for nrows, ncols in [(2, 2), (3, 3), (2, 3), (3, 2), (4, 4)]:
+        yield sympy.Matrix(nrows, ncols, lambda i, j: random_poly(rng, 2))
+    top = sympy.Matrix(2, 3, lambda i, j: random_poly(rng, 2))
+    yield top.col_join(rng.randint(-2, 2) * top[0, :] + (X + rng.randint(1, 3)) * top[1, :])
+    p, q, r = (X - rng.randint(-2, 2) for _ in range(3))
+    planted = sympy.diag(p, p * q, p * q * r)
+    for _ in range(6):
+        i, j = rng.sample(range(3), 2)
+        factor = rng.randint(-2, 2) + rng.randint(0, 1) * X
+        if rng.random() < 0.5:
+            planted[i, :] = planted[i, :] + factor * planted[j, :]
+        else:
+            planted[:, i] = planted[:, i] + factor * planted[:, j]
+    yield planted.expand()
+
+
+class TestInvariantFactors:
+    def test_smith_diagonal_matches_sympy(self, rng):
+        for _ in range(4):
+            for mat in seeded_matrices(rng):
+                laurent = [[to_laurent(mat[i, j]) for j in range(mat.cols)] for i in range(mat.rows)]
+                ours = smith_diagonal(laurent).diagonal
+                theirs = invariant_factors(mat, domain=QQX)
+                assert [detloci_coeffs(d) for d in ours] == [monic_coeffs(d) for d in theirs]
+
+
+class TestMinimalPolynomial:
+    def test_last_invariant_factor_of_xI_minus_A(self, rng):
+        for _ in range(20):
+            m = rng.randint(1, 5)
+            # upper-triangular with repeated eigenvalues, so nontrivial Jordan
+            # blocks occur, conjugated by a unimodular integer matrix
+            eigen = [rng.randint(-2, 2) for _ in range(2)]
+            a = sympy.zeros(m, m)
+            for i in range(m):
+                a[i, i] = rng.choice(eigen)
+                for j in range(i + 1, m):
+                    a[i, j] = sympy.Rational(rng.choice([0, 0, 1, -1, 2]), rng.randint(1, 2))
+            p = sympy.eye(m)
+            for _ in range(m):
+                i, j = rng.sample(range(m), 2) if m > 1 else (0, 0)
+                if i != j:
+                    p[i, :] = p[i, :] + rng.randint(-2, 2) * p[j, :]
+            a = p * a * p.inv()
+            phi = [
+                [CycloElem.from_rational(1, Fraction(int(a[i, j].p), int(a[i, j].q)))
+                 for j in range(m)]
+                for i in range(m)
+            ]
+            ours = determinantal_factors(phi).minimal_polynomial()
+            theirs = invariant_factors(X * sympy.eye(m) - a, domain=QQX)[-1]
+            assert detloci_coeffs(ours) == monic_coeffs(theirs)
