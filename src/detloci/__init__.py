@@ -30,7 +30,6 @@ from .poly import (
     LaurentPoly,
     Ring,
     exact_divide,
-    gcd_generators,
     ideal_valuation,
     valuation_along,
 )

@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 
+from .arith import CycloElem
 from .bsloci import (
     combine_bm,
     containment_check,
@@ -36,7 +37,6 @@ from .io import (
     matrix_to_json,
     poly_to_str,
 )
-from .poly import ParseError
 from .smith import determinantal_factors, smith_normal_form
 from .support import candidate_divisors, specialization_multiplicity, support_report
 from .torus import AffineHyperplane
@@ -97,8 +97,6 @@ def _cmd_detfactors(args) -> tuple[int, dict]:
         out_row = []
         for entry in row:
             if entry.is_zero():
-                from .arith import CycloElem
-
                 out_row.append(CycloElem.zero(ring.cyclotomic_order))
                 continue
             exps, coeff = entry.leading()
@@ -365,9 +363,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, payload = args.handler(args)
-    except (InputError, ParseError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from typing import Any, Mapping, Sequence
 from .arith import lcm_all
 from .bsloci import HyperplaneLocus
 from .complexes import FreeComplex, Matrix, matrix_make
-from .poly import LaurentPoly, ParseError, Ring, denominators_in, format_poly, parse_poly
+from .poly import LaurentPoly, ParseError, Ring, format_poly, parse_poly
 from .torus import AffineHyperplane, PrimeTorusDivisor
 
 
@@ -58,16 +58,13 @@ def _parse_entry(text: Any, ring: Ring) -> LaurentPoly:
         raise InputError(f"cannot parse polynomial {text!r}: {exc}") from None
 
 
-def _raise_order_for_entries(ring: Ring, entries: Sequence[str]) -> Ring:
-    dens = [ring.cyclotomic_order]
-    for text in entries:
-        if not isinstance(text, str):
-            raise InputError(f"polynomial entries must be strings, got {text!r}")
-        try:
-            dens.extend(denominators_in(text, ring.nvars, ring.laurent))
-        except ParseError as exc:
-            raise InputError(f"cannot parse polynomial {text!r}: {exc}") from None
-    return ring.with_order(lcm_all(dens))
+def _lift_entries(
+    ring: Ring, mats: Sequence[Sequence[Sequence[LaurentPoly]]]
+) -> tuple[Ring, list[list[list[LaurentPoly]]]]:
+    """Raise the ring to cover every parsed entry's field and lift the entries to it."""
+    ring = ring.with_order(lcm_all(p.order for mat in mats for row in mat for p in row))
+    order = ring.cyclotomic_order
+    return ring, [[[p.lift(order) for p in row] for row in mat] for mat in mats]
 
 
 def complex_from_json(obj: Any, override_order: int | None = None) -> FreeComplex:
@@ -92,15 +89,6 @@ def complex_from_json(obj: Any, override_order: int | None = None) -> FreeComple
     diffs_obj = obj.get("differentials", {})
     if not isinstance(diffs_obj, Mapping):
         raise InputError("differentials must map degree strings to matrices")
-    all_entries = [
-        entry
-        for mat in diffs_obj.values()
-        if isinstance(mat, Sequence)
-        for row in mat
-        if isinstance(row, Sequence)
-        for entry in row
-    ]
-    ring = _raise_order_for_entries(ring, all_entries)
     diffs: dict[int, list[list[LaurentPoly]]] = {}
     for key, mat in diffs_obj.items():
         try:
@@ -112,6 +100,8 @@ def complex_from_json(obj: Any, override_order: int | None = None) -> FreeComple
         ):
             raise InputError(f"differential {key} must be a matrix of strings")
         diffs[degree] = [[_parse_entry(entry, ring) for entry in row] for row in mat]
+    ring, lifted = _lift_entries(ring, list(diffs.values()))
+    diffs = dict(zip(diffs, lifted))
     try:
         return FreeComplex.make(ring, (imin, imax), ranks, diffs)
     except ValueError as exc:
@@ -132,10 +122,10 @@ def matrix_from_json(
     width = {len(row) for row in rows}
     if len(width) > 1:
         raise InputError("matrix rows have inconsistent lengths")
-    entries = [entry for row in rows for entry in row]
-    ring = _raise_order_for_entries(ring, entries)
-    mat = matrix_make([[_parse_entry(entry, ring) for entry in row] for row in rows])
-    return mat, ring
+    ring, (parsed,) = _lift_entries(
+        ring, [[[_parse_entry(entry, ring) for entry in row] for row in rows]]
+    )
+    return matrix_make(parsed), ring
 
 
 def hyperplane_from_string(text: str, r: int) -> AffineHyperplane:

@@ -1,8 +1,8 @@
 """Multivariate Laurent polynomials over Q(zeta_N) and ideal generator lists.
 
 Sparse term maps from integer exponent vectors to cyclotomic coefficients,
-with a graded-lexicographic canonical order.  Exact division, valuation along
-binomial prime divisors, and a recursive content/primitive-part gcd are the
+with a graded-lexicographic canonical order.  Exact division and valuation
+along binomial prime divisors (read off the one-variable fibres) are the
 workhorses for everything downstream; no Groebner machinery anywhere.
 """
 
@@ -539,119 +539,6 @@ def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
     return best
 
 
-def gcd_generators(ideal: IdealGens) -> LaurentPoly:
-    """A gcd of the generators, normalized; exact at desk scale."""
-    if ideal.is_zero():
-        raise ValueError("gcd of the zero ideal is undefined")
-    laurent = ideal.ring.laurent
-    current = ideal.gens[0].normalized(laurent)
-    for g in ideal.gens[1:]:
-        if current.is_one():
-            break
-        current = mv_gcd(current, g).normalized(laurent)
-    return current.normalized(laurent)
-
-
-# ---------------------------------------------------------------------------
-# Multivariate gcd via recursive content / primitive part
-
-
-def mv_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """gcd of two nonzero polynomials over Q(zeta), up to unit normalization."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("gcd of zero polynomial is undefined here")
-    f = f.clear_units().monic()
-    g = g.clear_units().monic()
-    return _mv_gcd_poly(f, g).clear_units().monic()
-
-
-def _active_vars(f: LaurentPoly) -> list[int]:
-    return [i for i in range(f.nvars) if any(e[i] for e in f.terms)]
-
-
-def _mv_gcd_poly(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    if len(f.terms) == 1 or len(g.terms) == 1:
-        # a monomial is a unit after clearing; over a field the gcd is 1
-        return LaurentPoly.one(f.nvars, lcm(f.order, g.order))
-    active = sorted(set(_active_vars(f)) | set(_active_vars(g)))
-    if not active:
-        return LaurentPoly.one(f.nvars, lcm(f.order, g.order))
-    var = active[-1]
-    if len(active) == 1:
-        # univariate in var: a dense gcd on the exponents of var
-        order = lcm(f.order, g.order)
-        a, b = (UPoly.from_terms(order, ((e[var], c) for e, c in p.terms.items())) for p in (f, g))
-        return LaurentPoly(
-            f.nvars,
-            order,
-            {tuple(k if i == var else 0 for i in range(f.nvars)): c for k, c in a.gcd(b).terms()},
-        )
-    cont_f, pp_f = _content_pp(f, var)
-    cont_g, pp_g = _content_pp(g, var)
-    cont_gcd = _mv_gcd_poly(cont_f, cont_g) if not (
-        cont_f.is_one() or cont_g.is_one()
-    ) else LaurentPoly.one(f.nvars, lcm(f.order, g.order))
-    a, b = pp_f, pp_g
-    while not b.is_zero():
-        r = _pseudo_rem(a, b, var)
-        if r.is_zero():
-            a, b = b, r
-            break
-        _, r = _content_pp(r.clear_units(), var)
-        a, b = b, r
-    _, pp_gcd = _content_pp(a.clear_units(), var)
-    return cont_gcd * pp_gcd
-
-
-def _deg_in(f: LaurentPoly, var: int) -> int:
-    if f.is_zero():
-        return -1
-    return max(e[var] for e in f.terms)
-
-
-def _coeff_in(f: LaurentPoly, var: int, k: int) -> LaurentPoly:
-    out = {}
-    for e, c in f.terms.items():
-        if e[var] == k:
-            key = list(e)
-            key[var] = 0
-            out[tuple(key)] = c
-    return LaurentPoly(f.nvars, f.order, out)
-
-
-def _content_pp(f: LaurentPoly, var: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """Content and primitive part of f viewed as univariate in var."""
-    degrees = sorted({e[var] for e in f.terms})
-    coeffs = [_coeff_in(f, var, k) for k in degrees if not _coeff_in(f, var, k).is_zero()]
-    content = coeffs[0]
-    for c in coeffs[1:]:
-        if content.is_one():
-            break
-        content = _mv_gcd_poly(content.clear_units().monic(), c.clear_units().monic())
-    content = content.clear_units().monic()
-    if content.is_one():
-        return content, f
-    pp = exact_divide(f, content, laurent=False)
-    if pp is None:
-        raise ArithmeticError("content failed to divide its polynomial")
-    return content, pp
-
-
-def _pseudo_rem(a: LaurentPoly, b: LaurentPoly, var: int) -> LaurentPoly:
-    db = _deg_in(b, var)
-    lead_b = _coeff_in(b, var, db)
-    rem = a
-    while not rem.is_zero():
-        da = _deg_in(rem, var)
-        if da < db:
-            break
-        lead_a = _coeff_in(rem, var, da)
-        shift = [0] * rem.nvars
-        shift[var] = da - db
-        rem = rem * lead_b - b * lead_a.shift(tuple(shift))
-    return rem
-
-
 # ---------------------------------------------------------------------------
 # Univariate helpers on one-variable polynomials (exponents >= 0)
 
@@ -785,10 +672,6 @@ def _read_int(s: str, pos: int) -> tuple[int, int]:
     if start == pos:
         raise ParseError("expected an integer", start)
     return int(s[start:pos]), pos
-
-
-def denominators_in(text: str, nvars: int, laurent: bool) -> list[int]:
-    return [angle.den for _, angle, _ in parse_terms(text, nvars, laurent)]
 
 
 def parse_poly(text: str, ring: Ring) -> LaurentPoly:

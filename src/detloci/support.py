@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .arith import TorsionAngle, angle_roots, root_multiplicity
 from .complexes import FreeComplex, base_change, cdf_ideal
-from .poly import IdealGens, fibre_has_root, fibres, gcd_generators, ideal_valuation
+from .poly import fibre_has_root, fibres, ideal_valuation
 from .smith import annihilator_generator, cohomology_presentation
 from .torus import PrimeTorusDivisor, TorusDivisor
 
@@ -48,7 +48,7 @@ def _angles_up_to(max_den: int) -> list[TorsionAngle]:
 
 
 def candidate_divisors(complex_: FreeComplex, bound: int = 4) -> list[PrimeTorusDivisor]:
-    """Binomial prime divisors dividing the gcd of some degree's top minors.
+    """Binomial prime divisors dividing every top minor of some degree.
 
     Searches supports with sup-norm at most the bound and torsion angles with
     denominator at most bound times the largest cleared entry degree; complete
@@ -57,29 +57,30 @@ def candidate_divisors(complex_: FreeComplex, bound: int = 4) -> list[PrimeTorus
     if bound < 1:
         raise ValueError("search bound must be positive")
     r = complex_.ring.nvars
-    top_ideals: dict[int, IdealGens] = {}
+    tops = []
     for i in complex_.degrees():
         ideal = cdf_ideal(complex_, i, 0)
         if ideal.is_zero():
             raise NonTorsionComplexError(i)
-        top_ideals[i] = ideal
+        if not ideal.contains_one():
+            tops.append(ideal.gens)
     max_degree = 1
     for mat in complex_.diffs.values():
         for row in mat:
             for entry in row:
                 if not entry.is_zero():
                     max_degree = max(max_degree, entry.max_total_degree())
-    gcds = []
-    for i in sorted(top_ideals):
-        ideal = top_ideals[i]
-        if ideal.contains_one():
-            continue
-        gcds.append(gcd_generators(ideal))
     angles = _angles_up_to(bound * max_degree)
     found = []
     for u in _primitive_vectors(r, bound):
-        # a one-term fibre has no root on the torus: skip that gcd along u
-        split = [fs for fs in (fibres(g, u) for g in gcds) if len(fs[0]) > 1]
+        # t^u - xi divides every generator of an ideal exactly when xi is a
+        # root of all their fibres; a one-term fibre has no root on the torus,
+        # which rules that ideal out along u
+        split = [
+            sorted((f for g in gens for f in fibres(g, u)), key=len)
+            for gens in tops
+            if all(len(fibres(g, u)[0]) > 1 for g in gens)
+        ]
         if not split:
             continue
         for xi in angles:

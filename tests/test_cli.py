@@ -318,6 +318,78 @@ class TestParserReuse:
         assert first == second and first[0] == 0
 
 
+class TestEntryParsing:
+    def _count_parses(self, monkeypatch):
+        import detloci.poly as poly_module
+
+        calls = []
+        original = poly_module.parse_terms
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(poly_module, "parse_terms", counting)
+        return calls
+
+    def test_matrix_entries_parsed_once_when_order_rises(self, monkeypatch):
+        from detloci.io import matrix_from_json
+        from detloci.poly import parse_poly
+
+        rows = [["t1-e(1/3)", "1"], ["0", "e(1/4)*t1^2"]]
+        calls = self._count_parses(monkeypatch)
+        mat, ring = matrix_from_json({"ring": {"nvars": 1, "laurent": True}, "rows": rows})
+        assert len(calls) == 4
+        assert ring.cyclotomic_order == 12
+        for row, texts in zip(mat, rows):
+            for entry, text in zip(row, texts):
+                assert entry.order == 12
+                assert entry == parse_poly(text, ring)
+
+    def test_complex_entries_parsed_once_when_order_rises(self, monkeypatch):
+        from detloci.io import complex_from_json
+
+        payload = {
+            "ring": {"nvars": 1, "laurent": True, "cyclotomic_order": 2},
+            "degrees": [0, 2],
+            "ranks": {"0": 1, "1": 1, "2": 1},
+            "differentials": {"0": [["t1-e(1/3)"]], "1": [["0"]]},
+        }
+        calls = self._count_parses(monkeypatch)
+        E = complex_from_json(payload)
+        assert len(calls) == 2
+        assert E.ring.cyclotomic_order == 6
+        assert {E.differential(i)[0][0].order for i in (0, 1)} == {6}
+
+
+class TestStandardLibraryOnly:
+    def test_import_loads_no_third_party_module(self):
+        import subprocess
+        import sys
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "before = set(sys.modules)\n"
+            "import detloci, detloci.cli\n"
+            "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "print(json.dumps(sorted(loaded)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        loaded = json.loads(done.stdout)
+        assert "detloci" in loaded
+        assert [
+            name for name in loaded if name != "detloci" and name not in sys.stdlib_module_names
+        ] == []
+
+
 class TestFixturesCommand:
     def test_run_all(self, capsys):
         code, out, _ = run_cli(capsys, ["fixtures", "run", "all"])

@@ -16,7 +16,6 @@ from detloci.poly import (
     fibre_has_root,
     fibres,
     format_poly,
-    gcd_generators,
     ideal_valuation,
     parse_poly,
     u_divmod,
@@ -28,7 +27,6 @@ from detloci.torus import PrimeTorusDivisor
 from conftest import (
     division_multiplicity,
     oracle_valuation,
-    random_binomial,
     random_binomial_product,
     random_divisor,
     random_torsion_point,
@@ -323,37 +321,6 @@ class TestEvaluate:
         f = parse_poly("t1-e(1/3)", Ring(1, True, 3))
         with pytest.raises(ValueError):
             f.evaluate((TorsionAngle.make(1, 2),), 2)
-
-
-class TestGcd:
-    def test_examples(self):
-        ring = Ring(2, True, 3)
-        assert gcd_generators(
-            IdealGens.make(R2, [P("t1^2-2*t1+1"), P("t1*t2-t1-t2+1")])
-        ) == P("t1-1")
-        h = parse_poly("t1*t2-e(1/3)", ring)
-        got = gcd_generators(IdealGens.make(ring, [h * P("t1-1"), h * P("t2")]))
-        assert got == h.normalized(True)
-        assert gcd_generators(IdealGens.make(R2, [P("1"), P("t1")])).is_one()
-
-    def test_zero_ideal_rejected(self):
-        with pytest.raises(ValueError):
-            gcd_generators(IdealGens.zero_ideal(R2))
-
-    def test_divides_all_and_catches_planted_factor(self, rng):
-        for _ in range(25):
-            planted = random_binomial(rng, R2)
-            gens = []
-            for _ in range(rng.randint(2, 3)):
-                extra = random_binomial_product(rng, R2)
-                if extra.is_zero():
-                    extra = LaurentPoly.one(2)
-                gens.append(planted * extra)
-            ideal = IdealGens.make(R2, gens)
-            g = gcd_generators(ideal)
-            for member in ideal.gens:
-                assert exact_divide(member, g) is not None
-            assert exact_divide(g, planted) is not None
 
 
 class TestIdealGens:

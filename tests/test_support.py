@@ -4,7 +4,7 @@ import pytest
 
 from detloci.arith import TorsionAngle
 from detloci.complexes import FreeComplex, base_change, cdf_ideal, direct_sum
-from detloci.poly import LaurentPoly, Ring, fibre_has_root, fibres, gcd_generators, parse_poly
+from detloci.poly import LaurentPoly, Ring, fibre_has_root, fibres, parse_poly
 from detloci.support import (
     NonTorsionComplexError,
     _angles_up_to,
@@ -76,15 +76,19 @@ class TestCandidateDivisors:
 
 
 def oracle_candidates(E: FreeComplex, bound: int) -> list[PrimeTorusDivisor]:
-    """Every (u, xi) of the search grid whose binomial divides a top-minor gcd.
+    """Every (u, xi) of the search grid whose binomial divides every top minor
+    of some degree.
 
-    Decided by trial division of each gcd by t^u - xi, pair by pair.
+    Decided by trial division of each generator by t^u - xi, pair by pair; a
+    zero top ideal is refused, since every binomial would divide it.
     """
-    gcds = []
+    tops = []
     for i in E.degrees():
         ideal = cdf_ideal(E, i, 0)
+        if ideal.is_zero():
+            raise NonTorsionComplexError(i)
         if not ideal.contains_one():
-            gcds.append(gcd_generators(ideal))
+            tops.append(ideal.gens)
     max_degree = max(
         [1]
         + [
@@ -99,7 +103,10 @@ def oracle_candidates(E: FreeComplex, bound: int) -> list[PrimeTorusDivisor]:
         PrimeTorusDivisor(u, xi)
         for u in _primitive_vectors(E.ring.nvars, bound)
         for xi in _angles_up_to(bound * max_degree)
-        if any(oracle_valuation(g, PrimeTorusDivisor(u, xi)) > 0 for g in gcds)
+        if any(
+            all(oracle_valuation(g, PrimeTorusDivisor(u, xi)) > 0 for g in gens)
+            for gens in tops
+        )
     ]
     return sorted(found, key=lambda d: d.sort_key())
 
@@ -151,6 +158,57 @@ class TestCandidatesAgainstTrialDivision:
         ]
         assert candidate_divisors(E, 2) == oracle_candidates(E, 2) == edge
         assert candidate_divisors(E, 1) == oracle_candidates(E, 1) == []
+
+
+def koszul_complex(ring: Ring, gens: list[LaurentPoly]) -> FreeComplex:
+    """The Koszul complex of two or three elements; its top minors include them."""
+    zero = LaurentPoly.zero(ring.nvars, ring.cyclotomic_order)
+    if len(gens) == 2:
+        a, b = gens
+        return FreeComplex.make(
+            ring, (0, 2), {0: 1, 1: 2, 2: 1}, {0: [[a], [b]], 1: [[b, -a]]}
+        )
+    a, b, c = gens
+    cross = [[zero, -c, b], [c, zero, -a], [-b, a, zero]]
+    return FreeComplex.make(
+        ring,
+        (0, 3),
+        {0: 1, 1: 3, 2: 3, 3: 1},
+        {0: [[a], [b], [c]], 1: cross, 2: [[a, b, c]]},
+    )
+
+
+class TestSeveralTopGenerators:
+    def test_shared_binomial_factor(self):
+        h = P("t1*t2-e(1/3)")
+        E = koszul_complex(R2, [h * P("t1-1"), h * P("t2")])
+        assert len(cdf_ideal(E, 1, 0).gens) == 2
+        assert candidate_divisors(E, 3) == oracle_candidates(E, 3) == [H_DIVISOR]
+
+    def test_planted_binomial_against_trial_division(self, rng):
+        from conftest import random_binomial_product, random_divisor
+
+        ring = Ring(2, True, 3)
+        for _ in range(25):
+            divisor = random_divisor(rng, 2)
+            planted = LaurentPoly.binomial_divisor(2, divisor, 3)
+            gens = []
+            for _ in range(rng.randint(2, 3)):
+                extra = random_binomial_product(rng, ring)
+                if extra.is_zero():
+                    extra = LaurentPoly.one(2, 3)
+                gens.append(planted * extra)
+            E = koszul_complex(ring, gens)
+            got = candidate_divisors(E, 2)
+            assert got == oracle_candidates(E, 2)
+            assert divisor in got
+
+    def test_zero_top_ideal_refused_by_both(self):
+        E = diag_complex([LaurentPoly.zero(2, 3)])
+        with pytest.raises(NonTorsionComplexError):
+            oracle_candidates(E, 2)
+        with pytest.raises(NonTorsionComplexError):
+            candidate_divisors(E, 2)
 
 
 class TestSupportReport:

@@ -1,5 +1,6 @@
-"""Differential tests against sympy's Smith forms over QQ[x] (test-only dependency)."""
+"""Differential tests against sympy's determinants and Smith forms (test-only dependency)."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,13 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
 from detloci.arith import CycloElem  # noqa: E402
-from detloci.poly import LaurentPoly  # noqa: E402
+from detloci.complexes import MinorEngine, matrix_make, minors_ideal  # noqa: E402
+from detloci.poly import IdealGens, LaurentPoly, Ring  # noqa: E402
 from detloci.smith import determinantal_factors, smith_diagonal  # noqa: E402
 
 X = sympy.symbols("x")
 QQX = sympy.QQ[X]
+T = sympy.symbols("t1 t2")
 
 
 def random_poly(rng, degree: int):
@@ -105,3 +108,44 @@ class TestMinimalPolynomial:
             ours = determinantal_factors(phi).minimal_polynomial()
             theirs = invariant_factors(X * sympy.eye(m) - a, domain=QQX)[-1]
             assert detloci_coeffs(ours) == monic_coeffs(theirs)
+
+
+def random_int_poly(rng, nvars: int):
+    """An integer polynomial in t1..t_nvars of total degree <= 2, zero about a fifth of the time."""
+    if rng.random() < 0.2:
+        return sympy.Integer(0)
+    monomials = [e for e in itertools.product(range(3), repeat=nvars) if sum(e) <= 2]
+    return sum(
+        rng.randint(-3, 3) * sympy.Mul(*(t**k for t, k in zip(T, e)))
+        for e in rng.sample(monomials, rng.randint(1, 3))
+    )
+
+
+def to_multivariate(expr, nvars: int) -> LaurentPoly:
+    terms = sympy.Poly(expr, *T[:nvars]).terms()
+    return LaurentPoly.make(nvars, 1, {
+        e: CycloElem.from_rational(1, Fraction(int(c))) for e, c in terms if c
+    })
+
+
+class TestMinors:
+    @pytest.mark.parametrize("nvars", [1, 2])
+    def test_determinant_and_minor_generators_match_sympy(self, rng, nvars):
+        for size, laurent in [(3, False), (3, True), (4, False), (4, True)]:
+            ring = Ring(nvars, laurent, 1)
+            mat = sympy.Matrix(size, size, lambda i, j: random_int_poly(rng, nvars))
+            ours = matrix_make(
+                [[to_multivariate(mat[i, j], nvars) for j in range(size)] for i in range(size)]
+            )
+            full = tuple(range(size))
+            det = MinorEngine(ours, nvars, 1).det(full, full)
+            assert det == to_multivariate(sympy.expand(mat.det()), nvars)
+            for m in range(1, size + 1):
+                theirs = [
+                    to_multivariate(sympy.expand(mat.extract(list(rows), list(cols)).det()), nvars)
+                    for rows in itertools.combinations(full, m)
+                    for cols in itertools.combinations(full, m)
+                ]
+                got = minors_ideal(ours, m, ring).gens
+                want = IdealGens.make(ring, theirs).gens
+                assert [g.sort_key() for g in got] == [g.sort_key() for g in want]
