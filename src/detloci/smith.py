@@ -8,13 +8,13 @@ one-variable complexes with torsion cohomology.
 
 One pivoting loop (`_pivot`) serves two entry points.  `smith_normal_form`
 tracks U and V and checks U*M*V = D; `smith_diagonal`, for callers that read
-only the diagonal and V^-1, tracks U and V^-1 and checks U*M = D*V^-1.  Both
-check the divisibility chain of the diagonal.
+only the diagonal, tracks U and V^-1 and checks U*M = D*V^-1, keeping V^-1
+for that check alone.  Both check the divisibility chain of the diagonal.
 
-The loop, both checks and the products behind the determinantal factors,
-Fitting generators and presentations run on `upoly.UPoly` (integer numerator
-rows per power of t over one denominator); matrices are converted from
-LaurentPoly once on entry and back once on exit.
+The loop, both checks and the products behind the determinantal factors and
+Fitting generators run on `upoly.UPoly` (integer numerator rows per power of
+t over one denominator); matrices are converted from LaurentPoly once on
+entry and back once on exit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .arith import CycloElem, TorsionAngle, lcm, lcm_all, root_multiplicity
-from .complexes import FreeComplex, Matrix, empty_matrix, matrix_make, matrix_mul, matrix_shape
+from .complexes import FreeComplex, Matrix, matrix_make, matrix_mul, matrix_shape
 from .poly import IdealGens, LaurentPoly, u_dense, u_divmod, u_gcd, u_laurent
 from .upoly import UPoly
 
@@ -48,10 +48,9 @@ class SmithForm:
 
 @dataclass(frozen=True)
 class SmithDiagonal:
-    """The Smith diagonal of M and V^-1, where U * M * V = D for a unimodular U."""
+    """The Smith diagonal of M, without the transforms that produce it."""
 
     diagonal: tuple[LaurentPoly, ...]
-    v_inv: Matrix
 
     @property
     def rank(self) -> int:
@@ -214,8 +213,8 @@ def smith_normal_form(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithFor
     )
 
 
-def _diagonal_and_inverse(mat: Matrix | Sequence[Sequence[LaurentPoly]]):
-    """(diagonal, V^-1, order) as dense polynomials, checked as U*M = D*V^-1.
+def _checked_diagonal(mat: Matrix | Sequence[Sequence[LaurentPoly]]):
+    """(diagonal, order) with dense entries, checked as U*M = D*V^-1.
 
     Runs the pivoting of `smith_normal_form` but tracks V^-1 instead of V;
     D is diagonal, so the check is one matrix product and a row scaling.
@@ -233,13 +232,12 @@ def _diagonal_and_inverse(mat: Matrix | Sequence[Sequence[LaurentPoly]]):
             if row != want:
                 raise ArithmeticError("Smith verification failed: U*M != D*V^-1")
     _check_chain(diagonal)
-    return diagonal, v_inv, order
+    return diagonal, order
 
 
 def smith_diagonal(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithDiagonal:
-    """The Smith diagonal and V^-1 of a matrix, checked as U*M = D*V^-1."""
-    diagonal, v_inv, _ = _diagonal_and_inverse(mat)
-    return SmithDiagonal(tuple(u_laurent(e) for e in diagonal), _laurent_matrix(v_inv))
+    """The Smith diagonal of a matrix, checked as U*M = D*V^-1."""
+    return SmithDiagonal(tuple(u_laurent(e) for e in _checked_diagonal(mat)[0]))
 
 
 def _exact_quotient(f: LaurentPoly, g: LaurentPoly, chain: str) -> LaurentPoly:
@@ -282,7 +280,7 @@ def _fitting_generators(presentation: Matrix, ks: Sequence[int]) -> list[Laurent
         result = UPoly.one(order)
         if size > 0:
             if diagonal is None:
-                diagonal = _diagonal_and_inverse(presentation)[0]
+                diagonal = _checked_diagonal(presentation)[0]
             for entry in diagonal[:size]:
                 result = result * entry
         out.append(u_laurent(result))
@@ -326,7 +324,7 @@ def determinantal_factors(phi: Sequence[Sequence[CycloElem]]) -> DeterminantalFa
     m = len(phi)
     if any(len(row) != m for row in phi):
         raise ValueError("determinantal factors need a square matrix")
-    diagonal, _, order = _diagonal_and_inverse(characteristic_matrix(phi))
+    diagonal, order = _checked_diagonal(characteristic_matrix(phi))
     # prefixes[j] is the product of the first j invariant factors; b_k = prefixes[m - k]
     prefixes = [UPoly.one(order)]
     for entry in diagonal:
@@ -365,41 +363,29 @@ def _cleared_polynomial_matrix(mat: Matrix, order: int) -> Matrix:
 def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
     """Presentation matrix of H^i of a one-variable complex with torsion cohomology.
 
-    The kernel of d^i is split off with the Smith column transform of d^i and
-    the image of d^{i-1} is rewritten in that basis; the result presents H^i
-    over Q(zeta)[t] and, after inverting t, over the Laurent ring.
+    Over the PID Q(zeta)[t] the image of d^i is free, so coker d^{i-1} is H^i
+    plus a free module, and the invariant factors of H^i are the Smith
+    invariants of d^{i-1} of positive degree.  Their diagonal matrix presents
+    H^i over Q(zeta)[t] and, after inverting t, over the Laurent ring.
     """
     if complex_.ring.nvars != 1:
         raise ValueError("cohomology presentations need a one-variable complex")
     order = complex_.ring.cyclotomic_order
-    cleared = {
-        j: _cleared_polynomial_matrix(complex_.differential(j), order)
-        for j in range(complex_.imin - 1, complex_.imax + 1)
-    }
-    # one Smith diagonal per nonempty differential gives its rank and its V^-1
-    forms = {
-        j: _diagonal_and_inverse(mat)
-        for j, mat in cleared.items()
-        if 0 not in matrix_shape(mat)
-    }
-    ranks = {j: _rank(forms[j][0]) if j in forms else 0 for j in cleared}
+    # one Smith diagonal per nonempty cleared differential gives its rank
+    diagonals = {}
+    for j in range(complex_.imin - 1, complex_.imax + 1):
+        mat = _cleared_polynomial_matrix(complex_.differential(j), order)
+        if 0 not in matrix_shape(mat):
+            diagonals[j] = _checked_diagonal(mat)[0]
     for j in complex_.degrees():
-        if complex_.rank(j) != ranks[j] + ranks[j - 1]:
+        if complex_.rank(j) != _rank(diagonals.get(j, ())) + _rank(diagonals.get(j - 1, ())):
             raise NonTorsionError(j)
-    if not complex_.imin <= i <= complex_.imax:
-        return empty_matrix(0, 0, 1, order)
-    d1 = cleared[i - 1]
-    n_i = complex_.rank(i)
-    if not n_i:
-        return empty_matrix(0, 0, 1, order)
-    if i not in forms:
-        return d1
-    diagonal, v_inv, _ = forms[i]
-    rank2 = _rank(diagonal)
-    expressed = matrix_mul(v_inv, _dense_matrix(d1), UPoly(order, 1, ()))
-    if any(entry.rows for row in expressed[:rank2] for entry in row):
-        raise ArithmeticError("image of the previous differential escapes the kernel")
-    return _laurent_matrix(expressed[rank2:])
+    torsion = [entry for entry in diagonals.get(i - 1, ()) if len(entry.rows) > 1]
+    zero = UPoly(order, 1, ())
+    size = len(torsion)
+    return _laurent_matrix(
+        [[torsion[j] if j == k else zero for k in range(size)] for j in range(size)]
+    )
 
 
 def principal_generator(ideal: IdealGens) -> LaurentPoly:

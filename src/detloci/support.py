@@ -18,7 +18,7 @@ from typing import Sequence
 from .arith import TorsionAngle, angle_roots, root_multiplicity
 from .complexes import FreeComplex, base_change, cdf_ideal
 from .poly import fibre_has_root, fibres, ideal_valuation
-from .smith import annihilator_generator, cohomology_presentation
+from .smith import NonTorsionError, annihilator_generator, cohomology_presentation
 from .torus import PrimeTorusDivisor, TorusDivisor
 
 logger = logging.getLogger(__name__)
@@ -145,15 +145,11 @@ def support_report(
     return SupportReport(tuple(unique), delta0, delta1, minimal)
 
 
-def generic_point_on_divisor(
-    divisor: PrimeTorusDivisor,
-    avoid: Sequence[PrimeTorusDivisor],
-    bound: int = 8,
-) -> tuple[TorsionAngle, tuple[int, ...]]:
-    """A torsion point (lambda^{b_1}, ..., lambda^{b_r}) on the divisor only.
+def _generic_points(divisor: PrimeTorusDivisor, avoid: Sequence[PrimeTorusDivisor], bound: int):
+    """Torsion points (lambda^{b_1}, ..., lambda^{b_r}) on the divisor only.
 
     Enumerates exponent vectors b by total size then lexicographically, and
-    for each solves lambda^{u . b} = xi, taking the smallest root of unity
+    for each solves lambda^{u . b} = xi, yielding the smallest root of unity
     different from 1 that avoids every listed divisor.
     """
     if divisor in avoid:
@@ -176,7 +172,18 @@ def generic_point_on_divisor(
                 for d in avoid
             ):
                 continue
-            return lam, b
+            yield lam, b
+            break
+
+
+def generic_point_on_divisor(
+    divisor: PrimeTorusDivisor,
+    avoid: Sequence[PrimeTorusDivisor],
+    bound: int = 8,
+) -> tuple[TorsionAngle, tuple[int, ...]]:
+    """The first torsion point on the divisor only, in the order of `_generic_points`."""
+    for point in _generic_points(divisor, avoid, bound):
+        return point
     raise ValueError("no generic point within bound; increase bound")
 
 
@@ -220,7 +227,15 @@ def specialization_multiplicity(
     order_at = report.minimal.get(i, TorusDivisor()).multiplicity(divisor)
     avoid = [d for d in all_candidates if d != divisor]
     if point is None:
-        lam, b = generic_point_on_divisor(divisor, avoid, max(bound, 8))
+        # a non-torsion base change puts the whole curve in the support: not generic
+        for lam, b in _generic_points(divisor, avoid, max(bound, 8)):
+            try:
+                presentation = cohomology_presentation(base_change(complex_, b), i)
+                break
+            except NonTorsionError:
+                continue
+        else:
+            raise ValueError("no generic point within bound; increase bound")
         generic = True
     else:
         lam, b_raw = point
@@ -230,8 +245,7 @@ def specialization_multiplicity(
         generic = point_on_divisor(divisor, lam, b) and not any(
             point_on_divisor(d, lam, b) for d in avoid
         )
-    specialized = base_change(complex_, b)
-    presentation = cohomology_presentation(specialized, i)
+        presentation = cohomology_presentation(base_change(complex_, b), i)
     annihilator = annihilator_generator(presentation)
     jordan = root_multiplicity({k: c for (k,), c in annihilator.terms.items()}, lam)
     if not generic or jordan != order_at:

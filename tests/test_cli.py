@@ -221,6 +221,24 @@ class TestComplexCommands:
         assert row["ord"] == row["jordan"] == 1
         assert row["generic"] is True
 
+    def test_support_skips_non_torsion_base_change(self, capsys, tmp_path):
+        # b = (1, 1) sends t1-t2 to 0, so the search moves on to b = (1, 2)
+        path = write_json(
+            tmp_path / "diagonal.json",
+            {
+                "ring": {"nvars": 2, "laurent": True},
+                "degrees": [0, 1],
+                "ranks": {"0": 2, "1": 2},
+                "differentials": {"0": [["t1-e(1/3)", "0"], ["0", "t1-t2"]]},
+            },
+        )
+        code, out, _ = run_cli(capsys, ["support", "--complex", path, "--bound", "3"])
+        assert code == 0
+        [row] = json.loads(out)["ord_jordan_table"]
+        assert row["b"] == [1, 2]
+        assert row["ord"] == row["jordan"] == 1
+        assert row["generic"] is True
+
 
 class TestSmithCommands:
     def test_smith(self, capsys, tmp_path):

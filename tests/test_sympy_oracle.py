@@ -1,4 +1,7 @@
-"""Differential tests against sympy's determinants and Smith forms (test-only dependency)."""
+"""Differential tests against sympy (a test-only dependency).
+
+Cyclotomic polynomials, determinants and minors, and Smith forms.
+"""
 
 import itertools
 from fractions import Fraction
@@ -8,7 +11,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
-from detloci.arith import CycloElem  # noqa: E402
+from detloci.arith import CycloElem, cyclotomic_poly  # noqa: E402
 from detloci.complexes import MinorEngine, matrix_make, minors_ideal  # noqa: E402
 from detloci.poly import IdealGens, LaurentPoly, Ring  # noqa: E402
 from detloci.smith import determinantal_factors, smith_diagonal  # noqa: E402
@@ -70,6 +73,13 @@ def seeded_matrices(rng):
         else:
             planted[:, i] = planted[:, i] + factor * planted[:, j]
     yield planted.expand()
+
+
+class TestCyclotomicPolynomial:
+    def test_matches_sympy_up_to_60(self):
+        for n in range(1, 61):
+            theirs = sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()[::-1]
+            assert cyclotomic_poly(n) == tuple(int(c) for c in theirs)
 
 
 class TestInvariantFactors:
