@@ -262,9 +262,9 @@ def jump_ideal(complex_: FreeComplex, i: int, k: int) -> IdealGens:
 
     A minor of a block-diagonal matrix vanishes unless its rows and columns
     split alike between the blocks, and is then the product of the two block
-    minors, so I_m(diag(A, B)) is the sum over a + b = m of I_a(A) I_b(B).  The
-    size conventions apply to the block sum, the enumeration limit to each
-    differential whose minors are enumerated.
+    minors, so I_m(diag(A, B)) is the sum over a + b = m of I_a(A) I_b(B), kept
+    as those pairs until read.  The size conventions apply to the block sum,
+    the enumeration limit to each differential whose minors are enumerated.
     """
     cache = complex_.minor_cache
     key = ("jump", i, k)
@@ -276,12 +276,9 @@ def jump_ideal(complex_: FreeComplex, i: int, k: int) -> IdealGens:
     size = complex_.rank(i) - k + 1
     ideal = _decided_by_size(ra + rb, ca + cb, size, complex_.ring)
     if ideal is None:
-        gens = []
-        for a in range(size + 1):
-            lower = differential_minors(complex_, i - 1, a).gens
-            upper = differential_minors(complex_, i, size - a).gens
-            gens.extend(f * g for f in lower for g in upper)
-        ideal = IdealGens.make(complex_.ring, gens)
+        lower = [differential_minors(complex_, i - 1, a) for a in range(size + 1)]
+        upper = [differential_minors(complex_, i, size - a) for a in range(size + 1)]
+        ideal = IdealGens.sum_of_products(complex_.ring, zip(lower, upper))
     cache[key] = ideal
     return ideal
 

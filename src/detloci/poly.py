@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -462,18 +462,23 @@ def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
     return best
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdealGens:
     """A canonical finite generator list for an ideal of the (Laurent) ring.
 
     Zero generators are dropped, each generator is unit-normalized (monomial
     content removed in the Laurent case, leading coefficient 1), and the list
     is deduplicated and sorted.  (0) is the empty list and (1) is [1].
-    Generators are deliberately not reduced against each other.
+    Generators are deliberately not reduced against each other.  A sum of
+    products of ideals (`sum_of_products`) is held as its pairs of factors
+    until `ring` or `gens` is read, which forms the list of the products.
     """
 
-    ring: Ring
-    gens: tuple[LaurentPoly, ...]
+    _ring: Ring
+    _gens: tuple[LaurentPoly, ...] | None
+    parts: tuple[tuple["IdealGens", "IdealGens"], ...] = ()
+    # ideal_valuation per divisor, filled on demand
+    valuations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(ring: Ring, gens: Iterable[LaurentPoly]) -> "IdealGens":
@@ -498,12 +503,33 @@ class IdealGens:
         return IdealGens(ring.with_order(order), tuple(unique))
 
     @staticmethod
+    def sum_of_products(ring: Ring, pairs: Iterable[tuple]) -> "IdealGens":
+        """The sum of the ideals I*J over the pairs (I, J), multiplied out when read."""
+        return IdealGens(ring, None, tuple(pairs))
+
+    @staticmethod
     def zero_ideal(ring: Ring) -> "IdealGens":
         return IdealGens(ring, ())
 
     @staticmethod
     def unit_ideal(ring: Ring) -> "IdealGens":
         return IdealGens.make(ring, [LaurentPoly.one(ring.nvars, ring.cyclotomic_order)])
+
+    def _formed(self) -> "IdealGens":
+        if self._gens is None:
+            products = (f * g for a, b in self.parts for f in a.gens for g in b.gens)
+            formed = IdealGens.make(self._ring, products)
+            object.__setattr__(self, "_ring", formed.ring)
+            object.__setattr__(self, "_gens", formed.gens)
+        return self
+
+    @property
+    def ring(self) -> Ring:
+        return self._formed()._ring
+
+    @property
+    def gens(self) -> tuple[LaurentPoly, ...]:
+        return self._formed()._gens
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -530,12 +556,27 @@ class IdealGens:
 
 
 def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
-    """min of valuation_along over the generators; infinity exactly for (0)."""
+    """min of valuation_along over the generators; infinity exactly for (0).
+
+    A sum of products is valued without forming it: valuation along a prime
+    divisor adds over products and takes the minimum over sums, so it is the
+    min over the pairs of v(I) + v(J).  Each ideal remembers its valuations.
+    """
+    if divisor.nvars != ideal._ring.nvars:
+        raise ValueError("divisor lives in a different torus")
+    best = ideal.valuations.get(divisor)
+    if best is not None:
+        return best
+    if ideal.parts:
+        values = (ideal_valuation(a, divisor) + ideal_valuation(b, divisor) for a, b in ideal.parts)
+    else:
+        values = (valuation_along(g, divisor) for g in ideal._gens)
     best = math.inf
-    for g in ideal.gens:
-        best = min(best, valuation_along(g, divisor))
+    for v in values:
+        best = min(best, v)
         if best == 0:
             break
+    ideal.valuations[divisor] = best
     return best
 
 

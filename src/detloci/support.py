@@ -17,8 +17,8 @@ from typing import Sequence
 
 from .arith import TorsionAngle, angle_roots, root_multiplicity
 from .complexes import FreeComplex, base_change, cdf_ideal
-from .poly import fibre_has_root, fibres, ideal_valuation
-from .smith import NonTorsionError, annihilator_generator, cohomology_presentation
+from .poly import LaurentPoly, fibre_has_root, fibres, ideal_valuation
+from .smith import NonTorsionError, cohomology_presentation
 from .torus import PrimeTorusDivisor, TorusDivisor
 
 logger = logging.getLogger(__name__)
@@ -246,7 +246,8 @@ def specialization_multiplicity(
             point_on_divisor(d, lam, b) for d in avoid
         )
         presentation = cohomology_presentation(base_change(complex_, b), i)
-    annihilator = annihilator_generator(presentation)
+    # the presentation is diagonal and chained, so Fitt_0/Fitt_1 is its last entry
+    annihilator = presentation[-1][-1] if presentation else LaurentPoly.one(1)
     jordan = root_multiplicity({k: c for (k,), c in annihilator.terms.items()}, lam)
     if not generic or jordan != order_at:
         logger.info(

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from detloci.complexes import (
@@ -12,16 +14,21 @@ from detloci.complexes import (
     insert_trivial_summand,
     jump_ideal,
     matrix_make,
+    matrix_shape,
     minors_ideal,
 )
-from detloci.poly import IdealGens, LaurentPoly, Ring, ideal_valuation, parse_poly
+from detloci.arith import TorsionAngle
+from detloci.poly import IdealGens, LaurentPoly, Ring, ideal_valuation, parse_poly, valuation_along
+from detloci.torus import PrimeTorusDivisor
 
 from conftest import (
+    SMALL_ANGLES,
     canon_gens,
     conjugate_complex,
     oracle_minor_gens,
     random_binomial,
     random_divisor,
+    random_torsion_complex,
     random_torsion_point,
     random_two_term,
     two_term_complex,
@@ -256,6 +263,131 @@ class TestJumpFromBlockMinors:
             for k in range(-1, G.rank(i) + 3):
                 jump_ideal(G, i, k)
         assert not calls
+
+
+def multiplied_out_jump(F: FreeComplex, i: int, k: int) -> IdealGens:
+    """The jump ideal as every product of block minors, canonicalised at once."""
+    ra, ca = matrix_shape(F.differential(i - 1), F.rank(i - 1))
+    rb, cb = matrix_shape(F.differential(i), F.rank(i))
+    size = F.rank(i) - k + 1
+    if size <= 0:
+        return IdealGens.unit_ideal(F.ring)
+    if size > min(ra + rb, ca + cb):
+        return IdealGens.zero_ideal(F.ring)
+    products = [
+        f * g
+        for a in range(size + 1)
+        for f in minors_ideal(F.differential(i - 1), a, F.ring).gens
+        for g in minors_ideal(F.differential(i), size - a, F.ring).gens
+    ]
+    return IdealGens.make(F.ring, products)
+
+
+def value_all(F: FreeComplex, divisors) -> None:
+    """Value every cdf and jump ideal of F along every divisor, twice over."""
+    for _ in range(2):
+        for C in divisors:
+            for i in range(F.imin - 1, F.imax + 2):
+                for k in range(-1, F.rank(i) + 3):
+                    ideal_valuation(cdf_ideal(F, i, k), C)
+                    ideal_valuation(jump_ideal(F, i, k), C)
+
+
+# every divisor that random_divisor(rng, 2) can draw, so every planted one
+SMALL_DIVISORS = [
+    PrimeTorusDivisor(u, xi)
+    for u in [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)]
+    for xi in SMALL_ANGLES
+]
+
+
+class TestJumpValuationByParts:
+    @pytest.mark.parametrize("order", [1, 6, 12])
+    def test_min_plus_matches_multiplied_out_ideal(self, rng, order):
+        ring = Ring(2, True, order)
+        positive = 0
+        for _ in range(8):
+            F = random_torsion_complex(rng, ring)
+            for i in range(F.imin - 1, F.imax + 2):
+                for k in range(-1, F.rank(i) + 3):
+                    ideal = jump_ideal(F, i, k)
+                    expected = multiplied_out_jump(F, i, k)
+                    for C in SMALL_DIVISORS:
+                        want = min(
+                            (valuation_along(g, C) for g in expected.gens), default=math.inf
+                        )
+                        assert ideal_valuation(ideal, C) == want
+                        positive += 0 < want < math.inf
+                    # read after valuing, so the valuation ran on the parts
+                    assert ideal == expected
+                    assert ideal.ring == expected.ring
+        assert positive >= 10
+
+    @staticmethod
+    def divisors() -> list[PrimeTorusDivisor]:
+        return [
+            PrimeTorusDivisor((1, 1), TorsionAngle.make(1, 3)),
+            PrimeTorusDivisor((1, 0), TorsionAngle.make(0, 1)),
+            PrimeTorusDivisor((0, 1), TorsionAngle.make(0, 1)),
+            PrimeTorusDivisor((1, 0), TorsionAngle.make(1, 2)),
+        ]
+
+    def test_valuing_jump_ideals_forms_no_products(self, monkeypatch):
+        products = []
+        real = LaurentPoly.__mul__
+
+        def counting(f, g):
+            products.append(1)
+            return real(f, g)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        # every product is one of the minor expansions, none of a block product
+        G = TestJumpFromBlockMinors.fixed_complex()
+        products.clear()
+        for j in range(G.imin - 2, G.imax + 2):
+            for size in range(1, max(G.rank(j), G.rank(j + 1)) + 1):
+                differential_minors(G, j, size)
+        expansions = len(products)
+        F = TestJumpFromBlockMinors.fixed_complex()
+        products.clear()
+        value_all(F, self.divisors())
+        assert len(products) == expansions > 0
+        products.clear()
+        value_all(G, self.divisors())
+        assert not products
+
+    def test_valuation_along_once_per_minor_generator(self, monkeypatch):
+        import detloci.poly as poly_module
+
+        calls = []
+        real = poly_module.valuation_along
+
+        def recording(f, divisor):
+            calls.append((id(f), divisor))
+            return real(f, divisor)
+
+        monkeypatch.setattr(poly_module, "valuation_along", recording)
+        F = TestJumpFromBlockMinors.fixed_complex()
+        value_all(F, self.divisors())
+        assert calls and len(calls) == len(set(calls))
+        # only generators of minor ideals are valued, never a product of two
+        minor_gens = {
+            id(g)
+            for ideal in F.minor_cache.values()
+            if isinstance(ideal, IdealGens) and not ideal.parts
+            for g in ideal.gens
+        }
+        assert {f for f, _ in calls} <= minor_gens
+
+    def test_divisor_of_another_torus_rejected(self):
+        # a jump ideal held as its parts, zero since d^0 is the zero map
+        F = FreeComplex.make(R2, (0, 1), {0: 1, 1: 1}, {})
+        ideal = jump_ideal(F, 1, 1)
+        C = PrimeTorusDivisor((1, 0, 0), TorsionAngle.make(0, 1))
+        with pytest.raises(ValueError, match="different torus"):
+            ideal_valuation(ideal, C)
+        assert ideal_valuation(ideal, PrimeTorusDivisor((1, 0), TorsionAngle.make(0, 1))) == math.inf
+        assert ideal.is_zero()
 
 
 class TestBaseChange:

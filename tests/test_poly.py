@@ -139,6 +139,13 @@ class TestIdealValuation:
             )
             assert ideal_valuation(ideal, C) == ideal_valuation(scaled, C)
 
+    def test_divisor_of_another_torus_rejected(self):
+        # (0) used to answer infinity here while (1) refused the divisor
+        C = PrimeTorusDivisor((1, 0, 0), TorsionAngle.make(0, 1))
+        for ideal in (IdealGens.zero_ideal(R2), IdealGens.unit_ideal(R2)):
+            with pytest.raises(ValueError, match="different torus"):
+                ideal_valuation(ideal, C)
+
 
 def record_results(monkeypatch, name: str) -> list:
     """Record the return value of every call to detloci.poly.<name> from here on."""
@@ -461,3 +468,56 @@ class TestUDivmod:
             u_divmod(LaurentPoly.one(1, 6), LaurentPoly.zero(1, 6))
         with pytest.raises(ZeroDivisionError):
             u_divmod(LaurentPoly.zero(1), LaurentPoly.zero(1))
+
+
+# ---------------------------------------------------------------------------
+# Ring laws of LaurentPoly in two variables: exact division undoes a product,
+# and the valuation along a binomial divisor is additive on products
+
+LAW_ORDERS = [1, 6, 12]
+
+
+@st.composite
+def two_variable_polys(draw, order: int):
+    """A nonzero Laurent polynomial in two variables with one to four terms."""
+    exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    terms = draw(st.dictionaries(exps, field_elems(order), min_size=1, max_size=4))
+    f = LaurentPoly.make(2, order, terms)
+    return f if not f.is_zero() else LaurentPoly.one(2, order)
+
+
+@st.composite
+def planted_divisors(draw, order: int):
+    """t^u - xi with u primitive in N^2 and xi in the field Q(zeta_order)."""
+    u = draw(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda u: math.gcd(*u) == 1)
+    )
+    return PrimeTorusDivisor(u, TorsionAngle.make(draw(st.integers(0, order - 1)), order))
+
+
+class TestLaurentPolyLaws:
+    @given(st.sampled_from(LAW_ORDERS).flatmap(
+        lambda n: st.tuples(two_variable_polys(n), two_variable_polys(n))
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_divide_undoes_a_product(self, pair):
+        f, g = pair
+        assert exact_divide(f * g, g) == f
+
+    @given(st.sampled_from(LAW_ORDERS).flatmap(
+        lambda n: st.tuples(
+            two_variable_polys(n),
+            two_variable_polys(n),
+            planted_divisors(n),
+            st.integers(0, 2),
+            st.integers(0, 2),
+        )
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_valuation_additive_on_planted_divisors(self, case):
+        f0, g0, divisor, m, n = case
+        h = LaurentPoly.binomial_divisor(2, divisor, f0.order)
+        f, g = h**m * f0, h**n * g0
+        vf, vg = valuation_along(f, divisor), valuation_along(g, divisor)
+        assert vf >= m and vg >= n
+        assert valuation_along(f * g, divisor) == vf + vg
