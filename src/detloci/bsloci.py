@@ -73,12 +73,6 @@ class HyperplaneLocus:
     def members(self) -> list[AffineHyperplane]:
         return [h for h, _ in self.hyperplanes]
 
-    def multiplicity(self, h: AffineHyperplane) -> int:
-        for member, mult in self.hyperplanes:
-            if member == h:
-                return mult
-        return 0
-
     def without_multiplicities(self) -> "HyperplaneLocus":
         return HyperplaneLocus.make(self.r, [(h, 1) for h, _ in self.hyperplanes], self.pieces)
 

@@ -58,15 +58,6 @@ def _parse_entry(text: Any, ring: Ring) -> LaurentPoly:
         raise InputError(f"cannot parse polynomial {text!r}: {exc}") from None
 
 
-def _lift_entries(
-    ring: Ring, mats: Sequence[Sequence[Sequence[LaurentPoly]]]
-) -> tuple[Ring, list[list[list[LaurentPoly]]]]:
-    """Raise the ring to cover every parsed entry's field and lift the entries to it."""
-    ring = ring.with_order(lcm_all(p.order for mat in mats for row in mat for p in row))
-    order = ring.cyclotomic_order
-    return ring, [[[p.lift(order) for p in row] for row in mat] for mat in mats]
-
-
 def complex_from_json(obj: Any, override_order: int | None = None) -> FreeComplex:
     if not isinstance(obj, Mapping):
         raise InputError("complex file must contain an object")
@@ -100,8 +91,6 @@ def complex_from_json(obj: Any, override_order: int | None = None) -> FreeComple
         ):
             raise InputError(f"differential {key} must be a matrix of strings")
         diffs[degree] = [[_parse_entry(entry, ring) for entry in row] for row in mat]
-    ring, lifted = _lift_entries(ring, list(diffs.values()))
-    diffs = dict(zip(diffs, lifted))
     try:
         return FreeComplex.make(ring, (imin, imax), ranks, diffs)
     except ValueError as exc:
@@ -122,10 +111,11 @@ def matrix_from_json(
     width = {len(row) for row in rows}
     if len(width) > 1:
         raise InputError("matrix rows have inconsistent lengths")
-    ring, (parsed,) = _lift_entries(
-        ring, [[[_parse_entry(entry, ring) for entry in row] for row in rows]]
-    )
-    return matrix_make(parsed), ring
+    parsed = [[_parse_entry(entry, ring) for entry in row] for row in rows]
+    # raise the ring to cover every parsed entry's field and lift the entries to it
+    ring = ring.with_order(lcm_all(p.order for row in parsed for p in row))
+    order = ring.cyclotomic_order
+    return matrix_make([[p.lift(order) for p in row] for row in parsed]), ring
 
 
 def hyperplane_from_string(text: str, r: int) -> AffineHyperplane:

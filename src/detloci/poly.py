@@ -105,10 +105,6 @@ class LaurentPoly:
         return LaurentPoly.make(nvars, order, {tuple(e): CycloElem.one(order)})
 
     @staticmethod
-    def monomial(exps: Sequence[int], coeff: CycloElem) -> "LaurentPoly":
-        return LaurentPoly.make(len(exps), coeff.order, {tuple(exps): coeff})
-
-    @staticmethod
     def binomial_divisor(
         nvars: int, divisor: PrimeTorusDivisor, order: int = 1
     ) -> "LaurentPoly":

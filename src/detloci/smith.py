@@ -2,9 +2,10 @@
 
 Covers the diagonalization with tracked unimodular transforms, Fitting-ideal
 generators of torsion modules, determinantal factors b_k of a square matrix
-over the field (with b_0/b_1 the minimal polynomial), maximal Jordan block
-sizes at unit-root eigenvalues, and presentations of the cohomology of
-one-variable complexes with torsion cohomology.
+over the field (with b_0/b_1, the last invariant factor, the minimal
+polynomial), maximal Jordan block sizes at unit-root eigenvalues, and
+presentations of the cohomology of one-variable complexes with torsion
+cohomology, all read off one checked Smith diagonal.
 
 One pivoting loop (`_pivot`) serves two entry points.  `smith_normal_form`
 tracks U and V and checks U*M*V = D; `smith_diagonal`, for callers that read
@@ -24,7 +25,7 @@ from typing import Sequence
 
 from .arith import CycloElem, TorsionAngle, lcm, lcm_all, root_multiplicity
 from .complexes import FreeComplex, Matrix, matrix_make, matrix_mul, matrix_shape
-from .poly import IdealGens, LaurentPoly, u_dense, u_divmod, u_gcd, u_laurent
+from .poly import IdealGens, LaurentPoly, u_dense, u_gcd, u_laurent
 from .upoly import UPoly
 
 
@@ -34,11 +35,10 @@ def _rank(diagonal: Sequence[LaurentPoly | UPoly]) -> int:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """U * M * V = D with unimodular U, V and a divisibility-chained diagonal."""
+    """U * M * V = D with unimodular U, V and D = diag(diagonal), divisibility-chained."""
 
     u: Matrix
     v: Matrix
-    d: Matrix
     diagonal: tuple[LaurentPoly, ...]
 
     @property
@@ -208,7 +208,6 @@ def smith_normal_form(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithFor
     return SmithForm(
         u=_laurent_matrix(u),
         v=_laurent_matrix(v),
-        d=_laurent_matrix(d),
         diagonal=tuple(u_laurent(e) for e in diagonal),
     )
 
@@ -240,14 +239,6 @@ def smith_diagonal(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithDiagon
     return SmithDiagonal(tuple(u_laurent(e) for e in _checked_diagonal(mat)[0]))
 
 
-def _exact_quotient(f: LaurentPoly, g: LaurentPoly, chain: str) -> LaurentPoly:
-    """f/g for one-variable polynomials of a chain in which g must divide f."""
-    q, r = u_divmod(f, g)
-    if not r.is_zero():
-        raise ArithmeticError(f"{chain} failed divisibility")
-    return q
-
-
 def _check_chain(diagonal: Sequence[UPoly]):
     for a, b in zip(diagonal, diagonal[1:]):
         if not a.rows and b.rows:
@@ -263,28 +254,16 @@ def fitting_generator(presentation: Matrix, k: int) -> LaurentPoly:
     is the gcd of the (n-k)-minors, read off the Smith diagonal as the product
     of its first n-k invariants.
     """
-    return _fitting_generators(presentation, (k,))[0]
-
-
-def _fitting_generators(presentation: Matrix, ks: Sequence[int]) -> list[LaurentPoly]:
-    """fitting_generator for each k, from at most one Smith form."""
     nrows, ncols = matrix_shape(presentation)
     order = lcm_all(entry.order for row in presentation for entry in row)
-    diagonal = None
-    out = []
-    for k in ks:
-        size = nrows - k
-        if size > min(nrows, ncols):
-            out.append(LaurentPoly.zero(1, order))
-            continue
-        result = UPoly.one(order)
-        if size > 0:
-            if diagonal is None:
-                diagonal = _checked_diagonal(presentation)[0]
-            for entry in diagonal[:size]:
-                result = result * entry
-        out.append(u_laurent(result))
-    return out
+    size = nrows - k
+    if size > min(nrows, ncols):
+        return LaurentPoly.zero(1, order)
+    result = UPoly.one(order)
+    if size > 0:
+        for entry in _checked_diagonal(presentation)[0][:size]:
+            result = result * entry
+    return u_laurent(result)
 
 
 @dataclass(frozen=True)
@@ -292,12 +271,10 @@ class DeterminantalFactors:
     """Monic generators b_0, b_1, ... of the minor-gcd chain of t*id - phi."""
 
     b: tuple[LaurentPoly, ...]
+    minimal: LaurentPoly  # b_0/b_1, the last invariant factor (1 for the 0x0 matrix)
 
     def minimal_polynomial(self) -> LaurentPoly:
-        """b_0/b_1; b_0 = 1 itself when there is no b_1 (the 0x0 matrix)."""
-        if len(self.b) == 1:
-            return self.b[0]
-        return _exact_quotient(self.b[0], self.b[1], "determinantal factors")
+        return self.minimal
 
 
 def characteristic_matrix(phi: Sequence[Sequence[CycloElem]]) -> Matrix:
@@ -329,15 +306,15 @@ def determinantal_factors(phi: Sequence[Sequence[CycloElem]]) -> DeterminantalFa
     prefixes = [UPoly.one(order)]
     for entry in diagonal:
         prefixes.append(prefixes[-1] * entry)
-    return DeterminantalFactors(tuple(u_laurent(p) for p in reversed(prefixes)))
+    b = tuple(u_laurent(p) for p in reversed(prefixes))
+    return DeterminantalFactors(b, u_laurent(diagonal[-1]) if diagonal else b[0])
 
 
 def max_jordan_size(phi: Sequence[Sequence[CycloElem]], xi: TorsionAngle) -> int:
     """Multiplicity of e^{2*pi*i*xi} in b_0/b_1, the largest invariant factor."""
     if not phi:
         return 0
-    factors = determinantal_factors(phi)
-    minimal = factors.minimal_polynomial()
+    minimal = determinantal_factors(phi).minimal_polynomial()
     return root_multiplicity({k: c for (k,), c in minimal.terms.items()}, xi)
 
 
@@ -360,18 +337,18 @@ def _cleared_polynomial_matrix(mat: Matrix, order: int) -> Matrix:
     return matrix_make([[e.shift(shift).lift(order) for e in row] for row in mat])
 
 
-def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
-    """Presentation matrix of H^i of a one-variable complex with torsion cohomology.
+def _torsion_invariants(complex_: FreeComplex) -> dict[int, tuple[UPoly, ...]]:
+    """The invariant factors of positive degree of H^i, for every i with any.
 
     Over the PID Q(zeta)[t] the image of d^i is free, so coker d^{i-1} is H^i
     plus a free module, and the invariant factors of H^i are the Smith
-    invariants of d^{i-1} of positive degree.  Their diagonal matrix presents
-    H^i over Q(zeta)[t] and, after inverting t, over the Laurent ring.
+    invariants of d^{i-1} of positive degree, chained, so the last one
+    generates the annihilator.  The ranks of the same diagonals, one per
+    nonempty cleared differential, decide that every H^i is torsion.
     """
     if complex_.ring.nvars != 1:
         raise ValueError("cohomology presentations need a one-variable complex")
     order = complex_.ring.cyclotomic_order
-    # one Smith diagonal per nonempty cleared differential gives its rank
     diagonals = {}
     for j in range(complex_.imin - 1, complex_.imax + 1):
         mat = _cleared_polynomial_matrix(complex_.differential(j), order)
@@ -380,8 +357,20 @@ def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
     for j in complex_.degrees():
         if complex_.rank(j) != _rank(diagonals.get(j, ())) + _rank(diagonals.get(j - 1, ())):
             raise NonTorsionError(j)
-    torsion = [entry for entry in diagonals.get(i - 1, ()) if len(entry.rows) > 1]
-    zero = UPoly(order, 1, ())
+    return {
+        j + 1: tuple(entry for entry in diagonal if len(entry.rows) > 1)
+        for j, diagonal in diagonals.items()
+    }
+
+
+def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
+    """Presentation matrix of H^i of a one-variable complex with torsion cohomology.
+
+    The diagonal matrix of the invariant factors of H^i (`_torsion_invariants`)
+    presents H^i over Q(zeta)[t] and, after inverting t, over the Laurent ring.
+    """
+    torsion = _torsion_invariants(complex_).get(i, ())
+    zero = UPoly(complex_.ring.cyclotomic_order, 1, ())
     size = len(torsion)
     return _laurent_matrix(
         [[torsion[j] if j == k else zero for k in range(size)] for j in range(size)]
@@ -412,8 +401,12 @@ def laurent_canonical(p: LaurentPoly) -> LaurentPoly:
 
 
 def annihilator_generator(presentation: Matrix) -> LaurentPoly:
-    """Monic generator of the annihilator of coker(presentation): Fitt_0/Fitt_1."""
-    b0, b1 = _fitting_generators(presentation, (0, 1))
-    if b0.is_zero():
+    """Monic generator of the annihilator of coker(presentation): Fitt_0/Fitt_1,
+    the n-th invariant factor for n generators (rows), or 1 when n = 0."""
+    nrows = len(presentation)
+    if not nrows:
+        return LaurentPoly.one(1)
+    diagonal = _checked_diagonal(presentation)[0]
+    if len(diagonal) < nrows or not diagonal[nrows - 1].rows:
         raise ValueError("annihilator of a non-torsion module is zero")
-    return _exact_quotient(b0, b1, "Fitting chain")
+    return u_laurent(diagonal[nrows - 1])

@@ -17,9 +17,10 @@ from typing import Sequence
 
 from .arith import TorsionAngle, angle_roots, root_multiplicity
 from .complexes import FreeComplex, base_change, cdf_ideal
-from .poly import LaurentPoly, fibre_has_root, fibres, ideal_valuation
-from .smith import NonTorsionError, cohomology_presentation
+from .poly import fibre_has_root, fibres, ideal_valuation
+from .smith import NonTorsionError, _torsion_invariants
 from .torus import PrimeTorusDivisor, TorusDivisor
+from .upoly import UPoly
 
 logger = logging.getLogger(__name__)
 
@@ -162,15 +163,7 @@ def _generic_points(divisor: PrimeTorusDivisor, avoid: Sequence[PrimeTorusDiviso
     for b in vectors:
         w = sum(ui * bi for ui, bi in zip(divisor.u, b))
         for lam in angle_roots(divisor.xi, w):
-            if lam.is_one():
-                continue
-            if any(
-                TorsionAngle.from_fraction(
-                    lam.as_fraction() * sum(ui * bi for ui, bi in zip(d.u, b))
-                )
-                == d.xi
-                for d in avoid
-            ):
+            if lam.is_one() or any(point_on_divisor(d, lam, b) for d in avoid):
                 continue
             yield lam, b
             break
@@ -190,8 +183,20 @@ def generic_point_on_divisor(
 def point_on_divisor(
     divisor: PrimeTorusDivisor, lam: TorsionAngle, b: Sequence[int]
 ) -> bool:
-    total = lam.as_fraction() * sum(ui * bi for ui, bi in zip(divisor.u, b))
-    return TorsionAngle.from_fraction(total) == divisor.xi
+    return divisor.contains_point([lam**bi for bi in b])
+
+
+def _specialized_invariants(
+    complex_: FreeComplex, b: tuple[int, ...]
+) -> dict[int, tuple[UPoly, ...]]:
+    """`_torsion_invariants` of the base change along b, remembered per b in
+    the minor cache of the source complex (a non-torsion b raises each time)."""
+    key = ("specialized", b)
+    found = complex_.minor_cache.get(key)
+    if found is None:
+        found = _torsion_invariants(base_change(complex_, b))
+        complex_.minor_cache[key] = found
+    return found
 
 
 @dataclass(frozen=True)
@@ -230,7 +235,7 @@ def specialization_multiplicity(
         # a non-torsion base change puts the whole curve in the support: not generic
         for lam, b in _generic_points(divisor, avoid, max(bound, 8)):
             try:
-                presentation = cohomology_presentation(base_change(complex_, b), i)
+                invariants = _specialized_invariants(complex_, b)
                 break
             except NonTorsionError:
                 continue
@@ -245,10 +250,11 @@ def specialization_multiplicity(
         generic = point_on_divisor(divisor, lam, b) and not any(
             point_on_divisor(d, lam, b) for d in avoid
         )
-        presentation = cohomology_presentation(base_change(complex_, b), i)
-    # the presentation is diagonal and chained, so Fitt_0/Fitt_1 is its last entry
-    annihilator = presentation[-1][-1] if presentation else LaurentPoly.one(1)
-    jordan = root_multiplicity({k: c for (k,), c in annihilator.terms.items()}, lam)
+        invariants = _specialized_invariants(complex_, b)
+    # the invariant factors of H^i are chained, so the last one generates Fitt_0/Fitt_1
+    torsion = invariants.get(i, ())
+    annihilator = torsion[-1] if torsion else UPoly.one(1)
+    jordan = root_multiplicity(dict(annihilator.terms()), lam)
     if not generic or jordan != order_at:
         logger.info(
             "non-generic specialization at lambda=%s b=%s: ord=%d jordan=%d",

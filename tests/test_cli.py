@@ -239,6 +239,38 @@ class TestComplexCommands:
         assert row["ord"] == row["jordan"] == 1
         assert row["generic"] is True
 
+    def test_support_one_base_change_per_b(self, capsys, tmp_path, monkeypatch):
+        # both divisors take their generic point at b = (1, 1), so the two
+        # table rows share one base change and its Smith diagonals
+        import detloci.support as support_module
+
+        path = write_json(
+            tmp_path / "shared_b.json",
+            {
+                "ring": {"nvars": 2, "laurent": True},
+                "degrees": [0, 1],
+                "ranks": {"0": 2, "1": 2},
+                "differentials": {
+                    "0": [["t1*t2-e(1/3)", "0"], ["0", "t1*t2-e(2/3)"]]
+                },
+            },
+        )
+        calls = []
+        real = support_module.base_change
+
+        def counting(complex_, b):
+            calls.append(tuple(b))
+            return real(complex_, b)
+
+        monkeypatch.setattr(support_module, "base_change", counting)
+        code, out, _ = run_cli(capsys, ["support", "--complex", path, "--bound", "2"])
+        assert code == 0
+        rows = json.loads(out)["ord_jordan_table"]
+        assert [row["b"] for row in rows] == [[1, 1], [1, 1]]
+        assert [row["lambda"] for row in rows] == ["1/6", "1/3"]
+        assert all(row["ord"] == row["jordan"] == 1 for row in rows)
+        assert calls == [(1, 1)]
+
 
 class TestSmithCommands:
     def test_smith(self, capsys, tmp_path):

@@ -26,6 +26,7 @@ from detloci.smith import (
     smith_diagonal,
     smith_normal_form,
 )
+from detloci.upoly import UPoly
 
 from conftest import division_multiplicity, oracle_det, random_torsion_complex
 
@@ -159,6 +160,39 @@ class TestSmithDiagonal:
             entry([[t, LaurentPoly.one(1)], [LaurentPoly.zero(1), t]])
 
 
+class TestDivisibilityChainCheck:
+    """A transform-consistent but unchained diagonal is refused by both entry points."""
+
+    @staticmethod
+    def identity_pivot(monkeypatch):
+        # claims the input is already diagonal: U = V = V^-1 = identity, D = M
+        import detloci.smith as smith_module
+
+        def identity(rows, inverse):
+            n, m = len(rows), len(rows[0])
+            order = rows[0][0].order
+            one, zero = UPoly.one(order), UPoly(order, 1, ())
+            u = [[one if i == j else zero for j in range(n)] for i in range(n)]
+            w = [[one if i == j else zero for j in range(m)] for i in range(m)]
+            return [list(row) for row in rows], u, w, order
+
+        monkeypatch.setattr(smith_module, "_pivot", identity)
+
+    @pytest.mark.parametrize("entry", [smith_normal_form, smith_diagonal])
+    def test_zero_before_nonzero(self, monkeypatch, entry):
+        zero = LaurentPoly.zero(1)
+        self.identity_pivot(monkeypatch)
+        with pytest.raises(ArithmeticError, match="zero before a nonzero"):
+            entry([[zero, zero], [zero, P("t1")]])
+
+    @pytest.mark.parametrize("entry", [smith_normal_form, smith_diagonal])
+    def test_not_chained(self, monkeypatch, entry):
+        zero = LaurentPoly.zero(1)
+        self.identity_pivot(monkeypatch)
+        with pytest.raises(ArithmeticError, match="not divisibility-chained"):
+            entry([[P("t1"), zero], [zero, P("t1+1")]])
+
+
 class TestFitting:
     def test_examples(self):
         t = P("t1")
@@ -173,6 +207,35 @@ class TestFitting:
         zero = LaurentPoly.zero(1)
         pres = matrix_make([[zero]])
         assert fitting_generator(pres, 0).is_zero()
+
+    def test_more_generators_than_relations_gives_zero(self):
+        # three generators and one relation: Fitt_k vanishes while 3 - k > 1
+        pres = matrix_make([[P("t1")], [P("t1+1")], [P("t1^2")]])
+        assert fitting_generator(pres, 0).is_zero()
+        assert fitting_generator(pres, 1).is_zero()
+        assert fitting_generator(pres, 2).is_one()
+        assert fitting_generator(pres, 3).is_one()
+
+
+class TestAnnihilatorGenerator:
+    def test_last_invariant(self):
+        t = P("t1")
+        zero = LaurentPoly.zero(1)
+        pres = matrix_make([[t * t, zero, t], [zero, t, P("t1-1")]])
+        diagonal = smith_diagonal(pres).diagonal
+        assert annihilator_generator(pres) == diagonal[1]
+
+    def test_no_generators_gives_one(self):
+        assert annihilator_generator(matrix_make([])).is_one()
+
+    def test_more_rows_than_columns_rejected(self):
+        with pytest.raises(ValueError, match="non-torsion"):
+            annihilator_generator(matrix_make([[P("t1")], [P("t1-1")]]))
+
+    def test_zero_invariant_rejected(self):
+        zero = LaurentPoly.zero(1)
+        with pytest.raises(ValueError, match="non-torsion"):
+            annihilator_generator(matrix_make([[P("t1"), zero], [zero, zero]]))
 
 
 def oracle_determinantal_factors(phi, order):
@@ -250,6 +313,27 @@ class TestDeterminantalFactors:
             _, rem = u_divmod(upper, lower)
             assert rem.is_zero()
 
+    def test_non_square_rejected(self):
+        one = CycloElem.one(1)
+        with pytest.raises(ValueError, match="square"):
+            determinantal_factors([[one, one]])
+
+    @pytest.mark.parametrize("order", [1, 6, 12])
+    def test_minimal_polynomial_is_b0_over_b1(self, rng, order):
+        for _ in range(6):
+            m = rng.randint(1, 4)
+            phi = [
+                [
+                    CycloElem.from_angle(order, angle(rng.randrange(order), order))
+                    * CycloElem.from_rational(order, rng.choice([0, 1, -1, 2]))
+                    for _ in range(m)
+                ]
+                for _ in range(m)
+            ]
+            factors = determinantal_factors(phi)
+            quotient = exact_divide(factors.b[0], factors.b[1], laurent=False)
+            assert factors.minimal_polynomial() == quotient
+
 
 class TestMaxJordanSize:
     def test_examples(self):
@@ -265,6 +349,9 @@ class TestMaxJordanSize:
         assert max_jordan_size(identity, angle(0, 1)) == 1
         j2 = [[lam, one], [zero, lam]]
         assert max_jordan_size(j2, angle(1, 3)) == 0
+
+    def test_empty_matrix(self):
+        assert max_jordan_size([], angle(0, 1)) == 0
 
     def test_against_linear_division(self, rng):
         # upper-triangular matrices with root-of-unity eigenvalues and random
