@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .torus import (
@@ -85,13 +85,17 @@ class HyperplaneLocus:
         return (tuple(hs), tuple(ps))
 
     def contains_rational_point(self, point: Sequence[Fraction]) -> bool:
-        for h, _ in self.hyperplanes:
-            if h.contains(point):
-                return True
-        for piece in self.pieces:
-            if all(h.contains(point) for h in piece):
-                return True
-        return False
+        """Whether some member or piece passes through the point, tested as
+        c . n + c0 * den == 0 on the point's numerators n over one denominator."""
+        den = lcm(*(x.denominator for x in point))
+        nums = [x.numerator * (den // x.denominator) for x in point]
+
+        def on(h: AffineHyperplane) -> bool:
+            return sum(ci * n for ci, n in zip(h.c, nums)) + h.c0 * den == 0
+
+        return any(on(h) for h, _ in self.hyperplanes) or any(
+            all(on(h) for h in piece) for piece in self.pieces
+        )
 
 
 PolarModel = HyperplaneLocus
@@ -122,6 +126,8 @@ def combine_bm(
     same locus.
     """
     r = len(m)
+    if any(x < 0 for x in m):
+        raise ValueError("the exponent vector must be natural")
     if all(x == 0 for x in m):
         raise ValueError("the exponent vector must be nonzero")
     if pi is None:
@@ -139,12 +145,13 @@ def combine_bm(
         if mj > 0:
             if j not in components:
                 raise ValueError(f"missing component locus for coordinate {j}")
+            locus = components[j]
             for k in range(mj):
                 v = list(accumulated)
                 v[j - 1] += k
-                shifted = translate_locus(components[j], v)
-                hyperplanes.update(shifted.members())
-                pieces.update(shifted.pieces)
+                # shifting keeps a piece sorted: its normals are distinct
+                hyperplanes.update(h.shifted(v) for h, _ in locus.hyperplanes)
+                pieces.update(tuple(h.shifted(v) for h in piece) for piece in locus.pieces)
             accumulated[j - 1] += mj
     return HyperplaneLocus.make(r, [(h, 1) for h in hyperplanes], pieces)
 
@@ -324,6 +331,8 @@ def polar_candidate_filter(
     hyperplane meets; the candidate survives if some translate by k*(1,..,1)
     with 0 <= k <= m is a member of the zero locus.
     """
+    if candidate.nvars != zbf.r:
+        raise ValueError("candidate and locus live in different dimensions")
     if candidate.c0 <= 0:
         raise ValueError("polar candidates need a positive constant term")
     total = sum(candidate.c)
@@ -348,9 +357,7 @@ def propagate_polar(model: PolarModel, steps: int) -> PolarModel:
         new_frontier: dict[AffineHyperplane, int] = {}
         for h, order in frontier.items():
             for i in range(model.r):
-                e_i = [0] * model.r
-                e_i[i] = 1
-                image = h.shifted(e_i)
+                image = AffineHyperplane(h.c, h.c0 + h.c[i])
                 if orders.get(image, 0) < order:
                     orders[image] = max(orders.get(image, 0), order)
                     new_frontier[image] = max(new_frontier.get(image, 0), order)
@@ -372,24 +379,21 @@ def specialize_slice(model: PolarModel, b: Sequence[int]) -> list[dict]:
         raise ValueError("direction vector has wrong length")
     if any(x <= 0 for x in b):
         raise ValueError("direction entries must be positive")
-    groups: dict[Fraction, dict] = {}
+    # poles as reduced pairs (num, den); den > 0 as c is natural and nonzero, b positive
+    groups: dict[tuple[int, int], list[int]] = {}
     for h, mult in model.hyperplanes:
         denom = sum(ci * bi for ci, bi in zip(h.c, b))
-        pole = Fraction(-h.c0, denom)
-        entry = groups.setdefault(pole, {"order_sum": 0, "count": 0})
-        entry["order_sum"] += mult
-        entry["count"] += 1
-    out = []
-    for pole in sorted(groups):
-        entry = groups[pole]
-        out.append(
-            {
-                "pole": pole,
-                "order_sum": entry["order_sum"],
-                "generic": entry["count"] == 1,
-            }
+        g = gcd(h.c0, denom)
+        entry = groups.setdefault((-h.c0 // g, denom // g), [0, 0])
+        entry[0] += mult
+        entry[1] += 1
+    common = lcm(*(den for _, den in groups))
+    return [
+        {"pole": Fraction(num, den), "order_sum": order_sum, "generic": count == 1}
+        for (num, den), (order_sum, count) in sorted(
+            groups.items(), key=lambda kv: kv[0][0] * (common // kv[0][1])
         )
-    return out
+    ]
 
 
 def ord_sum_check(

@@ -24,9 +24,9 @@ class AffineHyperplane:
     c0: int
 
     def __post_init__(self):
-        if not self.c or all(x == 0 for x in self.c):
+        if not any(self.c):
             raise ValueError("hyperplane normal must be nonzero")
-        if any(x < 0 for x in self.c):
+        if min(self.c) < 0:
             raise ValueError("hyperplane normal must have natural entries")
 
     @property
@@ -51,9 +51,6 @@ class AffineHyperplane:
             g = math.gcd(g, x)
         g = math.gcd(g, abs(self.c0))
         return tuple(x // g for x in self.c), self.c0 // g
-
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        return sum(Fraction(ci) * p for ci, p in zip(self.c, point)) + self.c0 == 0
 
     def sort_key(self) -> tuple:
         return (self.c, self.c0)

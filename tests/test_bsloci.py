@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detloci import bsloci
 from detloci.arith import TorsionAngle
@@ -21,7 +23,7 @@ from detloci.bsloci import (
     translate_locus,
 )
 from detloci.fixtures import ex71_loci, ex72_loci
-from detloci.torus import AffineHyperplane, PrimeTorusDivisor
+from detloci.torus import AffineHyperplane, PrimeTorusDivisor, rref
 
 
 def H(c, c0):
@@ -87,6 +89,13 @@ class TestCombine:
                     for pi in itertools.permutations(range(1, r + 1))
                 ]
                 assert all(res == results[0] for res in results)
+
+    def test_negative_exponent_rejected(self):
+        loci = ex72_loci()
+        components = {1: loci["be1"], 2: loci["be2"]}
+        for m in ((-1, 1), (1, -1), (0, -2)):
+            with pytest.raises(ValueError, match="^the exponent vector must be natural$"):
+                combine_bm(components, m)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -339,6 +348,12 @@ class TestPolarFilter:
         assert polar_candidate_filter(H((3, 3), 4), bf) == {"m": 0, "k": 0}
         assert polar_candidate_filter(H((3, 3), 1), bf) == {"m": 0, "k": None}
 
+    def test_dimension_mismatch(self):
+        bf = ex71_loci()["bf"]
+        for c in ((1, 1, 1), (3,)):
+            with pytest.raises(ValueError, match="dimension"):
+                polar_candidate_filter(H(c, 3), bf)
+
     def test_nonpositive_rejected(self):
         bf = ex71_loci()["bf"]
         with pytest.raises(ValueError):
@@ -471,3 +486,140 @@ class TestDiagonalTranslateBound:
             target = HyperplaneLocus.make(r, [(h, 1) for h in union_members])
             ok, witness = containment_check(combined_m, target)
             assert ok, witness
+
+
+# ---------------------------------------------------------------------------
+# Oracles written over Fraction and translate_locus
+
+
+def normals(r, hi=4):
+    return st.lists(st.integers(0, hi), min_size=r, max_size=r).filter(any).map(tuple)
+
+
+def on_hyperplane(h, point):
+    return sum(Fraction(ci) * p for ci, p in zip(h.c, point)) + h.c0 == 0
+
+
+def reference_contains(locus, point):
+    return any(on_hyperplane(h, point) for h in locus.members()) or any(
+        all(on_hyperplane(h, point) for h in piece) for piece in locus.pieces
+    )
+
+
+def reference_slice(model, b):
+    groups = {}
+    for h, mult in model.hyperplanes:
+        pole = Fraction(-h.c0, sum(ci * bi for ci, bi in zip(h.c, b)))
+        order_sum, count = groups.get(pole, (0, 0))
+        groups[pole] = (order_sum + mult, count + 1)
+    return [
+        {"pole": pole, "order_sum": order_sum, "generic": count == 1}
+        for pole, (order_sum, count) in sorted(groups.items())
+    ]
+
+
+def translate_union(components, m, pi):
+    """combine_bm as the union of translate_locus images over its shifts."""
+    r = len(m)
+    hyperplanes, pieces = set(), set()
+    accumulated = [0] * r
+    for j in pi:
+        for k in range(m[j - 1]):
+            v = list(accumulated)
+            v[j - 1] += k
+            image = translate_locus(components[j], v)
+            hyperplanes.update(image.members())
+            pieces.update(image.pieces)
+        accumulated[j - 1] += m[j - 1]
+    return HyperplaneLocus.make(r, hyperplanes, pieces)
+
+
+@st.composite
+def slice_cases(draw):
+    r = draw(st.integers(1, 4))
+    members = draw(
+        st.lists(st.tuples(normals(r), st.integers(-20, 20), st.integers(1, 3)), max_size=8)
+    )
+    b = tuple(draw(st.lists(st.integers(1, 5), min_size=r, max_size=r)))
+    return HyperplaneLocus.make(r, [(H(c, c0), mult) for c, c0, mult in members]), b
+
+
+@st.composite
+def point_cases(draw):
+    """A locus and a point, with some members and pieces drawn through it."""
+    r = draw(st.integers(1, 4))
+    coordinate = st.one_of(
+        st.integers(-6, 6),
+        st.integers(-6, 6).map(Fraction),
+        st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    )
+    point = draw(st.lists(coordinate, min_size=r, max_size=r))
+
+    def hyperplane():
+        c = draw(normals(r))
+        if draw(st.booleans()):
+            value = sum(Fraction(ci) * p for ci, p in zip(c, point))
+            d = value.denominator
+            return H(tuple(x * d for x in c), -value.numerator)
+        return H(c, draw(st.integers(-20, 20)))
+
+    members = [hyperplane() for _ in range(draw(st.integers(0, 3)))]
+    pieces = []
+    for _ in range(draw(st.integers(0, 2))):
+        piece = [hyperplane() for _ in range(draw(st.integers(2, max(2, r))))]
+        if len(rref([h.c for h in piece], r)[0]) == len(piece):
+            pieces.append(piece)
+    return HyperplaneLocus.make(r, members, pieces), point
+
+
+class TestIntegerOracles:
+    @given(slice_cases())
+    @settings(max_examples=300)
+    # equal poles from unreduced pairs: -2/4, -1/2 and -3/6 on one line
+    @example((HyperplaneLocus.make(1, [H((4,), 2), H((2,), 1), H((1,), 0)]), (1,)))
+    @example((HyperplaneLocus.make(2, [(H((2, 2), 2), 3), H((1, 1), 1), H((3, 0), 3)]), (1, 1)))
+    def test_slice_against_fraction_keys(self, case):
+        model, b = case
+        got = specialize_slice(model, b)
+        assert got == reference_slice(model, b)
+        assert all(type(e["pole"]) is Fraction for e in got)
+
+    def test_slice_unreduced_collision(self):
+        model = HyperplaneLocus.make(1, [H((4,), 2), (H((2,), 1), 2), H((3,), -3)])
+        assert specialize_slice(model, (1,)) == [
+            {"pole": Fraction(-1, 2), "order_sum": 3, "generic": False},
+            {"pole": Fraction(1), "order_sum": 1, "generic": True},
+        ]
+
+    @given(point_cases())
+    @settings(max_examples=300)
+    def test_contains_against_fraction_sums(self, case):
+        locus, point = case
+        assert locus.contains_rational_point(point) == reference_contains(locus, point)
+
+    def test_contains_on_pieces(self):
+        # the line s1 = s2 = -1/2 through a piece only, and points beside it
+        locus = HyperplaneLocus.make(
+            3, [H((0, 0, 1), 1)], [[H((2, 0, 0), 1), H((0, 2, 0), 1)]]
+        )
+        assert locus.contains_rational_point([Fraction(-1, 2), Fraction(-1, 2), Fraction(7, 3)])
+        assert not locus.contains_rational_point([Fraction(-1, 2), Fraction(1, 2), Fraction(7, 3)])
+        assert locus.contains_rational_point([Fraction(5), Fraction(1, 2), Fraction(-1)])
+        assert not locus.contains_rational_point([0, 0, 0])
+
+    def test_combine_against_translate_union(self, rng):
+        with_pieces = 0
+        for _ in range(200):
+            r = rng.randint(2, 4)
+            components = {
+                j: random_locus(rng, r, rng.randint(0, 3), rng.randint(0, 2))
+                for j in range(1, r + 1)
+            }
+            m = tuple(rng.randint(0, 3) for _ in range(r))
+            if not any(m):
+                m = (1,) * r
+            pi = tuple(rng.sample(range(1, r + 1), r))
+            got = combine_bm(components, m, pi)
+            assert got == translate_union(components, m, pi)
+            with_pieces += bool(got.pieces)
+        assert with_pieces > 50

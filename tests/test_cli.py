@@ -95,6 +95,14 @@ class TestCombine:
         expected |= {((4, 1), k) for k in range(3, 10)}
         assert got == expected
 
+    def test_negative_exponent_exit_2(self, capsys, tmp_path):
+        loci = ex72_loci()
+        e1 = write_json(tmp_path / "be1.json", locus_to_json(loci["be1"]))
+        e2 = write_json(tmp_path / "be2.json", locus_to_json(loci["be2"]))
+        code, out, err = run_cli(capsys, ["combine", "--m=-1,1", "--e1", e1, "--e2", e2])
+        assert code == 2 and not out
+        assert err == "input error: the exponent vector must be natural\n"
+
 
 class TestContain:
     def test_true_and_false_exit_codes(self, capsys, tmp_path):
@@ -136,6 +144,14 @@ class TestFilterSlice:
             ["filter", "--locus", ex71_bf_file, "--c", "3,3", "--c0", "1"],
         )
         assert code == 0 and json.loads(out) == {"m": 0, "rejected": True}
+
+    def test_filter_dimension_mismatch_exit_2(self, capsys, ex71_bf_file):
+        code, out, err = run_cli(
+            capsys,
+            ["filter", "--locus", ex71_bf_file, "--c", "1,1,1", "--c0", "3"],
+        )
+        assert code == 2 and not out
+        assert err.startswith("input error:") and "dimension" in err
 
     def test_slice(self, capsys, ex71_bf_file):
         code, out, _ = run_cli(capsys, ["slice", "--model", ex71_bf_file, "--b", "1,2"])

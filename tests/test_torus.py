@@ -33,6 +33,15 @@ class TestAffineHyperplane:
         assert not h.paper_normal
         assert AffineHyperplane((3, 3), 4).paper_normal
 
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match="^hyperplane normal must be nonzero$"):
+            AffineHyperplane((), 1)
+        with pytest.raises(ValueError, match="^hyperplane normal must be nonzero$"):
+            AffineHyperplane((0, 0, 0), 1)
+        for c in ((-1, 2), (0, -3), (-1, 0)):
+            with pytest.raises(ValueError, match="^hyperplane normal must have natural entries$"):
+                AffineHyperplane(c, 1)
+
     def test_set_canonical(self):
         assert AffineHyperplane((6, 0), 6).set_canonical() == ((1, 0), 1)
         assert AffineHyperplane((8, 0), 5).set_canonical() == ((8, 0), 5)
