@@ -2,7 +2,7 @@
 Smith-form invariants, torsion-translated divisor supports, and the
 hyperplane-locus arithmetic around them."""
 
-from .arith import CycloElem, TorsionAngle, angle_roots, cyclotomic_poly, unit_root_multiplicity
+from .arith import CycloElem, TorsionAngle, angle_roots, cyclotomic_poly
 from .bsloci import (
     HyperplaneLocus,
     PolarModel,

@@ -134,18 +134,6 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(rem)
 
 
-def unit_root_multiplicity(p: Sequence[Fraction], xi: TorsionAngle) -> int:
-    """Multiplicity of e^{2*pi*i*xi} as a root of the rational polynomial p.
-
-    p lists the coefficients constant first; a thin wrapper around
-    root_multiplicity.
-    """
-    coeffs = {k: CycloElem.from_rational(1, c) for k, c in enumerate(p) if c}
-    if not coeffs:
-        raise ValueError("zero polynomial has infinite multiplicity")
-    return root_multiplicity(coeffs, xi)
-
-
 # ---------------------------------------------------------------------------
 # Q(zeta_N) elements
 
@@ -392,17 +380,6 @@ def _angle_elem(order: int, num: int, den: int) -> "CycloElem":
 def zeta_power(order: int, k: int) -> "CycloElem":
     """The power zeta_order^k as a reduced field element."""
     return _elem(order, _zpow_table(order)[k % order], 1)
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
-def lcm_all(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = lcm(out, v)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ from .io import (
     locus_to_json,
     matrix_from_json,
     matrix_to_json,
-    poly_to_str,
 )
+from .poly import format_poly
 from .smith import determinantal_factors, smith_normal_form
 from .support import candidate_divisors, specialization_multiplicity, support_report
 from .torus import AffineHyperplane
@@ -62,7 +62,7 @@ def _ideal_payload(ideal) -> dict:
             "laurent": ideal.ring.laurent,
             "cyclotomic_order": ideal.ring.cyclotomic_order,
         },
-        "generators": [poly_to_str(g, ideal.ring.laurent) for g in ideal.gens],
+        "generators": [format_poly(g, ideal.ring.laurent) for g in ideal.gens],
     }
 
 
@@ -84,7 +84,7 @@ def _cmd_smith(args) -> tuple[int, dict]:
         raise InputError("smith requires a one-variable matrix")
     form = smith_normal_form(mat)
     return 0, {
-        "diagonal": [poly_to_str(d, ring.laurent) for d in form.diagonal],
+        "diagonal": [format_poly(d, ring.laurent) for d in form.diagonal],
         "u": matrix_to_json(form.u, ring.laurent),
         "v": matrix_to_json(form.v, ring.laurent),
     }
@@ -106,8 +106,8 @@ def _cmd_detfactors(args) -> tuple[int, dict]:
         constants.append(out_row)
     factors = determinantal_factors(constants)
     return 0, {
-        "b": [poly_to_str(b, True) for b in factors.b],
-        "minimal_polynomial": poly_to_str(factors.minimal_polynomial(), True),
+        "b": [format_poly(b, True) for b in factors.b],
+        "minimal_polynomial": format_poly(factors.minimal, True),
     }
 
 

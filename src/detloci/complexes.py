@@ -9,10 +9,10 @@ ideals and the block-sum jump ideals; base change substitutes monomial powers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .arith import CycloElem, TorsionAngle, lcm, lcm_all
 from .poly import IdealGens, LaurentPoly, Ring
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
@@ -123,10 +123,7 @@ def _minors_from_engine(engine: MinorEngine, m: int, ring: Ring) -> IdealGens:
 
 
 def _engine_for(mat: Matrix, ring: Ring) -> MinorEngine:
-    order = ring.cyclotomic_order
-    for row in mat:
-        for entry in row:
-            order = lcm(order, entry.order)
+    order = math.lcm(ring.cyclotomic_order, *(entry.order for row in mat for entry in row))
     return MinorEngine(mat, ring.nvars, order)
 
 
@@ -168,11 +165,10 @@ class FreeComplex:
             if rank < 0:
                 raise ValueError("ranks must be natural numbers")
             rank_map[i] = rank
-        order = ring.cyclotomic_order
-        for mat in diffs.values():
-            for row in mat:
-                for entry in row:
-                    order = lcm(order, entry.order)
+        order = math.lcm(
+            ring.cyclotomic_order,
+            *(entry.order for mat in diffs.values() for row in mat for entry in row),
+        )
         ring = ring.with_order(order)
         diff_map: dict[int, Matrix] = {}
         for i in range(imin, imax):
@@ -303,7 +299,7 @@ def direct_sum(a: FreeComplex, b: FreeComplex) -> FreeComplex:
     """Degreewise direct sum, differentials in block-diagonal form."""
     if a.ring.nvars != b.ring.nvars or a.ring.laurent != b.ring.laurent:
         raise ValueError("complexes live over different rings")
-    order = lcm(a.ring.cyclotomic_order, b.ring.cyclotomic_order)
+    order = math.lcm(a.ring.cyclotomic_order, b.ring.cyclotomic_order)
     ring = a.ring.with_order(order)
     imin, imax = min(a.imin, b.imin), max(a.imax, b.imax)
     ranks = {i: a.rank(i) + b.rank(i) for i in range(imin, imax + 1)}
@@ -341,64 +337,3 @@ def insert_trivial_summand(complex_: FreeComplex, position: int) -> FreeComplex:
         {position - 1: [[one]]},
     )
     return direct_sum(complex_, piece)
-
-
-# ---------------------------------------------------------------------------
-# Pointwise evaluation: exact vector-space data at a torsion point
-
-
-def field_rank(rows: list[list[CycloElem]], order: int) -> int:
-    """Exact rank over Q(zeta_order) by Gaussian elimination."""
-    if not rows or not rows[0]:
-        return 0
-    mat = [row[:] for row in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if not mat[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col].inverse()
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(nrows):
-            if i != rank and not mat[i][col].is_zero():
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def cohomology_dims_at_point(
-    complex_: FreeComplex, point: Sequence[TorsionAngle]
-) -> dict[int, int]:
-    """Dimensions of the cohomology of the complex evaluated at a torsion point."""
-    order = lcm_all(
-        [complex_.ring.cyclotomic_order] + [a.den for a in point]
-    )
-    ranks = {}
-    for i in range(complex_.imin - 1, complex_.imax + 1):
-        mat = complex_.differential(i)
-        ranks[i] = field_rank([[e.evaluate(point, order) for e in row] for row in mat], order)
-    return {
-        i: complex_.rank(i) - ranks[i] - ranks[i - 1]
-        for i in complex_.degrees()
-    }
-
-
-def alternating_cohomology_sum(
-    complex_: FreeComplex, point: Sequence[TorsionAngle], i: int
-) -> int:
-    """Alternating sum of cohomology dimensions in degrees >= i at a point."""
-    dims = cohomology_dims_at_point(complex_, point)
-    total = 0
-    for l in range(max(i, complex_.imin), complex_.imax + 1):
-        sign = -1 if (l - i) % 2 else 1
-        total += sign * dims[l]
-    return total

@@ -8,10 +8,10 @@ to the least common multiple of every unit-root denominator encountered.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
-from .arith import lcm_all
 from .bsloci import HyperplaneLocus
 from .complexes import FreeComplex, Matrix, matrix_make
 from .poly import LaurentPoly, ParseError, Ring, format_poly, parse_poly
@@ -32,21 +32,30 @@ def load_json_file(path: str) -> Any:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _json_int(value: Any, what: str) -> int:
+    """A JSON integer; a bool, a float or a string is an input error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def ring_from_json(obj: Any, override_order: int | None = None) -> Ring:
     if not isinstance(obj, Mapping):
         raise InputError("ring descriptor must be an object")
+    nvars = _json_int(obj.get("nvars"), "nvars")
+    laurent = obj.get("laurent", True)
+    if not isinstance(laurent, bool):
+        raise InputError(f"laurent must be true or false, got {laurent!r}")
+    order = _json_int(obj.get("cyclotomic_order", 1), "cyclotomic_order")
     try:
-        nvars = int(obj["nvars"])
-        laurent = bool(obj.get("laurent", True))
-        order = int(obj.get("cyclotomic_order", 1))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad ring descriptor: {exc}") from None
-    if override_order:
-        order = lcm_all([order, override_order])
-    try:
-        return Ring(nvars, laurent, order)
+        ring = Ring(nvars, laurent, order)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    if override_order is None:
+        return ring
+    if override_order < 1:
+        raise InputError(f"forced cyclotomic order must be positive, got {override_order}")
+    return ring.with_order(override_order)
 
 
 def _parse_entry(text: Any, ring: Ring) -> LaurentPoly:
@@ -63,19 +72,15 @@ def complex_from_json(obj: Any, override_order: int | None = None) -> FreeComple
         raise InputError("complex file must contain an object")
     ring = ring_from_json(obj.get("ring"), override_order)
     degrees = obj.get("degrees")
-    if (
-        not isinstance(degrees, Sequence)
-        or len(degrees) != 2
-        or not all(isinstance(x, int) for x in degrees)
-    ):
+    if not isinstance(degrees, list) or len(degrees) != 2:
         raise InputError("degrees must be a pair [imin, imax]")
-    imin, imax = degrees
+    imin, imax = (_json_int(x, "degrees") for x in degrees)
     ranks_obj = obj.get("ranks", {})
     if not isinstance(ranks_obj, Mapping):
         raise InputError("ranks must map degree strings to ranks")
     try:
-        ranks = {int(k): int(v) for k, v in ranks_obj.items()}
-    except (TypeError, ValueError) as exc:
+        ranks = {int(k): _json_int(v, "rank") for k, v in ranks_obj.items()}
+    except ValueError as exc:
         raise InputError(f"bad rank table: {exc}") from None
     diffs_obj = obj.get("differentials", {})
     if not isinstance(diffs_obj, Mapping):
@@ -86,9 +91,7 @@ def complex_from_json(obj: Any, override_order: int | None = None) -> FreeComple
             degree = int(key)
         except ValueError:
             raise InputError(f"bad differential degree {key!r}") from None
-        if not isinstance(mat, Sequence) or not all(
-            isinstance(row, Sequence) for row in mat
-        ):
+        if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
             raise InputError(f"differential {key} must be a matrix of strings")
         diffs[degree] = [[_parse_entry(entry, ring) for entry in row] for row in mat]
     try:
@@ -104,16 +107,14 @@ def matrix_from_json(
         raise InputError("matrix file must contain an object")
     ring = ring_from_json(obj.get("ring"), override_order)
     rows = obj.get("rows")
-    if not isinstance(rows, Sequence) or not all(
-        isinstance(row, Sequence) for row in rows
-    ):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputError("rows must be a matrix of strings")
     width = {len(row) for row in rows}
     if len(width) > 1:
         raise InputError("matrix rows have inconsistent lengths")
     parsed = [[_parse_entry(entry, ring) for entry in row] for row in rows]
     # raise the ring to cover every parsed entry's field and lift the entries to it
-    ring = ring.with_order(lcm_all(p.order for row in parsed for p in row))
+    ring = ring.with_order(math.lcm(*(p.order for row in parsed for p in row)))
     order = ring.cyclotomic_order
     return matrix_make([[p.lift(order) for p in row] for row in parsed]), ring
 
@@ -150,12 +151,12 @@ def hyperplane_from_json(obj: Any, r: int | None = None) -> tuple[AffineHyperpla
         return hyperplane_from_string(obj, r), 1
     if not isinstance(obj, Mapping):
         raise InputError("hyperplane must be an object with c and c0")
-    try:
-        c = tuple(int(x) for x in obj["c"])
-        c0 = int(obj["c0"])
-        mult = int(obj.get("mult", 1))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad hyperplane: {exc}") from None
+    c = obj.get("c")
+    if not isinstance(c, list):
+        raise InputError(f"hyperplane normal c must be an integer list, got {c!r}")
+    c = tuple(_json_int(x, "c") for x in c)
+    c0 = _json_int(obj.get("c0"), "c0")
+    mult = _json_int(obj.get("mult", 1), "mult")
     try:
         return AffineHyperplane(c, c0), mult
     except ValueError as exc:
@@ -165,10 +166,7 @@ def hyperplane_from_json(obj: Any, r: int | None = None) -> tuple[AffineHyperpla
 def locus_from_json(obj: Any) -> HyperplaneLocus:
     if not isinstance(obj, Mapping):
         raise InputError("locus file must contain an object")
-    try:
-        r = int(obj["r"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad locus dimension: {exc}") from None
+    r = _json_int(obj.get("r"), "r")
     hyperplanes = []
     for h_obj in obj.get("hyperplanes", []):
         h, mult = hyperplane_from_json(h_obj, r)
@@ -217,9 +215,5 @@ def fraction_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
-def poly_to_str(p: LaurentPoly, laurent: bool = True) -> str:
-    return format_poly(p, laurent)
-
-
 def matrix_to_json(mat: Matrix, laurent: bool = False) -> list[list[str]]:
-    return [[poly_to_str(entry, laurent) for entry in row] for row in mat]
+    return [[format_poly(entry, laurent) for entry in row] for row in mat]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .arith import CycloElem, TorsionAngle, lcm, lcm_all, root_multiplicity, torsion_sum
+from .arith import CycloElem, TorsionAngle, root_multiplicity, torsion_sum
 from .torus import PrimeTorusDivisor
 from .upoly import UPoly
 
@@ -35,7 +35,7 @@ class Ring:
             raise ValueError("cyclotomic order must be positive")
 
     def with_order(self, order: int) -> "Ring":
-        return Ring(self.nvars, self.laurent, lcm(self.cyclotomic_order, order))
+        return Ring(self.nvars, self.laurent, math.lcm(self.cyclotomic_order, order))
 
 
 def term_key(exps: tuple[int, ...]) -> tuple:
@@ -72,7 +72,7 @@ class LaurentPoly:
     ) -> "LaurentPoly":
         top = order
         for c in terms.values():
-            top = lcm(top, c.order)
+            top = math.lcm(top, c.order)
         cleaned: dict[tuple[int, ...], CycloElem] = {}
         for e, c in terms.items():
             if len(e) != nvars:
@@ -111,7 +111,7 @@ class LaurentPoly:
         """The defining equation t^u - xi of a prime torus divisor."""
         if divisor.nvars != nvars:
             raise ValueError("divisor lives in a different torus")
-        top = lcm(order, divisor.xi.den)
+        top = math.lcm(order, divisor.xi.den)
         root = CycloElem.from_angle(top, divisor.xi)
         return LaurentPoly.make(
             nvars,
@@ -132,7 +132,7 @@ class LaurentPoly:
     def _pair(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
         if self.nvars != other.nvars:
             raise ValueError("polynomials live in different rings")
-        top = lcm(self.order, other.order)
+        top = math.lcm(self.order, other.order)
         return self.lift(top), other.lift(top)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -175,7 +175,7 @@ class LaurentPoly:
     def scale(self, c: CycloElem) -> "LaurentPoly":
         if c.is_zero():
             return LaurentPoly.zero(self.nvars, self.order)
-        top = lcm(self.order, c.order)
+        top = math.lcm(self.order, c.order)
         c = c.lift(top)
         return LaurentPoly(
             self.nvars, top, {e: v.lift(top) * c for e, v in self.terms.items()}
@@ -487,7 +487,7 @@ class IdealGens:
                 continue
             n = g.normalized(ring.laurent)
             normalized.append(n)
-            order = lcm(order, n.order)
+            order = math.lcm(order, n.order)
         normalized = [g.lift(order) for g in normalized]
         seen = set()
         unique = []
@@ -534,9 +534,7 @@ class IdealGens:
         return any(g.is_one() for g in self.gens)
 
     def vanishes_at(self, point: Sequence[TorsionAngle]) -> bool:
-        order = lcm_all(
-            [self.ring.cyclotomic_order] + [a.den for a in point]
-        )
+        order = math.lcm(self.ring.cyclotomic_order, *(a.den for a in point))
         return all(g.evaluate(point, order).is_zero() for g in self.gens)
 
     def __eq__(self, other) -> bool:
@@ -587,20 +585,6 @@ def u_dense(f: LaurentPoly, order: int) -> UPoly:
 
 def u_laurent(f: UPoly) -> LaurentPoly:
     return LaurentPoly(1, f.order, {(k,): c for k, c in f.terms()})
-
-
-def u_divmod(f: LaurentPoly, g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Long division of one-variable polynomials: f = q*g + r with deg r < deg g."""
-    if f.nvars != 1 or g.nvars != 1:
-        raise ValueError("u_divmod needs one-variable polynomials")
-    order = lcm(f.order, g.order)
-    q, r = u_dense(f, order).divmod(u_dense(g, order))
-    return u_laurent(q), u_laurent(r)
-
-
-def u_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    order = lcm(f.order, g.order)
-    return u_laurent(u_dense(f, order).gcd(u_dense(g, order)))
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +698,7 @@ def _read_int(s: str, pos: int) -> tuple[int, int]:
 def parse_poly(text: str, ring: Ring) -> LaurentPoly:
     """Parse text in the given ring, lifting the field to cover all unit roots."""
     triples = parse_terms(text, ring.nvars, ring.laurent)
-    order = lcm_all([ring.cyclotomic_order] + [a.den for _, a, _ in triples])
+    order = math.lcm(ring.cyclotomic_order, *(a.den for _, a, _ in triples))
     out: dict[tuple[int, ...], CycloElem] = {}
     for q, angle, exps in triples:
         c = CycloElem.from_angle(order, angle).scale(q)

@@ -3,9 +3,10 @@
 Covers the diagonalization with tracked unimodular transforms, Fitting-ideal
 generators of torsion modules, determinantal factors b_k of a square matrix
 over the field (with b_0/b_1, the last invariant factor, the minimal
-polynomial), maximal Jordan block sizes at unit-root eigenvalues, and
+polynomial), maximal Jordan block sizes at unit-root eigenvalues,
 presentations of the cohomology of one-variable complexes with torsion
-cohomology, all read off one checked Smith diagonal.
+cohomology, and the cohomology dimensions of a complex evaluated at a torsion
+point, all read off one checked Smith diagonal.
 
 One pivoting loop (`_pivot`) serves two entry points.  `smith_normal_form`
 tracks U and V and checks U*M*V = D; `smith_diagonal`, for callers that read
@@ -20,12 +21,13 @@ entry and back once on exit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import CycloElem, TorsionAngle, lcm, lcm_all, root_multiplicity
+from .arith import CycloElem, TorsionAngle, root_multiplicity
 from .complexes import FreeComplex, Matrix, matrix_make, matrix_mul, matrix_shape
-from .poly import IdealGens, LaurentPoly, u_dense, u_gcd, u_laurent
+from .poly import IdealGens, LaurentPoly, u_dense, u_laurent
 from .upoly import UPoly
 
 
@@ -72,7 +74,7 @@ def _dense_matrix(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> list[list[UP
                 raise ValueError("Smith form needs one-variable entries")
             if not entry.is_zero() and entry.min_exponents()[0] < 0:
                 raise ValueError("Smith form needs polynomial entries; clear units first")
-            order = lcm(order, entry.order)
+            order = math.lcm(order, entry.order)
     return [[u_dense(entry, order) for entry in row] for row in mat]
 
 
@@ -255,7 +257,7 @@ def fitting_generator(presentation: Matrix, k: int) -> LaurentPoly:
     of its first n-k invariants.
     """
     nrows, ncols = matrix_shape(presentation)
-    order = lcm_all(entry.order for row in presentation for entry in row)
+    order = math.lcm(*(entry.order for row in presentation for entry in row))
     size = nrows - k
     if size > min(nrows, ncols):
         return LaurentPoly.zero(1, order)
@@ -273,16 +275,10 @@ class DeterminantalFactors:
     b: tuple[LaurentPoly, ...]
     minimal: LaurentPoly  # b_0/b_1, the last invariant factor (1 for the 0x0 matrix)
 
-    def minimal_polynomial(self) -> LaurentPoly:
-        return self.minimal
-
 
 def characteristic_matrix(phi: Sequence[Sequence[CycloElem]]) -> Matrix:
     m = len(phi)
-    order = 1
-    for row in phi:
-        for entry in row:
-            order = lcm(order, entry.order)
+    order = math.lcm(*(entry.order for row in phi for entry in row))
     t = LaurentPoly.variable(1, 0, 1, order)
     rows = []
     for i in range(m):
@@ -314,7 +310,7 @@ def max_jordan_size(phi: Sequence[Sequence[CycloElem]], xi: TorsionAngle) -> int
     """Multiplicity of e^{2*pi*i*xi} in b_0/b_1, the largest invariant factor."""
     if not phi:
         return 0
-    minimal = determinantal_factors(phi).minimal_polynomial()
+    minimal = determinantal_factors(phi).minimal
     return root_multiplicity({k: c for (k,), c in minimal.terms.items()}, xi)
 
 
@@ -385,19 +381,15 @@ def principal_generator(ideal: IdealGens) -> LaurentPoly:
     """
     if ideal.ring.nvars != 1:
         raise ValueError("principal generators only exist in one variable")
+    order = ideal.ring.cyclotomic_order
     if ideal.is_zero():
-        return LaurentPoly.zero(1, ideal.ring.cyclotomic_order)
-    current = ideal.gens[0].normalized(True)
+        return LaurentPoly.zero(1, order)
+    current = u_dense(ideal.gens[0].clear_units(), order)
     for g in ideal.gens[1:]:
-        if current.is_one():
+        if len(current.rows) == 1:  # a nonzero constant: the gcd is 1
             break
-        current = u_gcd(current, g.clear_units())
-    return current.normalized(True)
-
-
-def laurent_canonical(p: LaurentPoly) -> LaurentPoly:
-    """Strip monomial units and scale monic: canonical form modulo units."""
-    return p.normalized(True)
+        current = current.gcd(u_dense(g.clear_units(), order))
+    return u_laurent(current).normalized(True)
 
 
 def annihilator_generator(presentation: Matrix) -> LaurentPoly:
@@ -410,3 +402,41 @@ def annihilator_generator(presentation: Matrix) -> LaurentPoly:
     if len(diagonal) < nrows or not diagonal[nrows - 1].rows:
         raise ValueError("annihilator of a non-torsion module is zero")
     return u_laurent(diagonal[nrows - 1])
+
+
+# ---------------------------------------------------------------------------
+# Pointwise evaluation: exact vector-space data at a torsion point
+
+
+def cohomology_dims_at_point(
+    complex_: FreeComplex, point: Sequence[TorsionAngle]
+) -> dict[int, int]:
+    """Dimensions of the cohomology of the complex evaluated at a torsion point.
+
+    The rank of each evaluated differential is the rank of its Smith diagonal,
+    its entries read as one-variable constants.
+    """
+    order = math.lcm(complex_.ring.cyclotomic_order, *(a.den for a in point))
+    ranks = {}
+    for i in range(complex_.imin - 1, complex_.imax + 1):
+        mat = [
+            [LaurentPoly.constant(1, e.evaluate(point, order)) for e in row]
+            for row in complex_.differential(i)
+        ]
+        ranks[i] = _rank(_checked_diagonal(mat)[0])
+    return {
+        i: complex_.rank(i) - ranks[i] - ranks[i - 1]
+        for i in complex_.degrees()
+    }
+
+
+def alternating_cohomology_sum(
+    complex_: FreeComplex, point: Sequence[TorsionAngle], i: int
+) -> int:
+    """Alternating sum of cohomology dimensions in degrees >= i at a point."""
+    dims = cohomology_dims_at_point(complex_, point)
+    total = 0
+    for l in range(max(i, complex_.imin), complex_.imax + 1):
+        sign = -1 if (l - i) % 2 else 1
+        total += sign * dims[l]
+    return total

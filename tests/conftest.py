@@ -252,17 +252,17 @@ def oracle_valuation(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
 
 
 def division_multiplicity(f: LaurentPoly, value: CycloElem) -> int:
-    """Multiplicity of (t - value) in a one-variable f by repeated u_divmod."""
-    from detloci.poly import u_divmod
+    """Multiplicity of (t - value) in a one-variable f by repeated UPoly.divmod."""
+    from detloci.poly import u_dense
 
     order = math.lcm(f.order, value.order)
-    factor = LaurentPoly.make(
-        1, order, {(1,): CycloElem.one(order), (0,): -value.lift(order)}
+    factor = u_dense(
+        LaurentPoly.make(1, order, {(1,): CycloElem.one(order), (0,): -value.lift(order)}), order
     )
     count = 0
-    current = f.lift(order)
+    current = u_dense(f, order)
     while True:
-        q, r = u_divmod(current, factor)
+        q, r = current.divmod(factor)
         if not r.is_zero():
             return count
         count += 1

@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -456,6 +457,54 @@ class TestStandardLibraryOnly:
         ] == []
 
 
+def _annotation_names(node) -> set[str]:
+    """Names read by an annotation, including one written as a string."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval")
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = stmt.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for field in ("annotation", "returns"):
+            annotation = getattr(node, field, None)
+            if annotation is not None:
+                used |= _annotation_names(annotation)
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+
+
+class TestNoUnusedImports:
+    def test_every_module_level_import_is_used(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "detloci"
+        unused = []
+        for path in sorted(src.glob("*.py")):
+            if path.name != "__init__.py":
+                unused += _unused_imports(path)
+        assert unused == []
+
+    def test_detects_an_unused_import(self, tmp_path):
+        module = tmp_path / "m.py"
+        module.write_text(
+            "from __future__ import annotations\n"
+            "import math, os.path\n"
+            "from typing import Sequence\n"
+            "def f(x: 'Sequence[int]'):\n"
+            "    return math.pi\n"
+        )
+        assert _unused_imports(module) == ["m.py:2 os"]
+
+
 class TestFixturesCommand:
     def test_run_all(self, capsys):
         code, out, _ = run_cli(capsys, ["fixtures", "run", "all"])
@@ -531,6 +580,89 @@ class TestErrors:
         assert code == 4
         assert out == ""
         assert err == "internal error: Smith verification failed: U*M*V != D\n"
+
+
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_nonpositive_forced_order_exit_2(self, capsys, tmp_path, order):
+        matrix = write_json(
+            tmp_path / "m.json",
+            {"ring": {"nvars": 1, "laurent": False}, "rows": [["s1", "1"], ["0", "s1"]]},
+        )
+        code, out, err = run_cli(capsys, ["smith", "--matrix", matrix, f"--cyclotomic-order={order}"])
+        assert code == 2 and not out
+        assert err.startswith("input error:") and "positive" in err
+
+    def test_string_rows_exit_2(self, capsys, tmp_path):
+        matrix = write_json(
+            tmp_path / "m.json",
+            {"ring": {"nvars": 1, "laurent": True}, "rows": ["12", "34"]},
+        )
+        code, out, err = run_cli(capsys, ["detfactors", "--matrix", matrix])
+        assert code == 2 and not out
+        assert err == "input error: rows must be a matrix of strings\n"
+
+    def test_string_differential_exit_2(self, capsys, tmp_path):
+        payload = {
+            "ring": {"nvars": 1, "laurent": True},
+            "degrees": [0, 1],
+            "ranks": {"0": 1, "1": 1},
+            "differentials": {"0": ["5"]},
+        }
+        complex_ = write_json(tmp_path / "c.json", payload)
+        code, out, err = run_cli(capsys, ["cdf", "--complex", complex_, "--degree", "1", "--k", "0"])
+        assert code == 2 and not out
+        assert err == "input error: differential 0 must be a matrix of strings\n"
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            {"nvars": 1.9},
+            {"nvars": True},
+            {"nvars": "1"},
+            {"nvars": 1, "cyclotomic_order": 2.5},
+            {"nvars": 1, "laurent": "false"},
+            {"nvars": 1, "laurent": 0},
+        ],
+    )
+    def test_ring_fields_exit_2(self, capsys, tmp_path, ring):
+        matrix = write_json(tmp_path / "m.json", {"ring": ring, "rows": [["1", "2"], ["3", "4"]]})
+        code, out, err = run_cli(capsys, ["detfactors", "--matrix", matrix])
+        assert code == 2 and not out
+        assert err.startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"degrees": [0, 1.0]}, {"degrees": [False, 1]}, {"ranks": {"0": 1.5, "1": 1}}],
+    )
+    def test_complex_fields_exit_2(self, capsys, tmp_path, field):
+        payload = {
+            "ring": {"nvars": 1, "laurent": True},
+            "degrees": [0, 1],
+            "ranks": {"0": 1, "1": 1},
+            "differentials": {"0": [["t1-1"]]},
+            **field,
+        }
+        complex_ = write_json(tmp_path / "c.json", payload)
+        code, out, err = run_cli(capsys, ["cdf", "--complex", complex_, "--degree", "1", "--k", "0"])
+        assert code == 2 and not out
+        assert err.startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "locus",
+        [
+            {"r": 2.0, "hyperplanes": [{"c": [1, 1], "c0": 2}]},
+            {"r": 2, "hyperplanes": [{"c": [1.5, 1], "c0": 2}]},
+            {"r": 2, "hyperplanes": [{"c": [1, 1], "c0": 2.9}]},
+            {"r": 2, "hyperplanes": [{"c": [1, 1], "c0": 2, "mult": 1.7}]},
+            {"r": 2, "hyperplanes": [{"c": [1, 1], "c0": True}]},
+            {"r": 2, "hyperplanes": [{"c": "11", "c0": 2}]},
+        ],
+    )
+    def test_locus_fields_exit_2(self, capsys, tmp_path, locus):
+        path = write_json(tmp_path / "locus.json", locus)
+        code, out, err = run_cli(capsys, ["exp", "--locus", path])
+        assert code == 2 and not out
+        assert err.startswith("input error:")
 
 
 class TestHyperplaneStrings:

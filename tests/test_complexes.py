@@ -5,7 +5,6 @@ import pytest
 from detloci.complexes import (
     FreeComplex,
     MinorEngine,
-    alternating_cohomology_sum,
     base_change,
     cdf_ideal,
     differential_minors,
@@ -19,6 +18,7 @@ from detloci.complexes import (
 )
 from detloci.arith import TorsionAngle
 from detloci.poly import IdealGens, LaurentPoly, Ring, ideal_valuation, parse_poly, valuation_along
+from detloci.smith import alternating_cohomology_sum, cohomology_dims_at_point
 from detloci.torus import PrimeTorusDivisor
 
 from conftest import (
@@ -470,6 +470,14 @@ class TestPaddingInvariance:
 
 
 class TestPointwiseCriterion:
+    def test_koszul_dims_at_points(self):
+        # the Koszul complex of (t1-1, t2-1) is exact off the point (1, 1)
+        F = koszul_complex()
+        zero, third, half = TorsionAngle.make(0, 1), TorsionAngle.make(1, 3), TorsionAngle.make(1, 2)
+        assert cohomology_dims_at_point(F, (zero, zero)) == {0: 1, 1: 2, 2: 1}
+        assert cohomology_dims_at_point(F, (third, half)) == {0: 0, 1: 0, 2: 0}
+        assert cohomology_dims_at_point(F, (zero, half)) == {0: 0, 1: 0, 2: 0}
+
     def test_vanishing_iff_alternating_sum(self, rng):
         for _ in range(12):
             F = random_two_term(rng, R2, max_rank=3)

@@ -115,7 +115,7 @@ class TestMinimalPolynomial:
                  for j in range(m)]
                 for i in range(m)
             ]
-            ours = determinantal_factors(phi).minimal_polynomial()
+            ours = determinantal_factors(phi).minimal
             theirs = invariant_factors(X * sympy.eye(m) - a, domain=QQX)[-1]
             assert detloci_coeffs(ours) == monic_coeffs(theirs)
 
