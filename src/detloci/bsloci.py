@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -72,6 +73,11 @@ class HyperplaneLocus:
 
     def members(self) -> list[AffineHyperplane]:
         return [h for h, _ in self.hyperplanes]
+
+    @cached_property
+    def member_canonicals(self) -> frozenset[tuple]:
+        """Scale-invariant forms of the members, built once per locus."""
+        return frozenset(h.set_canonical() for h in self.members())
 
     def without_multiplicities(self) -> "HyperplaneLocus":
         return HyperplaneLocus.make(self.r, [(h, 1) for h, _ in self.hyperplanes], self.pieces)
@@ -337,11 +343,10 @@ def polar_candidate_filter(
         raise ValueError("polar candidates need a positive constant term")
     total = sum(candidate.c)
     m = candidate.c0 // total
-    members = {h.set_canonical() for h in zbf.members()}
     found = None
     for k in range(m + 1):
         shifted = AffineHyperplane(candidate.c, candidate.c0 - k * total)
-        if shifted.set_canonical() in members:
+        if shifted.set_canonical() in zbf.member_canonicals:
             found = k
             break
     return {"m": m, "k": found}

@@ -211,7 +211,7 @@ def _cmd_support(args) -> tuple[int, dict]:
             if order == 0:
                 continue
             record = specialization_multiplicity(
-                complex_, divisor, i, args.bound, candidates=report.candidates
+                complex_, divisor, i, candidates=report.candidates
             )
             table.append(
                 {
@@ -347,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("support", help="divisor support report of a complex")
     p.add_argument("--complex", required=True)
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument(
+        "--bound", type=int, default=4, help="search limit for candidate divisors only"
+    )
     add_order(p)
     p.set_defaults(handler=_cmd_support)
 

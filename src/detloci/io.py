@@ -39,6 +39,23 @@ def _json_int(value: Any, what: str) -> int:
     return value
 
 
+def _json_list(value: Any, what: str) -> list:
+    """A JSON array; an object, whose iteration would yield its keys, is an input error."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be an array, got {value!r}")
+    return value
+
+
+def _degree_key(key: str, what: str) -> int:
+    """A degree key in canonical decimal, so that no two spellings name one degree."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except ValueError:
+        pass
+    raise InputError(f"bad {what} degree {key!r}")
+
+
 def ring_from_json(obj: Any, override_order: int | None = None) -> Ring:
     if not isinstance(obj, Mapping):
         raise InputError("ring descriptor must be an object")
@@ -78,19 +95,13 @@ def complex_from_json(obj: Any, override_order: int | None = None) -> FreeComple
     ranks_obj = obj.get("ranks", {})
     if not isinstance(ranks_obj, Mapping):
         raise InputError("ranks must map degree strings to ranks")
-    try:
-        ranks = {int(k): _json_int(v, "rank") for k, v in ranks_obj.items()}
-    except ValueError as exc:
-        raise InputError(f"bad rank table: {exc}") from None
+    ranks = {_degree_key(k, "rank"): _json_int(v, "rank") for k, v in ranks_obj.items()}
     diffs_obj = obj.get("differentials", {})
     if not isinstance(diffs_obj, Mapping):
         raise InputError("differentials must map degree strings to matrices")
     diffs: dict[int, list[list[LaurentPoly]]] = {}
     for key, mat in diffs_obj.items():
-        try:
-            degree = int(key)
-        except ValueError:
-            raise InputError(f"bad differential degree {key!r}") from None
+        degree = _degree_key(key, "differential")
         if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
             raise InputError(f"differential {key} must be a matrix of strings")
         diffs[degree] = [[_parse_entry(entry, ring) for entry in row] for row in mat]
@@ -151,10 +162,7 @@ def hyperplane_from_json(obj: Any, r: int | None = None) -> tuple[AffineHyperpla
         return hyperplane_from_string(obj, r), 1
     if not isinstance(obj, Mapping):
         raise InputError("hyperplane must be an object with c and c0")
-    c = obj.get("c")
-    if not isinstance(c, list):
-        raise InputError(f"hyperplane normal c must be an integer list, got {c!r}")
-    c = tuple(_json_int(x, "c") for x in c)
+    c = tuple(_json_int(x, "c") for x in _json_list(obj.get("c"), "hyperplane normal c"))
     c0 = _json_int(obj.get("c0"), "c0")
     mult = _json_int(obj.get("mult", 1), "mult")
     try:
@@ -167,15 +175,14 @@ def locus_from_json(obj: Any) -> HyperplaneLocus:
     if not isinstance(obj, Mapping):
         raise InputError("locus file must contain an object")
     r = _json_int(obj.get("r"), "r")
-    hyperplanes = []
-    for h_obj in obj.get("hyperplanes", []):
-        h, mult = hyperplane_from_json(h_obj, r)
-        hyperplanes.append((h, mult))
+    listed = _json_list(obj.get("hyperplanes", []), "hyperplanes")
+    hyperplanes = [hyperplane_from_json(h, r) for h in listed]
     pieces = []
-    for p_obj in obj.get("pieces", []):
+    for p_obj in _json_list(obj.get("pieces", []), "pieces"):
         if not isinstance(p_obj, Mapping) or "hyperplanes" not in p_obj:
             raise InputError("each piece needs a hyperplanes list")
-        pieces.append([hyperplane_from_json(h, r)[0] for h in p_obj["hyperplanes"]])
+        members = _json_list(p_obj["hyperplanes"], "piece hyperplanes")
+        pieces.append([hyperplane_from_json(h, r)[0] for h in members])
     try:
         return HyperplaneLocus.make(r, hyperplanes, pieces)
     except ValueError as exc:

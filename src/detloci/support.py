@@ -99,12 +99,6 @@ class SupportReport:
     delta1: dict[int, TorusDivisor]
     minimal: dict[int, TorusDivisor]
 
-    def ord_table(self) -> dict[int, dict[PrimeTorusDivisor, int]]:
-        return {
-            i: {c: div.multiplicity(c) for c in self.candidates}
-            for i, div in self.minimal.items()
-        }
-
 
 def support_report(
     complex_: FreeComplex, candidates: Sequence[PrimeTorusDivisor]
@@ -146,38 +140,38 @@ def support_report(
     return SupportReport(tuple(unique), delta0, delta1, minimal)
 
 
-def _generic_points(divisor: PrimeTorusDivisor, avoid: Sequence[PrimeTorusDivisor], bound: int):
+def _generic_points(divisor: PrimeTorusDivisor, avoid: Sequence[PrimeTorusDivisor]):
     """Torsion points (lambda^{b_1}, ..., lambda^{b_r}) on the divisor only.
 
-    Enumerates exponent vectors b by total size then lexicographically, and
-    for each solves lambda^{u . b} = xi, yielding the smallest root of unity
-    different from 1 that avoids every listed divisor.
+    Runs over every positive exponent vector b by total, then lexicographically,
+    solving lambda^w = xi with w = u . b and yielding the smallest root other
+    than 1 that avoids every listed divisor.  There is no cap, yet the search
+    stops on a torsion complex.  Torsion: the base change along b keeps one
+    nonzero top minor per degree nonzero off the finitely many hyperplanes
+    b . (e - e') = 0 of its exponents.  Genericity: an avoided {t^u' = xi'}
+    meets none of the w roots if u' = u and at most gcd(w, u' . b) of them
+    otherwise; distinct primitive vectors are independent, so some such b has
+    w prime, w > #avoid + 1 and w not dividing u' . b for every u' != u.
     """
     if divisor in avoid:
         raise ValueError("the divisor itself may not be in the avoid list")
     r = divisor.nvars
-    vectors = sorted(
-        itertools.product(range(1, bound + 1), repeat=r),
-        key=lambda b: (sum(b), b),
-    )
-    for b in vectors:
-        w = sum(ui * bi for ui, bi in zip(divisor.u, b))
-        for lam in angle_roots(divisor.xi, w):
-            if lam.is_one() or any(point_on_divisor(d, lam, b) for d in avoid):
-                continue
-            yield lam, b
-            break
+    for total in itertools.count(r):
+        for cuts in itertools.combinations(range(1, total), r - 1):
+            b = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (total,)))
+            w = sum(ui * bi for ui, bi in zip(divisor.u, b))
+            for lam in angle_roots(divisor.xi, w):
+                if lam.is_one() or any(point_on_divisor(d, lam, b) for d in avoid):
+                    continue
+                yield lam, b
+                break
 
 
 def generic_point_on_divisor(
-    divisor: PrimeTorusDivisor,
-    avoid: Sequence[PrimeTorusDivisor],
-    bound: int = 8,
+    divisor: PrimeTorusDivisor, avoid: Sequence[PrimeTorusDivisor]
 ) -> tuple[TorsionAngle, tuple[int, ...]]:
     """The first torsion point on the divisor only, in the order of `_generic_points`."""
-    for point in _generic_points(divisor, avoid, bound):
-        return point
-    raise ValueError("no generic point within bound; increase bound")
+    return next(_generic_points(divisor, avoid))
 
 
 def point_on_divisor(
@@ -224,27 +218,26 @@ def specialization_multiplicity(
     size is the eigenvalue multiplicity in the annihilator of the cohomology
     of the substituted one-variable complex.  The two agree at generic points;
     a non-generic choice is reported (generic=False) rather than rejected.
+    `bound` only limits the candidate search run when no candidates are given.
     """
     if candidates is None:
         candidates = candidate_divisors(complex_, bound)
-    all_candidates = sorted(set(candidates) | {divisor}, key=lambda d: d.sort_key())
-    report = support_report(complex_, all_candidates)
+    # the order along one divisor does not depend on the others; this report
+    # also refuses a non-torsion complex, which is what makes the loop below stop
+    report = support_report(complex_, [divisor])
     order_at = report.minimal.get(i, TorusDivisor()).multiplicity(divisor)
-    avoid = [d for d in all_candidates if d != divisor]
+    avoid = sorted(set(candidates) - {divisor}, key=lambda d: d.sort_key())
     if point is None:
         # a non-torsion base change puts the whole curve in the support: not generic
-        for lam, b in _generic_points(divisor, avoid, max(bound, 8)):
+        for lam, b in _generic_points(divisor, avoid):
             try:
                 invariants = _specialized_invariants(complex_, b)
                 break
             except NonTorsionError:
                 continue
-        else:
-            raise ValueError("no generic point within bound; increase bound")
         generic = True
     else:
-        lam, b_raw = point
-        b = tuple(int(x) for x in b_raw)
+        lam, b = point[0], tuple(int(x) for x in point[1])
         if any(x <= 0 for x in b):
             raise ValueError("point exponents must be positive")
         generic = point_on_divisor(divisor, lam, b) and not any(
@@ -256,13 +249,6 @@ def specialization_multiplicity(
     annihilator = torsion[-1] if torsion else UPoly.one(1)
     jordan = root_multiplicity(dict(annihilator.terms()), lam)
     if not generic or jordan != order_at:
-        logger.info(
-            "non-generic specialization at lambda=%s b=%s: ord=%d jordan=%d",
-            lam,
-            b,
-            order_at,
-            jordan,
-        )
-    return SpecializationRecord(
-        ord=order_at, jordan=jordan, lam=lam, b=tuple(b), generic=generic
-    )
+        msg = "non-generic specialization at lambda=%s b=%s: ord=%d jordan=%d"
+        logger.info(msg, lam, b, order_at, jordan)
+    return SpecializationRecord(ord=order_at, jordan=jordan, lam=lam, b=b, generic=generic)

@@ -1,11 +1,14 @@
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from detloci.arith import cyclotomic_poly
 from detloci.cli import main
 from detloci.io import locus_to_json
+from detloci.poly import Ring, format_poly, parse_poly
 from detloci.fixtures import ex71_loci, ex72_loci
 
 
@@ -287,6 +290,37 @@ class TestComplexCommands:
         assert [row["lambda"] for row in rows] == ["1/6", "1/3"]
         assert all(row["ord"] == row["jordan"] == 1 for row in rows)
         assert calls == [(1, 1)]
+
+    def test_support_generic_search_has_no_cap(self, capsys, tmp_path):
+        # the 22 divisors {t2 = zeta}, ord zeta <= 8, block every b with b1 <= 8
+        # for {t1 = 1}, so its first generic point is b = (9, 1)
+        ring = Ring(2, True, 1)
+        poly = parse_poly("t1-1", ring)
+        for m in range(1, 9):
+            coeffs = enumerate(cyclotomic_poly(m))
+            poly = poly * parse_poly("".join(f"{c:+d}*t2^{k}" for k, c in coeffs), ring)
+        path = write_json(
+            tmp_path / "cyclotomic.json",
+            {
+                "ring": {"nvars": 2, "laurent": True},
+                "degrees": [0, 1],
+                "ranks": {"0": 1, "1": 1},
+                "differentials": {"0": [[format_poly(poly)]]},
+            },
+        )
+        code, out, _ = run_cli(capsys, ["support", "--complex", path, "--bound", "1"])
+        assert code == 0
+        data = json.loads(out)
+        assert len(data["candidates"]) == 23
+        assert {
+            "degree": 1,
+            "divisor": {"u": [1, 0], "xi": "0/1"},
+            "ord": 1,
+            "jordan": 1,
+            "lambda": "1/9",
+            "b": [9, 1],
+            "generic": True,
+        } in data["ord_jordan_table"]
 
 
 class TestSmithCommands:
@@ -663,6 +697,48 @@ class TestErrors:
         code, out, err = run_cli(capsys, ["exp", "--locus", path])
         assert code == 2 and not out
         assert err.startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "locus",
+        [
+            {"r": 2, "hyperplanes": {"3*s1+3*s2+4": 7}},
+            {"r": 2, "pieces": {"hyperplanes": [{"c": [1, 0], "c0": 1}, {"c": [0, 1], "c0": 1}]}},
+            {"r": 2, "pieces": [{"hyperplanes": {"s1+1": 1, "s2+1": 1}}]},
+        ],
+    )
+    def test_locus_object_for_array_exit_2(self, capsys, tmp_path, locus):
+        path = write_json(tmp_path / "locus.json", locus)
+        code, out, err = run_cli(capsys, ["exp", "--locus", path])
+        assert code == 2 and not out
+        assert err.startswith("input error:") and "must be an array" in err
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"degrees": [0, 10], "ranks": {"0": 1, "1_0": 1}, "differentials": {}},
+            {"ranks": {"0": 1, "+1": 1}},
+            {"differentials": {" 0": [["t1-1"]]}},
+        ],
+    )
+    def test_noncanonical_degree_key_exit_2(self, capsys, tmp_path, field):
+        payload = {
+            "ring": {"nvars": 1, "laurent": True},
+            "degrees": [0, 1],
+            "ranks": {"0": 1, "1": 1},
+            "differentials": {"0": [["t1-1"]]},
+            **field,
+        }
+        complex_ = write_json(tmp_path / "c.json", payload)
+        code, out, err = run_cli(capsys, ["cdf", "--complex", complex_, "--degree", "0", "--k", "0"])
+        assert code == 2 and not out
+        assert err.startswith("input error: bad") and "degree" in err
+
+
+class TestReadmeTour:
+    def test_library_tour_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        [block] = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+        exec(compile(block, "README.md", "exec"), {})
 
 
 class TestHyperplaneStrings:

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detloci.arith import TorsionAngle
 from detloci.complexes import FreeComplex, base_change, cdf_ideal, direct_sum
@@ -33,6 +36,26 @@ def P(text: str, ring: Ring = R2) -> LaurentPoly:
 
 def angle(num, den):
     return TorsionAngle.make(num, den)
+
+
+def divisors_in(r: int):
+    """Prime torus divisors with u in [0, 3]^r and xi of order at most 8."""
+    u = st.tuples(*[st.integers(0, 3)] * r).filter(any)
+    xi = st.integers(1, 8).flatmap(
+        lambda den: st.integers(0, den - 1).map(lambda n: angle(n, den))
+    )
+    return st.builds(
+        lambda u, xi: PrimeTorusDivisor(tuple(x // math.gcd(*u) for x in u), xi), u, xi
+    )
+
+
+T1_ONE = PrimeTorusDivisor((1, 0), angle(0, 1))
+BLOCKED_T2 = [
+    PrimeTorusDivisor((0, 1), angle(n, den))
+    for den in range(1, 9)
+    for n in range(den)
+    if math.gcd(n, den) == 1
+]
 
 
 def diag_complex(entries, ring=R2) -> FreeComplex:
@@ -219,7 +242,6 @@ class TestSupportReport:
         assert report.delta0[1].multiplicity(H_DIVISOR) == 3
         assert report.delta1[1].multiplicity(H_DIVISOR) == 1
         assert report.minimal[1].multiplicity(H_DIVISOR) == 2
-        assert report.ord_table()[1][H_DIVISOR] == 2
 
     def test_single(self):
         E = diag_complex([P("t1*t2-e(1/3)")])
@@ -285,15 +307,14 @@ class TestSupportReport:
 class TestGenericPoint:
     def test_examples(self):
         lam, b = generic_point_on_divisor(
-            H_DIVISOR, [PrimeTorusDivisor((1, 0), angle(0, 1))], 8
+            H_DIVISOR, [PrimeTorusDivisor((1, 0), angle(0, 1))]
         )
         assert (str(lam), b) == ("1/6", (1, 1))
-        lam, b = generic_point_on_divisor(PrimeTorusDivisor((1, 0), angle(1, 6)), [], 8)
+        lam, b = generic_point_on_divisor(PrimeTorusDivisor((1, 0), angle(1, 6)), [])
         assert (str(lam), b) == ("1/6", (1, 1))
         lam, b = generic_point_on_divisor(
             PrimeTorusDivisor((1, 1), angle(0, 1)),
             [PrimeTorusDivisor((1, 1), angle(1, 2))],
-            8,
         )
         assert (str(lam), b) == ("1/2", (1, 1))
 
@@ -303,16 +324,35 @@ class TestGenericPoint:
         for _ in range(25):
             target = random_divisor(rng, 2)
             avoid = [d for d in (random_divisor(rng, 2) for _ in range(2)) if d != target]
-            try:
-                lam, b = generic_point_on_divisor(target, avoid, 8)
-            except ValueError:
-                continue
+            lam, b = generic_point_on_divisor(target, avoid)
             assert point_on_divisor(target, lam, b)
             assert not any(point_on_divisor(d, lam, b) for d in avoid)
 
     def test_divisor_in_avoid_rejected(self):
         with pytest.raises(ValueError):
-            generic_point_on_divisor(H_DIVISOR, [H_DIVISOR], 4)
+            generic_point_on_divisor(H_DIVISOR, [H_DIVISOR])
+
+    def test_search_passes_every_small_total(self):
+        # for b1 <= 8, lambda and so lambda^b2 have order <= 8 and lie on a t2 = zeta,
+        # so the first point leaves [1, 8]^2
+        assert len(BLOCKED_T2) == 22
+        lam, b = generic_point_on_divisor(T1_ONE, BLOCKED_T2)
+        assert (str(lam), b) == ("1/9", (9, 1))
+
+    @given(
+        st.sampled_from([2, 3]).flatmap(
+            lambda r: st.tuples(divisors_in(r), st.lists(divisors_in(r), max_size=25))
+        )
+    )
+    @example((T1_ONE, BLOCKED_T2))
+    @settings(max_examples=80, deadline=None)
+    def test_point_on_target_only(self, case):
+        target, avoid = case
+        avoid = sorted(set(avoid) - {target}, key=lambda d: d.sort_key())
+        lam, b = generic_point_on_divisor(target, avoid)
+        assert not lam.is_one() and min(b) >= 1
+        assert point_on_divisor(target, lam, b)
+        assert not any(point_on_divisor(d, lam, b) for d in avoid)
 
 
 class TestSpecializationMultiplicity:
