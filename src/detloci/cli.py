@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .arith import CycloElem
 from .bsloci import (
@@ -361,6 +361,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) as a plain recursive function:
+    indent= selects the stdlib's pure-Python encoder, whose closures form a
+    reference cycle on every call."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets, pairs = "{}", sorted(value.items())
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in pairs]
+    elif isinstance(value, (list, tuple)):
+        brackets, items = "[]", [_json_text(v, inner) for v in value]
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -371,8 +394,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(payload) + "\n")
     return code
 
 

@@ -16,7 +16,8 @@ for that check alone.  Both check the divisibility chain of the diagonal.
 The loop, both checks and the products behind the determinantal factors and
 Fitting generators run on `upoly.UPoly` (integer numerator rows per power of
 t over one denominator); matrices are converted from LaurentPoly once on
-entry and back once on exit.
+entry and back once on exit.  The check products fuse each entry into one
+`upoly.sum_of_products`, and a unit pivot divides by scaling with its inverse.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .arith import CycloElem, TorsionAngle, root_multiplicity
-from .complexes import FreeComplex, Matrix, matrix_make, matrix_mul, matrix_shape
+from .complexes import FreeComplex, Matrix, matrix_make, matrix_shape
 from .poly import IdealGens, LaurentPoly, u_dense, u_laurent
-from .upoly import UPoly
+from .upoly import UPoly, sum_of_products
 
 
 def _rank(diagonal: Sequence[LaurentPoly | UPoly]) -> int:
@@ -78,6 +79,12 @@ def _dense_matrix(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> list[list[UP
     return [[u_dense(entry, order) for entry in row] for row in mat]
 
 
+def _dense_mul(a: Sequence[Sequence[UPoly]], b: Sequence[Sequence[UPoly]], order: int) -> list:
+    """a*b for dense matrices of one order, each entry one fused `sum_of_products`."""
+    cols = list(zip(*b))
+    return [[sum_of_products(order, zip(row, col, strict=True)) for col in cols] for row in a]
+
+
 def _laurent_matrix(mat: Sequence[Sequence[UPoly]]) -> Matrix:
     return matrix_make([[u_laurent(entry) for entry in row] for row in mat])
 
@@ -101,6 +108,14 @@ def _inverse_col_op(v_inv: list, j_target: int, j_source: int, q: UPoly):
     The inverse elementary matrix acts on the left: row j_source += q * row j_target.
     """
     _sub_rows(v_inv, j_source, j_target, -q)
+
+
+def _quotient(e: UPoly, p: UPoly) -> UPoly:
+    """The quotient of e by p: one scaling by the cached inverse of a unit p."""
+    if len(p.rows) == 1:
+        inv = p.monic_pair()[1]
+        return e if inv is None else e.scale(inv)
+    return e.divmod(p)[0]
 
 
 def _pivot(rows: list[list[UPoly]], inverse: bool):
@@ -162,18 +177,18 @@ def _pivot(rows: list[list[UPoly]], inverse: bool):
             dirty = False
             for i in range(nrows):
                 if i != idx and d[i][idx].rows:
-                    q, _ = d[i][idx].divmod(p)
-                    row_op(i, idx, q)
+                    row_op(i, idx, _quotient(d[i][idx], p))
                     if d[i][idx].rows:
                         dirty = True
             for j in range(ncols):
                 if j != idx and d[idx][j].rows:
-                    q, _ = d[idx][j].divmod(p)
-                    col_op(j, idx, q)
+                    col_op(j, idx, _quotient(d[idx][j], p))
                     if d[idx][j].rows:
                         dirty = True
             if dirty:
                 continue
+            if len(p.rows) == 1:  # a unit divides every entry: no offender to look for
+                break
             offender = None
             for i in range(idx + 1, nrows):
                 for j in range(idx + 1, ncols):
@@ -203,8 +218,7 @@ def smith_normal_form(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithFor
     rows = _dense_matrix(mat)
     d, u, v, order = _pivot(rows, inverse=False)
     diagonal = tuple(d[i][i] for i in range(min(len(d), len(v))))
-    zero = UPoly(order, 1, ())
-    if rows and matrix_mul(matrix_mul(u, rows, zero), v, zero) != matrix_make(d):
+    if rows and _dense_mul(_dense_mul(u, rows, order), v, order) != d:
         raise ArithmeticError("Smith verification failed: U*M*V != D")
     _check_chain(diagonal)
     return SmithForm(
@@ -225,11 +239,11 @@ def _checked_diagonal(mat: Matrix | Sequence[Sequence[LaurentPoly]]):
     diagonal = tuple(d[i][i] for i in range(min(len(d), len(v_inv))))
     if rows:
         zero = UPoly(order, 1, ())
-        for i, row in enumerate(matrix_mul(u, rows, zero)):
+        for i, row in enumerate(_dense_mul(u, rows, order)):
             if i < len(diagonal):
-                want = tuple(diagonal[i] * w for w in v_inv[i])
+                want = [diagonal[i] * w for w in v_inv[i]]
             else:
-                want = (zero,) * len(row)
+                want = [zero] * len(row)
             if row != want:
                 raise ArithmeticError("Smith verification failed: U*M != D*V^-1")
     _check_chain(diagonal)

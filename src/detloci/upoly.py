@@ -3,9 +3,11 @@
 Each t-degree holds the integer numerators of its coefficient on 1, z, ...,
 z^(phi(N)-1), and one positive denominator serves the whole polynomial, so a
 product is an integer schoolbook convolution in t and z with one reduction
-modulo Phi_N per t-degree and one gcd, and a row update is one fused
-`target - q*source`.  Internal to the package: callers convert at the
-boundary with `poly.u_dense` and `poly.u_laurent`.
+modulo Phi_N per t-degree and one gcd, a row update is one fused
+`target - q*source`, and a sum of products (an entry of a matrix product)
+accumulates every convolution before its one reduction and gcd.  Internal to
+the package: callers convert at the boundary with `poly.u_dense` and
+`poly.u_laurent`.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from typing import Iterable, Iterator, Sequence
 from .arith import CycloElem, _canonical, euler_phi, reduce_mod_phi
 
 
-def _product_rows(order: int, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
-    """Numerator rows of the product of two dense polynomials, not normalized."""
-    if not a or not b:
-        return []
+def _convolution(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
+    """Numerator rows of the product of two nonzero dense polynomials, convolved
+    in t and z but not reduced modulo Phi_N."""
     if len(a[0]) == 1:
         out = [0] * (len(a) + len(b) - 1)
         for i, (x,) in enumerate(a):
@@ -38,7 +39,31 @@ def _product_rows(order: int, a: Sequence[Sequence[int]], b: Sequence[Sequence[i
                 for q, y in ys:
                     for p, x in xs:
                         acc[p + q] += x * y
-    return [reduce_mod_phi(order, row) for row in out]
+    return out
+
+
+def _product_rows(order: int, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
+    """Numerator rows of the product of two dense polynomials, not normalized."""
+    if not a or not b:
+        return []
+    rows = _convolution(a, b)
+    return rows if len(a[0]) == 1 else [reduce_mod_phi(order, row) for row in rows]
+
+
+def sum_of_products(order: int, pairs: Iterable[tuple["UPoly", "UPoly"]]) -> "UPoly":
+    """The sum of a*b over the (a, b) pairs: every numerator convolution
+    accumulates unreduced over one common denominator, then each t-degree is
+    reduced modulo Phi_order once and the sum normalized once."""
+    pairs = [(a, b) for a, b in pairs if a.rows and b.rows]
+    den = math.lcm(*(a.den * b.den for a, b in pairs))
+    out = []
+    for a, b in pairs:
+        f = den // (a.den * b.den)
+        for k, row in enumerate(_convolution(a.rows, b.rows)):
+            if k == len(out):
+                out.append([0] * len(row))
+            out[k] = [x + f * y for x, y in zip(out[k], row)]
+    return _make(order, [reduce_mod_phi(order, row) for row in out], den)
 
 
 def _make(order: int, rows: list, den: int) -> "UPoly":

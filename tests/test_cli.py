@@ -4,6 +4,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detloci.arith import cyclotomic_poly
 from detloci.cli import main
@@ -384,6 +386,17 @@ SMITH_GOLDEN = {
         ],
     ),
     "order12_chain": (12, [["e(1/3)*s1-e(5/12)", "s1^2"], ["0", "3*s1^2-3*e(1/6)"]]),
+    # the first two pivots are the non-monic units 2*e(1/3) and -1/2; then the
+    # block diag(s1-e(1/4), s1^2-1) needs the offender step, which leaves the unit -2
+    "order12_unit_pivots": (
+        12,
+        [
+            ["2*e(1/3)", "s1", "0", "0"],
+            ["0", "-1/2", "0", "e(1/6)"],
+            ["0", "0", "s1-e(1/4)", "0"],
+            ["0", "3", "0", "s1^2-1-6*e(1/6)"],
+        ],
+    ),
     "order12_tall": (
         12,
         [
@@ -406,6 +419,45 @@ class TestSmithGolden:
         code, out, err = run_cli(capsys, ["smith", "--matrix", matrix])
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"smith_{name}.out").read_text()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @given(JSON_VALUES)
+    @example({"a": [], "b": {}, "\u00e9\n\"\\\x01": [True, None, -7, "\U0001f600"]})
+    @settings(max_examples=300)
+    def test_matches_the_standard_library(self, payload):
+        from detloci.cli import _json_text
+
+        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_repeated_calls_leave_no_encoder_cycles(self, capsys, ex71_bf_file):
+        import gc
+
+        gc.collect()
+        enabled, debug, start = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(5):
+                assert run_cli(capsys, ["exp", "--locus", ex71_bf_file])[0] == 0
+            gc.collect()
+            leaked = [
+                obj for obj in gc.garbage[start:]
+                if getattr(obj, "__module__", None) == "json.encoder"
+            ]
+        finally:
+            del gc.garbage[start:]
+            gc.set_debug(debug)
+            if enabled:
+                gc.enable()
+        assert leaked == []
 
 
 class TestParserReuse:

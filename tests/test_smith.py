@@ -158,6 +158,21 @@ class TestSmithDiagonal:
         with pytest.raises(ArithmeticError, match="Smith verification failed"):
             entry([[t, LaurentPoly.one(1)], [LaurentPoly.zero(1), t]])
 
+    def test_corrupt_column_transform_raises(self, monkeypatch):
+        import detloci.smith as smith_module
+
+        t = P("t1")
+        real = smith_module._pivot
+
+        def corrupt(rows, inverse):
+            d, u, w, order = real(rows, inverse)
+            w[-1][-1] = w[-1][-1] + u_dense(t, order)
+            return d, u, w, order
+
+        monkeypatch.setattr(smith_module, "_pivot", corrupt)
+        with pytest.raises(ArithmeticError, match="U\\*M\\*V != D"):
+            smith_normal_form([[t, LaurentPoly.one(1)], [LaurentPoly.zero(1), t]])
+
 
 class TestDivisibilityChainCheck:
     """A transform-consistent but unchained diagonal is refused by both entry points."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from detloci.arith import TorsionAngle
 from detloci.complexes import FreeComplex, base_change, cdf_ideal, direct_sum
 from detloci.poly import LaurentPoly, Ring, fibre_has_root, fibres, parse_poly
+from detloci.smith import _torsion_invariants
 from detloci.support import (
     NonTorsionComplexError,
     _angles_up_to,
@@ -382,6 +383,16 @@ class TestSpecializationMultiplicity:
         )
         assert not record.generic
         assert record.ord == 1 and record.jordan == 2
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_returned_point_gives_a_torsion_base_change(self, seed):
+        rng = random.Random(seed)
+        F = random_torsion_complex(rng, Ring(2, True, 6), max_pieces=2)
+        candidates = candidate_divisors(F, 2)
+        for divisor in candidates:
+            record = specialization_multiplicity(F, divisor, 1, candidates=candidates)
+            _torsion_invariants(base_change(F, record.b))
 
     def test_base_change_tau_compatibility(self, rng):
         from conftest import random_binomial

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detloci.arith import CycloElem, euler_phi
+from detloci.complexes import matrix_mul
 from detloci.poly import LaurentPoly, u_dense, u_laurent
-from detloci.upoly import UPoly
+from detloci.smith import _dense_mul
+from detloci.upoly import UPoly, sum_of_products
 
 from conftest import upoly_divmod_in
 
@@ -117,6 +119,57 @@ class TestRingOperations:
         got = u_dense(f, order).scale(c)
         assert_canonical(got, order)
         assert u_laurent(got) == f.scale(c)
+
+
+def entries(order: int):
+    """Polynomials of degree < 3 over denominators up to 6, zero in about half the draws."""
+    return st.one_of(st.just(LaurentPoly.zero(1, order)), polys(order, 3))
+
+
+def matrices(order: int, nrows: int, ncols: int):
+    row = st.lists(entries(order), min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows)
+
+
+class TestFusedProducts:
+    """sum_of_products and the dense matrix product of the Smith checks, with
+    complexes.matrix_mul on LaurentPoly entries as the oracle."""
+
+    @given(st.sampled_from(ORDERS).flatmap(lambda n: st.integers(1, 4).flatmap(
+        lambda k: st.tuples(st.just(n), matrices(n, 1, k), matrices(n, k, 1))
+    )))
+    @settings(max_examples=150)
+    def test_sum_of_products(self, case):
+        order, a, b = case
+        ((want,),) = matrix_mul(a, b, LaurentPoly.zero(1, order))
+        pairs = [(u_dense(x, order), u_dense(y[0], order)) for x, y in zip(a[0], b)]
+        got = sum_of_products(order, pairs)
+        assert_canonical(got, order)
+        assert u_laurent(got) == want
+
+    @given(st.sampled_from(ORDERS).flatmap(lambda n: st.tuples(
+        st.integers(0, 3), st.integers(0, 3), st.integers(1, 3)
+    ).flatmap(lambda shape: st.tuples(
+        st.just(n), matrices(n, shape[0], shape[1]), matrices(n, shape[1], shape[2])
+    ))))
+    @settings(max_examples=150)
+    def test_dense_product(self, case):
+        order, a, b = case
+        want = matrix_mul(a, b, LaurentPoly.zero(1, order))
+        dense = _dense_mul(
+            [[u_dense(e, order) for e in row] for row in a],
+            [[u_dense(e, order) for e in row] for row in b],
+            order,
+        )
+        for row in dense:
+            for entry in row:
+                assert_canonical(entry, order)
+        assert tuple(tuple(u_laurent(e) for e in row) for row in dense) == want
+
+    def test_empty_sum_is_zero(self):
+        zero = UPoly(12, 1, ())
+        assert sum_of_products(12, []) == zero
+        assert sum_of_products(12, [(zero, UPoly.one(12))]) == zero
 
 
 class TestDivision:
