@@ -201,7 +201,7 @@ def _cmd_slice(args) -> tuple[int, dict]:
 
 def _cmd_support(args) -> tuple[int, dict]:
     complex_ = complex_from_json(load_json_file(args.complex), args.cyclotomic_order)
-    candidates = candidate_divisors(complex_, args.bound)
+    candidates = candidate_divisors(complex_)
     report = support_report(complex_, candidates)
     degrees = sorted(report.minimal)
     table = []
@@ -347,9 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("support", help="divisor support report of a complex")
     p.add_argument("--complex", required=True)
-    p.add_argument(
-        "--bound", type=int, default=4, help="search limit for candidate divisors only"
-    )
+    p.add_argument("--bound", type=int, help=argparse.SUPPRESS)  # ignored: no search limit
     add_order(p)
     p.set_defaults(handler=_cmd_support)
 

@@ -265,13 +265,6 @@ class LaurentPoly:
         (e, c), = self.terms.items()
         return all(x == 0 for x in e) and c.is_one()
 
-    def max_total_degree(self) -> int:
-        """Largest term degree after removing the monomial unit content."""
-        if self.is_zero():
-            return 0
-        cleared = self.clear_units()
-        return max(sum(e) for e in cleared.terms)
-
     def substitute_powers(self, b: Sequence[int]) -> "LaurentPoly":
         """Apply t_i -> t^{b_i}, landing in the one-variable ring."""
         if len(b) != self.nvars:

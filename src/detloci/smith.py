@@ -202,10 +202,10 @@ def _pivot(rows: list[list[UPoly]], inverse: bool):
             row_op(idx, offender, -UPoly.one(order))  # add offending row to the pivot row
         entry = d[idx][idx]
         if entry.rows:
-            _, inv = entry.monic_pair()
-            if inv is not None:
-                d[idx] = [e.scale(inv) for e in d[idx]]
-                u[idx] = [e.scale(inv) for e in u[idx]]
+            monic, inv = entry.monic_pair()
+            if inv is not None:  # the rest of row idx of d is zero by now
+                d[idx][idx] = monic
+                u[idx] = [e.scale(inv) if e.rows else e for e in u[idx]]
     return d, u, w, order
 
 

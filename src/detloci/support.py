@@ -13,9 +13,9 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .arith import TorsionAngle, angle_roots, root_multiplicity
+from .arith import CycloElem, TorsionAngle, angle_roots, euler_phi, root_multiplicity
 from .complexes import FreeComplex, base_change, cdf_ideal
 from .poly import fibre_has_root, fibres, ideal_valuation
 from .smith import NonTorsionError, _torsion_invariants
@@ -35,29 +35,42 @@ class NonTorsionComplexError(ValueError):
         self.degree = degree
 
 
-def _primitive_vectors(r: int, bound: int) -> list[tuple[int, ...]]:
-    return [u for u in itertools.product(range(bound + 1), repeat=r) if math.gcd(*u) == 1]
+def _fibre_roots(fibre: dict[int, CycloElem]) -> Iterator[TorsionAngle]:
+    """Every root of unity that is a root of a one-variable fibre.
+
+    With s the exponent span and Q(zeta_N) a field of the coefficients (Q when
+    all are rational), there are at most s roots with multiplicity.  The
+    conjugates over Q(zeta_N) of a primitive k/m are the k'/m with k' = k mod
+    gcd(m, N), all of one multiplicity, phi(m)/phi(gcd(m, N)) of them; so
+    phi(m) <= s*phi(N), and phi(m) >= sqrt(m/2) gives m <= 2*(s*phi(N))^2.
+    One test decides a class, and the scan stops once s roots are counted.
+    """
+    left = max(fibre) - min(fibre)
+    n = math.lcm(*(1 if c.is_rational() else c.order for c in fibre.values()))
+    for m in range(1, 2 * (left * euler_phi(n)) ** 2 + 1):
+        g = math.gcd(m, n)
+        # a class has phi(m)/phi(g) >= phi(m/g) >= sqrt(m/2g) members
+        if m > 2 * left * left * g or (size := euler_phi(m) // euler_phi(g)) > left:
+            continue
+        for r in range(g):
+            roots = [TorsionAngle(k, m) for k in range(r, m, g) if math.gcd(k, m) == 1]
+            if roots and (mult := root_multiplicity(fibre, roots[0])):
+                yield from roots
+                left -= mult * size
+        if left <= 0:
+            return
 
 
-def _angles_up_to(max_den: int) -> list[TorsionAngle]:
-    return [
-        TorsionAngle(num, den)
-        for den in range(1, max_den + 1)
-        for num in range(den)
-        if math.gcd(num, den) == 1
-    ]
-
-
-def candidate_divisors(complex_: FreeComplex, bound: int = 4) -> list[PrimeTorusDivisor]:
+def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:
     """Binomial prime divisors dividing every top minor of some degree.
 
-    Searches supports with sup-norm at most the bound and torsion angles with
-    denominator at most bound times the largest cleared entry degree; complete
-    for loci planted within those limits, a declared search budget otherwise.
+    Complete, with limits read off the top-minor generators.  If t^u - xi
+    divides g, xi is a root of every fibre of g along u, so the fibre through
+    the first exponent e of g has a second exponent e' with e' - e a nonzero
+    multiple of u: u is the primitive part of +-(e' - e) for an e' of the
+    generator with the fewest terms.  And xi is a root of the fibre of least
+    span, all listed by `_fibre_roots`.  Mixed-sign directions are skipped.
     """
-    if bound < 1:
-        raise ValueError("search bound must be positive")
-    r = complex_.ring.nvars
     tops = []
     for i in complex_.degrees():
         ideal = cdf_ideal(complex_, i, 0)
@@ -65,28 +78,26 @@ def candidate_divisors(complex_: FreeComplex, bound: int = 4) -> list[PrimeTorus
             raise NonTorsionComplexError(i)
         if not ideal.contains_one():
             tops.append(ideal.gens)
-    max_degree = 1
-    for mat in complex_.diffs.values():
-        for row in mat:
-            for entry in row:
-                if not entry.is_zero():
-                    max_degree = max(max_degree, entry.max_total_degree())
-    angles = _angles_up_to(bound * max_degree)
-    found = []
-    for u in _primitive_vectors(r, bound):
-        # t^u - xi divides every generator of an ideal exactly when xi is a
-        # root of all their fibres; a one-term fibre has no root on the torus,
-        # which rules that ideal out along u
-        split = [
-            sorted((f for g in gens for f in fibres(g, u)), key=len)
-            for gens in tops
-            if all(len(fibres(g, u)[0]) > 1 for g in gens)
-        ]
-        if not split:
-            continue
-        for xi in angles:
-            if any(all(fibre_has_root(f, xi) for f in fs) for fs in split):
-                found.append(PrimeTorusDivisor(u, xi))
+    directions = set()
+    for gens in tops:
+        first, *rest = min(gens, key=lambda g: len(g.terms)).terms
+        for e in rest:
+            step = [a - b for a, b in zip(e, first)]
+            d = math.gcd(*step) * (1 if min(step) >= 0 else -1)
+            u = tuple(x // d for x in step)
+            if min(u) >= 0:
+                directions.add(u)
+    found = set()
+    for u in directions:
+        for gens in tops:
+            # a one-term fibre has no root on the torus, which rules the ideal out along u
+            fs = sorted((f for g in gens for f in fibres(g, u)), key=len)
+            if len(fs[0]) < 2:
+                continue
+            least = min(fs, key=lambda f: max(f) - min(f))
+            for xi in _fibre_roots(least):
+                if all(fibre_has_root(f, xi) for f in fs):
+                    found.add(PrimeTorusDivisor(u, xi))
     return sorted(found, key=lambda d: d.sort_key())
 
 
@@ -208,7 +219,6 @@ def specialization_multiplicity(
     complex_: FreeComplex,
     divisor: PrimeTorusDivisor,
     i: int,
-    bound: int = 4,
     candidates: Sequence[PrimeTorusDivisor] | None = None,
     point: tuple[TorsionAngle, Sequence[int]] | None = None,
 ) -> SpecializationRecord:
@@ -218,10 +228,9 @@ def specialization_multiplicity(
     size is the eigenvalue multiplicity in the annihilator of the cohomology
     of the substituted one-variable complex.  The two agree at generic points;
     a non-generic choice is reported (generic=False) rather than rejected.
-    `bound` only limits the candidate search run when no candidates are given.
     """
     if candidates is None:
-        candidates = candidate_divisors(complex_, bound)
+        candidates = candidate_divisors(complex_)
     # the order along one divisor does not depend on the others; this report
     # also refuses a non-torsion complex, which is what makes the loop below stop
     report = support_report(complex_, [divisor])

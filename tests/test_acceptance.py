@@ -332,7 +332,7 @@ def test_criterion_07_specialization_multiplicity_50():
         E = conjugate_complex(rng, E)
         for (degree, divisor), power in planted.items():
             record = specialization_multiplicity(
-                E, divisor, degree, bound=6, candidates=chosen
+                E, divisor, degree, candidates=chosen
             )
             assert record.generic
             assert record.ord == planted[(degree, divisor)]
@@ -342,7 +342,7 @@ def test_criterion_07_specialization_multiplicity_50():
     shared = parse_poly("t1+1", ring2) * parse_poly("t2+1", ring2)
     E = FreeComplex.make(ring2, (0, 1), {0: 1, 1: 1}, {0: [[shared]]})
     c1 = PrimeTorusDivisor((1, 0), angle(1, 2))
-    record = specialization_multiplicity(E, c1, 1, 4, point=(angle(1, 2), (1, 1)))
+    record = specialization_multiplicity(E, c1, 1, point=(angle(1, 2), (1, 1)))
     assert not record.generic
     assert record.ord == 1 and record.jordan == 2
     report(7, "divisor order equals Jordan size at generic points, 50 complexes")

@@ -324,6 +324,14 @@ class TestComplexCommands:
             "generic": True,
         } in data["ord_jordan_table"]
 
+    def test_support_bound_is_ignored(self, capsys, complex_file):
+        outputs = []
+        for extra in ([], ["--bound", "0"], ["--bound", "1"], ["--bound", "4"]):
+            code, out, err = run_cli(capsys, ["support", "--complex", complex_file, *extra])
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[1:] == outputs[:1] * 3
+
 
 class TestSmithCommands:
     def test_smith(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,12 +8,10 @@ from hypothesis import strategies as st
 
 from detloci.arith import TorsionAngle
 from detloci.complexes import FreeComplex, base_change, cdf_ideal, direct_sum
-from detloci.poly import LaurentPoly, Ring, fibre_has_root, fibres, parse_poly
+from detloci.poly import LaurentPoly, Ring, exact_divide, fibre_has_root, fibres, parse_poly
 from detloci.smith import _torsion_invariants
 from detloci.support import (
     NonTorsionComplexError,
-    _angles_up_to,
-    _primitive_vectors,
     candidate_divisors,
     generic_point_on_divisor,
     point_on_divisor,
@@ -72,31 +71,44 @@ H_DIVISOR = PrimeTorusDivisor((1, 1), angle(1, 3))
 class TestCandidateDivisors:
     def test_single_binomial(self):
         E = diag_complex([P("t1*t2-e(1/3)")])
-        assert candidate_divisors(E, 3) == [H_DIVISOR]
+        assert candidate_divisors(E) == [H_DIVISOR]
 
     def test_diag_powers(self):
         h = P("t1*t2-e(1/3)")
         E = diag_complex([h * h, h])
-        assert candidate_divisors(E, 3) == [H_DIVISOR]
+        assert candidate_divisors(E) == [H_DIVISOR]
 
     def test_unit_differential(self):
         E = diag_complex([LaurentPoly.one(2, 3)])
-        assert candidate_divisors(E, 3) == []
+        assert candidate_divisors(E) == []
 
     def test_non_torsion_named(self):
         E = diag_complex([LaurentPoly.zero(2, 3)])
         with pytest.raises(NonTorsionComplexError) as info:
-            candidate_divisors(E, 3)
+            candidate_divisors(E)
         assert info.value.degree in (0, 1)
 
     def test_multiple_planted(self):
         E = diag_complex([P("t1-1") * P("t2-1"), P("t1*t2-e(1/3)")])
-        got = candidate_divisors(E, 3)
+        got = candidate_divisors(E)
         assert set(got) == {
             PrimeTorusDivisor((1, 0), angle(0, 1)),
             PrimeTorusDivisor((0, 1), angle(0, 1)),
             H_DIVISOR,
         }
+
+
+def _primitive_vectors(r: int, bound: int) -> list[tuple[int, ...]]:
+    return [u for u in itertools.product(range(bound + 1), repeat=r) if math.gcd(*u) == 1]
+
+
+def _angles_up_to(max_den: int) -> list[TorsionAngle]:
+    return [
+        TorsionAngle(num, den)
+        for den in range(1, max_den + 1)
+        for num in range(den)
+        if math.gcd(num, den) == 1
+    ]
 
 
 def oracle_candidates(E: FreeComplex, bound: int) -> list[PrimeTorusDivisor]:
@@ -113,10 +125,11 @@ def oracle_candidates(E: FreeComplex, bound: int) -> list[PrimeTorusDivisor]:
             raise NonTorsionComplexError(i)
         if not ideal.contains_one():
             tops.append(ideal.gens)
+    # the largest term degree of an entry once its monomial unit is cleared
     max_degree = max(
         [1]
         + [
-            e.max_total_degree()
+            max(sum(x) for x in e.clear_units().terms)
             for mat in E.diffs.values()
             for row in mat
             for e in row
@@ -142,11 +155,11 @@ class TestCandidatesAgainstTrialDivision:
         ring = Ring(r, True, 6)
         for _ in range(3):
             E = random_torsion_complex(rng, ring, max_pieces=2, degrees=(0, 1))
-            assert candidate_divisors(E, bound) == oracle_candidates(E, bound)
+            assert candidate_divisors(E) == oracle_candidates(E, bound)
 
     def test_cyclotomic_factor_gives_two_angles(self):
         E = diag_complex([P("t1^2+t1+1") * P("t2-1")])
-        got = candidate_divisors(E, 2)
+        got = candidate_divisors(E)
         assert got == oracle_candidates(E, 2)
         assert [(d.u, str(d.xi)) for d in got] == [
             ((0, 1), "0/1"),
@@ -159,7 +172,7 @@ class TestCandidatesAgainstTrialDivision:
         g = P("t1-1") * P("t1+t2")
         assert min(len(f) for f in fibres(g, (0, 1))) == 1
         E = diag_complex([g])
-        got = candidate_divisors(E, 3)
+        got = candidate_divisors(E)
         assert got == oracle_candidates(E, 3)
         assert got == [PrimeTorusDivisor((1, 0), angle(0, 1))]
 
@@ -169,19 +182,20 @@ class TestCandidatesAgainstTrialDivision:
         smallest = fibres(g, (1, 0))[0]
         assert fibre_has_root(smallest, angle(0, 1))
         E = diag_complex([g])
-        got = candidate_divisors(E, 2)
+        got = candidate_divisors(E)
         assert got == oracle_candidates(E, 2)
         assert PrimeTorusDivisor((1, 0), angle(0, 1)) not in got
 
     def test_angle_at_denominator_edge(self):
-        # t1^2+1 has degree 2, so bound 2 searches denominators up to 4
+        # t1^2+1 has degree 2, so the bound-2 grid reaches denominator 4; the
+        # bound-1 grid stops at 2, the search with no grid does not
         E = diag_complex([P("t1^2+1", Ring(2, True, 1))], Ring(2, True, 1))
         edge = [
             PrimeTorusDivisor((1, 0), angle(1, 4)),
             PrimeTorusDivisor((1, 0), angle(3, 4)),
         ]
-        assert candidate_divisors(E, 2) == oracle_candidates(E, 2) == edge
-        assert candidate_divisors(E, 1) == oracle_candidates(E, 1) == []
+        assert candidate_divisors(E) == oracle_candidates(E, 2) == edge
+        assert oracle_candidates(E, 1) == [] and candidate_divisors(E) == edge
 
 
 def koszul_complex(ring: Ring, gens: list[LaurentPoly]) -> FreeComplex:
@@ -207,7 +221,7 @@ class TestSeveralTopGenerators:
         h = P("t1*t2-e(1/3)")
         E = koszul_complex(R2, [h * P("t1-1"), h * P("t2")])
         assert len(cdf_ideal(E, 1, 0).gens) == 2
-        assert candidate_divisors(E, 3) == oracle_candidates(E, 3) == [H_DIVISOR]
+        assert candidate_divisors(E) == oracle_candidates(E, 3) == [H_DIVISOR]
 
     def test_planted_binomial_against_trial_division(self, rng):
         from conftest import random_binomial_product, random_divisor
@@ -223,7 +237,7 @@ class TestSeveralTopGenerators:
                     extra = LaurentPoly.one(2, 3)
                 gens.append(planted * extra)
             E = koszul_complex(ring, gens)
-            got = candidate_divisors(E, 2)
+            got = candidate_divisors(E)
             assert got == oracle_candidates(E, 2)
             assert divisor in got
 
@@ -232,7 +246,59 @@ class TestSeveralTopGenerators:
         with pytest.raises(NonTorsionComplexError):
             oracle_candidates(E, 2)
         with pytest.raises(NonTorsionComplexError):
-            candidate_divisors(E, 2)
+            candidate_divisors(E)
+
+
+@st.composite
+def planted_products(draw):
+    """A field order up to 60 and a product of one to three binomials in two
+    variables, each with u up to 8 per coordinate and power 1 or 2, times a
+    monomial."""
+    order = draw(st.integers(1, 60))
+    u = st.sampled_from([u for u in itertools.product(range(9), repeat=2) if any(u)])
+    divisor = st.builds(
+        lambda u, k: PrimeTorusDivisor(tuple(x // math.gcd(*u) for x in u), angle(k, order)),
+        u,
+        st.integers(0, order - 1),
+    )
+    factors = draw(st.lists(st.tuples(divisor, st.integers(1, 2)), min_size=1, max_size=3))
+    shift = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    return order, factors, shift
+
+
+class TestCompleteSearch:
+    def test_direction_beyond_a_small_box(self):
+        ring = Ring(2, True, 1)
+        E = diag_complex([P("t1^5*t2-1", ring)], ring)
+        assert candidate_divisors(E) == [PrimeTorusDivisor((5, 1), angle(0, 1))]
+
+    def test_every_root_of_a_high_order_binomial(self):
+        ring = Ring(2, True, 7)
+        E = diag_complex([P("t1^12*t2^5-e(1/7)", ring), P("t1^30-1", ring)], ring)
+        assert candidate_divisors(E) == [
+            PrimeTorusDivisor((1, 0), angle(k, 30)) for k in range(30)
+        ] + [PrimeTorusDivisor((12, 5), angle(1, 7))]
+
+    def test_sixty_roots_of_unity(self):
+        ring = Ring(1, True, 1)
+        E = diag_complex([P("t1^60-1", ring)], ring)
+        assert candidate_divisors(E) == [PrimeTorusDivisor((1,), angle(k, 60)) for k in range(60)]
+
+    @given(planted_products())
+    @settings(max_examples=100, deadline=None)
+    def test_planted_products(self, case):
+        order, factors, shift = case
+        ring = Ring(2, True, order)
+        g = LaurentPoly.one(2, order)
+        for divisor, power in factors:
+            g = g * LaurentPoly.binomial_divisor(2, divisor, order) ** power
+        E = diag_complex([g.shift(shift)], ring)
+        got = candidate_divisors(E)
+        assert got == sorted({d for d, _ in factors}, key=lambda d: d.sort_key())
+        tops = [cdf_ideal(E, i, 0).gens for i in E.degrees()]
+        for d in got:
+            binom = LaurentPoly.binomial_divisor(2, d, order)
+            assert any(all(exact_divide(f, binom) is not None for f in gens) for gens in tops)
 
 
 class TestSupportReport:
@@ -360,17 +426,17 @@ class TestSpecializationMultiplicity:
     def test_diag_powers(self):
         h = P("t1*t2-e(1/3)")
         E = diag_complex([h * h, h])
-        record = specialization_multiplicity(E, H_DIVISOR, 1, 4)
+        record = specialization_multiplicity(E, H_DIVISOR, 1)
         assert record.ord == 2 and record.jordan == 2 and record.generic
 
     def test_single(self):
         E = diag_complex([P("t1*t2-e(1/3)")])
-        record = specialization_multiplicity(E, H_DIVISOR, 1, 4)
+        record = specialization_multiplicity(E, H_DIVISOR, 1)
         assert record.ord == 1 and record.jordan == 1
 
     def test_absent_divisor(self):
         E = diag_complex([P("t1-1")])
-        record = specialization_multiplicity(E, H_DIVISOR, 1, 4)
+        record = specialization_multiplicity(E, H_DIVISOR, 1)
         assert record.ord == 0 and record.jordan == 0
 
     def test_forced_collision_reports_nongeneric(self):
@@ -379,7 +445,7 @@ class TestSpecializationMultiplicity:
         E = diag_complex([parse_poly("t1+1", ring) * parse_poly("t2+1", ring)], ring)
         c1 = PrimeTorusDivisor((1, 0), angle(1, 2))
         record = specialization_multiplicity(
-            E, c1, 1, 4, point=(angle(1, 2), (1, 1))
+            E, c1, 1, point=(angle(1, 2), (1, 1))
         )
         assert not record.generic
         assert record.ord == 1 and record.jordan == 2
@@ -389,7 +455,7 @@ class TestSpecializationMultiplicity:
     def test_returned_point_gives_a_torsion_base_change(self, seed):
         rng = random.Random(seed)
         F = random_torsion_complex(rng, Ring(2, True, 6), max_pieces=2)
-        candidates = candidate_divisors(F, 2)
+        candidates = candidate_divisors(F)
         for divisor in candidates:
             record = specialization_multiplicity(F, divisor, 1, candidates=candidates)
             _torsion_invariants(base_change(F, record.b))
@@ -403,13 +469,9 @@ class TestSpecializationMultiplicity:
             h2 = random_binomial(rng, ring)
             E = diag_complex([h1 * h2], ring)
             b = (rng.randint(1, 3), rng.randint(1, 3))
-            cands = candidate_divisors(E, 3)
+            cands = candidate_divisors(E)
             expected = set()
             for c in cands:
                 expected.update(tau_preimage([list(b)], c))
-            substituted = base_change(E, b)
-            degree = substituted.differential(0)[0][0].max_total_degree()
-            max_den = max((d.xi.den for d in expected), default=1)
-            bound = max(1, -(-max_den // max(degree, 1)))
-            specialized = candidate_divisors(substituted, bound)
+            specialized = candidate_divisors(base_change(E, b))
             assert set(specialized) == expected
