@@ -353,10 +353,7 @@ class CycloElem:
         a, b = self._pair(other)
         return a.den == b.den and a.nums == b.nums
 
-    __hash__ = None  # values compare across field extensions; use sort keys instead
-
-    def sort_key(self) -> tuple:
-        return (self.order, self.coeffs)
+    __hash__ = None  # values compare equal across field extensions
 
     def __repr__(self) -> str:
         return f"CycloElem(order={self.order}, coeffs={self.coeffs})"

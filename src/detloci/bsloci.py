@@ -192,11 +192,6 @@ def _restrict(h: AffineHyperplane, base: list[int], dirs: list[list[int]], den: 
     )
 
 
-def piece_in_hyperplane(piece: Piece, h: AffineHyperplane) -> bool:
-    """Whether the common zero set of the piece satisfies the hyperplane equation."""
-    return not any(_restrict(h, *_parametrize(piece)))
-
-
 def _grid_order(bound: int | None) -> Iterator[int]:
     """0, 1, -1, 2, -2, ... up to +-bound, or without end for bound None."""
     yield 0

@@ -67,19 +67,19 @@ def _ideal_payload(ideal) -> dict:
 
 
 def _cmd_cdf(args) -> tuple[int, dict]:
-    complex_ = complex_from_json(load_json_file(args.complex), args.cyclotomic_order)
+    complex_ = complex_from_json(load_json_file(args.complex))
     ideal = cdf_ideal(complex_, args.degree, args.k)
     return 0, _ideal_payload(ideal)
 
 
 def _cmd_jump(args) -> tuple[int, dict]:
-    complex_ = complex_from_json(load_json_file(args.complex), args.cyclotomic_order)
+    complex_ = complex_from_json(load_json_file(args.complex))
     ideal = jump_ideal(complex_, args.degree, args.k)
     return 0, _ideal_payload(ideal)
 
 
 def _cmd_smith(args) -> tuple[int, dict]:
-    mat, ring = matrix_from_json(load_json_file(args.matrix), args.cyclotomic_order)
+    mat, ring = matrix_from_json(load_json_file(args.matrix))
     if ring.nvars != 1:
         raise InputError("smith requires a one-variable matrix")
     form = smith_normal_form(mat)
@@ -91,7 +91,7 @@ def _cmd_smith(args) -> tuple[int, dict]:
 
 
 def _cmd_detfactors(args) -> tuple[int, dict]:
-    mat, ring = matrix_from_json(load_json_file(args.matrix), args.cyclotomic_order)
+    mat, ring = matrix_from_json(load_json_file(args.matrix))
     constants = []
     for row in mat:
         out_row = []
@@ -200,7 +200,7 @@ def _cmd_slice(args) -> tuple[int, dict]:
 
 
 def _cmd_support(args) -> tuple[int, dict]:
-    complex_ = complex_from_json(load_json_file(args.complex), args.cyclotomic_order)
+    complex_ = complex_from_json(load_json_file(args.complex))
     candidates = candidate_divisors(complex_)
     report = support_report(complex_, candidates)
     degrees = sorted(report.minimal)
@@ -273,36 +273,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_order(p):
-        p.add_argument(
-            "--cyclotomic-order",
-            type=int,
-            default=None,
-            help="force the coefficient field to contain this cyclotomic order",
-        )
-
     p = sub.add_parser("cdf", help="determinantal-factor ideal of a complex")
     p.add_argument("--complex", required=True)
     p.add_argument("--degree", "--i", dest="degree", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    add_order(p)
     p.set_defaults(handler=_cmd_cdf)
 
     p = sub.add_parser("jump", help="cohomology jump ideal of a complex")
     p.add_argument("--complex", required=True)
     p.add_argument("--degree", "--i", dest="degree", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    add_order(p)
     p.set_defaults(handler=_cmd_jump)
 
     p = sub.add_parser("smith", help="Smith normal form of a one-variable matrix")
     p.add_argument("--matrix", required=True)
-    add_order(p)
     p.set_defaults(handler=_cmd_smith)
 
     p = sub.add_parser("detfactors", help="determinantal factors of a constant matrix")
     p.add_argument("--matrix", required=True)
-    add_order(p)
     p.set_defaults(handler=_cmd_detfactors)
 
     p = sub.add_parser("exp", help="Exp image of a hyperplane locus")
@@ -348,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("support", help="divisor support report of a complex")
     p.add_argument("--complex", required=True)
     p.add_argument("--bound", type=int, help=argparse.SUPPRESS)  # ignored: no search limit
-    add_order(p)
     p.set_defaults(handler=_cmd_support)
 
     p = sub.add_parser("fixtures", help="run or list the registered fixtures")

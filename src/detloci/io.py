@@ -56,7 +56,7 @@ def _degree_key(key: str, what: str) -> int:
     raise InputError(f"bad {what} degree {key!r}")
 
 
-def ring_from_json(obj: Any, override_order: int | None = None) -> Ring:
+def ring_from_json(obj: Any) -> Ring:
     if not isinstance(obj, Mapping):
         raise InputError("ring descriptor must be an object")
     nvars = _json_int(obj.get("nvars"), "nvars")
@@ -65,14 +65,9 @@ def ring_from_json(obj: Any, override_order: int | None = None) -> Ring:
         raise InputError(f"laurent must be true or false, got {laurent!r}")
     order = _json_int(obj.get("cyclotomic_order", 1), "cyclotomic_order")
     try:
-        ring = Ring(nvars, laurent, order)
+        return Ring(nvars, laurent, order)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if override_order is None:
-        return ring
-    if override_order < 1:
-        raise InputError(f"forced cyclotomic order must be positive, got {override_order}")
-    return ring.with_order(override_order)
 
 
 def _parse_entry(text: Any, ring: Ring) -> LaurentPoly:
@@ -84,10 +79,10 @@ def _parse_entry(text: Any, ring: Ring) -> LaurentPoly:
         raise InputError(f"cannot parse polynomial {text!r}: {exc}") from None
 
 
-def complex_from_json(obj: Any, override_order: int | None = None) -> FreeComplex:
+def complex_from_json(obj: Any) -> FreeComplex:
     if not isinstance(obj, Mapping):
         raise InputError("complex file must contain an object")
-    ring = ring_from_json(obj.get("ring"), override_order)
+    ring = ring_from_json(obj.get("ring"))
     degrees = obj.get("degrees")
     if not isinstance(degrees, list) or len(degrees) != 2:
         raise InputError("degrees must be a pair [imin, imax]")
@@ -111,12 +106,10 @@ def complex_from_json(obj: Any, override_order: int | None = None) -> FreeComple
         raise InputError(str(exc)) from None
 
 
-def matrix_from_json(
-    obj: Any, override_order: int | None = None
-) -> tuple[Matrix, Ring]:
+def matrix_from_json(obj: Any) -> tuple[Matrix, Ring]:
     if not isinstance(obj, Mapping):
         raise InputError("matrix file must contain an object")
-    ring = ring_from_json(obj.get("ring"), override_order)
+    ring = ring_from_json(obj.get("ring"))
     rows = obj.get("rows")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputError("rows must be a matrix of strings")
@@ -130,36 +123,7 @@ def matrix_from_json(
     return matrix_make([[p.lift(order) for p in row] for row in parsed]), ring
 
 
-def hyperplane_from_string(text: str, r: int) -> AffineHyperplane:
-    """Read a degree-one polynomial like "3*s1+3*s2+4" as a hyperplane."""
-    try:
-        poly = parse_poly(text, Ring(r, False, 1))
-    except ParseError as exc:
-        raise InputError(f"cannot parse hyperplane {text!r}: {exc}") from None
-    c = [0] * r
-    c0 = 0
-    for exps, coeff in poly.terms.items():
-        if not coeff.is_rational() or coeff.rational_value().denominator != 1:
-            raise InputError(f"hyperplane {text!r} needs integer coefficients")
-        value = int(coeff.rational_value())
-        degree = sum(exps)
-        if degree == 0:
-            c0 = value
-        elif degree == 1:
-            c[exps.index(1)] = value
-        else:
-            raise InputError(f"hyperplane {text!r} is not linear")
-    try:
-        return AffineHyperplane(tuple(c), c0)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
-def hyperplane_from_json(obj: Any, r: int | None = None) -> tuple[AffineHyperplane, int]:
-    if isinstance(obj, str):
-        if r is None:
-            raise InputError("string hyperplanes need the ambient dimension")
-        return hyperplane_from_string(obj, r), 1
+def hyperplane_from_json(obj: Any) -> tuple[AffineHyperplane, int]:
     if not isinstance(obj, Mapping):
         raise InputError("hyperplane must be an object with c and c0")
     c = tuple(_json_int(x, "c") for x in _json_list(obj.get("c"), "hyperplane normal c"))
@@ -176,13 +140,13 @@ def locus_from_json(obj: Any) -> HyperplaneLocus:
         raise InputError("locus file must contain an object")
     r = _json_int(obj.get("r"), "r")
     listed = _json_list(obj.get("hyperplanes", []), "hyperplanes")
-    hyperplanes = [hyperplane_from_json(h, r) for h in listed]
+    hyperplanes = [hyperplane_from_json(h) for h in listed]
     pieces = []
     for p_obj in _json_list(obj.get("pieces", []), "pieces"):
         if not isinstance(p_obj, Mapping) or "hyperplanes" not in p_obj:
             raise InputError("each piece needs a hyperplanes list")
         members = _json_list(p_obj["hyperplanes"], "piece hyperplanes")
-        pieces.append([hyperplane_from_json(h, r)[0] for h in members])
+        pieces.append([hyperplane_from_json(h)[0] for h in members])
     try:
         return HyperplaneLocus.make(r, hyperplanes, pieces)
     except ValueError as exc:

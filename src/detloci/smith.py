@@ -333,7 +333,7 @@ def max_jordan_size(phi: Sequence[Sequence[CycloElem]], xi: TorsionAngle) -> int
 
 
 class NonTorsionError(ValueError):
-    """A one-variable complex has non-torsion cohomology in some degree."""
+    """A complex has non-torsion cohomology in some degree."""
 
     def __init__(self, degree: int):
         super().__init__(f"cohomology in degree {degree} is not torsion")
@@ -391,31 +391,16 @@ def principal_generator(ideal: IdealGens) -> LaurentPoly:
     """Monic generator of a one-variable ideal given by its generator list.
 
     Over the univariate (Laurent) principal ideal domain this is the gcd of
-    the generators, with monomial units stripped when the ring is Laurent.
+    the generators, the first entry of the checked Smith diagonal of their
+    one-row matrix, which is monic.  In the Laurent case `IdealGens.make`
+    has cleared the monomial content of every generator, so t does not
+    divide the gcd either.
     """
     if ideal.ring.nvars != 1:
         raise ValueError("principal generators only exist in one variable")
-    order = ideal.ring.cyclotomic_order
     if ideal.is_zero():
-        return LaurentPoly.zero(1, order)
-    current = u_dense(ideal.gens[0].clear_units(), order)
-    for g in ideal.gens[1:]:
-        if len(current.rows) == 1:  # a nonzero constant: the gcd is 1
-            break
-        current = current.gcd(u_dense(g.clear_units(), order))
-    return u_laurent(current).normalized(True)
-
-
-def annihilator_generator(presentation: Matrix) -> LaurentPoly:
-    """Monic generator of the annihilator of coker(presentation): Fitt_0/Fitt_1,
-    the n-th invariant factor for n generators (rows), or 1 when n = 0."""
-    nrows = len(presentation)
-    if not nrows:
-        return LaurentPoly.one(1)
-    diagonal = _checked_diagonal(presentation)[0]
-    if len(diagonal) < nrows or not diagonal[nrows - 1].rows:
-        raise ValueError("annihilator of a non-torsion module is zero")
-    return u_laurent(diagonal[nrows - 1])
+        return LaurentPoly.zero(1, ideal.ring.cyclotomic_order)
+    return u_laurent(_checked_diagonal([ideal.gens])[0][0])
 
 
 # ---------------------------------------------------------------------------

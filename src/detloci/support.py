@@ -25,16 +25,6 @@ from .upoly import UPoly
 logger = logging.getLogger(__name__)
 
 
-class NonTorsionComplexError(ValueError):
-    """Some degree of the complex has vanishing top minors ideal."""
-
-    def __init__(self, degree: int):
-        super().__init__(
-            f"complex is not torsion: the top minors ideal vanishes in degree {degree}"
-        )
-        self.degree = degree
-
-
 def _fibre_roots(fibre: dict[int, CycloElem]) -> Iterator[TorsionAngle]:
     """Every root of unity that is a root of a one-variable fibre.
 
@@ -75,7 +65,7 @@ def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:
     for i in complex_.degrees():
         ideal = cdf_ideal(complex_, i, 0)
         if ideal.is_zero():
-            raise NonTorsionComplexError(i)
+            raise NonTorsionError(i)
         if not ideal.contains_one():
             tops.append(ideal.gens)
     directions = set()
@@ -128,7 +118,7 @@ def support_report(
     for i in complex_.degrees():
         ideal0 = cdf_ideal(complex_, i, 0)
         if ideal0.is_zero():
-            raise NonTorsionComplexError(i)
+            raise NonTorsionError(i)
         ideal1 = cdf_ideal(complex_, i, 1)
         row0: dict[PrimeTorusDivisor, int] = {}
         row1: dict[PrimeTorusDivisor, int] = {}
@@ -136,7 +126,7 @@ def support_report(
             v0 = ideal_valuation(ideal0, c)
             v1 = ideal_valuation(ideal1, c)
             if v0 is math.inf or v1 is math.inf:
-                raise NonTorsionComplexError(i)
+                raise NonTorsionError(i)
             row0[c] = v0
             row1[c] = v1
         delta0[i] = TorusDivisor(row0)

@@ -33,10 +33,6 @@ class AffineHyperplane:
     def nvars(self) -> int:
         return len(self.c)
 
-    @property
-    def paper_normal(self) -> bool:
-        return self.c0 > 0
-
     def shifted(self, v: Sequence[int]) -> "AffineHyperplane":
         """Image under alpha -> alpha - v: the normal stays, c0 gains c . v."""
         if len(v) != len(self.c):
@@ -188,9 +184,6 @@ class TorusDivisor:
 
     def is_effective(self) -> bool:
         return all(m >= 0 for m in self.coeffs.values())
-
-    def reduced_support(self) -> set[PrimeTorusDivisor]:
-        return set(self.coeffs)
 
     def items(self) -> list[tuple[PrimeTorusDivisor, int]]:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())

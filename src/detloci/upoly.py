@@ -205,10 +205,3 @@ class UPoly:
                 rem[shift + k] = [x - y for x, y in zip(rem[shift + k], row)]
         q = _make(order, quot[::-1], den)
         return (q if inv is None else q.scale(inv)), _make(order, rem, den)
-
-    def gcd(self, other: "UPoly") -> "UPoly":
-        """The monic gcd; zero when both are zero."""
-        a, b = self, other
-        while b.rows:
-            a, b = b, a.divmod(b)[1]
-        return a.monic_pair()[0] if a.rows else a

@@ -378,11 +378,3 @@ class TestFieldLaws:
         for x in results:
             assert_canonical(x)
         assert (a - a).nums == (0,) * euler_phi(a.order)
-
-    @given(same_field(2))
-    def test_sort_key(self, xs):
-        a, b = xs
-        for x in (a, b, a * b):
-            assert x.sort_key() == (x.order, tuple(Fraction(n, x.den) for n in x.nums))
-            assert x.coeffs == tuple(Fraction(n, x.den) for n in x.nums)
-        assert (a.sort_key() == b.sort_key()) == (a == b)

@@ -15,7 +15,6 @@ from detloci.bsloci import (
     exp_oblique_equal,
     oblique_part,
     ord_sum_check,
-    piece_in_hyperplane,
     polar_candidate_filter,
     propagate_polar,
     slope_set,
@@ -127,9 +126,9 @@ class TestContainment:
         ok, _ = containment_check(loci["bfi"], loci["bf"])
         assert ok
         # the piece at (-1,-1) sits inside the member with canonical form s1+1
-        piece = loci["bfi"].pieces[0]
-        assert piece_in_hyperplane(piece, H((6, 0), 6))
-        assert not piece_in_hyperplane(piece, H((3, 3), 7))
+        piece = HyperplaneLocus.make(2, [], loci["bfi"].pieces[:1])
+        assert containment_check(piece, HyperplaneLocus.make(2, [H((6, 0), 6)]))[0]
+        assert not containment_check(piece, HyperplaneLocus.make(2, [H((3, 3), 7)]))[0]
 
     def test_scaled_members_match(self):
         inner = HyperplaneLocus.make(2, [H((1, 0), 1)])

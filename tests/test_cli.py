@@ -599,6 +599,51 @@ class TestNoUnusedImports:
         assert _unused_imports(module) == ["m.py:2 os"]
 
 
+def _unreferenced_private_functions(paths: list[Path]) -> list[str]:
+    """The `_`-prefixed module-level functions whose name is read nowhere outside their own def."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    refs = set()  # (name read, (path, enclosing top-level def or None))
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            owner = (path, stmt.name if isinstance(stmt, ast.FunctionDef) else None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    refs.add((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    refs.add((node.attr, owner))
+                elif isinstance(node, ast.alias):
+                    refs.add((node.name, owner))
+    return [
+        f"{path.name}:{stmt.lineno} {stmt.name}"
+        for path, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef)
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+        and not any(name == stmt.name and owner != (path, stmt.name) for name, owner in refs)
+    ]
+
+
+class TestNoUnusedPrivateFunctions:
+    def test_every_private_function_is_referenced(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "detloci"
+        assert _unreferenced_private_functions(sorted(src.glob("*.py"))) == []
+
+    def test_detects_an_unreferenced_function(self, tmp_path):
+        module = tmp_path / "m.py"
+        module.write_text(
+            "def _used(x):\n"
+            "    return x\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "def _unused():\n"
+            "    return _used(1)\n"
+            "def public():\n"
+            "    return _used(2)\n"
+        )
+        assert _unreferenced_private_functions([module]) == ["m.py:3 _recursive", "m.py:5 _unused"]
+
+
 class TestFixturesCommand:
     def test_run_all(self, capsys):
         code, out, _ = run_cli(capsys, ["fixtures", "run", "all"])
@@ -640,23 +685,13 @@ class TestErrors:
         assert code == 2
         assert "JSON" in err
 
-    def test_auto_raised_cyclotomic_order(self, capsys, complex_file):
-        code, out, _ = run_cli(
-            capsys,
-            [
-                "cdf",
-                "--complex",
-                complex_file,
-                "--degree",
-                "1",
-                "--k",
-                "0",
-                "--cyclotomic-order",
-                "4",
-            ],
-        )
+    def test_auto_raised_cyclotomic_order(self, capsys, tmp_path, complex_file):
+        payload = json.loads(Path(complex_file).read_text())
+        payload["ring"]["cyclotomic_order"] = 4
+        complex_ = write_json(tmp_path / "order4.json", payload)
+        code, out, _ = run_cli(capsys, ["cdf", "--complex", complex_, "--degree", "1", "--k", "0"])
         data = json.loads(out)
-        # lcm of the forced order 4 and the e(1/3) denominator
+        # lcm of the file's order 4 and the e(1/3) denominator
         assert data["ring"]["cyclotomic_order"] == 12
 
     def test_internal_error_exit_code(self, capsys, tmp_path, monkeypatch):
@@ -676,15 +711,17 @@ class TestErrors:
         assert err == "internal error: Smith verification failed: U*M*V != D\n"
 
 
-    @pytest.mark.parametrize("order", ["0", "-3"])
-    def test_nonpositive_forced_order_exit_2(self, capsys, tmp_path, order):
+    @pytest.mark.parametrize("order", ["0", "-3", "4"])
+    def test_cyclotomic_order_flag_exit_2(self, capsys, tmp_path, order):
+        # the field is set by the input file's ring.cyclotomic_order alone
         matrix = write_json(
             tmp_path / "m.json",
             {"ring": {"nvars": 1, "laurent": False}, "rows": [["s1", "1"], ["0", "s1"]]},
         )
-        code, out, err = run_cli(capsys, ["smith", "--matrix", matrix, f"--cyclotomic-order={order}"])
-        assert code == 2 and not out
-        assert err.startswith("input error:") and "positive" in err
+        with pytest.raises(SystemExit) as info:
+            main(["smith", "--matrix", matrix, f"--cyclotomic-order={order}"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_string_rows_exit_2(self, capsys, tmp_path):
         matrix = write_json(
@@ -802,18 +839,19 @@ class TestReadmeTour:
 
 
 class TestHyperplaneStrings:
-    def test_locus_accepts_linear_polynomial_strings(self, capsys, tmp_path):
+    """A hyperplane is a {"c", "c0", "mult"} object; a polynomial string is refused."""
+
+    def assert_refused(self, capsys, tmp_path, hyperplane):
         locus = write_json(
             tmp_path / "strings.json",
-            {"r": 2, "hyperplanes": ["3*s1+3*s2+4", {"c": [0, 1], "c0": 1}]},
+            {"r": 2, "hyperplanes": [hyperplane, {"c": [0, 1], "c0": 1}]},
         )
-        code, out, _ = run_cli(capsys, ["slopes", "--locus", locus])
-        assert code == 0
-        assert json.loads(out)["slopes"] == [[0, 1], [1, 1]]
+        code, out, err = run_cli(capsys, ["slopes", "--locus", locus])
+        assert code == 2 and not out
+        assert err.startswith("input error:") and "must be an object" in err
+
+    def test_linear_polynomial_string_rejected(self, capsys, tmp_path):
+        self.assert_refused(capsys, tmp_path, "3*s1+3*s2+4")
 
     def test_nonlinear_string_rejected(self, capsys, tmp_path):
-        locus = write_json(
-            tmp_path / "bad.json", {"r": 2, "hyperplanes": ["s1^2+1"]}
-        )
-        code, _, err = run_cli(capsys, ["slopes", "--locus", locus])
-        assert code == 2 and "linear" in err
+        self.assert_refused(capsys, tmp_path, "s1^2+1")

@@ -455,15 +455,6 @@ class TestUDivmod:
         quotient, remainder = u_dense(h * g + r, g.order).divmod(u_dense(g, g.order))
         assert (u_laurent(quotient), u_laurent(remainder)) == (h, r)
 
-    @given(division_cases())
-    @settings(max_examples=50)
-    def test_gcd_divides_both(self, case):
-        f, g = case
-        h = u_dense(f, f.order).gcd(u_dense(g, f.order))
-        assert u_laurent(h).leading()[1].is_one()
-        for p in (f, g):
-            assert u_dense(p, f.order).divmod(h)[1].is_zero()
-
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             u_dense(LaurentPoly.one(1, 6), 6).divmod(u_dense(LaurentPoly.zero(1, 6), 6))

@@ -3,31 +3,33 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detloci.arith import CycloElem, TorsionAngle, euler_phi
 from detloci.complexes import FreeComplex, matrix_make
 from detloci.poly import (
+    IdealGens,
     LaurentPoly,
     Ring,
     exact_divide,
     parse_poly,
     u_dense,
-    u_laurent,
 )
 from detloci.smith import (
     NonTorsionError,
-    annihilator_generator,
     characteristic_matrix,
     cohomology_presentation,
     determinantal_factors,
     fitting_generator,
     max_jordan_size,
+    principal_generator,
     smith_diagonal,
     smith_normal_form,
 )
 from detloci.upoly import UPoly
 
-from conftest import division_multiplicity, oracle_det, random_torsion_complex
+from conftest import division_multiplicity, oracle_det, random_torsion_complex, upoly_divmod_in
 
 R1 = Ring(1, False, 1)
 R1L = Ring(1, True, 1)
@@ -232,24 +234,105 @@ class TestFitting:
 
 
 class TestAnnihilatorGenerator:
+    """The annihilator Fitt_0/Fitt_1 of coker(M) for n generators (rows) is the
+    n-th entry of the Smith diagonal of M, and 1 when n = 0."""
+
     def test_last_invariant(self):
         t = P("t1")
         zero = LaurentPoly.zero(1)
         pres = matrix_make([[t * t, zero, t], [zero, t, P("t1-1")]])
-        diagonal = smith_diagonal(pres).diagonal
-        assert annihilator_generator(pres) == diagonal[1]
+        ann = smith_diagonal(pres).diagonal[1]
+        b0, b1 = fitting_generator(pres, 0), fitting_generator(pres, 1)
+        assert ann == exact_divide(b0, b1, laurent=False)
+        assert ann == P("t1^2")
 
     def test_no_generators_gives_one(self):
-        assert annihilator_generator(matrix_make([])).is_one()
+        assert smith_diagonal(matrix_make([])).diagonal == ()
+        assert fitting_generator(matrix_make([]), 0).is_one()
 
-    def test_more_rows_than_columns_rejected(self):
-        with pytest.raises(ValueError, match="non-torsion"):
-            annihilator_generator(matrix_make([[P("t1")], [P("t1-1")]]))
 
-    def test_zero_invariant_rejected(self):
-        zero = LaurentPoly.zero(1)
-        with pytest.raises(ValueError, match="non-torsion"):
-            annihilator_generator(matrix_make([[P("t1"), zero], [zero, zero]]))
+PRINCIPAL_ORDERS = [1, 3, 4, 6, 12]
+
+
+def field_elems(order: int):
+    d = euler_phi(order)
+    return st.builds(
+        lambda nums, den: CycloElem(order, [Fraction(n, den) for n in nums]),
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+        st.integers(1, 4),
+    )
+
+
+@st.composite
+def one_variable_polys(draw, order: int, nonzero: bool = False):
+    """A polynomial of degree at most 3 over Q(zeta_order), without negative exponents."""
+    coeffs = draw(st.lists(field_elems(order), min_size=1 if nonzero else 0, max_size=4))
+    f = LaurentPoly.make(1, order, {(k,): c for k, c in enumerate(coeffs)})
+    if nonzero and f.is_zero():
+        f = LaurentPoly.one(1, order)
+    return f
+
+
+class TestPrincipalGenerator:
+    """The gcd of a one-variable ideal, read off the Smith diagonal of its generator row."""
+
+    @given(st.sampled_from(PRINCIPAL_ORDERS).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            one_variable_polys(n, nonzero=True),
+            st.lists(
+                field_elems(n).filter(lambda c: not c.is_zero()),
+                min_size=3,
+                max_size=3,
+                unique_by=lambda c: (c.nums, c.den),
+            ),
+        )
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_planted_gcd(self, case):
+        # the cofactors y*z, x*z and x*y of distinct non-monomial linear factors
+        # have no common root, while any two of them share one
+        order, p, roots = case
+        t = LaurentPoly.variable(1, 0, 1, order)
+        x, y, z = (t - LaurentPoly.constant(1, c) for c in roots)
+        gens = [p * y * z, p * x * z, p * x * y]
+        for laurent in (False, True):
+            got = principal_generator(IdealGens.make(Ring(1, laurent, order), gens))
+            assert got == p.normalized(laurent)
+            assert got.leading()[1].is_one()
+
+    @given(st.sampled_from(PRINCIPAL_ORDERS).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(one_variable_polys(n), min_size=1, max_size=3))
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_divides_every_generator(self, case):
+        order, gens = case
+        ideal = IdealGens.make(Ring(1, False, order), gens)
+        got = principal_generator(ideal)
+        if ideal.is_zero():
+            assert got.is_zero()
+            return
+        for g in ideal.gens:
+            assert exact_divide(g, got, laurent=False) is not None
+
+    def test_zero_ideal_gives_zero(self):
+        for order in PRINCIPAL_ORDERS:
+            zero = LaurentPoly.zero(1, order)
+            assert principal_generator(IdealGens.make(Ring(1, True, order), [zero, zero])).is_zero()
+
+    def test_unit_among_generators_gives_one(self):
+        gens = [P("t1^2-1"), P("3"), P("t1+1")]
+        assert principal_generator(IdealGens.make(R1, gens)).is_one()
+        # a monomial is a unit of the Laurent ring
+        gens = [P("t1^2-1", R1L), P("2*t1^3", R1L)]
+        assert principal_generator(IdealGens.make(Ring(1, True, 6), gens)).is_one()
+
+    def test_polynomial_ring_keeps_powers_of_t(self):
+        # t is a unit only in the Laurent ring
+        gens = [P("t1^2"), P("t1^3-t1^2")]
+        assert principal_generator(IdealGens.make(R1, gens)) == P("t1^2")
+        gens = [P("t1^2", R1L), P("t1^3-t1^2", R1L)]
+        assert principal_generator(IdealGens.make(R1L, gens)).is_one()
 
 
 def oracle_determinantal_factors(phi, order):
@@ -275,12 +358,9 @@ def oracle_determinantal_factors(phi, order):
             for cols in itertools.combinations(range(m), size):
                 sub = [[char[i][j] for j in cols] for i in rows]
                 det = oracle_det(sub, Ring(1, False, order))
-                if det.is_zero():
-                    continue
-                if gcd.is_zero():
-                    gcd = det
-                else:
-                    gcd = u_laurent(u_dense(gcd, order).gcd(u_dense(det, order)))
+                # Euclid on term maps, independent of the dense Smith route
+                while not det.is_zero():
+                    gcd, det = det, upoly_divmod_in(gcd, det, 0)[1]
         out.append(gcd.monic())
     return out
 
@@ -486,7 +566,7 @@ class TestCohomologyPresentation:
                     for i in range(size)
                 ]
             )
-            ann = annihilator_generator(pres)
+            ann = smith_diagonal(pres).diagonal[size - 1]
             # annihilates every cyclic summand: each diagonal entry divides ann
             for i in range(size):
                 assert exact_divide(ann, factors[i].monic(), laurent=False) is not None
@@ -505,8 +585,6 @@ class TestCohomologyPresentation:
 class TestPidEquivalenceSample:
     def test_cdf_matches_fitting(self, rng):
         from detloci.complexes import cdf_ideal
-        from detloci.smith import principal_generator
-
         ring = Ring(1, True, 6)
         for _ in range(10):
             F = random_torsion_complex(rng, ring)
@@ -542,7 +620,7 @@ class TestOneSmithFormPerMatrix:
         pres = matrix_make([[t * t * P("t1-1"), zero], [zero, t]])
         b0, b1 = fitting_generator(pres, 0), fitting_generator(pres, 1)
         calls = count_smith_calls(monkeypatch)
-        ann = annihilator_generator(pres)
+        ann = smith_diagonal(pres).diagonal[1]
         assert len(calls) == 1
         assert ann == exact_divide(b0, b1, laurent=False) == P("t1^3-t1^2")
 

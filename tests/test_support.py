@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from detloci.arith import TorsionAngle
 from detloci.complexes import FreeComplex, base_change, cdf_ideal, direct_sum
 from detloci.poly import LaurentPoly, Ring, exact_divide, fibre_has_root, fibres, parse_poly
-from detloci.smith import _torsion_invariants
+from detloci.smith import NonTorsionError, _torsion_invariants
 from detloci.support import (
-    NonTorsionComplexError,
     candidate_divisors,
     generic_point_on_divisor,
     point_on_divisor,
@@ -84,7 +83,7 @@ class TestCandidateDivisors:
 
     def test_non_torsion_named(self):
         E = diag_complex([LaurentPoly.zero(2, 3)])
-        with pytest.raises(NonTorsionComplexError) as info:
+        with pytest.raises(NonTorsionError) as info:
             candidate_divisors(E)
         assert info.value.degree in (0, 1)
 
@@ -122,7 +121,7 @@ def oracle_candidates(E: FreeComplex, bound: int) -> list[PrimeTorusDivisor]:
     for i in E.degrees():
         ideal = cdf_ideal(E, i, 0)
         if ideal.is_zero():
-            raise NonTorsionComplexError(i)
+            raise NonTorsionError(i)
         if not ideal.contains_one():
             tops.append(ideal.gens)
     # the largest term degree of an entry once its monomial unit is cleared
@@ -243,9 +242,9 @@ class TestSeveralTopGenerators:
 
     def test_zero_top_ideal_refused_by_both(self):
         E = diag_complex([LaurentPoly.zero(2, 3)])
-        with pytest.raises(NonTorsionComplexError):
+        with pytest.raises(NonTorsionError):
             oracle_candidates(E, 2)
-        with pytest.raises(NonTorsionComplexError):
+        with pytest.raises(NonTorsionError):
             candidate_divisors(E)
 
 

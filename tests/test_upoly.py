@@ -186,27 +186,6 @@ class TestDivision:
         assert degree(r) < degree(g)
         assert (q, r) == upoly_divmod_in(f, g, 0)
 
-    @given(pairs(max_degree=3, nonzero=True), st.data())
-    @settings(max_examples=100)
-    def test_planted_gcd(self, case, data):
-        # f = h*a and g = h*b share the factor h; the oracle is Euclid on
-        # LaurentPoly term maps
-        order, a, b = case
-        h = data.draw(polys(order, 2, nonzero=True))
-        f, g = h * a, h * b
-        got = u_dense(f, order).gcd(u_dense(g, order))
-        assert_canonical(got, order)
-        x, y = f, g
-        while not y.is_zero():
-            x, y = y, upoly_divmod_in(x, y, 0)[1]
-        assert u_laurent(got) == x.monic()
-        assert u_laurent(got).leading()[1].is_one()
-        assert got.divmod(u_dense(h, order))[1].is_zero()
-
-    def test_gcd_of_zeros_is_zero(self):
-        zero = UPoly(6, 1, ())
-        assert zero.gcd(zero).is_zero()
-
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             UPoly.one(6).divmod(UPoly(6, 1, ()))
