@@ -92,7 +92,6 @@ def divisors(n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("phi undefined for n < 1")
@@ -139,42 +138,35 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _zpow_table(order: int) -> tuple[tuple[int, ...], ...]:
-    """Reductions of z^k modulo Phi_order for k = 0 .. order-1.
-
-    Phi_order is monic with integer coefficients, so every row is integral.
-    """
+def _phi_tail(order: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(order) and the nonzero (index, coefficient) pairs of Phi_order below
+    its leading 1."""
     phi = cyclotomic_poly(order)
-    d = len(phi) - 1
-    current = [1] + [0] * (d - 1)
-    rows = [tuple(current)]
-    for _ in range(order - 1):
-        lead = current[-1]
-        current = [0] + current[:-1]
-        if lead:
-            current = [c - lead * p for c, p in zip(current, phi)]
-        rows.append(tuple(current))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _sparse_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The nonzero (index, coefficient) pairs of each row of _zpow_table."""
-    return tuple(
-        tuple((j, c) for j, c in enumerate(row) if c) for row in _zpow_table(order)
-    )
+    return len(phi) - 1, tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
 
 
 def reduce_mod_phi(order: int, dense: Sequence[int]) -> list[int]:
-    """Residue of an integer coefficient list (constant first) modulo Phi_order."""
-    d = euler_phi(order)
-    out = list(dense[:d]) + [0] * (d - len(dense))
-    rows = _sparse_rows(order)
-    for k in range(d, len(dense)):
-        if dense[k]:
-            for j, r in rows[k % order]:
-                out[j] += dense[k] * r
-    return out
+    """Residue of an integer coefficient list (constant first) modulo Phi_order.
+
+    Indices >= order fold by z^order = 1, which Phi_order divides; then
+    synthetic division from the top by the monic Phi_order leaves phi(order)
+    integer coefficients.
+    """
+    d, tail = _phi_tail(order)
+    n = len(dense)
+    if n <= d:
+        return list(dense) + [0] * (d - n)
+    out = list(dense)
+    if n > order:
+        for k in range(order, n):
+            out[k % order] += out[k]
+        del out[order:]
+    for top in range(len(out) - 1, d - 1, -1):
+        if c := out[top]:
+            base = top - d
+            for i, p in tail:
+                out[base + i] -= c * p
+    return out[:d]
 
 
 def _mul_nums(order: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -217,7 +209,7 @@ class CycloElem:
     __slots__ = ("order", "nums", "den")
 
     def __new__(cls, order: int, coeffs: Sequence[Fraction]):
-        if len(coeffs) != euler_phi(order):
+        if len(coeffs) != _phi_tail(order)[0]:
             raise ValueError("coefficient vector has wrong length")
         return CycloElem.make(order, coeffs)
 
@@ -239,16 +231,16 @@ class CycloElem:
 
     @staticmethod
     def zero(order: int) -> "CycloElem":
-        return _elem(order, (0,) * euler_phi(order), 1)
+        return _elem(order, (0,) * _phi_tail(order)[0], 1)
 
     @staticmethod
     def one(order: int) -> "CycloElem":
-        return _elem(order, (1,) + (0,) * (euler_phi(order) - 1), 1)
+        return _elem(order, (1,) + (0,) * (_phi_tail(order)[0] - 1), 1)
 
     @staticmethod
     def from_rational(order: int, q) -> "CycloElem":
         q = Fraction(q)
-        return _elem(order, (q.numerator,) + (0,) * (euler_phi(order) - 1), q.denominator)
+        return _elem(order, (q.numerator,) + (0,) * (_phi_tail(order)[0] - 1), q.denominator)
 
     @staticmethod
     def from_angle(order: int, angle: TorsionAngle) -> "CycloElem":
@@ -310,12 +302,12 @@ class CycloElem:
         if len(an) == 1:
             return _canonical(a.order, (an[0] * bn[0],), a.den * b.den)
         if len(an) == 2:
-            # orders 3, 4 and 6: z^2 = r0 + r1*z
+            # orders 3, 4 and 6: z^2 = -p0 - p1*z with Phi = p0 + p1*z + z^2
             a0, a1 = an
             b0, b1 = bn
             c2 = a1 * b1
-            r0, r1 = _zpow_table(a.order)[2]
-            nums = (a0 * b0 + c2 * r0, a0 * b1 + a1 * b0 + c2 * r1)
+            p0, p1, _ = cyclotomic_poly(a.order)
+            nums = (a0 * b0 - c2 * p0, a0 * b1 + a1 * b0 - c2 * p1)
             return _canonical(a.order, nums, a.den * b.den)
         return _canonical(a.order, _mul_nums(a.order, an, bn), a.den * b.den)
 
@@ -373,10 +365,9 @@ def _angle_elem(order: int, num: int, den: int) -> "CycloElem":
     return zeta_power(order, (order // den) * num)
 
 
-@lru_cache(maxsize=None)
 def zeta_power(order: int, k: int) -> "CycloElem":
     """The power zeta_order^k as a reduced field element."""
-    return _elem(order, _zpow_table(order)[k % order], 1)
+    return _elem(order, tuple(reduce_mod_phi(order, [0] * (k % order) + [1])), 1)
 
 
 # ---------------------------------------------------------------------------

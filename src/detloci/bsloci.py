@@ -141,6 +141,8 @@ def combine_bm(
     if sorted(pi) != list(range(1, r + 1)):
         raise ValueError("pi must be a permutation of 1..r")
     for j, locus in components.items():
+        if not 1 <= j <= r:
+            raise ValueError(f"component {j} is not a coordinate 1..{r}")
         if locus.r != r:
             raise ValueError(f"component {j} has mismatched dimension")
     hyperplanes: set[AffineHyperplane] = set()

@@ -16,7 +16,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
-from .arith import CycloElem, _canonical, euler_phi, reduce_mod_phi
+from .arith import CycloElem, _canonical, _phi_tail, reduce_mod_phi
 
 
 def _convolution(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
@@ -102,7 +102,7 @@ class UPoly:
         if min((k for k, _ in terms), default=0) < 0:
             raise ValueError("dense polynomials need exponents >= 0")
         den = math.lcm(*(c.den for _, c in terms))
-        rows = [(0,) * euler_phi(order)] * (max((k for k, _ in terms), default=-1) + 1)
+        rows = [(0,) * _phi_tail(order)[0]] * (max((k for k, _ in terms), default=-1) + 1)
         for k, c in terms:
             f = den // c.den
             rows[k] = c.nums if f == 1 else tuple(n * f for n in c.nums)
@@ -110,7 +110,7 @@ class UPoly:
 
     @staticmethod
     def one(order: int) -> "UPoly":
-        return UPoly(order, 1, ((1,) + (0,) * (euler_phi(order) - 1),))
+        return UPoly(order, 1, ((1,) + (0,) * (_phi_tail(order)[0] - 1),))
 
     def terms(self) -> Iterator[tuple[int, CycloElem]]:
         """The (k, c_k) pairs of the nonzero coefficients."""

@@ -96,6 +96,12 @@ class TestCombine:
             with pytest.raises(ValueError, match="^the exponent vector must be natural$"):
                 combine_bm(components, m)
 
+    def test_component_outside_the_coordinates_rejected(self):
+        loci = ex72_loci()
+        for j in (5, 3, 0, -3):
+            with pytest.raises(ValueError, match=f"^component {j} is not a coordinate 1..2$"):
+                combine_bm({1: loci["be1"], j: loci["be1"]}, (1, 0))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             combine_bm(

@@ -109,6 +109,12 @@ class TestCombine:
         assert code == 2 and not out
         assert err == "input error: the exponent vector must be natural\n"
 
+    def test_component_outside_the_coordinates_exit_2(self, capsys, tmp_path):
+        e1 = write_json(tmp_path / "be1.json", locus_to_json(ex72_loci()["be1"]))
+        code, out, err = run_cli(capsys, ["combine", "--m", "1,0", "--e1", e1, "--e5", e1])
+        assert code == 2 and not out
+        assert err == "input error: component 5 is not a coordinate 1..2\n"
+
 
 class TestContain:
     def test_true_and_false_exit_codes(self, capsys, tmp_path):
@@ -642,6 +648,68 @@ class TestNoUnusedPrivateFunctions:
             "    return _used(2)\n"
         )
         assert _unreferenced_private_functions([module]) == ["m.py:3 _recursive", "m.py:5 _unused"]
+
+
+CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def _cached_names(paths: list[Path]) -> set[str]:
+    """`module.qualified.name` of every def decorated with a functools cache."""
+
+    def decorator_name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    def visit(body, prefix):
+        for stmt in body:
+            if isinstance(stmt, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not isinstance(stmt, ast.ClassDef) and any(
+                    decorator_name(d) in CACHE_DECORATORS for d in stmt.decorator_list
+                ):
+                    found.add(prefix + stmt.name)
+                visit(stmt.body, prefix + stmt.name + ".")
+
+    found: set[str] = set()
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")).body, path.stem + ".")
+    return found
+
+
+class TestCacheInventory:
+    """Every process-wide cache is listed here, so adding one is a reviewed decision."""
+
+    def test_cached_names_are_pinned(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "detloci"
+        assert _cached_names(sorted(src.glob("*.py"))) == {
+            "arith.cyclotomic_poly",
+            "arith._phi_tail",
+            "arith._angle_elem",
+            "poly._lattice_transform",
+            "cli.build_parser",
+            "bsloci.HyperplaneLocus.member_canonicals",
+        }
+
+    def test_detects_every_cache_spelling(self, tmp_path):
+        module = tmp_path / "m.py"
+        module.write_text(
+            "import functools\n"
+            "from functools import cache, cached_property, lru_cache\n"
+            "@lru_cache(maxsize=None)\n"
+            "def a(): pass\n"
+            "@functools.lru_cache\n"
+            "def b(): pass\n"
+            "@cache\n"
+            "def c(): pass\n"
+            "@staticmethod\n"
+            "def plain(): pass\n"
+            "class K:\n"
+            "    @functools.cached_property\n"
+            "    def d(self): pass\n"
+            "    def e(self):\n"
+            "        @functools.cache\n"
+            "        def inner(): pass\n"
+        )
+        assert _cached_names([module]) == {"m.a", "m.b", "m.c", "m.K.d", "m.K.e.inner"}
 
 
 class TestFixturesCommand:

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -298,6 +302,26 @@ class TestCompleteSearch:
         for d in got:
             binom = LaurentPoly.binomial_divisor(2, d, order)
             assert any(all(exact_divide(f, binom) is not None for f in gens) for gens in tops)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux-specific")
+    def test_rootless_fibre_fits_in_200_mb(self):
+        """Scanning every order up to 2*300^2 keeps no per-order table beyond Phi_m."""
+        child = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))\n"
+            "from detloci.complexes import FreeComplex\n"
+            "from detloci.poly import Ring, parse_poly\n"
+            "from detloci.support import candidate_divisors\n"
+            "ring = Ring(1, True, 1)\n"
+            "E = FreeComplex.make(ring, (0, 1), {0: 1, 1: 1}, {0: [[parse_poly('t1^300-2', ring)]]})\n"
+            "print(candidate_divisors(E))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr[-2000:]
 
 
 class TestSupportReport:

@@ -1,17 +1,28 @@
 """Differential tests against sympy (a test-only dependency).
 
-Cyclotomic polynomials, determinants and minors, and Smith forms.
+Cyclotomic polynomials and reduction modulo them, determinants and minors,
+and Smith forms.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+from sympy.polys.densearith import dup_rem  # noqa: E402
+from sympy.polys.densebasic import dup_strip  # noqa: E402
 
-from detloci.arith import CycloElem, cyclotomic_poly  # noqa: E402
+from detloci.arith import (  # noqa: E402
+    CycloElem,
+    _canonical,
+    _mul_nums,
+    cyclotomic_poly,
+    reduce_mod_phi,
+    zeta_power,
+)
 from detloci.complexes import MinorEngine, matrix_make, minors_ideal  # noqa: E402
 from detloci.poly import IdealGens, LaurentPoly, Ring  # noqa: E402
 from detloci.smith import determinantal_factors, smith_diagonal  # noqa: E402
@@ -80,6 +91,52 @@ class TestCyclotomicPolynomial:
         for n in range(1, 61):
             theirs = sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()[::-1]
             assert cyclotomic_poly(n) == tuple(int(c) for c in theirs)
+
+
+def sympy_residue(phi: list, dense) -> list[int]:
+    """The residue of sum dense[k] x^k modulo phi (sympy dense form, highest
+    coefficient first), deg(phi) coefficients, constant first."""
+    rem = dup_rem(dup_strip([sympy.ZZ(c) for c in reversed(dense)]), phi, sympy.ZZ)
+    coeffs = [int(c) for c in reversed(rem)]
+    return coeffs + [0] * (len(phi) - 1 - len(coeffs))
+
+
+def sympy_cyclotomic(n: int) -> list:
+    return sympy.Poly(sympy.cyclotomic_poly(n, X), X).rep.to_list()
+
+
+class TestReduceModPhi:
+    def test_every_length_up_to_three_orders(self):
+        """Lengths 0..3n cover the padded short path, the fold by z^n = 1 and orders 1, 2."""
+        rng = random.Random(20)
+        for n in range(1, 61):
+            phi = sympy_cyclotomic(n)
+            for length in range(3 * n + 1):
+                dense = [rng.randint(-9, 9) for _ in range(length)]
+                assert reduce_mod_phi(n, dense) == sympy_residue(phi, dense), (n, dense)
+
+    def test_zeta_powers(self):
+        for n in range(1, 61):
+            phi = sympy_cyclotomic(n)
+            for k in range(-n, 2 * n):
+                got = zeta_power(n, k)
+                assert got.den == 1
+                if k >= 0:
+                    assert list(got.nums) == sympy_residue(phi, [0] * k + [1])
+                else:
+                    assert (got * zeta_power(n, -k)).is_one()
+
+    def test_quadratic_fast_path(self):
+        """Orders 3, 4 and 6 multiply through z^2 = -p0 - p1*z; the general product agrees."""
+        rng = random.Random(6)
+        for n in (3, 4, 6):
+            for _ in range(200):
+                a, b = (
+                    CycloElem(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)])
+                    for _ in range(2)
+                )
+                want = _canonical(n, _mul_nums(n, a.nums, b.nums), a.den * b.den)
+                assert ((a * b).nums, (a * b).den) == (want.nums, want.den)
 
 
 class TestInvariantFactors:
