@@ -119,7 +119,7 @@ def _minors_from_engine(engine: MinorEngine, m: int, ring: Ring) -> IdealGens:
     for rows in itertools.combinations(range(nrows), m):
         for cols in itertools.combinations(range(ncols), m):
             gens.append(engine.det(rows, cols))
-    return IdealGens.make(ring, gens)
+    return IdealGens.unformed(ring, gens)
 
 
 def _engine_for(mat: Matrix, ring: Ring) -> MinorEngine:
@@ -259,8 +259,10 @@ def jump_ideal(complex_: FreeComplex, i: int, k: int) -> IdealGens:
     A minor of a block-diagonal matrix vanishes unless its rows and columns
     split alike between the blocks, and is then the product of the two block
     minors, so I_m(diag(A, B)) is the sum over a + b = m of I_a(A) I_b(B), kept
-    as those pairs until read.  The size conventions apply to the block sum,
-    the enumeration limit to each differential whose minors are enumerated.
+    as those pairs until read.  Only pairs whose factors can both be nonzero
+    by size are kept, and with none the ideal is (0).  The size conventions
+    apply to the block sum, the enumeration limit to each differential whose
+    minors are enumerated.
     """
     cache = complex_.minor_cache
     key = ("jump", i, k)
@@ -272,9 +274,12 @@ def jump_ideal(complex_: FreeComplex, i: int, k: int) -> IdealGens:
     size = complex_.rank(i) - k + 1
     ideal = _decided_by_size(ra + rb, ca + cb, size, complex_.ring)
     if ideal is None:
-        lower = [differential_minors(complex_, i - 1, a) for a in range(size + 1)]
-        upper = [differential_minors(complex_, i, size - a) for a in range(size + 1)]
-        ideal = IdealGens.sum_of_products(complex_.ring, zip(lower, upper))
+        pairs = [
+            (differential_minors(complex_, i - 1, a), differential_minors(complex_, i, size - a))
+            for a in range(max(0, size - min(rb, cb)), min(size, ra, ca) + 1)
+        ]
+        ring = complex_.ring
+        ideal = IdealGens.sum_of_products(ring, pairs) if pairs else IdealGens.zero_ideal(ring)
     cache[key] = ideal
     return ideal
 

@@ -8,6 +8,7 @@ workhorses for everything downstream; no Groebner machinery anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -458,14 +459,16 @@ class IdealGens:
     Zero generators are dropped, each generator is unit-normalized (monomial
     content removed in the Laurent case, leading coefficient 1), and the list
     is deduplicated and sorted.  (0) is the empty list and (1) is [1].
-    Generators are deliberately not reduced against each other.  A sum of
-    products of ideals (`sum_of_products`) is held as its pairs of factors
-    until `ring` or `gens` is read, which forms the list of the products.
+    Generators are deliberately not reduced against each other.  An ideal
+    of raw generators (`unformed`, such as all minors of one size) or a sum
+    of products of ideals (`sum_of_products`, held as its pairs of factors)
+    is formed into that list when `ring` or `gens` is first read.
     """
 
     _ring: Ring
     _gens: tuple[LaurentPoly, ...] | None
     parts: tuple[tuple["IdealGens", "IdealGens"], ...] = ()
+    raw: tuple[LaurentPoly, ...] = ()
     # ideal_valuation per divisor, filled on demand
     valuations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -492,6 +495,11 @@ class IdealGens:
         return IdealGens(ring.with_order(order), tuple(unique))
 
     @staticmethod
+    def unformed(ring: Ring, gens: Iterable[LaurentPoly]) -> "IdealGens":
+        """The ideal of the given generators, put through `make` when read."""
+        return IdealGens(ring, None, raw=tuple(gens))
+
+    @staticmethod
     def sum_of_products(ring: Ring, pairs: Iterable[tuple]) -> "IdealGens":
         """The sum of the ideals I*J over the pairs (I, J), multiplied out when read."""
         return IdealGens(ring, None, tuple(pairs))
@@ -502,12 +510,12 @@ class IdealGens:
 
     @staticmethod
     def unit_ideal(ring: Ring) -> "IdealGens":
-        return IdealGens.make(ring, [LaurentPoly.one(ring.nvars, ring.cyclotomic_order)])
+        return IdealGens(ring, (LaurentPoly.one(ring.nvars, ring.cyclotomic_order),))
 
     def _formed(self) -> "IdealGens":
         if self._gens is None:
             products = (f * g for a, b in self.parts for f in a.gens for g in b.gens)
-            formed = IdealGens.make(self._ring, products)
+            formed = IdealGens.make(self._ring, itertools.chain(self.raw, products))
             object.__setattr__(self, "_ring", formed.ring)
             object.__setattr__(self, "_gens", formed.gens)
         return self
@@ -526,10 +534,6 @@ class IdealGens:
     def contains_one(self) -> bool:
         return any(g.is_one() for g in self.gens)
 
-    def vanishes_at(self, point: Sequence[TorsionAngle]) -> bool:
-        order = math.lcm(self.ring.cyclotomic_order, *(a.den for a in point))
-        return all(g.evaluate(point, order).is_zero() for g in self.gens)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IdealGens):
             return NotImplemented
@@ -545,9 +549,11 @@ class IdealGens:
 def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
     """min of valuation_along over the generators; infinity exactly for (0).
 
-    A sum of products is valued without forming it: valuation along a prime
-    divisor adds over products and takes the minimum over sums, so it is the
-    min over the pairs of v(I) + v(J).  Each ideal remembers its valuations.
+    Neither kind of unformed ideal is formed to be valued.  Unit factors and
+    repeats do not change a valuation along a prime divisor, so raw
+    generators are valued as they are, zeros skipped.  Valuation adds over
+    products and takes the minimum over sums, so a sum of products is the min
+    over the pairs of v(I) + v(J).  Each ideal remembers its valuations.
     """
     if divisor.nvars != ideal._ring.nvars:
         raise ValueError("divisor lives in a different torus")
@@ -557,7 +563,8 @@ def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
     if ideal.parts:
         values = (ideal_valuation(a, divisor) + ideal_valuation(b, divisor) for a, b in ideal.parts)
     else:
-        values = (valuation_along(g, divisor) for g in ideal._gens)
+        gens = ideal.raw if ideal._gens is None else ideal._gens
+        values = (valuation_along(g, divisor) for g in gens if not g.is_zero())
     best = math.inf
     for v in values:
         best = min(best, v)

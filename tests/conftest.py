@@ -237,6 +237,12 @@ def oracle_minor_gens(
     return out
 
 
+def oracle_vanishes_at(ideal: IdealGens, point: tuple[TorsionAngle, ...]) -> bool:
+    """Whether every generator of the ideal evaluates to zero at the torsion point."""
+    order = math.lcm(ideal.ring.cyclotomic_order, *(a.den for a in point))
+    return all(g.evaluate(point, order).is_zero() for g in ideal.gens)
+
+
 def oracle_valuation(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
     """Repeated trial division by the binomial, written independently."""
     from detloci.poly import exact_divide

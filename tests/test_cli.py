@@ -435,6 +435,60 @@ class TestSmithGolden:
         assert out == (GOLDEN / f"smith_{name}.out").read_text()
 
 
+# the Koszul complex of f1, f2, f3 over the Laurent ring in three variables
+KOSZUL_F = ("t1-e(1/3)", "2*t1^-1*t2-2", "t1*t3-e(1/4)")
+KOSZUL_NEG = ("-t1+e(1/3)", "-2*t1^-1*t2+2", "-t1*t3+e(1/4)")
+KOSZUL_ORDER12 = {
+    "ring": {"nvars": 3, "laurent": True, "cyclotomic_order": 12},
+    "degrees": [0, 3],
+    "ranks": {"0": 1, "1": 3, "2": 3, "3": 1},
+    "differentials": {
+        "0": [[KOSZUL_F[0]], [KOSZUL_F[1]], [KOSZUL_F[2]]],
+        "1": [
+            [KOSZUL_NEG[1], KOSZUL_F[0], "0"],
+            [KOSZUL_NEG[2], "0", KOSZUL_F[0]],
+            ["0", KOSZUL_NEG[2], KOSZUL_F[1]],
+        ],
+        "2": [[KOSZUL_F[2], KOSZUL_NEG[1], KOSZUL_F[0]]],
+    },
+}
+# non-monic entries over the polynomial ring, where monomial content stays
+POLYNOMIAL_ORDER1 = {
+    "ring": {"nvars": 2, "laurent": False, "cyclotomic_order": 1},
+    "degrees": [0, 2],
+    "ranks": {"0": 1, "1": 2, "2": 1},
+    "differentials": {
+        "0": [["3*s1*s2-3"], ["2*s2^2"]],
+        "1": [["2*s2^2", "-3*s1*s2+3"]],
+    },
+}
+
+# (command, complex, degree, k) of fixed complexes whose full stdout is pinned
+# in golden/<name>.out: these print the generators that a minor or jump ideal
+# forms when they are first read
+IDEAL_GOLDEN = {
+    "cdf_order12_koszul_i2": ("cdf", KOSZUL_ORDER12, 2, 0),
+    "cdf_order12_koszul_i3": ("cdf", KOSZUL_ORDER12, 3, 0),
+    "jump_order12_koszul_i1": ("jump", KOSZUL_ORDER12, 1, 1),
+    "jump_order12_koszul_i2": ("jump", KOSZUL_ORDER12, 2, 1),
+    "cdf_order1_polynomial": ("cdf", POLYNOMIAL_ORDER1, 1, 0),
+    "jump_order1_polynomial": ("jump", POLYNOMIAL_ORDER1, 1, 1),
+    # no split of size 3 fits the 2x1 and 1x2 blocks: the zero ideal
+    "jump_order1_polynomial_zero": ("jump", POLYNOMIAL_ORDER1, 1, 0),
+}
+
+
+class TestIdealGolden:
+    @pytest.mark.parametrize("name", sorted(IDEAL_GOLDEN))
+    def test_full_stdout(self, capsys, tmp_path, name):
+        command, payload, degree, k = IDEAL_GOLDEN[name]
+        complex_ = write_json(tmp_path / "complex.json", payload)
+        argv = [command, "--complex", complex_, "--degree", str(degree), "--k", str(k)]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"{name}.out").read_text()
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import pytest
@@ -26,6 +27,7 @@ from conftest import (
     canon_gens,
     conjugate_complex,
     oracle_minor_gens,
+    oracle_vanishes_at,
     random_binomial,
     random_divisor,
     random_torsion_complex,
@@ -363,21 +365,27 @@ class TestJumpValuationByParts:
         real = poly_module.valuation_along
 
         def recording(f, divisor):
-            calls.append((id(f), divisor))
+            calls.append((f, divisor))
             return real(f, divisor)
 
         monkeypatch.setattr(poly_module, "valuation_along", recording)
         F = TestJumpFromBlockMinors.fixed_complex()
         value_all(F, self.divisors())
-        assert calls and len(calls) == len(set(calls))
-        # only generators of minor ideals are valued, never a product of two
-        minor_gens = {
-            id(g)
-            for ideal in F.minor_cache.values()
-            if isinstance(ideal, IdealGens) and not ideal.parts
-            for g in ideal.gens
-        }
-        assert {f for f, _ in calls} <= minor_gens
+        # every minor as an engine expanded it; an entry shared by d^0 and d^1
+        # is one polynomial held as two 1x1 minors
+        held = collections.Counter(
+            id(minor)
+            for key, engine in F.minor_cache.items()
+            if key[0] == "engine"
+            for minor in engine._memo.values()
+        )
+        valued = collections.Counter((id(f), divisor) for f, divisor in calls)
+        assert calls
+        # only minors are valued, never a formed generator or a block product;
+        # the 1 of a unit ideal (size <= 0) is the empty minor, held by no engine
+        assert all(id(f) in held or f.is_one() for f, _ in calls)
+        # and each minor at most once per divisor
+        assert all(n <= max(held[f], 1) for (f, _), n in valued.items())
 
     def test_divisor_of_another_torus_rejected(self):
         # a jump ideal held as its parts, zero since d^0 is the zero map
@@ -388,6 +396,101 @@ class TestJumpValuationByParts:
             ideal_valuation(ideal, C)
         assert ideal_valuation(ideal, PrimeTorusDivisor((1, 0), TorsionAngle.make(0, 1))) == math.inf
         assert ideal.is_zero()
+
+
+class TestValuingBeforeForming:
+    @pytest.mark.parametrize("laurent", [True, False])
+    @pytest.mark.parametrize("order", [1, 3, 12])
+    def test_same_valuations_and_generators(self, rng, monkeypatch, order, laurent):
+        ring = Ring(2, laurent, order)
+        made = []
+        make = IdealGens.make
+
+        def counting(ring, gens):
+            made.append(1)
+            return make(ring, gens)
+
+        monkeypatch.setattr(IdealGens, "make", staticmethod(counting))
+        positive = 0
+        for _ in range(6):
+            made.clear()
+            F = random_torsion_complex(rng, ring)
+            ideals = {
+                (j, size): differential_minors(F, j, size)
+                for j in range(F.imin - 1, F.imax + 1)
+                for size in range(0, 5)
+            }
+            valued = {
+                (key, C): ideal_valuation(ideal, C)
+                for key, ideal in ideals.items()
+                for C in SMALL_DIVISORS
+            }
+            # valuing canonicalises nothing, not even the unit ideals
+            assert not made
+            for (j, size), ideal in ideals.items():
+                mat = [list(row) for row in F.differential(j)]
+                expected = make(F.ring, oracle_minor_gens(mat, size, F.ring))
+                for C in SMALL_DIVISORS:
+                    want = min((valuation_along(g, C) for g in expected.gens), default=math.inf)
+                    assert valued[(j, size), C] == want
+                    positive += 0 < want < math.inf
+                assert ideal == expected
+                assert ideal.ring == expected.ring
+        assert positive >= 10
+
+
+# blocks without rows or columns beside each other and beside nonzero blocks
+def degenerate_complexes(rng) -> list[FreeComplex]:
+    f, g = random_binomial(rng, R2), random_binomial(rng, R2)
+    return [
+        FreeComplex.make(R2, (0, 2), {0: 0, 1: 2, 2: 0}, {}),
+        FreeComplex.make(R2, (0, 2), {0: 3, 1: 0, 2: 2}, {}),
+        FreeComplex.make(R2, (0, 2), {0: 2, 1: 2, 2: 0}, {0: [[f, g], [g * g, f * g]]}),
+        FreeComplex.make(R2, (0, 2), {0: 0, 1: 2, 2: 2}, {1: [[f, P("0")], [g, f * f]]}),
+        FreeComplex.make(R2, (0, 1), {0: 2, 1: 0}, {}),
+    ]
+
+
+class TestJumpPruning:
+    def test_degenerate_shapes_match_multiplied_out(self, rng):
+        for F in degenerate_complexes(rng):
+            for i in range(F.imin - 1, F.imax + 2):
+                for k in range(-1, F.rank(i) + 3):
+                    ideal = jump_ideal(F, i, k)
+                    expected = multiplied_out_jump(F, i, k)
+                    for C in SMALL_DIVISORS:
+                        want = min((valuation_along(g, C) for g in expected.gens), default=math.inf)
+                        assert ideal_valuation(ideal, C) == want
+                    assert ideal == expected
+                    assert ideal.ring == expected.ring
+
+    def test_empty_pair_range_gives_zero_ideal(self):
+        # a 2x0 block beside a 0x2 block: the 2x2 block sum is not too small
+        # for size 2, but no split of 2 fits both blocks
+        F = FreeComplex.make(R2, (0, 2), {0: 0, 1: 2, 2: 0}, {})
+        ideal = jump_ideal(F, 1, 1)
+        assert ideal.parts == ()
+        for C in SMALL_DIVISORS:
+            assert ideal_valuation(ideal, C) == math.inf
+        assert ideal.is_zero()
+        # no minor ideal of either block was asked for
+        assert not any(key[0] == "ideal" for key in F.minor_cache)
+        # so a 13x1 block beside a 0x13 block is not refused at size 2
+        h = h_poly()
+        tall = FreeComplex.make(R2, (0, 2), {0: 1, 1: 13, 2: 0}, {0: [[h]] * 13})
+        assert jump_ideal(tall, 1, 12).is_zero()
+        with pytest.raises(ValueError, match="exceeds the 12x12 minor enumeration limit"):
+            jump_ideal(tall, 1, 13)
+
+    def test_only_sizes_that_fit_their_block(self, rng):
+        for F in block_test_complexes(rng) + degenerate_complexes(rng):
+            for i in range(F.imin - 1, F.imax + 2):
+                for k in range(-1, F.rank(i) + 3):
+                    jump_ideal(F, i, k)
+            for key in F.minor_cache:
+                if key[0] == "ideal":
+                    _, j, size = key
+                    assert size <= min(matrix_shape(F.differential(j), F.rank(j)))
 
 
 class TestBaseChange:
@@ -461,12 +564,12 @@ class TestPaddingInvariance:
                     for C in divisors:
                         assert ideal_valuation(a, C) == ideal_valuation(b, C)
                     for pt in points:
-                        assert a.vanishes_at(pt) == b.vanishes_at(pt)
+                        assert oracle_vanishes_at(a, pt) == oracle_vanishes_at(b, pt)
                     ja, jb = jump_ideal(F, i, k), jump_ideal(G, i, k)
                     for C in divisors:
                         assert ideal_valuation(ja, C) == ideal_valuation(jb, C)
                     for pt in points:
-                        assert ja.vanishes_at(pt) == jb.vanishes_at(pt)
+                        assert oracle_vanishes_at(ja, pt) == oracle_vanishes_at(jb, pt)
 
 
 class TestPointwiseCriterion:
@@ -486,7 +589,7 @@ class TestPointwiseCriterion:
                 for i in range(F.imin, F.imax + 1):
                     for k in (-1, 0, 1, 2):
                         ideal = cdf_ideal(F, i, k)
-                        vanishes = (not ideal.contains_one()) and ideal.vanishes_at(pt)
+                        vanishes = (not ideal.contains_one()) and oracle_vanishes_at(ideal, pt)
                         jumped = alternating_cohomology_sum(F, pt, i) >= k + 1
                         assert vanishes == jumped
 
