@@ -11,12 +11,19 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .arith import CycloElem, TorsionAngle, root_multiplicity, torsion_sum
+from .arith import (
+    CycloElem,
+    TorsionAngle,
+    _canonical,
+    reduce_mod_phi,
+    root_multiplicity,
+    torsion_sum,
+)
 from .torus import PrimeTorusDivisor
 from .upoly import UPoly
 
@@ -444,6 +451,8 @@ def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
         raise ValueError("infinite valuation: zero polynomial")
     if f.nvars != divisor.nvars:
         raise ValueError("divisor lives in a different torus")
+    if len(f.terms) == 1:
+        return 0  # a monomial is a unit of the Laurent ring, and xi != 0
     best = None
     for coeffs in fibres(f, divisor.u):
         best = root_multiplicity(coeffs, divisor.xi, best)
@@ -590,6 +599,17 @@ def u_laurent(f: UPoly) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # Text grammar: sums of terms, e(a/b) constants, s/t variable spellings
 
+# Each term opens with a run of signs.  A factor is an ASCII decimal
+# fraction, e(a/b) or a variable with an optional power, followed by the "*"
+# that continues its term; an empty denominator, index or power matches too,
+# so that the scan can say which integer is missing.
+_SIGNS = re.compile(r"[+-]*")
+_FACTOR = re.compile(
+    r"(?:([0-9]+)(?:/([0-9]*))?"
+    r"|e\(([+-]?[0-9]+)/([+-]?[0-9]+)\)"
+    r"|([st])([0-9]*)(?:\^(-?[0-9]*))?)(\*?)"
+)
+
 
 class ParseError(ValueError):
     """Malformed polynomial text; carries the character position."""
@@ -599,148 +619,128 @@ class ParseError(ValueError):
         self.position = position
 
 
-def parse_terms(
-    text: str, nvars: int, laurent: bool
-) -> list[tuple[Fraction, TorsionAngle, tuple[int, ...]]]:
-    """Parse the grammar into (rational, angle, exponents) triples."""
-    s = "".join(text.split())
-    if not s:
-        raise ParseError("empty polynomial", 0)
-    terms = []
-    pos = 0
-    n = len(s)
-    while pos < n:
-        sign = 1
-        while pos < n and s[pos] in "+-":
-            if s[pos] == "-":
-                sign = -sign
-            pos += 1
-        if pos >= n:
-            raise ParseError("dangling sign", pos)
-        coeff = Fraction(sign)
-        angle = TorsionAngle.zero()
-        exps = [0] * nvars
-        saw_factor = False
-        while True:
-            if pos < n and s[pos].isdigit():
-                num, pos = _read_int(s, pos)
-                if pos < n and s[pos] == "/":
-                    den, pos2 = _read_int(s, pos + 1)
-                    if den <= 0:
-                        raise ParseError("denominator must be positive", pos + 1)
-                    coeff *= Fraction(num, den)
-                    pos = pos2
-                else:
-                    coeff *= num
-                saw_factor = True
-            elif pos < n and s[pos] == "e" and pos + 1 < n and s[pos + 1] == "(":
-                close = s.find(")", pos)
-                if close < 0:
-                    raise ParseError("unterminated unit-root constant", pos)
-                body = s[pos + 2 : close]
-                if "/" not in body:
-                    raise ParseError("unit root must be written e(a/b)", pos)
-                a_str, b_str = body.split("/", 1)
-                try:
-                    a, b = int(a_str), int(b_str)
-                except ValueError:
-                    raise ParseError("bad unit-root constant", pos) from None
-                if b <= 0:
-                    raise ParseError("unit-root denominator must be positive", pos)
-                angle = angle * TorsionAngle.make(a, b)
-                pos = close + 1
-                saw_factor = True
-            elif pos < n and s[pos] in "st":
-                var_letter = s[pos]
-                idx, pos = _read_int(s, pos + 1)
-                if not 1 <= idx <= nvars:
-                    raise ParseError(f"variable index out of range 1..{nvars}", pos)
-                power = 1
-                if pos < n and s[pos] == "^":
-                    neg = False
-                    p2 = pos + 1
-                    if p2 < n and s[p2] == "-":
-                        neg = True
-                        p2 += 1
-                    power, pos = _read_int(s, p2)
-                    if neg:
-                        power = -power
-                if power < 0 and (not laurent or var_letter == "s"):
-                    raise ParseError(
-                        "negative exponents need the Laurent flag and a t-variable",
-                        pos,
-                    )
-                exps[idx - 1] += power
-                saw_factor = True
-            elif pos < n and s[pos] == "(":
-                raise ParseError("parenthesized subexpressions are not allowed", pos)
-            else:
-                raise ParseError("expected a factor", pos)
-            if pos < n and s[pos] == "*":
-                pos += 1
-                continue
-            break
-        if not saw_factor:
-            raise ParseError("empty term", pos)
-        terms.append((coeff, angle, tuple(exps)))
-    return terms
-
-
-def _read_int(s: str, pos: int) -> tuple[int, int]:
-    start = pos
-    while pos < len(s) and s[pos].isdigit():
-        pos += 1
-    if start == pos:
-        raise ParseError("expected an integer", start)
-    return int(s[start:pos]), pos
+def _factor_error(s: str, pos: int) -> ParseError:
+    """The error for text that starts no factor at pos."""
+    if s.startswith("e(", pos):
+        close = s.find(")", pos)
+        if close < 0:
+            return ParseError("unterminated unit-root constant", pos)
+        if "/" not in s[pos + 2 : close]:
+            return ParseError("unit root must be written e(a/b)", pos)
+        return ParseError("bad unit-root constant", pos)
+    if s.startswith("(", pos):
+        return ParseError("parenthesized subexpressions are not allowed", pos)
+    return ParseError("expected a factor", pos)
 
 
 def parse_poly(text: str, ring: Ring) -> LaurentPoly:
-    """Parse text in the given ring, lifting the field to cover all unit roots."""
-    triples = parse_terms(text, ring.nvars, ring.laurent)
-    order = math.lcm(ring.cyclotomic_order, *(a.den for _, a, _ in triples))
-    out: dict[tuple[int, ...], CycloElem] = {}
-    for q, angle, exps in triples:
-        c = CycloElem.from_angle(order, angle).scale(q)
-        if exps in out:
-            s = out[exps] + c
-            if s.is_zero():
-                del out[exps]
+    """Parse text in the given ring, lifting the field to cover all unit roots.
+
+    One scan, factor by factor, reads each term into an integer coefficient
+    num/den, a root of unity e(a/b) and an exponent vector.  The field order
+    rises to the reduced denominator of every term's root, zero terms
+    included.  Each monomial then becomes one integer row over the powers of
+    zeta_N, over the lcm of its denominators, reduced modulo Phi_N once.
+    Error positions count characters of the text without its whitespace.
+    """
+    s = "".join(text.split())
+    n = len(s)
+    if not n:
+        raise ParseError("empty polynomial", 0)
+    nvars, laurent = ring.nvars, ring.laurent
+    orders = {ring.cyclotomic_order}
+    terms = []
+    pos = 0
+    while pos < n:
+        start, pos = pos, _SIGNS.match(s, pos).end()
+        if pos == n:
+            raise ParseError("dangling sign", pos)
+        num, den, a, b = -1 if s.count("-", start, pos) % 2 else 1, 1, 0, 1
+        exps = [0] * nvars
+        star = "*"
+        while star:
+            m = _FACTOR.match(s, pos)
+            if m is None:
+                raise _factor_error(s, pos)
+            digits, over, ea, eb, letter, index, power, star = m.groups()
+            if digits is not None:
+                num *= int(digits)
+                if over is not None:
+                    if not over:
+                        raise ParseError("expected an integer", m.start(2))
+                    if not (d := int(over)):
+                        raise ParseError("denominator must be positive", m.start(2))
+                    den *= d
+            elif ea is not None:
+                eb = int(eb)
+                if eb <= 0:
+                    raise ParseError("unit-root denominator must be positive", pos)
+                a, b = a * eb + int(ea) * b, b * eb
             else:
-                out[exps] = s
-        elif not c.is_zero():
-            out[exps] = c
-    return LaurentPoly(ring.nvars, order, out)
+                if not index:
+                    raise ParseError("expected an integer", pos + 1)
+                i = int(index)
+                if not 1 <= i <= nvars:
+                    raise ParseError(f"variable index out of range 1..{nvars}", m.end(6))
+                if power is None:
+                    k = 1
+                elif power in ("", "-"):
+                    raise ParseError("expected an integer", m.end(7))
+                elif (k := int(power)) < 0 and (not laurent or letter == "s"):
+                    raise ParseError(
+                        "negative exponents need the Laurent flag and a t-variable", m.end(7)
+                    )
+                exps[i - 1] += k
+            pos = m.end()
+        if a:
+            g = math.gcd(a, b)
+            b //= g
+            a = a // g % b
+            orders.add(b)
+        terms.append((tuple(exps), num, den, a, b))
+    order = math.lcm(*orders)
+    monomials: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
+    for exps, num, den, a, b in terms:
+        if num:
+            monomials.setdefault(exps, []).append((num, den, order // b * a))
+    out: dict[tuple[int, ...], CycloElem] = {}
+    for exps, parts in monomials.items():
+        if len(parts) == 1:
+            (num, lcd, k), = parts
+            row = [0] * k + [num]
+        else:
+            lcd = math.lcm(*[den for _, den, _ in parts])
+            row = [0] * (max([k for _, _, k in parts]) + 1)
+            for num, den, k in parts:
+                row[k] += num * (lcd // den)
+        nums = reduce_mod_phi(order, row)
+        if any(nums):
+            out[exps] = _canonical(order, nums, lcd)
+    return LaurentPoly(nvars, order, out)
 
 
 def format_poly(p: LaurentPoly, laurent: bool = True) -> str:
-    """Canonical string in the text grammar; round-trips through parse_poly."""
+    """Canonical string in the text grammar; round-trips through parse_poly.
+
+    Each nonzero numerator n of z^j in a coefficient c is one term
+    n/c.den * e(j/c.order) times the monomial, both fractions reduced.
+    """
     if p.is_zero():
         return "0"
     letter = "t" if laurent else "s"
     pieces: list[str] = []
     for e in sorted(p.terms, key=term_key, reverse=True):
         c = p.terms[e]
+        monomial = [f"{letter}{i + 1}" + (f"^{x}" if x != 1 else "") for i, x in enumerate(e) if x]
         for j, n in enumerate(c.nums):
-            if n == 0:
+            if not n:
                 continue
-            q = Fraction(n, c.den)
-            factors: list[str] = []
-            if abs(q) != 1:
-                factors.append(str(abs(q)))
-            if j > 0:
-                angle = TorsionAngle.make(j, c.order)
-                factors.append(f"e({angle})")
-            for i, x in enumerate(e):
-                if x == 0:
-                    continue
-                factors.append(f"{letter}{i + 1}" + (f"^{x}" if x != 1 else ""))
-            if not factors:
-                factors.append("1")
-            body = "*".join(factors)
-            if abs(q) == 1 and factors and factors[0] == "1" and len(factors) > 1:
-                body = "*".join(factors[1:])
-            sign = "-" if q < 0 else "+"
-            pieces.append(sign + body)
+            g = math.gcd(n, c.den)
+            q, d = abs(n) // g, c.den // g
+            factors = [] if q == d == 1 else [f"{q}/{d}" if d != 1 else str(q)]
+            if j:
+                g = math.gcd(j, c.order)
+                factors.append(f"e({j // g}/{c.order // g})")
+            pieces.append(("-" if n < 0 else "+") + ("*".join(factors + monomial) or "1"))
     text = "".join(pieces)
-    return text[1:] if text.startswith("+") else text
+    return text[1:] if text[0] == "+" else text

@@ -5,12 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from detloci.arith import CycloElem, TorsionAngle
 from detloci.complexes import FreeComplex, Matrix, direct_sum, matrix_make
-from detloci.poly import IdealGens, LaurentPoly, Ring
+from detloci.poly import IdealGens, LaurentPoly, ParseError, Ring, term_key
 from detloci.torus import PrimeTorusDivisor
 
 SMALL_ANGLES = [
@@ -221,6 +222,140 @@ def upoly_divmod_in(
         quot = quot + piece
         rem = rem - piece * g
     return quot, rem
+
+
+def oracle_parse_terms(
+    text: str, nvars: int, laurent: bool
+) -> list[tuple[Fraction, TorsionAngle, tuple[int, ...]]]:
+    """The text grammar read one character at a time into (rational, angle,
+    exponents) triples, through Fraction and TorsionAngle.  Independent of
+    the integer scan it checks; integers here are ASCII decimal too."""
+    s = "".join(text.split())
+    if not s:
+        raise ParseError("empty polynomial", 0)
+
+    def read_int(pos):
+        start = pos
+        while pos < n and s[pos] in "0123456789":
+            pos += 1
+        if start == pos:
+            raise ParseError("expected an integer", start)
+        return int(s[start:pos]), pos
+
+    def signed(body):
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if not digits or any(ch not in "0123456789" for ch in digits):
+            raise ValueError(body)
+        return int(body)
+
+    terms = []
+    pos = 0
+    n = len(s)
+    while pos < n:
+        sign = 1
+        while pos < n and s[pos] in "+-":
+            if s[pos] == "-":
+                sign = -sign
+            pos += 1
+        if pos >= n:
+            raise ParseError("dangling sign", pos)
+        coeff = Fraction(sign)
+        angle = TorsionAngle.zero()
+        exps = [0] * nvars
+        while True:
+            if pos < n and s[pos] in "0123456789":
+                num, pos = read_int(pos)
+                if pos < n and s[pos] == "/":
+                    den, pos2 = read_int(pos + 1)
+                    if den <= 0:
+                        raise ParseError("denominator must be positive", pos + 1)
+                    coeff *= Fraction(num, den)
+                    pos = pos2
+                else:
+                    coeff *= num
+            elif pos < n and s[pos] == "e" and pos + 1 < n and s[pos + 1] == "(":
+                close = s.find(")", pos)
+                if close < 0:
+                    raise ParseError("unterminated unit-root constant", pos)
+                body = s[pos + 2 : close]
+                if "/" not in body:
+                    raise ParseError("unit root must be written e(a/b)", pos)
+                a_str, b_str = body.split("/", 1)
+                try:
+                    a, b = signed(a_str), signed(b_str)
+                except ValueError:
+                    raise ParseError("bad unit-root constant", pos) from None
+                if b <= 0:
+                    raise ParseError("unit-root denominator must be positive", pos)
+                angle = angle * TorsionAngle.make(a, b)
+                pos = close + 1
+            elif pos < n and s[pos] in "st":
+                var_letter = s[pos]
+                idx, pos = read_int(pos + 1)
+                if not 1 <= idx <= nvars:
+                    raise ParseError(f"variable index out of range 1..{nvars}", pos)
+                power = 1
+                if pos < n and s[pos] == "^":
+                    neg = False
+                    p2 = pos + 1
+                    if p2 < n and s[p2] == "-":
+                        neg = True
+                        p2 += 1
+                    power, pos = read_int(p2)
+                    if neg:
+                        power = -power
+                if power < 0 and (not laurent or var_letter == "s"):
+                    raise ParseError(
+                        "negative exponents need the Laurent flag and a t-variable", pos
+                    )
+                exps[idx - 1] += power
+            elif pos < n and s[pos] == "(":
+                raise ParseError("parenthesized subexpressions are not allowed", pos)
+            else:
+                raise ParseError("expected a factor", pos)
+            if pos < n and s[pos] == "*":
+                pos += 1
+                continue
+            break
+        terms.append((coeff, angle, tuple(exps)))
+    return terms
+
+
+def oracle_parse_poly(text: str, ring: Ring) -> LaurentPoly:
+    """Sum of the oracle's triples, each lifted to a CycloElem and added one
+    at a time; the order covers the angle of every term, zero terms too."""
+    triples = oracle_parse_terms(text, ring.nvars, ring.laurent)
+    order = math.lcm(ring.cyclotomic_order, *(a.den for _, a, _ in triples))
+    out = LaurentPoly.zero(ring.nvars, order)
+    for q, angle, exps in triples:
+        c = CycloElem.from_angle(order, angle).scale(q)
+        out = out + LaurentPoly.make(ring.nvars, order, {exps: c})
+    return out
+
+
+def oracle_format_poly(p: LaurentPoly, laurent: bool = True) -> str:
+    """The canonical text of p, built through Fraction and TorsionAngle."""
+    if p.is_zero():
+        return "0"
+    letter = "t" if laurent else "s"
+    pieces: list[str] = []
+    for e in sorted(p.terms, key=term_key, reverse=True):
+        c = p.terms[e]
+        for j, n in enumerate(c.nums):
+            if n == 0:
+                continue
+            q = Fraction(n, c.den)
+            factors: list[str] = []
+            if abs(q) != 1:
+                factors.append(str(abs(q)))
+            if j > 0:
+                factors.append(f"e({TorsionAngle.make(j, c.order)})")
+            for i, x in enumerate(e):
+                if x:
+                    factors.append(f"{letter}{i + 1}" + (f"^{x}" if x != 1 else ""))
+            pieces.append(("-" if q < 0 else "+") + ("*".join(factors) or "1"))
+    text = "".join(pieces)
+    return text[1:] if text.startswith("+") else text
 
 
 def oracle_minor_gens(

@@ -541,16 +541,16 @@ class TestParserReuse:
 
 class TestEntryParsing:
     def _count_parses(self, monkeypatch):
-        import detloci.poly as poly_module
+        import detloci.io as io_module
 
         calls = []
-        original = poly_module.parse_terms
+        original = io_module.parse_poly
 
         def counting(*args, **kwargs):
             calls.append(args[0])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(poly_module, "parse_terms", counting)
+        monkeypatch.setattr(io_module, "parse_poly", counting)
         return calls
 
     def test_matrix_entries_parsed_once_when_order_rises(self, monkeypatch):
@@ -793,6 +793,17 @@ class TestErrors:
         )
         assert code == 2
         assert "position" in err
+
+    @pytest.mark.parametrize(
+        "entry, position", [("s1^\u00b2", 3), ("\u0663*s1", 0), ("1/\uff12", 2), ("e(1_0/3)", 0)]
+    )
+    def test_non_ascii_integer_exit_2(self, capsys, tmp_path, entry, position):
+        payload = {"ring": {"nvars": 1, "laurent": False}, "rows": [[entry]]}
+        bad = write_json(tmp_path / "bad.json", payload)
+        code, out, err = run_cli(capsys, ["smith", "--matrix", bad])
+        assert (code, out) == (2, "")
+        assert f"cannot parse polynomial {entry!r}: " in err
+        assert f"(at position {position})" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detloci.arith import CycloElem, TorsionAngle, euler_phi, root_multiplicity, zeta_power
@@ -26,6 +26,9 @@ from detloci.torus import PrimeTorusDivisor
 
 from conftest import (
     division_multiplicity,
+    oracle_format_poly,
+    oracle_parse_poly,
+    oracle_parse_terms,
     oracle_valuation,
     random_binomial_product,
     random_divisor,
@@ -170,6 +173,21 @@ class TestValuationStopsAtZero:
         mults = record_results(monkeypatch, "root_multiplicity")
         assert valuation_along(f, C) == 0
         assert mults == [0]
+
+    def test_monomials_are_valued_without_fibres(self, monkeypatch):
+        ring = Ring(2, True, 6)
+        monomials = [P("1"), P("3/2*e(1/3)*t1^2*t2^-1", ring), P("-t2^4")]
+        divisors = [
+            PrimeTorusDivisor(u, TorsionAngle.make(*a))
+            for u in ((1, 0), (0, 1), (1, 1), (2, 1))
+            for a in ((0, 1), (1, 2), (1, 3))
+        ]
+        expected = [[oracle_valuation(f, C) for C in divisors] for f in monomials]
+        mults = record_results(monkeypatch, "root_multiplicity")
+        assert [[valuation_along(f, C) for C in divisors] for f in monomials] == expected
+        assert {v for row in expected for v in row} == {0}
+        assert ideal_valuation(IdealGens.unit_ideal(ring), divisors[-1]) == 0
+        assert mults == []
 
     def test_generators_stop_at_first_zero(self, monkeypatch, rng):
         for _ in range(25):
@@ -379,6 +397,141 @@ class TestGrammar:
     def test_rational_coefficients(self):
         p = parse_poly("1/2*t1+3/2", R2)
         assert p + p == parse_poly("t1+3", R2)
+
+
+# (text, nvars, laurent, message, position) as the character-walk parser
+# gave them; every position counts characters of the text without whitespace
+MALFORMED = [
+    ("", 2, True, "empty polynomial", 0),
+    ("   ", 2, True, "empty polynomial", 0),
+    ("-", 2, True, "dangling sign", 1),
+    ("t1+-", 2, True, "dangling sign", 4),
+    ("2/0", 1, True, "denominator must be positive", 2),
+    ("2/", 1, True, "expected an integer", 2),
+    ("2/-3", 1, True, "expected an integer", 2),
+    ("e(1/3", 1, True, "unterminated unit-root constant", 0),
+    ("e(1)", 1, True, "unit root must be written e(a/b)", 0),
+    ("e()", 1, True, "unit root must be written e(a/b)", 0),
+    ("e(a/3)", 1, True, "bad unit-root constant", 0),
+    ("e(1/2/3)", 1, True, "bad unit-root constant", 0),
+    ("e(1/0)", 1, True, "unit-root denominator must be positive", 0),
+    ("e(1/-3)", 1, True, "unit-root denominator must be positive", 0),
+    ("t3", 2, True, "variable index out of range 1..2", 2),
+    ("t1 - t3", 2, True, "variable index out of range 1..2", 5),
+    ("t3^x", 2, True, "variable index out of range 1..2", 2),
+    ("t0", 2, True, "variable index out of range 1..2", 2),
+    ("t1^-2", 1, False, "negative exponents need the Laurent flag and a t-variable", 5),
+    ("s1^-2", 1, True, "negative exponents need the Laurent flag and a t-variable", 5),
+    ("t1*(t2-1)", 2, True, "parenthesized subexpressions are not allowed", 3),
+    ("(t1)", 2, True, "parenthesized subexpressions are not allowed", 0),
+    ("t^2", 1, True, "expected an integer", 1),
+    ("s1^", 1, True, "expected an integer", 3),
+    ("t1^-", 1, True, "expected an integer", 4),
+    ("t1^+2", 1, True, "expected an integer", 3),
+    ("2 * t 1 ^ - x", 1, True, "expected an integer", 6),
+    ("t1^1_0", 1, True, "expected a factor", 4),
+    ("2*", 1, True, "expected a factor", 2),
+    ("2*-3", 1, True, "expected a factor", 2),
+    ("2^3", 1, True, "expected a factor", 1),
+    ("1/2/3", 1, True, "expected a factor", 3),
+    ("e1", 1, True, "expected a factor", 0),
+    ("t1*e(1/3))", 1, True, "expected a factor", 9),
+]
+
+# integers are ASCII decimal: these were read through str.isdigit and int
+NON_ASCII = [
+    ("s1^\u00b2", "expected an integer", 3),
+    ("\u0663*s1", "expected a factor", 0),
+    ("1/\uff12", "expected an integer", 2),
+    ("e(1_0/3)", "bad unit-root constant", 0),
+    ("e(\u0663/4)", "bad unit-root constant", 0),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text, nvars, laurent, message, position", MALFORMED)
+    def test_message_and_position(self, text, nvars, laurent, message, position):
+        for parse in (parse_poly, oracle_parse_poly):
+            with pytest.raises(ParseError) as info:
+                parse(text, Ring(nvars, laurent, 1))
+            assert str(info.value) == f"{message} (at position {position})"
+            assert info.value.position == position
+
+    @pytest.mark.parametrize("text, message, position", NON_ASCII)
+    def test_only_ascii_digits(self, text, message, position):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, Ring(1, True, 1))
+        assert str(info.value) == f"{message} (at position {position})"
+
+
+def assert_same_terms(p: LaurentPoly, q: LaurentPoly) -> None:
+    assert (p.nvars, p.order) == (q.nvars, q.order)
+    assert {e: (c.nums, c.den) for e, c in p.terms.items()} == {
+        e: (c.nums, c.den) for e, c in q.terms.items()
+    }
+
+
+@st.composite
+def grammar_texts(draw):
+    """A text of the grammar and its ring, at field orders 1-24: several e()
+    factors per term, zero coefficients, and repeated monomials that cancel."""
+    top = draw(st.integers(1, 24))
+    dens = [d for d in range(1, top + 1) if top % d == 0]
+    nvars, laurent = draw(st.integers(1, 3)), draw(st.booleans())
+    ring = Ring(nvars, laurent, draw(st.sampled_from(dens)))
+    bodies = []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = []
+        for _ in range(draw(st.integers(0, 2))):
+            num = str(draw(st.integers(0, 12)))
+            factors.append(num + (f"/{draw(st.integers(1, 6))}" if draw(st.booleans()) else ""))
+        for _ in range(draw(st.integers(0, 3))):
+            b = draw(st.sampled_from(dens))
+            factors.append(f"e({draw(st.integers(-2 * b, 2 * b))}/{b})")
+        for _ in range(draw(st.integers(0, 2))):
+            letter = draw(st.sampled_from("st"))
+            power = draw(st.integers(-2 if laurent and letter == "t" else 0, 3))
+            factors.append(f"{letter}{draw(st.integers(1, nvars))}^{power}")
+        factors = draw(st.permutations(factors)) or ["1"]
+        bodies.append(draw(st.sampled_from(["+", "-", "--", "+-+"])) + "*".join(factors))
+    # the same terms again with the other sign, so that they cancel
+    bodies += ["-" + b for b in bodies if draw(st.booleans())]
+    text = "".join(draw(st.permutations(bodies)))
+    if draw(st.booleans()):
+        text = text.replace("*", " * ")
+    return text, ring
+
+
+class TestParserAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(grammar_texts())
+    def test_terms_match(self, case):
+        text, ring = case
+        assert_same_terms(parse_poly(text, ring), oracle_parse_poly(text, ring))
+
+    @settings(max_examples=300, deadline=None)
+    @given(grammar_texts())
+    def test_format_and_round_trip(self, case):
+        text, ring = case
+        p = parse_poly(text, ring)
+        out = format_poly(p, ring.laurent)
+        assert out == oracle_format_poly(p, ring.laurent)
+        assert_same_terms(parse_poly(out, Ring(ring.nvars, ring.laurent, p.order)), p)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text("0123456789+-*/^()est12 ", max_size=14), st.integers(1, 2), st.booleans())
+    def test_any_text_fails_like_the_oracle(self, text, nvars, laurent):
+        ring = Ring(nvars, laurent, 1)
+        try:
+            expected = oracle_parse_terms(text, nvars, laurent)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as info:
+                parse_poly(text, ring)
+            assert (str(info.value), info.value.position) == (str(exc), exc.position)
+            return
+        # keep the field small: a text such as e(1/97) would only time cyclotomic tables
+        assume(all(a.den <= 24 for _, a, _ in expected))
+        assert_same_terms(parse_poly(text, ring), oracle_parse_poly(text, ring))
 
 
 class TestFibresSplitOnce:
