@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .torus import (
@@ -36,7 +37,7 @@ def _piece_make(hyperplanes: Sequence[AffineHyperplane], r: int) -> Piece:
     pivots, _ = rref([h.c for h in hyperplanes], r)
     if len(pivots) != len(hyperplanes):
         raise ValueError("piece normals must be linearly independent")
-    return tuple(sorted(hyperplanes, key=lambda h: h.sort_key()))
+    return tuple(sorted(hyperplanes))
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ class HyperplaneLocus:
         piece_set = {_piece_make(p, r) for p in pieces}
         return HyperplaneLocus(
             r,
-            tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key())),
-            tuple(sorted(piece_set, key=lambda p: tuple(h.sort_key() for h in p))),
+            tuple(sorted(merged.items())),
+            tuple(sorted(piece_set)),
         )
 
     def members(self) -> list[AffineHyperplane]:
@@ -170,17 +171,19 @@ def combine_bm(
 
 def _parametrize(member: Piece) -> tuple[list[int], list[list[int]], int]:
     """The member's points as (base + sum_j v_j dirs[j]) / den over its free
-    coordinates v (ascending), with integer base and directions, den > 0."""
+    coordinates v (ascending), with integer base and directions; den > 0 is
+    the lcm of the pivot entries of the primitive reduced rows."""
     n = member[0].nvars
     pivots, rows = rref([(*h.c, -h.c0) for h in member], n)
     free = [i for i in range(n) if i not in pivots]
-    den = lcm(*(x.denominator for row in rows for x in row))
+    den = lcm(*(row[col] for row, col in zip(rows, pivots)))
     base = [0] * n
     dirs = [[0] * n for _ in free]
     for row, col in zip(rows, pivots):
-        base[col] = int(row[n] * den)
+        scale = den // row[col]
+        base[col] = row[n] * scale
         for d, f in zip(dirs, free):
-            d[col] = int(-row[f] * den)
+            d[col] = -row[f] * scale
     for d, f in zip(dirs, free):
         d[f] = den
     return base, dirs, den
@@ -188,10 +191,8 @@ def _parametrize(member: Piece) -> tuple[list[int], list[list[int]], int]:
 
 def _restrict(h: AffineHyperplane, base: list[int], dirs: list[list[int]], den: int) -> tuple:
     """den * (c.x + c0) on a parametrized member, as (a0, a_1, ..., a_k)."""
-    return (
-        sum(ci * x for ci, x in zip(h.c, base)) + h.c0 * den,
-        *(sum(ci * x for ci, x in zip(h.c, d)) for d in dirs),
-    )
+    c, c0 = h
+    return (sum(map(mul, c, base)) + c0 * den, *(sum(map(mul, c, d)) for d in dirs))
 
 
 def _grid_order(bound: int | None) -> Iterator[int]:
@@ -358,8 +359,10 @@ def propagate_polar(model: PolarModel, steps: int) -> PolarModel:
     for _ in range(steps):
         new_frontier: dict[AffineHyperplane, int] = {}
         for h, order in frontier.items():
-            for i in range(model.r):
-                image = AffineHyperplane(h.c, h.c0 + h.c[i])
+            c, c0 = h
+            for ci in c:
+                # the normal is unchanged, so the image needs no validation
+                image = tuple.__new__(AffineHyperplane, (c, c0 + ci))
                 if orders.get(image, 0) < order:
                     orders[image] = max(orders.get(image, 0), order)
                     new_frontier[image] = max(new_frontier.get(image, 0), order)

@@ -139,6 +139,8 @@ def locus_from_json(obj: Any) -> HyperplaneLocus:
     if not isinstance(obj, Mapping):
         raise InputError("locus file must contain an object")
     r = _json_int(obj.get("r"), "r")
+    if r < 1:
+        raise InputError("r must be a positive integer")
     listed = _json_list(obj.get("hyperplanes", []), "hyperplanes")
     hyperplanes = [hyperplane_from_json(h) for h in listed]
     pieces = []

@@ -11,45 +11,52 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 from .arith import TorsionAngle, angle_roots
 
 
-@dataclass(frozen=True)
-class AffineHyperplane:
-    """The hyperplane {c_1 s_1 + ... + c_r s_r + c0 = 0} with c in N^r, c != 0."""
+class AffineHyperplane(tuple):
+    """The hyperplane {c_1 s_1 + ... + c_r s_r + c0 = 0} with c in N^r, c != 0.
 
-    c: tuple[int, ...]
-    c0: int
+    A validated tuple (c, c0): hashing, equality and order are the tuple's.
+    """
 
-    def __post_init__(self):
-        if not any(self.c):
+    __slots__ = ()
+
+    def __new__(cls, c: tuple[int, ...], c0: int):
+        if not any(c):
             raise ValueError("hyperplane normal must be nonzero")
-        if min(self.c) < 0:
+        if min(c) < 0:
             raise ValueError("hyperplane normal must have natural entries")
+        return tuple.__new__(cls, (c, c0))
+
+    c = property(itemgetter(0))
+    c0 = property(itemgetter(1))
+
+    def __repr__(self) -> str:
+        return f"AffineHyperplane(c={self[0]!r}, c0={self[1]!r})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)  # so that copy and pickle call __new__(c, c0)
 
     @property
     def nvars(self) -> int:
-        return len(self.c)
+        return len(self[0])
 
     def shifted(self, v: Sequence[int]) -> "AffineHyperplane":
         """Image under alpha -> alpha - v: the normal stays, c0 gains c . v."""
-        if len(v) != len(self.c):
+        c, c0 = self
+        if len(v) != len(c):
             raise ValueError("translation vector has wrong length")
-        shift = sum(ci * vi for ci, vi in zip(self.c, v))
-        return AffineHyperplane(self.c, self.c0 + shift)
+        return tuple.__new__(AffineHyperplane, (c, c0 + sum(map(mul, c, v))))
 
     def set_canonical(self) -> tuple[tuple[int, ...], int]:
         """Scale-invariant form of the point set (divide out the full gcd)."""
-        g = 0
-        for x in self.c:
-            g = math.gcd(g, x)
-        g = math.gcd(g, abs(self.c0))
-        return tuple(x // g for x in self.c), self.c0 // g
-
-    def sort_key(self) -> tuple:
-        return (self.c, self.c0)
+        c, c0 = self
+        g = math.gcd(*c, c0)
+        return tuple(x // g for x in c), c0 // g
 
     def __str__(self) -> str:
         parts = []
@@ -68,9 +75,7 @@ class AffineHyperplane:
 
 def slope(h: AffineHyperplane) -> tuple[int, ...]:
     """Primitive representative of the projective class of the normal."""
-    g = 0
-    for x in h.c:
-        g = math.gcd(g, x)
+    g = math.gcd(*h.c)
     return tuple(x // g for x in h.c)
 
 
@@ -129,9 +134,7 @@ def exp_hyperplane(h: AffineHyperplane) -> PrimeTorusDivisor:
     With g = gcd(c) the image is the prime divisor {t^{c/g} = e^{-2 pi i c0/g}}:
     every point of the divisor lifts because c/g is primitive.
     """
-    g = 0
-    for x in h.c:
-        g = math.gcd(g, x)
+    g = math.gcd(*h.c)
     u = tuple(x // g for x in h.c)
     xi = TorsionAngle.make(-h.c0, g)
     return PrimeTorusDivisor(u, xi)
@@ -237,23 +240,29 @@ def _eq_key(eq: tuple[tuple[int, ...], TorsionAngle]) -> tuple:
     return (u, xi.as_fraction())
 
 
-def rref(rows: list, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
-    """Gauss-Jordan elimination over Fraction pivoting in the first ncols columns
-    only: the pivot columns (as many as the rank of those columns), reduced rows."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+def rref(rows: list, ncols: int) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows, pivoting in the
+    first ncols columns only: the pivot columns (as many as the rank of those
+    columns) and the reduced rows, each primitive with a positive entry at its
+    own pivot and zeros at the other pivots."""
+    mat = [list(row) for row in rows]
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        row = mat[pivot]
+        g = math.gcd(*row) if row[col] > 0 else -math.gcd(*row)
+        prow = [x // g for x in row]
+        mat[pivot], mat[rank] = mat[rank], prow
+        p = prow[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != rank:
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)  # 0 on an all-zero row, which stays as it is
+                mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
     return pivots, mat[: len(pivots)]
 

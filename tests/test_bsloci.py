@@ -1,8 +1,9 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from detloci import bsloci
@@ -243,6 +244,65 @@ def contained_case(rng, r):
         pieces.append(deeper)
     rescaled = [H(tuple(3 * x for x in g.c), 3 * g.c0) for g in outer.members()[1:]]
     return HyperplaneLocus.make(r, rescaled, pieces), outer
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer rows with ncols pivot columns and at most one column beyond,
+    with rows that combine others and all-zero rows shuffled in."""
+    ncols = draw(st.integers(1, 5))
+    width = ncols + draw(st.integers(0, 1))
+    row = st.lists(st.integers(-9, 9), min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+        x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append([a * p + b * q for p, q in zip(x, y)])
+    if draw(st.booleans()):
+        rows.append([0] * width)
+    return draw(st.permutations(rows)), ncols
+
+
+@st.composite
+def member_cases(draw):
+    """A piece or a one-hyperplane member with independent normals."""
+    r = draw(st.integers(1, 4))
+    k = draw(st.integers(1, r))
+    cs = draw(st.lists(normals(r, 6), min_size=k, max_size=k))
+    assume(len(_rref(cs, r)[0]) == k)
+    return tuple(H(c, draw(st.integers(-20, 20))) for c in cs)
+
+
+class TestIntegerRref:
+    @given(integer_matrices())
+    @settings(max_examples=400)
+    @example(([[0, 0, 0], [2, 4, 6], [1, 2, 3]], 2))
+    @example(([[6, 4, -2], [3, 0, 9]], 3))
+    def test_against_fraction_oracle(self, case):
+        rows, ncols = case
+        pivots, reduced = rref(rows, ncols)
+        want_pivots, want_rows = _rref(rows, ncols)
+        assert pivots == want_pivots
+        for row, col, want in zip(reduced, pivots, want_rows, strict=True):
+            assert all(type(x) is int for x in row)
+            assert math.gcd(*row) == 1 and row[col] > 0
+            assert all(row[other] == 0 for other in pivots if other != col)
+            assert [Fraction(x, row[col]) for x in row] == want
+
+    @given(member_cases(), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+    @settings(max_examples=300)
+    def test_parametrized_points_lie_on_the_member(self, member, values):
+        n = member[0].nvars
+        base, dirs, den = bsloci._parametrize(member)
+        assert den > 0 and len(dirs) == n - len(member)
+        # den is the least common denominator of the Fraction oracle's rows
+        rows = _rref([(*h.c, -h.c0) for h in member], n)[1]
+        assert den == math.lcm(*(x.denominator for row in rows for x in row))
+        point = [
+            Fraction(b + sum(v * d[i] for v, d in zip(values, dirs)), den)
+            for i, b in enumerate(base)
+        ]
+        assert all(on_hyperplane(h, point) for h in member)
 
 
 class TestContainmentWitness:

@@ -489,6 +489,134 @@ class TestIdealGolden:
         assert out == (GOLDEN / f"{name}.out").read_text()
 
 
+def _hyperplanes(*members):
+    return [{"c": list(c), "c0": c0, **({"mult": m} if m else {})} for c, c0, m in members]
+
+
+def _piece(*members):
+    return {"hyperplanes": _hyperplanes(*((c, c0, None) for c, c0 in members))}
+
+
+# members listed out of order, with a member repeated and one rescaled, so the
+# printed locus shows the canonical member and piece order
+LOCUS_R3 = {
+    "r": 3,
+    "hyperplanes": _hyperplanes(
+        ((2, 0, 1), 3, 2),
+        ((0, 1, 0), -1, None),
+        ((1, 1, 1), 2, None),
+        ((2, 0, 1), -1, None),
+        ((0, 1, 0), -1, 3),
+        ((4, 0, 2), 6, None),
+        ((4, 0, 2), 5, None),
+        ((1, 2, 3), 5, None),
+        ((2, 2, 2), 3, None),
+        ((3, 3, 0), 4, None),
+    ),
+    "pieces": [
+        _piece(((1, 1, 0), 1), ((0, 2, 1), 0)),
+        _piece(((0, 0, 1), 2), ((1, 0, 0), -3)),
+    ],
+}
+COMPONENT_E1 = {
+    "r": 2,
+    "hyperplanes": _hyperplanes(((4, 1), 3, 2), ((1, 0), 1, None), ((8, 0), 5, None)),
+    "pieces": [_piece(((0, 1), 1), ((2, 0), 3))],
+}
+COMPONENT_E2 = {"r": 2, "hyperplanes": _hyperplanes(((0, 1), 1, None), ((4, 1), 4, None))}
+POLAR_MODEL = {
+    "r": 3,
+    "hyperplanes": _hyperplanes(
+        ((1, 1, 0), 1, 2), ((2, 0, 1), 3, None), ((0, 0, 1), 1, None), ((1, 1, 1), 3, 2)
+    ),
+    "pieces": [_piece(((1, 0, 0), 1), ((0, 1, 0), 1))],
+}
+
+# (exit code, argv) of fixed locus commands whose full stdout is pinned in
+# golden/<name>.out; a dict in argv is written to a file whose path replaces it
+LOCUS_GOLDEN = {
+    "exp_r3": (0, ["exp", "--locus", LOCUS_R3]),
+    "slopes_r3": (0, ["slopes", "--locus", LOCUS_R3]),
+    "oblique_r3": (0, ["oblique", "--locus", LOCUS_R3]),
+    "combine_r2": (
+        0,
+        ["combine", "--m", "2,3", "--pi", "2,1", "--e1", COMPONENT_E1, "--e2", COMPONENT_E2],
+    ),
+    "propagate_r3": (0, ["propagate", "--model", POLAR_MODEL, "--steps", "2"]),
+    "slice_r3": (0, ["slice", "--model", POLAR_MODEL, "--b", "1,2,1"]),
+    # m = 2 and none of the translates c0 = 7, 4, 1 is a member
+    "filter_rejected": (0, ["filter", "--locus", LOCUS_R3, "--c", "1,1,1", "--c0", "7"]),
+    "contain_contained": (
+        0,
+        [
+            "contain",
+            "--inner",
+            {
+                "r": 3,
+                "hyperplanes": _hyperplanes(((2, 0, 2), 4, None)),
+                "pieces": [_piece(((0, 1, 0), -1), ((1, 0, 0), 5))],
+            },
+            "--outer",
+            {"r": 3, "hyperplanes": _hyperplanes(((1, 0, 1), 2, None), ((0, 3, 0), -3, None))},
+        ],
+    ),
+    # the points s2 = 0, 1, -1 of 2*s1+3*s2+1 = 0 are blocked one by one
+    "contain_hyperplane_witness": (
+        1,
+        [
+            "contain",
+            "--inner",
+            {"r": 2, "hyperplanes": _hyperplanes(((2, 3), 1, None))},
+            "--outer",
+            {
+                "r": 2,
+                "hyperplanes": _hyperplanes(((2, 0), 1, None), ((0, 1), -1, None), ((1, 1), 0, None)),
+            },
+        ],
+    ),
+    # a codimension-2 piece with pivot entries 2 and 3, so den = 6
+    "contain_piece_witness_r4": (
+        1,
+        [
+            "contain",
+            "--inner",
+            {"r": 4, "pieces": [_piece(((2, 0, 1, 0), 1), ((0, 3, 0, 2), -1))]},
+            "--outer",
+            {
+                "r": 4,
+                "hyperplanes": _hyperplanes(((0, 0, 1, 0), 0, None), ((0, 3, 0, 0), -1, None)),
+                "pieces": [_piece(((1, 0, 0, 0), 1), ((0, 0, 0, 1), -1))],
+            },
+        ],
+    ),
+    # s1 + 2*s2 = 0 holds the whole line s2 = 0 of s1 = 0, so the search
+    # moves on to the line s2 = 1, where s3 = 0 is blocked
+    "contain_blocked_line": (
+        1,
+        [
+            "contain",
+            "--inner",
+            {"r": 3, "hyperplanes": _hyperplanes(((1, 0, 0), 0, None))},
+            "--outer",
+            {"r": 3, "hyperplanes": _hyperplanes(((1, 2, 0), 0, None), ((0, 0, 1), 0, None))},
+        ],
+    ),
+}
+
+
+class TestLocusGolden:
+    @pytest.mark.parametrize("name", sorted(LOCUS_GOLDEN))
+    def test_full_stdout(self, capsys, tmp_path, name):
+        expected_code, argv = LOCUS_GOLDEN[name]
+        argv = [
+            write_json(tmp_path / f"{i}.json", a) if isinstance(a, dict) else a
+            for i, a in enumerate(argv)
+        ]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (expected_code, "")
+        assert out == (GOLDEN / f"{name}.out").read_text()
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
@@ -941,6 +1069,23 @@ class TestErrors:
         code, out, err = run_cli(capsys, ["exp", "--locus", path])
         assert code == 2 and not out
         assert err.startswith("input error:") and "must be an array" in err
+
+    @pytest.mark.parametrize("r", [0, -2])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exp", "--locus", "L"],
+            ["slopes", "--locus", "L"],
+            ["contain", "--inner", "L", "--outer", "L"],
+            ["propagate", "--model", "L"],
+            ["slice", "--model", "L", "--b", ""],
+        ],
+    )
+    def test_locus_dimension_below_one_exit_2(self, capsys, tmp_path, argv, r):
+        path = write_json(tmp_path / "locus.json", {"r": r, "hyperplanes": []})
+        code, out, err = run_cli(capsys, [path if a == "L" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert err == "input error: r must be a positive integer\n"
 
     @pytest.mark.parametrize(
         "field",

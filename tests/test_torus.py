@@ -1,11 +1,17 @@
+import ast
+import copy
+import inspect
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from detloci import bsloci, torus
 from detloci.arith import TorsionAngle, angle_roots
+from detloci.bsloci import HyperplaneLocus
 from detloci.torus import (
     AffineHyperplane,
     PrimeTorusDivisor,
@@ -43,6 +49,73 @@ class TestAffineHyperplane:
     def test_set_canonical(self):
         assert AffineHyperplane((6, 0), 6).set_canonical() == ((1, 0), 1)
         assert AffineHyperplane((8, 0), 5).set_canonical() == ((8, 0), 5)
+
+    def test_repr_and_fields(self):
+        h = AffineHyperplane((1, 0), 2)
+        assert repr(h) == "AffineHyperplane(c=(1, 0), c0=2)"
+        assert (h.c, h.c0, h.nvars) == ((1, 0), 2, 2)
+        with pytest.raises(AttributeError):
+            h.c0 = 3
+
+    def test_copy_and_pickle(self):
+        piece = [AffineHyperplane((0, 1), 1), AffineHyperplane((1, 1), 0)]
+        locus = HyperplaneLocus.make(2, [AffineHyperplane((1, 0), 2)], [piece])
+        assert pickle.loads(pickle.dumps(locus)) == locus
+        assert copy.deepcopy(locus) == locus
+
+    def test_shifted_wrong_length(self):
+        with pytest.raises(ValueError, match="^translation vector has wrong length$"):
+            AffineHyperplane((1, 2), 0).shifted((1, 1, 1))
+
+    @given(
+        st.lists(st.integers(0, 5), min_size=1, max_size=4).filter(any),
+        st.integers(-20, 20),
+        st.data(),
+    )
+    def test_shifted_equals_a_validated_hyperplane(self, c, c0, data):
+        v = data.draw(st.lists(st.integers(-4, 4), min_size=len(c), max_size=len(c)))
+        got = AffineHyperplane(tuple(c), c0).shifted(v)
+        fresh = AffineHyperplane(tuple(c), c0 + sum(ci * vi for ci, vi in zip(c, v)))
+        assert type(got) is AffineHyperplane
+        assert got == fresh and hash(got) == hash(fresh)
+        assert (got.c, got.c0) == (fresh.c, fresh.c0)
+
+    def test_locus_order_is_by_c_then_c0(self, rng):
+        def key(h):
+            return (h.c, h.c0)
+
+        def hyperplane(c):
+            return AffineHyperplane(c, rng.randint(-9, 9))
+
+        for _ in range(50):
+            members = [
+                hyperplane((rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, 3)))
+                for _ in range(8)
+            ]
+            pieces = [
+                [hyperplane((0, 0, rng.randint(1, 3))), hyperplane((rng.randint(1, 3), 0, 0))]
+                for _ in range(4)
+            ]
+            locus = HyperplaneLocus.make(3, members, pieces)
+            assert locus.members() == sorted(set(members), key=key)
+            assert all(list(p) == sorted(p, key=key) for p in locus.pieces)
+            assert list(locus.pieces) == sorted(locus.pieces, key=lambda p: [key(h) for h in p])
+
+
+def _names(function) -> set[str]:
+    tree = ast.parse(inspect.getsource(function))
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+class TestIntegerElimination:
+    @pytest.mark.parametrize("function", [torus.rref, bsloci._parametrize, bsloci._restrict])
+    def test_names_no_fraction(self, function):
+        assert "Fraction" not in _names(function)
+
+    def test_guard_sees_fraction(self):
+        assert "Fraction" in _names(bsloci._point_avoiding)
 
 
 class TestExpHyperplane:
