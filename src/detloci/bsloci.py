@@ -54,6 +54,8 @@ class HyperplaneLocus:
         hyperplanes: Iterable[tuple[AffineHyperplane, int]] | Iterable[AffineHyperplane],
         pieces: Iterable[Sequence[AffineHyperplane]] = (),
     ) -> "HyperplaneLocus":
+        if r < 1:
+            raise ValueError("r must be a positive integer")
         merged: dict[AffineHyperplane, int] = {}
         for item in hyperplanes:
             if isinstance(item, AffineHyperplane):

@@ -1,23 +1,25 @@
 """Smith normal form over Q(zeta_N)[t] and the data it extracts.
 
 Covers the diagonalization with tracked unimodular transforms, Fitting-ideal
-generators of torsion modules, determinantal factors b_k of a square matrix
-over the field (with b_0/b_1, the last invariant factor, the minimal
-polynomial), maximal Jordan block sizes at unit-root eigenvalues,
-presentations of the cohomology of one-variable complexes with torsion
-cohomology, and the cohomology dimensions of a complex evaluated at a torsion
-point, all read off one checked Smith diagonal.
+generators of torsion modules, presentations of the cohomology of
+one-variable complexes with torsion cohomology, and the cohomology
+dimensions of a complex evaluated at a torsion point, each read off one
+checked Smith diagonal.  The determinantal factors b_k of a square matrix
+phi over the field (with b_0/b_1, the minimal polynomial) and the maximal
+Jordan block sizes at unit-root eigenvalues come from a checked Krylov
+similarity phi*T = T*H onto k coupled companion blocks and the Smith
+diagonal of a k x k relation matrix, not from the n x n t*id - phi.
 
 One pivoting loop (`_pivot`) serves two entry points.  `smith_normal_form`
 tracks U and V and checks U*M*V = D; `smith_diagonal`, for callers that read
 only the diagonal, tracks U and V^-1 and checks U*M = D*V^-1, keeping V^-1
 for that check alone.  Both check the divisibility chain of the diagonal.
 
-The loop, both checks and the products behind the determinantal factors and
-Fitting generators run on `upoly.UPoly` (integer numerator rows per power of
-t over one denominator); matrices are converted from LaurentPoly once on
-entry and back once on exit.  The check products fuse each entry into one
-`upoly.sum_of_products`, and a unit pivot divides by scaling with its inverse.
+The loop, both checks, the Krylov vectors (coordinate i as the t^i
+coefficient) and the products behind the determinantal factors and Fitting
+generators run on `upoly.UPoly`, converted from LaurentPoly once on entry and
+back once on exit.  Check products fuse each entry into one
+`upoly.sum_of_products`; a unit pivot divides by scaling with its inverse.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 from .arith import CycloElem, TorsionAngle, root_multiplicity
 from .complexes import FreeComplex, Matrix, matrix_make, matrix_shape
 from .poly import IdealGens, LaurentPoly, u_dense, u_laurent
-from .upoly import UPoly, sum_of_products
+from .upoly import UPoly, _make, sum_of_products
 
 
 def _rank(diagonal: Sequence[LaurentPoly | UPoly]) -> int:
@@ -228,13 +230,12 @@ def smith_normal_form(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithFor
     )
 
 
-def _checked_diagonal(mat: Matrix | Sequence[Sequence[LaurentPoly]]):
-    """(diagonal, order) with dense entries, checked as U*M = D*V^-1.
+def _checked_diagonal(rows: list[list[UPoly]]) -> tuple[UPoly, ...]:
+    """The Smith diagonal of dense entries of one order, checked as U*M = D*V^-1.
 
     Runs the pivoting of `smith_normal_form` but tracks V^-1 instead of V;
     D is diagonal, so the check is one matrix product and a row scaling.
     """
-    rows = _dense_matrix(mat)
     d, u, v_inv, order = _pivot(rows, inverse=True)
     diagonal = tuple(d[i][i] for i in range(min(len(d), len(v_inv))))
     if rows:
@@ -247,12 +248,12 @@ def _checked_diagonal(mat: Matrix | Sequence[Sequence[LaurentPoly]]):
             if row != want:
                 raise ArithmeticError("Smith verification failed: U*M != D*V^-1")
     _check_chain(diagonal)
-    return diagonal, order
+    return diagonal
 
 
 def smith_diagonal(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithDiagonal:
     """The Smith diagonal of a matrix, checked as U*M = D*V^-1."""
-    return SmithDiagonal(tuple(u_laurent(e) for e in _checked_diagonal(mat)[0]))
+    return SmithDiagonal(tuple(u_laurent(e) for e in _checked_diagonal(_dense_matrix(mat))))
 
 
 def _check_chain(diagonal: Sequence[UPoly]):
@@ -277,7 +278,7 @@ def fitting_generator(presentation: Matrix, k: int) -> LaurentPoly:
         return LaurentPoly.zero(1, order)
     result = UPoly.one(order)
     if size > 0:
-        for entry in _checked_diagonal(presentation)[0][:size]:
+        for entry in _checked_diagonal(_dense_matrix(presentation))[:size]:
             result = result * entry
     return u_laurent(result)
 
@@ -290,29 +291,86 @@ class DeterminantalFactors:
     minimal: LaurentPoly  # b_0/b_1, the last invariant factor (1 for the 0x0 matrix)
 
 
-def characteristic_matrix(phi: Sequence[Sequence[CycloElem]]) -> Matrix:
-    m = len(phi)
-    order = math.lcm(*(entry.order for row in phi for entry in row))
-    t = LaurentPoly.variable(1, 0, 1, order)
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            entry = LaurentPoly.constant(1, -phi[i][j].lift(order))
-            if i == j:
-                entry = entry + t
-            row.append(entry)
-        rows.append(row)
-    return matrix_make(rows)
+def _mat_vec(columns: Sequence[UPoly], v: UPoly, order: int) -> UPoly:
+    """sum_j v_j * columns[j]: phi*v for the columns of phi, T*c for those of T."""
+    pairs = ((UPoly(order, v.den, (row,)), col) for row, col in zip(v.rows, columns) if any(row))
+    return sum_of_products(order, pairs)
+
+
+def _krylov(columns: Sequence[UPoly], order: int):
+    """Krylov blocks v, phi v, phi^2 v, ... against an incremental echelon basis.
+
+    The start vectors are (1, 2, ..., n), (1, -1, 2, -2, ...), e_1, ..., e_n.
+    Returns (t, blocks, echelon): t holds the columns of T; block i ends at
+    column blocks[i][0] - 1, phi maps that column to T*blocks[i][1], and each
+    (w, c) of echelon is a monic w = T*c, the top indices of the w distinct.
+    """
+    n = len(columns)
+    dense = [[i + 1 for i in range(n)], [(i // 2 + 1) * (-1) ** i for i in range(n)]]
+    t, blocks, echelon = [], [], {}
+    for ints in dense + [[0] * i + [1] for i in range(n)]:
+        terms = ((i, CycloElem.from_rational(order, x)) for i, x in enumerate(ints) if x)
+        v, start = UPoly.from_terms(order, terms), len(t)
+        while True:
+            r, acc = v, UPoly(order, 1, ())  # v = r - T*acc
+            while r.rows and len(r.rows) - 1 in echelon:
+                w, c = echelon[len(r.rows) - 1]
+                top = UPoly(order, r.den, (r.rows[-1],))
+                r, acc = r.submul(top, w), acc.submul(top, c)
+            if not r.rows:
+                break
+            monic, inv = r.monic_pair()
+            c = acc + UPoly.from_terms(order, ((len(t), CycloElem.one(order)),))
+            echelon[len(r.rows) - 1] = (monic, c if inv is None else c.scale(inv))
+            t.append(v)
+            v = _mat_vec(columns, v, order)
+        if len(t) > start:
+            blocks.append((len(t), -acc))
+        if len(t) == n:
+            break
+    return t, blocks, list(echelon.values())
 
 
 def determinantal_factors(phi: Sequence[Sequence[CycloElem]]) -> DeterminantalFactors:
-    """The b_k chain for a square matrix over the coefficient field."""
-    m = len(phi)
-    if any(len(row) != m for row in phi):
+    """The b_k chain for a square matrix over the coefficient field.
+
+    Given phi*T = T*H from `_krylov`, checked, K^n with t acting as phi is
+    the cokernel of the k x k upper-triangular P over Q(zeta)[t] whose column
+    i is g_i(t) v_i minus the couplings to earlier start vectors, g_i monic of
+    the degree d_i of block i: the t^m v_i (m < d_i) span it, sum d_i = n of
+    them.  So t*id - phi has the Smith diagonal 1^(n-k), then that of P.
+    """
+    n = len(phi)
+    if any(len(row) != n for row in phi):
         raise ValueError("determinantal factors need a square matrix")
-    diagonal, order = _checked_diagonal(characteristic_matrix(phi))
-    # prefixes[j] is the product of the first j invariant factors; b_k = prefixes[m - k]
+    order = math.lcm(*(entry.order for row in phi for entry in row))
+    columns = [
+        UPoly.from_terms(order, ((i, row[j]) for i, row in enumerate(phi) if not row[j].is_zero()))
+        for j in range(n)
+    ]
+    t, blocks, echelon = _krylov(columns, order)
+    # the n distinct top indices make W, and so T, invertible
+    if len(t) != n or sorted(len(w.rows) - 1 for w, _ in echelon) != list(range(n)):
+        raise ArithmeticError("Krylov verification failed: T is not invertible")
+    if any(_mat_vec(t, c, order) != w for w, c in echelon):
+        raise ArithmeticError("Krylov verification failed: W != T*C")
+    start, bounds, p = 0, [], [[UPoly(order, 1, ())] * len(blocks) for _ in blocks]
+    for i, (end, h) in enumerate(blocks):
+        if not start < end or len(h.rows) > end:
+            raise ArithmeticError("Krylov verification failed: H is not block triangular")
+        bounds.append((start, end))
+        for j in range(start, end):
+            image = t[j + 1] if j + 1 < end else _mat_vec(t, h, order)
+            if _mat_vec(columns, t[j], order) != image:
+                raise ArithmeticError("Krylov verification failed: phi*T != T*H")
+        for i2, (s, e) in enumerate(bounds):
+            p[i2][i] = _make(order, [[-x for x in row] for row in h.rows[s:e]], h.den)
+        p[i][i] = p[i][i] + UPoly.from_terms(order, ((end - start, CycloElem.one(order)),))
+        start = end
+    if start != n:
+        raise ArithmeticError("Krylov verification failed: the blocks do not cover T")
+    diagonal = (UPoly.one(order),) * (n - len(p)) + _checked_diagonal(p)
+    # prefixes[j] is the product of the first j invariant factors; b_k = prefixes[n - k]
     prefixes = [UPoly.one(order)]
     for entry in diagonal:
         prefixes.append(prefixes[-1] * entry)
@@ -363,7 +421,7 @@ def _torsion_invariants(complex_: FreeComplex) -> dict[int, tuple[UPoly, ...]]:
     for j in range(complex_.imin - 1, complex_.imax + 1):
         mat = _cleared_polynomial_matrix(complex_.differential(j), order)
         if 0 not in matrix_shape(mat):
-            diagonals[j] = _checked_diagonal(mat)[0]
+            diagonals[j] = _checked_diagonal(_dense_matrix(mat))
     for j in complex_.degrees():
         if complex_.rank(j) != _rank(diagonals.get(j, ())) + _rank(diagonals.get(j - 1, ())):
             raise NonTorsionError(j)
@@ -400,7 +458,7 @@ def principal_generator(ideal: IdealGens) -> LaurentPoly:
         raise ValueError("principal generators only exist in one variable")
     if ideal.is_zero():
         return LaurentPoly.zero(1, ideal.ring.cyclotomic_order)
-    return u_laurent(_checked_diagonal([ideal.gens])[0][0])
+    return u_laurent(_checked_diagonal(_dense_matrix([ideal.gens]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +480,7 @@ def cohomology_dims_at_point(
             [LaurentPoly.constant(1, e.evaluate(point, order)) for e in row]
             for row in complex_.differential(i)
         ]
-        ranks[i] = _rank(_checked_diagonal(mat)[0])
+        ranks[i] = _rank(_checked_diagonal(_dense_matrix(mat)))
     return {
         i: complex_.rank(i) - ranks[i] - ranks[i - 1]
         for i in complex_.degrees()

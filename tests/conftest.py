@@ -167,6 +167,23 @@ def random_torsion_complex(
 # Independent oracles
 
 
+def characteristic_matrix(phi: list[list[CycloElem]]) -> Matrix:
+    """t*id - phi over Q(zeta)[t], at the lcm of the orders of the entries."""
+    m = len(phi)
+    order = math.lcm(*(entry.order for row in phi for entry in row))
+    t = LaurentPoly.variable(1, 0, 1, order)
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            entry = LaurentPoly.constant(1, -phi[i][j].lift(order))
+            if i == j:
+                entry = entry + t
+            row.append(entry)
+        rows.append(row)
+    return matrix_make(rows)
+
+
 def oracle_det(mat: list[list[LaurentPoly]], ring: Ring) -> LaurentPoly:
     """Permutation-sum determinant; independent of the expansion engine."""
     n = len(mat)

@@ -112,6 +112,29 @@ class TestCombine:
             )
 
 
+class TestDimension:
+    @pytest.mark.parametrize("r", [0, -2])
+    def test_make_rejects_nonpositive_r(self, r):
+        with pytest.raises(ValueError, match="^r must be a positive integer$"):
+            HyperplaneLocus.make(r, [])
+
+    def test_translate_rejects_r_zero(self):
+        # a locus built without make still meets the check in translate_locus
+        with pytest.raises(ValueError, match="^r must be a positive integer$"):
+            translate_locus(HyperplaneLocus(0, (), ()), [])
+
+    @pytest.mark.parametrize("r", [0, -2])
+    def test_containment_of_nonpositive_r_loci_unreachable(self, r):
+        with pytest.raises(ValueError, match="^r must be a positive integer$"):
+            containment_check(HyperplaneLocus.make(r, []), HyperplaneLocus.make(r, []))
+
+    def test_r_one_accepted(self):
+        assert containment_check(HyperplaneLocus.make(1, []), HyperplaneLocus.make(1, [])) == (
+            True,
+            None,
+        )
+
+
 class TestContainment:
     def test_trivial_cases(self):
         inner = HyperplaneLocus.make(2, [H((1, 0), 1)])

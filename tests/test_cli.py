@@ -435,6 +435,58 @@ class TestSmithGolden:
         assert out == (GOLDEN / f"smith_{name}.out").read_text()
 
 
+# (cyclotomic order, rows) of fixed matrices whose full `detloci detfactors`
+# stdout is pinned in golden/detfactors_<name>.out
+DETFACTORS_GOLDEN = {
+    "empty": (1, []),
+    "one_by_one": (1, [["-2/3"]]),
+    "zero_3x3": (1, [["0"] * 3] * 3),
+    # k = n: every start vector is an eigenvector
+    "scalar_order3": (3, [["e(1/3)", "0", "0"], ["0", "e(1/3)", "0"], ["0", "0", "e(1/3)"]]),
+    "nilpotent_chain": (
+        1,
+        [["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"], ["0", "0", "0", "0"]],
+    ),
+    # P J P^-1 with Jordan blocks (3, 1) at e(1/6) and (2, 2) at -1
+    "order6_8x8": (
+        6,
+        [
+            ["-2+e(1/6)", "1", "0", "0", "0", "-1", "0", "0"],
+            ["-2", "1+e(1/6)", "1", "-2", "0", "-2-e(1/6)", "0", "0"],
+            ["10", "-5", "5+e(1/6)", "-10", "0", "5", "0", "0"],
+            ["4", "-2", "2", "-4+e(1/6)", "0", "2", "0", "0"],
+            ["0", "0", "0", "0", "-1", "1", "0", "0"],
+            ["0", "0", "0", "0", "0", "-1", "0", "0"],
+            ["0", "0", "0", "-2", "0", "0", "-1", "1"],
+            ["8", "-4", "4", "-6+2*e(1/6)", "0", "4", "0", "-1"],
+        ],
+    ),
+    # P J P^-1 with Jordan blocks (2, 1) at e(1/12) and 1 at e(1/4)
+    "order12": (
+        12,
+        [
+            ["e(1/12)", "1", "0", "0"],
+            ["0", "e(1/12)", "0", "0"],
+            ["0", "2", "e(1/12)", "0"],
+            ["0", "2-e(1/12)+e(1/4)", "e(1/12)-e(1/4)", "e(1/4)"],
+        ],
+    ),
+}
+
+
+class TestDetfactorsGolden:
+    @pytest.mark.parametrize("name", sorted(DETFACTORS_GOLDEN))
+    def test_full_stdout(self, capsys, tmp_path, name):
+        order, rows = DETFACTORS_GOLDEN[name]
+        matrix = write_json(
+            tmp_path / f"{name}.json",
+            {"ring": {"nvars": 1, "laurent": False, "cyclotomic_order": order}, "rows": rows},
+        )
+        code, out, err = run_cli(capsys, ["detfactors", "--matrix", matrix])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"detfactors_{name}.out").read_text()
+
+
 # the Koszul complex of f1, f2, f3 over the Laurent ring in three variables
 KOSZUL_F = ("t1-e(1/3)", "2*t1^-1*t2-2", "t1*t3-e(1/4)")
 KOSZUL_NEG = ("-t1+e(1/3)", "-2*t1^-1*t2+2", "-t1*t3+e(1/4)")

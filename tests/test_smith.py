@@ -18,7 +18,6 @@ from detloci.poly import (
 )
 from detloci.smith import (
     NonTorsionError,
-    characteristic_matrix,
     cohomology_presentation,
     determinantal_factors,
     fitting_generator,
@@ -29,7 +28,13 @@ from detloci.smith import (
 )
 from detloci.upoly import UPoly
 
-from conftest import division_multiplicity, oracle_det, random_torsion_complex, upoly_divmod_in
+from conftest import (
+    characteristic_matrix,
+    division_multiplicity,
+    oracle_det,
+    random_torsion_complex,
+    upoly_divmod_in,
+)
 
 R1 = Ring(1, False, 1)
 R1L = Ring(1, True, 1)
@@ -430,6 +435,136 @@ class TestDeterminantalFactors:
             factors = determinantal_factors(phi)
             quotient = exact_divide(factors.b[0], factors.b[1], laurent=False)
             assert factors.minimal == quotient
+
+
+def smith_route_determinantal_factors(phi):
+    """b_0, ..., b_m from the Smith diagonal of the whole characteristic matrix."""
+    order = math.lcm(*(entry.order for row in phi for entry in row))
+    prefixes = [LaurentPoly.one(1, order)]
+    for entry in smith_diagonal(characteristic_matrix(phi)).diagonal:
+        prefixes.append(prefixes[-1] * entry)
+    return prefixes[::-1]
+
+
+@st.composite
+def planted_jordan(draw):
+    """P J P^-1 with J of planted Jordan blocks at a few eigenvalues c*e(a/N)
+    and P a product of integer elementary matrices."""
+    order = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))
+    n = draw(st.integers(0, 8))
+    values = draw(st.lists(
+        st.tuples(st.integers(0, order - 1), st.sampled_from([1, -1, 2])), min_size=1, max_size=3
+    ))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    zero = CycloElem.zero(order)
+    phi = [[zero] * n for _ in range(n)]
+    pos = 0
+    for size in sizes:
+        a, c = draw(st.sampled_from(values))
+        lam = CycloElem.from_angle(order, angle(a, order)) * CycloElem.from_rational(order, c)
+        for k in range(pos, pos + size):
+            phi[k][k] = lam
+            if k + 1 < pos + size:
+                phi[k][k + 1] = CycloElem.one(order)
+        pos += size
+    if n > 1:
+        pairs = st.lists(st.sampled_from(list(itertools.permutations(range(n), 2))), max_size=2 * n)
+        for a, b in draw(pairs):
+            q = CycloElem.from_rational(order, draw(st.sampled_from([1, -1, 2])))
+            # E J E^-1 for E = id + q*e_ab: row a += q*row b, then column b -= q*column a
+            phi[a] = [x + q * y for x, y in zip(phi[a], phi[b])]
+            for row in phi:
+                row[b] = row[b] - q * row[a]
+    return phi
+
+
+class TestKrylovRoute:
+    @given(planted_jordan())
+    @settings(max_examples=120, deadline=None)
+    def test_against_the_characteristic_matrix_route(self, phi):
+        factors = determinantal_factors(phi)
+        assert list(factors.b) == smith_route_determinantal_factors(phi)
+        if len(phi) <= 4:
+            order = math.lcm(*(entry.order for row in phi for entry in row))
+            assert list(factors.b) == oracle_determinantal_factors(phi, order)
+
+    # two Jordan blocks of size 2 at e(1/6): at least two Krylov blocks
+    LAM = CycloElem.from_angle(6, angle(1, 6))
+    ONE, ZERO = CycloElem.one(6), CycloElem.zero(6)
+    PHI = [[LAM, ONE, ZERO, ZERO], [ZERO, LAM, ZERO, ZERO], [ZERO, ZERO, LAM, ONE],
+           [ZERO, ZERO, ZERO, LAM]]
+
+    def corrupt(self, monkeypatch, change):
+        import detloci.smith as smith_module
+
+        real = smith_module._krylov
+
+        def corrupted(columns, order):
+            t, blocks, echelon = real(columns, order)
+            assert len(blocks) >= 2
+            return change(order, t, blocks, echelon)
+
+        monkeypatch.setattr(smith_module, "_krylov", corrupted)
+
+    def test_unchanged_krylov_passes(self, monkeypatch):
+        self.corrupt(monkeypatch, lambda order, *parts: parts)
+        linear = parse_poly("t1-e(1/6)", Ring(1, False, 6))
+        assert determinantal_factors(self.PHI).b[:3] == (linear**4, linear**2, LaurentPoly.one(1, 6))
+
+    def test_corrupt_coupling_raises(self, monkeypatch):
+        def change(order, t, blocks, echelon):
+            end, h = blocks[-1]
+            return t, blocks[:-1] + [(end, h + UPoly.one(order))], echelon
+
+        self.corrupt(monkeypatch, change)
+        with pytest.raises(ArithmeticError, match="phi\\*T != T\\*H"):
+            determinantal_factors(self.PHI)
+
+    def test_coupling_to_a_later_block_raises(self, monkeypatch):
+        def change(order, t, blocks, echelon):
+            end, h = blocks[0]
+            later = UPoly.from_terms(order, [(len(t) - 1, CycloElem.one(order))])
+            return t, [(end, h + later)] + blocks[1:], echelon
+
+        self.corrupt(monkeypatch, change)
+        with pytest.raises(ArithmeticError, match="not block triangular"):
+            determinantal_factors(self.PHI)
+
+    def test_corrupt_krylov_column_raises(self, monkeypatch):
+        def change(order, t, blocks, echelon):
+            t = list(t)
+            t[1] = t[1] + UPoly.one(order)
+            return t, blocks, echelon
+
+        self.corrupt(monkeypatch, change)
+        with pytest.raises(ArithmeticError, match="Krylov verification failed"):
+            determinantal_factors(self.PHI)
+
+    def test_singular_t_raises(self, monkeypatch):
+        # T = 0 and W = 0 satisfy phi*T = T*H and W = T*C; only the pivots object
+        def change(order, t, blocks, echelon):
+            zero = UPoly(order, 1, ())
+            return [zero] * len(t), blocks, [(zero, c) for _, c in echelon]
+
+        self.corrupt(monkeypatch, change)
+        with pytest.raises(ArithmeticError, match="T is not invertible"):
+            determinantal_factors(self.PHI)
+
+    def test_singular_t_with_echelon_kept_raises(self, monkeypatch):
+        # T = 0 satisfies phi*T = T*H; the echelon vectors are no longer T*C
+        def change(order, t, blocks, echelon):
+            return [UPoly(order, 1, ())] * len(t), blocks, echelon
+
+        self.corrupt(monkeypatch, change)
+        with pytest.raises(ArithmeticError, match="W != T\\*C"):
+            determinantal_factors(self.PHI)
+
+    def test_dropped_block_raises(self, monkeypatch):
+        self.corrupt(monkeypatch, lambda order, t, blocks, echelon: (t, blocks[:-1], echelon))
+        with pytest.raises(ArithmeticError, match="do not cover T"):
+            determinantal_factors(self.PHI)
 
 
 class TestMaxJordanSize:
