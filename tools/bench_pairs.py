@@ -1,7 +1,7 @@
 """Before/after rows for a BENCH_<n>.json file, from two checkouts.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --seeds 1-10 \
-        --layer-seeds 1-3 --layer-repeats 7 --out BENCH_<n>.json
+        --out BENCH_<n>.json
 
 End to end: for every workload of BENCHMARK.json and every seed, one
 `perfbench/run.py --seconds 12 --trace 0` run in each checkout, the two runs
@@ -11,10 +11,11 @@ is better, the parent's quartiles, and whether the digests of every pair
 agree.
 
 Layer: `determinantal_factors` on the detfactors matrices of the smith-jordan
-jobs of the layer seeds (read from the change's perfbench/out, so run the end
-to end part or perfbench/run.py first), timed in one fresh process per
-checkout and repeat, interleaved; the file keeps the minimum per side, per
-(order, size) and in total.
+jobs of seeds 1-3 (read from the change's perfbench/out, so run the end to end
+part or perfbench/run.py first), timed in one fresh process per checkout and
+repeat, 7 repeats interleaved; the file keeps the minimum per side, per
+(order, size) and in total.  This part is written for `determinantal_factors`
+alone: another layer needs its own LAYER script.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ import re
 import statistics
 import subprocess
 import sys
+
+LAYER_SEEDS = range(1, 4)
+REPEATS = 7
 
 LAYER = r"""
 import json, sys, time
@@ -104,13 +108,13 @@ def end_to_end(parent: str, change: str, workloads: list[str], seed_list: list[i
     return rows
 
 
-def layer(parent: str, change: str, seed_list: list[int], repeats: int) -> dict:
+def layer(parent: str, change: str) -> dict:
     paths = [
         os.path.join(change, "perfbench", "out", f"smith-jordan-{seed}", "jobs.json")
-        for seed in seed_list
+        for seed in LAYER_SEEDS
     ]
     best: dict = {"parent": {}, "change": {}}
-    for k in range(repeats):
+    for k in range(REPEATS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
             root = parent if side == "parent" else change
@@ -138,8 +142,6 @@ def main():
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--seeds", default="1-10")
-    ap.add_argument("--layer-seeds", default="1-3")
-    ap.add_argument("--layer-repeats", type=int, default=7)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
@@ -155,10 +157,10 @@ def main():
         },
         "layer": {
             "function": "smith.determinantal_factors",
-            "inputs": f"detfactors matrices of smith-jordan seeds {args.layer_seeds}",
+            "inputs": f"detfactors matrices of smith-jordan seeds {LAYER_SEEDS[0]}-{LAYER_SEEDS[-1]}",
             "key": "order x size",
-            "statistic": f"min of {args.layer_repeats} interleaved fresh-process runs",
-            "rows": layer(parent, change, seeds(args.layer_seeds), args.layer_repeats),
+            "statistic": f"min of {REPEATS} interleaved fresh-process runs",
+            "rows": layer(parent, change),
         },
     }
     with open(args.out, "w") as f:
