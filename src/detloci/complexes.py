@@ -4,6 +4,9 @@ A complex stores its differentials as matrices acting on column vectors (rows
 indexed by the target basis); composition-zero is verified at construction.
 Determinantal ideals of the differentials yield the truncated-Euler minors
 ideals and the block-sum jump ideals; base change substitutes monomial powers.
+Minors are expanded along their first row with one memo per differential,
+each minor one `poly.sum_of_products` over its cofactor pairs, and every
+minor without a nonzero pair is the engine's one shared zero.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .poly import IdealGens, LaurentPoly, Ring
+from .poly import IdealGens, LaurentPoly, Ring, sum_of_products
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
 
@@ -60,12 +63,18 @@ def matrix_is_zero(mat: Matrix) -> bool:
 
 
 class MinorEngine:
-    """Shared-memo determinant expansion over all minors of one matrix."""
+    """Shared-memo determinant expansion over all minors of one matrix.
+
+    Each minor of size >= 2 is one `sum_of_products` over its nonzero
+    cofactor pairs along the first row; a minor with no such pair is the
+    engine's one shared zero.
+    """
 
     def __init__(self, mat: Matrix, nvars: int, order: int):
         self.mat = mat
         self.nvars = nvars
         self.order = order
+        self.zero = LaurentPoly.zero(nvars, order)
         self._memo: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
 
     def det(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> LaurentPoly:
@@ -80,18 +89,17 @@ class MinorEngine:
         if len(rows) == 1:
             result = self.mat[rows[0]][cols[0]]
         else:
-            result = LaurentPoly.zero(self.nvars, self.order)
             top = rows[0]
             rest = rows[1:]
+            pairs = []
             for j, col in enumerate(cols):
                 entry = self.mat[top][col]
                 if entry.is_zero():
                     continue
                 sub = self.det(rest, cols[:j] + cols[j + 1 :])
-                if sub.is_zero():
-                    continue
-                piece = entry * sub
-                result = result - piece if j % 2 else result + piece
+                if not sub.is_zero():
+                    pairs.append((-1 if j % 2 else 1, entry, sub))
+            result = sum_of_products(self.nvars, self.order, pairs) if pairs else self.zero
         self._memo[key] = result
         return result
 

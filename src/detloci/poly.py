@@ -1,9 +1,11 @@
 """Multivariate Laurent polynomials over Q(zeta_N) and ideal generator lists.
 
 Sparse term maps from integer exponent vectors to cyclotomic coefficients,
-with a graded-lexicographic canonical order.  Exact division and valuation
-along binomial prime divisors (read off the one-variable fibres) are the
-workhorses for everything downstream; no Groebner machinery anywhere.
+with a graded-lexicographic canonical order.  Every product, a*b as well as
+the signed sum of a minor's cofactor products, is one fused integer kernel,
+`sum_of_products`.  Exact division and valuation along binomial prime
+divisors (read off the one-variable fibres) are the workhorses for everything
+downstream; no Groebner machinery anywhere.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .arith import (
     CycloElem,
     TorsionAngle,
     _canonical,
+    _phi_tail,
     reduce_mod_phi,
     root_multiplicity,
     torsion_sum,
@@ -164,21 +167,7 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, self.order, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        a, b = self._pair(other)
-        out: dict[tuple[int, ...], CycloElem] = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                if e in out:
-                    s = out[e] + prod
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
-                elif not prod.is_zero():
-                    out[e] = prod
-        return LaurentPoly(a.nvars, a.order, out)
+        return sum_of_products(self.nvars, self.order, ((1, self, other),))
 
     def scale(self, c: CycloElem) -> "LaurentPoly":
         if c.is_zero():
@@ -306,6 +295,60 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({format_poly(self, laurent=True)})"
+
+
+def _numerator_rows(p: LaurentPoly) -> tuple[int, list]:
+    """One denominator for p and, per term, its exponents and the nonzero
+    (power of z, integer numerator) pairs over that denominator."""
+    den = math.lcm(*(c.den for c in p.terms.values()))
+    return den, [
+        (e, [(i, n * (den // c.den)) for i, n in enumerate(c.nums) if n])
+        for e, c in p.terms.items()
+    ]
+
+
+def sum_of_products(
+    nvars: int, order: int, signed_pairs: Iterable[tuple[int, LaurentPoly, LaurentPoly]]
+) -> LaurentPoly:
+    """The sum of s*a*b over the (s, a, b) triples, s = +-1, in Q(zeta_M)
+    for M the lcm of order and the operand orders.
+
+    Every integer convolution in the exponents and in z accumulates
+    unreduced over one common denominator; each exponent is then reduced
+    modulo Phi_M, unless its convolution stops below z^phi(M) (always so
+    when phi(M) = 1), and made canonical once.
+    """
+    top = order
+    triples = []
+    for t in signed_pairs:
+        _, a, b = t
+        if a.nvars != nvars or b.nvars != nvars:
+            raise ValueError("polynomials live in different rings")
+        top = math.lcm(top, a.order, b.order)
+        if a.terms and b.terms:
+            triples.append(t)
+    rows = [(s, _numerator_rows(a.lift(top)), _numerator_rows(b.lift(top))) for s, a, b in triples]
+    den = math.lcm(*[da * db for _, (da, _), (db, _) in rows])
+    d = _phi_tail(top)[0]
+    acc: dict[tuple[int, ...], list[int]] = {}
+    for s, (da, ra), (db, rb) in rows:
+        f = s * (den // (da * db))
+        for ea, xs in ra:
+            xs = [(p, f * x) for p, x in xs]
+            for eb, ys in rb:
+                e = tuple(map(operator.add, ea, eb))
+                conv = acc.get(e)
+                if conv is None:
+                    conv = acc[e] = [0] * (2 * d - 1)
+                for q, y in ys:
+                    for p, x in xs:
+                        conv[p + q] += x * y
+    out = {}
+    for e, conv in acc.items():
+        nums = reduce_mod_phi(top, conv) if any(conv[d:]) else conv[:d]
+        if any(nums):
+            out[e] = _canonical(top, nums, den)
+    return LaurentPoly(nvars, top, out)
 
 
 # ---------------------------------------------------------------------------

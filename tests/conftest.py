@@ -184,8 +184,29 @@ def characteristic_matrix(phi: list[list[CycloElem]]) -> Matrix:
     return matrix_make(rows)
 
 
+def oracle_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a*b term by term: one CycloElem product per pair of terms, added into
+    the result one at a time.  Independent of the fused integer kernel."""
+    a, b = a._pair(b)
+    out: dict[tuple[int, ...], CycloElem] = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            prod = ca * cb
+            if e in out:
+                s = out[e] + prod
+                if s.is_zero():
+                    del out[e]
+                else:
+                    out[e] = s
+            elif not prod.is_zero():
+                out[e] = prod
+    return LaurentPoly(a.nvars, a.order, out)
+
+
 def oracle_det(mat: list[list[LaurentPoly]], ring: Ring) -> LaurentPoly:
-    """Permutation-sum determinant; independent of the expansion engine."""
+    """Permutation-sum determinant through oracle_mul; independent of the
+    expansion engine and of the product kernel."""
     n = len(mat)
     if n == 0:
         return LaurentPoly.one(ring.nvars, ring.cyclotomic_order)
@@ -206,7 +227,7 @@ def oracle_det(mat: list[list[LaurentPoly]], ring: Ring) -> LaurentPoly:
                 sign = -sign
         term = LaurentPoly.from_rational(ring.nvars, sign, ring.cyclotomic_order)
         for i in range(n):
-            term = term * mat[i][perm[i]]
+            term = oracle_mul(term, mat[i][perm[i]])
         total = total + term
     return total
 

@@ -1,5 +1,7 @@
 import collections
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +19,7 @@ from detloci.complexes import (
     matrix_shape,
     minors_ideal,
 )
-from detloci.arith import TorsionAngle
+from detloci.arith import CycloElem, TorsionAngle
 from detloci.poly import IdealGens, LaurentPoly, Ring, ideal_valuation, parse_poly, valuation_along
 from detloci.smith import alternating_cohomology_sum, cohomology_dims_at_point
 from detloci.torus import PrimeTorusDivisor
@@ -26,6 +28,7 @@ from conftest import (
     SMALL_ANGLES,
     canon_gens,
     conjugate_complex,
+    oracle_det,
     oracle_minor_gens,
     oracle_vanishes_at,
     random_binomial,
@@ -111,6 +114,42 @@ class TestMinorsIdeal:
                 expected = oracle_minor_gens([list(r) for r in mat], m, R2)
                 got = minors_ideal(mat, m, R2)
                 assert canon_gens(R2, got.gens) == canon_gens(R2, expected)
+
+    def test_engine_minors_of_sparse_order_12_matrices(self, rng):
+        """Every minor of a sparse 4x4 matrix over Q(zeta_12), zero rows,
+        columns and proportional rows included, against the permutation sum."""
+        ring = Ring(2, True, 12)
+
+        def entry():
+            terms = {
+                (rng.randint(-1, 2), rng.randint(-1, 2)): CycloElem(
+                    12, [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(4)]
+                )
+                for _ in range(rng.randint(1, 3))
+            }
+            return LaurentPoly.make(2, 12, terms)
+
+        zero = LaurentPoly.zero(2, 12)
+        shared = cancelled = 0
+        for _ in range(12):
+            mat = [[entry() if rng.random() < 0.45 else zero for _ in range(4)] for _ in range(4)]
+            if rng.random() < 0.5:
+                a, b = rng.sample(range(4), 2)
+                c = entry()
+                mat[b] = [c * x for x in mat[a]]
+            engine = MinorEngine(matrix_make(mat), 2, 12)
+            for m in range(1, 5):
+                for rows in itertools.combinations(range(4), m):
+                    for cols in itertools.combinations(range(4), m):
+                        got = engine.det(rows, cols)
+                        want = oracle_det([[mat[i][j] for j in cols] for i in rows], ring)
+                        assert got == want
+                        assert got.order == want.order
+                        assert got.is_zero() == want.is_zero()
+                        shared += m > 1 and got is engine.zero
+                        cancelled += got.is_zero() and got is not engine.zero and m > 1
+        # both kinds of zero minor occurred: no nonzero cofactor pair, and cancellation
+        assert shared and cancelled
 
     def test_size_guard(self):
         zero = LaurentPoly.zero(2, 3)
@@ -335,14 +374,19 @@ class TestJumpValuationByParts:
         ]
 
     def test_valuing_jump_ideals_forms_no_products(self, monkeypatch):
+        import detloci.complexes as complexes_module
+        import detloci.poly as poly_module
+
         products = []
-        real = LaurentPoly.__mul__
+        real = poly_module.sum_of_products
 
-        def counting(f, g):
+        def counting(nvars, order, signed_pairs):
             products.append(1)
-            return real(f, g)
+            return real(nvars, order, signed_pairs)
 
-        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        # the kernel as a minor expansion calls it and as LaurentPoly.__mul__ does
+        monkeypatch.setattr(complexes_module, "sum_of_products", counting)
+        monkeypatch.setattr(poly_module, "sum_of_products", counting)
         # every product is one of the minor expansions, none of a block product
         G = TestJumpFromBlockMinors.fixed_complex()
         products.clear()

@@ -18,6 +18,7 @@ from detloci.poly import (
     format_poly,
     ideal_valuation,
     parse_poly,
+    sum_of_products,
     u_dense,
     u_laurent,
     valuation_along,
@@ -27,6 +28,7 @@ from detloci.torus import PrimeTorusDivisor
 from conftest import (
     division_multiplicity,
     oracle_format_poly,
+    oracle_mul,
     oracle_parse_poly,
     oracle_parse_terms,
     oracle_valuation,
@@ -666,3 +668,69 @@ class TestLaurentPolyLaws:
         vf, vg = valuation_along(f, divisor), valuation_along(g, divisor)
         assert vf >= m and vg >= n
         assert valuation_along(f * g, divisor) == vf + vg
+
+
+# ---------------------------------------------------------------------------
+# The fused product kernel against the term-by-term oracle
+
+KERNEL_ORDERS = [1, 3, 4, 5, 7, 12]
+
+
+@st.composite
+def sparse_polys(draw):
+    """A sparse two-variable polynomial, possibly zero, at one of the kernel
+    orders, with exponents in -2..2 and coefficient denominators up to 6."""
+    order = draw(st.sampled_from(KERNEL_ORDERS))
+    d = euler_phi(order)
+    coeff = st.builds(
+        lambda nums, den: CycloElem(order, [Fraction(n, den) for n in nums]),
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+        st.integers(1, 6),
+    )
+    terms = draw(st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), coeff, max_size=4))
+    return LaurentPoly.make(2, order, terms)
+
+
+def oracle_sum_of_products(nvars, order, triples) -> LaurentPoly:
+    total = LaurentPoly.zero(nvars, order)
+    for s, a, b in triples:
+        piece = oracle_mul(a, b)
+        total = total + piece if s > 0 else total - piece
+    return total
+
+
+def identical(f: LaurentPoly, g: LaurentPoly) -> bool:
+    """Same field order and the same canonical numerators and denominator per term."""
+    return f.order == g.order and {e: (c.nums, c.den) for e, c in f.terms.items()} == {
+        e: (c.nums, c.den) for e, c in g.terms.items()
+    }
+
+
+class TestSumOfProducts:
+    @given(
+        st.sampled_from(KERNEL_ORDERS),
+        st.lists(st.tuples(st.sampled_from([1, -1]), sparse_polys(), sparse_polys()), max_size=4),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_term_by_term_oracle(self, order, triples, cancel):
+        if cancel:
+            # every pair again with the opposite sign: the sum is zero
+            triples = triples + [(-s, a, b) for s, a, b in triples]
+        got = sum_of_products(2, order, triples)
+        want = oracle_sum_of_products(2, order, triples)
+        assert identical(got, want)
+        if cancel or not triples:
+            assert got.is_zero()
+
+    @given(sparse_polys(), sparse_polys())
+    @settings(max_examples=100, deadline=None)
+    def test_product_is_the_kernel_on_one_pair(self, a, b):
+        assert identical(a * b, oracle_mul(a, b))
+
+    def test_empty_and_mismatched(self):
+        assert identical(sum_of_products(2, 12, []), LaurentPoly.zero(2, 12))
+        with pytest.raises(ValueError, match="different rings"):
+            sum_of_products(2, 1, [(1, P("t1"), LaurentPoly.one(3))])
+        with pytest.raises(ValueError, match="different rings"):
+            P("t1") * LaurentPoly.one(3)

@@ -10,12 +10,15 @@ file keeps the median of each metric per side, the pairs in which the change
 is better, the parent's quartiles, and whether the digests of every pair
 agree.
 
-Layer: `determinantal_factors` on the detfactors matrices of the smith-jordan
-jobs of seeds 1-3 (read from the change's perfbench/out, so run the end to end
-part or perfbench/run.py first), timed in one fresh process per checkout and
-repeat, 7 repeats interleaved; the file keeps the minimum per side, per
-(order, size) and in total.  This part is written for `determinantal_factors`
-alone: another layer needs its own LAYER script.
+Layers, each on the jobs of seeds 1-3 of one workload (read from the change's
+perfbench/out, so run the end to end part or perfbench/run.py first), timed in
+one fresh process per checkout and repeat, 7 repeats interleaved; the file
+keeps the minimum per side, per group and in total:
+- `determinantal_factors` on the detfactors matrices of smith-jordan, grouped
+  by order x size;
+- minor enumeration: every `cdf_ideal` and `jump_ideal` of the minors-valuation
+  complexes at the job's degrees and ks, grouped by the ranks of the complex.
+Each layer script prints {group: [inputs, seconds]}.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import sys
 LAYER_SEEDS = range(1, 4)
 REPEATS = 7
 
-LAYER = r"""
+DETFACTORS = r"""
 import json, sys, time
 from detloci.arith import CycloElem
 from detloci.io import matrix_from_json
@@ -53,6 +56,42 @@ for key, mats in groups.items():
     out[key] = [len(mats), time.perf_counter() - start]
 print(json.dumps(out))
 """
+
+MINORS = r"""
+import json, sys, time
+from detloci.complexes import cdf_ideal, jump_ideal
+from detloci.io import complex_from_json
+
+groups = {}
+for path in sys.argv[1:]:
+    for job in json.load(open(path)):
+        if job["kind"] == "minors":
+            cx = complex_from_json(job["inputs"]["complex"])
+            key = "-".join(str(cx.rank(i)) for i in cx.degrees())
+            groups.setdefault(key, []).append((cx, job["args"]["ks"]))
+out = {}
+for key, jobs in groups.items():
+    start = time.perf_counter()
+    for cx, ks in jobs:
+        for i in cx.degrees():
+            for k in ks:
+                cdf_ideal(cx, i, k)
+                jump_ideal(cx, i, k)
+    out[key] = [len(jobs), time.perf_counter() - start]
+print(json.dumps(out))
+"""
+
+# name: (function, workload, what one input is, group key, script)
+LAYERS = {
+    "determinantal_factors": (
+        "smith.determinantal_factors", "smith-jordan", "detfactors matrices", "order x size",
+        DETFACTORS,
+    ),
+    "minors": (
+        "complexes.cdf_ideal and complexes.jump_ideal, every minor enumerated",
+        "minors-valuation", "complexes", "ranks by degree", MINORS,
+    ),
+}
 
 
 def seeds(text: str) -> list[int]:
@@ -108,9 +147,9 @@ def end_to_end(parent: str, change: str, workloads: list[str], seed_list: list[i
     return rows
 
 
-def layer(parent: str, change: str) -> dict:
+def layer(parent: str, change: str, workload: str, script: str) -> dict:
     paths = [
-        os.path.join(change, "perfbench", "out", f"smith-jordan-{seed}", "jobs.json")
+        os.path.join(change, "perfbench", "out", f"{workload}-{seed}", "jobs.json")
         for seed in LAYER_SEEDS
     ]
     best: dict = {"parent": {}, "change": {}}
@@ -119,18 +158,18 @@ def layer(parent: str, change: str) -> dict:
         for side in order:
             root = parent if side == "parent" else change
             proc = subprocess.run(
-                [sys.executable, "-c", LAYER] + paths, capture_output=True, text=True, check=True,
+                [sys.executable, "-c", script] + paths, capture_output=True, text=True, check=True,
                 env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0"),
             )
             for key, (count, seconds) in json.loads(proc.stdout).items():
                 old = best[side].get(key)
                 best[side][key] = (count, seconds if old is None else min(old[1], seconds))
     rows = {}
-    for key in sorted(best["parent"], key=lambda s: tuple(map(int, s.split("x")))):
+    for key in sorted(best["parent"], key=lambda s: tuple(map(int, re.split(r"\D", s)))):
         count, p = best["parent"][key]
-        rows[key] = {"matrices": count, "parent_ms": 1e3 * p, "change_ms": 1e3 * best["change"][key][1]}
+        rows[key] = {"inputs": count, "parent_ms": 1e3 * p, "change_ms": 1e3 * best["change"][key][1]}
     rows["total"] = {
-        "matrices": sum(r["matrices"] for r in rows.values()),
+        "inputs": sum(r["inputs"] for r in rows.values()),
         "parent_ms": sum(r["parent_ms"] for r in rows.values()),
         "change_ms": sum(r["change_ms"] for r in rows.values()),
     }
@@ -155,12 +194,15 @@ def main():
             "seeds": args.seeds,
             "workloads": end_to_end(parent, change, workloads, seeds(args.seeds)),
         },
-        "layer": {
-            "function": "smith.determinantal_factors",
-            "inputs": f"detfactors matrices of smith-jordan seeds {LAYER_SEEDS[0]}-{LAYER_SEEDS[-1]}",
-            "key": "order x size",
-            "statistic": f"min of {REPEATS} interleaved fresh-process runs",
-            "rows": layer(parent, change),
+        "layers": {
+            name: {
+                "function": function,
+                "inputs": f"{inputs} of {workload} seeds {LAYER_SEEDS[0]}-{LAYER_SEEDS[-1]}",
+                "key": key,
+                "statistic": f"min of {REPEATS} interleaved fresh-process runs",
+                "rows": layer(parent, change, workload, script),
+            }
+            for name, (function, workload, inputs, key, script) in LAYERS.items()
         },
     }
     with open(args.out, "w") as f:
