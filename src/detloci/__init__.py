@@ -15,7 +15,6 @@ from .bsloci import (
     propagate_polar,
     slope_set,
     specialize_slice,
-    translate_locus,
 )
 from .complexes import (
     FreeComplex,

@@ -40,6 +40,13 @@ def _piece_make(hyperplanes: Sequence[AffineHyperplane], r: int) -> Piece:
     return tuple(sorted(hyperplanes))
 
 
+def _check_member(h: AffineHyperplane, mult: int, r: int) -> None:
+    if h.nvars != r:
+        raise ValueError("hyperplane has wrong dimension")
+    if mult < 1:
+        raise ValueError("hyperplane multiplicity must be >= 1")
+
+
 @dataclass(frozen=True)
 class HyperplaneLocus:
     """Finite union of hyperplanes (with multiplicities) and linear pieces."""
@@ -58,21 +65,19 @@ class HyperplaneLocus:
             raise ValueError("r must be a positive integer")
         merged: dict[AffineHyperplane, int] = {}
         for item in hyperplanes:
-            if isinstance(item, AffineHyperplane):
-                h, mult = item, 1
-            else:
-                h, mult = item
-            if h.nvars != r:
-                raise ValueError("hyperplane has wrong dimension")
-            if mult < 1:
-                raise ValueError("hyperplane multiplicity must be >= 1")
+            h, mult = (item, 1) if isinstance(item, AffineHyperplane) else item
+            _check_member(h, mult, r)
             merged[h] = merged.get(h, 0) + mult
-        piece_set = {_piece_make(p, r) for p in pieces}
-        return HyperplaneLocus(
-            r,
-            tuple(sorted(merged.items())),
-            tuple(sorted(piece_set)),
-        )
+        return HyperplaneLocus.from_checked(r, merged, {_piece_make(p, r) for p in pieces})
+
+    @staticmethod
+    def from_checked(
+        r: int, orders: Mapping[AffineHyperplane, int], pieces: Iterable[Piece] = ()
+    ) -> "HyperplaneLocus":
+        """The locus of members known to be valid (hyperplanes of dimension
+        r >= 1 with multiplicities >= 1, distinct pieces as `_piece_make`
+        returns them), only sorted: nothing is checked."""
+        return HyperplaneLocus(r, tuple(sorted(orders.items())), tuple(sorted(pieces)))
 
     def members(self) -> list[AffineHyperplane]:
         return [h for h, _ in self.hyperplanes]
@@ -83,7 +88,7 @@ class HyperplaneLocus:
         return frozenset(h.set_canonical() for h in self.members())
 
     def without_multiplicities(self) -> "HyperplaneLocus":
-        return HyperplaneLocus.make(self.r, [(h, 1) for h, _ in self.hyperplanes], self.pieces)
+        return HyperplaneLocus.from_checked(self.r, dict.fromkeys(self.members(), 1), self.pieces)
 
     def set_canonical(self) -> tuple:
         """Scale-invariant description of the underlying point set."""
@@ -109,17 +114,6 @@ class HyperplaneLocus:
 
 PolarModel = HyperplaneLocus
 """A locus whose hyperplane multiplicities are read as polar orders."""
-
-
-def translate_locus(locus: HyperplaneLocus, v: Sequence[int]) -> HyperplaneLocus:
-    """Image of the locus under alpha -> alpha - v (c0 gains c . v memberwise)."""
-    if len(v) != locus.r:
-        raise ValueError("translation vector has wrong length")
-    return HyperplaneLocus.make(
-        locus.r,
-        [(h.shifted(v), mult) for h, mult in locus.hyperplanes],
-        [tuple(h.shifted(v) for h in piece) for piece in locus.pieces],
-    )
 
 
 def combine_bm(
@@ -164,7 +158,8 @@ def combine_bm(
                 hyperplanes.update(h.shifted(v) for h, _ in locus.hyperplanes)
                 pieces.update(tuple(h.shifted(v) for h in piece) for piece in locus.pieces)
             accumulated[j - 1] += mj
-    return HyperplaneLocus.make(r, [(h, 1) for h in hyperplanes], pieces)
+    # translates of checked members and pieces: their normals are unchanged
+    return HyperplaneLocus.from_checked(r, dict.fromkeys(hyperplanes, 1), pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +280,19 @@ def containment_check(
 ) -> tuple[bool, list[Fraction] | None]:
     """Set-theoretic containment of unions; returns a rational witness on failure.
 
-    A member (a hyperplane is a one-equation piece) is contained when the
+    A hyperplane is contained exactly when an outer hyperplane has its
+    canonical form, as a piece (codimension >= 2) holds no hyperplane.  Any
+    other member (a hyperplane is a one-equation piece) is contained when the
     restrictions of some outer member's equations to it vanish identically.
-    The witness is the first such point of the first member not contained.
+    The witness is the first point, in grid order, of the first member not
+    contained that the outer locus misses.
     """
     if inner.r != outer.r:
         raise ValueError("loci live in different dimensions")
     outer_members = [(h,) for h in outer.members()] + list(outer.pieces)
-    for member in [(h,) for h in inner.members()] + list(inner.pieces):
+    canonicals = outer.member_canonicals
+    missing = [(h,) for h, _ in inner.hyperplanes if h.set_canonical() not in canonicals]
+    for member in missing + list(inner.pieces):
         witness = _point_avoiding(member, outer_members)
         if witness is not None:
             if outer.contains_rational_point(witness):
@@ -307,8 +307,8 @@ def containment_check(
 
 def oblique_part(locus: HyperplaneLocus) -> HyperplaneLocus:
     """Codimension-one components whose slopes have every coordinate nonzero."""
-    return HyperplaneLocus.make(
-        locus.r, [(h, mult) for h, mult in locus.hyperplanes if is_oblique(h)], ()
+    return HyperplaneLocus.from_checked(
+        locus.r, {h: mult for h, mult in locus.hyperplanes if is_oblique(h)}
     )
 
 
@@ -371,7 +371,7 @@ def propagate_polar(model: PolarModel, steps: int) -> PolarModel:
         if not new_frontier:
             break
         frontier = new_frontier
-    return HyperplaneLocus.make(model.r, list(orders.items()), model.pieces)
+    return HyperplaneLocus.from_checked(model.r, orders, model.pieces)
 
 
 def specialize_slice(model: PolarModel, b: Sequence[int]) -> list[dict]:

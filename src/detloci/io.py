@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
-from .bsloci import HyperplaneLocus
+from .bsloci import HyperplaneLocus, _check_member, _piece_make
 from .complexes import FreeComplex, Matrix, matrix_make
 from .poly import LaurentPoly, ParseError, Ring, format_poly, parse_poly
 from .torus import AffineHyperplane, PrimeTorusDivisor
@@ -123,7 +124,15 @@ def matrix_from_json(obj: Any) -> tuple[Matrix, Ring]:
     return matrix_make([[p.lift(order) for p in row] for row in parsed]), ring
 
 
-def hyperplane_from_json(obj: Any) -> tuple[AffineHyperplane, int]:
+def _hyperplane(obj: Any) -> tuple[AffineHyperplane, int]:
+    """A hyperplane object as (hyperplane, multiplicity).  JSON integers with
+    a natural nonzero c make a trusted tuple at once; anything else meets the
+    checks field by field, which name its first fault."""
+    if type(obj) is dict:
+        c, c0, mult = obj.get("c"), obj.get("c0"), obj.get("mult", 1)
+        if type(c) is list and type(c0) is int is type(mult) and {*map(type, c)} == {int}:
+            if min(c) >= 0 < max(c):
+                return tuple.__new__(AffineHyperplane, (tuple(c), c0)), mult
     if not isinstance(obj, Mapping):
         raise InputError("hyperplane must be an object with c and c0")
     c = tuple(_json_int(x, "c") for x in _json_list(obj.get("c"), "hyperplane normal c"))
@@ -136,21 +145,32 @@ def hyperplane_from_json(obj: Any) -> tuple[AffineHyperplane, int]:
 
 
 def locus_from_json(obj: Any) -> HyperplaneLocus:
+    """A locus file, checked in one pass and built without a second check.
+    Faults are named in the order of the checks: the JSON of every member
+    (listed, then in pieces), each listed member's dimension and
+    multiplicity, then each piece."""
     if not isinstance(obj, Mapping):
         raise InputError("locus file must contain an object")
     r = _json_int(obj.get("r"), "r")
     if r < 1:
         raise InputError("r must be a positive integer")
-    listed = _json_list(obj.get("hyperplanes", []), "hyperplanes")
-    hyperplanes = [hyperplane_from_json(h) for h in listed]
+    orders: dict[AffineHyperplane, int] = {}
+    misfit = None  # the first member of another dimension or multiplicity < 1
+    for item in _json_list(obj.get("hyperplanes", []), "hyperplanes"):
+        h, mult = _hyperplane(item)
+        if (len(h[0]) != r or mult < 1) and misfit is None:
+            misfit = h, mult
+        orders[h] = orders.get(h, 0) + mult
     pieces = []
     for p_obj in _json_list(obj.get("pieces", []), "pieces"):
         if not isinstance(p_obj, Mapping) or "hyperplanes" not in p_obj:
             raise InputError("each piece needs a hyperplanes list")
         members = _json_list(p_obj["hyperplanes"], "piece hyperplanes")
-        pieces.append([hyperplane_from_json(h)[0] for h in members])
+        pieces.append([_hyperplane(h)[0] for h in members])
     try:
-        return HyperplaneLocus.make(r, hyperplanes, pieces)
+        if misfit is not None:
+            _check_member(*misfit, r)
+        return HyperplaneLocus.from_checked(r, orders, {_piece_make(p, r) for p in pieces})
     except ValueError as exc:
         raise InputError(str(exc)) from None
 

@@ -1,10 +1,9 @@
 """Smith normal form over Q(zeta_N)[t] and the data it extracts.
 
 Covers the diagonalization with tracked unimodular transforms, Fitting-ideal
-generators of torsion modules, presentations of the cohomology of
-one-variable complexes with torsion cohomology, and the cohomology
-dimensions of a complex evaluated at a torsion point, each read off one
-checked Smith diagonal.  The determinantal factors b_k of a square matrix
+generators of torsion modules, and presentations of the cohomology of
+one-variable complexes with torsion cohomology, each read off one checked
+Smith diagonal.  The determinantal factors b_k of a square matrix
 phi over the field (with b_0/b_1, the minimal polynomial) and the maximal
 Jordan block sizes at unit-root eigenvalues come from a checked Krylov
 similarity phi*T = T*H onto k coupled companion blocks and the Smith
@@ -459,41 +458,3 @@ def principal_generator(ideal: IdealGens) -> LaurentPoly:
     if ideal.is_zero():
         return LaurentPoly.zero(1, ideal.ring.cyclotomic_order)
     return u_laurent(_checked_diagonal(_dense_matrix([ideal.gens]))[0])
-
-
-# ---------------------------------------------------------------------------
-# Pointwise evaluation: exact vector-space data at a torsion point
-
-
-def cohomology_dims_at_point(
-    complex_: FreeComplex, point: Sequence[TorsionAngle]
-) -> dict[int, int]:
-    """Dimensions of the cohomology of the complex evaluated at a torsion point.
-
-    The rank of each evaluated differential is the rank of its Smith diagonal,
-    its entries read as one-variable constants.
-    """
-    order = math.lcm(complex_.ring.cyclotomic_order, *(a.den for a in point))
-    ranks = {}
-    for i in range(complex_.imin - 1, complex_.imax + 1):
-        mat = [
-            [LaurentPoly.constant(1, e.evaluate(point, order)) for e in row]
-            for row in complex_.differential(i)
-        ]
-        ranks[i] = _rank(_checked_diagonal(_dense_matrix(mat)))
-    return {
-        i: complex_.rank(i) - ranks[i] - ranks[i - 1]
-        for i in complex_.degrees()
-    }
-
-
-def alternating_cohomology_sum(
-    complex_: FreeComplex, point: Sequence[TorsionAngle], i: int
-) -> int:
-    """Alternating sum of cohomology dimensions in degrees >= i at a point."""
-    dims = cohomology_dims_at_point(complex_, point)
-    total = 0
-    for l in range(max(i, complex_.imin), complex_.imax + 1):
-        sign = -1 if (l - i) % 2 else 1
-        total += sign * dims[l]
-    return total

@@ -96,10 +96,7 @@ class PrimeTorusDivisor:
             raise ValueError("divisor support must be nonzero")
         if any(x < 0 for x in self.u):
             raise ValueError("divisor support must have natural entries")
-        g = 0
-        for x in self.u:
-            g = math.gcd(g, x)
-        if g != 1:
+        if math.gcd(*self.u) != 1:
             raise ValueError("divisor support must be primitive")
 
     @property
@@ -132,12 +129,22 @@ def exp_hyperplane(h: AffineHyperplane) -> PrimeTorusDivisor:
     """Image of {c . s + c0 = 0} under (alpha_i) |-> (e^{2 pi i alpha_i}).
 
     With g = gcd(c) the image is the prime divisor {t^{c/g} = e^{-2 pi i c0/g}}:
-    every point of the divisor lifts because c/g is primitive.
+    every point of the divisor lifts because c/g is primitive.  Both are built
+    unchecked: c/g is natural and primitive, and the angle is reduced here.
     """
-    g = math.gcd(*h.c)
-    u = tuple(x // g for x in h.c)
-    xi = TorsionAngle.make(-h.c0, g)
-    return PrimeTorusDivisor(u, xi)
+    c, c0 = h
+    g = math.gcd(*c)
+    num = -c0 % g
+    k = math.gcd(num, g)
+    xi = _unchecked(TorsionAngle, num=num // k, den=g // k)
+    return _unchecked(PrimeTorusDivisor, u=tuple(x // g for x in c), xi=xi)
+
+
+def _unchecked(cls: type, **fields):
+    """An instance of the frozen dataclass cls, without its __post_init__ checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 class TorusDivisor:
@@ -286,9 +293,7 @@ def tau_preimage(
     w = tuple(sum(row[i] * divisor.u[i] for i in range(r)) for row in rows)
     if all(x == 0 for x in w):
         raise ValueError("divisor pulls back to all of the torus or empty")
-    g = 0
-    for x in w:
-        g = math.gcd(g, x)
+    g = math.gcd(*w)
     u_new = tuple(x // g for x in w)
     return [PrimeTorusDivisor(u_new, eta) for eta in angle_roots(divisor.xi, g)]
 

@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from detloci import bsloci
 from detloci.arith import CycloElem, TorsionAngle
+from detloci.bsloci import HyperplaneLocus
 from detloci.complexes import FreeComplex, Matrix, direct_sum, matrix_make
 from detloci.poly import IdealGens, LaurentPoly, ParseError, Ring, term_key
 from detloci.torus import PrimeTorusDivisor
@@ -446,6 +448,59 @@ def division_multiplicity(f: LaurentPoly, value: CycloElem) -> int:
             return count
         count += 1
         current = q
+
+
+def translate_locus(locus: HyperplaneLocus, v) -> HyperplaneLocus:
+    """Image of the locus under alpha -> alpha - v (c0 gains c . v memberwise),
+    built and checked by HyperplaneLocus.make; the oracle of combine_bm."""
+    if len(v) != locus.r:
+        raise ValueError("translation vector has wrong length")
+    return HyperplaneLocus.make(
+        locus.r,
+        [(h.shifted(v), mult) for h, mult in locus.hyperplanes],
+        [tuple(h.shifted(v) for h in piece) for piece in locus.pieces],
+    )
+
+
+def loop_containment_check(inner: HyperplaneLocus, outer: HyperplaneLocus):
+    """containment_check as it was before hyperplanes were looked up by
+    canonical form: every inner member, hyperplane or piece, is parametrized
+    and searched against every outer member."""
+    if inner.r != outer.r:
+        raise ValueError("loci live in different dimensions")
+    outer_members = [(h,) for h in outer.members()] + list(outer.pieces)
+    for member in [(h,) for h in inner.members()] + list(inner.pieces):
+        witness = bsloci._point_avoiding(member, outer_members)
+        if witness is not None:
+            if outer.contains_rational_point(witness):
+                raise ArithmeticError("containment witness lies in the outer locus")
+            return False, witness
+    return True, None
+
+
+def cohomology_dims_at_point(complex_: FreeComplex, point) -> dict[int, int]:
+    """Dimensions of the cohomology of the complex evaluated at a torsion
+    point, from the ranks of the checked Smith diagonals of the evaluated
+    differentials, their entries read as one-variable constants."""
+    from detloci.smith import _checked_diagonal, _dense_matrix, _rank
+
+    order = math.lcm(complex_.ring.cyclotomic_order, *(a.den for a in point))
+    ranks = {}
+    for i in range(complex_.imin - 1, complex_.imax + 1):
+        mat = [
+            [LaurentPoly.constant(1, e.evaluate(point, order)) for e in row]
+            for row in complex_.differential(i)
+        ]
+        ranks[i] = _rank(_checked_diagonal(_dense_matrix(mat)))
+    return {i: complex_.rank(i) - ranks[i] - ranks[i - 1] for i in complex_.degrees()}
+
+
+def alternating_cohomology_sum(complex_: FreeComplex, point, i: int) -> int:
+    """Alternating sum of cohomology dimensions in degrees >= i at a point."""
+    dims = cohomology_dims_at_point(complex_, point)
+    return sum(
+        (-1 if (l - i) % 2 else 1) * dims[l] for l in range(max(i, complex_.imin), complex_.imax + 1)
+    )
 
 
 def canon_gens(ring: Ring, gens) -> list[tuple]:

@@ -20,10 +20,12 @@ from detloci.bsloci import (
     propagate_polar,
     slope_set,
     specialize_slice,
-    translate_locus,
 )
 from detloci.fixtures import ex71_loci, ex72_loci
-from detloci.torus import AffineHyperplane, PrimeTorusDivisor, rref
+from detloci.io import locus_from_json, locus_to_json
+from detloci.torus import AffineHyperplane, PrimeTorusDivisor, exp_hyperplane, rref
+
+from conftest import loop_containment_check, translate_locus
 
 
 def H(c, c0):
@@ -711,3 +713,158 @@ class TestIntegerOracles:
             assert got == translate_union(components, m, pi)
             with_pieces += bool(got.pieces)
         assert with_pieces > 50
+
+
+# ---------------------------------------------------------------------------
+# Trusted builds against the validated ones
+
+
+@st.composite
+def hyperplane_lists(draw, r, max_size=6):
+    """(hyperplane, multiplicity) pairs, some normals and members repeated."""
+    pairs = draw(
+        st.lists(st.tuples(normals(r), st.integers(-12, 12), st.integers(1, 3)), max_size=max_size)
+    )
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
+    return [(H(c, c0), mult) for c, c0, mult in pairs]
+
+
+@st.composite
+def piece_lists(draw, r, max_size=2):
+    """Pieces of independent normals, listed in any member order."""
+    pieces = []
+    for _ in range(draw(st.integers(0, max_size if r > 1 else 0))):
+        k = draw(st.integers(2, r))
+        members = [H(c, draw(st.integers(-12, 12))) for c in draw(st.lists(normals(r), min_size=k, max_size=k))]
+        if len(_rref([h.c for h in members], r)[0]) == k:
+            pieces.append(members)
+    return pieces
+
+
+@st.composite
+def locus_cases(draw, r=None):
+    r = r or draw(st.integers(1, 4))
+    return HyperplaneLocus.make(r, draw(hyperplane_lists(r)), draw(piece_lists(r)))
+
+
+def assert_same_locus(got, want):
+    """Field by field, down to the type of every member."""
+    assert (got.r, got.hyperplanes, got.pieces) == (want.r, want.hyperplanes, want.pieces)
+    assert type(got.hyperplanes) is tuple and type(got.pieces) is tuple
+    members = [h for h, _ in got.hyperplanes] + [h for piece in got.pieces for h in piece]
+    assert all(type(h) is AffineHyperplane and type(h.c) is tuple for h in members)
+    assert all(type(piece) is tuple for piece in got.pieces)
+
+
+def reference_propagate(model, steps):
+    """Every translate H - w with w natural and |w| <= steps, at the largest
+    order of a member it comes from; built by make."""
+    orders = {}
+    for h, order in model.hyperplanes:
+        for w in itertools.product(range(steps + 1), repeat=model.r):
+            if sum(w) <= steps:
+                image = h.shifted(w)
+                orders[image] = max(orders.get(image, 0), order)
+    return HyperplaneLocus.make(model.r, list(orders.items()), model.pieces)
+
+
+@st.composite
+def containment_cases(draw):
+    """Inner loci that share members with the outer one, some of them
+    rescaled, next to members and pieces of their own."""
+    r = draw(st.integers(1, 4))
+    outer = draw(locus_cases(r))
+    shared = [h for h in outer.members() if draw(st.booleans())]
+    scale = draw(st.integers(1, 3))
+    shared = [H(tuple(scale * x for x in h.c), scale * h.c0) for h in shared]
+    own = draw(hyperplane_lists(r, max_size=2))
+    pieces = draw(piece_lists(r))
+    if outer.pieces and draw(st.booleans()):
+        pieces.append(list(outer.pieces[0]))
+    return HyperplaneLocus.make(r, shared + own, pieces), outer
+
+
+class TestTrustedBuilds:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_combine_equals_validated_translates(self, data):
+        r = data.draw(st.integers(1, 3))
+        components = {j: data.draw(locus_cases(r)) for j in range(1, r + 1)}
+        m = tuple(data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r).filter(any)))
+        pi = tuple(data.draw(st.permutations(range(1, r + 1))))
+        got = combine_bm(components, m, pi)
+        assert_same_locus(got, translate_union(components, m, pi))
+        assert_same_locus(got, HyperplaneLocus.make(r, got.hyperplanes, got.pieces))
+
+    @given(locus_cases(), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_propagate_equals_validated(self, model, steps):
+        got = propagate_polar(model, steps)
+        assert_same_locus(got, reference_propagate(model, steps))
+
+    @given(locus_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_oblique_equals_validated(self, locus):
+        got = oblique_part(locus)
+        want = HyperplaneLocus.make(locus.r, [(h, m) for h, m in locus.hyperplanes if all(h.c)])
+        assert_same_locus(got, want)
+
+    @given(locus_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_without_multiplicities_equals_validated(self, locus):
+        got = locus.without_multiplicities()
+        assert_same_locus(got, HyperplaneLocus.make(locus.r, locus.members(), locus.pieces))
+
+    @given(st.integers(1, 4).flatmap(lambda r: normals(r, 12)), st.integers(-60, 60))
+    @settings(max_examples=300)
+    @example((6, 0), 4)
+    @example((2, 4), 0)
+    @example((3,), -7)
+    def test_exp_hyperplane_equals_checked_divisor(self, c, c0):
+        g = math.gcd(*c)
+        want = PrimeTorusDivisor(tuple(x // g for x in c), TorsionAngle.make(-c0, g))
+        got = exp_hyperplane(H(c, c0))
+        assert type(got) is PrimeTorusDivisor and type(got.xi) is TorsionAngle
+        assert vars(got) == vars(want) and vars(got.xi) == vars(want.xi)
+        assert got == want and hash(got) == hash(want)
+        assert got.sort_key() == want.sort_key() and str(got) == str(want)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_locus_from_json_equals_make(self, data):
+        r = data.draw(st.integers(1, 4))
+        pairs = data.draw(hyperplane_lists(r))
+        pieces = data.draw(piece_lists(r))
+        obj = {
+            "r": r,
+            "hyperplanes": [
+                {"c": list(h.c), "c0": h.c0, **({} if m == 1 and data.draw(st.booleans()) else {"mult": m})}
+                for h, m in pairs
+            ],
+            "pieces": [{"hyperplanes": [{"c": list(h.c), "c0": h.c0} for h in p]} for p in pieces],
+        }
+        got = locus_from_json(obj)
+        assert_same_locus(got, HyperplaneLocus.make(r, pairs, pieces))
+        assert_same_locus(locus_from_json(locus_to_json(got)), got)
+
+    @given(containment_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_containment_equals_the_member_loop(self, case):
+        inner, outer = case
+        assert containment_check(inner, outer) == loop_containment_check(inner, outer)
+
+    def test_contained_hyperplanes_are_not_parametrized(self, monkeypatch):
+        # the first two members are outer ones rescaled; only the third,
+        # missing from the outer locus, is searched
+        inner = HyperplaneLocus.make(2, [H((1, 0), 1), H((2, 2), 4), H((3, 1), 5)])
+        outer = HyperplaneLocus.make(2, [H((3, 0), 3), H((1, 1), 2)])
+        searched = []
+        original = bsloci._parametrize
+
+        def counting(member):
+            searched.append(member)
+            return original(member)
+
+        monkeypatch.setattr(bsloci, "_parametrize", counting)
+        assert containment_check(inner, outer) == (False, [Fraction(-5, 3), 0])
+        assert searched == [(H((3, 1), 5),)]

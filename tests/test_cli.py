@@ -1122,6 +1122,82 @@ class TestErrors:
         assert code == 2 and not out
         assert err.startswith("input error:") and "must be an array" in err
 
+    @pytest.mark.parametrize(
+        "locus, message",
+        [
+            ({"r": 2, "hyperplanes": [{"c": [1, True], "c0": 1}]}, "c must be an integer, got True"),
+            (
+                {"r": 2, "hyperplanes": [{"c": [1, -1], "c0": 1}]},
+                "hyperplane normal must have natural entries",
+            ),
+            ({"r": 2, "hyperplanes": [{"c": [0, 0], "c0": 1}]}, "hyperplane normal must be nonzero"),
+            ({"r": 2, "hyperplanes": [{"c": [], "c0": 1}]}, "hyperplane normal must be nonzero"),
+            ({"r": 2, "hyperplanes": [{"c": [1, 1, 1], "c0": 1}]}, "hyperplane has wrong dimension"),
+            (
+                {"r": 2, "hyperplanes": [{"c": [1, 1], "c0": 1, "mult": 0}]},
+                "hyperplane multiplicity must be >= 1",
+            ),
+            ({"r": 2, "hyperplanes": [[[1, 1], 2]]}, "hyperplane must be an object with c and c0"),
+            (
+                {"r": 2, "pieces": [{"hyperplanes": [{"c": [1, 0], "c0": 1}]}]},
+                "a linear piece needs at least two defining hyperplanes",
+            ),
+            (
+                {"r": 2, "pieces": [{"hyperplanes": [{"c": [1, 2], "c0": 1}, {"c": [2, 4], "c0": 3}]}]},
+                "piece normals must be linearly independent",
+            ),
+            (
+                {"r": 2, "pieces": [{"hyperplanes": [{"c": [1, 0], "c0": 1}, {"c": [0, 1, 0], "c0": 1}]}]},
+                "piece member has wrong dimension",
+            ),
+            (
+                {"r": 2, "pieces": [{"hyperplanes": [{"c": [1, 0], "c0": 1, "mult": 1.0}, {"c": [0, 1], "c0": 1}]}]},
+                "mult must be an integer, got 1.0",
+            ),
+        ],
+    )
+    def test_malformed_locus_message(self, capsys, tmp_path, locus, message):
+        path = write_json(tmp_path / "locus.json", locus)
+        code, out, err = run_cli(capsys, ["slopes", "--locus", path])
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "locus, message",
+        [
+            # the JSON shape of every member is checked before any dimension
+            (
+                {"r": 2, "hyperplanes": [{"c": [1, 1, 1], "c0": 1}, {"c": [1, 1.5], "c0": 1}]},
+                "c must be an integer, got 1.5",
+            ),
+            (
+                {
+                    "r": 2,
+                    "hyperplanes": [{"c": [1, 1], "c0": 1, "mult": 0}],
+                    "pieces": [{"hyperplanes": [{"c": [1, 0], "c0": 1}, "s2"]}],
+                },
+                "hyperplane must be an object with c and c0",
+            ),
+            (
+                {"r": 2, "hyperplanes": [{"c": [1, 1], "c0": None}], "pieces": {}},
+                "c0 must be an integer, got None",
+            ),
+            # a listed member's dimension and multiplicity before any piece's shape
+            (
+                {"r": 2, "hyperplanes": [{"c": [1], "c0": 1}], "pieces": [{"hyperplanes": [{"c": [1, 0], "c0": 1}]}]},
+                "hyperplane has wrong dimension",
+            ),
+            (
+                {"r": 2, "hyperplanes": [{"c": [1, 1], "c0": 1, "mult": -1}, {"c": [1], "c0": 1}]},
+                "hyperplane multiplicity must be >= 1",
+            ),
+            ({"r": 2, "hyperplanes": [{"c": [1], "c0": 1, "mult": 0}]}, "hyperplane has wrong dimension"),
+        ],
+    )
+    def test_first_of_two_faults_named(self, capsys, tmp_path, locus, message):
+        path = write_json(tmp_path / "locus.json", locus)
+        code, out, err = run_cli(capsys, ["slopes", "--locus", path])
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
     @pytest.mark.parametrize("r", [0, -2])
     @pytest.mark.parametrize(
         "argv",

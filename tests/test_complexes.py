@@ -21,12 +21,13 @@ from detloci.complexes import (
 )
 from detloci.arith import CycloElem, TorsionAngle
 from detloci.poly import IdealGens, LaurentPoly, Ring, ideal_valuation, parse_poly, valuation_along
-from detloci.smith import alternating_cohomology_sum, cohomology_dims_at_point
 from detloci.torus import PrimeTorusDivisor
 
 from conftest import (
     SMALL_ANGLES,
+    alternating_cohomology_sum,
     canon_gens,
+    cohomology_dims_at_point,
     conjugate_complex,
     oracle_det,
     oracle_minor_gens,

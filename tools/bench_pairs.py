@@ -17,7 +17,11 @@ keeps the minimum per side, per group and in total:
 - `determinantal_factors` on the detfactors matrices of smith-jordan, grouped
   by order x size;
 - minor enumeration: every `cdf_ideal` and `jump_ideal` of the minors-valuation
-  complexes at the job's degrees and ks, grouped by the ranks of the complex.
+  complexes at the job's degrees and ks, grouped by the ranks of the complex;
+- the locus layer, on the loci-calculus jobs grouped by the dimension r, one
+  row set per step: `locus_from_json` on every input locus of a job,
+  `combine_bm` for each of its permutations, `containment_check` of both
+  inner loci, and `exp_divisors` of the combined locus.
 Each layer script prints {group: [inputs, seconds]}.
 """
 
@@ -81,6 +85,41 @@ for key, jobs in groups.items():
 print(json.dumps(out))
 """
 
+# STEP names the timed step; the loci are parsed before the clock starts
+LOCI = r"""
+import json, sys, time
+from detloci import bsloci
+from detloci.io import locus_from_json
+
+groups = {}
+for path in sys.argv[1:]:
+    for job in json.load(open(path)):
+        if job["kind"] == "loci":
+            groups.setdefault(str(len(job["args"]["m"])), []).append(job)
+out = {}
+for key, jobs in groups.items():
+    loci = [{name: locus_from_json(obj) for name, obj in job["inputs"].items()} for job in jobs]
+    calls = []
+    for job, locus in zip(jobs, loci):
+        args = job["args"]
+        components = {j: locus[f"e{j}"] for j in range(1, len(args["m"]) + 1)}
+        if STEP == "locus_from_json":
+            calls += [(locus_from_json, obj) for obj in job["inputs"].values()]
+        elif STEP == "combine_bm":
+            calls += [(bsloci.combine_bm, components, tuple(args["m"]), tuple(pi)) for pi in args["pis"]]
+        elif STEP == "containment_check":
+            calls += [(bsloci.containment_check, locus[inner], locus["outer"])
+                      for inner in ("inner_true", "inner_false")]
+        else:
+            combined = bsloci.combine_bm(components, tuple(args["m"]), tuple(args["pis"][0]))
+            calls.append((bsloci.exp_divisors, combined))
+    start = time.perf_counter()
+    for f, *call_args in calls:
+        f(*call_args)
+    out[key] = [len(jobs), time.perf_counter() - start]
+print(json.dumps(out))
+"""
+
 # name: (function, workload, what one input is, group key, script)
 LAYERS = {
     "determinantal_factors": (
@@ -91,6 +130,17 @@ LAYERS = {
         "complexes.cdf_ideal and complexes.jump_ideal, every minor enumerated",
         "minors-valuation", "complexes", "ranks by degree", MINORS,
     ),
+    **{
+        step: (
+            f"{module}.{step}", "loci-calculus", "loci jobs", "r", f"STEP = {step!r}\n" + LOCI,
+        )
+        for module, step in (
+            ("io", "locus_from_json"),
+            ("bsloci", "combine_bm"),
+            ("bsloci", "containment_check"),
+            ("bsloci", "exp_divisors"),
+        )
+    },
 }
 
 
