@@ -21,6 +21,7 @@ from .complexes import (
     base_change,
     cdf_ideal,
     euler_truncation,
+    insert_trivial_summand,
     jump_ideal,
     minors_ideal,
 )
@@ -28,7 +29,6 @@ from .poly import (
     IdealGens,
     LaurentPoly,
     Ring,
-    exact_divide,
     ideal_valuation,
     valuation_along,
 )
@@ -40,13 +40,13 @@ from .smith import (
     determinantal_factors,
     fitting_generator,
     max_jordan_size,
+    principal_generator,
     smith_diagonal,
     smith_normal_form,
 )
 from .support import (
     SupportReport,
     candidate_divisors,
-    generic_point_on_divisor,
     specialization_multiplicity,
     support_report,
 )

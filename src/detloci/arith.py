@@ -45,10 +45,6 @@ class TorsionAngle:
     def from_fraction(q: Fraction) -> "TorsionAngle":
         return TorsionAngle.make(q.numerator, q.denominator)
 
-    @staticmethod
-    def zero() -> "TorsionAngle":
-        return TorsionAngle(0, 1)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
 
@@ -63,9 +59,6 @@ class TorsionAngle:
 
     def inverse(self) -> "TorsionAngle":
         return TorsionAngle.make(-self.num, self.den)
-
-    def conjugate(self) -> "TorsionAngle":
-        return self.inverse()
 
     def is_one(self) -> bool:
         return self.num == 0
@@ -85,11 +78,6 @@ def angle_roots(xi: TorsionAngle, g: int) -> list[TorsionAngle]:
         TorsionAngle.make(xi.num + k * xi.den, xi.den * g) for k in range(g)
     ]
     return sorted(roots, key=lambda a: a.as_fraction())
-
-
-def divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 def euler_phi(n: int) -> int:
@@ -118,7 +106,9 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("cyclotomic polynomial needs n >= 1")
     rem = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n)[:-1]:
+    for d in range(1, n):
+        if n % d:
+            continue
         phi = cyclotomic_poly(d)
         top = len(phi) - 1
         quot = [0] * (len(rem) - top)
@@ -245,7 +235,9 @@ class CycloElem:
     @staticmethod
     def from_angle(order: int, angle: TorsionAngle) -> "CycloElem":
         """The root of unity e^{2*pi*i*angle} inside Q(zeta_order)."""
-        return _angle_elem(order, angle.num, angle.den)
+        if order % angle.den:
+            raise ValueError(f"angle denominator {angle.den} does not divide order {order}")
+        return zeta_power(order, order // angle.den * angle.num)
 
     def lift(self, new_order: int) -> "CycloElem":
         """Embed into Q(zeta_M) for order | M via zeta_N = zeta_M^{M/N}."""
@@ -267,11 +259,6 @@ class CycloElem:
 
     def is_one(self) -> bool:
         return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.nums[0], self.den)
 
     def _pair(self, other: "CycloElem") -> tuple["CycloElem", "CycloElem"]:
         if self.order == other.order:
@@ -358,13 +345,6 @@ _set_nums = CycloElem.nums.__set__
 _set_den = CycloElem.den.__set__
 
 
-@lru_cache(maxsize=None)
-def _angle_elem(order: int, num: int, den: int) -> "CycloElem":
-    if order % den != 0:
-        raise ValueError(f"angle denominator {den} does not divide order {order}")
-    return zeta_power(order, (order // den) * num)
-
-
 def zeta_power(order: int, k: int) -> "CycloElem":
     """The power zeta_order^k as a reduced field element."""
     return _elem(order, tuple(reduce_mod_phi(order, [0] * (k % order) + [1])), 1)
@@ -396,15 +376,6 @@ def _spread(
             if n:
                 dense[(i * step + shift) % order] += n * factor
     return dense, den
-
-
-def torsion_sum(order: int, terms: Sequence[tuple[CycloElem, int]]) -> CycloElem:
-    """sum c * zeta_order^shift over the (c, shift) terms, in Q(zeta_order).
-
-    One integer spread of every term and one reduction modulo Phi_order.
-    """
-    dense, den = _spread(order, terms)
-    return _canonical(order, reduce_mod_phi(order, dense), den)
 
 
 def root_multiplicity(

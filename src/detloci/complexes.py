@@ -37,31 +37,6 @@ def empty_matrix(nrows: int, ncols: int, nvars: int, order: int) -> Matrix:
     return tuple(tuple(zero for _ in range(ncols)) for _ in range(nrows))
 
 
-def matrix_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero) -> tuple:
-    """a*b for matrices over any ring whose elements have is_zero, + and *;
-    zero is that ring's zero, the value of an empty sum."""
-    rb, cb = matrix_shape(b)
-    ra, ca = matrix_shape(a, rb)
-    if ca != rb:
-        raise ValueError("matrix shapes do not compose")
-    out = []
-    for i in range(ra):
-        row = []
-        for j in range(cb):
-            acc = zero
-            for k in range(ca):
-                if a[i][k].is_zero() or b[k][j].is_zero():
-                    continue
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def matrix_is_zero(mat: Matrix) -> bool:
-    return all(entry.is_zero() for row in mat for entry in row)
-
-
 class MinorEngine:
     """Shared-memo determinant expansion over all minors of one matrix.
 
@@ -188,10 +163,11 @@ class FreeComplex:
                 mat = matrix_make(
                     [[entry.lift(order) for entry in row] for row in given]
                 )
-                if matrix_shape(mat, source) != (target, source):
+                # the first row whose width is not the source rank names the shape
+                shape = (len(mat), next((len(row) for row in mat if len(row) != source), source))
+                if shape != (target, source):
                     raise ValueError(
-                        f"differential at degree {i} has shape {matrix_shape(mat, source)}, "
-                        f"expected {(target, source)}"
+                        f"differential at degree {i} has shape {shape}, expected {(target, source)}"
                     )
             diff_map[i] = mat
         for i in sorted(diffs):
@@ -203,16 +179,17 @@ class FreeComplex:
         return complex_
 
     def _check_composition(self):
+        """Each entry of d^(i+1) d^i is one `sum_of_products` over its nonzero pairs."""
+        nvars, order = self.ring.nvars, self.ring.cyclotomic_order
         for i in range(self.imin, self.imax - 1):
-            prod = matrix_mul(
-                self.differential(i + 1),
-                self.differential(i),
-                LaurentPoly.zero(self.ring.nvars, self.ring.cyclotomic_order),
-            )
-            if not matrix_is_zero(prod):
-                raise ValueError(
-                    f"differentials at degrees {i} and {i + 1} do not compose to zero"
-                )
+            right = self.differential(i)
+            for row in self.differential(i + 1):
+                for j in range(self.rank(i)):
+                    pairs = [(1, a, b[j]) for a, b in zip(row, right) if a.terms and b[j].terms]
+                    if pairs and not sum_of_products(nvars, order, pairs).is_zero():
+                        raise ValueError(
+                            f"differentials at degrees {i} and {i + 1} do not compose to zero"
+                        )
 
     def rank(self, i: int) -> int:
         return self.ranks.get(i, 0)

@@ -3,9 +3,9 @@
 Sparse term maps from integer exponent vectors to cyclotomic coefficients,
 with a graded-lexicographic canonical order.  Every product, a*b as well as
 the signed sum of a minor's cofactor products, is one fused integer kernel,
-`sum_of_products`.  Exact division and valuation along binomial prime
-divisors (read off the one-variable fibres) are the workhorses for everything
-downstream; no Groebner machinery anywhere.
+`sum_of_products`.  Valuation along binomial prime divisors, read off the
+one-variable fibres, is the workhorse for everything downstream; no Groebner
+machinery anywhere.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from .arith import (
     TorsionAngle,
     _canonical,
     _phi_tail,
+    _spread,
     reduce_mod_phi,
     root_multiplicity,
-    torsion_sum,
 )
 from .torus import PrimeTorusDivisor
 from .upoly import UPoly
@@ -288,10 +288,11 @@ class LaurentPoly:
             if order % a.den != 0:
                 raise ValueError("field order does not contain the point")
         powers = [(order // a.den) * a.num for a in point]
-        return torsion_sum(
-            order,
-            [(c, sum(x * p for x, p in zip(e, powers))) for e, c in self.terms.items()],
+        # one integer spread of every term over the powers of zeta, one reduction
+        dense, den = _spread(
+            order, [(c, sum(x * p for x, p in zip(e, powers))) for e, c in self.terms.items()]
         )
+        return _canonical(order, reduce_mod_phi(order, dense), den)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({format_poly(self, laurent=True)})"
@@ -352,59 +353,7 @@ def sum_of_products(
 
 
 # ---------------------------------------------------------------------------
-# Exact division and valuations
-
-
-def exact_divide(f: LaurentPoly, g: LaurentPoly, laurent: bool = True) -> LaurentPoly | None:
-    """The quotient f/g when it exists in the (Laurent) polynomial ring.
-
-    In the Laurent ring, monomials are units, so both sides are first cleared
-    to honest polynomials; divisibility is then decided by leading-term
-    reduction, which is exact for a single divisor.
-    """
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return LaurentPoly.zero(f.nvars, f.order)
-    f, g = f._pair(g)
-    if laurent:
-        mf, mg = f.min_exponents(), g.min_exponents()
-        offset = tuple(a - b for a, b in zip(mf, mg))
-        quotient = _reduce_by_single(f.clear_units(), g.clear_units())
-        if quotient is None:
-            return None
-        return quotient.shift(offset)
-    return _reduce_by_single(f, g)
-
-
-def _reduce_by_single(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
-    eg, cg = g.leading()
-    cg_inv = None if cg.is_one() else cg.inverse()
-    tail = [(e, c) for e, c in g.terms.items() if e != eg]
-    quot: dict[tuple[int, ...], CycloElem] = {}
-    rem = dict(f.terms)
-    while rem:
-        ef = max(rem, key=term_key)
-        diff = tuple(a - b for a, b in zip(ef, eg))
-        if any(d < 0 for d in diff):
-            return None
-        ratio = rem.pop(ef)
-        if cg_inv is not None:
-            ratio = ratio * cg_inv
-        quot[diff] = ratio
-        for e2, c2 in tail:
-            key = tuple(a + b for a, b in zip(diff, e2))
-            sub = ratio * c2
-            current = rem.get(key)
-            if current is None:
-                rem[key] = -sub
-            else:
-                updated = current - sub
-                if updated.is_zero():
-                    del rem[key]
-                else:
-                    rem[key] = updated
-    return LaurentPoly.make(f.nvars, f.order, quot)
+# Valuations along binomial prime divisors
 
 
 @lru_cache(maxsize=None)
@@ -471,15 +420,6 @@ def _split_fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, CycloEle
         key = tuple([sum(map(operator.mul, row, e)) for row in rest])
         groups.setdefault(key, {})[sum(map(operator.mul, first, e))] = c
     return sorted(groups.values(), key=len)
-
-
-def fibre_has_root(fibre: dict[int, CycloElem], xi: TorsionAngle) -> bool:
-    """Whether the root of unity xi is a root of a one-variable fibre.
-
-    The j = 0 test of root_multiplicity: one integer spread of every
-    c_k xi^k and one reduction modulo Phi_M.
-    """
-    return root_multiplicity(fibre, xi, 1) == 1
 
 
 def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .arith import CycloElem, TorsionAngle, angle_roots, euler_phi, root_multiplicity
 from .complexes import FreeComplex, base_change, cdf_ideal
-from .poly import fibre_has_root, fibres, ideal_valuation
+from .poly import fibres, ideal_valuation
 from .smith import NonTorsionError, _torsion_invariants
 from .torus import PrimeTorusDivisor, TorusDivisor
 from .upoly import UPoly
@@ -86,7 +86,7 @@ def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:
                 continue
             least = min(fs, key=lambda f: max(f) - min(f))
             for xi in _fibre_roots(least):
-                if all(fibre_has_root(f, xi) for f in fs):
+                if all(root_multiplicity(f, xi, 1) for f in fs):
                     found.add(PrimeTorusDivisor(u, xi))
     return sorted(found, key=lambda d: d.sort_key())
 
@@ -166,13 +166,6 @@ def _generic_points(divisor: PrimeTorusDivisor, avoid: Sequence[PrimeTorusDiviso
                     continue
                 yield lam, b
                 break
-
-
-def generic_point_on_divisor(
-    divisor: PrimeTorusDivisor, avoid: Sequence[PrimeTorusDivisor]
-) -> tuple[TorsionAngle, tuple[int, ...]]:
-    """The first torsion point on the divisor only, in the order of `_generic_points`."""
-    return next(_generic_points(divisor, avoid))
 
 
 def point_on_divisor(

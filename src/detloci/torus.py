@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
@@ -105,13 +104,10 @@ class PrimeTorusDivisor:
 
     def contains_point(self, point: Sequence[TorsionAngle]) -> bool:
         """Whether a torsion point (given by angles) lies on the divisor."""
-        total = Fraction(0)
-        for ui, a in zip(self.u, point):
-            total += ui * a.as_fraction()
-        return TorsionAngle.from_fraction(total) == self.xi
+        return _monomial_at(self.u, point) == self.xi
 
     def conjugate(self) -> "PrimeTorusDivisor":
-        return PrimeTorusDivisor(self.u, self.xi.conjugate())
+        return PrimeTorusDivisor(self.u, self.xi.inverse())
 
     def sort_key(self) -> tuple:
         return (self.u, self.xi.as_fraction())
@@ -123,6 +119,12 @@ class PrimeTorusDivisor:
             if e != 0
         )
         return f"{{{mono}=e({self.xi})}}"
+
+
+def _monomial_at(u: Sequence[int], point: Sequence[TorsionAngle]) -> TorsionAngle:
+    """The value of t^u at a torsion point, as the angle sum u_i a_i mod 1."""
+    den = math.lcm(*(a.den for a in point))
+    return TorsionAngle.make(sum(ui * a.num * (den // a.den) for ui, a in zip(u, point)), den)
 
 
 def exp_hyperplane(h: AffineHyperplane) -> PrimeTorusDivisor:
@@ -162,10 +164,6 @@ class TorusDivisor:
 
     def __setattr__(self, name, value):
         raise AttributeError("TorusDivisor values are immutable")
-
-    @staticmethod
-    def of(prime: PrimeTorusDivisor, mult: int = 1) -> "TorusDivisor":
-        return TorusDivisor({prime: mult})
 
     def __add__(self, other: "TorusDivisor") -> "TorusDivisor":
         out = dict(self.coeffs)
@@ -207,11 +205,15 @@ class TorusDivisor:
 
 @dataclass(frozen=True)
 class TranslatedSubtorus:
-    """Intersection of {t^{u_j} = xi_j} with Q-linearly independent u_j."""
+    """Intersection of {t^{u_j} = xi_j} with Q-linearly independent u_j.
+
+    The equations are kept sorted, so that equality and hashing ignore their order.
+    """
 
     equations: tuple[tuple[tuple[int, ...], TorsionAngle], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "equations", tuple(sorted(self.equations)))
         if not self.equations:
             raise ValueError("a translated subtorus needs at least one equation")
         pivots, _ = rref([u for u, _ in self.equations], len(self.equations[0][0]))
@@ -223,28 +225,7 @@ class TranslatedSubtorus:
         return len(self.equations)
 
     def contains_point(self, point: Sequence[TorsionAngle]) -> bool:
-        for u, xi in self.equations:
-            total = Fraction(0)
-            for ui, a in zip(u, point):
-                total += ui * a.as_fraction()
-            if TorsionAngle.from_fraction(total) != xi:
-                return False
-        return True
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TranslatedSubtorus):
-            return NotImplemented
-        return sorted(self.equations, key=_eq_key) == sorted(
-            other.equations, key=_eq_key
-        )
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.equations, key=_eq_key)))
-
-
-def _eq_key(eq: tuple[tuple[int, ...], TorsionAngle]) -> tuple:
-    u, xi = eq
-    return (u, xi.as_fraction())
+        return all(_monomial_at(u, point) == xi for u, xi in self.equations)
 
 
 def rref(rows: list, ncols: int) -> tuple[list[int], list[list[int]]]:

@@ -12,7 +12,7 @@ import pytest
 from detloci import bsloci
 from detloci.arith import CycloElem, TorsionAngle
 from detloci.bsloci import HyperplaneLocus
-from detloci.complexes import FreeComplex, Matrix, direct_sum, matrix_make
+from detloci.complexes import FreeComplex, Matrix, direct_sum, matrix_make, matrix_shape
 from detloci.poly import IdealGens, LaurentPoly, ParseError, Ring, term_key
 from detloci.torus import PrimeTorusDivisor
 
@@ -129,8 +129,6 @@ def random_unimodular_ops(
 
 def conjugate_complex(rng: random.Random, complex_: FreeComplex) -> FreeComplex:
     """Change bases degreewise by random unimodular transforms."""
-    from detloci.complexes import matrix_mul
-
     ring = complex_.ring
     order = ring.cyclotomic_order
     transforms = {}
@@ -184,6 +182,27 @@ def characteristic_matrix(phi: list[list[CycloElem]]) -> Matrix:
             row.append(entry)
         rows.append(row)
     return matrix_make(rows)
+
+
+def matrix_mul(a, b, zero) -> tuple:
+    """a*b for matrices over any ring whose elements have is_zero, + and *,
+    one schoolbook `acc + a*b` at a time; zero is that ring's zero, the value
+    of an empty sum.  The oracle of the fused products it checks."""
+    rb, cb = matrix_shape(b)
+    ra, ca = matrix_shape(a, rb)
+    if ca != rb:
+        raise ValueError("matrix shapes do not compose")
+    out = []
+    for i in range(ra):
+        row = []
+        for j in range(cb):
+            acc = zero
+            for k in range(ca):
+                if not (a[i][k].is_zero() or b[k][j].is_zero()):
+                    acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def oracle_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -300,7 +319,7 @@ def oracle_parse_terms(
         if pos >= n:
             raise ParseError("dangling sign", pos)
         coeff = Fraction(sign)
-        angle = TorsionAngle.zero()
+        angle = TorsionAngle(0, 1)
         exps = [0] * nvars
         while True:
             if pos < n and s[pos] in "0123456789":
@@ -418,10 +437,51 @@ def oracle_vanishes_at(ideal: IdealGens, point: tuple[TorsionAngle, ...]) -> boo
     return all(g.evaluate(point, order).is_zero() for g in ideal.gens)
 
 
+def exact_divide(f: LaurentPoly, g: LaurentPoly, laurent: bool = True) -> LaurentPoly | None:
+    """The quotient f/g when it exists in the (Laurent) polynomial ring.
+
+    In the Laurent ring, monomials are units, so both sides are first cleared
+    to honest polynomials; divisibility is then decided by leading-term
+    reduction, which is exact for a single divisor.
+    """
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero():
+        return LaurentPoly.zero(f.nvars, f.order)
+    f, g = f._pair(g)
+    if not laurent:
+        return _reduce_by_single(f, g)
+    offset = tuple(a - b for a, b in zip(f.min_exponents(), g.min_exponents()))
+    quotient = _reduce_by_single(f.clear_units(), g.clear_units())
+    return None if quotient is None else quotient.shift(offset)
+
+
+def _reduce_by_single(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
+    """f/g by graded-lex leading-term reduction, or None when a remainder term
+    falls outside the multiples of g's leading monomial."""
+    eg, cg = g.leading()
+    cg_inv = cg.inverse()
+    tail = [(e, c) for e, c in g.terms.items() if e != eg]
+    quot: dict[tuple[int, ...], CycloElem] = {}
+    rem = dict(f.terms)
+    while rem:
+        ef = max(rem, key=term_key)
+        diff = tuple(a - b for a, b in zip(ef, eg))
+        if any(d < 0 for d in diff):
+            return None
+        ratio = quot[diff] = rem.pop(ef) * cg_inv
+        for e2, c2 in tail:
+            key = tuple(a + b for a, b in zip(diff, e2))
+            updated = rem.get(key, CycloElem.zero(f.order)) - ratio * c2
+            if updated.is_zero():
+                rem.pop(key, None)
+            else:
+                rem[key] = updated
+    return LaurentPoly.make(f.nvars, f.order, quot)
+
+
 def oracle_valuation(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
     """Repeated trial division by the binomial, written independently."""
-    from detloci.poly import exact_divide
-
     h = LaurentPoly.binomial_divisor(f.nvars, divisor, f.order)
     count = 0
     while True:

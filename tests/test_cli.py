@@ -917,7 +917,6 @@ class TestCacheInventory:
         assert _cached_names(sorted(src.glob("*.py"))) == {
             "arith.cyclotomic_poly",
             "arith._phi_tail",
-            "arith._angle_elem",
             "poly._lattice_transform",
             "cli.build_parser",
             "bsloci.HyperplaneLocus.member_canonicals",
@@ -944,6 +943,90 @@ class TestCacheInventory:
             "        def inner(): pass\n"
         )
         assert _cached_names([module]) == {"m.a", "m.b", "m.c", "m.K.d", "m.K.e.inner"}
+
+
+def _uncalled_public_names(paths: list[Path]) -> set[str]:
+    """`module.name` of every module-level public def and class whose name is
+    read nowhere in the given modules outside its own definition."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    refs = set()  # (name read, (path, line of the enclosing top-level statement))
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                names = set()
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                for field in ("annotation", "returns"):
+                    annotation = getattr(node, field, None)
+                    if annotation is not None:
+                        names |= _annotation_names(annotation)
+                refs |= {(name, (path, stmt.lineno)) for name in names}
+    return {
+        f"{path.stem}.{stmt.name}"
+        for path, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and not any(name == stmt.name and owner != (path, stmt.lineno) for name, owner in refs)
+    }
+
+
+# Documented library API that no module of the package calls: the paper's
+# preimages, nondegeneracy and ord-sum checks, and the minors, Smith and
+# cohomology routines that the acceptance criteria call.
+LIBRARY_ONLY = {
+    "bsloci.ord_sum_check",
+    "torus.tau_preimage",
+    "torus.nondegeneracy_check",
+    "torus.TranslatedSubtorus",
+    "complexes.minors_ideal",
+    "complexes.insert_trivial_summand",
+    "smith.smith_diagonal",
+    "smith.fitting_generator",
+    "smith.max_jordan_size",
+    "smith.cohomology_presentation",
+    "smith.principal_generator",
+}
+
+
+class TestLibraryOnlyNames:
+    """Every public def and class is called inside the package or pinned here as
+    library API, so adding an uncalled one is a reviewed decision."""
+
+    def test_uncalled_names_are_pinned(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "detloci"
+        paths = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+        assert _uncalled_public_names(paths) == LIBRARY_ONLY
+
+    def test_pinned_names_are_exported(self):
+        import importlib
+
+        import detloci
+
+        for qualified in sorted(LIBRARY_ONLY):
+            module, name = qualified.split(".")
+            defined = getattr(importlib.import_module(f"detloci.{module}"), name)
+            assert getattr(detloci, name, None) is defined, qualified
+
+    def test_detects_an_uncalled_name(self, tmp_path):
+        module = tmp_path / "m.py"
+        module.write_text(
+            "def used(x: 'Kind'):\n"
+            "    return x\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else 0\n"
+            "def uncalled():\n"
+            "    '''a docstring naming Lonely is no call'''\n"
+            "    return used(1)\n"
+            "class Kind:\n"
+            "    def make(self) -> 'Kind':\n"
+            "        return Kind()\n"
+            "class Lonely:\n"
+            "    pass\n"
+        )
+        assert _uncalled_public_names([module]) == {"m.recursive", "m.uncalled", "m.Lonely"}
 
 
 class TestFixturesCommand:
@@ -1076,7 +1159,12 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "field",
-        [{"degrees": [0, 1.0]}, {"degrees": [False, 1]}, {"ranks": {"0": 1.5, "1": 1}}],
+        [
+            {"degrees": [0, 1.0]},
+            {"degrees": [False, 1]},
+            {"ranks": {"0": 1.5, "1": 1}},
+            {"ranks": {"0": 2, "1": 2}, "differentials": {"0": [["t1", "0"], ["0"]]}},
+        ],
     )
     def test_complex_fields_exit_2(self, capsys, tmp_path, field):
         payload = {
@@ -1090,6 +1178,21 @@ class TestErrors:
         code, out, err = run_cli(capsys, ["cdf", "--complex", complex_, "--degree", "1", "--k", "0"])
         assert code == 2 and not out
         assert err.startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "argv", [["cdf", "--degree", "1", "--k", "0"], ["jump", "--degree", "1", "--k", "0"], ["support"]]
+    )
+    def test_ragged_differential_exit_2(self, capsys, tmp_path, argv):
+        payload = {
+            "ring": {"nvars": 1},
+            "degrees": [0, 1],
+            "ranks": {"0": 2, "1": 2},
+            "differentials": {"0": [["t1", "0"], ["0"]]},
+        }
+        complex_ = write_json(tmp_path / "c.json", payload)
+        code, out, err = run_cli(capsys, argv + ["--complex", complex_])
+        assert (code, out) == (2, "")
+        assert err == "input error: differential at degree 0 has shape (2, 1), expected (2, 2)\n"
 
     @pytest.mark.parametrize(
         "locus",

@@ -1,9 +1,13 @@
 import collections
 import itertools
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detloci.complexes import (
     FreeComplex,
@@ -29,6 +33,7 @@ from conftest import (
     canon_gens,
     cohomology_dims_at_point,
     conjugate_complex,
+    matrix_mul,
     oracle_det,
     oracle_minor_gens,
     oracle_vanishes_at,
@@ -76,12 +81,68 @@ class TestConstruction:
         with pytest.raises(ValueError, match="shape"):
             FreeComplex.make(R2, (0, 1), {0: 2, 1: 1}, {0: [[P("t1")]]})
 
+    @pytest.mark.parametrize(
+        "rows, shape", [([["t1", "0"], ["0"]], (2, 1)), ([["t1", "0"], ["0", "1", "t1"]], (2, 3))]
+    )
+    def test_ragged_rows_rejected(self, rows, shape):
+        # the first row has the right width, a later one does not
+        ring = Ring(1, True)
+        diff = [[parse_poly(entry, ring) for entry in row] for row in rows]
+        message = f"differential at degree 0 has shape {shape}, expected (2, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FreeComplex.make(ring, (0, 1), {0: 2, 1: 2}, {0: diff})
+
     def test_minor_cache_outside_equality_and_repr(self):
         F, G = koszul_complex(), koszul_complex()
         jump_ideal(F, 1, 1)
         assert F.minor_cache and not G.minor_cache
         assert F == G
         assert repr(F) == repr(G) and "minor_cache" not in repr(F)
+
+
+def product_is_zero(left, right, ring: Ring) -> bool:
+    """left*right == 0 by the schoolbook product of the oracle."""
+    prod = matrix_mul(left, right, LaurentPoly.zero(ring.nvars))
+    return all(e.is_zero() for row in prod for e in row)
+
+
+COMPOSE_MESSAGE = "differentials at degrees 0 and 1 do not compose to zero"
+
+
+class TestCompositionCheck:
+    """The fused check of d^(i+1) d^i = 0 against the schoolbook product."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_conjugated_complexes_accepted(self, seed):
+        F = random_torsion_complex(random.Random(seed), R2, max_pieces=3)
+        for i in range(F.imin, F.imax - 1):
+            assert product_is_zero(F.differential(i + 1), F.differential(i), R2)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_one_perturbed_entry_refused(self, seed):
+        rng = random.Random(seed)
+        F = conjugate_complex(rng, koszul_complex())
+        d0 = [list(row) for row in F.differential(0)]
+        d1 = F.differential(1)
+        # a row of d^0 whose column of d^1 is nonzero carries the change into the product
+        r = rng.choice([k for k in range(2) if not d1[0][k].is_zero()])
+        d0[r][0] = d0[r][0] + random_binomial(rng, R2)
+        assert not product_is_zero(d1, d0, R2)
+        with pytest.raises(ValueError, match=COMPOSE_MESSAGE):
+            FreeComplex.make(R2, (0, 2), dict(F.ranks), {0: d0, 1: d1})
+
+    def test_products_cancel_only_in_their_sum(self):
+        # 1 + e(1/3) + e(2/3) = 0, and no one of the three products is zero
+        ring = Ring(1, True, 3)
+        d1 = [[parse_poly("1", ring)] * 3]
+        d0 = [[parse_poly(x, ring)] for x in ("t1", "e(1/3)*t1", "e(2/3)*t1")]
+        FreeComplex.make(ring, (0, 2), {0: 1, 1: 3, 2: 1}, {0: d0, 1: d1})
+        assert product_is_zero(d1, d0, ring)
+        d0[2] = [parse_poly("e(1/3)*t1", ring)]
+        with pytest.raises(ValueError, match=COMPOSE_MESSAGE):
+            FreeComplex.make(ring, (0, 2), {0: 1, 1: 3, 2: 1}, {0: d0, 1: d1})
 
 
 class TestEulerTruncation:

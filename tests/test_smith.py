@@ -12,7 +12,6 @@ from detloci.poly import (
     IdealGens,
     LaurentPoly,
     Ring,
-    exact_divide,
     parse_poly,
     u_dense,
 )
@@ -31,6 +30,7 @@ from detloci.upoly import UPoly
 from conftest import (
     characteristic_matrix,
     division_multiplicity,
+    exact_divide,
     oracle_det,
     random_torsion_complex,
     upoly_divmod_in,

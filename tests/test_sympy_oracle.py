@@ -61,8 +61,9 @@ def detloci_coeffs(p: LaurentPoly) -> list[Fraction]:
     if p.is_zero():
         return []
     top = max(k for (k,) in p.terms)
+    assert all(c.is_rational() for c in p.terms.values())
     return [
-        p.terms[(k,)].rational_value() if (k,) in p.terms else Fraction(0)
+        p.terms[(k,)].coeffs[0] if (k,) in p.terms else Fraction(0)
         for k in range(top, -1, -1)
     ]
 

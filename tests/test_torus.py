@@ -1,6 +1,7 @@
 import ast
 import copy
 import inspect
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -258,16 +259,16 @@ class TestTorusDivisor:
     def test_formal_arithmetic(self):
         C1 = PrimeTorusDivisor((1, 0), angle(0, 1))
         C2 = PrimeTorusDivisor((0, 1), angle(1, 2))
-        two = TorusDivisor.of(C1, 2)
-        one = TorusDivisor.of(C1, 1)
-        assert (two - one) == TorusDivisor.of(C1, 1)
-        assert (TorusDivisor.of(C1) + TorusDivisor.of(C2)) + (-TorusDivisor.of(C2)) == TorusDivisor.of(C1)
+        two = TorusDivisor({C1: 2})
+        one = TorusDivisor({C1: 1})
+        assert (two - one) == one
+        assert (one + TorusDivisor({C2: 1})) + (-TorusDivisor({C2: 1})) == one
         total = TorusDivisor({C1: 3, C2: 2})
         assert total.items() == [(C2, 2), (C1, 3)]
 
     def test_zero_coefficients_dropped(self):
         C1 = PrimeTorusDivisor((1, 0), angle(0, 1))
-        assert (TorusDivisor.of(C1) - TorusDivisor.of(C1)) == TorusDivisor()
+        assert (TorusDivisor({C1: 1}) - TorusDivisor({C1: 1})) == TorusDivisor()
 
 
 class TestPrimeDivisorValidation:
@@ -296,3 +297,32 @@ class TestTranslatedSubtorus:
                 ((1, 1), angle(0, 1)),
                 ((2, 2), angle(1, 2)),
             ))
+
+    def test_equation_order_ignored(self):
+        equations = (((1, 0, 2), angle(1, 3)), ((0, 1, 0), angle(1, 2)), ((1, 1, 1), angle(0, 1)))
+        pieces = [TranslatedSubtorus(eqs) for eqs in itertools.permutations(equations)]
+        assert all(p == pieces[0] and hash(p) == hash(pieces[0]) for p in pieces)
+        assert len(set(pieces)) == 1
+        assert TranslatedSubtorus(equations[:2]) != pieces[0]
+
+
+def fraction_monomial_at(u, point) -> TorsionAngle:
+    """The angle of t^u at a torsion point, summed through Fraction."""
+    total = Fraction(0)
+    for ui, a in zip(u, point):
+        total += ui * a.as_fraction()
+    return TorsionAngle.from_fraction(total)
+
+
+class TestMonomialAt:
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(-50, 50), st.integers(1, 60)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_matches_the_fraction_sum(self, coords):
+        u = [ui for ui, _, _ in coords]
+        point = [angle(num, den) for _, num, den in coords]
+        assert torus._monomial_at(u, point) == fraction_monomial_at(u, point)

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detloci.arith import CycloElem, euler_phi
-from detloci.complexes import matrix_mul
 from detloci.poly import LaurentPoly, u_dense, u_laurent
 from detloci.smith import _dense_mul
 from detloci.upoly import UPoly, sum_of_products
 
-from conftest import upoly_divmod_in
+from conftest import matrix_mul, upoly_divmod_in
 
 ORDERS = [1, 2, 3, 4, 6, 8, 12]
 
@@ -133,7 +132,7 @@ def matrices(order: int, nrows: int, ncols: int):
 
 class TestFusedProducts:
     """sum_of_products and the dense matrix product of the Smith checks, with
-    complexes.matrix_mul on LaurentPoly entries as the oracle."""
+    the schoolbook matrix_mul on LaurentPoly entries as the oracle."""
 
     @given(st.sampled_from(ORDERS).flatmap(lambda n: st.integers(1, 4).flatmap(
         lambda k: st.tuples(st.just(n), matrices(n, 1, k), matrices(n, k, 1))
