@@ -1,13 +1,16 @@
 """Dense one-variable polynomials over Q(zeta_N), the representation of the Smith layer.
 
 Each t-degree holds the integer numerators of its coefficient on 1, z, ...,
-z^(phi(N)-1), and one positive denominator serves the whole polynomial, so a
-product is an integer schoolbook convolution in t and z with one reduction
-modulo Phi_N per t-degree and one gcd, a row update is one fused
-`target - q*source`, and a sum of products (an entry of a matrix product)
-accumulates every convolution before its one reduction and gcd.  Internal to
-the package: callers convert at the boundary with `poly.u_dense` and
-`poly.u_laurent`.
+z^(phi(N)-1), and one positive denominator serves the whole polynomial.  Every
+product runs on one integer kernel, `_accumulate`, which adds f*x*y into
+unreduced rows in place over the nonzero numerators of the two operands.  Each
+polynomial remembers those sparse rows once asked for, so an operand reused
+across products (a matrix column, an echelon vector, a divisor) is scanned
+once.  A product, a row update `target - q*source` seeded with the target's
+rows, a division step and a sum of products (an entry of a matrix product)
+each accumulate every term before one reduction modulo Phi_N per t-degree and
+one gcd.  Internal to the package: callers convert at the boundary with
+`poly.u_dense` and `poly.u_laurent`.
 """
 
 from __future__ import annotations
@@ -19,51 +22,38 @@ from typing import Iterable, Iterator, Sequence
 from .arith import CycloElem, _canonical, _phi_tail, reduce_mod_phi
 
 
-def _convolution(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
-    """Numerator rows of the product of two nonzero dense polynomials, convolved
-    in t and z but not reduced modulo Phi_N."""
-    if len(a[0]) == 1:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, (x,) in enumerate(a):
-            if x:
-                for j, (y,) in enumerate(b):
-                    out[i + j] += x * y
-        return [[c] for c in out]
-    sparse_b = [[(q, y) for q, y in enumerate(row) if y] for row in b]
-    out = [[0] * (2 * len(a[0]) - 1) for _ in range(len(a) + len(b) - 1)]
-    for i, row in enumerate(a):
-        xs = [(p, x) for p, x in enumerate(row) if x]
-        if xs:
-            for j, ys in enumerate(sparse_b):
-                acc = out[i + j]
-                for q, y in ys:
-                    for p, x in xs:
-                        acc[p + q] += x * y
-    return out
+def _accumulate(out: list, sa: Sequence, sb: Sequence, f: int):
+    """out[i+j][p+q] += f*x*y over the sparse rows (i, [(p, x), ...]) of sa and
+    (j, [(q, y), ...]) of sb: the one product kernel, unreduced modulo Phi_N."""
+    for i, xs in sa:
+        if f != 1:
+            xs = [(p, f * x) for p, x in xs]
+        for j, ys in sb:
+            acc = out[i + j]
+            for q, y in ys:
+                for p, x in xs:
+                    acc[p + q] += x * y
 
 
-def _product_rows(order: int, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
-    """Numerator rows of the product of two dense polynomials, not normalized."""
-    if not a or not b:
-        return []
-    rows = _convolution(a, b)
-    return rows if len(a[0]) == 1 else [reduce_mod_phi(order, row) for row in rows]
+def _reduced(order: int, out: list, den: int) -> "UPoly":
+    """The canonical out/den once each unreduced row is reduced modulo Phi_order
+    (rows of one integer, at phi(order) = 1, are already reduced)."""
+    if out and len(out[0]) > 1:
+        out = [reduce_mod_phi(order, row) for row in out]
+    return _make(order, out, den)
 
 
 def sum_of_products(order: int, pairs: Iterable[tuple["UPoly", "UPoly"]]) -> "UPoly":
-    """The sum of a*b over the (a, b) pairs: every numerator convolution
-    accumulates unreduced over one common denominator, then each t-degree is
+    """The sum of a*b over the (a, b) pairs: every product accumulates unreduced
+    into one set of rows over one common denominator, then each t-degree is
     reduced modulo Phi_order once and the sum normalized once."""
     pairs = [(a, b) for a, b in pairs if a.rows and b.rows]
     den = math.lcm(*(a.den * b.den for a, b in pairs))
-    out = []
+    length = max((len(a.rows) + len(b.rows) - 1 for a, b in pairs), default=0)
+    out = [[0] * (2 * _phi_tail(order)[0] - 1) for _ in range(length)]
     for a, b in pairs:
-        f = den // (a.den * b.den)
-        for k, row in enumerate(_convolution(a.rows, b.rows)):
-            if k == len(out):
-                out.append([0] * len(row))
-            out[k] = [x + f * y for x, y in zip(out[k], row)]
-    return _make(order, [reduce_mod_phi(order, row) for row in out], den)
+        _accumulate(out, a.sparse(), b.sparse(), den // (a.den * b.den))
+    return _reduced(order, out, den)
 
 
 def _make(order: int, rows: list, den: int) -> "UPoly":
@@ -84,16 +74,25 @@ class UPoly:
 
     Kept canonical (no trailing zero row, gcd(den, all numerators) == 1), so
     zero is () over 1 and equal polynomials of one order have equal fields.
-    Treated as immutable; the monic form is remembered once asked for.
+    Treated as immutable; the monic form and the sparse rows are remembered
+    once asked for.
     """
 
-    __slots__ = ("order", "den", "rows", "_monic")
+    __slots__ = ("order", "den", "rows", "_monic", "_sparse")
 
     def __init__(self, order: int, den: int, rows: tuple[tuple[int, ...], ...]):
         self.order = order
         self.den = den
         self.rows = rows
         self._monic = None
+        self._sparse = None
+
+    def sparse(self) -> list:
+        """[(k, [(q, y), ...])] over the nonzero rows k and their nonzero numerators y of z^q."""
+        if self._sparse is None:
+            rows = enumerate(self.rows)
+            self._sparse = [(k, [(q, y) for q, y in enumerate(row) if y]) for k, row in rows if any(row)]
+        return self._sparse
 
     @staticmethod
     def from_terms(order: int, terms: Iterable[tuple[int, CycloElem]]) -> "UPoly":
@@ -137,10 +136,17 @@ class UPoly:
         return self._combine(other.rows, other.den, -1)
 
     def submul(self, q: "UPoly", s: "UPoly") -> "UPoly":
-        """self - q*s, normalized once."""
+        """self - q*s: self's rows over the common denominator take -q*s in
+        place, then one reduction and one normalization."""
         if not q.rows or not s.rows:
             return self
-        return self._combine(_product_rows(self.order, q.rows, s.rows), q.den * s.den, -1)
+        dp = q.den * s.den
+        g = math.gcd(self.den, dp)
+        d, fa = len(s.rows[0]), dp // g
+        out = [[fa * x for x in row] + [0] * (d - 1) for row in self.rows]
+        out += [[0] * (2 * d - 1) for _ in range(len(q.rows) + len(s.rows) - 1 - len(out))]
+        _accumulate(out, q.sparse(), s.sparse(), -(self.den // g))
+        return _reduced(self.order, out, self.den // g * dp)
 
     def _combine(self, b: Sequence[Sequence[int]], db: int, sign: int) -> "UPoly":
         """self + sign * b/db for integer numerator rows b."""
@@ -157,11 +163,11 @@ class UPoly:
         return _make(self.order, rows, da // g * db)
 
     def __mul__(self, other: "UPoly") -> "UPoly":
-        return _make(self.order, _product_rows(self.order, self.rows, other.rows), self.den * other.den)
+        return sum_of_products(self.order, ((self, other),))
 
     def scale(self, c: CycloElem) -> "UPoly":
         c = c.lift(self.order)
-        return _make(self.order, _product_rows(self.order, self.rows, (c.nums,)), self.den * c.den)
+        return self * UPoly(self.order, c.den, (c.nums,))
 
     def monic_pair(self) -> tuple["UPoly", CycloElem | None]:
         """This nonzero polynomial scaled to leading coefficient 1, and the
@@ -179,20 +185,23 @@ class UPoly:
     def divmod(self, g: "UPoly") -> tuple["UPoly", "UPoly"]:
         """(q, r) with self = q*g + r and deg r < deg g.
 
-        Runs on integer rows against the monic form of g: each step drops the
-        top row of the remainder, and only a monic form with a denominator
-        other than 1 scales the rows.  A monic g needs no inverse.
+        Runs on unreduced integer rows against the monic form of g: each step
+        reduces and drops the top row of the remainder and accumulates its
+        product with the sparse tail of the monic form, and only a monic form
+        with a denominator other than 1 scales the rows.  A monic g needs no
+        inverse.
         """
         if not g.rows:
             raise ZeroDivisionError("polynomial division by zero")
         monic, inv = g.monic_pair()
         order, db, dm = self.order, len(monic.rows) - 1, monic.den
-        tail = monic.rows[:db]
-        rem = [list(row) for row in self.rows]
+        tail = monic.sparse()[:-1]
+        zeros = [0] * (len(monic.rows[0]) - 1)
+        rem = [list(row) + zeros for row in self.rows]
         den = self.den
         quot = []
         while len(rem) > db:
-            top = rem.pop()
+            top = reduce_mod_phi(order, rem.pop())
             quot.append(top)
             if not any(top):
                 continue
@@ -200,8 +209,6 @@ class UPoly:
                 rem = [[n * dm for n in row] for row in rem]
                 quot = [[n * dm for n in row] for row in quot]
                 den *= dm
-            shift = len(rem) - db
-            for k, row in enumerate(_product_rows(order, (top,), tail)):
-                rem[shift + k] = [x - y for x, y in zip(rem[shift + k], row)]
+            _accumulate(rem, [(len(rem) - db, [(p, -x) for p, x in enumerate(top) if x])], tail, 1)
         q = _make(order, quot[::-1], den)
-        return (q if inv is None else q.scale(inv)), _make(order, rem, den)
+        return (q if inv is None else q.scale(inv)), _reduced(order, rem, den)

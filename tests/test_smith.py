@@ -119,7 +119,8 @@ def seeded_matrices(rng, order: int) -> list[list[list[LaurentPoly]]]:
 
 
 class TestSmithDiagonal:
-    @pytest.mark.parametrize("order", [1, 3, 4, 6, 12])
+    # at 5 and 9 the unreduced product rows run past z^N and fold
+    @pytest.mark.parametrize("order", [1, 3, 4, 5, 6, 9, 12])
     def test_matches_the_full_form(self, rng, order):
         for _ in range(2):
             for mat in seeded_matrices(rng, order):
@@ -419,6 +420,25 @@ class TestDeterminantalFactors:
         one = CycloElem.one(1)
         with pytest.raises(ValueError, match="square"):
             determinantal_factors([[one, one]])
+
+    @pytest.mark.parametrize("order", [5, 9])
+    def test_fold_orders(self, rng, order):
+        """Orders whose unreduced product rows (2 phi(N) - 1 entries) run past z^N."""
+        lam = CycloElem.from_angle(order, angle(2, order))
+        one, zero = CycloElem.one(order), CycloElem.zero(order)
+        mats = [[[lam, one, zero], [zero, lam, zero], [zero, zero, lam]]]
+        for _ in range(4):
+            m = rng.randint(1, 3)
+            mats.append([
+                [
+                    CycloElem.from_angle(order, angle(rng.randrange(order), order))
+                    * CycloElem.from_rational(order, rng.choice([0, 1, -1, 2]))
+                    for _ in range(m)
+                ]
+                for _ in range(m)
+            ])
+        for phi in mats:
+            assert list(determinantal_factors(phi).b) == oracle_determinantal_factors(phi, order)
 
     @pytest.mark.parametrize("order", [1, 6, 12])
     def test_minimal_polynomial_is_b0_over_b1(self, rng, order):

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detloci.arith import CycloElem, euler_phi
+from detloci.arith import CycloElem, euler_phi, zeta_power
 from detloci.poly import LaurentPoly, u_dense, u_laurent
-from detloci.smith import _dense_mul
+from detloci.smith import _dense_mul, _mat_vec
 from detloci.upoly import UPoly, sum_of_products
 
 from conftest import matrix_mul, upoly_divmod_in
 
-ORDERS = [1, 2, 3, 4, 6, 8, 12]
+# At 5, 7 and 9 the unreduced product rows (2 phi(N) - 1 entries) run past z^N,
+# so their reduction folds by z^N = 1 before dividing by Phi_N.
+ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12]
 
 
 def field_elems(order: int, nonzero: bool = False):
@@ -199,3 +201,87 @@ class TestDivision:
         assert_canonical(monic, order)
         assert u_laurent(monic).leading()[1].is_one()
         assert u_laurent(monic) == (f if inv is None else f.scale(inv))
+
+
+def assert_untouched(p: UPoly, rows, den):
+    """p still has the given rows and den, and its remembered sparse rows are
+    those of a fresh copy."""
+    assert (p.rows, p.den) == (rows, den)
+    assert p.sparse() == UPoly(p.order, p.den, p.rows).sparse()
+
+
+class TestRememberedRows:
+    """Each UPoly remembers its sparse rows once a product asks for them: one
+    operand reused in many products, rows with interior zeros and the
+    non-canonical one-row scalars of `smith._mat_vec` give the LaurentPoly
+    results and leave every operand as it was."""
+
+    @given(st.sampled_from(ORDERS).flatmap(lambda n: st.tuples(
+        st.just(n), polys(n), st.lists(polys(n), min_size=1, max_size=3)
+    )))
+    @settings(max_examples=100)
+    def test_one_operand_everywhere(self, case):
+        order, f, gs = case
+        a = u_dense(f, order)
+        bs = [u_dense(g, order) for g in gs]
+        kept = [(p, p.rows, p.den) for p in [a] + bs]
+        for got, want in ((a * a, f * f), (a.submul(a, a), f - f * f)):
+            assert_canonical(got, order)
+            assert u_laurent(got) == want
+        for g, b in zip(gs, bs):
+            # the same column a in every entry, as in a matrix product
+            got = sum_of_products(order, [(b, a), (a, a), (a, b)])
+            assert_canonical(got, order)
+            assert u_laurent(got) == g * f + f * f + f * g
+        for p, rows, den in kept:
+            assert_untouched(p, rows, den)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_interior_zero_rows(self, order):
+        one, t = LaurentPoly.one(1, order), LaurentPoly.variable(1, 0, 1, order)
+        z = LaurentPoly.constant(1, zeta_power(order, 1))
+        half = LaurentPoly.from_rational(1, Fraction(1, 2), order)
+        fs = [one + t**3, z * t**4 - half * t, t**5 + z]
+        assert u_dense(fs[0], order).sparse() == [(0, [(0, 1)]), (3, [(0, 1)])]
+        for f in fs:
+            for g in fs:
+                a, b = u_dense(f, order), u_dense(g, order)
+                kept = [(p, p.rows, p.den) for p in (a, b)]
+                (q, r), (want_q, want_r) = a.divmod(b), upoly_divmod_in(f, g, 0)
+                for got, want in (
+                    (a * b, f * g),
+                    (b.submul(a, b), g - f * g),
+                    (sum_of_products(order, [(a, b), (b, a), (a, a)]), f * g + g * f + f * f),
+                    (q, want_q),
+                    (r, want_r),
+                ):
+                    assert_canonical(got, order)
+                    assert u_laurent(got) == want
+                for p, rows, den in kept:
+                    assert_untouched(p, rows, den)
+
+    @given(st.sampled_from(ORDERS).flatmap(lambda n: st.tuples(
+        st.just(n), polys(n, 3, nonzero=True), st.lists(polys(n), min_size=4, max_size=4)
+    )))
+    @settings(max_examples=100)
+    def test_mat_vec_scalars(self, case):
+        order, v, cols = case
+        vec, columns = u_dense(v, order), [u_dense(c, order) for c in cols]
+        kept = [(p, p.rows, p.den) for p in [vec] + columns]
+        want = LaurentPoly.zero(1, order)
+        for k, row in enumerate(vec.rows):
+            # the one-row scalar v_k as _mat_vec builds it: den not reduced against row
+            scalar = UPoly(order, vec.den, (row,))
+            coef = LaurentPoly.constant(1, CycloElem(order, [Fraction(n, vec.den) for n in row]))
+            term = cols[k] * coef
+            updated = columns[k].submul(scalar, columns[k])
+            for got, want_k in ((scalar * columns[k], term), (updated, cols[k] - term)):
+                assert_canonical(got, order)
+                assert u_laurent(got) == want_k
+            assert_untouched(scalar, (row,), vec.den)
+            want = want + term
+        got = _mat_vec(columns, vec, order)
+        assert_canonical(got, order)
+        assert u_laurent(got) == want
+        for p, rows, den in kept:
+            assert_untouched(p, rows, den)

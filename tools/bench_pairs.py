@@ -16,6 +16,8 @@ one fresh process per checkout and repeat, 7 repeats interleaved; the file
 keeps the minimum per side, per group and in total:
 - `determinantal_factors` on the detfactors matrices of smith-jordan, grouped
   by order x size;
+- `smith_normal_form` (U and V tracked, U*M*V = D checked) on the smith
+  matrices of smith-jordan, grouped by order x size;
 - minor enumeration: every `cdf_ideal` and `jump_ideal` of the minors-valuation
   complexes at the job's degrees and ks, grouped by the ranks of the complex;
 - the locus layer, on the loci-calculus jobs grouped by the dimension r, one
@@ -57,6 +59,26 @@ for key, mats in groups.items():
     start = time.perf_counter()
     for phi in mats:
         determinantal_factors(phi)
+    out[key] = [len(mats), time.perf_counter() - start]
+print(json.dumps(out))
+"""
+
+SMITH = r"""
+import json, sys, time
+from detloci.io import matrix_from_json
+from detloci.smith import smith_normal_form
+
+groups = {}
+for path in sys.argv[1:]:
+    for job in json.load(open(path)):
+        if job["kind"] == "smith":
+            mat, ring = matrix_from_json(job["inputs"]["matrix"])
+            groups.setdefault(f"{ring.cyclotomic_order}x{len(mat)}", []).append(mat)
+out = {}
+for key, mats in groups.items():
+    start = time.perf_counter()
+    for mat in mats:
+        smith_normal_form(mat)
     out[key] = [len(mats), time.perf_counter() - start]
 print(json.dumps(out))
 """
@@ -125,6 +147,9 @@ LAYERS = {
     "determinantal_factors": (
         "smith.determinantal_factors", "smith-jordan", "detfactors matrices", "order x size",
         DETFACTORS,
+    ),
+    "smith_normal_form": (
+        "smith.smith_normal_form", "smith-jordan", "smith matrices", "order x size", SMITH,
     ),
     "minors": (
         "complexes.cdf_ideal and complexes.jump_ideal, every minor enumerated",
