@@ -170,6 +170,19 @@ def _mul_nums(order: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
     return reduce_mod_phi(order, conv)
 
 
+def lift_nums(nums: Sequence[int], order: int, new_order: int) -> tuple[int, ...]:
+    """Numerators over the powers of zeta_order embedded in Q(zeta_new_order) via
+    zeta_order = zeta_new_order^(new_order/order).  The embedding keeps the ring
+    of integers, so a row without a factor common to a denominator keeps none."""
+    if new_order % order:
+        raise ValueError("can only lift along divisibility of orders")
+    step = new_order // order
+    dense = [0] * ((len(nums) - 1) * step + 1)
+    for j, n in enumerate(nums):
+        dense[j * step] = n
+    return tuple(reduce_mod_phi(new_order, dense))
+
+
 def _elem(order: int, nums: tuple[int, ...], den: int) -> "CycloElem":
     """Wrap numerators and a denominator that are already canonical."""
     e = _new(CycloElem)
@@ -243,13 +256,7 @@ class CycloElem:
         """Embed into Q(zeta_M) for order | M via zeta_N = zeta_M^{M/N}."""
         if new_order == self.order:
             return self
-        if new_order % self.order != 0:
-            raise ValueError("can only lift along divisibility of orders")
-        step = new_order // self.order
-        dense = [0] * ((len(self.nums) - 1) * step + 1)
-        for j, n in enumerate(self.nums):
-            dense[j * step] = n
-        return _canonical(new_order, reduce_mod_phi(new_order, dense), self.den)
+        return _elem(new_order, lift_nums(self.nums, self.order, new_order), self.den)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -269,15 +276,11 @@ class CycloElem:
     def __add__(self, other: "CycloElem") -> "CycloElem":
         a, b = self._pair(other)
         da, db = a.den, b.den
-        if da == db:
-            return _canonical(a.order, [x + y for x, y in zip(a.nums, b.nums)], da)
         return _canonical(a.order, [x * db + y * da for x, y in zip(a.nums, b.nums)], da * db)
 
     def __sub__(self, other: "CycloElem") -> "CycloElem":
         a, b = self._pair(other)
         da, db = a.den, b.den
-        if da == db:
-            return _canonical(a.order, [x - y for x, y in zip(a.nums, b.nums)], da)
         return _canonical(a.order, [x * db - y * da for x, y in zip(a.nums, b.nums)], da * db)
 
     def __neg__(self) -> "CycloElem":
@@ -285,18 +288,7 @@ class CycloElem:
 
     def __mul__(self, other: "CycloElem") -> "CycloElem":
         a, b = self._pair(other)
-        an, bn = a.nums, b.nums
-        if len(an) == 1:
-            return _canonical(a.order, (an[0] * bn[0],), a.den * b.den)
-        if len(an) == 2:
-            # orders 3, 4 and 6: z^2 = -p0 - p1*z with Phi = p0 + p1*z + z^2
-            a0, a1 = an
-            b0, b1 = bn
-            c2 = a1 * b1
-            p0, p1, _ = cyclotomic_poly(a.order)
-            nums = (a0 * b0 - c2 * p0, a0 * b1 + a1 * b0 - c2 * p1)
-            return _canonical(a.order, nums, a.den * b.den)
-        return _canonical(a.order, _mul_nums(a.order, an, bn), a.den * b.den)
+        return _canonical(a.order, _mul_nums(a.order, a.nums, b.nums), a.den * b.den)
 
     def scale(self, q) -> "CycloElem":
         q = Fraction(q)
@@ -355,52 +347,47 @@ def zeta_power(order: int, k: int) -> "CycloElem":
 
 
 def _spread(
-    order: int, terms: Sequence[tuple[CycloElem, int]], weights: Sequence[int] | None = None
-) -> tuple[list[int], int]:
-    """den * sum w * c * zeta_order^shift over the (c, shift) terms, as integers
-    indexed by the exponent of zeta_order, and den.
-
-    den is the lcm of the coefficients' denominators; the weights w are
-    integers, all 1 when none are given.
-    """
-    den = math.lcm(*(c.den for c, _ in terms))
+    order: int, source: int, terms: Sequence, weights: Sequence[int] | None = None
+) -> list[int]:
+    """sum w * n * zeta_order^shift over the (n, shift) terms, n a numerator row
+    over the powers of zeta_source (source | order), as integers indexed by the
+    exponent of zeta_order; the integer weights w are all 1 when none are given."""
+    step = order // source
     dense = [0] * order
-    for t, (c, shift) in enumerate(terms):
+    for t, (nums, shift) in enumerate(terms):
         w = 1 if weights is None else weights[t]
         if not w:
             continue
-        if order % c.order:
-            raise ValueError("can only lift along divisibility of orders")
-        step, factor = order // c.order, den // c.den * w
-        for i, n in enumerate(c.nums):
+        for i, n in enumerate(nums):
             if n:
-                dense[(i * step + shift) % order] += n * factor
-    return dense, den
+                dense[(i * step + shift) % order] += n * w
+    return dense
 
 
 def root_multiplicity(
-    coeffs: Mapping[int, CycloElem], xi: TorsionAngle, cap: int | None = None
+    order: int, rows: Mapping[int, Sequence[int]], xi: TorsionAngle, cap: int | None = None
 ) -> int:
-    """Multiplicity of the root of unity xi in the Laurent polynomial sum c_k t^k.
+    """Multiplicity of the root of unity xi in the Laurent polynomial sum c_k t^k
+    given by its rows {k: numerators of c_k over the powers of zeta_order}; no
+    denominator is passed, since a nonzero scale moves no root.
 
     The multiplicity is the least j with sum_k C(k - low, j) c_k xi^k != 0,
-    low the least exponent: that sum is xi^(low + j) times the j-th Hasse
-    derivative of t^-low * f at xi.  Each j costs one integer spread of the
-    weighted c_k xi^k over the powers of zeta_M, M the lcm of the
-    coefficient orders and xi's denominator, and one reduction modulo
-    Phi_M; no field multiplication.  With a cap, min(multiplicity, cap) is
+    low the least key (a zero row changes nothing): that sum is xi^(low + j)
+    times the j-th Hasse derivative of t^-low * f at xi.  Each j costs one
+    integer spread of the weighted c_k xi^k over the powers of zeta_M, M the
+    lcm of order and xi's denominator, and one reduction modulo Phi_M; no
+    field multiplication.  With a cap, min(multiplicity, cap) is
     returned and no j >= cap is tried; without one, the zero polynomial
     raises ArithmeticError.
     """
-    order = math.lcm(xi.den, *{c.order for c in coeffs.values()})
-    rot = order // xi.den * xi.num
-    terms = [(c, rot * k) for k, c in coeffs.items()]
-    low = min(coeffs, default=0)
+    top = math.lcm(xi.den, order)
+    rot = top // xi.den * xi.num
+    terms = [(nums, rot * k) for k, nums in rows.items()]
+    low = min(rows, default=0)
     j = 0
     while cap is None or j < cap:
-        weights = [math.comb(k - low, j) for k in coeffs] if j else None
-        dense, _ = _spread(order, terms, weights)
-        if any(reduce_mod_phi(order, dense)):
+        weights = [math.comb(k - low, j) for k in rows] if j else None
+        if any(reduce_mod_phi(top, _spread(top, order, terms, weights))):
             return j
         if j and not any(weights):
             raise ArithmeticError("the zero polynomial has no root multiplicity")

@@ -100,7 +100,7 @@ def _cmd_detfactors(args) -> tuple[int, dict]:
                 out_row.append(CycloElem.zero(ring.cyclotomic_order))
                 continue
             exps, coeff = entry.leading()
-            if len(entry.terms) != 1 or any(exps):
+            if len(entry.rows) != 1 or any(exps):
                 raise InputError("determinantal factors need constant entries")
             out_row.append(coeff)
         constants.append(out_row)

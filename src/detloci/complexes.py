@@ -185,7 +185,7 @@ class FreeComplex:
             right = self.differential(i)
             for row in self.differential(i + 1):
                 for j in range(self.rank(i)):
-                    pairs = [(1, a, b[j]) for a, b in zip(row, right) if a.terms and b[j].terms]
+                    pairs = [(1, a, b[j]) for a, b in zip(row, right) if a.rows and b[j].rows]
                     if pairs and not sum_of_products(nvars, order, pairs).is_zero():
                         raise ValueError(
                             f"differentials at degrees {i} and {i + 1} do not compose to zero"

@@ -1,11 +1,12 @@
 """Multivariate Laurent polynomials over Q(zeta_N) and ideal generator lists.
 
-Sparse term maps from integer exponent vectors to cyclotomic coefficients,
-with a graded-lexicographic canonical order.  Every product, a*b as well as
-the signed sum of a minor's cofactor products, is one fused integer kernel,
-`sum_of_products`.  Valuation along binomial prime divisors, read off the
-one-variable fibres, is the workhorse for everything downstream; no Groebner
-machinery anywhere.
+A polynomial keeps, per exponent vector, the integer numerators of its
+coefficient on 1, z, ..., z^(phi(N)-1), over one positive denominator, as
+`upoly.UPoly` does per power of t, with a graded-lexicographic canonical
+order.  Every product, a*b as well as the signed sum of a minor's cofactor
+products, is one fused integer kernel, `sum_of_products`.  Valuation along
+binomial prime divisors, read off the one-variable fibres, is the workhorse
+for everything downstream; no Groebner machinery anywhere.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .arith import (
     _canonical,
     _phi_tail,
     _spread,
+    lift_nums,
     reduce_mod_phi,
     root_multiplicity,
 )
@@ -54,22 +56,38 @@ def term_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
 
-def _reduced_pairs(c: CycloElem) -> tuple[tuple[int, int], ...]:
-    """(numerator, denominator) of each reduced rational coefficient of c."""
-    gs = [math.gcd(n, c.den) for n in c.nums]
-    return tuple((n // g, c.den // g) for n, g in zip(c.nums, gs))
+def _reduced_pairs(row: Sequence[int], den: int) -> tuple[tuple[int, int], ...]:
+    """(numerator, denominator) of each reduced rational coefficient of row/den."""
+    gs = [math.gcd(n, den) for n in row]
+    return tuple((n // g, den // g) for n, g in zip(row, gs))
+
+
+def _from_rows(nvars: int, order: int, rows: dict, den: int) -> "LaurentPoly":
+    """rows/den made canonical (rows hold no zero row, den > 0); no gcd pass when den is 1."""
+    if den != 1:
+        g = math.gcd(den, *itertools.chain.from_iterable(rows.values()))
+        if g != 1:
+            den //= g
+            rows = {e: tuple(n // g for n in row) for e, row in rows.items()}
+    return LaurentPoly(nvars, order, den, rows)
 
 
 class LaurentPoly:
-    """Sparse polynomial with exponents in Z^nvars and Q(zeta_order) coefficients."""
+    """Sparse polynomial with exponents in Z^nvars and Q(zeta_order) coefficients.
 
-    __slots__ = ("nvars", "order", "terms", "_key", "_fibres")
+    Stored as rows = {exponents: phi(order) integer numerators} over one
+    positive den, kept canonical (no zero row, gcd(den, every numerator) ==
+    1), so zero is {} over 1 and equal polynomials of one order have equal
+    den and rows.  `terms` gives the same coefficients as field elements.
+    """
 
-    def __init__(self, nvars: int, order: int, terms: dict[tuple[int, ...], CycloElem]):
+    __slots__ = ("nvars", "order", "den", "rows", "_fibres")
+
+    def __init__(self, nvars: int, order: int, den: int, rows: dict):
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_fibres", None)
 
     def __setattr__(self, name, value):
@@ -81,21 +99,21 @@ class LaurentPoly:
     def make(
         nvars: int, order: int, terms: Mapping[tuple[int, ...], CycloElem]
     ) -> "LaurentPoly":
-        top = order
-        for c in terms.values():
-            top = math.lcm(top, c.order)
-        cleaned: dict[tuple[int, ...], CycloElem] = {}
+        """sum c t^e over the (e, c) terms, in Q(zeta_M) for M the lcm of order
+        and the coefficient orders."""
+        top = math.lcm(order, *(c.order for c in terms.values()))
+        den = math.lcm(*(c.den for c in terms.values()))
+        rows = {}
         for e, c in terms.items():
             if len(e) != nvars:
                 raise ValueError("exponent width does not match nvars")
-            c = c.lift(top)
             if not c.is_zero():
-                cleaned[tuple(int(x) for x in e)] = c
-        return LaurentPoly(nvars, top, cleaned)
+                rows[tuple(int(x) for x in e)] = tuple(n * (den // c.den) for n in c.lift(top).nums)
+        return _from_rows(nvars, top, rows, den)
 
     @staticmethod
     def zero(nvars: int, order: int = 1) -> "LaurentPoly":
-        return LaurentPoly(nvars, order, {})
+        return LaurentPoly(nvars, order, 1, {})
 
     @staticmethod
     def constant(nvars: int, value: CycloElem) -> "LaurentPoly":
@@ -132,13 +150,20 @@ class LaurentPoly:
 
     # -- basics -----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], CycloElem]:
+        """{exponents: coefficient}, each a canonical field element, built on each read."""
+        order, den = self.order, self.den
+        return {e: _canonical(order, row, den) for e, row in self.rows.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def lift(self, order: int) -> "LaurentPoly":
         if order == self.order:
             return self
-        return LaurentPoly.make(self.nvars, order, self.terms)
+        rows = {e: lift_nums(row, self.order, order) for e, row in self.rows.items()}
+        return LaurentPoly(self.nvars, order, self.den, rows)
 
     def _pair(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
         if self.nvars != other.nvars:
@@ -146,25 +171,26 @@ class LaurentPoly:
         top = math.lcm(self.order, other.order)
         return self.lift(top), other.lift(top)
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other over the common denominator, normalized once."""
         a, b = self._pair(other)
-        out = dict(a.terms)
-        for e, c in b.terms.items():
-            if e in out:
-                s = out[e] + c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
-        return LaurentPoly(a.nvars, a.order, out)
+        g = math.gcd(a.den, b.den)
+        fa, fb = b.den // g, sign * (a.den // g)
+        rows = {e: tuple(fa * x for x in row) for e, row in a.rows.items()}
+        for e, row in b.rows.items():
+            rows[e] = tuple(x + fb * y for x, y in zip(rows.get(e, (0,) * len(row)), row))
+        rows = {e: row for e, row in rows.items() if any(row)}
+        return _from_rows(a.nvars, a.order, rows, a.den // g * b.den)
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, self.order, {e: -c for e, c in self.terms.items()})
+        rows = {e: tuple(-n for n in row) for e, row in self.rows.items()}
+        return LaurentPoly(self.nvars, self.order, self.den, rows)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         return sum_of_products(self.nvars, self.order, ((1, self, other),))
@@ -172,11 +198,8 @@ class LaurentPoly:
     def scale(self, c: CycloElem) -> "LaurentPoly":
         if c.is_zero():
             return LaurentPoly.zero(self.nvars, self.order)
-        top = math.lcm(self.order, c.order)
-        c = c.lift(top)
-        return LaurentPoly(
-            self.nvars, top, {e: v.lift(top) * c for e, v in self.terms.items()}
-        )
+        constant = LaurentPoly.constant(self.nvars, c)
+        return sum_of_products(self.nvars, self.order, ((1, self, constant),))
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -196,42 +219,33 @@ class LaurentPoly:
         if self.nvars != other.nvars:
             return False
         a, b = self._pair(other)
-        if set(a.terms) != set(b.terms):
-            return False
-        return all(a.terms[e] == b.terms[e] for e in a.terms)
+        return a.den == b.den and a.rows == b.rows
 
     __hash__ = None
 
     def sort_key(self) -> tuple:
-        cached = self._key
-        if cached is None:
-            items = sorted(
-                self.terms.items(), key=lambda kv: term_key(kv[0]), reverse=True
-            )
-            cached = tuple((e, c.order, _reduced_pairs(c)) for e, c in items)
-            object.__setattr__(self, "_key", cached)
-        return cached
+        """Descending graded-lex (exponents, order, reduced (num, den) pairs) per term."""
+        order, den = self.order, self.den
+        items = sorted(self.rows.items(), key=lambda kv: term_key(kv[0]), reverse=True)
+        return tuple((e, order, _reduced_pairs(row, den)) for e, row in items)
 
     # -- structure --------------------------------------------------------
 
     def leading(self) -> tuple[tuple[int, ...], CycloElem]:
-        if not self.terms:
+        if not self.rows:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=term_key)
-        return e, self.terms[e]
+        e = max(self.rows, key=term_key)
+        return e, _canonical(self.order, self.rows[e], self.den)
 
     def min_exponents(self) -> tuple[int, ...]:
-        if not self.terms:
+        if not self.rows:
             raise ValueError("zero polynomial has no support")
-        mins = [min(e[i] for e in self.terms) for i in range(self.nvars)]
+        mins = [min(e[i] for e in self.rows) for i in range(self.nvars)]
         return tuple(mins)
 
     def shift(self, offset: Sequence[int]) -> "LaurentPoly":
-        return LaurentPoly(
-            self.nvars,
-            self.order,
-            {tuple(x + o for x, o in zip(e, offset)): c for e, c in self.terms.items()},
-        )
+        rows = {tuple(map(operator.add, e, offset)): row for e, row in self.rows.items()}
+        return LaurentPoly(self.nvars, self.order, self.den, rows)
 
     def clear_units(self) -> "LaurentPoly":
         """Divide out the monomial content so every variable hits exponent 0."""
@@ -257,28 +271,21 @@ class LaurentPoly:
         return p.monic()
 
     def is_one(self) -> bool:
-        if len(self.terms) != 1:
+        if len(self.rows) != 1 or self.den != 1:
             return False
-        (e, c), = self.terms.items()
-        return all(x == 0 for x in e) and c.is_one()
+        (e, row), = self.rows.items()
+        return not any(e) and row[0] == 1 and not any(row[1:])
 
     def substitute_powers(self, b: Sequence[int]) -> "LaurentPoly":
         """Apply t_i -> t^{b_i}, landing in the one-variable ring."""
         if len(b) != self.nvars:
             raise ValueError("substitution vector has wrong length")
-        out: dict[tuple[int, ...], CycloElem] = {}
-        for e, c in self.terms.items():
-            k = sum(x * bi for x, bi in zip(e, b))
-            key = (k,)
-            if key in out:
-                s = out[key] + c
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = c
-        return LaurentPoly(1, self.order, out)
+        out: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for e, row in self.rows.items():
+            key = (sum(map(operator.mul, e, b)),)
+            old = out.get(key)
+            out[key] = row if old is None else tuple(map(operator.add, old, row))
+        return _from_rows(1, self.order, {k: row for k, row in out.items() if any(row)}, self.den)
 
     def evaluate(self, point: Sequence[TorsionAngle], order: int) -> CycloElem:
         """Exact value at a torsion point of the torus, inside Q(zeta_order)."""
@@ -287,25 +294,15 @@ class LaurentPoly:
         for a in point:
             if order % a.den != 0:
                 raise ValueError("field order does not contain the point")
+        if self.rows and order % self.order:
+            raise ValueError("can only lift along divisibility of orders")
         powers = [(order // a.den) * a.num for a in point]
-        # one integer spread of every term over the powers of zeta, one reduction
-        dense, den = _spread(
-            order, [(c, sum(x * p for x, p in zip(e, powers))) for e, c in self.terms.items()]
-        )
-        return _canonical(order, reduce_mod_phi(order, dense), den)
+        # one integer spread of every row over the powers of zeta, one reduction
+        terms = [(row, sum(map(operator.mul, e, powers))) for e, row in self.rows.items()]
+        return _canonical(order, reduce_mod_phi(order, _spread(order, self.order, terms)), self.den)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({format_poly(self, laurent=True)})"
-
-
-def _numerator_rows(p: LaurentPoly) -> tuple[int, list]:
-    """One denominator for p and, per term, its exponents and the nonzero
-    (power of z, integer numerator) pairs over that denominator."""
-    den = math.lcm(*(c.den for c in p.terms.values()))
-    return den, [
-        (e, [(i, n * (den // c.den)) for i, n in enumerate(c.nums) if n])
-        for e, c in p.terms.items()
-    ]
 
 
 def sum_of_products(
@@ -317,7 +314,7 @@ def sum_of_products(
     Every integer convolution in the exponents and in z accumulates
     unreduced over one common denominator; each exponent is then reduced
     modulo Phi_M, unless its convolution stops below z^phi(M) (always so
-    when phi(M) = 1), and made canonical once.
+    when phi(M) = 1), and the sum is normalized with one gcd.
     """
     top = order
     triples = []
@@ -326,16 +323,17 @@ def sum_of_products(
         if a.nvars != nvars or b.nvars != nvars:
             raise ValueError("polynomials live in different rings")
         top = math.lcm(top, a.order, b.order)
-        if a.terms and b.terms:
+        if a.rows and b.rows:
             triples.append(t)
-    rows = [(s, _numerator_rows(a.lift(top)), _numerator_rows(b.lift(top))) for s, a, b in triples]
-    den = math.lcm(*[da * db for _, (da, _), (db, _) in rows])
+    triples = [(s, a.lift(top), b.lift(top)) for s, a, b in triples]
+    den = math.lcm(*[a.den * b.den for _, a, b in triples])
     d = _phi_tail(top)[0]
     acc: dict[tuple[int, ...], list[int]] = {}
-    for s, (da, ra), (db, rb) in rows:
-        f = s * (den // (da * db))
-        for ea, xs in ra:
-            xs = [(p, f * x) for p, x in xs]
+    for s, a, b in triples:
+        f = s * (den // (a.den * b.den))
+        rb = [(eb, [(q, y) for q, y in enumerate(row) if y]) for eb, row in b.rows.items()]
+        for ea, row in a.rows.items():
+            xs = [(p, f * x) for p, x in enumerate(row) if x]
             for eb, ys in rb:
                 e = tuple(map(operator.add, ea, eb))
                 conv = acc.get(e)
@@ -344,12 +342,12 @@ def sum_of_products(
                 for q, y in ys:
                     for p, x in xs:
                         conv[p + q] += x * y
-    out = {}
+    rows = {}
     for e, conv in acc.items():
         nums = reduce_mod_phi(top, conv) if any(conv[d:]) else conv[:d]
         if any(nums):
-            out[e] = _canonical(top, nums, den)
-    return LaurentPoly(nvars, top, out)
+            rows[e] = tuple(nums)
+    return _from_rows(nvars, top, rows, den)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +392,11 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, CycloElem]]:
+def fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, tuple[int, ...]]]:
     """The one-variable parts of f along the primitive direction u, fewest terms first.
 
     A unimodular monomial change of coordinates sends u to the first new
-    variable x; the terms sharing the remaining exponents form one fibre,
+    variable x; the rows of f sharing the remaining exponents form one fibre,
     keyed by the exponent of x.  t^u - xi divides f in the Laurent ring
     exactly when xi is a root of every fibre.  The split is remembered on f
     per direction, so callers must not modify the returned fibres.
@@ -413,12 +411,12 @@ def fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, CycloElem]]:
     return split
 
 
-def _split_fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, CycloElem]]:
+def _split_fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, tuple[int, ...]]]:
     first, *rest = _lattice_transform(u)
-    groups: dict[tuple[int, ...], dict[int, CycloElem]] = {}
-    for e, c in f.terms.items():
+    groups: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+    for e, nums in f.rows.items():
         key = tuple([sum(map(operator.mul, row, e)) for row in rest])
-        groups.setdefault(key, {})[sum(map(operator.mul, first, e))] = c
+        groups.setdefault(key, {})[sum(map(operator.mul, first, e))] = nums
     return sorted(groups.values(), key=len)
 
 
@@ -434,11 +432,11 @@ def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
         raise ValueError("infinite valuation: zero polynomial")
     if f.nvars != divisor.nvars:
         raise ValueError("divisor lives in a different torus")
-    if len(f.terms) == 1:
+    if len(f.rows) == 1:
         return 0  # a monomial is a unit of the Laurent ring, and xi != 0
     best = None
-    for coeffs in fibres(f, divisor.u):
-        best = root_multiplicity(coeffs, divisor.xi, best)
+    for rows in fibres(f, divisor.u):
+        best = root_multiplicity(f.order, rows, divisor.xi, best)
         if best == 0:
             return 0
     return best
@@ -477,13 +475,12 @@ class IdealGens:
             normalized.append(n)
             order = math.lcm(order, n.order)
         normalized = [g.lift(order) for g in normalized]
-        seen = set()
-        unique = []
-        for g in sorted(normalized, key=lambda p: p.sort_key()):
-            key = g.sort_key()
-            if key not in seen:
-                seen.add(key)
+        # each generator keyed once; equal keys sort next to each other
+        unique, last = [], None
+        for key, g in sorted(((g.sort_key(), g) for g in normalized), key=lambda kg: kg[0]):
+            if key != last:
                 unique.append(g)
+                last = key
         return IdealGens(ring.with_order(order), tuple(unique))
 
     @staticmethod
@@ -571,12 +568,19 @@ def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
 
 
 def u_dense(f: LaurentPoly, order: int) -> UPoly:
-    """A one-variable polynomial without negative exponents as a dense one over Q(zeta_order)."""
-    return UPoly.from_terms(order, ((k, c) for (k,), c in f.terms.items()))
+    """A one-variable polynomial without negative exponents as a dense one over
+    Q(zeta_order); both keep canonical rows over one denominator."""
+    f = f.lift(order)
+    if f.rows and min(f.rows)[0] < 0:
+        raise ValueError("dense polynomials need exponents >= 0")
+    rows = [(0,) * _phi_tail(order)[0]] * (max(f.rows, default=(-1,))[0] + 1)
+    for (k,), nums in f.rows.items():
+        rows[k] = nums
+    return UPoly(order, f.den, tuple(rows))
 
 
 def u_laurent(f: UPoly) -> LaurentPoly:
-    return LaurentPoly(1, f.order, {(k,): c for k, c in f.terms()})
+    return LaurentPoly(1, f.order, f.den, {(k,): row for k, row in enumerate(f.rows) if any(row)})
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +627,9 @@ def parse_poly(text: str, ring: Ring) -> LaurentPoly:
     num/den, a root of unity e(a/b) and an exponent vector.  The field order
     rises to the reduced denominator of every term's root, zero terms
     included.  Each monomial then becomes one integer row over the powers of
-    zeta_N, over the lcm of its denominators, reduced modulo Phi_N once.
-    Error positions count characters of the text without its whitespace.
+    zeta_N, over the lcm of all the denominators, reduced modulo Phi_N once,
+    and the rows are normalized with one gcd.  Error positions count
+    characters of the text without its whitespace.
     """
     s = "".join(text.split())
     n = len(s)
@@ -683,47 +688,49 @@ def parse_poly(text: str, ring: Ring) -> LaurentPoly:
         terms.append((tuple(exps), num, den, a, b))
     order = math.lcm(*orders)
     monomials: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
+    dens = set()
     for exps, num, den, a, b in terms:
         if num:
+            dens.add(den)
             monomials.setdefault(exps, []).append((num, den, order // b * a))
-    out: dict[tuple[int, ...], CycloElem] = {}
+    lcd = math.lcm(*dens)
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     for exps, parts in monomials.items():
         if len(parts) == 1:
-            (num, lcd, k), = parts
-            row = [0] * k + [num]
+            (num, den, k), = parts
+            row = [0] * k + [num * (lcd // den)]
         else:
-            lcd = math.lcm(*[den for _, den, _ in parts])
             row = [0] * (max([k for _, _, k in parts]) + 1)
             for num, den, k in parts:
                 row[k] += num * (lcd // den)
         nums = reduce_mod_phi(order, row)
         if any(nums):
-            out[exps] = _canonical(order, nums, lcd)
-    return LaurentPoly(nvars, order, out)
+            rows[exps] = tuple(nums)
+    return _from_rows(nvars, order, rows, lcd)
 
 
 def format_poly(p: LaurentPoly, laurent: bool = True) -> str:
     """Canonical string in the text grammar; round-trips through parse_poly.
 
-    Each nonzero numerator n of z^j in a coefficient c is one term
-    n/c.den * e(j/c.order) times the monomial, both fractions reduced.
+    Each nonzero numerator n of z^j in a row is one term
+    n/p.den * e(j/p.order) times the monomial, both fractions reduced.
     """
     if p.is_zero():
         return "0"
     letter = "t" if laurent else "s"
+    den, order = p.den, p.order
     pieces: list[str] = []
-    for e in sorted(p.terms, key=term_key, reverse=True):
-        c = p.terms[e]
+    for e in sorted(p.rows, key=term_key, reverse=True):
         monomial = [f"{letter}{i + 1}" + (f"^{x}" if x != 1 else "") for i, x in enumerate(e) if x]
-        for j, n in enumerate(c.nums):
+        for j, n in enumerate(p.rows[e]):
             if not n:
                 continue
-            g = math.gcd(n, c.den)
-            q, d = abs(n) // g, c.den // g
+            g = math.gcd(n, den)
+            q, d = abs(n) // g, den // g
             factors = [] if q == d == 1 else [f"{q}/{d}" if d != 1 else str(q)]
             if j:
-                g = math.gcd(j, c.order)
-                factors.append(f"e({j // g}/{c.order // g})")
+                g = math.gcd(j, order)
+                factors.append(f"e({j // g}/{order // g})")
             pieces.append(("-" if n < 0 else "+") + ("*".join(factors + monomial) or "1"))
     text = "".join(pieces)
     return text[1:] if text[0] == "+" else text

@@ -27,10 +27,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import CycloElem, TorsionAngle, root_multiplicity
+from .arith import CycloElem, TorsionAngle, _phi_tail, root_multiplicity
 from .complexes import FreeComplex, Matrix, matrix_make, matrix_shape
 from .poly import IdealGens, LaurentPoly, u_dense, u_laurent
-from .upoly import UPoly, _make, sum_of_products
+from .upoly import UPoly, _accumulate, _make, _reduced, sum_of_products
 
 
 def _rank(diagonal: Sequence[LaurentPoly | UPoly]) -> int:
@@ -291,9 +291,16 @@ class DeterminantalFactors:
 
 
 def _mat_vec(columns: Sequence[UPoly], v: UPoly, order: int) -> UPoly:
-    """sum_j v_j * columns[j]: phi*v for the columns of phi, T*c for those of T."""
-    pairs = ((UPoly(order, v.den, (row,)), col) for row, col in zip(v.rows, columns) if any(row))
-    return sum_of_products(order, pairs)
+    """sum_j v_j * columns[j]: phi*v for the columns of phi, T*c for those of T.
+    The sparse row of each v_j accumulates against those of its column over one
+    common denominator, then one reduction."""
+    pairs = [(ys, columns[j]) for j, ys in v.sparse() if columns[j].rows]
+    den = math.lcm(*(col.den for _, col in pairs))
+    length = max((len(col.rows) for _, col in pairs), default=0)
+    out = [[0] * (2 * _phi_tail(order)[0] - 1) for _ in range(length)]
+    for ys, col in pairs:
+        _accumulate(out, [(0, ys)], col.sparse(), den // col.den)
+    return _reduced(order, out, v.den * den)
 
 
 def _krylov(columns: Sequence[UPoly], order: int):
@@ -306,10 +313,10 @@ def _krylov(columns: Sequence[UPoly], order: int):
     """
     n = len(columns)
     dense = [[i + 1 for i in range(n)], [(i // 2 + 1) * (-1) ** i for i in range(n)]]
-    t, blocks, echelon = [], [], {}
+    t, blocks, echelon, zeros = [], [], {}, (0,) * (_phi_tail(order)[0] - 1)
     for ints in dense + [[0] * i + [1] for i in range(n)]:
-        terms = ((i, CycloElem.from_rational(order, x)) for i, x in enumerate(ints) if x)
-        v, start = UPoly.from_terms(order, terms), len(t)
+        # integer rows over 1, each list ending in a nonzero entry: canonical
+        v, start = UPoly(order, 1, tuple((x,) + zeros for x in ints)), len(t)
         while True:
             r, acc = v, UPoly(order, 1, ())  # v = r - T*acc
             while r.rows and len(r.rows) - 1 in echelon:
@@ -319,7 +326,7 @@ def _krylov(columns: Sequence[UPoly], order: int):
             if not r.rows:
                 break
             monic, inv = r.monic_pair()
-            c = acc + UPoly.from_terms(order, ((len(t), CycloElem.one(order)),))
+            c = acc + u_dense(LaurentPoly.variable(1, 0, len(t), order), order)
             echelon[len(r.rows) - 1] = (monic, c if inv is None else c.scale(inv))
             t.append(v)
             v = _mat_vec(columns, v, order)
@@ -344,7 +351,7 @@ def determinantal_factors(phi: Sequence[Sequence[CycloElem]]) -> DeterminantalFa
         raise ValueError("determinantal factors need a square matrix")
     order = math.lcm(*(entry.order for row in phi for entry in row))
     columns = [
-        UPoly.from_terms(order, ((i, row[j]) for i, row in enumerate(phi) if not row[j].is_zero()))
+        u_dense(LaurentPoly.make(1, order, {(i,): row[j] for i, row in enumerate(phi)}), order)
         for j in range(n)
     ]
     t, blocks, echelon = _krylov(columns, order)
@@ -364,7 +371,7 @@ def determinantal_factors(phi: Sequence[Sequence[CycloElem]]) -> DeterminantalFa
                 raise ArithmeticError("Krylov verification failed: phi*T != T*H")
         for i2, (s, e) in enumerate(bounds):
             p[i2][i] = _make(order, [[-x for x in row] for row in h.rows[s:e]], h.den)
-        p[i][i] = p[i][i] + UPoly.from_terms(order, ((end - start, CycloElem.one(order)),))
+        p[i][i] = p[i][i] + u_dense(LaurentPoly.variable(1, 0, end - start, order), order)
         start = end
     if start != n:
         raise ArithmeticError("Krylov verification failed: the blocks do not cover T")
@@ -382,7 +389,7 @@ def max_jordan_size(phi: Sequence[Sequence[CycloElem]], xi: TorsionAngle) -> int
     if not phi:
         return 0
     minimal = determinantal_factors(phi).minimal
-    return root_multiplicity({k: c for (k,), c in minimal.terms.items()}, xi)
+    return root_multiplicity(minimal.order, {k: row for (k,), row in minimal.rows.items()}, xi)
 
 
 # ---------------------------------------------------------------------------

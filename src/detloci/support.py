@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .arith import CycloElem, TorsionAngle, angle_roots, euler_phi, root_multiplicity
+from .arith import TorsionAngle, angle_roots, euler_phi, root_multiplicity
 from .complexes import FreeComplex, base_change, cdf_ideal
 from .poly import fibres, ideal_valuation
 from .smith import NonTorsionError, _torsion_invariants
@@ -25,18 +25,18 @@ from .upoly import UPoly
 logger = logging.getLogger(__name__)
 
 
-def _fibre_roots(fibre: dict[int, CycloElem]) -> Iterator[TorsionAngle]:
-    """Every root of unity that is a root of a one-variable fibre.
+def _fibre_roots(order: int, fibre: dict[int, tuple[int, ...]]) -> Iterator[TorsionAngle]:
+    """Every root of unity that is a root of a one-variable fibre of rows.
 
-    With s the exponent span and Q(zeta_N) a field of the coefficients (Q when
-    all are rational), there are at most s roots with multiplicity.  The
-    conjugates over Q(zeta_N) of a primitive k/m are the k'/m with k' = k mod
-    gcd(m, N), all of one multiplicity, phi(m)/phi(gcd(m, N)) of them; so
-    phi(m) <= s*phi(N), and phi(m) >= sqrt(m/2) gives m <= 2*(s*phi(N))^2.
-    One test decides a class, and the scan stops once s roots are counted.
+    With s the exponent span and N = order (1 when all rows are rational),
+    there are at most s roots with multiplicity.  The conjugates over
+    Q(zeta_N) of a primitive k/m are the k'/m with k' = k mod gcd(m, N), all
+    of one multiplicity, phi(m)/phi(gcd(m, N)) of them; so phi(m) <=
+    s*phi(N), and phi(m) >= sqrt(m/2) gives m <= 2*(s*phi(N))^2.  One test
+    decides a class, and the scan stops once s roots are counted.
     """
     left = max(fibre) - min(fibre)
-    n = math.lcm(*(1 if c.is_rational() else c.order for c in fibre.values()))
+    n = order if any(any(row[1:]) for row in fibre.values()) else 1
     for m in range(1, 2 * (left * euler_phi(n)) ** 2 + 1):
         g = math.gcd(m, n)
         # a class has phi(m)/phi(g) >= phi(m/g) >= sqrt(m/2g) members
@@ -44,7 +44,7 @@ def _fibre_roots(fibre: dict[int, CycloElem]) -> Iterator[TorsionAngle]:
             continue
         for r in range(g):
             roots = [TorsionAngle(k, m) for k in range(r, m, g) if math.gcd(k, m) == 1]
-            if roots and (mult := root_multiplicity(fibre, roots[0])):
+            if roots and (mult := root_multiplicity(order, fibre, roots[0])):
                 yield from roots
                 left -= mult * size
         if left <= 0:
@@ -70,7 +70,7 @@ def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:
             tops.append(ideal.gens)
     directions = set()
     for gens in tops:
-        first, *rest = min(gens, key=lambda g: len(g.terms)).terms
+        first, *rest = min(gens, key=lambda g: len(g.rows)).rows
         for e in rest:
             step = [a - b for a, b in zip(e, first)]
             d = math.gcd(*step) * (1 if min(step) >= 0 else -1)
@@ -81,12 +81,14 @@ def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:
     for u in directions:
         for gens in tops:
             # a one-term fibre has no root on the torus, which rules the ideal out along u
+            # IdealGens.make lifts every generator of an ideal to one order
+            order = gens[0].order
             fs = sorted((f for g in gens for f in fibres(g, u)), key=len)
             if len(fs[0]) < 2:
                 continue
             least = min(fs, key=lambda f: max(f) - min(f))
-            for xi in _fibre_roots(least):
-                if all(root_multiplicity(f, xi, 1) for f in fs):
+            for xi in _fibre_roots(order, least):
+                if all(root_multiplicity(order, f, xi, 1) for f in fs):
                     found.add(PrimeTorusDivisor(u, xi))
     return sorted(found, key=lambda d: d.sort_key())
 
@@ -239,7 +241,7 @@ def specialization_multiplicity(
     # the invariant factors of H^i are chained, so the last one generates Fitt_0/Fitt_1
     torsion = invariants.get(i, ())
     annihilator = torsion[-1] if torsion else UPoly.one(1)
-    jordan = root_multiplicity(dict(annihilator.terms()), lam)
+    jordan = root_multiplicity(annihilator.order, dict(enumerate(annihilator.rows)), lam)
     if not generic or jordan != order_at:
         msg = "non-generic specialization at lambda=%s b=%s: ord=%d jordan=%d"
         logger.info(msg, lam, b, order_at, jordan)

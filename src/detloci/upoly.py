@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .arith import CycloElem, _canonical, _phi_tail, reduce_mod_phi
 
@@ -95,26 +95,8 @@ class UPoly:
         return self._sparse
 
     @staticmethod
-    def from_terms(order: int, terms: Iterable[tuple[int, CycloElem]]) -> "UPoly":
-        """sum c_k t^k from (k, c_k) pairs with distinct k >= 0 and nonzero c_k."""
-        terms = [(k, c.lift(order)) for k, c in terms]
-        if min((k for k, _ in terms), default=0) < 0:
-            raise ValueError("dense polynomials need exponents >= 0")
-        den = math.lcm(*(c.den for _, c in terms))
-        rows = [(0,) * _phi_tail(order)[0]] * (max((k for k, _ in terms), default=-1) + 1)
-        for k, c in terms:
-            f = den // c.den
-            rows[k] = c.nums if f == 1 else tuple(n * f for n in c.nums)
-        return UPoly(order, den, tuple(rows))
-
-    @staticmethod
     def one(order: int) -> "UPoly":
         return UPoly(order, 1, ((1,) + (0,) * (_phi_tail(order)[0] - 1),))
-
-    def terms(self) -> Iterator[tuple[int, CycloElem]]:
-        """The (k, c_k) pairs of the nonzero coefficients."""
-        order, den = self.order, self.den
-        return ((k, _canonical(order, row, den)) for k, row in enumerate(self.rows) if any(row))
 
     def is_zero(self) -> bool:
         return not self.rows

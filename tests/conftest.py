@@ -222,7 +222,17 @@ def oracle_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                     out[e] = s
             elif not prod.is_zero():
                 out[e] = prod
-    return LaurentPoly(a.nvars, a.order, out)
+    return LaurentPoly.make(a.nvars, a.order, out)
+
+
+def coeff_rows(coeffs: dict[int, CycloElem]) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """The (order, rows) argument pair of `root_multiplicity` for {k: c_k}: the
+    numerators of every c_k in the lcm of their orders, over the lcm of their
+    denominators."""
+    order = math.lcm(1, *(c.order for c in coeffs.values()))
+    den = math.lcm(*(c.den for c in coeffs.values()))
+    rows = {k: tuple(n * (den // c.den) for n in c.lift(order).nums) for k, c in coeffs.items()}
+    return order, rows
 
 
 def oracle_det(mat: list[list[LaurentPoly]], ring: Ring) -> LaurentPoly:

@@ -110,8 +110,13 @@ def test_criterion_03_second_example_combine():
     report(3, "second example combine under both permutations, Exp, oblique slope")
 
 
+def _canonical(g) -> tuple:
+    """The canonical form of a generator: its order, denominator and numerator rows."""
+    return (g.order, g.den, frozenset(g.rows.items()))
+
+
 def _keys(ideal) -> set:
-    return {g.sort_key() for g in ideal.gens}
+    return {_canonical(g) for g in ideal.gens}
 
 
 def _padded_cdf_expectation(F: FreeComplex, position: int, i: int, k: int) -> set:
@@ -150,7 +155,7 @@ class _SemanticCache:
             return math.inf
         best = None
         for g in ideal.gens:
-            key = (g.sort_key(), divisor_index)
+            key = (_canonical(g), divisor_index)
             v = self.valuations.get(key)
             if v is None:
                 v = valuation_along(g, divisor)
@@ -163,7 +168,7 @@ class _SemanticCache:
 
     def vanishes(self, ideal, point, point_index, order):
         for g in ideal.gens:
-            key = (g.sort_key(), point_index)
+            key = (_canonical(g), point_index)
             v = self.values.get(key)
             if v is None:
                 v = g.evaluate(point, order).is_zero()

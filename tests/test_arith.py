@@ -15,6 +15,8 @@ from detloci.arith import (
     root_multiplicity,
 )
 
+from conftest import coeff_rows
+
 angles = st.builds(
     lambda num, den: TorsionAngle.make(num, den),
     st.integers(-30, 30),
@@ -187,14 +189,16 @@ class TestAngleRoots:
 class TestUnitRootMultiplicity:
     def test_examples(self):
         # (t-1)^2 at angle 0
-        assert root_multiplicity(rational_coeffs([1, -2, 1]), TorsionAngle.make(0, 1)) == 2
+        xi = TorsionAngle.make(0, 1)
+        assert root_multiplicity(*coeff_rows(rational_coeffs([1, -2, 1])), xi) == 2
         # t^4+1 at 1/8; the oracle is the cyclotomic polynomial itself
         assert cyclotomic_poly(8) == (1, 0, 0, 0, 1)
-        assert root_multiplicity(rational_coeffs([1, 0, 0, 0, 1]), TorsionAngle.make(1, 8)) == 1
+        xi = TorsionAngle.make(1, 8)
+        assert root_multiplicity(*coeff_rows(rational_coeffs([1, 0, 0, 0, 1])), xi) == 1
         # (t^2-t+1)(t-1) at 1/6
         prod = rpoly_mul([Fraction(1), Fraction(-1), Fraction(1)], [Fraction(-1), Fraction(1)])
         assert cyclotomic_poly(6) == (1, -1, 1)
-        assert root_multiplicity(rational_coeffs(prod), TorsionAngle.make(1, 6)) == 1
+        assert root_multiplicity(*coeff_rows(rational_coeffs(prod)), TorsionAngle.make(1, 6)) == 1
 
     def test_additive_on_products(self):
         rng = random.Random(7)
@@ -207,8 +211,10 @@ class TestUnitRootMultiplicity:
             q = [Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))] + [
                 Fraction(1)
             ]
-            left = root_multiplicity(rational_coeffs(rpoly_mul(p, q)), xi)
-            right = root_multiplicity(rational_coeffs(p), xi) + root_multiplicity(rational_coeffs(q), xi)
+            left = root_multiplicity(*coeff_rows(rational_coeffs(rpoly_mul(p, q))), xi)
+            right = root_multiplicity(*coeff_rows(rational_coeffs(p)), xi) + root_multiplicity(
+                *coeff_rows(rational_coeffs(q)), xi
+            )
             assert left == right
 
     @given(
@@ -226,7 +232,7 @@ class TestUnitRootMultiplicity:
             for _ in range(m):
                 p = list(rpoly_mul(p, [Fraction(c) for c in cyclotomic_poly(b)]))
         expected = oracle_unit_root_multiplicity(p, xi)
-        assert root_multiplicity(rational_coeffs(p), xi) == expected
+        assert root_multiplicity(*coeff_rows(rational_coeffs(p)), xi) == expected
         assert expected >= powers[0]
 
 

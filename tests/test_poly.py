@@ -6,7 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from detloci.arith import CycloElem, TorsionAngle, euler_phi, root_multiplicity, zeta_power
+from detloci.arith import (
+    CycloElem,
+    TorsionAngle,
+    cyclotomic_poly,
+    euler_phi,
+    root_multiplicity,
+    zeta_power,
+)
 from detloci.poly import (
     IdealGens,
     LaurentPoly,
@@ -24,6 +31,7 @@ from detloci.poly import (
 from detloci.torus import PrimeTorusDivisor
 
 from conftest import (
+    coeff_rows,
     division_multiplicity,
     exact_divide,
     oracle_format_poly,
@@ -264,16 +272,16 @@ class TestRootMultiplicity:
     def test_against_repeated_exact_division(self, case):
         f, xi = case
         expected = oracle_valuation(f, PrimeTorusDivisor((1,), xi))
-        assert root_multiplicity(coeff_map(f), xi) == expected
+        assert root_multiplicity(*coeff_rows(coeff_map(f)), xi) == expected
         for cap in range(4):
-            assert root_multiplicity(coeff_map(f), xi, cap) == min(expected, cap)
+            assert root_multiplicity(*coeff_rows(coeff_map(f)), xi, cap) == min(expected, cap)
 
     @given(planted_roots(laurent=False))
     @settings(max_examples=100)
     def test_against_repeated_linear_division(self, case):
         f, xi = case
         value = CycloElem.from_angle(math.lcm(f.order, xi.den), xi)
-        assert root_multiplicity(coeff_map(f), xi) == division_multiplicity(f, value)
+        assert root_multiplicity(*coeff_rows(coeff_map(f)), xi) == division_multiplicity(f, value)
 
     def test_seeded_fibres_against_exact_division(self, rng):
         ring = Ring(2, True, 6)
@@ -283,9 +291,10 @@ class TestRootMultiplicity:
                 continue
             divisor = random_divisor(rng, 2)
             for fibre in fibres(f, divisor.u):
-                g = LaurentPoly.make(1, f.order, {(k,): c for k, c in fibre.items()})
+                terms = {(k,): CycloElem.make(f.order, row) for k, row in fibre.items()}
+                g = LaurentPoly.make(1, f.order, terms)
                 expected = oracle_valuation(g, PrimeTorusDivisor((1,), divisor.xi))
-                assert root_multiplicity(fibre, divisor.xi) == expected
+                assert root_multiplicity(f.order, fibre, divisor.xi) == expected
             assert valuation_along(f, divisor) == oracle_valuation(f, divisor)
 
     def test_valuation_is_least_fibre_multiplicity(self, rng):
@@ -315,16 +324,17 @@ class TestRootMultiplicity:
     @settings(max_examples=100)
     def test_additive_on_products(self, pair, xi):
         f, g = pair
-        assert root_multiplicity(coeff_map(f * g), xi) == (
-            root_multiplicity(coeff_map(f), xi) + root_multiplicity(coeff_map(g), xi)
+        assert root_multiplicity(*coeff_rows(coeff_map(f * g)), xi) == (
+            root_multiplicity(*coeff_rows(coeff_map(f)), xi)
+            + root_multiplicity(*coeff_rows(coeff_map(g)), xi)
         )
 
     def test_zero_polynomial_raises(self):
         xi = TorsionAngle.make(1, 3)
         with pytest.raises(ArithmeticError):
-            root_multiplicity({}, xi)
+            root_multiplicity(*coeff_rows({}), xi)
         with pytest.raises(ArithmeticError):
-            root_multiplicity({0: CycloElem.zero(3), 2: CycloElem.zero(3)}, xi)
+            root_multiplicity(*coeff_rows({0: CycloElem.zero(3), 2: CycloElem.zero(3)}), xi)
 
 
 class TestEvaluate:
@@ -464,6 +474,17 @@ class TestParseErrors:
         assert str(info.value) == f"{message} (at position {position})"
 
 
+def assert_canonical_rows(p: LaurentPoly) -> None:
+    """p keeps one positive den and phi(order) integer numerators per exponent
+    vector, no zero row, and no factor shared by den and every numerator."""
+    assert type(p.den) is int and p.den > 0
+    for e, row in p.rows.items():
+        assert len(e) == p.nvars and all(type(x) is int for x in e)
+        assert type(row) is tuple and len(row) == euler_phi(p.order) and any(row)
+        assert all(type(n) is int for n in row)
+    assert math.gcd(p.den, *(n for row in p.rows.values() for n in row)) == 1
+
+
 def assert_same_terms(p: LaurentPoly, q: LaurentPoly) -> None:
     assert (p.nvars, p.order) == (q.nvars, q.order)
     assert {e: (c.nums, c.den) for e, c in p.terms.items()} == {
@@ -507,7 +528,9 @@ class TestParserAgainstOracle:
     @given(grammar_texts())
     def test_terms_match(self, case):
         text, ring = case
-        assert_same_terms(parse_poly(text, ring), oracle_parse_poly(text, ring))
+        got = parse_poly(text, ring)
+        assert_canonical_rows(got)
+        assert_same_terms(got, oracle_parse_poly(text, ring))
 
     @settings(max_examples=300, deadline=None)
     @given(grammar_texts())
@@ -732,3 +755,115 @@ class TestSumOfProducts:
             sum_of_products(2, 1, [(1, P("t1"), LaurentPoly.one(3))])
         with pytest.raises(ValueError, match="different rings"):
             P("t1") * LaurentPoly.one(3)
+
+
+# ---------------------------------------------------------------------------
+# The coefficient store: integer numerator rows over one denominator
+
+
+def termwise(p: LaurentPoly) -> dict:
+    return {e: (c.nums, c.den) for e, c in p.terms.items()}
+
+
+def oracle_terms(pieces, order: int) -> dict:
+    """sum of the (exponents, field element) pieces, one CycloElem addition per
+    piece, zero sums dropped, as termwise gives it."""
+    out: dict = {}
+    for e, c in pieces:
+        c = c.lift(order)
+        out[e] = out[e] + c if e in out else c
+    return {e: (c.nums, c.den) for e, c in out.items() if not c.is_zero()}
+
+
+class TestRowStore:
+    """Every constructor and operation returns canonical rows, and the `terms`
+    view equals a term-by-term oracle in CycloElem arithmetic."""
+
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.dictionaries(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+            st.sampled_from([1, 2, 3, 4, 6]).flatmap(field_elems),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_make(self, order, terms):
+        p = LaurentPoly.make(2, order, terms)
+        assert_canonical_rows(p)
+        assert p.order == math.lcm(order, *(c.order for c in terms.values()))
+        assert termwise(p) == oracle_terms(terms.items(), p.order)
+
+    @given(
+        sparse_polys(),
+        sparse_polys(),
+        st.sampled_from([1, 2, 3, 4, 6]).flatmap(field_elems),
+        st.integers(2, 3),
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+        st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_operations(self, a, b, c, m, offset, powers):
+        top = math.lcm(a.order, b.order)
+        ta, tb = list(a.terms.items()), list(b.terms.items())
+        cases = [
+            (a + b, oracle_terms(ta + tb, top)),
+            (a - b, oracle_terms(ta + [(e, -x) for e, x in tb], top)),
+            (-a, oracle_terms([(e, -x) for e, x in ta], a.order)),
+            (a * b, termwise(oracle_mul(a, b))),
+            (a.lift(m * a.order), oracle_terms(a.terms.items(), m * a.order)),
+            (a.shift(offset), oracle_terms(
+                [(tuple(map(sum, zip(e, offset))), x) for e, x in a.terms.items()], a.order
+            )),
+            (a.substitute_powers(powers), oracle_terms(
+                [((e[0] * powers[0] + e[1] * powers[1],), x) for e, x in a.terms.items()], a.order
+            )),
+        ]
+        scaled_top = math.lcm(a.order, c.order)
+        scaled = [(e, x.lift(scaled_top) * c.lift(scaled_top)) for e, x in a.terms.items()]
+        cases.append((a.scale(c), oracle_terms(scaled, scaled_top)))
+        for got, want in cases:
+            assert_canonical_rows(got)
+            assert termwise(got) == want
+
+    @given(sparse_polys(), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_dense_round_trip(self, a, m):
+        f = a.substitute_powers((1, 2)).clear_units()
+        order = m * f.order
+        dense = u_dense(f, order)
+        back = u_laurent(dense)
+        assert_canonical_rows(back)
+        assert back == f and back.order == order
+        assert termwise(back) == oracle_terms(f.terms.items(), order)
+        assert u_dense(back, order) == dense
+        if not f.is_zero():
+            assert dense.rows[-1] and len(dense.rows) == max(k for k, in f.rows) + 1
+        with pytest.raises(ValueError, match="exponents >= 0"):
+            u_dense(LaurentPoly.variable(1, 0, -1, order), order)
+
+    @given(
+        st.lists(field_elems(3), min_size=1, max_size=3),
+        st.sampled_from(ANGLE_DENS),
+        st.integers(0, 2),
+        st.integers(0, 23),
+        st.sampled_from([1, -1, 2, 6]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_root_multiplicity_on_rows(self, coeffs, b, m, a, scale):
+        # Phi_b(t)^m * g over Q(zeta_3): every xi of exact denominator b is a root of Phi_b
+        xi = TorsionAngle.make(a, b)
+        assume(xi.den == b)
+        g = LaurentPoly.make(1, 3, {(k,): c for k, c in enumerate(coeffs)})
+        assume(not g.is_zero())
+        phi_b = {(k,): CycloElem.from_rational(3, x) for k, x in enumerate(cyclotomic_poly(b))}
+        phi_b = LaurentPoly.make(1, 3, phi_b)
+        f = phi_b**m * g
+        expected = oracle_valuation(f, PrimeTorusDivisor((1,), xi))
+        assert expected >= m
+        rows = {k: row for (k,), row in f.rows.items()}
+        assert root_multiplicity(3, rows, xi) == expected
+        scaled = {k: tuple(scale * n for n in row) for k, row in rows.items()}
+        assert root_multiplicity(3, scaled, xi) == expected
+        lifted = f.lift(12)
+        assert root_multiplicity(12, {k: row for (k,), row in lifted.rows.items()}, xi) == expected

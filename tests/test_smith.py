@@ -25,7 +25,7 @@ from detloci.smith import (
     smith_diagonal,
     smith_normal_form,
 )
-from detloci.upoly import UPoly
+from detloci.upoly import UPoly, sum_of_products as upoly_sum_of_products
 
 from conftest import (
     characteristic_matrix,
@@ -516,6 +516,34 @@ class TestKrylovRoute:
     PHI = [[LAM, ONE, ZERO, ZERO], [ZERO, LAM, ZERO, ZERO], [ZERO, ZERO, LAM, ONE],
            [ZERO, ZERO, ZERO, LAM]]
 
+    @given(
+        st.one_of(st.just(PHI), planted_jordan()),
+        st.sampled_from([1, Fraction(1, 2), Fraction(-2, 3)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mat_vec_is_the_pair_sum(self, phi, q):
+        # every product of the Krylov route and its checks against the old
+        # route: one one-row scalar per nonzero coordinate, one sum of products;
+        # a fractional q gives columns with denominators
+        import detloci.smith as smith_module
+
+        phi = [[entry.scale(q) for entry in row] for row in phi]
+        real, calls = smith_module._mat_vec, []
+
+        def checked(columns, v, order):
+            got = real(columns, v, order)
+            pairs = (
+                (UPoly(order, v.den, (row,)), col) for row, col in zip(v.rows, columns) if any(row)
+            )
+            assert got == upoly_sum_of_products(order, pairs)
+            calls.append(v)
+            return got
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(smith_module, "_mat_vec", checked)
+            determinantal_factors(phi)
+        assert len(calls) >= len(phi)
+
     def corrupt(self, monkeypatch, change):
         import detloci.smith as smith_module
 
@@ -545,7 +573,7 @@ class TestKrylovRoute:
     def test_coupling_to_a_later_block_raises(self, monkeypatch):
         def change(order, t, blocks, echelon):
             end, h = blocks[0]
-            later = UPoly.from_terms(order, [(len(t) - 1, CycloElem.one(order))])
+            later = u_dense(LaurentPoly.variable(1, 0, len(t) - 1, order), order)
             return t, [(end, h + later)] + blocks[1:], echelon
 
         self.corrupt(monkeypatch, change)

@@ -185,7 +185,7 @@ class TestCandidatesAgainstTrialDivision:
         # along (1, 0) the fibre t1-1 vanishes at 1, the fibre t1^2+t1+1 does not
         g = P("t1-1+t1^2*t2+t1*t2+t2")
         smallest = fibres(g, (1, 0))[0]
-        assert root_multiplicity(smallest, angle(0, 1), 1) == 1
+        assert root_multiplicity(g.order, smallest, angle(0, 1), 1) == 1
         E = diag_complex([g])
         got = candidate_divisors(E)
         assert got == oracle_candidates(E, 2)

@@ -20,6 +20,9 @@ keeps the minimum per side, per group and in total:
   matrices of smith-jordan, grouped by order x size;
 - minor enumeration: every `cdf_ideal` and `jump_ideal` of the minors-valuation
   complexes at the job's degrees and ks, grouped by the ranks of the complex;
+- valuations: every `ideal_valuation` of the minors-valuation jobs, in the
+  job's order, on those ideals built before the clock starts, grouped by the
+  ranks of the complex;
 - the locus layer, on the loci-calculus jobs grouped by the dimension r, one
   row set per step: `locus_from_json` on every input locus of a job,
   `combine_bm` for each of its permutations, `containment_check` of both
@@ -107,6 +110,37 @@ for key, jobs in groups.items():
 print(json.dumps(out))
 """
 
+VALUATIONS = r"""
+import json, sys, time
+from fractions import Fraction
+from detloci.arith import TorsionAngle
+from detloci.complexes import cdf_ideal, jump_ideal
+from detloci.io import complex_from_json
+from detloci.poly import ideal_valuation
+from detloci.torus import PrimeTorusDivisor
+
+groups = {}
+for path in sys.argv[1:]:
+    for job in json.load(open(path)):
+        if job["kind"] == "minors":
+            cx = complex_from_json(job["inputs"]["complex"])
+            divisors = [PrimeTorusDivisor(tuple(u), TorsionAngle.from_fraction(Fraction(xi)))
+                        for u, xi in job["args"]["divisors"]]
+            ideals = [ideal for i in cx.degrees() for k in job["args"]["ks"]
+                      for ideal in (cdf_ideal(cx, i, k), jump_ideal(cx, i, k))]
+            key = "-".join(str(cx.rank(i)) for i in cx.degrees())
+            groups.setdefault(key, []).append((ideals, divisors))
+out = {}
+for key, jobs in groups.items():
+    start = time.perf_counter()
+    for ideals, divisors in jobs:
+        for ideal in ideals:
+            for d in divisors:
+                ideal_valuation(ideal, d)
+    out[key] = [len(jobs), time.perf_counter() - start]
+print(json.dumps(out))
+"""
+
 # STEP names the timed step; the loci are parsed before the clock starts
 LOCI = r"""
 import json, sys, time
@@ -154,6 +188,10 @@ LAYERS = {
     "minors": (
         "complexes.cdf_ideal and complexes.jump_ideal, every minor enumerated",
         "minors-valuation", "complexes", "ranks by degree", MINORS,
+    ),
+    "valuations": (
+        "poly.ideal_valuation on every cdf_ideal and jump_ideal, built beforehand",
+        "minors-valuation", "complexes", "ranks by degree", VALUATIONS,
     ),
     **{
         step: (
