@@ -151,14 +151,21 @@ def combine_bm(
             if j not in components:
                 raise ValueError(f"missing component locus for coordinate {j}")
             locus = components[j]
-            for k in range(mj):
-                v = list(accumulated)
-                v[j - 1] += k
+            # c . (acc + k e_j) = c . acc + k c_j: one dot product per member,
+            # then steps of c_j; the normals are unchanged, so no validation
+            for (c, c0), _ in locus.hyperplanes:
+                start, step = c0 + sum(map(mul, c, accumulated)), c[j - 1]
+                hyperplanes.update(
+                    tuple.__new__(AffineHyperplane, (c, start + k * step)) for k in range(mj)
+                )
+            for piece in locus.pieces:
+                starts = [(c, c0 + sum(map(mul, c, accumulated)), c[j - 1]) for c, c0 in piece]
                 # shifting keeps a piece sorted: its normals are distinct
-                hyperplanes.update(h.shifted(v) for h, _ in locus.hyperplanes)
-                pieces.update(tuple(h.shifted(v) for h in piece) for piece in locus.pieces)
+                pieces.update(
+                    tuple(tuple.__new__(AffineHyperplane, (c, a + k * b)) for c, a, b in starts)
+                    for k in range(mj)
+                )
             accumulated[j - 1] += mj
-    # translates of checked members and pieces: their normals are unchanged
     return HyperplaneLocus.from_checked(r, dict.fromkeys(hyperplanes, 1), pieces)
 
 

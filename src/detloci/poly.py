@@ -16,7 +16,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .arith import (
@@ -354,52 +354,16 @@ def sum_of_products(
 # Valuations along binomial prime divisors
 
 
-@lru_cache(maxsize=None)
-def _lattice_transform(u: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Rows of a unimodular integer matrix sending the primitive vector u to e_1.
-
-    Used to change monomial coordinates so the binomial t^u - xi becomes
-    linear in the first new variable.
-    """
-    r = len(u)
-    rows = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    vec = list(u)
-    for i in range(1, r):
-        a, b = vec[0], vec[i]
-        if b == 0:
-            continue
-        g, x, y = _ext_gcd(a, b)
-        row0 = [x * p + y * q for p, q in zip(rows[0], rows[i])]
-        rowi = [(-b // g) * p + (a // g) * q for p, q in zip(rows[0], rows[i])]
-        rows[0], rows[i] = row0, rowi
-        vec[0], vec[i] = g, 0
-    if vec[0] != 1:
-        raise ValueError("divisor support must be primitive")
-    return tuple(tuple(row) for row in rows)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, tuple[int, ...]]]:
     """The one-variable parts of f along the primitive direction u, fewest terms first.
 
-    A unimodular monomial change of coordinates sends u to the first new
-    variable x; the rows of f sharing the remaining exponents form one fibre,
-    keyed by the exponent of x.  t^u - xi divides f in the Laurent ring
-    exactly when xi is a root of every fibre.  The split is remembered on f
-    per direction, so callers must not modify the returned fibres.
+    Two exponents share a fibre exactly when they differ by an integer
+    multiple of u (a rational multiple p/q in lowest terms has q dividing
+    every u_i, so q = 1).  A fibre is the rows of f whose exponents share a
+    base point e - lambda(e) u, keyed by lambda(e) = e_k // u_k for the first
+    k with u_k != 0.  t^u - xi divides f in the Laurent ring exactly when xi
+    is a root of every fibre.  The split is remembered on f per direction, so
+    callers must not modify the returned fibres.
     """
     memo = f._fibres
     if memo is None:
@@ -412,11 +376,16 @@ def fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, tuple[int, ...]
 
 
 def _split_fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, tuple[int, ...]]]:
-    first, *rest = _lattice_transform(u)
+    """Group the rows of f by base point; floor division keeps negative exponents
+    on their own fibre."""
+    if math.gcd(*u) != 1:
+        raise ValueError("divisor support must be primitive")
+    k = next(i for i, x in enumerate(u) if x)
     groups: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
     for e, nums in f.rows.items():
-        key = tuple([sum(map(operator.mul, row, e)) for row in rest])
-        groups.setdefault(key, {})[sum(map(operator.mul, first, e))] = nums
+        step = e[k] // u[k]
+        base = tuple([x - step * y for x, y in zip(e, u)])
+        groups.setdefault(base, {})[step] = nums
     return sorted(groups.values(), key=len)
 
 
@@ -452,11 +421,12 @@ class IdealGens:
     Generators are deliberately not reduced against each other.  An ideal
     of raw generators (`unformed`, such as all minors of one size) or a sum
     of products of ideals (`sum_of_products`, held as its pairs of factors)
-    is formed into that list when `ring` or `gens` is first read.
+    is formed into that list through `make` when `gens` is first read, and
+    only then.  `ring` is fixed at construction: the base field raised to
+    every order of a nonzero generator, which unit normalization keeps.
     """
 
-    _ring: Ring
-    _gens: tuple[LaurentPoly, ...] | None
+    ring: Ring
     parts: tuple[tuple["IdealGens", "IdealGens"], ...] = ()
     raw: tuple[LaurentPoly, ...] = ()
     # ideal_valuation per divisor, filled on demand
@@ -481,44 +451,53 @@ class IdealGens:
             if key != last:
                 unique.append(g)
                 last = key
-        return IdealGens(ring.with_order(order), tuple(unique))
+        return IdealGens._formed_as(ring.with_order(order), tuple(unique))
+
+    @staticmethod
+    def _formed_as(ring: Ring, gens: tuple[LaurentPoly, ...]) -> "IdealGens":
+        """The ideal of a list already in canonical form, held as `gens`."""
+        ideal = IdealGens(ring)
+        object.__setattr__(ideal, "gens", gens)
+        return ideal
 
     @staticmethod
     def unformed(ring: Ring, gens: Iterable[LaurentPoly]) -> "IdealGens":
-        """The ideal of the given generators, put through `make` when read."""
-        return IdealGens(ring, None, raw=tuple(gens))
+        """The ideal of the given generators, put through `make` when read; (0)
+        when every generator is zero."""
+        raw = tuple(gens)
+        orders = [g.order for g in raw if g.rows]
+        if not orders:
+            return IdealGens.zero_ideal(ring)
+        return IdealGens(ring.with_order(math.lcm(*orders)), raw=raw)
 
     @staticmethod
     def sum_of_products(ring: Ring, pairs: Iterable[tuple]) -> "IdealGens":
-        """The sum of the ideals I*J over the pairs (I, J), multiplied out when read."""
-        return IdealGens(ring, None, tuple(pairs))
+        """The sum of the ideals I*J over the pairs (I, J), multiplied out when
+        read; a pair with a zero factor adds no product, so no order either, and
+        with no other pair the sum is (0)."""
+        pairs = tuple(pairs)
+        live = [x for p in pairs if not (p[0].is_zero() or p[1].is_zero()) for x in p]
+        if not live:
+            return IdealGens.zero_ideal(ring)
+        return IdealGens(ring.with_order(math.lcm(*(x.ring.cyclotomic_order for x in live))), pairs)
 
     @staticmethod
     def zero_ideal(ring: Ring) -> "IdealGens":
-        return IdealGens(ring, ())
+        return IdealGens._formed_as(ring, ())
 
     @staticmethod
     def unit_ideal(ring: Ring) -> "IdealGens":
-        return IdealGens(ring, (LaurentPoly.one(ring.nvars, ring.cyclotomic_order),))
+        return IdealGens._formed_as(ring, (LaurentPoly.one(ring.nvars, ring.cyclotomic_order),))
 
-    def _formed(self) -> "IdealGens":
-        if self._gens is None:
-            products = (f * g for a, b in self.parts for f in a.gens for g in b.gens)
-            formed = IdealGens.make(self._ring, itertools.chain(self.raw, products))
-            object.__setattr__(self, "_ring", formed.ring)
-            object.__setattr__(self, "_gens", formed.gens)
-        return self
-
-    @property
-    def ring(self) -> Ring:
-        return self._formed()._ring
-
-    @property
+    @cached_property
     def gens(self) -> tuple[LaurentPoly, ...]:
-        return self._formed()._gens
+        products = (f * g for a, b in self.parts for f in a.gens for g in b.gens)
+        return IdealGens.make(self.ring, itertools.chain(self.raw, products)).gens
 
     def is_zero(self) -> bool:
-        return not self.gens
+        """Whether this is (0), decided without forming: an unformed ideal holds
+        a nonzero generator, or a pair of nonzero factors (the ring is a domain)."""
+        return not (self.parts or self.raw or self.gens)
 
     def contains_one(self) -> bool:
         return any(g.is_one() for g in self.gens)
@@ -540,11 +519,12 @@ def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
 
     Neither kind of unformed ideal is formed to be valued.  Unit factors and
     repeats do not change a valuation along a prime divisor, so raw
-    generators are valued as they are, zeros skipped.  Valuation adds over
-    products and takes the minimum over sums, so a sum of products is the min
-    over the pairs of v(I) + v(J).  Each ideal remembers its valuations.
+    generators are valued as they are, zeros skipped, whether or not `gens`
+    has been read.  Valuation adds over products and takes the minimum over
+    sums, so a sum of products is the min over the pairs of v(I) + v(J).
+    Each ideal remembers its valuations.
     """
-    if divisor.nvars != ideal._ring.nvars:
+    if divisor.nvars != ideal.ring.nvars:
         raise ValueError("divisor lives in a different torus")
     best = ideal.valuations.get(divisor)
     if best is not None:
@@ -552,7 +532,10 @@ def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
     if ideal.parts:
         values = (ideal_valuation(a, divisor) + ideal_valuation(b, divisor) for a, b in ideal.parts)
     else:
-        gens = ideal.raw if ideal._gens is None else ideal._gens
+        # with no raw generators and no parts the ideal is formed, so this forms
+        # nothing; asking whether `gens` is cached would read the instance
+        # __dict__, which on CPython 3.11 slows every later attribute load on it
+        gens = ideal.raw or ideal.gens
         values = (valuation_along(g, divisor) for g in gens if not g.is_zero())
     best = math.inf
     for v in values:

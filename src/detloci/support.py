@@ -59,7 +59,9 @@ def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:
     the first exponent e of g has a second exponent e' with e' - e a nonzero
     multiple of u: u is the primitive part of +-(e' - e) for an e' of the
     generator with the fewest terms.  And xi is a root of the fibre of least
-    span, all listed by `_fibre_roots`.  Mixed-sign directions are skipped.
+    span, all listed by `_fibre_roots`; each is kept when the top-minor ideal
+    has a positive valuation along it, a value the ideal remembers for
+    `support_report`.  Mixed-sign directions are skipped.
     """
     tops = []
     for i in complex_.degrees():
@@ -67,10 +69,10 @@ def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:
         if ideal.is_zero():
             raise NonTorsionError(i)
         if not ideal.contains_one():
-            tops.append(ideal.gens)
+            tops.append(ideal)
     directions = set()
-    for gens in tops:
-        first, *rest = min(gens, key=lambda g: len(g.rows)).rows
+    for ideal in tops:
+        first, *rest = min(ideal.gens, key=lambda g: len(g.rows)).rows
         for e in rest:
             step = [a - b for a, b in zip(e, first)]
             d = math.gcd(*step) * (1 if min(step) >= 0 else -1)
@@ -79,17 +81,16 @@ def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:
                 directions.add(u)
     found = set()
     for u in directions:
-        for gens in tops:
+        for ideal in tops:
             # a one-term fibre has no root on the torus, which rules the ideal out along u
-            # IdealGens.make lifts every generator of an ideal to one order
-            order = gens[0].order
-            fs = sorted((f for g in gens for f in fibres(g, u)), key=len)
+            fs = sorted((f for g in ideal.gens for f in fibres(g, u)), key=len)
             if len(fs[0]) < 2:
                 continue
             least = min(fs, key=lambda f: max(f) - min(f))
-            for xi in _fibre_roots(order, least):
-                if all(root_multiplicity(order, f, xi, 1) for f in fs):
-                    found.add(PrimeTorusDivisor(u, xi))
+            for xi in _fibre_roots(ideal.ring.cyclotomic_order, least):
+                divisor = PrimeTorusDivisor(u, xi)
+                if ideal_valuation(ideal, divisor) > 0:
+                    found.add(divisor)
     return sorted(found, key=lambda d: d.sort_key())
 
 

@@ -520,6 +520,61 @@ def division_multiplicity(f: LaurentPoly, value: CycloElem) -> int:
         current = q
 
 
+def oracle_split_fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, tuple[int, ...]]]:
+    """The fibres of f along the primitive u through a unimodular monomial change
+    of coordinates: an integer matrix sending u to e_1, built with the extended
+    gcd; rows sharing the remaining new exponents form one fibre, keyed by the
+    first new exponent."""
+
+    def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+        old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
+        while r:
+            q = old_r // r
+            old_r, r = r, old_r - q * r
+            old_s, s = s, old_s - q * s
+            old_t, t = t, old_t - q * t
+        return (-old_r, -old_s, -old_t) if old_r < 0 else (old_r, old_s, old_t)
+
+    n = len(u)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    vec = list(u)
+    for i in range(1, n):
+        a, b = vec[0], vec[i]
+        if b == 0:
+            continue
+        g, x, y = ext_gcd(a, b)
+        row0 = [x * p + y * q for p, q in zip(rows[0], rows[i])]
+        rows[i] = [(-b // g) * p + (a // g) * q for p, q in zip(rows[0], rows[i])]
+        rows[0] = row0
+        vec[0], vec[i] = g, 0
+    if vec[0] != 1:
+        raise ValueError("divisor support must be primitive")
+    first, *rest = rows
+    groups: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+    for e, nums in f.rows.items():
+        key = tuple(sum(p * q for p, q in zip(row, e)) for row in rest)
+        groups.setdefault(key, {})[sum(p * q for p, q in zip(first, e))] = nums
+    return list(groups.values())
+
+
+def record_results(monkeypatch, name: str, calls: list | None = None) -> list:
+    """Record the return value of every call to detloci.poly.<name> from here on,
+    and its arguments in calls when a list is given."""
+    import detloci.poly as poly_module
+
+    results = []
+    real = getattr(poly_module, name)
+
+    def recording(*args):
+        if calls is not None:
+            calls.append(args)
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(poly_module, name, recording)
+    return results
+
+
 def translate_locus(locus: HyperplaneLocus, v) -> HyperplaneLocus:
     """Image of the locus under alpha -> alpha - v (c0 gains c . v memberwise),
     built and checked by HyperplaneLocus.make; the oracle of combine_bm."""

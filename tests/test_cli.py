@@ -917,7 +917,7 @@ class TestCacheInventory:
         assert _cached_names(sorted(src.glob("*.py"))) == {
             "arith.cyclotomic_poly",
             "arith._phi_tail",
-            "poly._lattice_transform",
+            "poly.IdealGens.gens",
             "cli.build_parser",
             "bsloci.HyperplaneLocus.member_canonicals",
         }

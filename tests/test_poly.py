@@ -38,10 +38,12 @@ from conftest import (
     oracle_mul,
     oracle_parse_poly,
     oracle_parse_terms,
+    oracle_split_fibres,
     oracle_valuation,
     random_binomial_product,
     random_divisor,
     random_torsion_point,
+    record_results,
     upoly_divmod_in,
 )
 
@@ -157,21 +159,6 @@ class TestIdealValuation:
         for ideal in (IdealGens.zero_ideal(R2), IdealGens.unit_ideal(R2)):
             with pytest.raises(ValueError, match="different torus"):
                 ideal_valuation(ideal, C)
-
-
-def record_results(monkeypatch, name: str) -> list:
-    """Record the return value of every call to detloci.poly.<name> from here on."""
-    import detloci.poly as poly_module
-
-    results = []
-    real = getattr(poly_module, name)
-
-    def recording(*args):
-        results.append(real(*args))
-        return results[-1]
-
-    monkeypatch.setattr(poly_module, name, recording)
-    return results
 
 
 class TestValuationStopsAtZero:
@@ -372,6 +359,56 @@ class TestIdealGens:
         assert IdealGens.zero_ideal(R2).gens == ()
         unit = IdealGens.unit_ideal(R2)
         assert len(unit.gens) == 1 and unit.gens[0].is_one()
+
+    def test_gens_formed_once(self, monkeypatch):
+        made = []
+        make = IdealGens.make
+
+        def counting(ring, gens):
+            made.append(1)
+            return make(ring, gens)
+
+        monkeypatch.setattr(IdealGens, "make", staticmethod(counting))
+        ring = Ring(2, True, 3)
+        h = parse_poly("t1*t2-e(1/3)", ring)
+        raw = IdealGens.unformed(ring, [h * h, LaurentPoly.zero(2, 12), h])
+        products = IdealGens.sum_of_products(ring, [(raw, raw)])
+        formed = make(ring, [h])
+        special = [IdealGens.zero_ideal(ring), IdealGens.unit_ideal(ring), formed]
+        for ideal, makes in [(raw, 1), (products, 1)] + [(x, 0) for x in special]:
+            made.clear()
+            first = ideal.gens
+            assert ideal.gens is first
+            assert len(made) == makes
+        assert products.gens == make(ring, [h * h, h * h * h, h**4]).gens
+
+    def test_ring_fixed_at_construction(self, rng):
+        base = Ring(2, True, 1)
+        h = parse_poly("t1-e(1/3)", base)
+        high_zero = LaurentPoly.zero(2, 12)
+        # a zero generator or a zero factor of a higher order leaves the field as it is
+        assert IdealGens.unformed(base, [h, high_zero]).ring == Ring(2, True, 3)
+        zero_factor = IdealGens.unformed(base, [high_zero])
+        quartic = IdealGens.unformed(base, [parse_poly("t2-e(1/4)", base)])
+        assert IdealGens.sum_of_products(base, [(zero_factor, quartic)]).ring == base
+        for _ in range(30):
+            pool = [zero_factor, quartic, IdealGens.unit_ideal(base)]
+            pool.append(IdealGens.zero_ideal(Ring(2, True, 12)))
+            for _ in range(3):
+                order = rng.choice(ORDERS)
+                gens = [random_binomial_product(rng, Ring(2, True, order)) for _ in range(2)]
+                gens.insert(rng.randint(0, 2), LaurentPoly.zero(2, 12))
+                ideal = IdealGens.unformed(base, gens)
+                assert ideal.ring == IdealGens.make(base, gens).ring
+                pool.append(ideal)
+            pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(1, 3))]
+            ideal = IdealGens.sum_of_products(base, pairs)
+            products = [f * g for a, b in pairs for f in a.gens for g in b.gens]
+            assert ideal.ring == IdealGens.make(base, products).ring
+            assert ideal.is_zero() == (not products)
+            nested = IdealGens.sum_of_products(base, [(ideal, rng.choice(pool))])
+            products = [f * g for a, b in nested.parts for f in a.gens for g in b.gens]
+            assert nested.ring == IdealGens.make(base, products).ring
 
 
 class TestGrammar:
@@ -584,6 +621,54 @@ class TestFibresSplitOnce:
         assert len(splits) == len(set(splits)) == len(ideal.gens) + 1
         for g in ideal.gens:
             assert fibres(g, (1, 1)) == real(g, (1, 1))
+
+
+# exponents up to +-4 around base points, u with leading zeros and u_k > 1
+DIRECTIONS = {
+    2: [(0, 1), (2, 3), (1, 0)],
+    3: [(0, 0, 1), (3, 0, 2)],
+    4: [(0, 2, 0, 3), (0, 0, 0, 1)],
+}
+
+
+@st.composite
+def fibred_polys(draw):
+    """(f, u): a rational Laurent polynomial in 2-4 variables made of a few
+    runs along u, its terms told apart by distinct coefficients 1, 2, ..."""
+    n = draw(st.integers(2, 4))
+    u = draw(st.sampled_from(DIRECTIONS[n]))
+    exps = set()
+    for base in draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=1, max_size=4)):
+        steps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+        exps.update(tuple(x + k * y for x, y in zip(base, u)) for k in steps)
+    terms = {e: CycloElem.from_rational(1, k + 1) for k, e in enumerate(sorted(exps))}
+    return LaurentPoly.make(n, 1, terms), u
+
+
+class TestFibresByBasePoint:
+    @settings(max_examples=200, deadline=None)
+    @given(fibred_polys())
+    def test_same_fibres_as_the_lattice_transform(self, case):
+        f, u = case
+        got = fibres(f, u)
+        want = {frozenset(fibre.values()): fibre for fibre in oracle_split_fibres(f, u)}
+        assert [len(fibre) for fibre in got] == sorted(map(len, got))
+        assert len(got) == len(want)
+        for fibre in got:
+            match = want[frozenset(fibre.values())]
+            key = {nums: k for k, nums in match.items()}
+            # one constant per fibre: the Hasse sums change by a power of xi only
+            assert len({k - key[nums] for k, nums in fibre.items()}) == 1
+
+    def test_negative_exponents_floor(self):
+        # t1^-1 and t1*t2^3 differ by u = (2, 3): lambda = -1 // 2 = -1 and 1 // 2 = 0
+        f = P("t1^-1+2*t1*t2^3")
+        assert fibres(f, (2, 3)) == [{-1: (1,), 0: (2,)}]
+
+    @pytest.mark.parametrize("u", [(2, 4), (0, 0)])
+    def test_non_primitive_direction_rejected(self, u):
+        with pytest.raises(ValueError, match="primitive"):
+            fibres(P("t1*t2-1"), u)
 
 
 # ---------------------------------------------------------------------------

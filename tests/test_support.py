@@ -29,6 +29,7 @@ from conftest import (
     oracle_minor_gens,
     oracle_valuation,
     random_torsion_complex,
+    record_results,
     shifted_piece,
 )
 
@@ -324,6 +325,28 @@ class TestCompleteSearch:
             [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120
         )
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr[-2000:]
+
+
+class TestCandidatesThroughTheMemo:
+    def test_support_report_values_no_pair_twice(self, monkeypatch, rng):
+        remembered = 0
+        for _ in range(8):
+            E = random_torsion_complex(rng, R2)
+            candidates = candidate_divisors(E)
+            tops = [cdf_ideal(E, i, 0) for i in E.degrees()]
+            seen = [set(ideal.valuations) for ideal in tops]
+            # each candidate was kept for a positive valuation of a top-minor ideal
+            assert all(any(C in s for s in seen) for C in candidates)
+            calls = []
+            record_results(monkeypatch, "valuation_along", calls)
+            support_report(E, candidates)
+            monkeypatch.undo()
+            for ideal, known in zip(tops, seen):
+                # whichever list ideal_valuation reads: raw minors or formed generators
+                gens = {id(g) for g in ideal.raw + ideal.gens}
+                assert not [C for f, C in calls if id(f) in gens and C in known]
+                remembered += len(known & set(candidates))
+        assert remembered >= 8
 
 
 class TestSupportReport:
