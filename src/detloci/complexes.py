@@ -79,19 +79,19 @@ class MinorEngine:
         return result
 
 
-def _decided_by_size(nrows: int, ncols: int, m: int, ring: Ring) -> IdealGens | None:
-    """The unit or zero ideal where the size conventions decide it, else None."""
+def _decided_by_size(nrows: int, ncols: int, m: int, unit: IdealGens) -> IdealGens | None:
+    """`unit` or the zero ideal of its ring where the size conventions decide it, else None."""
     if m <= 0:
-        return IdealGens.unit_ideal(ring)
+        return unit
     if m > min(nrows, ncols):
-        return IdealGens.zero_ideal(ring)
+        return IdealGens.zero_ideal(unit.ring)
     return None
 
 
-def _minors_from_engine(engine: MinorEngine, m: int, ring: Ring) -> IdealGens:
+def _minors_from_engine(engine: MinorEngine, m: int, unit: IdealGens) -> IdealGens:
     """Raises ValueError for a matrix beyond the enumeration limit."""
     nrows, ncols = matrix_shape(engine.mat)
-    decided = _decided_by_size(nrows, ncols, m, ring)
+    decided = _decided_by_size(nrows, ncols, m, unit)
     if decided is not None:
         return decided
     if nrows > MAX_MINOR_DIM or ncols > MAX_MINOR_DIM:
@@ -102,7 +102,7 @@ def _minors_from_engine(engine: MinorEngine, m: int, ring: Ring) -> IdealGens:
     for rows in itertools.combinations(range(nrows), m):
         for cols in itertools.combinations(range(ncols), m):
             gens.append(engine.det(rows, cols))
-    return IdealGens.unformed(ring, gens)
+    return IdealGens.unformed(unit.ring, gens)
 
 
 def _engine_for(mat: Matrix, ring: Ring) -> MinorEngine:
@@ -117,7 +117,7 @@ def minors_ideal(mat: Matrix, m: int, ring: Ring) -> IdealGens:
     zero ideal.  Enumeration is exhaustive over row/column subsets in
     ascending combination order.
     """
-    return _minors_from_engine(_engine_for(mat, ring), m, ring)
+    return _minors_from_engine(_engine_for(mat, ring), m, IdealGens.unit_ideal(ring))
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class FreeComplex:
     imax: int
     ranks: Mapping[int, int]
     diffs: Mapping[int, Matrix]
-    # minor engines, minors ideals and jump ideals, filled on demand
+    # one unit ideal, minor engines, minors ideals and jump ideals, filled on demand
     minor_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
@@ -216,6 +216,13 @@ def euler_truncation(complex_: FreeComplex, i: int) -> int:
     return total
 
 
+def _unit_ideal(complex_: FreeComplex) -> IdealGens:
+    """The one unit ideal of the complex's ring that every size <= 0 returns."""
+    if ("unit",) not in complex_.minor_cache:
+        complex_.minor_cache[("unit",)] = IdealGens.unit_ideal(complex_.ring)
+    return complex_.minor_cache[("unit",)]
+
+
 def differential_minors(complex_: FreeComplex, i: int, size: int) -> IdealGens:
     """Minors ideal of d^i, sharing the expansion memo across all sizes."""
     cache = complex_.minor_cache
@@ -227,7 +234,7 @@ def differential_minors(complex_: FreeComplex, i: int, size: int) -> IdealGens:
     if engine is None:
         engine = _engine_for(complex_.differential(i), complex_.ring)
         cache[("engine", i)] = engine
-    ideal = _minors_from_engine(engine, size, complex_.ring)
+    ideal = _minors_from_engine(engine, size, _unit_ideal(complex_))
     cache[key] = ideal
     return ideal
 
@@ -257,7 +264,7 @@ def jump_ideal(complex_: FreeComplex, i: int, k: int) -> IdealGens:
     ra, ca = matrix_shape(complex_.differential(i - 1), complex_.rank(i - 1))
     rb, cb = matrix_shape(complex_.differential(i), complex_.rank(i))
     size = complex_.rank(i) - k + 1
-    ideal = _decided_by_size(ra + rb, ca + cb, size, complex_.ring)
+    ideal = _decided_by_size(ra + rb, ca + cb, size, _unit_ideal(complex_))
     if ideal is None:
         pairs = [
             (differential_minors(complex_, i - 1, a), differential_minors(complex_, i, size - a))

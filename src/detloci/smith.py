@@ -412,7 +412,8 @@ def _cleared_polynomial_matrix(mat: Matrix, order: int) -> Matrix:
 
 
 def _torsion_invariants(complex_: FreeComplex) -> dict[int, tuple[UPoly, ...]]:
-    """The invariant factors of positive degree of H^i, for every i with any.
+    """The invariant factors of positive degree of H^i, for every i with any:
+    the diagonal that `cohomology_presentation` returns.
 
     Over the PID Q(zeta)[t] the image of d^i is free, so coker d^{i-1} is H^i
     plus a free module, and the invariant factors of H^i are the Smith

@@ -2,9 +2,9 @@
 
 Consumes user-supplied free complexes over the r-variable Laurent ring as
 stand-ins for stalk complexes, locates their codimension-one support among
-binomial prime divisors, assembles the divisor tables per degree, and runs
-the one-parameter specialization pipeline comparing divisor orders with
-maximal Jordan block sizes at unit-root eigenvalues.
+binomial prime divisors, assembles the divisor tables per degree, and compares
+divisor orders with maximal Jordan block sizes at unit-root eigenvalues along
+one-parameter specializations, both read off valued Fitting ideals, no Smith form.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from typing import Iterator, Sequence
 from .arith import TorsionAngle, angle_roots, euler_phi, root_multiplicity
 from .complexes import FreeComplex, base_change, cdf_ideal
 from .poly import fibres, ideal_valuation
-from .smith import NonTorsionError, _torsion_invariants
+from .smith import NonTorsionError
 from .torus import PrimeTorusDivisor, TorusDivisor
-from .upoly import UPoly
 
 logger = logging.getLogger(__name__)
 
@@ -123,17 +122,9 @@ def support_report(
         if ideal0.is_zero():
             raise NonTorsionError(i)
         ideal1 = cdf_ideal(complex_, i, 1)
-        row0: dict[PrimeTorusDivisor, int] = {}
-        row1: dict[PrimeTorusDivisor, int] = {}
-        for c in unique:
-            v0 = ideal_valuation(ideal0, c)
-            v1 = ideal_valuation(ideal1, c)
-            if v0 is math.inf or v1 is math.inf:
-                raise NonTorsionError(i)
-            row0[c] = v0
-            row1[c] = v1
-        delta0[i] = TorusDivisor(row0)
-        delta1[i] = TorusDivisor(row1)
+        # finite: a nonzero top-minor ideal makes the next one nonzero too
+        delta0[i] = TorusDivisor({c: ideal_valuation(ideal0, c) for c in unique})
+        delta1[i] = TorusDivisor({c: ideal_valuation(ideal1, c) for c in unique})
         diff = delta0[i] - delta1[i]
         if not diff.is_effective():
             raise ArithmeticError(
@@ -177,17 +168,20 @@ def point_on_divisor(
     return divisor.contains_point([lam**bi for bi in b])
 
 
-def _specialized_invariants(
-    complex_: FreeComplex, b: tuple[int, ...]
-) -> dict[int, tuple[UPoly, ...]]:
-    """`_torsion_invariants` of the base change along b, remembered per b in
-    the minor cache of the source complex (a non-torsion b raises each time)."""
-    key = ("specialized", b)
-    found = complex_.minor_cache.get(key)
-    if found is None:
-        found = _torsion_invariants(base_change(complex_, b))
-        complex_.minor_cache[key] = found
-    return found
+def _jordan_size(complex_: FreeComplex, lam: TorsionAngle, b: tuple[int, ...], i: int) -> int:
+    """Largest Jordan block at lambda on H^i of the base change along b, kept per b
+    in the source's minor cache so rows that share b share its minors and valuations.
+
+    Over the PID Q(zeta)[t, 1/t] a torsion H^i with invariant factors
+    e_1 | ... | e_m has ord_lambda(e_m) = ord_lambda Fitt_0 - ord_lambda Fitt_1,
+    its minimal divisor at t = lambda; the report raises NonTorsionError
+    exactly when some H^j is not torsion.
+    """
+    specialized = complex_.minor_cache.get(("specialized", b))
+    if specialized is None:
+        specialized = complex_.minor_cache[("specialized", b)] = base_change(complex_, b)
+    eigen = PrimeTorusDivisor((1,), lam)
+    return support_report(specialized, [eigen]).minimal.get(i, TorusDivisor()).multiplicity(eigen)
 
 
 @dataclass(frozen=True)
@@ -210,10 +204,10 @@ def specialization_multiplicity(
 ) -> SpecializationRecord:
     """Divisor order versus maximal Jordan size along a one-parameter point.
 
-    The order comes from the minimal divisor of the support report; the Jordan
-    size is the eigenvalue multiplicity in the annihilator of the cohomology
-    of the substituted one-variable complex.  The two agree at generic points;
-    a non-generic choice is reported (generic=False) rather than rejected.
+    The order comes from the minimal divisor of the support report, the Jordan
+    size from that of the substituted one-variable complex at t = lambda.  The
+    two agree at generic points; a non-generic choice is reported
+    (generic=False) rather than rejected.
     """
     if candidates is None:
         candidates = candidate_divisors(complex_)
@@ -226,7 +220,7 @@ def specialization_multiplicity(
         # a non-torsion base change puts the whole curve in the support: not generic
         for lam, b in _generic_points(divisor, avoid):
             try:
-                invariants = _specialized_invariants(complex_, b)
+                jordan = _jordan_size(complex_, lam, b, i)
                 break
             except NonTorsionError:
                 continue
@@ -238,11 +232,7 @@ def specialization_multiplicity(
         generic = point_on_divisor(divisor, lam, b) and not any(
             point_on_divisor(d, lam, b) for d in avoid
         )
-        invariants = _specialized_invariants(complex_, b)
-    # the invariant factors of H^i are chained, so the last one generates Fitt_0/Fitt_1
-    torsion = invariants.get(i, ())
-    annihilator = torsion[-1] if torsion else UPoly.one(1)
-    jordan = root_multiplicity(annihilator.order, dict(enumerate(annihilator.rows)), lam)
+        jordan = _jordan_size(complex_, lam, b, i)
     if not generic or jordan != order_at:
         msg = "non-generic specialization at lambda=%s b=%s: ord=%d jordan=%d"
         logger.info(msg, lam, b, order_at, jordan)

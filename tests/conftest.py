@@ -149,9 +149,17 @@ def conjugate_complex(rng: random.Random, complex_: FreeComplex) -> FreeComplex:
 def random_torsion_complex(
     rng: random.Random, ring: Ring, max_pieces: int = 3, degrees=(0, 1, 2)
 ) -> FreeComplex:
-    """Direct sum of shifted two-term pieces with nonzero maps, then conjugated."""
+    """Direct sum of one to max_pieces shifted two-term pieces, then conjugated."""
+    return torsion_sum(rng, ring, rng.randint(1, max_pieces), degrees)
+
+
+def torsion_sum(
+    rng: random.Random, ring: Ring, n_pieces: int, degrees=(0, 1, 2)
+) -> FreeComplex:
+    """Direct sum of n_pieces shifted two-term pieces with nonzero maps (products
+    of one or two random binomials), then conjugated."""
     pieces = []
-    for _ in range(rng.randint(1, max_pieces)):
+    for _ in range(n_pieces):
         degree = rng.choice(degrees[1:])
         p = LaurentPoly.one(ring.nvars, ring.cyclotomic_order)
         for _ in range(rng.randint(1, 2)):

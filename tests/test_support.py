@@ -14,7 +14,7 @@ from detloci.arith import TorsionAngle
 from detloci.complexes import FreeComplex, base_change, cdf_ideal, direct_sum
 from detloci.arith import root_multiplicity
 from detloci.poly import LaurentPoly, Ring, fibres, parse_poly
-from detloci.smith import NonTorsionError, _torsion_invariants
+from detloci.smith import NonTorsionError, _torsion_invariants, cohomology_presentation
 from detloci.support import (
     _generic_points,
     candidate_divisors,
@@ -25,12 +25,14 @@ from detloci.support import (
 from detloci.torus import PrimeTorusDivisor, tau_preimage
 
 from conftest import (
+    conjugate_complex,
     exact_divide,
     oracle_minor_gens,
     oracle_valuation,
     random_torsion_complex,
     record_results,
     shifted_piece,
+    torsion_sum,
 )
 
 R2 = Ring(2, True, 3)
@@ -522,3 +524,88 @@ class TestSpecializationMultiplicity:
                 expected.update(tau_preimage([list(b)], c))
             specialized = candidate_divisors(base_change(E, b))
             assert set(specialized) == expected
+
+
+def smith_jordan(F: FreeComplex, lam: TorsionAngle, b: tuple[int, ...], i: int) -> int:
+    """Multiplicity of lambda in the last invariant factor of H^i of the base
+    change along b, from its Smith diagonal, by repeated trial division."""
+    presentation = cohomology_presentation(base_change(F, b), i)
+    if not presentation:
+        return 0
+    return oracle_valuation(presentation[-1][-1], PrimeTorusDivisor((1,), lam))
+
+
+COLLISION = (angle(1, 2), (1, 1))
+
+
+class TestJordanAgainstSmithInvariants:
+    """The Jordan size read off Fitting ideals against the Smith diagonal of H^i."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 6, 12]),
+        st.booleans(),
+        st.booleans(),
+    )
+    # in both, two pieces of degree 2 vanish on {t1 = 1}: the order of Fitt_0
+    # there is 2 and the largest Jordan block 1
+    @example(5, 6, True, False)
+    @example(5, 1, False, False)
+    @example(3, 6, True, True)
+    @settings(max_examples=20, deadline=None)
+    def test_jordan_is_the_multiplicity_in_the_last_invariant_factor(
+        self, seed, order, laurent, collapsing
+    ):
+        rng = random.Random(seed)
+        ring = Ring(2, laurent, order)
+        F = torsion_sum(rng, ring, rng.randint(1, 3))
+        if collapsing:
+            # t1 - t2 is no binomial divisor, and b = (1, 1) sends it to 0
+            F = conjugate_complex(rng, direct_sum(F, shifted_piece(ring, P("t1-t2", ring), 1)))
+        candidates = candidate_divisors(F)
+        for divisor in candidates or [PrimeTorusDivisor((1, 0), angle(1, 2))]:
+            for i in F.degrees():
+                record = specialization_multiplicity(F, divisor, i, candidates=candidates)
+                assert record.jordan == smith_jordan(F, record.lam, record.b, i)
+                assert record.b != (1, 1) or not collapsing
+                if collapsing:
+                    with pytest.raises(NonTorsionError):
+                        specialization_multiplicity(
+                            F, divisor, i, candidates=candidates, point=COLLISION
+                        )
+                    with pytest.raises(NonTorsionError):
+                        smith_jordan(F, *COLLISION, i)
+                else:
+                    record = specialization_multiplicity(
+                        F, divisor, i, candidates=candidates, point=COLLISION
+                    )
+                    assert record.jordan == smith_jordan(F, *COLLISION, i)
+
+
+class TestSpecializationCliff:
+    def test_eight_piece_sum_within_ten_seconds(self):
+        """Every specialization of an eight-piece sum whose Smith diagonals
+        took over 15 s, in a child process under a 10 s wall-clock cap."""
+        child = (
+            "import random\n"
+            "from conftest import torsion_sum\n"
+            "from detloci.poly import Ring\n"
+            "from detloci.support import candidate_divisors, specialization_multiplicity, support_report\n"
+            "F = torsion_sum(random.Random(3), Ring(2, True, 6), 8)\n"
+            "report = support_report(F, candidate_divisors(F))\n"
+            "rows = 0\n"
+            "for i, minimal in sorted(report.minimal.items()):\n"
+            "    for d, m in minimal.items():\n"
+            "        r = specialization_multiplicity(F, d, i, candidates=report.candidates)\n"
+            "        assert (r.ord, r.jordan, r.generic) == (m, m, True), (i, str(d), r)\n"
+            "        rows += 1\n"
+            "print(len(report.candidates), rows)\n"
+        )
+        here = Path(__file__).resolve().parent
+        paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["9", "9"]

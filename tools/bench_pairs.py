@@ -10,8 +10,8 @@ file keeps the median of each metric per side, the pairs in which the change
 is better, the parent's quartiles, and whether the digests of every pair
 agree.
 
-Layers, each on the jobs of seeds 1-3 of one workload (read from the change's
-perfbench/out, so run the end to end part or perfbench/run.py first), timed in
+Layers, each on the jobs of seeds 1-3 of one or two workloads (read from the
+change's perfbench/out, so run the end to end part or perfbench/run.py first), timed in
 one fresh process per checkout and repeat, 7 repeats interleaved; the file
 keeps the minimum per side, per group and in total:
 - `determinantal_factors` on the detfactors matrices of smith-jordan, grouped
@@ -23,6 +23,10 @@ keeps the minimum per side, per group and in total:
 - valuations: every `ideal_valuation` of the minors-valuation jobs, in the
   job's order, on those ideals built before the clock starts, grouped by the
   ranks of the complex;
+- `specialization_multiplicity` on every row of the ord/jordan table of the
+  support-planted jobs (candidates and support report built before the clock
+  starts) and on the specialize jobs of smith-jordan, grouped by the ranks of
+  the complex;
 - the locus layer, on the loci-calculus jobs grouped by the dimension r, one
   row set per step: `locus_from_json` on every input locus of a job,
   `combine_bm` for each of its permutations, `containment_check` of both
@@ -141,6 +145,43 @@ for key, jobs in groups.items():
 print(json.dumps(out))
 """
 
+# candidates and support reports are built before the clock starts
+SPECIALIZATION = r"""
+import json, sys, time
+from fractions import Fraction
+from detloci.arith import TorsionAngle
+from detloci.io import complex_from_json
+from detloci.support import candidate_divisors, specialization_multiplicity, support_report
+from detloci.torus import PrimeTorusDivisor
+
+def divisor(pair):
+    return PrimeTorusDivisor(tuple(pair[0]), TorsionAngle.from_fraction(Fraction(pair[1])))
+
+groups = {}
+for path in sys.argv[1:]:
+    for job in json.load(open(path)):
+        if job["kind"] not in ("support", "specialize"):
+            continue
+        cx = complex_from_json(job["inputs"]["complex"])
+        if job["kind"] == "support":
+            report = support_report(cx, candidate_divisors(cx))
+            calls = [(d, i, report.candidates) for i, minimal in sorted(report.minimal.items())
+                     for d in minimal.coeffs]
+        else:
+            args = job["args"]
+            calls = [(divisor(args["divisor"]), args["degree"], [divisor(c) for c in args["candidates"]])]
+        key = "-".join(str(cx.rank(i)) for i in cx.degrees())
+        groups.setdefault(key, []).append((cx, calls))
+out = {}
+for key, jobs in groups.items():
+    start = time.perf_counter()
+    for cx, calls in jobs:
+        for d, i, candidates in calls:
+            specialization_multiplicity(cx, d, i, candidates=candidates)
+    out[key] = [len(jobs), time.perf_counter() - start]
+print(json.dumps(out))
+"""
+
 # STEP names the timed step; the loci are parsed before the clock starts
 LOCI = r"""
 import json, sys, time
@@ -176,26 +217,31 @@ for key, jobs in groups.items():
 print(json.dumps(out))
 """
 
-# name: (function, workload, what one input is, group key, script)
+# name: (function, workloads, what one input is, group key, script)
 LAYERS = {
     "determinantal_factors": (
-        "smith.determinantal_factors", "smith-jordan", "detfactors matrices", "order x size",
+        "smith.determinantal_factors", ("smith-jordan",), "detfactors matrices", "order x size",
         DETFACTORS,
     ),
     "smith_normal_form": (
-        "smith.smith_normal_form", "smith-jordan", "smith matrices", "order x size", SMITH,
+        "smith.smith_normal_form", ("smith-jordan",), "smith matrices", "order x size", SMITH,
     ),
     "minors": (
         "complexes.cdf_ideal and complexes.jump_ideal, every minor enumerated",
-        "minors-valuation", "complexes", "ranks by degree", MINORS,
+        ("minors-valuation",), "complexes", "ranks by degree", MINORS,
     ),
     "valuations": (
         "poly.ideal_valuation on every cdf_ideal and jump_ideal, built beforehand",
-        "minors-valuation", "complexes", "ranks by degree", VALUATIONS,
+        ("minors-valuation",), "complexes", "ranks by degree", VALUATIONS,
+    ),
+    "specialization": (
+        "support.specialization_multiplicity on every table row and specialize job",
+        ("support-planted", "smith-jordan"), "support and specialize jobs", "ranks by degree",
+        SPECIALIZATION,
     ),
     **{
         step: (
-            f"{module}.{step}", "loci-calculus", "loci jobs", "r", f"STEP = {step!r}\n" + LOCI,
+            f"{module}.{step}", ("loci-calculus",), "loci jobs", "r", f"STEP = {step!r}\n" + LOCI,
         )
         for module, step in (
             ("io", "locus_from_json"),
@@ -260,9 +306,10 @@ def end_to_end(parent: str, change: str, workloads: list[str], seed_list: list[i
     return rows
 
 
-def layer(parent: str, change: str, workload: str, script: str) -> dict:
+def layer(parent: str, change: str, workloads: tuple[str, ...], script: str) -> dict:
     paths = [
         os.path.join(change, "perfbench", "out", f"{workload}-{seed}", "jobs.json")
+        for workload in workloads
         for seed in LAYER_SEEDS
     ]
     best: dict = {"parent": {}, "change": {}}
@@ -310,12 +357,13 @@ def main():
         "layers": {
             name: {
                 "function": function,
-                "inputs": f"{inputs} of {workload} seeds {LAYER_SEEDS[0]}-{LAYER_SEEDS[-1]}",
+                "inputs": f"{inputs} of {' and '.join(workloads)} seeds "
+                f"{LAYER_SEEDS[0]}-{LAYER_SEEDS[-1]}",
                 "key": key,
                 "statistic": f"min of {REPEATS} interleaved fresh-process runs",
-                "rows": layer(parent, change, workload, script),
+                "rows": layer(parent, change, workloads, script),
             }
-            for name, (function, workload, inputs, key, script) in LAYERS.items()
+            for name, (function, workloads, inputs, key, script) in LAYERS.items()
         },
     }
     with open(args.out, "w") as f:
