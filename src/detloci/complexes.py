@@ -6,7 +6,10 @@ Determinantal ideals of the differentials yield the truncated-Euler minors
 ideals and the block-sum jump ideals; base change substitutes monomial powers.
 Minors are expanded along their first row with one memo per differential,
 each minor one `poly.sum_of_products` over its cofactor pairs, and every
-minor without a nonzero pair is the engine's one shared zero.
+minor without a nonzero pair is the engine's one shared zero.  A minor ideal
+is valued along a prime divisor without expanding every minor: a tropical
+lower bound from the entry valuations, and one minor that reaches it, prove
+the value (`MinorEngine`); its generators are enumerated only when read.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .poly import IdealGens, LaurentPoly, Ring, sum_of_products
+from .poly import IdealGens, LaurentPoly, Ring, sum_of_products, valuation_along
+from .torus import PrimeTorusDivisor
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
 
@@ -38,11 +42,34 @@ def empty_matrix(nrows: int, ncols: int, nvars: int, order: int) -> Matrix:
 
 
 class MinorEngine:
-    """Shared-memo determinant expansion over all minors of one matrix.
+    """Shared-memo determinant expansion over all minors of one matrix, and
+    the valuations of its minor ideals along prime divisors.
 
     Each minor of size >= 2 is one `sum_of_products` over its nonzero
     cofactor pairs along the first row; a minor with no such pair is the
     engine's one shared zero.
+
+    `valuation(m, D)` is v_D(I_m), the least valuation along D of an m x m
+    minor, from a tropical lower bound and a certificate.  With the entry
+    weights w_ij = v_D(m_ij) (None for a zero entry), every Leibniz term of
+    det M[R, C] has valuation at least the weight of its matching, and the
+    valuation of a sum is at least the least valuation of its terms, so
+    every m x m minor has valuation at least T_m, the least weight of an
+    m-matching.  Every (k+1)-minor is a combination of k-minors (Laplace), so
+    v_D(I_m) is also at most U, the least valuation known for a larger size.
+    The steps, in order:
+    1. U = 0, or (unless the weights are known and T_m > 0) the first nonzero
+       minor in combination order has valuation 0: the answer is 0;
+    2. the minor on the rows and columns of a least m-matching has
+       valuation T_m: that minor certifies v_D(I_m) = T_m;
+    3. otherwise every m x m minor is ranked by its own tropical weight and
+       valued in that order, each capped at the least value found (at first
+       U), until the next weight reaches that value: complete, whatever
+       cancels.
+    The weights and the least k-matchings for every k are computed once per
+    divisor and shared by every size.  Steps 1 and 2 are capped valuations
+    (caps 1 and T_m + 1), so they test no multiplicity that cannot change
+    the answer.
     """
 
     def __init__(self, mat: Matrix, nvars: int, order: int):
@@ -51,6 +78,12 @@ class MinorEngine:
         self.order = order
         self.zero = LaurentPoly.zero(nvars, order)
         self._memo: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
+        # size -> the first nonzero minor of that size, or None
+        self._first: dict[int, LaurentPoly | None] = {}
+        # divisor -> (entry weights, least k-matchings)
+        self._tropical: dict = {}
+        # divisor -> {size: valuation of the minor ideal}
+        self._values: dict = {}
 
     def det(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> LaurentPoly:
         if len(rows) != len(cols):
@@ -78,6 +111,134 @@ class MinorEngine:
         self._memo[key] = result
         return result
 
+    def minors(self, m: int) -> Iterator[LaurentPoly]:
+        """Every m x m minor, rows then columns in ascending combination order."""
+        nrows, ncols = matrix_shape(self.mat)
+        for rows in itertools.combinations(range(nrows), m):
+            for cols in itertools.combinations(range(ncols), m):
+                yield self.det(rows, cols)
+
+    def first_nonzero(self, m: int) -> LaurentPoly | None:
+        """The first nonzero m x m minor in combination order, None when all are zero."""
+        if m not in self._first:
+            self._first[m] = next((f for f in self.minors(m) if f.rows), None)
+        return self._first[m]
+
+    def valuation(self, m: int, divisor: PrimeTorusDivisor) -> int:
+        """v(I_m) along divisor, for an m with a nonzero m x m minor (see the class)."""
+        known = self._values.get(divisor)
+        if known is None:
+            known = self._values[divisor] = {}
+        value = known.get(m)
+        if value is None:
+            # I_(k+1) lies in I_k, so v(I_m) is at most v(I_k) for every larger k
+            upper = min([v for k, v in known.items() if k > m], default=math.inf)
+            value = known[m] = self._valuation(m, divisor, upper)
+        return value
+
+    def _valuation(self, m: int, divisor: PrimeTorusDivisor, upper: int | float) -> int:
+        if upper == 0:
+            return 0
+        tropical = self._tropical.get(divisor)
+        # once T_m > 0 is known, no m x m minor can have valuation 0
+        if tropical is None or tropical[1][m][0] == 0:
+            if valuation_along(self.first_nonzero(m), divisor, cap=1) == 0:
+                return 0
+        if tropical is None:
+            weights = [[valuation_along(e, divisor) if e.rows else None for e in row] for row in self.mat]
+            tropical = self._tropical[divisor] = (weights, _least_matchings(weights))
+        weights, matchings = tropical
+        bound, rows, cols = matchings[m]
+        minor = self.det(rows, cols)
+        if minor.rows and valuation_along(minor, divisor, cap=bound + 1) == bound:
+            return bound
+        return self._ranked_valuation(m, weights, divisor, upper)
+
+    def _ranked_valuation(
+        self, m: int, weights: list, divisor: PrimeTorusDivisor, upper: int | float
+    ) -> int:
+        """The least valuation over the m x m minors, at most upper, visited in
+        increasing tropical weight (integer min-plus Laplace expansion) until
+        the next weight reaches the least value found."""
+        memo: dict = {}
+
+        def tropical(rows: tuple[int, ...], cols: tuple[int, ...]) -> int | None:
+            if len(rows) == 1:
+                return weights[rows[0]][cols[0]]
+            key = (rows, cols)
+            if key not in memo:
+                best = None
+                for j, col in enumerate(cols):
+                    w = weights[rows[0]][col]
+                    if w is not None:
+                        sub = tropical(rows[1:], cols[:j] + cols[j + 1 :])
+                        if sub is not None and (best is None or w + sub < best):
+                            best = w + sub
+                memo[key] = best
+            return memo[key]
+
+        nrows, ncols = matrix_shape(self.mat)
+        ranked = sorted(
+            (weight, rows, cols)
+            for rows in itertools.combinations(range(nrows), m)
+            for cols in itertools.combinations(range(ncols), m)
+            if (weight := tropical(rows, cols)) is not None
+        )
+        best = upper
+        for weight, rows, cols in ranked:
+            if weight >= best:
+                break
+            minor = self.det(rows, cols)
+            if minor.rows:
+                best = valuation_along(minor, divisor, cap=None if best == math.inf else best)
+        return best
+
+
+def _least_matchings(weights: list[list[int | None]]) -> list[tuple[int, tuple, tuple]]:
+    """(T_k, rows, columns) of a least-weight k-matching, for k = 0 up to the
+    largest k with a matching; weights[i][j] is None where there is no edge.
+
+    Successive shortest augmenting paths (Kuhn's Hungarian method as a
+    min-cost flow): augmenting a least-weight k-matching along a least-weight
+    path of the residual graph, found here by label correction, leaves a
+    least-weight (k+1)-matching.  Integers only.
+    """
+    nrows = len(weights)
+    ncols = len(weights[0]) if weights else 0
+    col_of: list[int | None] = [None] * nrows
+    row_of: list[int | None] = [None] * ncols
+    edges = [[(j, w) for j, w in enumerate(row) if w is not None] for row in weights]
+    out = [(0, (), ())]
+    while True:
+        dist = {i: 0 for i in range(nrows) if col_of[i] is None}
+        reach: dict[int, tuple[int, int]] = {}  # column: (distance, row it is reached from)
+        frontier = list(dist)
+        while frontier:
+            changed = []
+            for i in frontier:
+                for j, w in edges[i]:
+                    d = dist[i] + w
+                    if j != col_of[i] and (j not in reach or d < reach[j][0]):
+                        reach[j] = (d, i)
+                        back = row_of[j]
+                        if back is not None:
+                            # a matched row is reached only back along its own edge
+                            dist[back] = d - weights[back][j]
+                            changed.append(back)
+            frontier = changed
+        free = [(d, j) for j, (d, _) in reach.items() if row_of[j] is None]
+        if not free:
+            return out
+        d, j = min(free)
+        while j is not None:
+            i = reach[j][1]
+            previous = col_of[i]
+            col_of[i] = j
+            row_of[j] = i
+            j = previous
+        rows = tuple(i for i in range(nrows) if col_of[i] is not None)
+        out.append((out[-1][0] + d, rows, tuple(sorted(col_of[i] for i in rows))))
+
 
 def _decided_by_size(nrows: int, ncols: int, m: int, unit: IdealGens) -> IdealGens | None:
     """`unit` or the zero ideal of its ring where the size conventions decide it, else None."""
@@ -89,7 +250,16 @@ def _decided_by_size(nrows: int, ncols: int, m: int, unit: IdealGens) -> IdealGe
 
 
 def _minors_from_engine(engine: MinorEngine, m: int, unit: IdealGens) -> IdealGens:
-    """Raises ValueError for a matrix beyond the enumeration limit."""
+    """The ideal of the m x m minors, (0) when every minor is zero; raises
+    ValueError for a matrix beyond the enumeration limit.
+
+    The entries (m = 1), or fewer minors than the matrix has entries, take
+    fewer valuations one by one than the engine's entry weights, so they are
+    listed at once as an unformed ideal.  Any other size is left to the engine:
+    the ideal holds (engine, m), is zero exactly when the engine finds no
+    nonzero minor, and has the ring of its minors, raised to the engine's
+    order, which is the order of every minor of size >= 2.
+    """
     nrows, ncols = matrix_shape(engine.mat)
     decided = _decided_by_size(nrows, ncols, m, unit)
     if decided is not None:
@@ -98,11 +268,11 @@ def _minors_from_engine(engine: MinorEngine, m: int, unit: IdealGens) -> IdealGe
         raise ValueError(
             f"matrix exceeds the {MAX_MINOR_DIM}x{MAX_MINOR_DIM} minor enumeration limit"
         )
-    gens = []
-    for rows in itertools.combinations(range(nrows), m):
-        for cols in itertools.combinations(range(ncols), m):
-            gens.append(engine.det(rows, cols))
-    return IdealGens.unformed(unit.ring, gens)
+    if m == 1 or math.comb(nrows, m) * math.comb(ncols, m) < nrows * ncols:
+        return IdealGens.unformed(unit.ring, engine.minors(m))
+    if engine.first_nonzero(m) is None:
+        return IdealGens.zero_ideal(unit.ring)
+    return IdealGens(unit.ring.with_order(engine.order), minors=(engine, m))
 
 
 def _engine_for(mat: Matrix, ring: Ring) -> MinorEngine:
@@ -114,8 +284,8 @@ def minors_ideal(mat: Matrix, m: int, ring: Ring) -> IdealGens:
     """Ideal generated by all m x m minors, with the usual size conventions.
 
     m <= 0 gives the unit ideal and m beyond the matrix dimensions gives the
-    zero ideal.  Enumeration is exhaustive over row/column subsets in
-    ascending combination order.
+    zero ideal.  Its generators, read, enumerate every row/column subset in
+    ascending combination order; its valuations need not.
     """
     return _minors_from_engine(_engine_for(mat, ring), m, IdealGens.unit_ideal(ring))
 
@@ -224,7 +394,8 @@ def _unit_ideal(complex_: FreeComplex) -> IdealGens:
 
 
 def differential_minors(complex_: FreeComplex, i: int, size: int) -> IdealGens:
-    """Minors ideal of d^i, sharing the expansion memo across all sizes."""
+    """Minors ideal of d^i, sharing the expansion memo, the entry weights and
+    the known valuations across all sizes."""
     cache = complex_.minor_cache
     key = ("ideal", i, size)
     found = cache.get(key)

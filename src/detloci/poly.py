@@ -389,8 +389,9 @@ def _split_fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, tuple[in
     return sorted(groups.values(), key=len)
 
 
-def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
-    """Largest m with (t^u - xi)^m dividing f in the Laurent ring.
+def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor, cap: int | None = None) -> int:
+    """Largest m with (t^u - xi)^m dividing f in the Laurent ring; with a cap,
+    min(m, cap), and no multiplicity >= cap is tested.
 
     The minimum, over the fibres of f along u, of the root multiplicity of
     xi; each fibre is tested only up to the least multiplicity so far, and
@@ -403,7 +404,7 @@ def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
         raise ValueError("divisor lives in a different torus")
     if len(f.rows) == 1:
         return 0  # a monomial is a unit of the Laurent ring, and xi != 0
-    best = None
+    best = cap
     for rows in fibres(f, divisor.u):
         best = root_multiplicity(f.order, rows, divisor.xi, best)
         if best == 0:
@@ -419,16 +420,20 @@ class IdealGens:
     content removed in the Laurent case, leading coefficient 1), and the list
     is deduplicated and sorted.  (0) is the empty list and (1) is [1].
     Generators are deliberately not reduced against each other.  An ideal
-    of raw generators (`unformed`, such as all minors of one size) or a sum
-    of products of ideals (`sum_of_products`, held as its pairs of factors)
-    is formed into that list through `make` when `gens` is first read, and
-    only then.  `ring` is fixed at construction: the base field raised to
-    every order of a nonzero generator, which unit normalization keeps.
+    of raw generators (`unformed`), the m x m minors of a matrix (`minors`,
+    a pair (engine, m) whose engine yields them with `engine.minors(m)` and
+    values them with `engine.valuation(m, divisor)`, built only when some
+    minor is nonzero) or a sum of products of ideals (`sum_of_products`,
+    held as its pairs of factors) is formed into that list through `make`
+    when `gens` is first read, and only then.  `ring` is fixed at
+    construction: the base field raised to every order of a nonzero
+    generator, which unit normalization keeps.
     """
 
     ring: Ring
     parts: tuple[tuple["IdealGens", "IdealGens"], ...] = ()
     raw: tuple[LaurentPoly, ...] = ()
+    minors: tuple = ()
     # ideal_valuation per divisor, filled on demand
     valuations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -491,13 +496,15 @@ class IdealGens:
 
     @cached_property
     def gens(self) -> tuple[LaurentPoly, ...]:
+        raw = self.minors[0].minors(self.minors[1]) if self.minors else self.raw
         products = (f * g for a, b in self.parts for f in a.gens for g in b.gens)
-        return IdealGens.make(self.ring, itertools.chain(self.raw, products)).gens
+        return IdealGens.make(self.ring, itertools.chain(raw, products)).gens
 
     def is_zero(self) -> bool:
         """Whether this is (0), decided without forming: an unformed ideal holds
-        a nonzero generator, or a pair of nonzero factors (the ring is a domain)."""
-        return not (self.parts or self.raw or self.gens)
+        a nonzero generator, a minor ideal a nonzero minor, or a pair of
+        nonzero factors (the ring is a domain)."""
+        return not (self.parts or self.raw or self.minors or self.gens)
 
     def contains_one(self) -> bool:
         return any(g.is_one() for g in self.gens)
@@ -517,31 +524,38 @@ class IdealGens:
 def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
     """min of valuation_along over the generators; infinity exactly for (0).
 
-    Neither kind of unformed ideal is formed to be valued.  Unit factors and
-    repeats do not change a valuation along a prime divisor, so raw
-    generators are valued as they are, zeros skipped, whether or not `gens`
-    has been read.  Valuation adds over products and takes the minimum over
-    sums, so a sum of products is the min over the pairs of v(I) + v(J).
-    Each ideal remembers its valuations.
+    No unformed ideal is formed to be valued.  Unit factors and repeats do
+    not change a valuation along a prime divisor, so raw generators are
+    valued as they are, zeros skipped, whether or not `gens` has been read,
+    each capped at the least value so far.  A minor ideal is valued by its
+    engine, which expands only the minors that its tropical certificate
+    needs (`complexes.MinorEngine.valuation`).  Valuation adds over products
+    and takes the minimum over sums, so a sum of products is the min over
+    the pairs of v(I) + v(J).  Each ideal remembers its valuations.
     """
-    if divisor.nvars != ideal.ring.nvars:
-        raise ValueError("divisor lives in a different torus")
+    # only a divisor of the ideal's torus is ever remembered
     best = ideal.valuations.get(divisor)
     if best is not None:
         return best
-    if ideal.parts:
-        values = (ideal_valuation(a, divisor) + ideal_valuation(b, divisor) for a, b in ideal.parts)
-    else:
-        # with no raw generators and no parts the ideal is formed, so this forms
-        # nothing; asking whether `gens` is cached would read the instance
-        # __dict__, which on CPython 3.11 slows every later attribute load on it
-        gens = ideal.raw or ideal.gens
-        values = (valuation_along(g, divisor) for g in gens if not g.is_zero())
+    if divisor.nvars != ideal.ring.nvars:
+        raise ValueError("divisor lives in a different torus")
     best = math.inf
-    for v in values:
-        best = min(best, v)
-        if best == 0:
-            break
+    if ideal.minors:
+        best = ideal.minors[0].valuation(ideal.minors[1], divisor)
+    elif ideal.parts:
+        for a, b in ideal.parts:
+            best = min(best, ideal_valuation(a, divisor) + ideal_valuation(b, divisor))
+            if best == 0:
+                break
+    else:
+        # with no raw generators, minors or parts the ideal is formed, so this
+        # forms nothing; asking whether `gens` is cached would read the instance
+        # __dict__, which on CPython 3.11 slows every later attribute load on it
+        for g in ideal.raw or ideal.gens:
+            if g.rows:
+                best = valuation_along(g, divisor, cap=None if best == math.inf else best)
+                if best == 0:
+                    break
     ideal.valuations[divisor] = best
     return best
 

@@ -168,20 +168,37 @@ def point_on_divisor(
     return divisor.contains_point([lam**bi for bi in b])
 
 
+def _minimal_order(complex_: FreeComplex, divisor: PrimeTorusDivisor, i: int) -> int:
+    """The multiplicity of divisor in the minimal divisor of degree i, as
+    `support_report` gives it, valuing degree i only; like the report, it
+    raises NonTorsionError when the top-minor ideal of some degree is zero."""
+    for j in complex_.degrees():
+        if cdf_ideal(complex_, j, 0).is_zero():
+            raise NonTorsionError(j)
+    if i not in complex_.degrees():
+        return 0
+    order = ideal_valuation(cdf_ideal(complex_, i, 0), divisor)
+    order -= ideal_valuation(cdf_ideal(complex_, i, 1), divisor)
+    if order < 0:
+        raise ArithmeticError(
+            f"minimal divisor in degree {i} is not effective; the candidate list is inconsistent"
+        )
+    return order
+
+
 def _jordan_size(complex_: FreeComplex, lam: TorsionAngle, b: tuple[int, ...], i: int) -> int:
     """Largest Jordan block at lambda on H^i of the base change along b, kept per b
     in the source's minor cache so rows that share b share its minors and valuations.
 
     Over the PID Q(zeta)[t, 1/t] a torsion H^i with invariant factors
     e_1 | ... | e_m has ord_lambda(e_m) = ord_lambda Fitt_0 - ord_lambda Fitt_1,
-    its minimal divisor at t = lambda; the report raises NonTorsionError
-    exactly when some H^j is not torsion.
+    its minimal divisor at t = lambda; NonTorsionError is raised exactly when
+    some H^j is not torsion.
     """
     specialized = complex_.minor_cache.get(("specialized", b))
     if specialized is None:
         specialized = complex_.minor_cache[("specialized", b)] = base_change(complex_, b)
-    eigen = PrimeTorusDivisor((1,), lam)
-    return support_report(specialized, [eigen]).minimal.get(i, TorusDivisor()).multiplicity(eigen)
+    return _minimal_order(specialized, PrimeTorusDivisor((1,), lam), i)
 
 
 @dataclass(frozen=True)
@@ -211,10 +228,9 @@ def specialization_multiplicity(
     """
     if candidates is None:
         candidates = candidate_divisors(complex_)
-    # the order along one divisor does not depend on the others; this report
-    # also refuses a non-torsion complex, which is what makes the loop below stop
-    report = support_report(complex_, [divisor])
-    order_at = report.minimal.get(i, TorusDivisor()).multiplicity(divisor)
+    # the order along one divisor does not depend on the others; this also
+    # refuses a non-torsion complex, which is what makes the loop below stop
+    order_at = _minimal_order(complex_, divisor, i)
     avoid = sorted(set(candidates) - {divisor}, key=lambda d: d.sort_key())
     if point is None:
         # a non-torsion base change puts the whole curve in the support: not generic

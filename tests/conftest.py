@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -567,19 +568,22 @@ def oracle_split_fibres(f: LaurentPoly, u: tuple[int, ...]) -> list[dict[int, tu
 
 def record_results(monkeypatch, name: str, calls: list | None = None) -> list:
     """Record the return value of every call to detloci.poly.<name> from here on,
-    and its arguments in calls when a list is given."""
+    wherever a detloci module binds it, and its positional arguments in calls
+    when a list is given."""
     import detloci.poly as poly_module
 
     results = []
     real = getattr(poly_module, name)
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         if calls is not None:
             calls.append(args)
-        results.append(real(*args))
+        results.append(real(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(poly_module, name, recording)
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "detloci"]:
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, recording)
     return results
 
 

@@ -1,9 +1,13 @@
 import collections
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,10 +42,13 @@ from conftest import (
     oracle_minor_gens,
     oracle_vanishes_at,
     random_binomial,
+    random_binomial_product,
     random_divisor,
     random_torsion_complex,
     random_torsion_point,
     random_two_term,
+    random_unimodular_ops,
+    record_results,
     two_term_complex,
 )
 
@@ -346,26 +353,35 @@ class TestJumpFromBlockMinors:
 
         F = self.fixed_complex()
         degrees = range(F.imin - 1, F.imax + 2)
-        for i in degrees:
-            for k in range(-1, F.rank(i) + 3):
-                jump_ideal(F, i, k)
-        jump_calls = len(calls)
+        divisors = TestJumpValuationByParts.divisors()
+
+        def value_jumps(complex_):
+            for i in degrees:
+                for k in range(-1, complex_.rank(i) + 3):
+                    for C in divisors:
+                        ideal_valuation(jump_ideal(complex_, i, k), C)
+
+        value_jumps(F)
+        assert calls
         diffs = [F.differential(j) for j in range(F.imin - 2, F.imax + 2)]
         assert all(any(mat == d for d in diffs) for mat in built)
 
-        # the same count as enumerating every minor of every differential once,
-        # and no more once those minors are cached
+        # valuing expands no more minors than enumerating every minor of
+        # every differential does
         G = self.fixed_complex()
-        calls.clear()
         for j in range(G.imin - 2, G.imax + 2):
             for size in range(1, max(G.rank(j), G.rank(j + 1)) + 1):
-                differential_minors(G, j, size)
-        assert len(calls) == jump_calls > 0
+                differential_minors(G, j, size).gens
+        assert 0 < expanded_minors(F) <= expanded_minors(G)
+        # and once valued, building and valuing again expands none
         calls.clear()
-        for i in degrees:
-            for k in range(-1, G.rank(i) + 3):
-                jump_ideal(G, i, k)
+        value_jumps(F)
         assert not calls
+
+
+def expanded_minors(F: FreeComplex) -> int:
+    """Minors expanded (or read off as entries) by the engines of F so far."""
+    return sum(len(engine._memo) for key, engine in F.minor_cache.items() if key[0] == "engine")
 
 
 def multiplied_out_jump(F: FreeComplex, i: int, k: int) -> IdealGens:
@@ -449,49 +465,52 @@ class TestJumpValuationByParts:
         # the kernel as a minor expansion calls it and as LaurentPoly.__mul__ does
         monkeypatch.setattr(complexes_module, "sum_of_products", counting)
         monkeypatch.setattr(poly_module, "sum_of_products", counting)
-        # every product is one of the minor expansions, none of a block product
-        G = TestJumpFromBlockMinors.fixed_complex()
-        products.clear()
-        for j in range(G.imin - 2, G.imax + 2):
-            for size in range(1, max(G.rank(j), G.rank(j + 1)) + 1):
-                differential_minors(G, j, size)
-        expansions = len(products)
+        # every product is one minor expansion with a nonzero cofactor pair,
+        # none of a block product
         F = TestJumpFromBlockMinors.fixed_complex()
         products.clear()
         value_all(F, self.divisors())
+        engines = [e for key, e in F.minor_cache.items() if key[0] == "engine"]
+        expansions = sum(
+            len(rows) > 1 and minor is not e.zero for e in engines for (rows, _), minor in e._memo.items()
+        )
         assert len(products) == expansions > 0
+        # so valuing, once every minor is enumerated, forms no product at all
+        G = TestJumpFromBlockMinors.fixed_complex()
+        for j in range(G.imin - 2, G.imax + 2):
+            for size in range(1, max(G.rank(j), G.rank(j + 1)) + 1):
+                differential_minors(G, j, size).gens
         products.clear()
         value_all(G, self.divisors())
         assert not products
 
-    def test_valuation_along_once_per_minor_generator(self, monkeypatch):
+    def test_only_entries_and_minors_are_valued(self, monkeypatch):
+        import detloci.complexes as complexes_module
         import detloci.poly as poly_module
 
         calls = []
         real = poly_module.valuation_along
 
-        def recording(f, divisor):
+        def recording(f, divisor, cap=None):
             calls.append((f, divisor))
-            return real(f, divisor)
+            return real(f, divisor, cap=cap)
 
         monkeypatch.setattr(poly_module, "valuation_along", recording)
+        monkeypatch.setattr(complexes_module, "valuation_along", recording)
         F = TestJumpFromBlockMinors.fixed_complex()
         value_all(F, self.divisors())
-        # every minor as an engine expanded it; an entry shared by d^0 and d^1
-        # is one polynomial held as two 1x1 minors
-        held = collections.Counter(
-            id(minor)
-            for key, engine in F.minor_cache.items()
-            if key[0] == "engine"
-            for minor in engine._memo.values()
-        )
-        valued = collections.Counter((id(f), divisor) for f, divisor in calls)
+        engines = [e for key, e in F.minor_cache.items() if key[0] == "engine"]
+        held = {id(minor) for e in engines for minor in e._memo.values()}
+        held |= {id(entry) for e in engines for row in e.mat for entry in row}
         assert calls
-        # only minors are valued, never a formed generator or a block product;
-        # the 1 of a unit ideal (size <= 0) is the empty minor, held by no engine
+        # only entries and minors are valued, never a formed generator or a
+        # block product; the 1 of a unit ideal (size <= 0) is the empty minor,
+        # held by no engine
         assert all(id(f) in held or f.is_one() for f, _ in calls)
-        # and each minor at most once per divisor
-        assert all(n <= max(held[f], 1) for (f, _), n in valued.items())
+        # and a second valuation values nothing
+        calls.clear()
+        value_all(F, self.divisors())
+        assert not calls
 
     def test_divisor_of_another_torus_rejected(self):
         # a jump ideal held as its parts, zero since d^0 is the zero map
@@ -543,6 +562,198 @@ class TestValuingBeforeForming:
                 assert ideal == expected
                 assert ideal.ring == expected.ring
         assert positive >= 10
+
+
+# every direction and root that random_binomial can draw, some of them twice
+VALUATION_DIVISORS = [
+    PrimeTorusDivisor(u, TorsionAngle.make(*a))
+    for u, a in [
+        ((1, 0), (0, 1)),
+        ((1, 0), (1, 2)),
+        ((0, 1), (1, 3)),
+        ((1, 1), (0, 1)),
+        ((1, 1), (2, 3)),
+        ((1, 2), (1, 2)),
+        ((2, 1), (1, 3)),
+    ]
+]
+MINOR_KINDS = ["random", "cancellation", "deficient", "zero block", "conjugated"]
+# the engine values the sizes with at least as many minors as entries: size 2
+# from 3 x 3 on and size 3 of 4 x 4; the others are listed
+MINOR_SHAPES = [(1, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4)]
+
+
+@st.composite
+def planted_minor_matrices(draw):
+    """(ring, matrix): a matrix of at most 4 x 4 products of binomials over
+    Q(zeta_N), N in 1, 4, 6, 12, with a planted structure: two rows p and
+    p + (t^u - xi) q (minors cancel down to a multiple of t^u - xi), a row
+    proportional to another, a zero block, or U diag((t^u - xi)^a) V with
+    unimodular U and V (entries of weight 0, minors of positive valuation)."""
+    order = draw(st.sampled_from([1, 4, 6, 12]))
+    ring = Ring(2, True, order)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(MINOR_KINDS))
+    nrows, ncols = draw(st.sampled_from(MINOR_SHAPES))
+    zero = LaurentPoly.zero(2, order)
+
+    def entry():
+        root = CycloElem.from_angle(order, TorsionAngle.make(rng.randrange(order), order))
+        return random_binomial_product(rng, ring) * LaurentPoly.constant(2, root)
+
+    mat = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    h = LaurentPoly.binomial_divisor(2, rng.choice(VALUATION_DIVISORS), order)
+    if kind == "cancellation" and nrows > 1:
+        i, j = rng.sample(range(nrows), 2)
+        mat[j] = [p + h * entry() for p in mat[i]]
+    elif kind == "deficient" and nrows > 1:
+        i, j = rng.sample(range(nrows), 2)
+        c = entry()
+        mat[j] = [c * p for p in mat[i]]
+    elif kind == "zero block":
+        for i in rng.sample(range(nrows), rng.randint(1, nrows)):
+            for j in rng.sample(range(ncols), rng.randint(1, ncols)):
+                mat[i][j] = zero
+    elif kind == "conjugated":
+        diag = [[h ** rng.randint(0, 2) if i == j else zero for j in range(ncols)] for i in range(nrows)]
+        left, _ = random_unimodular_ops(rng, nrows, ring, n_ops=4)
+        _, right = random_unimodular_ops(rng, ncols, ring, n_ops=4)
+        mat = matrix_mul(matrix_mul(left, diag, zero), right, zero)
+    return ring, [list(row) for row in mat]
+
+
+def check_against_enumeration(ring: Ring, mat, sizes) -> None:
+    """Every minor ideal of mat, built and valued in the order of sizes,
+    against the valuations of all its minors; and at most one valuation of
+    a polynomial that is not an entry runs without a cap, so a capped test
+    decides everything the first value does not."""
+    import detloci.complexes as complexes_module
+    import detloci.poly as poly_module
+
+    real = poly_module.valuation_along
+    calls = []
+
+    def recording(f, divisor, cap=None):
+        calls.append((f, cap))
+        return real(f, divisor, cap=cap)
+
+    F = two_term_complex(ring, mat)
+    mat = [list(row) for row in F.differential(0)]
+    entries = {id(e) for row in mat for e in row}
+    try:
+        complexes_module.valuation_along = poly_module.valuation_along = recording
+        for m in sizes:
+            ideal = differential_minors(F, 0, m)
+            gens = oracle_minor_gens(mat, m, F.ring) if m > 0 else [LaurentPoly.one(2, ring.cyclotomic_order)]
+            nonzero = [g for g in gens if not g.is_zero()]
+            assert ideal.is_zero() == (not nonzero)
+            for C in VALUATION_DIVISORS:
+                calls.clear()
+                got = ideal_valuation(ideal, C)
+                uncapped = [f for f, cap in calls if cap is None and id(f) not in entries]
+                assert len(uncapped) <= 1, (m, str(C))
+                calls.clear()
+                want = min((real(g, C) for g in nonzero), default=math.inf)
+                assert got == want, (m, str(C))
+            assert ideal == IdealGens.make(F.ring, gens)
+            assert ideal.ring == IdealGens.make(F.ring, gens).ring
+    finally:
+        complexes_module.valuation_along = poly_module.valuation_along = real
+
+
+class TestTropicalValuation:
+    """Minor ideals valued from entry weights, a certificate and the ranked
+    fallback, against the valuations of every minor."""
+
+    @given(planted_minor_matrices(), st.sampled_from(["descending", "ascending", "shuffled"]))
+    @settings(max_examples=60, deadline=None)
+    def test_against_enumeration(self, case, visit):
+        ring, mat = case
+        sizes = list(range(0, min(len(mat), len(mat[0])) + 2))
+        if visit == "descending":
+            sizes.reverse()
+        elif visit == "shuffled":
+            random.Random(len(mat) * 7 + len(mat[0])).shuffle(sizes)
+        check_against_enumeration(ring, mat, sizes)
+
+    @pytest.mark.parametrize("order", [1, 4, 6, 12])
+    def test_planted_cancellation_falls_back(self, monkeypatch, order):
+        """M = a b^T + (t1 + 1) N is of rank 1 modulo t1 + 1, so every 2 x 2
+        minor vanishes along it although no entry does: the least 2-matching
+        weighs 0, the certificate fails, and the ranked fallback finds 1."""
+        ring = Ring(2, True, order)
+        h = parse_poly("t1+1", ring)
+        a = [parse_poly(t, ring) for t in ("t2-2", "3", "t1*t2+1")]
+        b = [parse_poly(t, ring) for t in ("1", "t2+3", "2*t1-5")]
+        n = [[parse_poly(t, ring) for t in row] for row in
+             (("1", "t2", "-2"), ("t1", "3", "t2-1"), ("2", "-t1", "1"))]
+        mat = [[a[i] * b[j] + h * n[i][j] for j in range(3)] for i in range(3)]
+        C = PrimeTorusDivisor((1, 0), TorsionAngle.make(1, 2))
+        assert {valuation_along(e, C) for row in mat for e in row} == {0}
+        fallbacks = []
+        ranked = MinorEngine._ranked_valuation
+
+        def counting(self, *args):
+            fallbacks.append(args)
+            return ranked(self, *args)
+
+        monkeypatch.setattr(MinorEngine, "_ranked_valuation", counting)
+        F = two_term_complex(ring, mat)
+        assert ideal_valuation(differential_minors(F, 0, 2), C) == 1
+        assert len(fallbacks) == 1
+        check_against_enumeration(ring, mat, [2, 3, 1])
+
+    def test_entries_are_weighed_once_per_divisor(self, monkeypatch):
+        """Every size of one differential shares its entry weights along a divisor:
+        three of four rows vanish on {t1 = 1}, so I_2 and I_3 do, to orders 1 and 2."""
+        base = [["t2+2", "3", "t1+t2", "t2-5"], ["1", "t1*t2+1", "t2", "-2"],
+                ["t1+2", "t2^2", "5", "t1-t2"], ["t2+1", "2*t1", "t2-3", "7"]]
+        h = P("t1-1")
+        mat = [[P(t) * h if i < 3 else P(t) for t in row] for i, row in enumerate(base)]
+        F = two_term_complex(R2, mat)
+        calls = []
+        record_results(monkeypatch, "valuation_along", calls)
+        C = PrimeTorusDivisor((1, 0), TorsionAngle.make(0, 1))
+        values = [ideal_valuation(differential_minors(F, 0, m), C) for m in (2, 3)]
+        entries = [id(e) for row in F.differential(0) for e in row]
+        weighed = collections.Counter(id(f) for f, _ in calls if id(f) in entries)
+        assert values == [1, 2]
+        assert len(weighed) == 16 and set(weighed.values()) == {1}
+
+
+class TestMinorValuationCliff:
+    def test_dense_ten_by_ten_within_ten_seconds(self):
+        """I_1..I_10 of a dense 10 x 10 matrix of linear entries along 5
+        divisors, in a child process under a 10 s wall-clock cap; enumerating
+        the 63,504 minors of size 5 alone took 28.8 s.  Three rows carry
+        t1 - 1 and two t2 + 1, so I_m vanishes to orders m - 7 and m - 8."""
+        child = (
+            "import random\n"
+            "from detloci.arith import TorsionAngle\n"
+            "from detloci.complexes import FreeComplex, differential_minors\n"
+            "from detloci.poly import Ring, ideal_valuation, parse_poly\n"
+            "from detloci.torus import PrimeTorusDivisor\n"
+            "rng = random.Random(1)\n"
+            "ring = Ring(2, True, 1)\n"
+            "def entry():\n"
+            "    a, b, c = (rng.randint(-3, 3) for _ in range(3))\n"
+            "    return parse_poly(f'{a}+{b}*t1+{c}*t2', ring)\n"
+            "rows = [parse_poly('t1-1', ring)] * 3 + [parse_poly('t2+1', ring)] * 2 + [None] * 5\n"
+            "mat = [[entry() if p is None else entry() * p for _ in range(10)] for p in rows]\n"
+            "F = FreeComplex.make(ring, (0, 1), {0: 10, 1: 10}, {0: mat})\n"
+            "divisors = [PrimeTorusDivisor(u, TorsionAngle.make(*a)) for u, a in\n"
+            "            [((1, 0), (0, 1)), ((0, 1), (1, 2)), ((1, 1), (0, 1)), ((1, 1), (1, 3)), ((1, 2), (1, 2))]]\n"
+            "for m in range(1, 11):\n"
+            "    print(*[ideal_valuation(differential_minors(F, 0, m), d) for d in divisors])\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        want = [f"{max(0, m - 7)} {max(0, m - 8)} 0 0 0" for m in range(1, 11)]
+        assert proc.stdout.splitlines() == want
 
 
 # blocks without rows or columns beside each other and beside nonzero blocks

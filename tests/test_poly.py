@@ -130,7 +130,47 @@ class TestValuation:
             assert valuation_along(f, C) == oracle_valuation(f, C)
 
 
+    def test_capped(self, monkeypatch, rng):
+        """With a cap, min(v, cap), and no multiplicity >= cap is tested."""
+        seen = 0
+        for _ in range(40):
+            C = random_divisor(rng, 2)
+            h = LaurentPoly.binomial_divisor(2, C, R2.cyclotomic_order)
+            f = random_binomial_product(rng, R2)
+            if f.is_zero():
+                continue
+            f = f * h ** rng.randint(0, 3)
+            full = valuation_along(f, C)
+            for cap in range(0, full + 2):
+                calls = []
+                record_results(monkeypatch, "root_multiplicity", calls)
+                assert valuation_along(f, C, cap=cap) == min(full, cap)
+                monkeypatch.undo()
+                # root_multiplicity(order, rows, xi, cap) tries no j >= its cap
+                assert all(args[3] is not None and args[3] <= cap for args in calls)
+                seen += full > cap
+        assert seen >= 10
+
+
 class TestIdealValuation:
+    def test_running_minimum_is_the_cap(self, monkeypatch):
+        ring = Ring(2, True, 3)
+        h = parse_poly("t1*t2-e(1/3)", ring)
+        C = PrimeTorusDivisor((1, 1), TorsionAngle.make(1, 3))
+        ideal = IdealGens.unformed(ring, [h**4, h**2 * P("t1-2"), h**3, h**2])
+        import detloci.poly as poly_module
+
+        caps = []
+        real = poly_module.valuation_along
+
+        def recording(f, divisor, cap=None):
+            caps.append(cap)
+            return real(f, divisor, cap=cap)
+
+        monkeypatch.setattr(poly_module, "valuation_along", recording)
+        assert ideal_valuation(ideal, C) == 2
+        assert caps == [None, 4, 2, 2]
+
     def test_examples(self):
         ring = Ring(2, True, 3)
         h = parse_poly("t1*t2-e(1/3)", ring)

@@ -18,11 +18,11 @@ keeps the minimum per side, per group and in total:
   by order x size;
 - `smith_normal_form` (U and V tracked, U*M*V = D checked) on the smith
   matrices of smith-jordan, grouped by order x size;
-- minor enumeration: every `cdf_ideal` and `jump_ideal` of the minors-valuation
-  complexes at the job's degrees and ks, grouped by the ranks of the complex;
-- valuations: every `ideal_valuation` of the minors-valuation jobs, in the
-  job's order, on those ideals built before the clock starts, grouped by the
-  ranks of the complex;
+- minor valuations: every `cdf_ideal` and `jump_ideal` of the minors-valuation
+  complexes at the job's degrees and ks, each valued along the job's divisors
+  in the job's order, on complexes parsed before the clock starts, grouped by
+  the ranks of the complex (built and valued together, since the valuations
+  decide which minors get expanded);
 - `specialization_multiplicity` on every row of the ord/jordan table of the
   support-planted jobs (candidates and support report built before the clock
   starts) and on the specialize jobs of smith-jordan, grouped by the ranks of
@@ -90,31 +90,9 @@ for key, mats in groups.items():
 print(json.dumps(out))
 """
 
-MINORS = r"""
-import json, sys, time
-from detloci.complexes import cdf_ideal, jump_ideal
-from detloci.io import complex_from_json
-
-groups = {}
-for path in sys.argv[1:]:
-    for job in json.load(open(path)):
-        if job["kind"] == "minors":
-            cx = complex_from_json(job["inputs"]["complex"])
-            key = "-".join(str(cx.rank(i)) for i in cx.degrees())
-            groups.setdefault(key, []).append((cx, job["args"]["ks"]))
-out = {}
-for key, jobs in groups.items():
-    start = time.perf_counter()
-    for cx, ks in jobs:
-        for i in cx.degrees():
-            for k in ks:
-                cdf_ideal(cx, i, k)
-                jump_ideal(cx, i, k)
-    out[key] = [len(jobs), time.perf_counter() - start]
-print(json.dumps(out))
-"""
-
-VALUATIONS = r"""
+# the complexes are parsed before the clock starts; the ideals are built and
+# valued in the job's order
+MINOR_VALUATIONS = r"""
 import json, sys, time
 from fractions import Fraction
 from detloci.arith import TorsionAngle
@@ -130,17 +108,19 @@ for path in sys.argv[1:]:
             cx = complex_from_json(job["inputs"]["complex"])
             divisors = [PrimeTorusDivisor(tuple(u), TorsionAngle.from_fraction(Fraction(xi)))
                         for u, xi in job["args"]["divisors"]]
-            ideals = [ideal for i in cx.degrees() for k in job["args"]["ks"]
-                      for ideal in (cdf_ideal(cx, i, k), jump_ideal(cx, i, k))]
             key = "-".join(str(cx.rank(i)) for i in cx.degrees())
-            groups.setdefault(key, []).append((ideals, divisors))
+            groups.setdefault(key, []).append((cx, job["args"]["ks"], divisors))
 out = {}
 for key, jobs in groups.items():
     start = time.perf_counter()
-    for ideals, divisors in jobs:
-        for ideal in ideals:
-            for d in divisors:
-                ideal_valuation(ideal, d)
+    for cx, ks, divisors in jobs:
+        for i in cx.degrees():
+            for k in ks:
+                cdf, jump = cdf_ideal(cx, i, k), jump_ideal(cx, i, k)
+                for d in divisors:
+                    ideal_valuation(cdf, d)
+                for d in divisors:
+                    ideal_valuation(jump, d)
     out[key] = [len(jobs), time.perf_counter() - start]
 print(json.dumps(out))
 """
@@ -226,13 +206,9 @@ LAYERS = {
     "smith_normal_form": (
         "smith.smith_normal_form", ("smith-jordan",), "smith matrices", "order x size", SMITH,
     ),
-    "minors": (
-        "complexes.cdf_ideal and complexes.jump_ideal, every minor enumerated",
-        ("minors-valuation",), "complexes", "ranks by degree", MINORS,
-    ),
-    "valuations": (
-        "poly.ideal_valuation on every cdf_ideal and jump_ideal, built beforehand",
-        ("minors-valuation",), "complexes", "ranks by degree", VALUATIONS,
+    "minor valuations": (
+        "complexes.cdf_ideal and complexes.jump_ideal, each valued by poly.ideal_valuation",
+        ("minors-valuation",), "complexes", "ranks by degree", MINOR_VALUATIONS,
     ),
     "specialization": (
         "support.specialization_multiplicity on every table row and specialize job",
