@@ -9,12 +9,13 @@ Jordan block sizes at unit-root eigenvalues come from a checked Krylov
 similarity phi*T = T*H onto k coupled companion blocks and the Smith
 diagonal of a k x k relation matrix, not from the n x n t*id - phi.
 
-One pivoting loop (`_pivot`) serves two entry points.  `smith_normal_form`
-tracks U and V and checks U*M*V = D; `smith_diagonal`, for callers that read
-only the diagonal, tracks U and V^-1 and checks U*M = D*V^-1, keeping V^-1
-for that check alone.  Both check the divisibility chain of the diagonal.
+One pivoting loop (`_pivot`) tracks U and V, and one routine (`_smith`)
+checks U*M*V = D and the divisibility chain of the diagonal for every caller:
+`smith_normal_form`, which returns U and V, and the callers that read only
+the diagonal.  The product checks every column of V, those past the rank
+(the kernel of M) included.
 
-The loop, both checks, the Krylov vectors (coordinate i as the t^i
+The loop, the check, the Krylov vectors (coordinate i as the t^i
 coefficient) and the products behind the determinantal factors and Fitting
 generators run on `upoly.UPoly`, converted from LaurentPoly once on entry and
 back once on exit.  Check products fuse each entry into one
@@ -103,14 +104,6 @@ def _sub_cols(mat: list, j_target: int, j_source: int, q: UPoly):
         row[j_target] = row[j_target].submul(q, row[j_source])
 
 
-def _inverse_col_op(v_inv: list, j_target: int, j_source: int, q: UPoly):
-    """Keep V^-1 in step with V's column j_target -= q * column j_source.
-
-    The inverse elementary matrix acts on the left: row j_source += q * row j_target.
-    """
-    _sub_rows(v_inv, j_source, j_target, -q)
-
-
 def _quotient(e: UPoly, p: UPoly) -> UPoly:
     """The quotient of e by p: one scaling by the cached inverse of a unit p."""
     if len(p.rows) == 1:
@@ -119,19 +112,19 @@ def _quotient(e: UPoly, p: UPoly) -> UPoly:
     return e.divmod(p)[0]
 
 
-def _pivot(rows: list[list[UPoly]], inverse: bool):
+def _pivot(rows: list[list[UPoly]]):
     """Diagonalize with degree-minimal deterministic pivoting.
 
     Takes the dense entries of `_dense_matrix`, all of one order, and returns
-    (d, u, w, order) with U * M * V = d, where w is V^-1 when `inverse` is set
-    and V otherwise; every transform is a product of elementary matrices.
+    (d, u, v, order) with U * M * V = d; U and V are products of elementary
+    matrices.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     order = rows[0][0].order if nrows and ncols else 1
     d = [list(row) for row in rows]
     u = _identity(nrows, order)
-    w = _identity(ncols, order)
+    v = _identity(ncols, order)
 
     def row_op(i_target: int, i_source: int, q: UPoly):
         _sub_rows(d, i_target, i_source, q)
@@ -139,10 +132,7 @@ def _pivot(rows: list[list[UPoly]], inverse: bool):
 
     def col_op(j_target: int, j_source: int, q: UPoly):
         _sub_cols(d, j_target, j_source, q)
-        if inverse:
-            _inverse_col_op(w, j_target, j_source, q)
-        else:
-            _sub_cols(w, j_target, j_source, q)
+        _sub_cols(v, j_target, j_source, q)
 
     def swap_rows(a: int, b: int):
         if a != b:
@@ -151,13 +141,8 @@ def _pivot(rows: list[list[UPoly]], inverse: bool):
 
     def swap_cols(a: int, b: int):
         if a != b:
-            for row in d:
+            for row in d + v:
                 row[a], row[b] = row[b], row[a]
-            if inverse:
-                w[a], w[b] = w[b], w[a]
-            else:
-                for row in w:
-                    row[a], row[b] = row[b], row[a]
 
     limit = min(nrows, ncols)
     for idx in range(limit):
@@ -207,7 +192,20 @@ def _pivot(rows: list[list[UPoly]], inverse: bool):
             if inv is not None:  # the rest of row idx of d is zero by now
                 d[idx][idx] = monic
                 u[idx] = [e.scale(inv) if e.rows else e for e in u[idx]]
-    return d, u, w, order
+    return d, u, v, order
+
+
+def _smith(rows: list[list[UPoly]]) -> tuple[tuple[UPoly, ...], list, list]:
+    """(diagonal, U, V) of dense entries of one order, checked as U*M*V = D
+    with D = diag(diagonal), and the diagonal checked to be chained."""
+    d, u, v, order = _pivot(rows)
+    diagonal = tuple(d[i][i] for i in range(min(len(d), len(v))))
+    zero = UPoly(order, 1, ())
+    want = [[diagonal[i] if i == j else zero for j in range(len(v))] for i in range(len(d))]
+    if _dense_mul(_dense_mul(u, rows, order), v, order) != want:
+        raise ArithmeticError("Smith verification failed: U*M*V != D")
+    _check_chain(diagonal)
+    return diagonal, u, v
 
 
 def smith_normal_form(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithForm:
@@ -216,12 +214,7 @@ def smith_normal_form(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithFor
     Entries must be one-variable polynomials without negative exponents
     (Laurent matrices are unit-cleared by the callers first).
     """
-    rows = _dense_matrix(mat)
-    d, u, v, order = _pivot(rows, inverse=False)
-    diagonal = tuple(d[i][i] for i in range(min(len(d), len(v))))
-    if rows and _dense_mul(_dense_mul(u, rows, order), v, order) != d:
-        raise ArithmeticError("Smith verification failed: U*M*V != D")
-    _check_chain(diagonal)
+    diagonal, u, v = _smith(_dense_matrix(mat))
     return SmithForm(
         u=_laurent_matrix(u),
         v=_laurent_matrix(v),
@@ -229,30 +222,9 @@ def smith_normal_form(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithFor
     )
 
 
-def _checked_diagonal(rows: list[list[UPoly]]) -> tuple[UPoly, ...]:
-    """The Smith diagonal of dense entries of one order, checked as U*M = D*V^-1.
-
-    Runs the pivoting of `smith_normal_form` but tracks V^-1 instead of V;
-    D is diagonal, so the check is one matrix product and a row scaling.
-    """
-    d, u, v_inv, order = _pivot(rows, inverse=True)
-    diagonal = tuple(d[i][i] for i in range(min(len(d), len(v_inv))))
-    if rows:
-        zero = UPoly(order, 1, ())
-        for i, row in enumerate(_dense_mul(u, rows, order)):
-            if i < len(diagonal):
-                want = [diagonal[i] * w for w in v_inv[i]]
-            else:
-                want = [zero] * len(row)
-            if row != want:
-                raise ArithmeticError("Smith verification failed: U*M != D*V^-1")
-    _check_chain(diagonal)
-    return diagonal
-
-
 def smith_diagonal(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithDiagonal:
-    """The Smith diagonal of a matrix, checked as U*M = D*V^-1."""
-    return SmithDiagonal(tuple(u_laurent(e) for e in _checked_diagonal(_dense_matrix(mat))))
+    """The Smith diagonal of a matrix, checked as `smith_normal_form` checks it."""
+    return SmithDiagonal(tuple(u_laurent(e) for e in _smith(_dense_matrix(mat))[0]))
 
 
 def _check_chain(diagonal: Sequence[UPoly]):
@@ -277,7 +249,7 @@ def fitting_generator(presentation: Matrix, k: int) -> LaurentPoly:
         return LaurentPoly.zero(1, order)
     result = UPoly.one(order)
     if size > 0:
-        for entry in _checked_diagonal(_dense_matrix(presentation))[:size]:
+        for entry in _smith(_dense_matrix(presentation))[0][:size]:
             result = result * entry
     return u_laurent(result)
 
@@ -375,7 +347,7 @@ def determinantal_factors(phi: Sequence[Sequence[CycloElem]]) -> DeterminantalFa
         start = end
     if start != n:
         raise ArithmeticError("Krylov verification failed: the blocks do not cover T")
-    diagonal = (UPoly.one(order),) * (n - len(p)) + _checked_diagonal(p)
+    diagonal = (UPoly.one(order),) * (n - len(p)) + _smith(p)[0]
     # prefixes[j] is the product of the first j invariant factors; b_k = prefixes[n - k]
     prefixes = [UPoly.one(order)]
     for entry in diagonal:
@@ -411,15 +383,16 @@ def _cleared_polynomial_matrix(mat: Matrix, order: int) -> Matrix:
     return matrix_make([[e.shift(shift).lift(order) for e in row] for row in mat])
 
 
-def _torsion_invariants(complex_: FreeComplex) -> dict[int, tuple[UPoly, ...]]:
-    """The invariant factors of positive degree of H^i, for every i with any:
-    the diagonal that `cohomology_presentation` returns.
+def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
+    """Presentation matrix of H^i of a one-variable complex with torsion cohomology.
 
     Over the PID Q(zeta)[t] the image of d^i is free, so coker d^{i-1} is H^i
     plus a free module, and the invariant factors of H^i are the Smith
     invariants of d^{i-1} of positive degree, chained, so the last one
-    generates the annihilator.  The ranks of the same diagonals, one per
-    nonempty cleared differential, decide that every H^i is torsion.
+    generates the annihilator.  Their diagonal matrix presents H^i over
+    Q(zeta)[t] and, after inverting t, over the Laurent ring.  The ranks of
+    the diagonals of every nonempty cleared differential decide that every
+    H^j is torsion, and NonTorsionError names the lowest degree that is not.
     """
     if complex_.ring.nvars != 1:
         raise ValueError("cohomology presentations need a one-variable complex")
@@ -428,24 +401,12 @@ def _torsion_invariants(complex_: FreeComplex) -> dict[int, tuple[UPoly, ...]]:
     for j in range(complex_.imin - 1, complex_.imax + 1):
         mat = _cleared_polynomial_matrix(complex_.differential(j), order)
         if 0 not in matrix_shape(mat):
-            diagonals[j] = _checked_diagonal(_dense_matrix(mat))
+            diagonals[j] = _smith(_dense_matrix(mat))[0]
     for j in complex_.degrees():
         if complex_.rank(j) != _rank(diagonals.get(j, ())) + _rank(diagonals.get(j - 1, ())):
             raise NonTorsionError(j)
-    return {
-        j + 1: tuple(entry for entry in diagonal if len(entry.rows) > 1)
-        for j, diagonal in diagonals.items()
-    }
-
-
-def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
-    """Presentation matrix of H^i of a one-variable complex with torsion cohomology.
-
-    The diagonal matrix of the invariant factors of H^i (`_torsion_invariants`)
-    presents H^i over Q(zeta)[t] and, after inverting t, over the Laurent ring.
-    """
-    torsion = _torsion_invariants(complex_).get(i, ())
-    zero = UPoly(complex_.ring.cyclotomic_order, 1, ())
+    torsion = tuple(entry for entry in diagonals.get(i - 1, ()) if len(entry.rows) > 1)
+    zero = UPoly(order, 1, ())
     size = len(torsion)
     return _laurent_matrix(
         [[torsion[j] if j == k else zero for k in range(size)] for j in range(size)]
@@ -465,4 +426,4 @@ def principal_generator(ideal: IdealGens) -> LaurentPoly:
         raise ValueError("principal generators only exist in one variable")
     if ideal.is_zero():
         return LaurentPoly.zero(1, ideal.ring.cyclotomic_order)
-    return u_laurent(_checked_diagonal(_dense_matrix([ideal.gens]))[0])
+    return u_laurent(_smith(_dense_matrix([ideal.gens]))[0][0])

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .arith import TorsionAngle, angle_roots, euler_phi, root_multiplicity
 from .complexes import FreeComplex, base_change, cdf_ideal
-from .poly import fibres, ideal_valuation
+from .poly import IdealGens, fibres, ideal_valuation
 from .smith import NonTorsionError
 from .torus import PrimeTorusDivisor, TorusDivisor
 
@@ -50,6 +50,17 @@ def _fibre_roots(order: int, fibre: dict[int, tuple[int, ...]]) -> Iterator[Tors
             return
 
 
+def _top_ideals(complex_: FreeComplex) -> dict[int, IdealGens]:
+    """The top-minor ideal of each degree; NonTorsionError names the lowest
+    degree where it is zero, so H^i is not torsion there."""
+    tops = {}
+    for i in complex_.degrees():
+        tops[i] = cdf_ideal(complex_, i, 0)
+        if tops[i].is_zero():
+            raise NonTorsionError(i)
+    return tops
+
+
 def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:
     """Binomial prime divisors dividing every top minor of some degree.
 
@@ -62,13 +73,7 @@ def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:
     has a positive valuation along it, a value the ideal remembers for
     `support_report`.  Mixed-sign directions are skipped.
     """
-    tops = []
-    for i in complex_.degrees():
-        ideal = cdf_ideal(complex_, i, 0)
-        if ideal.is_zero():
-            raise NonTorsionError(i)
-        if not ideal.contains_one():
-            tops.append(ideal)
+    tops = [ideal for ideal in _top_ideals(complex_).values() if not ideal.contains_one()]
     directions = set()
     for ideal in tops:
         first, *rest = min(ideal.gens, key=lambda g: len(g.rows)).rows
@@ -117,10 +122,7 @@ def support_report(
     delta0: dict[int, TorusDivisor] = {}
     delta1: dict[int, TorusDivisor] = {}
     minimal: dict[int, TorusDivisor] = {}
-    for i in complex_.degrees():
-        ideal0 = cdf_ideal(complex_, i, 0)
-        if ideal0.is_zero():
-            raise NonTorsionError(i)
+    for i, ideal0 in _top_ideals(complex_).items():
         ideal1 = cdf_ideal(complex_, i, 1)
         # finite: a nonzero top-minor ideal makes the next one nonzero too
         delta0[i] = TorusDivisor({c: ideal_valuation(ideal0, c) for c in unique})
@@ -172,12 +174,10 @@ def _minimal_order(complex_: FreeComplex, divisor: PrimeTorusDivisor, i: int) ->
     """The multiplicity of divisor in the minimal divisor of degree i, as
     `support_report` gives it, valuing degree i only; like the report, it
     raises NonTorsionError when the top-minor ideal of some degree is zero."""
-    for j in complex_.degrees():
-        if cdf_ideal(complex_, j, 0).is_zero():
-            raise NonTorsionError(j)
-    if i not in complex_.degrees():
+    tops = _top_ideals(complex_)
+    if i not in tops:
         return 0
-    order = ideal_valuation(cdf_ideal(complex_, i, 0), divisor)
+    order = ideal_valuation(tops[i], divisor)
     order -= ideal_valuation(cdf_ideal(complex_, i, 1), divisor)
     if order < 0:
         raise ArithmeticError(

@@ -619,7 +619,7 @@ def cohomology_dims_at_point(complex_: FreeComplex, point) -> dict[int, int]:
     """Dimensions of the cohomology of the complex evaluated at a torsion
     point, from the ranks of the checked Smith diagonals of the evaluated
     differentials, their entries read as one-variable constants."""
-    from detloci.smith import _checked_diagonal, _dense_matrix, _rank
+    from detloci.smith import smith_diagonal
 
     order = math.lcm(complex_.ring.cyclotomic_order, *(a.den for a in point))
     ranks = {}
@@ -628,7 +628,7 @@ def cohomology_dims_at_point(complex_: FreeComplex, point) -> dict[int, int]:
             [LaurentPoly.constant(1, e.evaluate(point, order)) for e in row]
             for row in complex_.differential(i)
         ]
-        ranks[i] = _rank(_checked_diagonal(_dense_matrix(mat)))
+        ranks[i] = smith_diagonal(mat).rank
     return {i: complex_.rank(i) - ranks[i] - ranks[i - 1] for i in complex_.degrees()}
 
 

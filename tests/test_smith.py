@@ -129,26 +129,42 @@ class TestSmithDiagonal:
                 assert short.diagonal == full.diagonal
                 assert short.rank == full.rank
 
+    @pytest.mark.parametrize("entry", [smith_normal_form, smith_diagonal])
+    def test_coprime_diagonal_is_chained(self, entry):
+        # diag(t, t - 1) is diagonal but not chained: the pivot row must take
+        # in the offending row to reach diag(1, t^2 - t)
+        zero = LaurentPoly.zero(1)
+        assert entry([[P("t1"), zero], [zero, P("t1-1")]]).diagonal == (
+            LaurentPoly.one(1),
+            P("t1^2-t1"),
+        )
+
     def test_rank_deficient_has_trailing_zero(self, rng):
         for order in (1, 6):
             deficient = seeded_matrices(rng, order)[3]
             assert smith_diagonal(deficient).diagonal[-1].is_zero()
 
-    def test_corrupt_inverse_update_raises(self, monkeypatch):
+    @pytest.mark.parametrize("entry", [smith_normal_form, smith_diagonal])
+    def test_corrupt_column_update_raises(self, monkeypatch, entry):
         import detloci.smith as smith_module
 
         phi = [[CycloElem.from_rational(6, x) for x in row] for row in
                [[1, 2, 0], [3, -1, 1], [0, 1, 2]]]
         char = characteristic_matrix(phi)
-        smith_diagonal(char)
-        real = smith_module._inverse_col_op
+        entry(char)
+        real = smith_module._sub_cols
+        pivoted = []
 
-        def negated(v_inv, j_target, j_source, q):
-            real(v_inv, j_target, j_source, -q)
+        def negated(mat, j_target, j_source, q):
+            # a column operation updates the pivoted matrix first, then V:
+            # V alone takes the negated multiplier
+            if not pivoted:
+                pivoted.append(mat)
+            real(mat, j_target, j_source, q if mat is pivoted[0] else -q)
 
-        monkeypatch.setattr(smith_module, "_inverse_col_op", negated)
-        with pytest.raises(ArithmeticError, match="U\\*M != D\\*V\\^-1"):
-            smith_diagonal(char)
+        monkeypatch.setattr(smith_module, "_sub_cols", negated)
+        with pytest.raises(ArithmeticError, match="U\\*M\\*V != D"):
+            entry(char)
 
     @pytest.mark.parametrize("entry", [smith_normal_form, smith_diagonal])
     def test_corrupt_row_transform_raises(self, monkeypatch, entry):
@@ -157,29 +173,30 @@ class TestSmithDiagonal:
         t = P("t1")
         real = smith_module._pivot
 
-        def corrupt(rows, inverse):
-            d, u, w, order = real(rows, inverse)
+        def corrupt(rows):
+            d, u, v, order = real(rows)
             u[0][0] = u[0][0] + u_dense(t, order)
-            return d, u, w, order
+            return d, u, v, order
 
         monkeypatch.setattr(smith_module, "_pivot", corrupt)
         with pytest.raises(ArithmeticError, match="Smith verification failed"):
             entry([[t, LaurentPoly.one(1)], [LaurentPoly.zero(1), t]])
 
-    def test_corrupt_column_transform_raises(self, monkeypatch):
+    @pytest.mark.parametrize("entry", [smith_normal_form, smith_diagonal])
+    def test_corrupt_column_transform_raises(self, monkeypatch, entry):
         import detloci.smith as smith_module
 
         t = P("t1")
         real = smith_module._pivot
 
-        def corrupt(rows, inverse):
-            d, u, w, order = real(rows, inverse)
-            w[-1][-1] = w[-1][-1] + u_dense(t, order)
-            return d, u, w, order
+        def corrupt(rows):
+            d, u, v, order = real(rows)
+            v[-1][-1] = v[-1][-1] + u_dense(t, order)
+            return d, u, v, order
 
         monkeypatch.setattr(smith_module, "_pivot", corrupt)
         with pytest.raises(ArithmeticError, match="U\\*M\\*V != D"):
-            smith_normal_form([[t, LaurentPoly.one(1)], [LaurentPoly.zero(1), t]])
+            entry([[t, LaurentPoly.one(1)], [LaurentPoly.zero(1), t]])
 
 
 class TestDivisibilityChainCheck:
@@ -187,16 +204,16 @@ class TestDivisibilityChainCheck:
 
     @staticmethod
     def identity_pivot(monkeypatch):
-        # claims the input is already diagonal: U = V = V^-1 = identity, D = M
+        # claims the input is already diagonal: U = V = identity, D = M
         import detloci.smith as smith_module
 
-        def identity(rows, inverse):
+        def identity(rows):
             n, m = len(rows), len(rows[0])
             order = rows[0][0].order
             one, zero = UPoly.one(order), UPoly(order, 1, ())
             u = [[one if i == j else zero for j in range(n)] for i in range(n)]
-            w = [[one if i == j else zero for j in range(m)] for i in range(m)]
-            return [list(row) for row in rows], u, w, order
+            v = [[one if i == j else zero for j in range(m)] for i in range(m)]
+            return [list(row) for row in rows], u, v, order
 
         monkeypatch.setattr(smith_module, "_pivot", identity)
 
@@ -682,28 +699,34 @@ class TestCohomologyPresentation:
         pres = cohomology_presentation(self.koszul(), 1)
         assert fitting_generator(pres, 0).normalized(True) == parse_poly("t1-1", R1L)
 
-    def test_corrupt_kernel_rows_of_the_inverse_are_not_read(self, monkeypatch):
-        # the U*M = D*V^-1 check cannot see the rows of V^-1 past the rank,
-        # since D is zero there; the presentation must not depend on them
+    @pytest.mark.parametrize("entry", ["smith_diagonal", "cohomology_presentation"])
+    def test_corrupt_kernel_column_of_v_raises(self, monkeypatch, entry):
+        # the columns of V past the rank span the kernel of M, where D is
+        # zero; U*M*V = D checks them too.  Both matrices have rank 1 and no
+        # zero column: [[t, t^2], [t-1, t^2-t]] and d^1 = (g, -f) of koszul()
         import detloci.smith as smith_module
 
         t = P("t1")
         real = smith_module._pivot
         corrupted = []
 
-        def corrupt(rows, inverse):
-            d, u, w, order = real(rows, inverse)
-            if inverse:
-                rank = sum(1 for i in range(min(len(d), len(w))) if d[i][i].rows)
-                for row in w[rank:]:
-                    row[:] = [entry + u_dense(t, order) for entry in row]
-                    corrupted.append(row)
-            return d, u, w, order
+        def corrupt(rows):
+            d, u, v, order = real(rows)
+            rank = sum(1 for i in range(min(len(d), len(v))) if d[i][i].rows)
+            for row in v:
+                for j in range(rank, len(row)):
+                    row[j] = row[j] + u_dense(t, order)
+                    corrupted.append(j)
+            return d, u, v, order
 
+        complex_ = self.koszul()
         monkeypatch.setattr(smith_module, "_pivot", corrupt)
-        pres = cohomology_presentation(self.koszul(), 1)
+        with pytest.raises(ArithmeticError, match="U\\*M\\*V != D"):
+            if entry == "smith_diagonal":
+                smith_diagonal([[t, t * t], [t - LaurentPoly.one(1), t * t - t]])
+            else:
+                cohomology_presentation(complex_, 1)
         assert corrupted
-        assert fitting_generator(pres, 0).normalized(True) == parse_poly("t1-1", R1L)
 
     @pytest.mark.parametrize("order", [1, 6, 12])
     def test_diagonal_of_positive_degree_invariants(self, rng, order):
@@ -788,9 +811,9 @@ def count_smith_calls(monkeypatch) -> list:
     calls = []
     real = smith_module._pivot
 
-    def counting(rows, inverse):
+    def counting(rows):
         calls.append(rows)
-        return real(rows, inverse)
+        return real(rows)
 
     monkeypatch.setattr(smith_module, "_pivot", counting)
     return calls

@@ -14,9 +14,10 @@ from detloci.arith import TorsionAngle
 from detloci.complexes import FreeComplex, base_change, cdf_ideal, direct_sum
 from detloci.arith import root_multiplicity
 from detloci.poly import LaurentPoly, Ring, fibres, parse_poly
-from detloci.smith import NonTorsionError, _torsion_invariants, cohomology_presentation
+from detloci.smith import NonTorsionError, cohomology_presentation
 from detloci.support import (
     _generic_points,
+    _minimal_order,
     candidate_divisors,
     point_on_divisor,
     specialization_multiplicity,
@@ -255,6 +256,29 @@ class TestSeveralTopGenerators:
             oracle_candidates(E, 2)
         with pytest.raises(NonTorsionError):
             candidate_divisors(E)
+
+
+class TestNonTorsionRefusal:
+    def test_lowest_zero_top_degree_named_by_all(self):
+        # ranks 1, 1, 1, 1 and d = (0, h, 0): the top-minor ideals of degrees
+        # 1 and 3 are I_1(0) = 0, those of degrees 0 and 2 are the unit ideal
+        h = P("t1*t2-e(1/3)")
+        zero = LaurentPoly.zero(2, 3)
+        E = FreeComplex.make(
+            R2, (0, 3), {i: 1 for i in range(4)}, {0: [[zero]], 1: [[h]], 2: [[zero]]}
+        )
+        assert [cdf_ideal(E, i, 0).is_zero() for i in E.degrees()] == [False, True, False, True]
+        calls = [
+            lambda: candidate_divisors(E),
+            lambda: support_report(E, [H_DIVISOR]),
+            lambda: _minimal_order(E, H_DIVISOR, 3),
+            lambda: specialization_multiplicity(E, H_DIVISOR, 3),
+            lambda: specialization_multiplicity(E, H_DIVISOR, 3, candidates=[H_DIVISOR]),
+        ]
+        for call in calls:
+            with pytest.raises(NonTorsionError) as info:
+                call()
+            assert info.value.degree == 1
 
 
 @st.composite
@@ -507,7 +531,8 @@ class TestSpecializationMultiplicity:
         candidates = candidate_divisors(F)
         for divisor in candidates:
             record = specialization_multiplicity(F, divisor, 1, candidates=candidates)
-            _torsion_invariants(base_change(F, record.b))
+            # refuses a base change with non-torsion cohomology in any degree
+            cohomology_presentation(base_change(F, record.b), 1)
 
     def test_base_change_tau_compatibility(self, rng):
         from conftest import random_binomial

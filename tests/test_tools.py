@@ -1,0 +1,43 @@
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+BENCH_PAIRS = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+def layer_scripts() -> dict[str, str]:
+    """The script strings that the LAYERS table of tools/bench_pairs.py runs, by name."""
+    tree = ast.parse(BENCH_PAIRS.read_text())
+    strings, layers = {}, None
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
+                strings[name] = node.value.value
+            elif name == "LAYERS":
+                layers = node.value
+    assert layers is not None
+    used = {n.id for n in ast.walk(layers) if isinstance(n, ast.Name) and n.id in strings}
+    return {name: strings[name] for name in used}
+
+
+def test_layer_scripts_import_existing_names():
+    scripts = layer_scripts()
+    assert {"DETFACTORS", "SMITH", "LOCI"} <= set(scripts)
+    for script_name, script in scripts.items():
+        imports = [
+            node
+            for node in ast.walk(ast.parse(script))
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "detloci"
+        ]
+        assert imports, script_name
+        for node in imports:
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                # a name of the module, or a submodule (`from detloci import bsloci`)
+                found = hasattr(module, alias.name) or (
+                    hasattr(module, "__path__")
+                    and importlib.util.find_spec(f"{node.module}.{alias.name}") is not None
+                )
+                assert found, f"{script_name}: from {node.module} import {alias.name}"
