@@ -19,11 +19,15 @@ The loop, the check, the Krylov vectors (coordinate i as the t^i
 coefficient) and the products behind the determinantal factors and Fitting
 generators run on `upoly.UPoly`, converted from LaurentPoly once on entry and
 back once on exit.  Check products fuse each entry into one
-`upoly.sum_of_products`; a unit pivot divides by scaling with its inverse.
+`upoly.sum_of_products`; a unit pivot divides by scaling with its inverse,
+and the offender search and the chain check take remainders only.  The
+Krylov echelon reduces each vector with the division loop of `upoly`, on
+unreduced rows normalized once per vector.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,7 +35,7 @@ from typing import Sequence
 from .arith import CycloElem, TorsionAngle, _phi_tail, root_multiplicity
 from .complexes import FreeComplex, Matrix, matrix_make, matrix_shape
 from .poly import IdealGens, LaurentPoly, u_dense, u_laurent
-from .upoly import UPoly, _accumulate, _make, _reduced, sum_of_products
+from .upoly import UPoly, _accumulate, _eliminate, _make, _reduced, sum_of_products
 
 
 def _rank(diagonal: Sequence[LaurentPoly | UPoly]) -> int:
@@ -178,7 +182,7 @@ def _pivot(rows: list[list[UPoly]]):
             offender = None
             for i in range(idx + 1, nrows):
                 for j in range(idx + 1, ncols):
-                    if d[i][j].rows and d[i][j].divmod(p)[1].rows:
+                    if d[i][j].rows and d[i][j].remainder(p).rows:
                         offender = i
                         break
                 if offender is not None:
@@ -231,7 +235,7 @@ def _check_chain(diagonal: Sequence[UPoly]):
     for a, b in zip(diagonal, diagonal[1:]):
         if not a.rows and b.rows:
             raise ArithmeticError("Smith diagonal has a zero before a nonzero entry")
-        if a.rows and b.rows and b.divmod(a)[1].rows:
+        if a.rows and b.rows and b.remainder(a).rows:
             raise ArithmeticError("Smith diagonal is not divisibility-chained")
 
 
@@ -275,35 +279,56 @@ def _mat_vec(columns: Sequence[UPoly], v: UPoly, order: int) -> UPoly:
     return _reduced(order, out, v.den * den)
 
 
+def _step(w: UPoly, c: UPoly, deg: int) -> tuple:
+    """The pivot of `upoly._eliminate` for the echelon pair w = T*c, w monic of
+    degree deg: the tail of w and the rows of c over one denominator."""
+    e = math.lcm(w.den, c.den)
+
+    def over_e(rows: list, den: int) -> list:
+        f = e // den
+        return rows if f == 1 else [(k, [(q, f * y) for q, y in ys]) for k, ys in rows]
+
+    return deg, e, over_e(w.sparse()[:-1], w.den), over_e(c.sparse(), c.den)
+
+
 def _krylov(columns: Sequence[UPoly], order: int):
     """Krylov blocks v, phi v, phi^2 v, ... against an incremental echelon basis.
 
     The start vectors are (1, 2, ..., n), (1, -1, 2, -2, ...), e_1, ..., e_n.
+    Each candidate v is reduced by the division loop `upoly._eliminate`
+    against the echelon pivots, into a remainder r and a combination acc with
+    v = r - T*acc, both unreduced integer rows over one denominator and
+    normalized once per vector.  A nonzero r makes v the next column of T and
+    its monic form the echelon vector w = T*c of the new top index; a zero r
+    ends the block with phi mapping its last column to v = T*(-acc).
+
     Returns (t, blocks, echelon): t holds the columns of T; block i ends at
     column blocks[i][0] - 1, phi maps that column to T*blocks[i][1], and each
     (w, c) of echelon is a monic w = T*c, the top indices of the w distinct.
     """
     n = len(columns)
+    d = _phi_tail(order)[0]
     dense = [[i + 1 for i in range(n)], [(i // 2 + 1) * (-1) ** i for i in range(n)]]
-    t, blocks, echelon, zeros = [], [], {}, (0,) * (_phi_tail(order)[0] - 1)
+    t, blocks, echelon, steps, pad = [], [], {}, {}, [0] * (d - 1)
     for ints in dense + [[0] * i + [1] for i in range(n)]:
         # integer rows over 1, each list ending in a nonzero entry: canonical
-        v, start = UPoly(order, 1, tuple((x,) + zeros for x in ints)), len(t)
+        v, start = UPoly(order, 1, tuple((x, *pad) for x in ints)), len(t)
         while True:
-            r, acc = v, UPoly(order, 1, ())  # v = r - T*acc
-            while r.rows and len(r.rows) - 1 in echelon:
-                w, c = echelon[len(r.rows) - 1]
-                top = UPoly(order, r.den, (r.rows[-1],))
-                r, acc = r.submul(top, w), acc.submul(top, c)
-            if not r.rows:
+            rem = [list(row) + pad for row in v.rows]
+            acc = [[0] * (2 * d - 1) for _ in t]
+            den = _eliminate(order, rem, v.den, steps.get, acc)
+            if not rem:
                 break
-            monic, inv = r.monic_pair()
-            c = acc + u_dense(LaurentPoly.variable(1, 0, len(t), order), order)
-            echelon[len(r.rows) - 1] = (monic, c if inv is None else c.scale(inv))
+            acc.append([den] + [0] * (2 * d - 2))  # acc + t^len(t): r = T*(acc + e_len(t))
+            w, inv = _reduced(order, rem, den).monic_pair()
+            c = _reduced(order, acc, den)
+            c = c if inv is None else c.scale(inv)
+            k = len(w.rows) - 1
+            echelon[k], steps[k] = (w, c), _step(w, c, k)
             t.append(v)
             v = _mat_vec(columns, v, order)
         if len(t) > start:
-            blocks.append((len(t), -acc))
+            blocks.append((len(t), -_reduced(order, acc, den)))
         if len(t) == n:
             break
     return t, blocks, list(echelon.values())
@@ -322,17 +347,19 @@ def determinantal_factors(phi: Sequence[Sequence[CycloElem]]) -> DeterminantalFa
     if any(len(row) != n for row in phi):
         raise ValueError("determinantal factors need a square matrix")
     order = math.lcm(*(entry.order for row in phi for entry in row))
-    columns = [
-        u_dense(LaurentPoly.make(1, order, {(i,): row[j] for i, row in enumerate(phi)}), order)
-        for j in range(n)
-    ]
+    columns = []
+    for column in zip(*phi):  # column j as sum_i phi[i][j] t^i over one denominator
+        lifted = [entry.lift(order) for entry in column]
+        den = math.lcm(*(entry.den for entry in lifted))
+        columns.append(_make(order, [[x * (den // e.den) for x in e.nums] for e in lifted], den))
     t, blocks, echelon = _krylov(columns, order)
     # the n distinct top indices make W, and so T, invertible
     if len(t) != n or sorted(len(w.rows) - 1 for w, _ in echelon) != list(range(n)):
         raise ArithmeticError("Krylov verification failed: T is not invertible")
     if any(_mat_vec(t, c, order) != w for w, c in echelon):
         raise ArithmeticError("Krylov verification failed: W != T*C")
-    start, bounds, p = 0, [], [[UPoly(order, 1, ())] * len(blocks) for _ in blocks]
+    one, start, bounds = UPoly.one(order), 0, []
+    p = [[UPoly(order, 1, ())] * len(blocks) for _ in blocks]
     for i, (end, h) in enumerate(blocks):
         if not start < end or len(h.rows) > end:
             raise ArithmeticError("Krylov verification failed: H is not block triangular")
@@ -342,17 +369,19 @@ def determinantal_factors(phi: Sequence[Sequence[CycloElem]]) -> DeterminantalFa
             if _mat_vec(columns, t[j], order) != image:
                 raise ArithmeticError("Krylov verification failed: phi*T != T*H")
         for i2, (s, e) in enumerate(bounds):
-            p[i2][i] = _make(order, [[-x for x in row] for row in h.rows[s:e]], h.den)
-        p[i][i] = p[i][i] + u_dense(LaurentPoly.variable(1, 0, end - start, order), order)
+            rows = [[-x for x in row] for row in h.rows[s:e]]
+            if i2 == i:  # g_i = t^(end - start) minus block i's own part of h
+                zero = [0] * len(one.rows[0])
+                rows += [zero] * (e - s - len(rows)) + [[h.den] + zero[1:]]
+            p[i2][i] = _make(order, rows, h.den)
         start = end
     if start != n:
         raise ArithmeticError("Krylov verification failed: the blocks do not cover T")
-    diagonal = (UPoly.one(order),) * (n - len(p)) + _smith(p)[0]
-    # prefixes[j] is the product of the first j invariant factors; b_k = prefixes[n - k]
-    prefixes = [UPoly.one(order)]
-    for entry in diagonal:
-        prefixes.append(prefixes[-1] * entry)
-    b = tuple(u_laurent(p) for p in reversed(prefixes))
+    # the Smith diagonal of t*id - phi is n - k ones, then that of P, so b_j
+    # is 1 for j >= k and the product of the first k - j entries of P's below
+    diagonal = _smith(p)[0]
+    products = [u_laurent(prefix) for prefix in itertools.accumulate(diagonal, UPoly.__mul__)]
+    b = tuple(reversed(products)) + (u_laurent(one),) * (n - len(p) + 1)
     return DeterminantalFactors(b, u_laurent(diagonal[-1]) if diagonal else b[0])
 
 

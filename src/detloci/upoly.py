@@ -7,10 +7,17 @@ unreduced rows in place over the nonzero numerators of the two operands.  Each
 polynomial remembers those sparse rows once asked for, so an operand reused
 across products (a matrix column, an echelon vector, a divisor) is scanned
 once.  A product, a row update `target - q*source` seeded with the target's
-rows, a division step and a sum of products (an entry of a matrix product)
-each accumulate every term before one reduction modulo Phi_N per t-degree and
-one gcd.  Internal to the package: callers convert at the boundary with
-`poly.u_dense` and `poly.u_laurent`.
+rows and a sum of products (an entry of a matrix product) each accumulate
+every term before one reduction modulo Phi_N per t-degree and one gcd; the
+reduction skips a row with nothing at z^phi(N) or above.
+
+One division loop, `_eliminate`, serves `UPoly.divmod`, `UPoly.remainder`
+(which builds no quotient) and the Krylov echelon of `smith`: it keeps the
+remainder and the tracked combination as unreduced integer rows over one
+denominator, reduces only the top row of each step modulo Phi_N, and
+normalizes all rows only when the denominator has grown by a machine word.
+Internal to the package: callers convert at the boundary with `poly.u_dense`
+and `poly.u_laurent`.
 """
 
 from __future__ import annotations
@@ -35,12 +42,80 @@ def _accumulate(out: list, sa: Sequence, sb: Sequence, f: int):
                     acc[p + q] += x * y
 
 
+def _reduced_rows(order: int, out: list) -> list:
+    """Each unreduced row modulo Phi_order; a row with nothing at z^phi(order) or
+    above is only cut to phi(order) entries (rows of one integer, at
+    phi(order) = 1, are already reduced)."""
+    d = _phi_tail(order)[0]
+    if not out or len(out[0]) == d:
+        return out
+    return [reduce_mod_phi(order, row) if any(row[d:]) else row[:d] for row in out]
+
+
 def _reduced(order: int, out: list, den: int) -> "UPoly":
-    """The canonical out/den once each unreduced row is reduced modulo Phi_order
-    (rows of one integer, at phi(order) = 1, are already reduced)."""
-    if out and len(out[0]) > 1:
-        out = [reduce_mod_phi(order, row) for row in out]
-    return _make(order, out, den)
+    """The canonical out/den of unreduced rows out."""
+    return _make(order, _reduced_rows(order, out), den)
+
+
+# The division loop scales its unreduced rows by each pivot's denominator and
+# reduces only the top row, so the rows carry a factor that the content gcd of
+# unreduced rows rarely finds.  Once the running denominator has grown by more
+# than a machine word since the rows were last normalized, every row is
+# reduced modulo Phi_N and the content gcd divided out: without this the
+# largest operand of the Krylov echelon of a dense planted 24 x 24 matrix at
+# order 12 grew from about 3,500 to 22,000 bits, and the echelon took three to
+# five times as long.
+_NORMALIZE_BITS = 64
+
+
+def _normalize(order: int, den: int, blocks: list[list]) -> int:
+    """Reduce every row of the blocks modulo Phi_order and divide them and den by
+    their common factor, in place, keeping each row's unreduced width; returns
+    the new den."""
+    reduced = [_reduced_rows(order, rows) for rows in blocks]
+    g = math.gcd(den, *itertools.chain.from_iterable(itertools.chain.from_iterable(reduced)))
+    pad = [0] * (_phi_tail(order)[0] - 1)
+    for rows, new in zip(blocks, reduced):
+        rows[:] = [[n // g for n in row] + pad for row in new]
+    return den // g
+
+
+def _eliminate(order: int, rem: list, den: int, pivot, acc: list | None) -> int:
+    """The division loop: reduce the unreduced rows rem/den from the top, in
+    place, and return the denominator that rem and acc end over.
+
+    A top row that is zero modulo Phi_order is dropped.  For a nonzero top
+    row k, pivot(k) gives None, which stops the loop, or (deg, e, tail, c):
+    the monic pivot (tail + e*t^deg)/e, tail its sparse rows below t^deg,
+    and c the sparse rows of the combination it stands for, both over e.
+    The step reduces that top row alone, drops it and scales rem and acc by
+    e, then accumulates -top*tail into rem and -top*c into acc, both shifted
+    k - deg rows.  acc may be None when only the remainder is wanted.
+    """
+    blocks = [rem] if acc is None else [rem, acc]
+    limit = den << _NORMALIZE_BITS
+    while rem:
+        top = reduce_mod_phi(order, rem[-1])
+        if not any(top):
+            rem.pop()
+            continue
+        step = pivot(len(rem) - 1)
+        if step is None:
+            break
+        deg, e, tail, c = step
+        rem.pop()
+        if e != 1:
+            for rows in blocks:
+                rows[:] = [[e * n for n in row] for row in rows]
+            den *= e
+        neg = [(len(rem) - deg, [(p, -x) for p, x in enumerate(top) if x])]
+        _accumulate(rem, neg, tail, 1)
+        if acc is not None:
+            _accumulate(acc, neg, c, 1)
+        if den > limit:
+            den = _normalize(order, den, blocks)
+            limit = den << _NORMALIZE_BITS
+    return den
 
 
 def sum_of_products(order: int, pairs: Iterable[tuple["UPoly", "UPoly"]]) -> "UPoly":
@@ -164,33 +239,32 @@ class UPoly:
         monic, inv = self._monic
         return (self if monic is None else monic), inv
 
+    def _division(self, g: "UPoly", acc: list | None) -> tuple["UPoly", int]:
+        """The remainder of self by g and the denominator over which acc, with
+        one unreduced row per quotient degree, holds the quotient by the monic
+        form of g."""
+        if not g.rows:
+            raise ZeroDivisionError("polynomial division by zero")
+        monic = g.monic_pair()[0]
+        db, dm = len(monic.rows) - 1, monic.den
+        pivot = (db, dm, monic.sparse()[:-1], [(0, [(0, -dm)])])
+        pad = [0] * (len(monic.rows[0]) - 1)
+        rem = [list(row) + pad for row in self.rows]
+        den = _eliminate(self.order, rem, self.den, lambda k: pivot if k >= db else None, acc)
+        return _reduced(self.order, rem, den), den
+
+    def remainder(self, g: "UPoly") -> "UPoly":
+        """self mod g, without building the quotient."""
+        return self._division(g, None)[0]
+
     def divmod(self, g: "UPoly") -> tuple["UPoly", "UPoly"]:
         """(q, r) with self = q*g + r and deg r < deg g.
 
-        Runs on unreduced integer rows against the monic form of g: each step
-        reduces and drops the top row of the remainder and accumulates its
-        product with the sparse tail of the monic form, and only a monic form
-        with a denominator other than 1 scales the rows.  A monic g needs no
-        inverse.
+        Runs the division loop `_eliminate` against the monic form of g, the
+        quotient accumulating one row per step; a monic g needs no inverse.
         """
-        if not g.rows:
-            raise ZeroDivisionError("polynomial division by zero")
-        monic, inv = g.monic_pair()
-        order, db, dm = self.order, len(monic.rows) - 1, monic.den
-        tail = monic.sparse()[:-1]
-        zeros = [0] * (len(monic.rows[0]) - 1)
-        rem = [list(row) + zeros for row in self.rows]
-        den = self.den
-        quot = []
-        while len(rem) > db:
-            top = reduce_mod_phi(order, rem.pop())
-            quot.append(top)
-            if not any(top):
-                continue
-            if dm != 1:
-                rem = [[n * dm for n in row] for row in rem]
-                quot = [[n * dm for n in row] for row in quot]
-                den *= dm
-            _accumulate(rem, [(len(rem) - db, [(p, -x) for p, x in enumerate(top) if x])], tail, 1)
-        q = _make(order, quot[::-1], den)
-        return (q if inv is None else q.scale(inv)), _reduced(order, rem, den)
+        width = 2 * _phi_tail(self.order)[0] - 1
+        acc = [[0] * width for _ in range(len(self.rows) - len(g.rows) + 1)]
+        r, den = self._division(g, acc)
+        q, inv = _reduced(self.order, acc, den), g.monic_pair()[1]
+        return (q if inv is None else q.scale(inv)), r

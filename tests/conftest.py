@@ -172,8 +172,50 @@ def torsion_sum(
     return conjugate_complex(rng, total)
 
 
+def dense_planted_jordan(
+    rng: random.Random, n: int, order: int
+) -> tuple[list[list[CycloElem]], dict[int, list[int]]]:
+    """P J P^-1 over Q(zeta_order) with J of Jordan blocks of sizes 1-4 at
+    e(a/order) and P a product of n^2/2 elementary matrices with multipliers
+    +-1, +-2, which leaves no zero entry; also the block sizes by a."""
+    zero, one = CycloElem.zero(order), CycloElem.one(order)
+    phi = [[zero] * n for _ in range(n)]
+    pos, sizes = 0, {}
+    while pos < n:
+        size, a = min(rng.randint(1, 4), n - pos), rng.randrange(order)
+        lam = CycloElem.from_angle(order, TorsionAngle.make(a, order))
+        for k in range(pos, pos + size):
+            phi[k][k] = lam
+            if k + 1 < pos + size:
+                phi[k][k + 1] = one
+        sizes.setdefault(a, []).append(size)
+        pos += size
+    for _ in range(n * n // 2):
+        a, b = rng.sample(range(n), 2)
+        q = CycloElem.from_rational(order, rng.choice([1, -1, 2, -2]))
+        # E J E^-1 for E = id + q*e_ab: row a += q*row b, then column b -= q*column a
+        phi[a] = [x + q * y for x, y in zip(phi[a], phi[b])]
+        for row in phi:
+            row[b] = row[b] - q * row[a]
+    return phi, sizes
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
+
+
+def planted_factors(sizes: dict[int, list[int]], n: int, order: int) -> list[LaurentPoly]:
+    """b_0, ..., b_n of a matrix with Jordan blocks of the given sizes at e(a/order):
+    b_k drops the k largest blocks at every eigenvalue."""
+    t = LaurentPoly.variable(1, 0, 1, order)
+    out = []
+    for k in range(n + 1):
+        b = LaurentPoly.one(1, order)
+        for a, block_sizes in sizes.items():
+            lam = CycloElem.from_angle(order, TorsionAngle.make(a, order))
+            b = b * (t - LaurentPoly.constant(1, lam)) ** sum(sorted(block_sizes, reverse=True)[k:])
+        out.append(b)
+    return out
 
 
 def characteristic_matrix(phi: list[list[CycloElem]]) -> Matrix:

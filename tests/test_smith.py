@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +34,8 @@ from detloci.upoly import UPoly, sum_of_products as upoly_sum_of_products
 
 from conftest import (
     characteristic_matrix,
+    dense_planted_jordan,
+    planted_factors,
     division_multiplicity,
     exact_divide,
     oracle_det,
@@ -484,11 +491,11 @@ def smith_route_determinantal_factors(phi):
 
 
 @st.composite
-def planted_jordan(draw):
+def planted_jordan(draw, orders=(1, 2, 3, 4, 6, 8, 12), max_size=8):
     """P J P^-1 with J of planted Jordan blocks at a few eigenvalues c*e(a/N)
     and P a product of integer elementary matrices."""
-    order = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))
-    n = draw(st.integers(0, 8))
+    order = draw(st.sampled_from(orders))
+    n = draw(st.integers(0, max_size))
     values = draw(st.lists(
         st.tuples(st.integers(0, order - 1), st.sampled_from([1, -1, 2])), min_size=1, max_size=3
     ))
@@ -526,6 +533,17 @@ class TestKrylovRoute:
         if len(phi) <= 4:
             order = math.lcm(*(entry.order for row in phi for entry in row))
             assert list(factors.b) == oracle_determinantal_factors(phi, order)
+
+    @pytest.mark.parametrize("order", [1, 3, 4, 8, 12])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_scaled_planted_jordan(self, order, data):
+        # scaling by q moves the eigenvalues off the unit circle: echelon
+        # vectors over denominators, with leading coefficients in Q(zeta)
+        phi = data.draw(planted_jordan(orders=[order], max_size=7))
+        q = data.draw(st.sampled_from([1, Fraction(1, 2), Fraction(-2, 3)]))
+        phi = [[entry.scale(q) for entry in row] for row in phi]
+        assert list(determinantal_factors(phi).b) == smith_route_determinantal_factors(phi)
 
     # two Jordan blocks of size 2 at e(1/6): at least two Krylov blocks
     LAM = CycloElem.from_angle(6, angle(1, 6))
@@ -630,6 +648,51 @@ class TestKrylovRoute:
         self.corrupt(monkeypatch, lambda order, t, blocks, echelon: (t, blocks[:-1], echelon))
         with pytest.raises(ArithmeticError, match="do not cover T"):
             determinantal_factors(self.PHI)
+
+
+class TestKrylovScale:
+    def test_normalized_echelon_keeps_the_planted_factors(self, monkeypatch):
+        # the echelon of a dense 12 x 12 matrix at order 12 carries its running
+        # denominator past a machine word; the rows are normalized on the way
+        import detloci.upoly as upoly_module
+
+        calls = []
+        real = upoly_module._normalize
+        monkeypatch.setattr(
+            upoly_module, "_normalize", lambda *args: calls.append(1) or real(*args)
+        )
+        phi, sizes = dense_planted_jordan(random.Random(1), 12, 12)
+        assert list(determinantal_factors(phi).b) == planted_factors(sizes, 12, 12)
+        assert calls
+
+    def test_dense_24_by_24_at_order_12_within_a_cpu_cap(self):
+        """determinantal_factors of `dense_planted_jordan(random.Random(1), 24, 12)`
+        in a child process, its CPU time under 1.25 s: about 0.55 s on a shared
+        2-vCPU host (Python 3.11), where the echelon without the word-size
+        normalization of the division loop took 1.5-2.8 s, its largest operand
+        growing from about 3,500 to 22,000 bits.  The b_k must be those of the
+        planted blocks."""
+        tests = Path(__file__).resolve().parent
+        child = (
+            "import random, sys, time\n"
+            f"sys.path.insert(0, {str(tests)!r})\n"
+            "from conftest import dense_planted_jordan, planted_factors\n"
+            "from detloci.smith import determinantal_factors\n"
+            "phi, sizes = dense_planted_jordan(random.Random(1), 24, 12)\n"
+            "start = time.process_time()\n"
+            "factors = determinantal_factors(phi)\n"
+            "seconds = time.process_time() - start\n"
+            "print(seconds, list(factors.b) == planted_factors(sizes, 24, 12))\n"
+        )
+        src = str(tests.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        seconds, planted = proc.stdout.split()
+        assert planted == "True"
+        assert float(seconds) < 1.25
 
 
 class TestMaxJordanSize:

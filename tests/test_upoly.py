@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detloci.arith import CycloElem, euler_phi, zeta_power
+from detloci.arith import CycloElem, euler_phi, reduce_mod_phi, zeta_power
 from detloci.poly import LaurentPoly, u_dense, u_laurent
 from detloci.smith import _dense_mul, _mat_vec
-from detloci.upoly import UPoly, sum_of_products
+from detloci.upoly import UPoly, _make, _reduced, sum_of_products
 
 from conftest import matrix_mul, upoly_divmod_in
 
@@ -132,6 +132,14 @@ def matrices(order: int, nrows: int, ncols: int):
     return st.lists(row, min_size=nrows, max_size=nrows)
 
 
+def unreduced_row(order: int):
+    """A product row of 2 phi(N) - 1 integers, its part at z^phi(N) and above
+    zero in about half the draws."""
+    d = euler_phi(order)
+    low, high = (st.lists(st.integers(-9, 9), min_size=k, max_size=k) for k in (d, d - 1))
+    return st.tuples(low, st.one_of(st.just([0] * (d - 1)), high)).map(lambda p: p[0] + p[1])
+
+
 class TestFusedProducts:
     """sum_of_products and the dense matrix product of the Smith checks, with
     the schoolbook matrix_mul on LaurentPoly entries as the oracle."""
@@ -167,6 +175,17 @@ class TestFusedProducts:
                 assert_canonical(entry, order)
         assert tuple(tuple(u_laurent(e) for e in row) for row in dense) == want
 
+    @given(st.sampled_from(ORDERS).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(unreduced_row(n), max_size=5), st.integers(1, 12)
+    )))
+    @settings(max_examples=150)
+    def test_reduced_skips_rows_without_a_tail(self, case):
+        # some rows have nothing at z^phi(N) or above: the same result as
+        # reducing every row
+        order, rows, den = case
+        want = _make(order, [reduce_mod_phi(order, row) for row in rows], den)
+        assert _reduced(order, [list(row) for row in rows], den) == want
+
     def test_empty_sum_is_zero(self):
         zero = UPoly(12, 1, ())
         assert sum_of_products(12, []) == zero
@@ -182,14 +201,44 @@ class TestDivision:
         q, r = u_dense(f, order).divmod(u_dense(g, order))
         assert_canonical(q, order)
         assert_canonical(r, order)
+        assert u_dense(f, order).remainder(u_dense(g, order)) == r
         q, r = u_laurent(q), u_laurent(r)
         assert q * g + r == f
         assert degree(r) < degree(g)
         assert (q, r) == upoly_divmod_in(f, g, 0)
 
+    @pytest.mark.parametrize("order", [1, 5, 12])
+    def test_long_division_normalizes(self, monkeypatch, order):
+        # the monic form of g has a denominator from 1/5 and the norm of its
+        # leading coefficient 3 + 2z, so 30 steps carry the running
+        # denominator past a machine word: the rows are normalized along the
+        # way and the results do not change
+        import detloci.upoly as upoly_module
+
+        calls = []
+        real = upoly_module._normalize
+        monkeypatch.setattr(
+            upoly_module, "_normalize", lambda *args: calls.append(1) or real(*args)
+        )
+        z = zeta_power(order, 1)
+
+        def rational(q):
+            return CycloElem.from_rational(order, q)
+
+        f = LaurentPoly.make(1, order, {(k,): rational(3) + rational(k) * z for k in range(32)})
+        lead = rational(3) + rational(2) * z
+        g = LaurentPoly.make(1, order, {(2,): lead, (1,): rational(Fraction(1, 5)), (0,): rational(3)})
+        a, b = u_dense(f, order), u_dense(g, order)
+        q, r = a.divmod(b)
+        assert (u_laurent(q), u_laurent(r)) == upoly_divmod_in(f, g, 0)
+        assert a.remainder(b) == r
+        assert calls
+
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             UPoly.one(6).divmod(UPoly(6, 1, ()))
+        with pytest.raises(ZeroDivisionError):
+            UPoly.one(6).remainder(UPoly(6, 1, ()))
 
     @given(st.sampled_from(ORDERS).flatmap(
         lambda n: st.tuples(st.just(n), polys(n, nonzero=True))
@@ -254,6 +303,7 @@ class TestRememberedRows:
                     (sum_of_products(order, [(a, b), (b, a), (a, a)]), f * g + g * f + f * f),
                     (q, want_q),
                     (r, want_r),
+                    (a.remainder(b), want_r),
                 ):
                     assert_canonical(got, order)
                     assert u_laurent(got) == want
