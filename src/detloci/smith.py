@@ -279,7 +279,7 @@ def _mat_vec(columns: Sequence[UPoly], v: UPoly, order: int) -> UPoly:
     return _reduced(order, out, v.den * den)
 
 
-def _step(w: UPoly, c: UPoly, deg: int) -> tuple:
+def _echelon_pivot(w: UPoly, c: UPoly, deg: int) -> tuple:
     """The pivot of `upoly._eliminate` for the echelon pair w = T*c, w monic of
     degree deg: the tail of w and the rows of c over one denominator."""
     e = math.lcm(w.den, c.den)
@@ -309,22 +309,23 @@ def _krylov(columns: Sequence[UPoly], order: int):
     n = len(columns)
     d = _phi_tail(order)[0]
     dense = [[i + 1 for i in range(n)], [(i // 2 + 1) * (-1) ** i for i in range(n)]]
-    t, blocks, echelon, steps, pad = [], [], {}, {}, [0] * (d - 1)
+    t, blocks, echelon, pivots, pad = [], [], {}, {}, [0] * (d - 1)
     for ints in dense + [[0] * i + [1] for i in range(n)]:
         # integer rows over 1, each list ending in a nonzero entry: canonical
         v, start = UPoly(order, 1, tuple((x, *pad) for x in ints)), len(t)
         while True:
             rem = [list(row) + pad for row in v.rows]
             acc = [[0] * (2 * d - 1) for _ in t]
-            den = _eliminate(order, rem, v.den, steps.get, acc)
-            if not rem:
+            den = _eliminate(order, rem, v.den, pivots, acc)[0]
+            r = _reduced(order, rem, den)
+            if r.is_zero():
                 break
             acc.append([den] + [0] * (2 * d - 2))  # acc + t^len(t): r = T*(acc + e_len(t))
-            w, inv = _reduced(order, rem, den).monic_pair()
+            w, inv = r.monic_pair()
             c = _reduced(order, acc, den)
             c = c if inv is None else c.scale(inv)
             k = len(w.rows) - 1
-            echelon[k], steps[k] = (w, c), _step(w, c, k)
+            echelon[k], pivots[k] = (w, c), _echelon_pivot(w, c, k)
             t.append(v)
             v = _mat_vec(columns, v, order)
         if len(t) > start:

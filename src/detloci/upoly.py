@@ -13,9 +13,10 @@ reduction skips a row with nothing at z^phi(N) or above.
 
 One division loop, `_eliminate`, serves `UPoly.divmod`, `UPoly.remainder`
 (which builds no quotient) and the Krylov echelon of `smith`: it keeps the
-remainder and the tracked combination as unreduced integer rows over one
-denominator, reduces only the top row of each step modulo Phi_N, and
-normalizes all rows only when the denominator has grown by a machine word.
+remainder, and the combination the Krylov echelon tracks, as unreduced
+integer rows over one denominator, reduces only the top row of each step
+modulo Phi_N, and normalizes all rows only when the denominator has grown by
+a machine word; division reads its quotient off the steps the loop took.
 Internal to the package: callers convert at the boundary with `poly.u_dense`
 and `poly.u_laurent`.
 """
@@ -43,12 +44,12 @@ def _accumulate(out: list, sa: Sequence, sb: Sequence, f: int):
 
 
 def _reduced_rows(order: int, out: list) -> list:
-    """Each unreduced row modulo Phi_order; a row with nothing at z^phi(order) or
-    above is only cut to phi(order) entries (rows of one integer, at
-    phi(order) = 1, are already reduced)."""
-    d = _phi_tail(order)[0]
-    if not out or len(out[0]) == d:
+    """Each unreduced row, of 2 phi(order) - 1 entries, modulo Phi_order; a row
+    with nothing at z^phi(order) or above is only cut to phi(order) entries
+    (rows of one integer, at phi(order) = 1, are already reduced)."""
+    if not out or len(out[0]) == 1:
         return out
+    d = (len(out[0]) + 1) // 2
     return [reduce_mod_phi(order, row) if any(row[d:]) else row[:d] for row in out]
 
 
@@ -80,30 +81,34 @@ def _normalize(order: int, den: int, blocks: list[list]) -> int:
     return den // g
 
 
-def _eliminate(order: int, rem: list, den: int, pivot, acc: list | None) -> int:
+def _eliminate(order: int, rem: list, den: int, pivots: dict, acc: list | None) -> tuple:
     """The division loop: reduce the unreduced rows rem/den from the top, in
-    place, and return the denominator that rem and acc end over.
+    place.  Returns the denominator that rem and acc end over and the steps
+    taken, each (shift, top, d): top/d is the coefficient taken off at the
+    step, times the pivot shifted by `shift` rows.
 
-    A top row that is zero modulo Phi_order is dropped.  For a nonzero top
-    row k, pivot(k) gives None, which stops the loop, or (deg, e, tail, c):
-    the monic pivot (tail + e*t^deg)/e, tail its sparse rows below t^deg,
+    The loop stops below the lowest pivot, and at a top row k that is
+    nonzero modulo Phi_order and has no entry in pivots; a top row that is
+    zero modulo Phi_order is dropped.  pivots[k] = (deg, e, tail, c)
+    is the monic pivot (tail + e*t^deg)/e, tail its sparse rows below t^deg,
     and c the sparse rows of the combination it stands for, both over e.
     The step reduces that top row alone, drops it and scales rem and acc by
     e, then accumulates -top*tail into rem and -top*c into acc, both shifted
-    k - deg rows.  acc may be None when only the remainder is wanted.
+    k - deg rows.  acc may be None when no combination is tracked.
     """
     blocks = [rem] if acc is None else [rem, acc]
-    limit = den << _NORMALIZE_BITS
-    while rem:
+    limit, steps, lowest = den << _NORMALIZE_BITS, [], min(pivots, default=len(rem))
+    while len(rem) > lowest:
         top = reduce_mod_phi(order, rem[-1])
         if not any(top):
             rem.pop()
             continue
-        step = pivot(len(rem) - 1)
+        step = pivots.get(len(rem) - 1)
         if step is None:
             break
         deg, e, tail, c = step
         rem.pop()
+        steps.append((len(rem) - deg, top, den))
         if e != 1:
             for rows in blocks:
                 rows[:] = [[e * n for n in row] for row in rows]
@@ -115,7 +120,7 @@ def _eliminate(order: int, rem: list, den: int, pivot, acc: list | None) -> int:
         if den > limit:
             den = _normalize(order, den, blocks)
             limit = den << _NORMALIZE_BITS
-    return den
+    return den, steps
 
 
 def sum_of_products(order: int, pairs: Iterable[tuple["UPoly", "UPoly"]]) -> "UPoly":
@@ -239,32 +244,38 @@ class UPoly:
         monic, inv = self._monic
         return (self if monic is None else monic), inv
 
-    def _division(self, g: "UPoly", acc: list | None) -> tuple["UPoly", int]:
-        """The remainder of self by g and the denominator over which acc, with
-        one unreduced row per quotient degree, holds the quotient by the monic
-        form of g."""
+    def _division(self, g: "UPoly") -> tuple["UPoly", list]:
+        """The remainder of self by g and the steps of the division loop
+        against the monic form of g."""
         if not g.rows:
             raise ZeroDivisionError("polynomial division by zero")
         monic = g.monic_pair()[0]
-        db, dm = len(monic.rows) - 1, monic.den
-        pivot = (db, dm, monic.sparse()[:-1], [(0, [(0, -dm)])])
+        db = len(monic.rows) - 1
+        pivot = (db, monic.den, monic.sparse()[:-1], None)
         pad = [0] * (len(monic.rows[0]) - 1)
         rem = [list(row) + pad for row in self.rows]
-        den = _eliminate(self.order, rem, self.den, lambda k: pivot if k >= db else None, acc)
-        return _reduced(self.order, rem, den), den
+        pivots = dict.fromkeys(range(db, len(rem)), pivot)
+        den, steps = _eliminate(self.order, rem, self.den, pivots, None)
+        return _reduced(self.order, rem, den), steps
 
     def remainder(self, g: "UPoly") -> "UPoly":
         """self mod g, without building the quotient."""
-        return self._division(g, None)[0]
+        return self._division(g)[0]
 
     def divmod(self, g: "UPoly") -> tuple["UPoly", "UPoly"]:
         """(q, r) with self = q*g + r and deg r < deg g.
 
-        Runs the division loop `_eliminate` against the monic form of g, the
-        quotient accumulating one row per step; a monic g needs no inverse.
+        Runs the division loop `_eliminate` against the monic form of g and
+        reads the quotient off its steps; a monic g needs no inverse.
         """
-        width = 2 * _phi_tail(self.order)[0] - 1
-        acc = [[0] * width for _ in range(len(self.rows) - len(g.rows) + 1)]
-        r, den = self._division(g, acc)
-        q, inv = _reduced(self.order, acc, den), g.monic_pair()[1]
+        r, steps = self._division(g)
+        if not steps:
+            return UPoly(self.order, 1, ()), r
+        den = math.lcm(*(d for _, _, d in steps))
+        zero = [0] * len(steps[0][1])
+        rows = [zero] * (steps[0][0] + 1)  # the first step has the largest shift
+        for shift, top, d in steps:
+            rows[shift] = [x * (den // d) for x in top]
+        q = _make(self.order, rows, den)
+        inv = g.monic_pair()[1]
         return (q if inv is None else q.scale(inv)), r
