@@ -183,6 +183,34 @@ def lift_nums(nums: Sequence[int], order: int, new_order: int) -> tuple[int, ...
     return tuple(reduce_mod_phi(new_order, dense))
 
 
+def inverse_row(order: int, nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The inverse of the nonzero nums/den of Q(zeta_order), as canonical
+    numerators over a positive denominator: the product of the other Galois
+    conjugates of nums over its norm."""
+    if not any(nums):
+        raise ZeroDivisionError("inverse of zero in Q(zeta)")
+    if not any(nums[1:]):
+        cofactor, norm = [1] + [0] * (len(nums) - 1), nums[0]
+    else:
+        # nums * prod_{a != 1} sigma_a(nums) = norm(nums), a nonzero integer,
+        # where sigma_a sends z to z^a for each unit a modulo the order
+        cofactor = [1]
+        for a in range(2, order):
+            if math.gcd(a, order) == 1:
+                dense = [0] * order
+                for j, n in enumerate(nums):
+                    dense[j * a % order] = n
+                cofactor = _mul_nums(order, cofactor, reduce_mod_phi(order, dense))
+        product = _mul_nums(order, nums, cofactor)
+        if any(product[1:]) or not product[0]:
+            raise ArithmeticError("norm of a nonzero element is not a nonzero rational")
+        norm = product[0]
+    sign = -1 if norm < 0 else 1
+    out = [sign * den * c for c in cofactor]
+    g = math.gcd(abs(norm), *out)
+    return tuple(n // g for n in out), abs(norm) // g
+
+
 def _elem(order: int, nums: tuple[int, ...], den: int) -> "CycloElem":
     """Wrap numerators and a denominator that are already canonical."""
     e = _new(CycloElem)
@@ -297,26 +325,7 @@ class CycloElem:
         )
 
     def inverse(self) -> "CycloElem":
-        """1/x as the product of the other Galois conjugates of x over its norm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        nums, order = self.nums, self.order
-        if self.is_rational():
-            return CycloElem.from_rational(order, Fraction(self.den, nums[0]))
-        # x = A/den, and A * prod_{a != 1} sigma_a(A) = norm(A), a nonzero integer,
-        # where sigma_a sends z to z^a for each unit a modulo the order
-        cofactor = [1]
-        for a in range(2, order):
-            if math.gcd(a, order) == 1:
-                dense = [0] * order
-                for j, n in enumerate(nums):
-                    dense[j * a % order] = n
-                cofactor = _mul_nums(order, cofactor, reduce_mod_phi(order, dense))
-        norm = _mul_nums(order, nums, cofactor)
-        if any(norm[1:]) or not norm[0]:
-            raise ArithmeticError("norm of a nonzero element is not a nonzero rational")
-        sign = -1 if norm[0] < 0 else 1
-        return _canonical(order, [sign * self.den * c for c in cofactor], abs(norm[0]))
+        return _elem(self.order, *inverse_row(self.order, self.nums, self.den))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloElem):

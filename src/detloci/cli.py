@@ -12,7 +12,6 @@ import functools
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .arith import CycloElem
 from .bsloci import (
     combine_bm,
     containment_check,
@@ -91,20 +90,7 @@ def _cmd_smith(args) -> tuple[int, dict]:
 
 
 def _cmd_detfactors(args) -> tuple[int, dict]:
-    mat, ring = matrix_from_json(load_json_file(args.matrix))
-    constants = []
-    for row in mat:
-        out_row = []
-        for entry in row:
-            if entry.is_zero():
-                out_row.append(CycloElem.zero(ring.cyclotomic_order))
-                continue
-            exps, coeff = entry.leading()
-            if len(entry.rows) != 1 or any(exps):
-                raise InputError("determinantal factors need constant entries")
-            out_row.append(coeff)
-        constants.append(out_row)
-    factors = determinantal_factors(constants)
+    factors = determinantal_factors(matrix_from_json(load_json_file(args.matrix))[0])
     return 0, {
         "b": [format_poly(b, True) for b in factors.b],
         "minimal_polynomial": format_poly(factors.minimal, True),

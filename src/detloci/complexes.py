@@ -473,22 +473,12 @@ def direct_sum(a: FreeComplex, b: FreeComplex) -> FreeComplex:
     ranks = {i: a.rank(i) + b.rank(i) for i in range(imin, imax + 1)}
     diffs = {}
     for i in range(imin, imax):
-        mat_a = (
-            a.differential(i)
-            if a.imin <= i < a.imax
-            else empty_matrix(a.rank(i + 1), a.rank(i), ring.nvars, order)
-        )
-        mat_b = (
-            b.differential(i)
-            if b.imin <= i < b.imax
-            else empty_matrix(b.rank(i + 1), b.rank(i), ring.nvars, order)
-        )
         glued = []
         zero_left = [LaurentPoly.zero(ring.nvars, order)] * a.rank(i)
         zero_right = [LaurentPoly.zero(ring.nvars, order)] * b.rank(i)
-        for row in mat_a:
+        for row in a.differential(i):
             glued.append(list(row) + zero_right)
-        for row in mat_b:
+        for row in b.differential(i):
             glued.append(zero_left + list(row))
         diffs[i] = glued
     return FreeComplex.make(ring, (imin, imax), ranks, diffs)

@@ -16,6 +16,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -25,6 +26,7 @@ from .arith import (
     _canonical,
     _phi_tail,
     _spread,
+    inverse_row,
     lift_nums,
     reduce_mod_phi,
     root_multiplicity,
@@ -121,17 +123,22 @@ class LaurentPoly:
 
     @staticmethod
     def one(nvars: int, order: int = 1) -> "LaurentPoly":
-        return LaurentPoly.constant(nvars, CycloElem.one(order))
+        return LaurentPoly.from_rational(nvars, 1, order)
 
     @staticmethod
     def from_rational(nvars: int, q, order: int = 1) -> "LaurentPoly":
-        return LaurentPoly.constant(nvars, CycloElem.from_rational(order, q))
+        """The constant q, its one row written directly."""
+        q = Fraction(q)
+        if not q:
+            return LaurentPoly.zero(nvars, order)
+        row = (q.numerator,) + (0,) * (_phi_tail(order)[0] - 1)
+        return LaurentPoly(nvars, order, q.denominator, {(0,) * nvars: row})
 
     @staticmethod
     def variable(nvars: int, index: int, power: int = 1, order: int = 1) -> "LaurentPoly":
         e = [0] * nvars
         e[index] = power
-        return LaurentPoly.make(nvars, order, {tuple(e): CycloElem.one(order)})
+        return LaurentPoly.one(nvars, order).shift(e)
 
     @staticmethod
     def binomial_divisor(
@@ -257,11 +264,16 @@ class LaurentPoly:
         return self.shift(tuple(-m for m in mins))
 
     def monic(self) -> "LaurentPoly":
-        """Scale so the graded-lex leading coefficient is 1."""
+        """Scale so the graded-lex leading coefficient is 1: one product with
+        the constant of the inverse of the leading row."""
         if self.is_zero():
             return self
-        _, lead = self.leading()
-        return self if lead.is_one() else self.scale(lead.inverse())
+        top = self.rows[max(self.rows, key=term_key)]
+        if top[0] == self.den and not any(top[1:]):
+            return self
+        nums, den = inverse_row(self.order, top, self.den)
+        inv = LaurentPoly(self.nvars, self.order, den, {(0,) * self.nvars: nums})
+        return sum_of_products(self.nvars, self.order, ((1, self, inv),))
 
     def normalized(self, laurent: bool) -> "LaurentPoly":
         """Canonical generator form: unit content removed, leading coeff 1."""

@@ -3,8 +3,8 @@
 Covers the diagonalization with tracked unimodular transforms, Fitting-ideal
 generators of torsion modules, and presentations of the cohomology of
 one-variable complexes with torsion cohomology, each read off one checked
-Smith diagonal.  The determinantal factors b_k of a square matrix
-phi over the field (with b_0/b_1, the minimal polynomial) and the maximal
+Smith diagonal.  The determinantal factors b_k of a square matrix phi of
+constant polynomials (b_0/b_1 is the minimal polynomial) and the maximal
 Jordan block sizes at unit-root eigenvalues come from a checked Krylov
 similarity phi*T = T*H onto k coupled companion blocks and the Smith
 diagonal of a k x k relation matrix, not from the n x n t*id - phi.
@@ -18,11 +18,11 @@ the diagonal.  The product checks every column of V, those past the rank
 The loop, the check, the Krylov vectors (coordinate i as the t^i
 coefficient) and the products behind the determinantal factors and Fitting
 generators run on `upoly.UPoly`, converted from LaurentPoly once on entry and
-back once on exit.  Check products fuse each entry into one
-`upoly.sum_of_products`; a unit pivot divides by scaling with its inverse,
-and the offender search and the chain check take remainders only.  The
-Krylov echelon reduces each vector with the division loop of `upoly`, on
-unreduced rows normalized once per vector.
+back once on exit; no field element is built.  Check products fuse each entry
+into one `upoly.sum_of_products`; a unit pivot divides by one product with the
+constant of its inverse, the offender search and the chain check take
+remainders only.  The Krylov echelon reduces each vector with the division
+loop of `upoly`, on unreduced rows normalized once per vector.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import CycloElem, TorsionAngle, _phi_tail, root_multiplicity
+from .arith import TorsionAngle, _phi_tail, root_multiplicity
 from .complexes import FreeComplex, Matrix, matrix_make, matrix_shape
 from .poly import IdealGens, LaurentPoly, u_dense, u_laurent
 from .upoly import UPoly, _accumulate, _eliminate, _make, _reduced, sum_of_products
@@ -109,10 +109,10 @@ def _sub_cols(mat: list, j_target: int, j_source: int, q: UPoly):
 
 
 def _quotient(e: UPoly, p: UPoly) -> UPoly:
-    """The quotient of e by p: one scaling by the cached inverse of a unit p."""
+    """The quotient of e by p: one product with the remembered inverse of a unit p."""
     if len(p.rows) == 1:
         inv = p.monic_pair()[1]
-        return e if inv is None else e.scale(inv)
+        return e if inv is None else e * inv
     return e.divmod(p)[0]
 
 
@@ -195,7 +195,7 @@ def _pivot(rows: list[list[UPoly]]):
             monic, inv = entry.monic_pair()
             if inv is not None:  # the rest of row idx of d is zero by now
                 d[idx][idx] = monic
-                u[idx] = [e.scale(inv) if e.rows else e for e in u[idx]]
+                u[idx] = [e * inv if e.rows else e for e in u[idx]]
     return d, u, v, order
 
 
@@ -323,7 +323,7 @@ def _krylov(columns: Sequence[UPoly], order: int):
             acc.append([den] + [0] * (2 * d - 2))  # acc + t^len(t): r = T*(acc + e_len(t))
             w, inv = r.monic_pair()
             c = _reduced(order, acc, den)
-            c = c if inv is None else c.scale(inv)
+            c = c if inv is None else c * inv
             k = len(w.rows) - 1
             echelon[k], pivots[k] = (w, c), _echelon_pivot(w, c, k)
             t.append(v)
@@ -335,8 +335,9 @@ def _krylov(columns: Sequence[UPoly], order: int):
     return t, blocks, list(echelon.values())
 
 
-def determinantal_factors(phi: Sequence[Sequence[CycloElem]]) -> DeterminantalFactors:
-    """The b_k chain for a square matrix over the coefficient field.
+def determinantal_factors(phi: Matrix | Sequence[Sequence[LaurentPoly]]) -> DeterminantalFactors:
+    """The b_k chain for a square matrix of constant polynomials, as
+    `io.matrix_from_json` parses them.
 
     Given phi*T = T*H from `_krylov`, checked, K^n with t acting as phi is
     the cokernel of the k x k upper-triangular P over Q(zeta)[t] whose column
@@ -344,15 +345,20 @@ def determinantal_factors(phi: Sequence[Sequence[CycloElem]]) -> DeterminantalFa
     the degree d_i of block i: the t^m v_i (m < d_i) span it, sum d_i = n of
     them.  So t*id - phi has the Smith diagonal 1^(n-k), then that of P.
     """
+    # a nonconstant entry has a row off the zero exponent
+    if any(any(exps) for row in phi for entry in row for exps in entry.rows):
+        raise ValueError("determinantal factors need constant entries")
     n = len(phi)
     if any(len(row) != n for row in phi):
         raise ValueError("determinantal factors need a square matrix")
     order = math.lcm(*(entry.order for row in phi for entry in row))
+    zero = (0,) * _phi_tail(order)[0]
     columns = []
     for column in zip(*phi):  # column j as sum_i phi[i][j] t^i over one denominator
         lifted = [entry.lift(order) for entry in column]
         den = math.lcm(*(entry.den for entry in lifted))
-        columns.append(_make(order, [[x * (den // e.den) for x in e.nums] for e in lifted], den))
+        rows = [[x * (den // e.den) for x in next(iter(e.rows.values()), zero)] for e in lifted]
+        columns.append(_make(order, rows, den))
     t, blocks, echelon = _krylov(columns, order)
     # the n distinct top indices make W, and so T, invertible
     if len(t) != n or sorted(len(w.rows) - 1 for w, _ in echelon) != list(range(n)):
@@ -386,10 +392,8 @@ def determinantal_factors(phi: Sequence[Sequence[CycloElem]]) -> DeterminantalFa
     return DeterminantalFactors(b, u_laurent(diagonal[-1]) if diagonal else b[0])
 
 
-def max_jordan_size(phi: Sequence[Sequence[CycloElem]], xi: TorsionAngle) -> int:
+def max_jordan_size(phi: Matrix | Sequence[Sequence[LaurentPoly]], xi: TorsionAngle) -> int:
     """Multiplicity of e^{2*pi*i*xi} in b_0/b_1, the largest invariant factor."""
-    if not phi:
-        return 0
     minimal = determinantal_factors(phi).minimal
     return root_multiplicity(minimal.order, {k: row for (k,), row in minimal.rows.items()}, xi)
 

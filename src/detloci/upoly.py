@@ -17,8 +17,9 @@ remainder, and the combination the Krylov echelon tracks, as unreduced
 integer rows over one denominator, reduces only the top row of each step
 modulo Phi_N, and normalizes all rows only when the denominator has grown by
 a machine word; division reads its quotient off the steps the loop took.
-Internal to the package: callers convert at the boundary with `poly.u_dense`
-and `poly.u_laurent`.
+A monic form is one product with the inverse of the leading coefficient, a
+one-row constant from `arith.inverse_row`: no field element is built.
+Internal to the package: callers convert with `poly.u_dense` and `u_laurent`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from .arith import CycloElem, _canonical, _phi_tail, reduce_mod_phi
+from .arith import _phi_tail, inverse_row, reduce_mod_phi
 
 
 def _accumulate(out: list, sa: Sequence, sb: Sequence, f: int):
@@ -191,12 +192,6 @@ class UPoly:
     def __neg__(self) -> "UPoly":
         return UPoly(self.order, self.den, tuple(tuple(-n for n in row) for row in self.rows))
 
-    def __add__(self, other: "UPoly") -> "UPoly":
-        return self._combine(other.rows, other.den, 1)
-
-    def __sub__(self, other: "UPoly") -> "UPoly":
-        return self._combine(other.rows, other.den, -1)
-
     def submul(self, q: "UPoly", s: "UPoly") -> "UPoly":
         """self - q*s: self's rows over the common denominator take -q*s in
         place, then one reduction and one normalization."""
@@ -210,37 +205,21 @@ class UPoly:
         _accumulate(out, q.sparse(), s.sparse(), -(self.den // g))
         return _reduced(self.order, out, self.den // g * dp)
 
-    def _combine(self, b: Sequence[Sequence[int]], db: int, sign: int) -> "UPoly":
-        """self + sign * b/db for integer numerator rows b."""
-        if not b:
-            return self
-        a, da = self.rows, self.den
-        g = math.gcd(da, db)
-        fa, fb = db // g, sign * (da // g)
-        rows = [[fa * x + fb * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        if len(a) > len(b):
-            rows += [[fa * x for x in ra] for ra in a[len(b):]]
-        else:
-            rows += [[fb * y for y in rb] for rb in b[len(a):]]
-        return _make(self.order, rows, da // g * db)
-
     def __mul__(self, other: "UPoly") -> "UPoly":
         return sum_of_products(self.order, ((self, other),))
 
-    def scale(self, c: CycloElem) -> "UPoly":
-        c = c.lift(self.order)
-        return self * UPoly(self.order, c.den, (c.nums,))
-
-    def monic_pair(self) -> tuple["UPoly", CycloElem | None]:
+    def monic_pair(self) -> tuple["UPoly", "UPoly | None"]:
         """This nonzero polynomial scaled to leading coefficient 1, and the
-        inverse of its leading coefficient (None when that is already 1)."""
+        inverse of its leading coefficient as a constant polynomial (None when
+        that is already 1)."""
         if self._monic is None:
             top = self.rows[-1]
             if top[0] == self.den and not any(top[1:]):
                 self._monic = (None, None)
             else:
-                inv = _canonical(self.order, top, self.den).inverse()
-                self._monic = (self.scale(inv), inv)
+                nums, den = inverse_row(self.order, top, self.den)
+                inv = UPoly(self.order, den, (nums,))
+                self._monic = (self * inv, inv)
         monic, inv = self._monic
         return (self if monic is None else monic), inv
 
@@ -278,4 +257,4 @@ class UPoly:
             rows[shift] = [x * (den // d) for x in top]
         q = _make(self.order, rows, den)
         inv = g.monic_pair()[1]
-        return (q if inv is None else q.scale(inv)), r
+        return (q if inv is None else q * inv), r

@@ -235,6 +235,12 @@ def characteristic_matrix(phi: list[list[CycloElem]]) -> Matrix:
     return matrix_make(rows)
 
 
+def constant_matrix(phi: list[list[CycloElem]]) -> list[list[LaurentPoly]]:
+    """phi as the matrix of constant one-variable polynomials that
+    `determinantal_factors` takes."""
+    return [[LaurentPoly.constant(1, entry) for entry in row] for row in phi]
+
+
 def matrix_mul(a, b, zero) -> tuple:
     """a*b for matrices over any ring whose elements have is_zero, + and *,
     one schoolbook `acc + a*b` at a time; zero is that ring's zero, the value

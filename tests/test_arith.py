@@ -12,6 +12,7 @@ from detloci.arith import (
     angle_roots,
     cyclotomic_poly,
     euler_phi,
+    inverse_row,
     root_multiplicity,
 )
 
@@ -361,6 +362,28 @@ class TestFieldLaws:
                 x.inverse()
         else:
             assert x * x.inverse() == CycloElem.one(x.order)
+
+    @given(st.integers(1, 24), st.booleans(), st.data())
+    def test_inverse_row(self, order, rational, data):
+        """The row-level inverse of a row over a denominator it may share a
+        factor with, rational or not, against the field product and CycloElem."""
+        d = euler_phi(order)
+        ints = st.integers(-9, 9)
+        if rational or d == 1:
+            nums = [data.draw(ints.filter(bool))] + [0] * (d - 1)
+        else:
+            tail = st.lists(ints, min_size=d - 1, max_size=d - 1).filter(any)
+            nums = [data.draw(ints)] + data.draw(tail)
+        k, den = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+        nums, den = [k * n for n in nums], k * den
+        x = CycloElem.make(order, [Fraction(n, den) for n in nums])
+        inv_nums, inv_den = inverse_row(order, nums, den)
+        assert inv_den > 0 and math.gcd(inv_den, *inv_nums) == 1
+        inv = CycloElem.make(order, [Fraction(n, inv_den) for n in inv_nums])
+        assert x * inv == CycloElem.one(order)
+        assert (inv_nums, inv_den) == (x.inverse().nums, x.inverse().den)
+        with pytest.raises(ZeroDivisionError):
+            inverse_row(order, [0] * d, den)
 
     @given(same_field(2), st.sampled_from([1, 2, 3, 5]))
     def test_lift_is_ring_homomorphism(self, xs, factor):

@@ -946,31 +946,43 @@ class TestCacheInventory:
 
 
 def _uncalled_public_names(paths: list[Path]) -> set[str]:
-    """`module.name` of every module-level public def and class whose name is
-    read nowhere in the given modules outside its own definition."""
+    """`module.name` of every module-level public def and class, and
+    `module.Class.name` of every public method, property and static
+    constructor of a public class (dunders excluded), whose name is read
+    nowhere in the given modules outside its own definition.  A method's name
+    is read by an attribute `x.name`, which counts for every method of that
+    name, whatever x is; a bare name or an annotation reads no method."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
-    refs = set()  # (name read, (path, line of the enclosing top-level statement))
+    defs = []  # (qualified name, definition, path, whether it is a method)
     for path, tree in trees.items():
         for stmt in tree.body:
-            for node in ast.walk(stmt):
-                names = set()
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                for field in ("annotation", "returns"):
-                    annotation = getattr(node, field, None)
-                    if annotation is not None:
-                        names |= _annotation_names(annotation)
-                refs |= {(name, (path, stmt.lineno)) for name in names}
-    return {
-        f"{path.stem}.{stmt.name}"
-        for path, tree in trees.items()
-        for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("_")
-        and not any(name == stmt.name and owner != (path, stmt.lineno) for name, owner in refs)
-    }
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defs.append((f"{path.stem}.{stmt.name}", stmt, path, False))
+                for member in stmt.body if isinstance(stmt, ast.ClassDef) else ():
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        defs.append((f"{path.stem}.{stmt.name}.{member.name}", member, path, True))
+    names_read, attributes_read = {}, {}  # name: [(path, line), ...]
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            names = set()
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+                attributes_read.setdefault(node.attr, []).append((path, node.lineno))
+            for field in ("annotation", "returns"):
+                annotation = getattr(node, field, None)
+                if annotation is not None:
+                    names |= _annotation_names(annotation)
+            for name in names:
+                names_read.setdefault(name, []).append((path, node.lineno))
+
+    def read_outside(node, path: Path, method: bool) -> bool:
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        reads = (attributes_read if method else names_read).get(node.name, ())
+        return any(p != path or not first <= line <= node.end_lineno for p, line in reads)
+
+    return {qualified for qualified, node, path, method in defs if not read_outside(node, path, method)}
 
 
 # Documented library API that no module of the package calls: the paper's
@@ -990,15 +1002,31 @@ LIBRARY_ONLY = {
     "smith.principal_generator",
 }
 
+# Public methods, properties and static constructors that no module of the
+# package calls, each with the reason it stays.
+LIBRARY_ONLY_METHODS = {
+    "arith.CycloElem.is_rational": "public API of the field element type",
+    "arith.CycloElem.scale": "wrapped by perfbench/spans.py",
+    "arith.TorsionAngle.from_fraction": "called by perfbench/measure.py",
+    "poly.LaurentPoly.binomial_divisor": "public API, used by the acceptance criteria",
+    "poly.LaurentPoly.evaluate": "public API, used by the acceptance criteria",
+    "poly.LaurentPoly.leading": "public API: the leading term as a field element",
+    "poly.LaurentPoly.scale": "wrapped by perfbench/spans.py",
+    "poly.LaurentPoly.terms": "public API: the coefficients as field elements",
+    "poly.LaurentPoly.variable": "public API, used by the acceptance criteria",
+    "torus.AffineHyperplane.shifted": "public API: the unit translates of a hyperplane",
+    "torus.TranslatedSubtorus.codimension": "public API of a library-only type",
+}
+
 
 class TestLibraryOnlyNames:
-    """Every public def and class is called inside the package or pinned here as
-    library API, so adding an uncalled one is a reviewed decision."""
+    """Every public def, class and method is called inside the package or pinned
+    here as library API, so adding an uncalled one is a reviewed decision."""
 
     def test_uncalled_names_are_pinned(self):
         src = Path(__file__).resolve().parents[1] / "src" / "detloci"
         paths = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
-        assert _uncalled_public_names(paths) == LIBRARY_ONLY
+        assert _uncalled_public_names(paths) == LIBRARY_ONLY | set(LIBRARY_ONLY_METHODS)
 
     def test_pinned_names_are_exported(self):
         import importlib
@@ -1019,7 +1047,7 @@ class TestLibraryOnlyNames:
             "    return recursive(n - 1) if n else 0\n"
             "def uncalled():\n"
             "    '''a docstring naming Lonely is no call'''\n"
-            "    return used(1)\n"
+            "    return used(Kind().make())\n"
             "class Kind:\n"
             "    def make(self) -> 'Kind':\n"
             "        return Kind()\n"
@@ -1027,6 +1055,82 @@ class TestLibraryOnlyNames:
             "    pass\n"
         )
         assert _uncalled_public_names([module]) == {"m.recursive", "m.uncalled", "m.Lonely"}
+
+    def test_detects_an_uncalled_method(self, tmp_path):
+        module = tmp_path / "m.py"
+        module.write_text(
+            "class Kind:\n"
+            "    def __init__(self): pass\n"
+            "    def used(self): return 1\n"
+            "    @property\n"
+            "    def prop(self): return self.used()\n"
+            "    @staticmethod\n"
+            "    def make(): return Kind()\n"
+            "    def own(self): return self.own()\n"
+            "    def _private(self): pass\n"
+            "    def lonely(self): pass\n"
+            "def caller(k):\n"
+            "    return k.prop, Kind.make\n"
+            "lonely = 1\n"
+        )
+        assert _uncalled_public_names([module]) == {"m.caller", "m.Kind.own", "m.Kind.lonely"}
+
+
+class TestNoFieldElementInside:
+    """Field elements (`arith.CycloElem`) are built only where the public API
+    takes or returns one; every step below runs on integer rows.  Inputs are
+    built first, then every construction of a field element raises."""
+
+    def test_no_field_element_is_built(self, monkeypatch, capsys, tmp_path):
+        import random
+
+        import detloci.arith as arith
+        from detloci.complexes import direct_sum
+        from detloci.io import matrix_from_json
+        from detloci.poly import IdealGens, LaurentPoly
+        from detloci.smith import determinantal_factors, smith_normal_form
+        from detloci.support import candidate_divisors, specialization_multiplicity, support_report
+        from detloci.torus import PrimeTorusDivisor
+
+        from conftest import conjugate_complex, shifted_piece
+
+        r12 = Ring(1, False, 12)
+        # pivots with rational and cyclotomic leading coefficients
+        smith_input = [
+            [parse_poly(text, r12) for text in row]
+            for row in (["2*t1^2+1", "e(1/12)*t1-3"], ["1/3*t1", "e(1/4)*t1^2+e(1/6)"])
+        ]
+        rows = [["e(1/12)", "1", "0"], ["0", "2*e(1/4)", "1/2"], ["-1", "0", "e(1/3)"]]
+        payload = {"ring": {"nvars": 1, "laurent": False, "cyclotomic_order": 12}, "rows": rows}
+        constants = matrix_from_json(payload)[0]
+        matrix = write_json(tmp_path / "matrix.json", payload)
+        r2 = Ring(2, True, 6)
+        gens = [parse_poly(text, r2) for text in ("3*t1^2*t2-1", "e(1/6)*t1+2", "1/2*t2^-1")]
+        divisors = [
+            PrimeTorusDivisor((1, 0), arith.TorsionAngle.make(1, 3)),
+            PrimeTorusDivisor((1, 1), arith.TorsionAngle.make(1, 2)),
+        ]
+        pieces = [
+            shifted_piece(r2, LaurentPoly.binomial_divisor(2, d, 6) ** (k + 1), 1)
+            for k, d in enumerate(divisors)
+        ]
+        # two copies, so that neither call finds what the other valued
+        planted, searched = (conjugate_complex(random.Random(1), direct_sum(*pieces)) for _ in "ab")
+
+        def refuse(*args):
+            raise AssertionError("a field element was built")
+
+        monkeypatch.setattr(arith, "_elem", refuse)
+        smith_normal_form(smith_input)
+        determinantal_factors(constants)
+        IdealGens.make(r2, gens).gens
+        support_report(planted, divisors)
+        for k, divisor in enumerate(divisors):
+            record = specialization_multiplicity(planted, divisor, 1, candidates=divisors)
+            assert record.ord == k + 1
+        assert set(candidate_divisors(searched)) == set(divisors)
+        code, out, err = run_cli(capsys, ["detfactors", "--matrix", matrix])
+        assert (code, err) == (0, "") and json.loads(out)["b"]
 
 
 class TestFixturesCommand:
@@ -1127,6 +1231,20 @@ class TestErrors:
         code, out, err = run_cli(capsys, ["detfactors", "--matrix", matrix])
         assert code == 2 and not out
         assert err == "input error: rows must be a matrix of strings\n"
+
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [
+            ([["1", "2"]], "a square matrix"),
+            ([["t1", "0"], ["0", "1"]], "constant entries"),
+            ([["1", "t1"]], "constant entries"),  # a nonconstant entry is named first
+        ],
+    )
+    def test_detfactors_input_errors_exit_2(self, capsys, tmp_path, rows, fault):
+        matrix = write_json(tmp_path / "m.json", {"ring": {"nvars": 1, "laurent": False}, "rows": rows})
+        code, out, err = run_cli(capsys, ["detfactors", "--matrix", matrix])
+        assert (code, out) == (2, "")
+        assert err == f"input error: determinantal factors need {fault}\n"
 
     def test_string_differential_exit_2(self, capsys, tmp_path):
         payload = {

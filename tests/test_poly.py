@@ -815,6 +815,14 @@ class TestLaurentPolyLaws:
         assert vf >= m and vg >= n
         assert valuation_along(f * g, divisor) == vf + vg
 
+    @given(st.sampled_from(LAW_ORDERS).flatmap(two_variable_polys))
+    @settings(max_examples=100, deadline=None)
+    def test_monic_divides_by_the_leading_coefficient(self, f):
+        # the row-level monic form against the field-element route
+        lead = f.leading()[1]
+        assert f.monic().leading()[1].is_one()
+        assert f.monic() == f.scale(lead.inverse())
+
 
 # ---------------------------------------------------------------------------
 # The fused product kernel against the term-by-term oracle

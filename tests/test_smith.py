@@ -34,6 +34,7 @@ from detloci.upoly import UPoly, sum_of_products as upoly_sum_of_products
 
 from conftest import (
     characteristic_matrix,
+    constant_matrix,
     dense_planted_jordan,
     planted_factors,
     division_multiplicity,
@@ -53,6 +54,12 @@ def P(text: str, ring: Ring = R1) -> LaurentPoly:
 
 def angle(num, den):
     return TorsionAngle.make(num, den)
+
+
+def plus(a: UPoly, b: UPoly) -> UPoly:
+    """a + b as one fused sum of products; UPoly has no addition."""
+    one = UPoly.one(a.order)
+    return upoly_sum_of_products(a.order, [(a, one), (b, one)])
 
 
 class TestSmithNormalForm:
@@ -182,7 +189,7 @@ class TestSmithDiagonal:
 
         def corrupt(rows):
             d, u, v, order = real(rows)
-            u[0][0] = u[0][0] + u_dense(t, order)
+            u[0][0] = plus(u[0][0], u_dense(t, order))
             return d, u, v, order
 
         monkeypatch.setattr(smith_module, "_pivot", corrupt)
@@ -198,7 +205,7 @@ class TestSmithDiagonal:
 
         def corrupt(rows):
             d, u, v, order = real(rows)
-            v[-1][-1] = v[-1][-1] + u_dense(t, order)
+            v[-1][-1] = plus(v[-1][-1], u_dense(t, order))
             return d, u, v, order
 
         monkeypatch.setattr(smith_module, "_pivot", corrupt)
@@ -400,7 +407,7 @@ class TestDeterminantalFactors:
         lam = CycloElem.from_angle(6, angle(1, 6))
         one, zero = CycloElem.one(6), CycloElem.zero(6)
         phi = [[lam, one], [zero, lam]]
-        factors = determinantal_factors(phi)
+        factors = determinantal_factors(constant_matrix(phi))
         oracle = oracle_determinantal_factors(phi, 6)
         assert list(factors.b) == oracle
         assert factors.b[1].is_one()
@@ -410,7 +417,7 @@ class TestDeterminantalFactors:
     def test_scalar_matrix(self):
         lam = CycloElem.from_angle(6, angle(1, 6))
         zero = CycloElem.zero(6)
-        factors = determinantal_factors([[lam, zero], [zero, lam]])
+        factors = determinantal_factors(constant_matrix([[lam, zero], [zero, lam]]))
         linear = parse_poly("t1-e(1/6)", Ring(1, False, 6))
         assert factors.b[0] == linear * linear
         assert factors.b[1] == linear
@@ -424,7 +431,7 @@ class TestDeterminantalFactors:
         lam = CycloElem.from_angle(6, angle(1, 6))
         one, zero = CycloElem.one(6), CycloElem.zero(6)
         phi = [[lam, one, zero], [zero, lam, zero], [zero, zero, lam]]
-        factors = determinantal_factors(phi)
+        factors = determinantal_factors(constant_matrix(phi))
         assert list(factors.b) == oracle_determinantal_factors(phi, 6)
         linear = parse_poly("t1-e(1/6)", Ring(1, False, 6))
         assert factors.b[0] == linear**3
@@ -435,7 +442,7 @@ class TestDeterminantalFactors:
         lam = CycloElem.from_angle(4, angle(1, 4))
         one, zero = CycloElem.one(4), CycloElem.zero(4)
         phi = [[lam, one], [zero, CycloElem.one(4)]]
-        factors = determinantal_factors(phi)
+        factors = determinantal_factors(constant_matrix(phi))
         for upper, lower in zip(factors.b, factors.b[1:]):
             _, rem = u_dense(upper, 4).divmod(u_dense(lower, 4))
             assert rem.is_zero()
@@ -443,7 +450,7 @@ class TestDeterminantalFactors:
     def test_non_square_rejected(self):
         one = CycloElem.one(1)
         with pytest.raises(ValueError, match="square"):
-            determinantal_factors([[one, one]])
+            determinantal_factors(constant_matrix([[one, one]]))
 
     @pytest.mark.parametrize("order", [5, 9])
     def test_fold_orders(self, rng, order):
@@ -462,7 +469,7 @@ class TestDeterminantalFactors:
                 for _ in range(m)
             ])
         for phi in mats:
-            assert list(determinantal_factors(phi).b) == oracle_determinantal_factors(phi, order)
+            assert list(determinantal_factors(constant_matrix(phi)).b) == oracle_determinantal_factors(phi, order)
 
     @pytest.mark.parametrize("order", [1, 6, 12])
     def test_minimal_polynomial_is_b0_over_b1(self, rng, order):
@@ -476,7 +483,7 @@ class TestDeterminantalFactors:
                 ]
                 for _ in range(m)
             ]
-            factors = determinantal_factors(phi)
+            factors = determinantal_factors(constant_matrix(phi))
             quotient = exact_divide(factors.b[0], factors.b[1], laurent=False)
             assert factors.minimal == quotient
 
@@ -528,7 +535,7 @@ class TestKrylovRoute:
     @given(planted_jordan())
     @settings(max_examples=120, deadline=None)
     def test_against_the_characteristic_matrix_route(self, phi):
-        factors = determinantal_factors(phi)
+        factors = determinantal_factors(constant_matrix(phi))
         assert list(factors.b) == smith_route_determinantal_factors(phi)
         if len(phi) <= 4:
             order = math.lcm(*(entry.order for row in phi for entry in row))
@@ -543,7 +550,7 @@ class TestKrylovRoute:
         phi = data.draw(planted_jordan(orders=[order], max_size=7))
         q = data.draw(st.sampled_from([1, Fraction(1, 2), Fraction(-2, 3)]))
         phi = [[entry.scale(q) for entry in row] for row in phi]
-        assert list(determinantal_factors(phi).b) == smith_route_determinantal_factors(phi)
+        assert list(determinantal_factors(constant_matrix(phi)).b) == smith_route_determinantal_factors(phi)
 
     # two Jordan blocks of size 2 at e(1/6): at least two Krylov blocks
     LAM = CycloElem.from_angle(6, angle(1, 6))
@@ -576,7 +583,7 @@ class TestKrylovRoute:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(smith_module, "_mat_vec", checked)
-            determinantal_factors(phi)
+            determinantal_factors(constant_matrix(phi))
         assert len(calls) >= len(phi)
 
     def corrupt(self, monkeypatch, change):
@@ -594,36 +601,36 @@ class TestKrylovRoute:
     def test_unchanged_krylov_passes(self, monkeypatch):
         self.corrupt(monkeypatch, lambda order, *parts: parts)
         linear = parse_poly("t1-e(1/6)", Ring(1, False, 6))
-        assert determinantal_factors(self.PHI).b[:3] == (linear**4, linear**2, LaurentPoly.one(1, 6))
+        assert determinantal_factors(constant_matrix(self.PHI)).b[:3] == (linear**4, linear**2, LaurentPoly.one(1, 6))
 
     def test_corrupt_coupling_raises(self, monkeypatch):
         def change(order, t, blocks, echelon):
             end, h = blocks[-1]
-            return t, blocks[:-1] + [(end, h + UPoly.one(order))], echelon
+            return t, blocks[:-1] + [(end, plus(h, UPoly.one(order)))], echelon
 
         self.corrupt(monkeypatch, change)
         with pytest.raises(ArithmeticError, match="phi\\*T != T\\*H"):
-            determinantal_factors(self.PHI)
+            determinantal_factors(constant_matrix(self.PHI))
 
     def test_coupling_to_a_later_block_raises(self, monkeypatch):
         def change(order, t, blocks, echelon):
             end, h = blocks[0]
             later = u_dense(LaurentPoly.variable(1, 0, len(t) - 1, order), order)
-            return t, [(end, h + later)] + blocks[1:], echelon
+            return t, [(end, plus(h, later))] + blocks[1:], echelon
 
         self.corrupt(monkeypatch, change)
         with pytest.raises(ArithmeticError, match="not block triangular"):
-            determinantal_factors(self.PHI)
+            determinantal_factors(constant_matrix(self.PHI))
 
     def test_corrupt_krylov_column_raises(self, monkeypatch):
         def change(order, t, blocks, echelon):
             t = list(t)
-            t[1] = t[1] + UPoly.one(order)
+            t[1] = plus(t[1], UPoly.one(order))
             return t, blocks, echelon
 
         self.corrupt(monkeypatch, change)
         with pytest.raises(ArithmeticError, match="Krylov verification failed"):
-            determinantal_factors(self.PHI)
+            determinantal_factors(constant_matrix(self.PHI))
 
     def test_singular_t_raises(self, monkeypatch):
         # T = 0 and W = 0 satisfy phi*T = T*H and W = T*C; only the pivots object
@@ -633,7 +640,7 @@ class TestKrylovRoute:
 
         self.corrupt(monkeypatch, change)
         with pytest.raises(ArithmeticError, match="T is not invertible"):
-            determinantal_factors(self.PHI)
+            determinantal_factors(constant_matrix(self.PHI))
 
     def test_singular_t_with_echelon_kept_raises(self, monkeypatch):
         # T = 0 satisfies phi*T = T*H; the echelon vectors are no longer T*C
@@ -642,12 +649,12 @@ class TestKrylovRoute:
 
         self.corrupt(monkeypatch, change)
         with pytest.raises(ArithmeticError, match="W != T\\*C"):
-            determinantal_factors(self.PHI)
+            determinantal_factors(constant_matrix(self.PHI))
 
     def test_dropped_block_raises(self, monkeypatch):
         self.corrupt(monkeypatch, lambda order, t, blocks, echelon: (t, blocks[:-1], echelon))
         with pytest.raises(ArithmeticError, match="do not cover T"):
-            determinantal_factors(self.PHI)
+            determinantal_factors(constant_matrix(self.PHI))
 
 
 class TestKrylovScale:
@@ -662,7 +669,7 @@ class TestKrylovScale:
             upoly_module, "_normalize", lambda *args: calls.append(1) or real(*args)
         )
         phi, sizes = dense_planted_jordan(random.Random(1), 12, 12)
-        assert list(determinantal_factors(phi).b) == planted_factors(sizes, 12, 12)
+        assert list(determinantal_factors(constant_matrix(phi)).b) == planted_factors(sizes, 12, 12)
         assert calls
 
     def test_dense_24_by_24_at_order_12_within_a_cpu_cap(self):
@@ -676,9 +683,10 @@ class TestKrylovScale:
         child = (
             "import random, sys, time\n"
             f"sys.path.insert(0, {str(tests)!r})\n"
-            "from conftest import dense_planted_jordan, planted_factors\n"
+            "from conftest import constant_matrix, dense_planted_jordan, planted_factors\n"
             "from detloci.smith import determinantal_factors\n"
             "phi, sizes = dense_planted_jordan(random.Random(1), 24, 12)\n"
+            "phi = constant_matrix(phi)\n"
             "start = time.process_time()\n"
             "factors = determinantal_factors(phi)\n"
             "seconds = time.process_time() - start\n"
@@ -704,11 +712,11 @@ class TestMaxJordanSize:
             [zero, lam, zero],
             [zero, zero, lam],
         ]
-        assert max_jordan_size(block_pair, angle(1, 6)) == 2
+        assert max_jordan_size(constant_matrix(block_pair), angle(1, 6)) == 2
         identity = [[CycloElem.one(1)]]
-        assert max_jordan_size(identity, angle(0, 1)) == 1
+        assert max_jordan_size(constant_matrix(identity), angle(0, 1)) == 1
         j2 = [[lam, one], [zero, lam]]
-        assert max_jordan_size(j2, angle(1, 3)) == 0
+        assert max_jordan_size(constant_matrix(j2), angle(1, 3)) == 0
 
     def test_empty_matrix(self):
         assert max_jordan_size([], angle(0, 1)) == 0
@@ -725,10 +733,10 @@ class TestMaxJordanSize:
                 phi[i][i] = CycloElem.from_angle(order, rng.choice(eigen))
                 for j in range(i + 1, m):
                     phi[i][j] = CycloElem.from_rational(order, rng.choice([0, 0, 1, -1, 2]))
-            minimal = determinantal_factors(phi).minimal
+            minimal = determinantal_factors(constant_matrix(phi)).minimal
             for xi in eigen + [angle(1, 5)]:
                 value = CycloElem.from_angle(math.lcm(order, xi.den), xi)
-                assert max_jordan_size(phi, xi) == division_multiplicity(minimal, value)
+                assert max_jordan_size(constant_matrix(phi), xi) == division_multiplicity(minimal, value)
 
 
 class TestCohomologyPresentation:
@@ -778,7 +786,7 @@ class TestCohomologyPresentation:
             rank = sum(1 for i in range(min(len(d), len(v))) if d[i][i].rows)
             for row in v:
                 for j in range(rank, len(row)):
-                    row[j] = row[j] + u_dense(t, order)
+                    row[j] = plus(row[j], u_dense(t, order))
                     corrupted.append(j)
             return d, u, v, order
 

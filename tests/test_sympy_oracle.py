@@ -169,7 +169,7 @@ class TestMinimalPolynomial:
                     p[i, :] = p[i, :] + rng.randint(-2, 2) * p[j, :]
             a = p * a * p.inv()
             phi = [
-                [CycloElem.from_rational(1, Fraction(int(a[i, j].p), int(a[i, j].q)))
+                [LaurentPoly.from_rational(1, Fraction(int(a[i, j].p), int(a[i, j].q)))
                  for j in range(m)]
                 for i in range(m)
             ]

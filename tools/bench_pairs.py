@@ -84,27 +84,24 @@ def fastest_passes(groups, prepare, run):
 """
 
 DETFACTORS = r"""
-from detloci.arith import CycloElem
 from detloci.io import matrix_from_json
 from detloci.smith import determinantal_factors
 
 
-def phi(job):
-    mat, ring = matrix_from_json(job["inputs"]["matrix"])
-    zero = CycloElem.zero(ring.cyclotomic_order)
-    return [[zero if e.is_zero() else e.leading()[1] for e in row] for row in mat], ring
+def parsed(job):
+    return matrix_from_json(job["inputs"]["matrix"])
 
 
 def run(mats):
-    for mat in mats:
+    for mat, _ in mats:
         determinantal_factors(mat)
 
 
 groups = {}
 for job in jobs("detfactors"):
-    mat, ring = phi(job)
+    mat, ring = parsed(job)
     groups.setdefault(f"{ring.cyclotomic_order}x{len(mat)}", []).append(job)
-print(json.dumps(fastest_passes(groups, lambda group: [phi(job)[0] for job in group], run)))
+print(json.dumps(fastest_passes(groups, lambda group: [parsed(job) for job in group], run)))
 """
 
 SMITH = r"""
