@@ -7,9 +7,10 @@ ideals and the block-sum jump ideals; base change substitutes monomial powers.
 Minors are expanded along their first row with one memo per differential,
 each minor one `poly.sum_of_products` over its cofactor pairs, and every
 minor without a nonzero pair is the engine's one shared zero.  A minor ideal
-is valued along a prime divisor without expanding every minor: a tropical
-lower bound from the entry valuations, and one minor that reaches it, prove
-the value (`MinorEngine`); its generators are enumerated only when read.
+is valued along a prime divisor without expanding every minor: one local
+elimination per divisor, pivoting on the least-valued bordered minor, gives
+the valuation of every size (`MinorEngine`); its generators are enumerated
+only when read.
 """
 
 from __future__ import annotations
@@ -50,26 +51,20 @@ class MinorEngine:
     engine's one shared zero.
 
     `valuation(m, D)` is v_D(I_m), the least valuation along D of an m x m
-    minor, from a tropical lower bound and a certificate.  With the entry
-    weights w_ij = v_D(m_ij) (None for a zero entry), every Leibniz term of
-    det M[R, C] has valuation at least the weight of its matching, and the
-    valuation of a sum is at least the least valuation of its terms, so
-    every m x m minor has valuation at least T_m, the least weight of an
-    m-matching.  Every (k+1)-minor is a combination of k-minors (Laplace), so
-    v_D(I_m) is also at most U, the least valuation known for a larger size.
-    The steps, in order:
-    1. U = 0, or (unless the weights are known and T_m > 0) the first nonzero
-       minor in combination order has valuation 0: the answer is 0;
-    2. the minor on the rows and columns of a least m-matching has
-       valuation T_m: that minor certifies v_D(I_m) = T_m;
-    3. otherwise every m x m minor is ranked by its own tropical weight and
-       valued in that order, each capped at the least value found (at first
-       U), until the next weight reaches that value: complete, whatever
-       cancels.
-    The weights and the least k-matchings for every k are computed once per
-    divisor and shared by every size.  Steps 1 and 2 are capped valuations
-    (caps 1 and T_m + 1), so they test no multiplicity that cannot change
-    the answer.
+    minor, read off one local elimination per divisor.  Along D the matrix
+    has local Smith exponents s_1 <= s_2 <= ... over the discrete valuation
+    ring at D, and v_D(I_m) = s_1 + ... + s_m (Newman, Integral Matrices).
+    Level k of the elimination holds a pivot block M[R, C] of size k with
+    valuation s_1 + ... + s_k, and values the minors that border it,
+    det M[R + {i}, C + {j}]: each is det M[R, C] times an entry of the Schur
+    complement (Sylvester's identity; Bareiss 1968), so the least of them is
+    s_1 + ... + s_(k+1), and its row and column join the block, which is
+    complete pivoting by valuation and needs no division.  Since s_(k+1) >=
+    s_k, a bordered minor of valuation s_1 + ... + s_k + s_k ends the level,
+    and each valuation is capped at the least one found so far.  The levels
+    are computed as sizes ask for them and shared by every size; a first
+    nonzero minor of valuation 0 (cap 1, shared by every divisor) decides a
+    size before any level is computed.
     """
 
     def __init__(self, mat: Matrix, nvars: int, order: int):
@@ -80,10 +75,8 @@ class MinorEngine:
         self._memo: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
         # size -> the first nonzero minor of that size, or None
         self._first: dict[int, LaurentPoly | None] = {}
-        # divisor -> (entry weights, least k-matchings)
-        self._tropical: dict = {}
-        # divisor -> {size: valuation of the minor ideal}
-        self._values: dict = {}
+        # divisor -> (pivot rows, pivot columns, [s_1 + ... + s_k for each level k])
+        self._eliminations: dict = {}
 
     def det(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> LaurentPoly:
         if len(rows) != len(cols):
@@ -126,118 +119,28 @@ class MinorEngine:
 
     def valuation(self, m: int, divisor: PrimeTorusDivisor) -> int:
         """v(I_m) along divisor, for an m with a nonzero m x m minor (see the class)."""
-        known = self._values.get(divisor)
-        if known is None:
-            known = self._values[divisor] = {}
-        value = known.get(m)
-        if value is None:
-            # I_(k+1) lies in I_k, so v(I_m) is at most v(I_k) for every larger k
-            upper = min([v for k, v in known.items() if k > m], default=math.inf)
-            value = known[m] = self._valuation(m, divisor, upper)
-        return value
-
-    def _valuation(self, m: int, divisor: PrimeTorusDivisor, upper: int | float) -> int:
-        if upper == 0:
+        rows, cols, sums = self._eliminations.setdefault(divisor, ([], [], [0]))
+        if len(sums) <= m and valuation_along(self.first_nonzero(m), divisor, cap=1) == 0:
             return 0
-        tropical = self._tropical.get(divisor)
-        # once T_m > 0 is known, no m x m minor can have valuation 0
-        if tropical is None or tropical[1][m][0] == 0:
-            if valuation_along(self.first_nonzero(m), divisor, cap=1) == 0:
-                return 0
-        if tropical is None:
-            weights = [[valuation_along(e, divisor) if e.rows else None for e in row] for row in self.mat]
-            tropical = self._tropical[divisor] = (weights, _least_matchings(weights))
-        weights, matchings = tropical
-        bound, rows, cols = matchings[m]
-        minor = self.det(rows, cols)
-        if minor.rows and valuation_along(minor, divisor, cap=bound + 1) == bound:
-            return bound
-        return self._ranked_valuation(m, weights, divisor, upper)
-
-    def _ranked_valuation(
-        self, m: int, weights: list, divisor: PrimeTorusDivisor, upper: int | float
-    ) -> int:
-        """The least valuation over the m x m minors, at most upper, visited in
-        increasing tropical weight (integer min-plus Laplace expansion) until
-        the next weight reaches the least value found."""
-        memo: dict = {}
-
-        def tropical(rows: tuple[int, ...], cols: tuple[int, ...]) -> int | None:
-            if len(rows) == 1:
-                return weights[rows[0]][cols[0]]
-            key = (rows, cols)
-            if key not in memo:
-                best = None
-                for j, col in enumerate(cols):
-                    w = weights[rows[0]][col]
-                    if w is not None:
-                        sub = tropical(rows[1:], cols[:j] + cols[j + 1 :])
-                        if sub is not None and (best is None or w + sub < best):
-                            best = w + sub
-                memo[key] = best
-            return memo[key]
-
         nrows, ncols = matrix_shape(self.mat)
-        ranked = sorted(
-            (weight, rows, cols)
-            for rows in itertools.combinations(range(nrows), m)
-            for cols in itertools.combinations(range(ncols), m)
-            if (weight := tropical(rows, cols)) is not None
-        )
-        best = upper
-        for weight, rows, cols in ranked:
-            if weight >= best:
-                break
-            minor = self.det(rows, cols)
-            if minor.rows:
-                best = valuation_along(minor, divisor, cap=None if best == math.inf else best)
-        return best
-
-
-def _least_matchings(weights: list[list[int | None]]) -> list[tuple[int, tuple, tuple]]:
-    """(T_k, rows, columns) of a least-weight k-matching, for k = 0 up to the
-    largest k with a matching; weights[i][j] is None where there is no edge.
-
-    Successive shortest augmenting paths (Kuhn's Hungarian method as a
-    min-cost flow): augmenting a least-weight k-matching along a least-weight
-    path of the residual graph, found here by label correction, leaves a
-    least-weight (k+1)-matching.  Integers only.
-    """
-    nrows = len(weights)
-    ncols = len(weights[0]) if weights else 0
-    col_of: list[int | None] = [None] * nrows
-    row_of: list[int | None] = [None] * ncols
-    edges = [[(j, w) for j, w in enumerate(row) if w is not None] for row in weights]
-    out = [(0, (), ())]
-    while True:
-        dist = {i: 0 for i in range(nrows) if col_of[i] is None}
-        reach: dict[int, tuple[int, int]] = {}  # column: (distance, row it is reached from)
-        frontier = list(dist)
-        while frontier:
-            changed = []
-            for i in frontier:
-                for j, w in edges[i]:
-                    d = dist[i] + w
-                    if j != col_of[i] and (j not in reach or d < reach[j][0]):
-                        reach[j] = (d, i)
-                        back = row_of[j]
-                        if back is not None:
-                            # a matched row is reached only back along its own edge
-                            dist[back] = d - weights[back][j]
-                            changed.append(back)
-            frontier = changed
-        free = [(d, j) for j, (d, _) in reach.items() if row_of[j] is None]
-        if not free:
-            return out
-        d, j = min(free)
-        while j is not None:
-            i = reach[j][1]
-            previous = col_of[i]
-            col_of[i] = j
-            row_of[j] = i
-            j = previous
-        rows = tuple(i for i in range(nrows) if col_of[i] is not None)
-        out.append((out[-1][0] + d, rows, tuple(sorted(col_of[i] for i in rows))))
+        while len(sums) <= m:
+            # s_(k+1) >= s_k bounds the level from below
+            floor = 2 * sums[-1] - sums[-2] if len(sums) > 1 else 0
+            best, pivot = math.inf, None
+            for i, j in itertools.product(range(nrows), range(ncols)):
+                if i in rows or j in cols:
+                    continue
+                minor = self.det(tuple(sorted(rows + [i])), tuple(sorted(cols + [j])))
+                if minor.rows:
+                    value = valuation_along(minor, divisor, cap=None if best == math.inf else best)
+                    if value < best:
+                        best, pivot = value, (i, j)
+                        if best == floor:
+                            break
+            rows.append(pivot[0])
+            cols.append(pivot[1])
+            sums.append(best)
+        return sums[m]
 
 
 def _decided_by_size(nrows: int, ncols: int, m: int, unit: IdealGens) -> IdealGens | None:
@@ -254,8 +157,9 @@ def _minors_from_engine(engine: MinorEngine, m: int, unit: IdealGens) -> IdealGe
     ValueError for a matrix beyond the enumeration limit.
 
     The entries (m = 1), or fewer minors than the matrix has entries, take
-    fewer valuations one by one than the engine's entry weights, so they are
-    listed at once as an unformed ideal.  Any other size is left to the engine:
+    fewer valuations one by one than the first level of the engine's
+    elimination, which weighs the entries, so they are listed at once as an
+    unformed ideal.  Any other size is left to the engine:
     the ideal holds (engine, m), is zero exactly when the engine finds no
     nonzero minor, and has the ring of its minors, raised to the engine's
     order, which is the order of every minor of size >= 2.
@@ -394,8 +298,8 @@ def _unit_ideal(complex_: FreeComplex) -> IdealGens:
 
 
 def differential_minors(complex_: FreeComplex, i: int, size: int) -> IdealGens:
-    """Minors ideal of d^i, sharing the expansion memo, the entry weights and
-    the known valuations across all sizes."""
+    """Minors ideal of d^i, sharing the expansion memo and the eliminations
+    along each divisor across all sizes."""
     cache = complex_.minor_cache
     key = ("ideal", i, size)
     found = cache.get(key)

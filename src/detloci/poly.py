@@ -540,8 +540,8 @@ def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
     not change a valuation along a prime divisor, so raw generators are
     valued as they are, zeros skipped, whether or not `gens` has been read,
     each capped at the least value so far.  A minor ideal is valued by its
-    engine, which expands only the minors that its tropical certificate
-    needs (`complexes.MinorEngine.valuation`).  Valuation adds over products
+    engine, which expands only the minors that its local elimination
+    borders (`complexes.MinorEngine.valuation`).  Valuation adds over products
     and takes the minimum over sums, so a sum of products is the min over
     the pairs of v(I) + v(J).  Each ideal remembers its valuations.
     """

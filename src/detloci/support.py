@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .arith import TorsionAngle, angle_roots, euler_phi, root_multiplicity
 from .complexes import FreeComplex, base_change, cdf_ideal
-from .poly import IdealGens, fibres, ideal_valuation
+from .poly import IdealGens, LaurentPoly, fibres, ideal_valuation
 from .smith import NonTorsionError
 from .torus import PrimeTorusDivisor, TorusDivisor
 
@@ -61,37 +61,46 @@ def _top_ideals(complex_: FreeComplex) -> dict[int, IdealGens]:
     return tops
 
 
+def _top_minor(ideal: IdealGens) -> LaurentPoly:
+    """One nonzero generator of a nonzero top-minor ideal, found without forming
+    it: the engine's first nonzero minor, else the first nonzero raw one."""
+    if ideal.minors:
+        engine, size = ideal.minors
+        return engine.first_nonzero(size)
+    return next(g for g in ideal.raw or ideal.gens if g.rows)
+
+
 def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:
     """Binomial prime divisors dividing every top minor of some degree.
 
-    Complete, with limits read off the top-minor generators.  If t^u - xi
-    divides g, xi is a root of every fibre of g along u, so the fibre through
-    the first exponent e of g has a second exponent e' with e' - e a nonzero
-    multiple of u: u is the primitive part of +-(e' - e) for an e' of the
-    generator with the fewest terms.  And xi is a root of the fibre of least
-    span, all listed by `_fibre_roots`; each is kept when the top-minor ideal
-    has a positive valuation along it, a value the ideal remembers for
-    `support_report`.  Mixed-sign directions are skipped.
+    Complete, with limits read off one nonzero top minor g per degree.  If
+    t^u - xi divides every top minor it divides g, so xi is a root of every
+    fibre of g along u, and the fibre through the first exponent e of g has
+    a second exponent e' with e' - e a nonzero multiple of u: u is the
+    primitive part of +-(e' - e).  And xi is a root of the fibre of g of
+    least span, all listed by `_fibre_roots`; each is kept when the
+    top-minor ideal has a positive valuation along it, a value the ideal
+    remembers for `support_report`.  A monomial g (a unit) has no divisor,
+    and mixed-sign directions are skipped.
     """
-    tops = [ideal for ideal in _top_ideals(complex_).values() if not ideal.contains_one()]
-    directions = set()
-    for ideal in tops:
-        first, *rest = min(ideal.gens, key=lambda g: len(g.rows)).rows
+    found = set()
+    for ideal in _top_ideals(complex_).values():
+        g = _top_minor(ideal)
+        first, *rest = g.rows
+        directions = set()
         for e in rest:
             step = [a - b for a, b in zip(e, first)]
             d = math.gcd(*step) * (1 if min(step) >= 0 else -1)
             u = tuple(x // d for x in step)
             if min(u) >= 0:
                 directions.add(u)
-    found = set()
-    for u in directions:
-        for ideal in tops:
-            # a one-term fibre has no root on the torus, which rules the ideal out along u
-            fs = sorted((f for g in ideal.gens for f in fibres(g, u)), key=len)
+        for u in directions:
+            # a one-term fibre has no root on the torus, which rules g out along u
+            fs = fibres(g, u)
             if len(fs[0]) < 2:
                 continue
             least = min(fs, key=lambda f: max(f) - min(f))
-            for xi in _fibre_roots(ideal.ring.cyclotomic_order, least):
+            for xi in _fibre_roots(g.order, least):
                 divisor = PrimeTorusDivisor(u, xi)
                 if ideal_valuation(ideal, divisor) > 0:
                     found.add(divisor)

@@ -128,13 +128,14 @@ def random_unimodular_ops(
     return matrix_make(p), matrix_make(p_inv)
 
 
-def conjugate_complex(rng: random.Random, complex_: FreeComplex) -> FreeComplex:
-    """Change bases degreewise by random unimodular transforms."""
+def conjugate_complex(rng: random.Random, complex_: FreeComplex, n_ops: int = 2) -> FreeComplex:
+    """Change bases degreewise by random unimodular transforms, each a product
+    of n_ops elementary matrices."""
     ring = complex_.ring
     order = ring.cyclotomic_order
     transforms = {}
     for i in complex_.degrees():
-        transforms[i] = random_unimodular_ops(rng, complex_.rank(i), ring)
+        transforms[i] = random_unimodular_ops(rng, complex_.rank(i), ring, n_ops)
     diffs = {}
     for i in range(complex_.imin, complex_.imax):
         p_next, _ = transforms[i + 1]
@@ -155,10 +156,11 @@ def random_torsion_complex(
 
 
 def torsion_sum(
-    rng: random.Random, ring: Ring, n_pieces: int, degrees=(0, 1, 2)
+    rng: random.Random, ring: Ring, n_pieces: int, degrees=(0, 1, 2), n_ops: int = 2
 ) -> FreeComplex:
     """Direct sum of n_pieces shifted two-term pieces with nonzero maps (products
-    of one or two random binomials), then conjugated."""
+    of one or two random binomials), then conjugated by n_ops elementary
+    operations per degree."""
     pieces = []
     for _ in range(n_pieces):
         degree = rng.choice(degrees[1:])
@@ -169,7 +171,7 @@ def torsion_sum(
     total = pieces[0]
     for piece in pieces[1:]:
         total = direct_sum(total, piece)
-    return conjugate_complex(rng, total)
+    return conjugate_complex(rng, total, n_ops)
 
 
 def dense_planted_jordan(

@@ -338,6 +338,26 @@ class TestComplexCommands:
             outputs.append(out)
         assert outputs[1:] == outputs[:1] * 3
 
+    @pytest.mark.parametrize("entry", ["t1-e(1/3)*t2", "t1+t2+1"])
+    def test_support_without_binomial_support(self, capsys, tmp_path, entry):
+        # a binomial of mixed-sign direction, and a curve with no binomial
+        # factor: neither is a candidate, and the report is empty, not an error
+        path = write_json(
+            tmp_path / "unsupported.json",
+            {
+                "ring": {"nvars": 2, "laurent": True},
+                "degrees": [0, 1],
+                "ranks": {"0": 1, "1": 1},
+                "differentials": {"0": [[entry]]},
+            },
+        )
+        code, out, err = run_cli(capsys, ["support", "--complex", path])
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["candidates"] == [] and data["ord_jordan_table"] == []
+        empty = {"delta0": [], "delta1": [], "minimal": []}
+        assert data["degrees"] == {"0": empty, "1": empty}
+
 
 class TestSmithCommands:
     def test_smith(self, capsys, tmp_path):
@@ -1008,6 +1028,7 @@ LIBRARY_ONLY_METHODS = {
     "arith.CycloElem.is_rational": "public API of the field element type",
     "arith.CycloElem.scale": "wrapped by perfbench/spans.py",
     "arith.TorsionAngle.from_fraction": "called by perfbench/measure.py",
+    "poly.IdealGens.contains_one": "public API: whether a formed ideal is (1), used by the tests",
     "poly.LaurentPoly.binomial_divisor": "public API, used by the acceptance criteria",
     "poly.LaurentPoly.evaluate": "public API, used by the acceptance criteria",
     "poly.LaurentPoly.leading": "public API: the leading term as a field element",

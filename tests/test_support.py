@@ -607,6 +607,31 @@ class TestJordanAgainstSmithInvariants:
                     assert record.jordan == smith_jordan(F, *COLLISION, i)
 
 
+def run_capped(child: str, seconds: float) -> list[str]:
+    """The words that a child process running child prints, under a wall-clock cap."""
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=seconds
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.split()
+
+
+# every table row of a support report, each checked against its specialization
+SUPPORT_ROWS = (
+    "report = support_report(F, candidate_divisors(F))\n"
+    "rows = 0\n"
+    "for i, minimal in sorted(report.minimal.items()):\n"
+    "    for d, m in minimal.items():\n"
+    "        r = specialization_multiplicity(F, d, i, candidates=report.candidates)\n"
+    "        assert (r.ord, r.jordan, r.generic) == (m, m, True), (i, str(d), r)\n"
+    "        rows += 1\n"
+    "print(len(report.candidates), rows)\n"
+)
+
+
 class TestSpecializationCliff:
     def test_eight_piece_sum_within_ten_seconds(self):
         """Every specialization of an eight-piece sum whose Smith diagonals
@@ -617,20 +642,19 @@ class TestSpecializationCliff:
             "from detloci.poly import Ring\n"
             "from detloci.support import candidate_divisors, specialization_multiplicity, support_report\n"
             "F = torsion_sum(random.Random(3), Ring(2, True, 6), 8)\n"
-            "report = support_report(F, candidate_divisors(F))\n"
-            "rows = 0\n"
-            "for i, minimal in sorted(report.minimal.items()):\n"
-            "    for d, m in minimal.items():\n"
-            "        r = specialization_multiplicity(F, d, i, candidates=report.candidates)\n"
-            "        assert (r.ord, r.jordan, r.generic) == (m, m, True), (i, str(d), r)\n"
-            "        rows += 1\n"
-            "print(len(report.candidates), rows)\n"
         )
-        here = Path(__file__).resolve().parent
-        paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        proc = subprocess.run(
-            [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=10
+        assert run_capped(child + SUPPORT_ROWS, 10) == ["9", "9"]
+
+    def test_dense_ten_piece_sum_within_twelve_seconds(self):
+        """The support report and every specialization of a ten-piece sum
+        conjugated by 20 elementary operations per degree (d^0 10 x 4, d^1
+        6 x 10), in a child process under a 12 s wall-clock cap; valuing its
+        minor ideals by ranking every minor took over 14 s of CPU time."""
+        child = (
+            "import random\n"
+            "from conftest import torsion_sum\n"
+            "from detloci.poly import Ring\n"
+            "from detloci.support import candidate_divisors, specialization_multiplicity, support_report\n"
+            "F = torsion_sum(random.Random(1), Ring(2, True, 6), 10, n_ops=20)\n"
         )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.split() == ["9", "9"]
+        assert run_capped(child + SUPPORT_ROWS, 12) == ["10", "13"]

@@ -26,7 +26,7 @@ def layer_scripts() -> dict[str, str]:
 
 def test_layer_scripts_import_existing_names():
     scripts = layer_scripts()
-    assert {"DETFACTORS", "SMITH", "LOCI"} <= set(scripts)
+    assert {"DETFACTORS", "SMITH", "CANDIDATES", "LOCI"} <= set(scripts)
     for script_name, script in scripts.items():
         imports = [
             node

@@ -27,6 +27,8 @@ total:
   in the job's order, on complexes parsed before the clock starts, grouped by
   the ranks of the complex (built and valued together, since the valuations
   decide which minors get expanded);
+- `candidate_divisors` on the support-planted complexes, grouped by the ranks
+  of the complex (parsed afresh before each pass and outside the clock);
 - `specialization_multiplicity` on every row of the ord/jordan table of the
   support-planted jobs (candidates and support report built before the clock
   starts) and on the specialize jobs of smith-jordan, grouped by the ranks of
@@ -161,6 +163,29 @@ for job in jobs("minors"):
 print(json.dumps(fastest_passes(groups, lambda group: [parsed(job) for job in group], run)))
 """
 
+# the complexes are parsed before the clock starts, afresh for each pass,
+# since a complex remembers the minors and valuations that a search computed
+CANDIDATES = r"""
+from detloci.io import complex_from_json
+from detloci.support import candidate_divisors
+
+
+def parsed(group):
+    return [complex_from_json(job["inputs"]["complex"]) for job in group]
+
+
+def run(complexes):
+    for cx in complexes:
+        candidate_divisors(cx)
+
+
+groups = {}
+for job in jobs("support"):
+    cx = complex_from_json(job["inputs"]["complex"])
+    groups.setdefault("-".join(str(cx.rank(i)) for i in cx.degrees()), []).append(job)
+print(json.dumps(fastest_passes(groups, parsed, run)))
+"""
+
 # candidates and support reports are built before the clock starts
 SPECIALIZATION = r"""
 from fractions import Fraction
@@ -247,6 +272,10 @@ LAYERS = {
     "minor valuations": (
         "complexes.cdf_ideal and complexes.jump_ideal, each valued by poly.ideal_valuation",
         ("minors-valuation",), "complexes", "ranks by degree", MINOR_VALUATIONS,
+    ),
+    "candidate_divisors": (
+        "support.candidate_divisors", ("support-planted",), "support jobs", "ranks by degree",
+        CANDIDATES,
     ),
     "specialization": (
         "support.specialization_multiplicity on every table row and specialize job",
