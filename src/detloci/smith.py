@@ -9,11 +9,11 @@ Jordan block sizes at unit-root eigenvalues come from a checked Krylov
 similarity phi*T = T*H onto k coupled companion blocks and the Smith
 diagonal of a k x k relation matrix, not from the n x n t*id - phi.
 
-One pivoting loop (`_pivot`) tracks U and V, and one routine (`_smith`)
-checks U*M*V = D and the divisibility chain of the diagonal for every caller:
-`smith_normal_form`, which returns U and V, and the callers that read only
-the diagonal.  The product checks every column of V, those past the rank
-(the kernel of M) included.
+One pivoting loop (`_pivot`) takes the bordered [[M, I], [I, 0]] to
+[[D, U], [V, 0]], and one routine (`_smith`) checks U*M*V = D and the
+divisibility chain of the diagonal for every caller: `smith_normal_form`,
+which returns U and V, and the callers that read only the diagonal.  The
+product checks every column of V, those past the rank (the kernel of M) included.
 
 The loop, the check, the Krylov vectors (coordinate i as the t^i
 coefficient) and the products behind the determinantal factors and Fitting
@@ -66,12 +66,6 @@ class SmithDiagonal:
         return _rank(self.diagonal)
 
 
-def _identity(n: int, order: int) -> list[list[UPoly]]:
-    one = UPoly.one(order)
-    zero = UPoly(order, 1, ())
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def _dense_matrix(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> list[list[UPoly]]:
     """The entries as dense polynomials over the lcm of their cyclotomic orders."""
     order = 1
@@ -121,33 +115,16 @@ def _pivot(rows: list[list[UPoly]]):
 
     Takes the dense entries of `_dense_matrix`, all of one order, and returns
     (d, u, v, order) with U * M * V = d; U and V are products of elementary
-    matrices.
+    matrices.  Each operation runs once on B = [[M, I], [I, 0]], row operations
+    on its first nrows rows and column operations on its first ncols columns,
+    so B ends as [[d, U], [V, 0]].
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     order = rows[0][0].order if nrows and ncols else 1
-    d = [list(row) for row in rows]
-    u = _identity(nrows, order)
-    v = _identity(ncols, order)
-
-    def row_op(i_target: int, i_source: int, q: UPoly):
-        _sub_rows(d, i_target, i_source, q)
-        _sub_rows(u, i_target, i_source, q)
-
-    def col_op(j_target: int, j_source: int, q: UPoly):
-        _sub_cols(d, j_target, j_source, q)
-        _sub_cols(v, j_target, j_source, q)
-
-    def swap_rows(a: int, b: int):
-        if a != b:
-            d[a], d[b] = d[b], d[a]
-            u[a], u[b] = u[b], u[a]
-
-    def swap_cols(a: int, b: int):
-        if a != b:
-            for row in d + v:
-                row[a], row[b] = row[b], row[a]
-
+    one, zero = UPoly.one(order), UPoly(order, 1, ())
+    b = [list(row) + [one if k == i else zero for k in range(nrows)] for i, row in enumerate(rows)]
+    b += [[one if k == j else zero for k in range(ncols + nrows)] for j in range(ncols)]
     limit = min(nrows, ncols)
     for idx in range(limit):
         while True:
@@ -155,25 +132,26 @@ def _pivot(rows: list[list[UPoly]]):
             best = None
             for i in range(idx, nrows):
                 for j in range(idx, ncols):
-                    deg = len(d[i][j].rows)
+                    deg = len(b[i][j].rows)
                     if deg and (best is None or deg < best):
                         best = deg
                         pivot = (i, j)
             if pivot is None:
                 break
-            swap_rows(idx, pivot[0])
-            swap_cols(idx, pivot[1])
-            p = d[idx][idx]
+            b[idx], b[pivot[0]] = b[pivot[0]], b[idx]
+            for row in b:
+                row[idx], row[pivot[1]] = row[pivot[1]], row[idx]
+            p = b[idx][idx]
             dirty = False
             for i in range(nrows):
-                if i != idx and d[i][idx].rows:
-                    row_op(i, idx, _quotient(d[i][idx], p))
-                    if d[i][idx].rows:
+                if i != idx and b[i][idx].rows:
+                    _sub_rows(b, i, idx, _quotient(b[i][idx], p))
+                    if b[i][idx].rows:
                         dirty = True
             for j in range(ncols):
-                if j != idx and d[idx][j].rows:
-                    col_op(j, idx, _quotient(d[idx][j], p))
-                    if d[idx][j].rows:
+                if j != idx and b[idx][j].rows:
+                    _sub_cols(b, j, idx, _quotient(b[idx][j], p))
+                    if b[idx][j].rows:
                         dirty = True
             if dirty:
                 continue
@@ -182,20 +160,21 @@ def _pivot(rows: list[list[UPoly]]):
             offender = None
             for i in range(idx + 1, nrows):
                 for j in range(idx + 1, ncols):
-                    if d[i][j].rows and d[i][j].remainder(p).rows:
+                    if b[i][j].rows and b[i][j].remainder(p).rows:
                         offender = i
                         break
                 if offender is not None:
                     break
             if offender is None:
                 break
-            row_op(idx, offender, -UPoly.one(order))  # add offending row to the pivot row
-        entry = d[idx][idx]
-        if entry.rows:
-            monic, inv = entry.monic_pair()
+            _sub_rows(b, idx, offender, -one)  # add offending row to the pivot row
+        if b[idx][idx].rows:
+            inv = b[idx][idx].monic_pair()[1]
             if inv is not None:  # the rest of row idx of d is zero by now
-                d[idx][idx] = monic
-                u[idx] = [e * inv if e.rows else e for e in u[idx]]
+                b[idx] = [e * inv if e.rows else e for e in b[idx]]
+    d = [row[:ncols] for row in b[:nrows]]
+    u = [row[ncols:] for row in b[:nrows]]
+    v = [row[:ncols] for row in b[nrows:]]
     return d, u, v, order
 
 

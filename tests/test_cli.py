@@ -401,6 +401,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # (cyclotomic order, rows) of fixed matrices whose full `detloci smith` stdout
 # is pinned in golden/smith_<name>.out, so any change in pivot order shows up
 SMITH_GOLDEN = {
+    "empty": (1, []),
     "order1_nonmonic_wide": (1, [["2*s1+1", "3*s1^2", "s1"], ["4*s1^2-1", "6*s1", "2*s1^2+s1"]]),
     "order1_square": (
         1,
@@ -437,6 +438,16 @@ SMITH_GOLDEN = {
             ["2*e(1/12)*s1+1", "s1^2-e(1/3)"],
             ["e(1/4)*s1^2", "3*s1-e(5/12)"],
             ["s1-1", "1/3*e(1/6)*s1"],
+        ],
+    ),
+    # second column = (s1+1) * first column; the pivot is the non-monic unit e(1/3)
+    # of the last row, so U (3x3) and V (2x2) differ in size
+    "order6_tall_rank_deficient": (
+        6,
+        [
+            ["s1-e(1/6)", "s1^2+s1-e(1/6)*s1-e(1/6)"],
+            ["2*s1", "2*s1^2+2*s1"],
+            ["e(1/3)", "e(1/3)*s1+e(1/3)"],
         ],
     ),
 }

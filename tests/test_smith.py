@@ -85,6 +85,9 @@ class TestSmithNormalForm:
         assert form.diagonal == (a, b)
 
     def test_transform_determinants_constant(self, rng):
+        # U*M*V = D alone would pass a row of U or a column of V past the rank
+        # scaled by t, so the determinants are checked too
+        mats = []
         for _ in range(10):
             size = rng.randint(1, 3)
             mat = [
@@ -96,9 +99,15 @@ class TestSmithNormalForm:
                 ]
                 for _ in range(size)
             ]
+            mats.append((1, mat))
+        for order in (1, 3, 4, 6, 12):
+            # the wide, tall and rank-deficient matrices
+            mats += [(order, mat) for mat in seeded_matrices(rng, order)[1:4]]
+        for order, mat in mats:
             form = smith_normal_form(mat)
+            assert len(form.u) == len(mat) and len(form.v) == len(mat[0])
             for transform in (form.u, form.v):
-                det = oracle_det([list(r) for r in transform], R1)
+                det = oracle_det([list(r) for r in transform], Ring(1, False, order))
                 assert not det.is_zero()
                 exps, _ = det.leading()
                 assert exps == (0,)
@@ -167,18 +176,22 @@ class TestSmithDiagonal:
         char = characteristic_matrix(phi)
         entry(char)
         real = smith_module._sub_cols
-        pivoted = []
+        corrupted = []
 
         def negated(mat, j_target, j_source, q):
-            # a column operation updates the pivoted matrix first, then V:
-            # V alone takes the negated multiplier
-            if not pivoted:
-                pivoted.append(mat)
-            real(mat, j_target, j_source, q if mat is pivoted[0] else -q)
+            # a column operation runs down the pivoted rows, then V's rows past
+            # them: in the first one with a nonzero multiplier V's rows take -q
+            nrows = len(char)
+            if corrupted or not q.rows:
+                return real(mat, j_target, j_source, q)
+            corrupted.append(j_target)
+            real(mat[:nrows], j_target, j_source, q)
+            real(mat[nrows:], j_target, j_source, -q)
 
         monkeypatch.setattr(smith_module, "_sub_cols", negated)
         with pytest.raises(ArithmeticError, match="U\\*M\\*V != D"):
             entry(char)
+        assert corrupted
 
     @pytest.mark.parametrize("entry", [smith_normal_form, smith_diagonal])
     def test_corrupt_row_transform_raises(self, monkeypatch, entry):

@@ -45,22 +45,59 @@ def test_layer_scripts_import_existing_names():
                 assert found, f"{script_name}: from {node.module} import {alias.name}"
 
 
-def test_layer_scripts_run_on_one_cycle_per_workload(tmp_path, monkeypatch):
-    """Every LAYERS script, run as tools/bench_pairs.py runs it (one pass per
-    group here), on the jobs of one cycle of the skeletons of each workload."""
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    workloads = importlib.import_module("workloads")
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def one_cycle_jobs(tmp_path, monkeypatch) -> dict:
+    """{workload: path of a jobs file with one cycle of its skeletons}."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
     files = {}
     for workload in workloads.WORKLOADS:
         files[workload] = tmp_path / f"{workload}.json"
         jobs = workloads.generate(workload, 1, workloads.CYCLES[workload])
         files[workload].write_text(json.dumps(jobs))
-    for name, (_, names, _, _, script) in bench_pairs.LAYERS.items():
-        out = bench_pairs.run_layer(str(ROOT), script, 0, [str(files[w]) for w in names])
+    return files
+
+
+def test_layer_scripts_run_on_one_cycle_per_workload(tmp_path, monkeypatch):
+    """Every LAYERS script, run as tools/bench_pairs.py runs it (one pass per
+    group here), on the jobs of one cycle of the skeletons of each workload."""
+    bench_pairs = load_bench_pairs()
+    files = one_cycle_jobs(tmp_path, monkeypatch)
+    programs = bench_pairs.layer_programs(str(ROOT))
+    assert set(programs) == set(bench_pairs.LAYERS)
+    for name, (_, names, _, _, _) in bench_pairs.LAYERS.items():
+        out = bench_pairs.run_layer(str(ROOT), programs[name], 0, [str(files[w]) for w in names])
         assert out, name
         for group, (count, seconds) in out.items():
             assert isinstance(count, int) and count >= 1, (name, group)
             assert isinstance(seconds, float) and seconds >= 0, (name, group)
+
+
+def test_each_checkout_runs_its_own_layer_script(tmp_path, monkeypatch):
+    """A parent checkout whose tools/bench_pairs.py times `smith_normal_form`
+    with another script, and has no `determinantal_factors` layer: the parent
+    rows come from its own script, and the missing layer has change-only rows."""
+    bench_pairs = load_bench_pairs()
+    monkeypatch.setattr(bench_pairs, "REPEATS", 2)
+    monkeypatch.setattr(bench_pairs, "MIN_SECONDS", 0)
+    paths = [str(one_cycle_jobs(tmp_path, monkeypatch)["smith-jordan"])]
+    parent = tmp_path / "parent"
+    (parent / "tools").mkdir(parents=True)
+    (parent / "src").symlink_to(ROOT / "src")
+    script = 'print(json.dumps({"99x99": [3, 0.25]}))'
+    (parent / "tools" / "bench_pairs.py").write_text(
+        f"PASSES = 'import json\\n'\nLAYERS = {{'smith_normal_form': ('', (), '', '', {script!r})}}\n"
+    )
+    rows = bench_pairs.layer(str(parent), str(ROOT), "smith_normal_form", paths)
+    assert rows.pop("99x99") == {"inputs": 3, "parent_ms": 250.0}
+    total = rows.pop("total")
+    assert total["parent_ms"] == 250.0 and total["change_ms"] > 0
+    assert rows and all(set(row) == {"inputs", "change_ms"} for row in rows.values())
+    rows = bench_pairs.layer(str(parent), str(ROOT), "determinantal_factors", paths)
+    assert len(rows) > 1 and all(set(row) == {"inputs", "change_ms"} for row in rows.values())

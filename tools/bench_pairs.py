@@ -12,7 +12,10 @@ agree.
 
 Layers, each on the jobs of seeds 1-3 of one or two workloads (read from the
 change's perfbench/out, so run the end to end part or perfbench/run.py first), timed in
-one fresh process per checkout and repeat, 7 repeats interleaved.  Within a
+one fresh process per checkout and repeat, 7 repeats interleaved.  Each checkout
+runs the layer's script from its own tools/bench_pairs.py, so a change to what a
+script passes to the measured function is measured against the parent's script;
+a layer that the parent's table lacks gets change-only rows.  Within a
 process the groups take passes in turn, their inputs parsed afresh before
 each pass and outside the clock, until each group's passes have taken at
 least 0.2 s (a single pass of 25-60 ms swung by 20-40% between runs on a
@@ -44,6 +47,7 @@ arguments and prints {group: [inputs, seconds of the fastest pass]}.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -349,40 +353,66 @@ def end_to_end(parent: str, change: str, workloads: list[str], seed_list: list[i
     return rows
 
 
-def run_layer(root: str, script: str, min_seconds: float, paths: list[str]) -> dict:
-    """{group: [inputs, seconds of the fastest pass]} of one layer script, run
+def layer_programs(root: str) -> dict[str, str]:
+    """{layer name: program} from the tools/bench_pairs.py of the checkout at
+    root, each LAYERS script after that file's PASSES; {} without the file."""
+    path = os.path.join(root, "tools", "bench_pairs.py")
+    if not os.path.exists(path):
+        return {}
+    spec = importlib.util.spec_from_file_location("checkout_bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: module.PASSES + entry[-1] for name, entry in module.LAYERS.items()}
+
+
+def run_layer(root: str, program: str, min_seconds: float, paths: list[str]) -> dict:
+    """{group: [inputs, seconds of the fastest pass]} of one layer program, run
     on the checkout at root in a fresh process."""
     proc = subprocess.run(
-        [sys.executable, "-c", PASSES + script, str(min_seconds)] + paths,
+        [sys.executable, "-c", program, str(min_seconds)] + paths,
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0"),
     )
     return json.loads(proc.stdout)
 
 
-def layer(parent: str, change: str, workloads: tuple[str, ...], script: str) -> dict:
-    paths = [
-        os.path.join(change, "perfbench", "out", f"{workload}-{seed}", "jobs.json")
+def job_paths(root: str, workloads: tuple[str, ...]) -> list[str]:
+    """The jobs.json files of seeds LAYER_SEEDS of the workloads, in root's perfbench/out."""
+    return [
+        os.path.join(root, "perfbench", "out", f"{workload}-{seed}", "jobs.json")
         for workload in workloads
         for seed in LAYER_SEEDS
     ]
-    best: dict = {"parent": {}, "change": {}}
+
+
+def layer(parent: str, change: str, name: str, paths: list[str]) -> dict:
+    """Rows of the layer `name` on the job files at paths: each checkout runs the
+    program of its own tools/bench_pairs.py, and a group or a layer that one side
+    lacks gets rows without that side's time."""
+    roots = {"parent": parent, "change": change}
+    programs = {side: layer_programs(root).get(name) for side, root in roots.items()}
+    best: dict = {side: {} for side in roots if programs[side] is not None}
     for k in range(REPEATS):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            root = parent if side == "parent" else change
-            for key, (count, seconds) in run_layer(root, script, MIN_SECONDS, paths).items():
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            if side not in best:
+                continue
+            for key, (count, seconds) in run_layer(
+                roots[side], programs[side], MIN_SECONDS, paths
+            ).items():
                 old = best[side].get(key)
                 best[side][key] = (count, seconds if old is None else min(old[1], seconds))
     rows = {}
-    for key in sorted(best["parent"], key=lambda s: tuple(map(int, re.split(r"\D", s)))):
-        count, p = best["parent"][key]
-        rows[key] = {"inputs": count, "parent_ms": 1e3 * p, "change_ms": 1e3 * best["change"][key][1]}
-    rows["total"] = {
-        "inputs": sum(r["inputs"] for r in rows.values()),
-        "parent_ms": sum(r["parent_ms"] for r in rows.values()),
-        "change_ms": sum(r["change_ms"] for r in rows.values()),
-    }
+    keys = set().union(*best.values())
+    for key in sorted(keys, key=lambda s: tuple(map(int, re.split(r"\D", s)))):
+        rows[key] = {}
+        for side, groups in best.items():
+            if key in groups:
+                rows[key]["inputs"] = groups[key][0]
+                rows[key][f"{side}_ms"] = 1e3 * groups[key][1]
+    total = {"inputs": sum(r["inputs"] for r in rows.values())}
+    for side in best:
+        total[f"{side}_ms"] = sum(r.get(f"{side}_ms", 0) for r in rows.values())
+    rows["total"] = total
     return rows
 
 
@@ -412,9 +442,9 @@ def main():
                 "key": key,
                 "statistic": f"fastest pass of {REPEATS} interleaved fresh-process runs, "
                 f"each repeating a group until it has run for {MIN_SECONDS} s",
-                "rows": layer(parent, change, workloads, script),
+                "rows": layer(parent, change, name, job_paths(change, workloads)),
             }
-            for name, (function, workloads, inputs, key, script) in LAYERS.items()
+            for name, (function, workloads, inputs, key, _) in LAYERS.items()
         },
     }
     with open(args.out, "w") as f:
