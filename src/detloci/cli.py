@@ -23,7 +23,6 @@ from .bsloci import (
     specialize_slice,
 )
 from .complexes import cdf_ideal, jump_ideal
-from .fixtures import REGISTRY, run_fixtures
 from .io import (
     InputError,
     complex_from_json,
@@ -232,6 +231,9 @@ def _cmd_support(args) -> tuple[int, dict]:
 
 
 def _cmd_fixtures(args) -> tuple[int, dict]:
+    # imported here: no other command needs the fixture registry
+    from .fixtures import REGISTRY, run_fixtures
+
     if args.action == "list":
         return 0, {
             "fixtures": [

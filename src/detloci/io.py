@@ -71,16 +71,31 @@ def ring_from_json(obj: Any) -> Ring:
         raise InputError(str(exc)) from None
 
 
-def _parse_entry(text: Any, ring: Ring) -> LaurentPoly:
-    if not isinstance(text, str):
-        raise InputError(f"polynomial entries must be strings, got {text!r}")
-    try:
-        return parse_poly(text, ring)
-    except ParseError as exc:
-        raise InputError(f"cannot parse polynomial {text!r}: {exc}") from None
+def _parse_entries(rows: list, ring: Ring, parsed: dict[str, LaurentPoly]) -> None:
+    """Parse the entry texts of rows, in row-major order, into `parsed`, which
+    maps each text of one input to its polynomial: a repeated text is parsed
+    once, and the first malformed entry is the one named."""
+    for row in rows:
+        for text in row:
+            if not isinstance(text, str):
+                raise InputError(f"polynomial entries must be strings, got {text!r}")
+            if text not in parsed:
+                try:
+                    parsed[text] = parse_poly(text, ring)
+                except ParseError as exc:
+                    raise InputError(f"cannot parse polynomial {text!r}: {exc}") from None
+
+
+def _lifted(parsed: dict[str, LaurentPoly], ring: Ring) -> tuple[dict[str, LaurentPoly], Ring]:
+    """The ring raised to the field of every parsed entry, and each entry lifted
+    to it once, so equal entries share one (immutable) LaurentPoly."""
+    ring = ring.with_order(math.lcm(*(p.order for p in parsed.values())))
+    return {text: p.lift(ring.cyclotomic_order) for text, p in parsed.items()}, ring
 
 
 def complex_from_json(obj: Any) -> FreeComplex:
+    """A complex file.  Each distinct entry text is parsed once, and equal
+    entries share one LaurentPoly object."""
     if not isinstance(obj, Mapping):
         raise InputError("complex file must contain an object")
     ring = ring_from_json(obj.get("ring"))
@@ -95,12 +110,15 @@ def complex_from_json(obj: Any) -> FreeComplex:
     diffs_obj = obj.get("differentials", {})
     if not isinstance(diffs_obj, Mapping):
         raise InputError("differentials must map degree strings to matrices")
-    diffs: dict[int, list[list[LaurentPoly]]] = {}
+    texts, parsed = {}, {}
     for key, mat in diffs_obj.items():
         degree = _degree_key(key, "differential")
         if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
             raise InputError(f"differential {key} must be a matrix of strings")
-        diffs[degree] = [[_parse_entry(entry, ring) for entry in row] for row in mat]
+        _parse_entries(mat, ring, parsed)
+        texts[degree] = mat
+    lifted, ring = _lifted(parsed, ring)
+    diffs = {i: [[lifted[text] for text in row] for row in mat] for i, mat in texts.items()}
     try:
         return FreeComplex.make(ring, (imin, imax), ranks, diffs)
     except ValueError as exc:
@@ -108,6 +126,9 @@ def complex_from_json(obj: Any) -> FreeComplex:
 
 
 def matrix_from_json(obj: Any) -> tuple[Matrix, Ring]:
+    """A matrix file and its ring, raised to the field of every entry.  Each
+    distinct entry text is parsed once, and equal entries share one
+    LaurentPoly object."""
     if not isinstance(obj, Mapping):
         raise InputError("matrix file must contain an object")
     ring = ring_from_json(obj.get("ring"))
@@ -117,11 +138,10 @@ def matrix_from_json(obj: Any) -> tuple[Matrix, Ring]:
     width = {len(row) for row in rows}
     if len(width) > 1:
         raise InputError("matrix rows have inconsistent lengths")
-    parsed = [[_parse_entry(entry, ring) for entry in row] for row in rows]
-    # raise the ring to cover every parsed entry's field and lift the entries to it
-    ring = ring.with_order(math.lcm(*(p.order for row in parsed for p in row)))
-    order = ring.cyclotomic_order
-    return matrix_make([[p.lift(order) for p in row] for row in parsed]), ring
+    parsed: dict[str, LaurentPoly] = {}
+    _parse_entries(rows, ring, parsed)
+    lifted, ring = _lifted(parsed, ring)
+    return matrix_make([[lifted[text] for text in row] for row in rows]), ring
 
 
 def _hyperplane(obj: Any) -> tuple[AffineHyperplane, int]:

@@ -10,7 +10,6 @@ one-parameter specializations, both read off valued Fitting ideals, no Smith for
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -20,8 +19,6 @@ from .complexes import FreeComplex, base_change, cdf_ideal
 from .poly import IdealGens, LaurentPoly, fibres, ideal_valuation
 from .smith import NonTorsionError
 from .torus import PrimeTorusDivisor, TorusDivisor
-
-logger = logging.getLogger(__name__)
 
 
 def _fibre_roots(order: int, fibre: dict[int, tuple[int, ...]]) -> Iterator[TorsionAngle]:
@@ -259,6 +256,8 @@ def specialization_multiplicity(
         )
         jordan = _jordan_size(complex_, lam, b, i)
     if not generic or jordan != order_at:
+        import logging  # imported here: no generic specialization logs
+
         msg = "non-generic specialization at lambda=%s b=%s: ord=%d jordan=%d"
-        logger.info(msg, lam, b, order_at, jordan)
+        logging.getLogger(__name__).info(msg, lam, b, order_at, jordan)
     return SpecializationRecord(ord=order_at, jordan=jordan, lam=lam, b=b, generic=generic)

@@ -793,33 +793,106 @@ class TestEntryParsing:
         assert E.ring.cyclotomic_order == 6
         assert {E.differential(i)[0][0].order for i in (0, 1)} == {6}
 
+    REPEATED = [["0", "t1-e(1/3)", "0"], ["t1-e(1/3)", "0", "2*t1"], ["0", "2*t1", "t1-e(1/3)"]]
+
+    def test_matrix_repeated_texts_parsed_once(self, monkeypatch):
+        from detloci.io import matrix_from_json
+
+        calls = self._count_parses(monkeypatch)
+        payload = {"ring": {"nvars": 1, "laurent": True}, "rows": self.REPEATED}
+        mat, ring = matrix_from_json(payload)
+        assert calls == ["0", "t1-e(1/3)", "2*t1"]
+        self._check_shared(mat, self.REPEATED, ring)
+
+    def test_complex_repeated_texts_parsed_once(self, monkeypatch):
+        from detloci.io import complex_from_json
+
+        payload = {
+            "ring": {"nvars": 1, "laurent": True},
+            "degrees": [0, 2],
+            "ranks": {"0": 3, "1": 3, "2": 1},
+            "differentials": {"0": self.REPEATED, "1": [["0", "0", "0"]]},
+        }
+        calls = self._count_parses(monkeypatch)
+        E = complex_from_json(payload)
+        assert calls == ["0", "t1-e(1/3)", "2*t1"]
+        assert E.ring.cyclotomic_order == 3
+        self._check_shared(E.differential(0), self.REPEATED, E.ring)
+        assert E.differential(1)[0][2] is E.differential(0)[0][0]
+
+    @staticmethod
+    def _check_shared(mat, texts, ring):
+        """Every entry equals its own parse, and equal texts share one object."""
+        first = {}
+        for row, row_texts in zip(mat, texts):
+            for entry, text in zip(row, row_texts):
+                assert entry == parse_poly(text, ring)
+                assert entry is first.setdefault(text, entry)
+
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            ([["t1", "t1"], ["t1+", "t1^"]], "t1+"),
+            ([["t1^", "0"], ["0", "t1+"]], "t1^"),
+            ([["0", "0"], ["0", "t1+"], ["t1^", "0"]], "t1+"),
+            ([["t1+", "t1+"]], "t1+"),
+        ],
+    )
+    def test_first_malformed_entry_named(self, capsys, tmp_path, rows, named):
+        path = write_json(tmp_path / "m.json", {"ring": {"nvars": 1, "laurent": True}, "rows": rows})
+        code, out, err = run_cli(capsys, ["detfactors", "--matrix", path])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: cannot parse polynomial {named!r}: ")
+
+    @pytest.mark.parametrize("entry", [1, None, ["t1"], {"t1": 1}])
+    def test_non_string_entry_rejected(self, capsys, tmp_path, entry):
+        rows = [["t1", "t1"], ["t1", entry]]
+        path = write_json(tmp_path / "m.json", {"ring": {"nvars": 1, "laurent": True}, "rows": rows})
+        assert run_cli(capsys, ["smith", "--matrix", path]) == (
+            2,
+            "",
+            f"input error: polynomial entries must be strings, got {entry!r}\n",
+        )
+
+
+def _modules_loaded_by_import() -> set[str]:
+    """The modules that `import detloci, detloci.cli` loads in a fresh `-S` process."""
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import detloci, detloci.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    return set(json.loads(done.stdout))
+
 
 class TestStandardLibraryOnly:
     def test_import_loads_no_third_party_module(self):
-        import subprocess
         import sys
 
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        script = (
-            "import json, sys\n"
-            f"sys.path.insert(0, {src!r})\n"
-            "before = set(sys.modules)\n"
-            "import detloci, detloci.cli\n"
-            "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
-            "print(json.dumps(sorted(loaded)))\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-S", "-c", script],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=60,
-        )
-        loaded = json.loads(done.stdout)
+        loaded = {name.split(".")[0] for name in _modules_loaded_by_import()}
         assert "detloci" in loaded
         assert [
             name for name in loaded if name != "detloci" and name not in sys.stdlib_module_names
         ] == []
+
+    def test_import_loads_neither_fixtures_nor_logging(self):
+        # only `detloci fixtures` runs the registry, only a non-generic specialization logs
+        loaded = _modules_loaded_by_import()
+        assert "detloci.cli" in loaded
+        assert {"detloci.fixtures", "logging"} & loaded == set()
 
 
 def _annotation_names(node) -> set[str]:
@@ -976,23 +1049,56 @@ class TestCacheInventory:
         assert _cached_names([module]) == {"m.a", "m.b", "m.c", "m.K.d", "m.K.e.inner"}
 
 
+def _field_reads(classes: dict[str, ast.ClassDef]) -> dict[int, str]:
+    """The class whose attribute each `self.f.name` read names: {id(node): class},
+    for every field f annotated in its class body by the bare name of a class."""
+    typed = {}
+    for cls in classes.values():
+        fields = {
+            member.target.id: member.annotation.id
+            for member in cls.body
+            if isinstance(member, ast.AnnAssign)
+            and isinstance(member.target, ast.Name)
+            and isinstance(member.annotation, ast.Name)
+            and member.annotation.id in classes
+        }
+        for node in ast.walk(cls):
+            owner = node.value if isinstance(node, ast.Attribute) else None
+            if (
+                isinstance(owner, ast.Attribute)
+                and isinstance(owner.value, ast.Name)
+                and owner.value.id == "self"
+                and owner.attr in fields
+            ):
+                typed[id(node)] = fields[owner.attr]
+    return typed
+
+
 def _uncalled_public_names(paths: list[Path]) -> set[str]:
     """`module.name` of every module-level public def and class, and
     `module.Class.name` of every public method, property and static
     constructor of a public class (dunders excluded), whose name is read
     nowhere in the given modules outside its own definition.  A method's name
     is read by an attribute `x.name`, which counts for every method of that
-    name, whatever x is; a bare name or an annotation reads no method."""
+    name, whatever x is, except that `self.f.name`, with f a field annotated by
+    a class of the modules, counts for that class's method only; a bare name or
+    an annotation reads no method."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
-    defs = []  # (qualified name, definition, path, whether it is a method)
+    defs = []  # (qualified name, definition, path, class of a method or None)
+    classes = {}
     for path, tree in trees.items():
         for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                classes[stmt.name] = stmt
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
-                defs.append((f"{path.stem}.{stmt.name}", stmt, path, False))
+                defs.append((f"{path.stem}.{stmt.name}", stmt, path, None))
                 for member in stmt.body if isinstance(stmt, ast.ClassDef) else ():
                     if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                        defs.append((f"{path.stem}.{stmt.name}.{member.name}", member, path, True))
-    names_read, attributes_read = {}, {}  # name: [(path, line), ...]
+                        qualified = f"{path.stem}.{stmt.name}.{member.name}"
+                        defs.append((qualified, member, path, stmt.name))
+    typed = _field_reads(classes)
+    # name: [(path, line), ...]; (class or None, name): [(path, line), ...]
+    names_read, attributes_read = {}, {}
     for path, tree in trees.items():
         for node in ast.walk(tree):
             names = set()
@@ -1000,7 +1106,8 @@ def _uncalled_public_names(paths: list[Path]) -> set[str]:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-                attributes_read.setdefault(node.attr, []).append((path, node.lineno))
+                key = (typed.get(id(node)), node.attr)
+                attributes_read.setdefault(key, []).append((path, node.lineno))
             for field in ("annotation", "returns"):
                 annotation = getattr(node, field, None)
                 if annotation is not None:
@@ -1008,12 +1115,17 @@ def _uncalled_public_names(paths: list[Path]) -> set[str]:
             for name in names:
                 names_read.setdefault(name, []).append((path, node.lineno))
 
-    def read_outside(node, path: Path, method: bool) -> bool:
+    def read_outside(node, path: Path, owner: str | None) -> bool:
         first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-        reads = (attributes_read if method else names_read).get(node.name, ())
+        if owner is None:
+            reads = names_read.get(node.name, [])
+        else:
+            reads = attributes_read.get((None, node.name), []) + attributes_read.get(
+                (owner, node.name), []
+            )
         return any(p != path or not first <= line <= node.end_lineno for p, line in reads)
 
-    return {qualified for qualified, node, path, method in defs if not read_outside(node, path, method)}
+    return {qualified for qualified, node, path, owner in defs if not read_outside(node, path, owner)}
 
 
 # Documented library API that no module of the package calls: the paper's
@@ -1036,6 +1148,7 @@ LIBRARY_ONLY = {
 # Public methods, properties and static constructors that no module of the
 # package calls, each with the reason it stays.
 LIBRARY_ONLY_METHODS = {
+    "arith.CycloElem.inverse": "public API, wrapped by perfbench/spans.py",
     "arith.CycloElem.is_rational": "public API of the field element type",
     "arith.CycloElem.scale": "wrapped by perfbench/spans.py",
     "arith.TorsionAngle.from_fraction": "called by perfbench/measure.py",
@@ -1106,6 +1219,21 @@ class TestLibraryOnlyNames:
             "lonely = 1\n"
         )
         assert _uncalled_public_names([module]) == {"m.caller", "m.Kind.own", "m.Kind.lonely"}
+
+    def test_field_type_picks_the_method(self, tmp_path):
+        module = tmp_path / "m.py"
+        module.write_text(
+            "class Angle:\n"
+            "    def inverse(self): return self\n"
+            "class Elem:\n"
+            "    def inverse(self): return self\n"
+            "class Divisor:\n"
+            "    xi: Angle\n"
+            "    def conjugate(self): return self.xi.inverse()\n"
+            "def caller(d: Divisor, e: Elem):\n"
+            "    return d.conjugate()\n"
+        )
+        assert _uncalled_public_names([module]) == {"m.caller", "m.Elem.inverse"}
 
 
 class TestNoFieldElementInside:

@@ -607,6 +607,29 @@ class TestJordanAgainstSmithInvariants:
                     assert record.jordan == smith_jordan(F, *COLLISION, i)
 
 
+class TestNonGenericLogging:
+    """A non-generic specialization is reported by one INFO record, a generic one by none."""
+
+    def test_collision_point_logs_once(self, caplog):
+        ring = Ring(2, True, 1)
+        F = diag_complex([P("t1+1", ring), P("t2+1", ring)], ring)
+        candidates = candidate_divisors(F)
+        divisor = PrimeTorusDivisor((1, 0), angle(1, 2))
+        assert divisor in candidates
+        with caplog.at_level("INFO", logger="detloci.support"):
+            generic = specialization_multiplicity(F, divisor, 1, candidates=candidates)
+            assert generic.generic and caplog.records == []
+            # {t1 = -1} and {t2 = -1} both pass through (-1, -1)
+            record = specialization_multiplicity(
+                F, divisor, 1, candidates=candidates, point=COLLISION
+            )
+        assert not record.generic
+        assert [(r.name, r.levelname) for r in caplog.records] == [("detloci.support", "INFO")]
+        assert caplog.records[0].getMessage() == (
+            "non-generic specialization at lambda=1/2 b=(1, 1): ord=1 jordan=1"
+        )
+
+
 def run_capped(child: str, seconds: float) -> list[str]:
     """The words that a child process running child prints, under a wall-clock cap."""
     here = Path(__file__).resolve().parent
