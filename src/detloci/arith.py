@@ -9,26 +9,44 @@ rational arithmetic; no floating point anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 
-@dataclass(frozen=True, order=True)
-class TorsionAngle:
-    """A root of unity e^{2*pi*i*num/den}, stored reduced with 0 <= num < den."""
+class Frozen:
+    """Base of the immutable slotted types: constructors fill the slots with
+    object.__setattr__, any other assignment raises, and copy and pickle
+    restore the slots, each subclass's own, the same way."""
 
-    num: int
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.den <= 0:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __getstate__(self):
+        return None, {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class TorsionAngle(namedtuple("TorsionAngle", "num den")):
+    """A root of unity e^{2*pi*i*num/den}, stored reduced with 0 <= num < den;
+    a validated tuple (num, den), hashed, compared and ordered as one."""
+
+    __slots__ = ()
+
+    def __new__(cls, num: int, den: int):
+        if den <= 0:
             raise ValueError("denominator must be positive")
-        if math.gcd(self.num, self.den) != 1 and not (self.num == 0 and self.den == 1):
+        if math.gcd(num, den) != 1 and not (num == 0 and den == 1):
             raise ValueError("angle must be stored reduced")
-        if not 0 <= self.num < self.den and not (self.num == 0 and self.den == 1):
+        if not 0 <= num < den and not (num == 0 and den == 1):
             raise ValueError("angle must lie in [0, 1)")
+        return tuple.__new__(cls, (num, den))
 
     @staticmethod
     def make(num: int, den: int) -> "TorsionAngle":
@@ -39,7 +57,7 @@ class TorsionAngle:
             num, den = -num, -den
         num %= den
         g = math.gcd(num, den)
-        return TorsionAngle(num // g, den // g)
+        return tuple.__new__(TorsionAngle, (num // g, den // g))  # reduced in [0, 1)
 
     @staticmethod
     def from_fraction(q: Fraction) -> "TorsionAngle":
@@ -229,7 +247,7 @@ def _canonical(order: int, nums: Sequence[int], den: int) -> "CycloElem":
     return _elem(order, tuple(nums), den)
 
 
-class CycloElem:
+class CycloElem(Frozen):
     """An element of Q(zeta_order) as a reduced residue modulo Phi_order.
 
     Stored as integer numerators over one positive common denominator, kept
@@ -243,9 +261,6 @@ class CycloElem:
         if len(coeffs) != _phi_tail(order)[0]:
             raise ValueError("coefficient vector has wrong length")
         return CycloElem.make(order, coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycloElem values are immutable")
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

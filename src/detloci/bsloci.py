@@ -9,13 +9,12 @@ is no polynomial ideal representation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .arith import Frozen
 from .torus import (
     AffineHyperplane,
     PrimeTorusDivisor,
@@ -47,13 +46,31 @@ def _check_member(h: AffineHyperplane, mult: int, r: int) -> None:
         raise ValueError("hyperplane multiplicity must be >= 1")
 
 
-@dataclass(frozen=True)
-class HyperplaneLocus:
-    """Finite union of hyperplanes (with multiplicities) and linear pieces."""
+class HyperplaneLocus(Frozen):
+    """Finite union of hyperplanes (with multiplicities) and linear pieces.
 
-    r: int
-    hyperplanes: tuple[tuple[AffineHyperplane, int], ...]
-    pieces: tuple[Piece, ...] = ()
+    Equality, hashing and repr are those of the fields (r, hyperplanes, pieces).
+    """
+
+    __slots__ = ("r", "hyperplanes", "pieces", "_canonicals")
+
+    def __init__(self, r: int, hyperplanes: tuple, pieces: tuple[Piece, ...] = ()):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "hyperplanes", hyperplanes)  # (hyperplane, multiplicity) pairs
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "_canonicals", None)  # member_canonicals, once read
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.hyperplanes, self.pieces) == (other.r, other.hyperplanes, other.pieces)
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.hyperplanes, self.pieces))
+
+    def __repr__(self) -> str:
+        fields = f"r={self.r!r}, hyperplanes={self.hyperplanes!r}, pieces={self.pieces!r}"
+        return f"HyperplaneLocus({fields})"
 
     @staticmethod
     def make(
@@ -82,10 +99,13 @@ class HyperplaneLocus:
     def members(self) -> list[AffineHyperplane]:
         return [h for h, _ in self.hyperplanes]
 
-    @cached_property
+    @property
     def member_canonicals(self) -> frozenset[tuple]:
         """Scale-invariant forms of the members, built once per locus."""
-        return frozenset(h.set_canonical() for h in self.members())
+        if self._canonicals is None:
+            canonicals = frozenset(h.set_canonical() for h in self.members())
+            object.__setattr__(self, "_canonicals", canonicals)
+        return self._canonicals
 
     def without_multiplicities(self) -> "HyperplaneLocus":
         return HyperplaneLocus.from_checked(self.r, dict.fromkeys(self.members(), 1), self.pieces)

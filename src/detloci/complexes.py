@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
+from .arith import Frozen
 from .poly import IdealGens, LaurentPoly, Ring, sum_of_products, valuation_along
 from .torus import PrimeTorusDivisor
 
@@ -194,17 +194,37 @@ def minors_ideal(mat: Matrix, m: int, ring: Ring) -> IdealGens:
     return _minors_from_engine(_engine_for(mat, ring), m, IdealGens.unit_ideal(ring))
 
 
-@dataclass(frozen=True)
-class FreeComplex:
-    """A bounded complex of free modules given by composition-zero matrices."""
+class FreeComplex(Frozen):
+    """A bounded complex of free modules given by composition-zero matrices.
 
-    ring: Ring
-    imin: int
-    imax: int
-    ranks: Mapping[int, int]
-    diffs: Mapping[int, Matrix]
-    # one unit ideal, minor engines, minors ideals and jump ideals, filled on demand
-    minor_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    Equality and repr are those of the fields (ring, imin, imax, ranks, diffs);
+    `minor_cache` holds one unit ideal, minor engines, minors ideals and jump
+    ideals, filled on demand.
+    """
+
+    _fields = ("ring", "imin", "imax", "ranks", "diffs")  # compared and shown
+    __slots__ = _fields + ("minor_cache",)
+
+    def __init__(
+        self, ring: Ring, imin: int, imax: int, ranks: Mapping[int, int], diffs: Mapping[int, Matrix]
+    ):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "imin", imin)
+        object.__setattr__(self, "imax", imax)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "diffs", diffs)
+        object.__setattr__(self, "minor_cache", {})
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"FreeComplex({fields})"
 
     @staticmethod
     def make(

@@ -15,13 +15,13 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .arith import (
     CycloElem,
+    Frozen,
     TorsionAngle,
     _canonical,
     _phi_tail,
@@ -35,19 +35,18 @@ from .torus import PrimeTorusDivisor
 from .upoly import UPoly
 
 
-@dataclass(frozen=True)
-class Ring:
-    """Descriptor of the ambient ring: variable count, Laurent flag, Q(zeta_N)."""
+class Ring(namedtuple("Ring", "nvars laurent cyclotomic_order")):
+    """Descriptor of the ambient ring: variable count, Laurent flag, Q(zeta_N);
+    a validated tuple, hashed, compared and ordered as one."""
 
-    nvars: int
-    laurent: bool
-    cyclotomic_order: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.nvars < 1:
+    def __new__(cls, nvars: int, laurent: bool, cyclotomic_order: int = 1):
+        if nvars < 1:
             raise ValueError("ring needs at least one variable")
-        if self.cyclotomic_order < 1:
+        if cyclotomic_order < 1:
             raise ValueError("cyclotomic order must be positive")
+        return tuple.__new__(cls, (nvars, laurent, cyclotomic_order))
 
     def with_order(self, order: int) -> "Ring":
         return Ring(self.nvars, self.laurent, math.lcm(self.cyclotomic_order, order))
@@ -74,7 +73,7 @@ def _from_rows(nvars: int, order: int, rows: dict, den: int) -> "LaurentPoly":
     return LaurentPoly(nvars, order, den, rows)
 
 
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """Sparse polynomial with exponents in Z^nvars and Q(zeta_order) coefficients.
 
     Stored as rows = {exponents: phi(order) integer numerators} over one
@@ -91,9 +90,6 @@ class LaurentPoly:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_fibres", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly values are immutable")
 
     # -- constructors -----------------------------------------------------
 
@@ -424,8 +420,7 @@ def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor, cap: int | None 
     return best
 
 
-@dataclass(frozen=True, eq=False)
-class IdealGens:
+class IdealGens(Frozen):
     """A canonical finite generator list for an ideal of the (Laurent) ring.
 
     Zero generators are dropped, each generator is unit-normalized (monomial
@@ -439,15 +434,23 @@ class IdealGens:
     held as its pairs of factors) is formed into that list through `make`
     when `gens` is first read, and only then.  `ring` is fixed at
     construction: the base field raised to every order of a nonzero
-    generator, which unit normalization keeps.
+    generator, which unit normalization keeps.  `valuations` holds
+    ideal_valuation per divisor, filled on demand.
     """
 
-    ring: Ring
-    parts: tuple[tuple["IdealGens", "IdealGens"], ...] = ()
-    raw: tuple[LaurentPoly, ...] = ()
-    minors: tuple = ()
-    # ideal_valuation per divisor, filled on demand
-    valuations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("ring", "parts", "raw", "minors", "valuations", "_gens")
+
+    def __init__(self, ring: Ring, parts: tuple = (), raw: tuple[LaurentPoly, ...] = (), minors: tuple = ()):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "parts", parts)  # pairs of IdealGens
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "minors", minors)
+        object.__setattr__(self, "valuations", {})
+        object.__setattr__(self, "_gens", None)  # the generator list, once formed
+
+    def __repr__(self) -> str:
+        fields = f"ring={self.ring!r}, parts={self.parts!r}, raw={self.raw!r}, minors={self.minors!r}"
+        return f"IdealGens({fields})"
 
     @staticmethod
     def make(ring: Ring, gens: Iterable[LaurentPoly]) -> "IdealGens":
@@ -474,7 +477,7 @@ class IdealGens:
     def _formed_as(ring: Ring, gens: tuple[LaurentPoly, ...]) -> "IdealGens":
         """The ideal of a list already in canonical form, held as `gens`."""
         ideal = IdealGens(ring)
-        object.__setattr__(ideal, "gens", gens)
+        object.__setattr__(ideal, "_gens", gens)
         return ideal
 
     @staticmethod
@@ -506,11 +509,14 @@ class IdealGens:
     def unit_ideal(ring: Ring) -> "IdealGens":
         return IdealGens._formed_as(ring, (LaurentPoly.one(ring.nvars, ring.cyclotomic_order),))
 
-    @cached_property
+    @property
     def gens(self) -> tuple[LaurentPoly, ...]:
-        raw = self.minors[0].minors(self.minors[1]) if self.minors else self.raw
-        products = (f * g for a, b in self.parts for f in a.gens for g in b.gens)
-        return IdealGens.make(self.ring, itertools.chain(raw, products)).gens
+        if self._gens is None:
+            raw = self.minors[0].minors(self.minors[1]) if self.minors else self.raw
+            products = (f * g for a, b in self.parts for f in a.gens for g in b.gens)
+            formed = IdealGens.make(self.ring, itertools.chain(raw, products))
+            object.__setattr__(self, "_gens", formed._gens)
+        return self._gens
 
     def is_zero(self) -> bool:
         """Whether this is (0), decided without forming: an unformed ideal holds
@@ -560,9 +566,7 @@ def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
             if best == 0:
                 break
     else:
-        # with no raw generators, minors or parts the ideal is formed, so this
-        # forms nothing; asking whether `gens` is cached would read the instance
-        # __dict__, which on CPython 3.11 slows every later attribute load on it
+        # with no raw generators, minors or parts the ideal is formed, so this forms nothing
         for g in ideal.raw or ideal.gens:
             if g.rows:
                 best = valuation_along(g, divisor, cap=None if best == math.inf else best)

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import TorsionAngle, _phi_tail, root_multiplicity
 from .complexes import FreeComplex, Matrix, matrix_make, matrix_shape
@@ -42,8 +41,7 @@ def _rank(diagonal: Sequence[LaurentPoly | UPoly]) -> int:
     return sum(1 for entry in diagonal if not entry.is_zero())
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """U * M * V = D with unimodular U, V and D = diag(diagonal), divisibility-chained."""
 
     u: Matrix
@@ -55,8 +53,7 @@ class SmithForm:
         return _rank(self.diagonal)
 
 
-@dataclass(frozen=True)
-class SmithDiagonal:
+class SmithDiagonal(NamedTuple):
     """The Smith diagonal of M, without the transforms that produce it."""
 
     diagonal: tuple[LaurentPoly, ...]
@@ -237,8 +234,7 @@ def fitting_generator(presentation: Matrix, k: int) -> LaurentPoly:
     return u_laurent(result)
 
 
-@dataclass(frozen=True)
-class DeterminantalFactors:
+class DeterminantalFactors(NamedTuple):
     """Monic generators b_0, b_1, ... of the minor-gcd chain of t*id - phi."""
 
     b: tuple[LaurentPoly, ...]

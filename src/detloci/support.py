@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .arith import TorsionAngle, angle_roots, euler_phi, root_multiplicity
 from .complexes import FreeComplex, base_change, cdf_ideal
@@ -104,8 +103,7 @@ def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:
     return sorted(found, key=lambda d: d.sort_key())
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(NamedTuple):
     """Per-degree divisor data over a fixed candidate list."""
 
     candidates: tuple[PrimeTorusDivisor, ...]
@@ -207,8 +205,7 @@ def _jordan_size(complex_: FreeComplex, lam: TorsionAngle, b: tuple[int, ...], i
     return _minimal_order(specialized, PrimeTorusDivisor((1,), lam), i)
 
 
-@dataclass(frozen=True)
-class SpecializationRecord:
+class SpecializationRecord(NamedTuple):
     """Outcome of the one-parameter specialization at a chosen torsion point."""
 
     ord: int

@@ -9,18 +9,16 @@ tests for higher-codimension translated subtori.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import itemgetter, mul
+from collections import namedtuple
+from operator import mul
 from typing import Mapping, Sequence
 
-from .arith import TorsionAngle, angle_roots
+from .arith import Frozen, TorsionAngle, angle_roots
 
 
-class AffineHyperplane(tuple):
-    """The hyperplane {c_1 s_1 + ... + c_r s_r + c0 = 0} with c in N^r, c != 0.
-
-    A validated tuple (c, c0): hashing, equality and order are the tuple's.
-    """
+class AffineHyperplane(namedtuple("AffineHyperplane", "c c0")):
+    """The hyperplane {c_1 s_1 + ... + c_r s_r + c0 = 0} with c in N^r, c != 0;
+    a validated tuple (c, c0), hashed, compared and ordered as one."""
 
     __slots__ = ()
 
@@ -30,15 +28,6 @@ class AffineHyperplane(tuple):
         if min(c) < 0:
             raise ValueError("hyperplane normal must have natural entries")
         return tuple.__new__(cls, (c, c0))
-
-    c = property(itemgetter(0))
-    c0 = property(itemgetter(1))
-
-    def __repr__(self) -> str:
-        return f"AffineHyperplane(c={self[0]!r}, c0={self[1]!r})"
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)  # so that copy and pickle call __new__(c, c0)
 
     @property
     def nvars(self) -> int:
@@ -83,20 +72,20 @@ def is_oblique(h: AffineHyperplane) -> bool:
     return all(x != 0 for x in h.c)
 
 
-@dataclass(frozen=True, order=True)
-class PrimeTorusDivisor:
-    """The irreducible hypersurface {t^u = xi} with u primitive in N^r."""
+class PrimeTorusDivisor(namedtuple("PrimeTorusDivisor", "u xi")):
+    """The irreducible hypersurface {t^u = xi} with u primitive in N^r; a
+    validated tuple (u, xi), hashed, compared and ordered as one."""
 
-    u: tuple[int, ...]
-    xi: TorsionAngle
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.u or all(x == 0 for x in self.u):
+    def __new__(cls, u: tuple[int, ...], xi: TorsionAngle):
+        if not u or all(x == 0 for x in u):
             raise ValueError("divisor support must be nonzero")
-        if any(x < 0 for x in self.u):
+        if any(x < 0 for x in u):
             raise ValueError("divisor support must have natural entries")
-        if math.gcd(*self.u) != 1:
+        if math.gcd(*u) != 1:
             raise ValueError("divisor support must be primitive")
+        return tuple.__new__(cls, (u, xi))
 
     @property
     def nvars(self) -> int:
@@ -138,18 +127,11 @@ def exp_hyperplane(h: AffineHyperplane) -> PrimeTorusDivisor:
     g = math.gcd(*c)
     num = -c0 % g
     k = math.gcd(num, g)
-    xi = _unchecked(TorsionAngle, num=num // k, den=g // k)
-    return _unchecked(PrimeTorusDivisor, u=tuple(x // g for x in c), xi=xi)
+    xi = tuple.__new__(TorsionAngle, (num // k, g // k))
+    return tuple.__new__(PrimeTorusDivisor, (tuple(x // g for x in c), xi))
 
 
-def _unchecked(cls: type, **fields):
-    """An instance of the frozen dataclass cls, without its __post_init__ checks."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
-class TorusDivisor:
+class TorusDivisor(Frozen):
     """Formal Z-linear combination of prime torus divisors."""
 
     __slots__ = ("coeffs",)
@@ -161,9 +143,6 @@ class TorusDivisor:
                 if mult != 0:
                     cleaned[prime] = mult
         object.__setattr__(self, "coeffs", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusDivisor values are immutable")
 
     def __add__(self, other: "TorusDivisor") -> "TorusDivisor":
         out = dict(self.coeffs)
@@ -203,22 +182,23 @@ class TorusDivisor:
         return f"TorusDivisor({body})"
 
 
-@dataclass(frozen=True)
-class TranslatedSubtorus:
+class TranslatedSubtorus(namedtuple("TranslatedSubtorus", "equations")):
     """Intersection of {t^{u_j} = xi_j} with Q-linearly independent u_j.
 
-    The equations are kept sorted, so that equality and hashing ignore their order.
+    A validated tuple (equations,), hashed, compared and ordered as one; the
+    equations are kept sorted, so that equality and hashing ignore their order.
     """
 
-    equations: tuple[tuple[tuple[int, ...], TorsionAngle], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "equations", tuple(sorted(self.equations)))
-        if not self.equations:
+    def __new__(cls, equations: tuple[tuple[tuple[int, ...], TorsionAngle], ...]):
+        equations = tuple(sorted(equations))
+        if not equations:
             raise ValueError("a translated subtorus needs at least one equation")
-        pivots, _ = rref([u for u, _ in self.equations], len(self.equations[0][0]))
-        if len(pivots) != len(self.equations):
+        pivots, _ = rref([u for u, _ in equations], len(equations[0][0]))
+        if len(pivots) != len(equations):
             raise ValueError("subtorus equations must be linearly independent")
+        return tuple.__new__(cls, (equations,))
 
     @property
     def codimension(self) -> int:

@@ -822,10 +822,12 @@ class TestTrustedBuilds:
     @example((3,), -7)
     def test_exp_hyperplane_equals_checked_divisor(self, c, c0):
         g = math.gcd(*c)
-        want = PrimeTorusDivisor(tuple(x // g for x in c), TorsionAngle.make(-c0, g))
+        xi = TorsionAngle(*TorsionAngle.make(-c0, g))  # make builds unchecked too
+        want = PrimeTorusDivisor(tuple(x // g for x in c), xi)
         got = exp_hyperplane(H(c, c0))
         assert type(got) is PrimeTorusDivisor and type(got.xi) is TorsionAngle
-        assert vars(got) == vars(want) and vars(got.xi) == vars(want.xi)
+        assert type(got.u) is tuple and [type(x) for x in got.u] == [int] * len(c)
+        assert (got.u, got.xi.num, got.xi.den) == (want.u, want.xi.num, want.xi.den)
         assert got == want and hash(got) == hash(want)
         assert got.sort_key() == want.sort_key() and str(got) == str(want)
 

@@ -894,6 +894,13 @@ class TestStandardLibraryOnly:
         assert "detloci.cli" in loaded
         assert {"detloci.fixtures", "logging"} & loaded == set()
 
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # values are validated tuples and stateful types slotted classes: no
+        # decorator generates and compiles methods at import
+        loaded = _modules_loaded_by_import()
+        assert "detloci.cli" in loaded
+        assert {"dataclasses", "inspect"} & loaded == set()
+
 
 def _annotation_names(node) -> set[str]:
     """Names read by an annotation, including one written as a string."""
@@ -1021,9 +1028,7 @@ class TestCacheInventory:
         assert _cached_names(sorted(src.glob("*.py"))) == {
             "arith.cyclotomic_poly",
             "arith._phi_tail",
-            "poly.IdealGens.gens",
             "cli.build_parser",
-            "bsloci.HyperplaneLocus.member_canonicals",
         }
 
     def test_detects_every_cache_spelling(self, tmp_path):
@@ -1051,16 +1056,25 @@ class TestCacheInventory:
 
 def _field_reads(classes: dict[str, ast.ClassDef]) -> dict[int, str]:
     """The class whose attribute each `self.f.name` read names: {id(node): class},
-    for every field f annotated in its class body by the bare name of a class."""
+    for every field f annotated by the bare name of a class, in its class body
+    or as a parameter of its `__new__` or `__init__` (which fill the fields of
+    the tuple-backed values and the slotted classes)."""
     typed = {}
     for cls in classes.values():
-        fields = {
-            member.target.id: member.annotation.id
+        annotated = [
+            (member.target.id, member.annotation)
             for member in cls.body
-            if isinstance(member, ast.AnnAssign)
-            and isinstance(member.target, ast.Name)
-            and isinstance(member.annotation, ast.Name)
-            and member.annotation.id in classes
+            if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+        ] + [
+            (arg.arg, arg.annotation)
+            for member in cls.body
+            if isinstance(member, ast.FunctionDef) and member.name in ("__new__", "__init__")
+            for arg in member.args.args + member.args.kwonlyargs
+        ]
+        fields = {
+            name: annotation.id
+            for name, annotation in annotated
+            if isinstance(annotation, ast.Name) and annotation.id in classes
         }
         for node in ast.walk(cls):
             owner = node.value if isinstance(node, ast.Attribute) else None
@@ -1234,6 +1248,26 @@ class TestLibraryOnlyNames:
             "    return d.conjugate()\n"
         )
         assert _uncalled_public_names([module]) == {"m.caller", "m.Elem.inverse"}
+
+    def test_constructor_annotations_type_the_fields(self, tmp_path):
+        module = tmp_path / "m.py"
+        module.write_text(
+            "class Angle:\n"
+            "    def inverse(self): return self\n"
+            "    def negate(self): return self\n"
+            "class Elem:\n"
+            "    def inverse(self): return self\n"
+            "    def negate(self): return self\n"
+            "class Divisor(tuple):\n"
+            "    def __new__(cls, u: tuple, xi: Angle): return tuple.__new__(cls, (u, xi))\n"
+            "    def conjugate(self): return self.xi.inverse()\n"
+            "class Locus:\n"
+            "    def __init__(self, r: int, *, angle: Angle): object.__setattr__(self, 'angle', angle)\n"
+            "    def flipped(self): return self.angle.negate()\n"
+            "def caller(d: Divisor, e: Elem, locus: Locus):\n"
+            "    return d.conjugate(), locus.flipped()\n"
+        )
+        assert _uncalled_public_names([module]) == {"m.caller", "m.Elem.inverse", "m.Elem.negate"}
 
 
 class TestNoFieldElementInside:
