@@ -262,6 +262,9 @@ class CycloElem(Frozen):
             raise ValueError("coefficient vector has wrong length")
         return CycloElem.make(order, coeffs)
 
+    def __getnewargs__(self) -> tuple:
+        return self.order, self.coeffs
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The rational coefficients of 1, z, ..., z^(d-1), reduced."""

@@ -3,7 +3,8 @@
 Loci are stored intensionally: a multiset of affine hyperplanes with natural
 normals plus a list of higher-codimension linear pieces, each given by its
 defining hyperplanes.  All operations are set-theoretic on this data; there
-is no polynomial ideal representation.
+is no polynomial ideal representation.  They work on the integer pairs
+(c, c0) of the members and build a Fraction only for a result.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ class HyperplaneLocus(Frozen):
 
     @property
     def member_canonicals(self) -> frozenset[tuple]:
-        """Scale-invariant forms of the members, built once per locus."""
+        """Scale-invariant forms of the members, built once per locus in one pass."""
         if self._canonicals is None:
-            canonicals = frozenset(h.set_canonical() for h in self.members())
+            canonicals = frozenset(h.set_canonical() for h, _ in self.hyperplanes)
             object.__setattr__(self, "_canonicals", canonicals)
         return self._canonicals
 
@@ -113,9 +114,7 @@ class HyperplaneLocus(Frozen):
     def set_canonical(self) -> tuple:
         """Scale-invariant description of the underlying point set."""
         hs = sorted({h.set_canonical() for h, _ in self.hyperplanes})
-        ps = sorted(
-            {tuple(sorted(h.set_canonical() for h in piece)) for piece in self.pieces}
-        )
+        ps = sorted({tuple(sorted(h.set_canonical() for h in piece)) for piece in self.pieces})
         return (tuple(hs), tuple(ps))
 
     def contains_rational_point(self, point: Sequence[Fraction]) -> bool:
@@ -162,7 +161,8 @@ def combine_bm(
             raise ValueError(f"component {j} is not a coordinate 1..{r}")
         if locus.r != r:
             raise ValueError(f"component {j} has mismatched dimension")
-    hyperplanes: set[AffineHyperplane] = set()
+    new = tuple.__new__
+    orders: dict[AffineHyperplane, int] = {}
     pieces: set[Piece] = set()
     accumulated = [0] * r
     for j in pi:
@@ -174,19 +174,20 @@ def combine_bm(
             # c . (acc + k e_j) = c . acc + k c_j: one dot product per member,
             # then steps of c_j; the normals are unchanged, so no validation
             for (c, c0), _ in locus.hyperplanes:
-                start, step = c0 + sum(map(mul, c, accumulated)), c[j - 1]
-                hyperplanes.update(
-                    tuple.__new__(AffineHyperplane, (c, start + k * step)) for k in range(mj)
-                )
+                c0 += sum(map(mul, c, accumulated))
+                step = c[j - 1]
+                for _ in range(mj):
+                    orders[new(AffineHyperplane, (c, c0))] = 1
+                    c0 += step
             for piece in locus.pieces:
                 starts = [(c, c0 + sum(map(mul, c, accumulated)), c[j - 1]) for c, c0 in piece]
                 # shifting keeps a piece sorted: its normals are distinct
                 pieces.update(
-                    tuple(tuple.__new__(AffineHyperplane, (c, a + k * b)) for c, a, b in starts)
+                    tuple(new(AffineHyperplane, (c, a + k * b)) for c, a, b in starts)
                     for k in range(mj)
                 )
             accumulated[j - 1] += mj
-    return HyperplaneLocus.from_checked(r, dict.fromkeys(hyperplanes, 1), pieces)
+    return HyperplaneLocus.from_checked(r, orders, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +291,11 @@ def _point_avoiding(member: Piece, outer: list[Piece]) -> list[Fraction] | None:
     search runs on past it in the same order, so it always ends with a point.
     """
     base, dirs, den = _parametrize(member)
-    restricted = [[_restrict(h, base, dirs, den) for h in other] for other in outer]
-    if any(all(not any(f) for f in funcs) for funcs in restricted):
-        return None  # that outer member contains the whole member
+    restricted = []
+    for other in outer:
+        restricted.append([_restrict(h, base, dirs, den) for h in other])
+        if not any(map(any, restricted[-1])):
+            return None  # that outer member contains the whole member
     values = _first_free_values(restricted, len(dirs), 64)
     if values is None:
         values = _first_free_values(restricted, len(dirs), None)
@@ -355,27 +358,30 @@ def slope_set(locus: HyperplaneLocus) -> set[tuple[int, ...]]:
 # Polar-locus arithmetic
 
 
-def polar_candidate_filter(
-    candidate: AffineHyperplane, zbf: HyperplaneLocus
-) -> dict:
+def polar_candidate_filter(candidate: AffineHyperplane, zbf: HyperplaneLocus) -> dict:
     """Box position and translate test for a would-be polar hyperplane.
 
     m = floor(c0 / sum(c)) locates the unique half-open box (-m-1, -m]^r the
     hyperplane meets; the candidate survives if some translate by k*(1,..,1)
-    with 0 <= k <= m is a member of the zero locus.
+    with 0 <= k <= m is a member of the zero locus: the translate (c, c0 - k
+    sum(c)) over its gcd, taken from gcd(c), is one of the members' canonicals.
     """
     if candidate.nvars != zbf.r:
         raise ValueError("candidate and locus live in different dimensions")
-    if candidate.c0 <= 0:
+    c, c0 = candidate
+    if c0 <= 0:
         raise ValueError("polar candidates need a positive constant term")
-    total = sum(candidate.c)
-    m = candidate.c0 // total
+    total = sum(c)
+    m = c0 // total
+    g_c = gcd(*c)
+    canonicals = zbf.member_canonicals
     found = None
     for k in range(m + 1):
-        shifted = AffineHyperplane(candidate.c, candidate.c0 - k * total)
-        if shifted.set_canonical() in zbf.member_canonicals:
+        g = gcd(g_c, c0)
+        if ((c, c0) if g == 1 else (tuple(x // g for x in c), c0 // g)) in canonicals:
             found = k
             break
+        c0 -= total
     return {"m": m, "k": found}
 
 
@@ -408,25 +414,27 @@ def specialize_slice(model: PolarModel, b: Sequence[int]) -> list[dict]:
     order_sum adds their polar orders and generic marks singleton groups (the
     arrangement-collision half of genericity; the analytic zero-locus half is
     not decidable from this data and is flagged by the field name).
+
+    A member's pole is -c0 / (c . b), where c . b > 0.  Over L, the lcm of the
+    dot products, one per distinct normal (translates share theirs), it is the
+    integer key -c0 * (L / (c . b)); groups are formed and sorted by key, and
+    each builds one Fraction(key, L).
     """
     if len(b) != model.r:
         raise ValueError("direction vector has wrong length")
     if any(x <= 0 for x in b):
         raise ValueError("direction entries must be positive")
-    # poles as reduced pairs (num, den); den > 0 as c is natural and nonzero, b positive
-    groups: dict[tuple[int, int], list[int]] = {}
-    for h, mult in model.hyperplanes:
-        denom = sum(ci * bi for ci, bi in zip(h.c, b))
-        g = gcd(h.c0, denom)
-        entry = groups.setdefault((-h.c0 // g, denom // g), [0, 0])
+    dots = {c: sum(map(mul, c, b)) for c in {c for (c, _), _ in model.hyperplanes}}
+    common = lcm(*dots.values())
+    scale = {c: common // dot for c, dot in dots.items()}
+    groups: dict[int, list[int]] = {}
+    for (c, c0), mult in model.hyperplanes:
+        entry = groups.setdefault(-c0 * scale[c], [0, 0])
         entry[0] += mult
         entry[1] += 1
-    common = lcm(*(den for _, den in groups))
     return [
-        {"pole": Fraction(num, den), "order_sum": order_sum, "generic": count == 1}
-        for (num, den), (order_sum, count) in sorted(
-            groups.items(), key=lambda kv: kv[0][0] * (common // kv[0][1])
-        )
+        {"pole": Fraction(key, common), "order_sum": order_sum, "generic": count == 1}
+        for key, (order_sum, count) in sorted(groups.items())
     ]
 
 

@@ -44,7 +44,7 @@ MAX_COMPONENTS = 8
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError:
         raise InputError(f"expected a comma-separated integer list, got {text!r}") from None
 
@@ -130,7 +130,7 @@ def _cmd_combine(args) -> tuple[int, dict]:
             components[j] = _load_locus(path)
     if not components:
         raise InputError("combine needs at least one component locus")
-    pi = tuple(_int_list(args.pi)) if args.pi else None
+    pi = None if args.pi is None else tuple(_int_list(args.pi))
     locus = combine_bm(components, tuple(m), pi)
     return 0, {"locus": locus_to_json(locus)}
 
@@ -169,17 +169,9 @@ def _cmd_propagate(args) -> tuple[int, dict]:
 
 def _cmd_slice(args) -> tuple[int, dict]:
     model = _load_locus(args.model)
-    b = _int_list(args.b)
-    entries = specialize_slice(model, tuple(b))
+    entries = specialize_slice(model, tuple(_int_list(args.b)))
     return 0, {
-        "poles": [
-            {
-                "pole": fraction_to_str(e["pole"]),
-                "order_sum": e["order_sum"],
-                "generic": e["generic"],
-            }
-            for e in entries
-        ],
+        "poles": [{**e, "pole": fraction_to_str(e["pole"])} for e in entries],
         "analytic_genericity_checked": False,
     }
 

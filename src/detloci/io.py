@@ -199,19 +199,13 @@ def locus_from_json(obj: Any) -> HyperplaneLocus:
 # Serialization
 
 
-def hyperplane_to_json(h: AffineHyperplane, mult: int | None = None) -> dict:
-    out: dict[str, Any] = {"c": list(h.c), "c0": h.c0}
-    if mult is not None:
-        out["mult"] = mult
-    return out
-
-
 def locus_to_json(locus: HyperplaneLocus) -> dict:
+    """The locus file of a locus, each member's fields unpacked in one pass."""
     return {
         "r": locus.r,
-        "hyperplanes": [hyperplane_to_json(h, m) for h, m in locus.hyperplanes],
+        "hyperplanes": [{"c": list(c), "c0": c0, "mult": m} for (c, c0), m in locus.hyperplanes],
         "pieces": [
-            {"hyperplanes": [hyperplane_to_json(h) for h in piece]}
+            {"hyperplanes": [{"c": list(c), "c0": c0} for c, c0 in piece]}
             for piece in locus.pieces
         ],
     }

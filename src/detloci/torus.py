@@ -44,7 +44,7 @@ class AffineHyperplane(namedtuple("AffineHyperplane", "c c0")):
         """Scale-invariant form of the point set (divide out the full gcd)."""
         c, c0 = self
         g = math.gcd(*c, c0)
-        return tuple(x // g for x in c), c0 // g
+        return (c, c0) if g == 1 else (tuple(x // g for x in c), c0 // g)
 
     def __str__(self) -> str:
         parts = []

@@ -7,6 +7,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -15,7 +16,7 @@ from detloci.arith import CycloElem, TorsionAngle
 from detloci.bsloci import HyperplaneLocus
 from detloci.complexes import FreeComplex, Matrix, direct_sum, matrix_make, matrix_shape
 from detloci.poly import IdealGens, LaurentPoly, ParseError, Ring, term_key
-from detloci.torus import PrimeTorusDivisor
+from detloci.torus import AffineHyperplane, PrimeTorusDivisor
 
 SMALL_ANGLES = [
     TorsionAngle.make(0, 1),
@@ -663,6 +664,122 @@ def loop_containment_check(inner: HyperplaneLocus, outer: HyperplaneLocus):
                 raise ArithmeticError("containment witness lies in the outer locus")
             return False, witness
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# The locus calculus as it was before it ran on integer keys: a Fraction
+# per pole, a validated hyperplane per filter translate, every outer member
+# restricted before any containment test, translates added from generators
+
+
+def oracle_member_canonicals(locus: HyperplaneLocus) -> frozenset[tuple]:
+    return frozenset(h.set_canonical() for h in locus.members())
+
+
+def oracle_combine_bm(components, m, pi=None) -> HyperplaneLocus:
+    r = len(m)
+    if any(x < 0 for x in m):
+        raise ValueError("the exponent vector must be natural")
+    if all(x == 0 for x in m):
+        raise ValueError("the exponent vector must be nonzero")
+    if pi is None:
+        pi = tuple(range(1, r + 1))
+    if sorted(pi) != list(range(1, r + 1)):
+        raise ValueError("pi must be a permutation of 1..r")
+    for j, locus in components.items():
+        if not 1 <= j <= r:
+            raise ValueError(f"component {j} is not a coordinate 1..{r}")
+        if locus.r != r:
+            raise ValueError(f"component {j} has mismatched dimension")
+    hyperplanes: set[AffineHyperplane] = set()
+    pieces: set = set()
+    accumulated = [0] * r
+    for j in pi:
+        mj = m[j - 1]
+        if mj > 0:
+            if j not in components:
+                raise ValueError(f"missing component locus for coordinate {j}")
+            locus = components[j]
+            for (c, c0), _ in locus.hyperplanes:
+                start, step = c0 + sum(map(mul, c, accumulated)), c[j - 1]
+                hyperplanes.update(
+                    tuple.__new__(AffineHyperplane, (c, start + k * step)) for k in range(mj)
+                )
+            for piece in locus.pieces:
+                starts = [(c, c0 + sum(map(mul, c, accumulated)), c[j - 1]) for c, c0 in piece]
+                pieces.update(
+                    tuple(tuple.__new__(AffineHyperplane, (c, a + k * b)) for c, a, b in starts)
+                    for k in range(mj)
+                )
+            accumulated[j - 1] += mj
+    return HyperplaneLocus.from_checked(r, dict.fromkeys(hyperplanes, 1), pieces)
+
+
+def oracle_point_avoiding(member, outer) -> list[Fraction] | None:
+    base, dirs, den = bsloci._parametrize(member)
+    restricted = [[bsloci._restrict(h, base, dirs, den) for h in other] for other in outer]
+    if any(all(not any(f) for f in funcs) for funcs in restricted):
+        return None  # that outer member contains the whole member
+    values = bsloci._first_free_values(restricted, len(dirs), 64)
+    if values is None:
+        values = bsloci._first_free_values(restricted, len(dirs), None)
+    return [
+        Fraction(b + sum(v * d[i] for v, d in zip(values, dirs)), den)
+        for i, b in enumerate(base)
+    ]
+
+
+def oracle_polar_candidate_filter(candidate: AffineHyperplane, zbf: HyperplaneLocus) -> dict:
+    if candidate.nvars != zbf.r:
+        raise ValueError("candidate and locus live in different dimensions")
+    if candidate.c0 <= 0:
+        raise ValueError("polar candidates need a positive constant term")
+    total = sum(candidate.c)
+    m = candidate.c0 // total
+    found = None
+    for k in range(m + 1):
+        shifted = AffineHyperplane(candidate.c, candidate.c0 - k * total)
+        if shifted.set_canonical() in oracle_member_canonicals(zbf):
+            found = k
+            break
+    return {"m": m, "k": found}
+
+
+def oracle_specialize_slice(model: HyperplaneLocus, b) -> list[dict]:
+    if len(b) != model.r:
+        raise ValueError("direction vector has wrong length")
+    if any(x <= 0 for x in b):
+        raise ValueError("direction entries must be positive")
+    groups: dict[tuple[int, int], list[int]] = {}
+    for h, mult in model.hyperplanes:
+        denom = sum(ci * bi for ci, bi in zip(h.c, b))
+        g = math.gcd(h.c0, denom)
+        entry = groups.setdefault((-h.c0 // g, denom // g), [0, 0])
+        entry[0] += mult
+        entry[1] += 1
+    common = math.lcm(*(den for _, den in groups))
+    return [
+        {"pole": Fraction(num, den), "order_sum": order_sum, "generic": count == 1}
+        for (num, den), (order_sum, count) in sorted(
+            groups.items(), key=lambda kv: kv[0][0] * (common // kv[0][1])
+        )
+    ]
+
+
+def oracle_locus_to_json(locus: HyperplaneLocus) -> dict:
+    def hyperplane_to_json(h, mult=None):
+        out = {"c": list(h.c), "c0": h.c0}
+        if mult is not None:
+            out["mult"] = mult
+        return out
+
+    return {
+        "r": locus.r,
+        "hyperplanes": [hyperplane_to_json(h, m) for h, m in locus.hyperplanes],
+        "pieces": [
+            {"hyperplanes": [hyperplane_to_json(h) for h in piece]} for piece in locus.pieces
+        ],
+    }
 
 
 def cohomology_dims_at_point(complex_: FreeComplex, point) -> dict[int, int]:

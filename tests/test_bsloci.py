@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -25,7 +26,16 @@ from detloci.fixtures import ex71_loci, ex72_loci
 from detloci.io import locus_from_json, locus_to_json
 from detloci.torus import AffineHyperplane, PrimeTorusDivisor, exp_hyperplane, rref
 
-from conftest import loop_containment_check, translate_locus
+from conftest import (
+    loop_containment_check,
+    oracle_combine_bm,
+    oracle_locus_to_json,
+    oracle_member_canonicals,
+    oracle_point_avoiding,
+    oracle_polar_candidate_filter,
+    oracle_specialize_slice,
+    translate_locus,
+)
 
 
 def H(c, c0):
@@ -870,3 +880,91 @@ class TestTrustedBuilds:
         monkeypatch.setattr(bsloci, "_parametrize", counting)
         assert containment_check(inner, outer) == (False, [Fraction(-5, 3), 0])
         assert searched == [(H((3, 1), 5),)]
+
+
+# ---------------------------------------------------------------------------
+# Integer keys against the bodies they replaced (conftest oracles)
+
+
+@st.composite
+def pole_models(draw):
+    """A polar model and a direction b: random members (normals not always
+    primitive, c0 zero or negative too), pairs of members of different
+    normals planted on one pole -k, and translates sharing a normal."""
+    r = draw(st.integers(1, 4))
+    b = tuple(draw(st.lists(st.integers(1, 4), min_size=r, max_size=r)))
+    pairs = draw(hyperplane_lists(r, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        k, mult = draw(st.integers(-6, 6)), draw(st.integers(1, 3))
+        for c in draw(st.lists(normals(r), min_size=2, max_size=3, unique=True)):
+            pairs.append((H(c, k * sum(x * y for x, y in zip(c, b))), mult))
+    model = HyperplaneLocus.make(r, pairs, draw(piece_lists(r)))
+    return propagate_polar(model, draw(st.integers(0, 2))), b
+
+
+@st.composite
+def filter_cases(draw):
+    """A candidate (its normal not always primitive) and a locus holding
+    rescaled translates (c, c0 - k sum(c)) of it, some beyond its box."""
+    r = draw(st.integers(1, 4))
+    c = draw(normals(r))
+    c0 = draw(st.integers(1, 40))
+    total = sum(c)
+    planted = []
+    for k in draw(st.lists(st.integers(0, c0 // total + 1), max_size=2)):
+        scale = draw(st.integers(1, 3))
+        planted.append(H(tuple(scale * x for x in c), scale * (c0 - k * total)))
+    locus = HyperplaneLocus.make(r, planted + [h for h, _ in draw(hyperplane_lists(r))])
+    return H(c, c0), locus
+
+
+class TestIntegerKeys:
+    @given(pole_models())
+    @settings(max_examples=300, deadline=None)
+    # one pole from members of different normals and of equal normals
+    @example((HyperplaneLocus.make(2, [(H((1, 2), 6), 2), H((2, 1), 6), H((2, 4), 12), H((1, 1), 4)]), (1, 1)))
+    @example((HyperplaneLocus.make(1, [(H((3,), 0), 2), H((6,), -4), H((2,), 0)]), (2,)))
+    def test_slice_equals_the_fraction_pairs(self, case):
+        model, b = case
+        got = specialize_slice(model, b)
+        assert got == oracle_specialize_slice(model, b)
+        assert all(type(e["pole"]) is Fraction for e in got)
+
+    @given(filter_cases())
+    @settings(max_examples=300, deadline=None)
+    @example((H((2, 2), 6), HyperplaneLocus.make(2, [H((1, 1), 3)])))
+    @example((H((2, 4), 12), HyperplaneLocus.make(2, [H((3, 6), 0), H((1, 2), 3)])))
+    def test_filter_equals_the_validated_translates(self, case):
+        candidate, locus = case
+        assert polar_candidate_filter(candidate, locus) == oracle_polar_candidate_filter(
+            candidate, locus
+        )
+
+    @given(locus_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_member_canonicals_equal_the_method(self, locus):
+        assert locus.member_canonicals == oracle_member_canonicals(locus)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_combine_equals_the_generator_updates(self, data):
+        r = data.draw(st.integers(1, 4))
+        components = {j: data.draw(locus_cases(r)) for j in range(1, r + 1)}
+        m = tuple(data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r).filter(any)))
+        pi = tuple(data.draw(st.permutations(range(1, r + 1))))
+        assert_same_locus(combine_bm(components, m, pi), oracle_combine_bm(components, m, pi))
+
+    @given(containment_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_point_avoiding_equals_restricting_every_member_first(self, case):
+        inner, outer = case
+        outer_members = [(h,) for h in outer.members()] + list(outer.pieces)
+        for member in [(h,) for h in inner.members()] + list(inner.pieces):
+            got = bsloci._point_avoiding(member, outer_members)
+            assert got == oracle_point_avoiding(member, outer_members)
+
+    @given(locus_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_locus_to_json_equals_the_member_helper(self, locus):
+        got, want = locus_to_json(locus), oracle_locus_to_json(locus)
+        assert json.dumps(got) == json.dumps(want)

@@ -186,6 +186,46 @@ class TestFilterSlice:
         assert got == {((1, 1), 1, 1), ((1, 1), 2, 1)}
 
 
+class TestIntegerLists:
+    """An empty item of a comma-separated list is an input error, named after
+    the faults each command checks first."""
+
+    @pytest.mark.parametrize("text", ["1,,2", "1,2,", ",1", ""])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["slice", "--model", "L", "--b", "X"],
+            ["filter", "--locus", "L", "--c", "X", "--c0", "3"],
+            ["combine", "--m", "X", "--e1", "L", "--e2", "L"],
+            ["combine", "--m", "1,1", "--e1", "L", "--e2", "L", "--pi", "X"],
+        ],
+    )
+    def test_empty_item_exit_2(self, capsys, ex71_bf_file, argv, text):
+        argv = [{"L": ex71_bf_file, "X": text}.get(a, a) for a in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"input error: expected a comma-separated integer list, got {text!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["slice", "--model", "MISSING", "--b", "1,,2"],
+            ["filter", "--locus", "MISSING", "--c", "1,,2", "--c0", "3"],
+        ],
+    )
+    def test_locus_read_before_the_list(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(capsys, [missing if a == "MISSING" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: cannot read {missing}")
+
+    def test_combine_reads_m_before_the_components(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(capsys, ["combine", "--m", "1,,2", "--e1", missing])
+        assert (code, out) == (2, "")
+        assert err == "input error: expected a comma-separated integer list, got '1,,2'\n"
+
+
 class TestComplexCommands:
     def test_cdf(self, capsys, complex_file):
         code, out, _ = run_cli(

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,3 +102,34 @@ def test_each_checkout_runs_its_own_layer_script(tmp_path, monkeypatch):
     assert rows and all(set(row) == {"inputs", "change_ms"} for row in rows.values())
     rows = bench_pairs.layer(str(parent), str(ROOT), "determinantal_factors", paths)
     assert len(rows) > 1 and all(set(row) == {"inputs", "change_ms"} for row in rows.values())
+
+
+
+def test_locus_layer_times_each_step_on_its_inputs(tmp_path, monkeypatch, capsys):
+    """One row set per locus step, grouped by r: each step's script times only
+    its own function, as often as a job calls it (a job has 4 + r input loci,
+    3 permutations, 2 inner loci, 4 candidates and 2 directions)."""
+    bench_pairs = load_bench_pairs()
+    per_job = {
+        "locus_from_json": lambda r: 4 + r,
+        "combine_bm": lambda r: 3,
+        "containment_check": lambda r: 2,
+        "exp_divisors": lambda r: 1,
+        "polar_candidate_filter": lambda r: 4,
+        "propagate_polar": lambda r: 1,
+        "specialize_slice": lambda r: 2,
+    }
+    path = str(one_cycle_jobs(tmp_path, monkeypatch)["loci-calculus"])
+    programs = bench_pairs.layer_programs(str(ROOT))
+    monkeypatch.setattr(sys, "argv", ["layer", "0", path])
+    for step, calls in per_job.items():
+        function, names, _, key, _ = bench_pairs.LAYERS[step]
+        module, name = function.split(".")
+        assert name == step and names == ("loci-calculus",) and key == "r"
+        namespace = {}
+        exec(programs[step], namespace)
+        assert set(json.loads(capsys.readouterr().out)) == {"2", "3", "4"}
+        group = list(namespace["jobs"]("loci"))
+        timed = [f for f, *_ in namespace["calls"](group)]
+        measured = getattr(importlib.import_module(f"detloci.{module}"), name)
+        assert timed == [measured] * sum(calls(len(job["args"]["m"])) for job in group), step

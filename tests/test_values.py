@@ -398,8 +398,9 @@ class TestRecords:
 
 
 class TestFrozenSlots:
-    """The other immutable slotted types share the refusal; polynomials and
-    formal divisors, which the records hold, also round-trip."""
+    """The other immutable slotted types share the refusal; polynomials,
+    formal divisors, which the records hold, and field elements also
+    round-trip."""
 
     def test_assignment_and_round_trips(self):
         f = parse_poly("e(1/3)*t1-1/2", R1)
@@ -411,3 +412,10 @@ class TestFrozenSlots:
                 setattr(value, name, None)
         assert_round_trips(f)
         assert_round_trips(divisor)
+
+    @pytest.mark.parametrize("order", [1, 6, 12])
+    def test_field_elements_round_trip(self, order):
+        elem = CycloElem.make(order, [Fraction(1, 2), Fraction(-3)])
+        assert_round_trips(elem)
+        for back in round_trips(elem):
+            assert (back.order, back.nums, back.den) == (elem.order, elem.nums, elem.den)

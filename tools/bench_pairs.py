@@ -39,7 +39,10 @@ total:
 - the locus layer, on the loci-calculus jobs grouped by the dimension r, one
   row set per step: `locus_from_json` on every input locus of a job,
   `combine_bm` for each of its permutations, `containment_check` of both
-  inner loci, and `exp_divisors` of the combined locus.
+  inner loci, `exp_divisors` of the combined locus, `polar_candidate_filter`
+  of each candidate against the combined locus (whose member canonicals the
+  first call builds, as in a job), `propagate_polar` of the model, and
+  `specialize_slice` of the propagated model along both directions.
 Each layer script takes the minimum seconds per group and the job files as
 arguments and prints {group: [inputs, seconds of the fastest pass]}.
 """
@@ -232,6 +235,7 @@ print(json.dumps(fastest_passes(groups, lambda group: [parsed(job) for job in gr
 LOCI = r"""
 from detloci import bsloci
 from detloci.io import locus_from_json
+from detloci.torus import AffineHyperplane
 
 
 def calls(group):
@@ -247,9 +251,18 @@ def calls(group):
         elif STEP == "containment_check":
             out += [(bsloci.containment_check, locus[inner], locus["outer"])
                     for inner in ("inner_true", "inner_false")]
+        elif STEP == "propagate_polar":
+            out.append((bsloci.propagate_polar, locus["model"], args["steps"]))
+        elif STEP == "specialize_slice":
+            propagated = bsloci.propagate_polar(locus["model"], args["steps"])
+            out += [(bsloci.specialize_slice, propagated, tuple(b)) for b in args["directions"]]
         else:
             combined = bsloci.combine_bm(components, tuple(args["m"]), tuple(args["pis"][0]))
-            out.append((bsloci.exp_divisors, combined))
+            if STEP == "exp_divisors":
+                out.append((bsloci.exp_divisors, combined))
+            else:
+                out += [(bsloci.polar_candidate_filter, AffineHyperplane(tuple(c), c0), combined)
+                        for c, c0 in args["candidates"]]
     return out
 
 
@@ -295,6 +308,9 @@ LAYERS = {
             ("bsloci", "combine_bm"),
             ("bsloci", "containment_check"),
             ("bsloci", "exp_divisors"),
+            ("bsloci", "polar_candidate_filter"),
+            ("bsloci", "propagate_polar"),
+            ("bsloci", "specialize_slice"),
         )
     },
 }
