@@ -43,10 +43,11 @@ MAX_COMPONENTS = 8
 
 
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise InputError(f"expected a comma-separated integer list, got {text!r}") from None
+    """Items spelled -?[0-9]+ in ASCII, and no other spelling that int() reads."""
+    items = text.split(",")
+    if all(x.isascii() and x.removeprefix("-").isdigit() for x in items):
+        return [int(x) for x in items]
+    raise InputError(f"expected a comma-separated integer list, got {text!r}")
 
 
 def _load_locus(path: str):

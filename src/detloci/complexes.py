@@ -9,8 +9,8 @@ each minor one `poly.sum_of_products` over its cofactor pairs, and every
 minor without a nonzero pair is the engine's one shared zero.  A minor ideal
 is valued along a prime divisor without expanding every minor: one local
 elimination per divisor, pivoting on the least-valued bordered minor, gives
-the valuation of every size (`MinorEngine`); its generators are enumerated
-only when read.
+the valuation of every size that is not listed (`MinorEngine`); its
+generators are enumerated only when read.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from typing import Iterator, Mapping, Sequence
 
 from .arith import Frozen
-from .poly import IdealGens, LaurentPoly, Ring, sum_of_products, valuation_along
+from .poly import IdealGens, LaurentPoly, Ring, least_valuation, sum_of_products, valuation_along
 from .torus import PrimeTorusDivisor
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
@@ -42,17 +42,28 @@ def empty_matrix(nrows: int, ncols: int, nvars: int, order: int) -> Matrix:
     return tuple(tuple(zero for _ in range(ncols)) for _ in range(nrows))
 
 
+def lists_minors(nrows: int, ncols: int, m: int) -> bool:
+    """Whether the m x m minors are listed rather than eliminated: the entries,
+    or fewer minors than entries, take fewer valuations one by one than the
+    elimination's first level, which weighs every entry.  A speed choice only."""
+    return m == 1 or math.comb(nrows, m) * math.comb(ncols, m) < nrows * ncols
+
+
 class MinorEngine:
     """Shared-memo determinant expansion over all minors of one matrix, and
     the valuations of its minor ideals along prime divisors.
 
     Each minor of size >= 2 is one `sum_of_products` over its nonzero
     cofactor pairs along the first row; a minor with no such pair is the
-    engine's one shared zero.
+    engine's one shared zero.  Per size the engine keeps nonzero minors in
+    combination order (`nonzero`): every one for a size that `lists_minors`
+    lists (recorded in `listed`), the first one for any other size.
 
     `valuation(m, D)` is v_D(I_m), the least valuation along D of an m x m
-    minor, read off one local elimination per divisor.  Along D the matrix
-    has local Smith exponents s_1 <= s_2 <= ... over the discrete valuation
+    minor.  A listed size takes the least valuation of its kept minors, each
+    capped at the least so far (`poly.least_valuation`).  Any other size is
+    read off one local elimination per divisor.  Along D the matrix has local
+    Smith exponents s_1 <= s_2 <= ... over the discrete valuation
     ring at D, and v_D(I_m) = s_1 + ... + s_m (Newman, Integral Matrices).
     Level k of the elimination holds a pivot block M[R, C] of size k with
     valuation s_1 + ... + s_k, and values the minors that border it,
@@ -71,10 +82,11 @@ class MinorEngine:
         self.mat = mat
         self.nvars = nvars
         self.order = order
+        self.listed: set[int] = set()  # the sizes kept in full, decided by `nonzero`
         self.zero = LaurentPoly.zero(nvars, order)
         self._memo: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
-        # size -> the first nonzero minor of that size, or None
-        self._first: dict[int, LaurentPoly | None] = {}
+        # size -> the nonzero minors kept for it (see the class)
+        self._nonzero: dict[int, tuple[LaurentPoly, ...]] = {}
         # divisor -> (pivot rows, pivot columns, [s_1 + ... + s_k for each level k])
         self._eliminations: dict = {}
 
@@ -111,16 +123,24 @@ class MinorEngine:
             for cols in itertools.combinations(range(ncols), m):
                 yield self.det(rows, cols)
 
-    def first_nonzero(self, m: int) -> LaurentPoly | None:
-        """The first nonzero m x m minor in combination order, None when all are zero."""
-        if m not in self._first:
-            self._first[m] = next((f for f in self.minors(m) if f.rows), None)
-        return self._first[m]
+    def nonzero(self, m: int) -> tuple[LaurentPoly, ...]:
+        """The nonzero m x m minors kept, in combination order: all of them for
+        a listed size, else the first; () when every one is zero."""
+        if m not in self._nonzero:
+            if lists_minors(*matrix_shape(self.mat), m):
+                self.listed.add(m)
+                self._nonzero[m] = tuple([f for f in self.minors(m) if f.rows])
+            else:
+                self._nonzero[m] = tuple(itertools.islice((f for f in self.minors(m) if f.rows), 1))
+        return self._nonzero[m]
 
     def valuation(self, m: int, divisor: PrimeTorusDivisor) -> int:
         """v(I_m) along divisor, for an m with a nonzero m x m minor (see the class)."""
+        kept = self.nonzero(m)
+        if m in self.listed:
+            return least_valuation(kept, divisor)
         rows, cols, sums = self._eliminations.setdefault(divisor, ([], [], [0]))
-        if len(sums) <= m and valuation_along(self.first_nonzero(m), divisor, cap=1) == 0:
+        if len(sums) <= m and valuation_along(kept[0], divisor, cap=1) == 0:
             return 0
         nrows, ncols = matrix_shape(self.mat)
         while len(sums) <= m:
@@ -154,16 +174,9 @@ def _decided_by_size(nrows: int, ncols: int, m: int, unit: IdealGens) -> IdealGe
 
 def _minors_from_engine(engine: MinorEngine, m: int, unit: IdealGens) -> IdealGens:
     """The ideal of the m x m minors, (0) when every minor is zero; raises
-    ValueError for a matrix beyond the enumeration limit.
-
-    The entries (m = 1), or fewer minors than the matrix has entries, take
-    fewer valuations one by one than the first level of the engine's
-    elimination, which weighs the entries, so they are listed at once as an
-    unformed ideal.  Any other size is left to the engine:
-    the ideal holds (engine, m), is zero exactly when the engine finds no
-    nonzero minor, and has the ring of its minors, raised to the engine's
-    order, which is the order of every minor of size >= 2.
-    """
+    ValueError for a matrix beyond the enumeration limit.  It holds (engine,
+    m) and has the ring of the minors the engine keeps (for m >= 2, every
+    minor has the engine's order)."""
     nrows, ncols = matrix_shape(engine.mat)
     decided = _decided_by_size(nrows, ncols, m, unit)
     if decided is not None:
@@ -172,11 +185,10 @@ def _minors_from_engine(engine: MinorEngine, m: int, unit: IdealGens) -> IdealGe
         raise ValueError(
             f"matrix exceeds the {MAX_MINOR_DIM}x{MAX_MINOR_DIM} minor enumeration limit"
         )
-    if m == 1 or math.comb(nrows, m) * math.comb(ncols, m) < nrows * ncols:
-        return IdealGens.unformed(unit.ring, engine.minors(m))
-    if engine.first_nonzero(m) is None:
+    kept = engine.nonzero(m)
+    if not kept:
         return IdealGens.zero_ideal(unit.ring)
-    return IdealGens(unit.ring.with_order(engine.order), minors=(engine, m))
+    return IdealGens(unit.ring.with_order(math.lcm(*[f.order for f in kept])), minors=(engine, m))
 
 
 def _engine_for(mat: Matrix, ring: Ring) -> MinorEngine:

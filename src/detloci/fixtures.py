@@ -7,9 +7,8 @@ fixture run fails on any mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith import TorsionAngle
 from .bsloci import (
@@ -26,15 +25,13 @@ from .bsloci import (
 from .torus import AffineHyperplane, PrimeTorusDivisor, exp_hyperplane, is_oblique
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     tag: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     description: str
     runner: Callable[[], list[CheckResult]]

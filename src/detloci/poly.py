@@ -420,36 +420,45 @@ def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor, cap: int | None 
     return best
 
 
+def least_valuation(gens: Iterable[LaurentPoly], divisor: PrimeTorusDivisor):
+    """min of valuation_along over nonzero gens (inf for none), each capped at the least so far."""
+    best = math.inf
+    for g in gens:
+        best = valuation_along(g, divisor, cap=None if best == math.inf else best)
+        if best == 0:
+            break
+    return best
+
+
 class IdealGens(Frozen):
     """A canonical finite generator list for an ideal of the (Laurent) ring.
 
     Zero generators are dropped, each generator is unit-normalized (monomial
     content removed in the Laurent case, leading coefficient 1), and the list
     is deduplicated and sorted.  (0) is the empty list and (1) is [1].
-    Generators are deliberately not reduced against each other.  An ideal
-    of raw generators (`unformed`), the m x m minors of a matrix (`minors`,
-    a pair (engine, m) whose engine yields them with `engine.minors(m)` and
-    values them with `engine.valuation(m, divisor)`, built only when some
-    minor is nonzero) or a sum of products of ideals (`sum_of_products`,
-    held as its pairs of factors) is formed into that list through `make`
-    when `gens` is first read, and only then.  `ring` is fixed at
-    construction: the base field raised to every order of a nonzero
+    Generators are deliberately not reduced against each other.  The ideal
+    of the m x m minors of a matrix (`minors`, a pair (engine, m) whose
+    engine yields them with `engine.minors(m)` and values them with
+    `engine.valuation(m, divisor)`, built only when some minor is nonzero;
+    see `complexes.MinorEngine`) or a sum of products of ideals
+    (`sum_of_products`, held as its pairs of factors) is formed into that
+    list through `make` when `gens` is first read, and only then.  `ring`
+    is fixed at construction: the base field raised to every order of a nonzero
     generator, which unit normalization keeps.  `valuations` holds
     ideal_valuation per divisor, filled on demand.
     """
 
-    __slots__ = ("ring", "parts", "raw", "minors", "valuations", "_gens")
+    __slots__ = ("ring", "parts", "minors", "valuations", "_gens")
 
-    def __init__(self, ring: Ring, parts: tuple = (), raw: tuple[LaurentPoly, ...] = (), minors: tuple = ()):
+    def __init__(self, ring: Ring, parts: tuple = (), minors: tuple = ()):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "parts", parts)  # pairs of IdealGens
-        object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "minors", minors)
         object.__setattr__(self, "valuations", {})
         object.__setattr__(self, "_gens", None)  # the generator list, once formed
 
     def __repr__(self) -> str:
-        fields = f"ring={self.ring!r}, parts={self.parts!r}, raw={self.raw!r}, minors={self.minors!r}"
+        fields = f"ring={self.ring!r}, parts={self.parts!r}, minors={self.minors!r}"
         return f"IdealGens({fields})"
 
     @staticmethod
@@ -481,16 +490,6 @@ class IdealGens(Frozen):
         return ideal
 
     @staticmethod
-    def unformed(ring: Ring, gens: Iterable[LaurentPoly]) -> "IdealGens":
-        """The ideal of the given generators, put through `make` when read; (0)
-        when every generator is zero."""
-        raw = tuple(gens)
-        orders = [g.order for g in raw if g.rows]
-        if not orders:
-            return IdealGens.zero_ideal(ring)
-        return IdealGens(ring.with_order(math.lcm(*orders)), raw=raw)
-
-    @staticmethod
     def sum_of_products(ring: Ring, pairs: Iterable[tuple]) -> "IdealGens":
         """The sum of the ideals I*J over the pairs (I, J), multiplied out when
         read; a pair with a zero factor adds no product, so no order either, and
@@ -512,17 +511,17 @@ class IdealGens(Frozen):
     @property
     def gens(self) -> tuple[LaurentPoly, ...]:
         if self._gens is None:
-            raw = self.minors[0].minors(self.minors[1]) if self.minors else self.raw
+            minors = self.minors[0].minors(self.minors[1]) if self.minors else ()
             products = (f * g for a, b in self.parts for f in a.gens for g in b.gens)
-            formed = IdealGens.make(self.ring, itertools.chain(raw, products))
+            formed = IdealGens.make(self.ring, itertools.chain(minors, products))
             object.__setattr__(self, "_gens", formed._gens)
         return self._gens
 
     def is_zero(self) -> bool:
-        """Whether this is (0), decided without forming: an unformed ideal holds
-        a nonzero generator, a minor ideal a nonzero minor, or a pair of
-        nonzero factors (the ring is a domain)."""
-        return not (self.parts or self.raw or self.minors or self.gens)
+        """Whether this is (0), decided without forming: a minor ideal holds a
+        nonzero minor, and a sum of products a pair of nonzero factors (the
+        ring is a domain)."""
+        return not (self.parts or self.minors or self.gens)
 
     def contains_one(self) -> bool:
         return any(g.is_one() for g in self.gens)
@@ -542,14 +541,12 @@ class IdealGens(Frozen):
 def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
     """min of valuation_along over the generators; infinity exactly for (0).
 
-    No unformed ideal is formed to be valued.  Unit factors and repeats do
-    not change a valuation along a prime divisor, so raw generators are
-    valued as they are, zeros skipped, whether or not `gens` has been read,
-    each capped at the least value so far.  A minor ideal is valued by its
-    engine, which expands only the minors that its local elimination
-    borders (`complexes.MinorEngine.valuation`).  Valuation adds over products
+    Valuing forms no ideal.  A minor ideal is valued by its engine
+    (`complexes.MinorEngine.valuation`), which expands only the minors it
+    lists or its local elimination borders.  Valuation adds over products
     and takes the minimum over sums, so a sum of products is the min over
-    the pairs of v(I) + v(J).  Each ideal remembers its valuations.
+    the pairs of v(I) + v(J).  Formed generators are valued by
+    `least_valuation`.  Each ideal remembers its valuations.
     """
     # only a divisor of the ideal's torus is ever remembered
     best = ideal.valuations.get(divisor)
@@ -557,21 +554,16 @@ def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
         return best
     if divisor.nvars != ideal.ring.nvars:
         raise ValueError("divisor lives in a different torus")
-    best = math.inf
     if ideal.minors:
         best = ideal.minors[0].valuation(ideal.minors[1], divisor)
     elif ideal.parts:
+        best = math.inf
         for a, b in ideal.parts:
             best = min(best, ideal_valuation(a, divisor) + ideal_valuation(b, divisor))
             if best == 0:
                 break
     else:
-        # with no raw generators, minors or parts the ideal is formed, so this forms nothing
-        for g in ideal.raw or ideal.gens:
-            if g.rows:
-                best = valuation_along(g, divisor, cap=None if best == math.inf else best)
-                if best == 0:
-                    break
+        best = least_valuation(ideal.gens, divisor)
     ideal.valuations[divisor] = best
     return best
 

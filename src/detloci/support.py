@@ -59,11 +59,8 @@ def _top_ideals(complex_: FreeComplex) -> dict[int, IdealGens]:
 
 def _top_minor(ideal: IdealGens) -> LaurentPoly:
     """One nonzero generator of a nonzero top-minor ideal, found without forming
-    it: the engine's first nonzero minor, else the first nonzero raw one."""
-    if ideal.minors:
-        engine, size = ideal.minors
-        return engine.first_nonzero(size)
-    return next(g for g in ideal.raw or ideal.gens if g.rows)
+    it: the engine's first kept minor, else the one generator of (1)."""
+    return ideal.minors[0].nonzero(ideal.minors[1])[0] if ideal.minors else ideal.gens[0]
 
 
 def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:

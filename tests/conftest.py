@@ -14,7 +14,14 @@ import pytest
 from detloci import bsloci
 from detloci.arith import CycloElem, TorsionAngle
 from detloci.bsloci import HyperplaneLocus
-from detloci.complexes import FreeComplex, Matrix, direct_sum, matrix_make, matrix_shape
+from detloci.complexes import (
+    FreeComplex,
+    Matrix,
+    direct_sum,
+    matrix_make,
+    matrix_shape,
+    minors_ideal,
+)
 from detloci.poly import IdealGens, LaurentPoly, ParseError, Ring, term_key
 from detloci.torus import AffineHyperplane, PrimeTorusDivisor
 
@@ -78,6 +85,12 @@ def two_term_complex(ring: Ring, mat: list[list[LaurentPoly]], low: int = 0) -> 
     return FreeComplex.make(
         ring, (low, low + 1), {low: ncols, low + 1: nrows}, {low: mat}
     )
+
+
+def row_ideal(ring: Ring, gens) -> IdealGens:
+    """The ideal of gens as the 1 x 1 minors of a one-row matrix, held by
+    its minor engine, which lists them."""
+    return minors_ideal((tuple(gens),), 1, ring)
 
 
 def random_two_term(rng: random.Random, ring: Ring, max_rank: int = 4) -> FreeComplex:

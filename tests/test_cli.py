@@ -187,10 +187,11 @@ class TestFilterSlice:
 
 
 class TestIntegerLists:
-    """An empty item of a comma-separated list is an input error, named after
-    the faults each command checks first."""
+    """An empty item of a comma-separated list, or one spelled other than
+    -?[0-9]+ in ASCII, is an input error, named after the faults each
+    command checks first."""
 
-    @pytest.mark.parametrize("text", ["1,,2", "1,2,", ",1", ""])
+    @pytest.mark.parametrize("text", ["1,,2", "1,2,", ",1", "", "1_0", "+3", " 4", "4 ", "\u0663"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -895,18 +896,21 @@ class TestEntryParsing:
         )
 
 
-def _modules_loaded_by_import() -> set[str]:
-    """The modules that `import detloci, detloci.cli` loads in a fresh `-S` process."""
+def _modules_loaded_by_import(argv: list[str] | None = None) -> set[str]:
+    """The modules that `import detloci, detloci.cli`, then `detloci argv`
+    when given, load in a fresh `-S` process."""
     import subprocess
     import sys
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
-        "import json, sys\n"
+        "import io, json, sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "before = set(sys.modules)\n"
         "import detloci, detloci.cli\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"assert {argv!r} is None or detloci.cli.main({argv!r}) == 0\n"
+        "out.write(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", script],
@@ -940,6 +944,12 @@ class TestStandardLibraryOnly:
         loaded = _modules_loaded_by_import()
         assert "detloci.cli" in loaded
         assert {"dataclasses", "inspect"} & loaded == set()
+
+    def test_fixtures_list_loads_no_dataclasses(self):
+        # fixture records are named tuples, like the other result records
+        loaded = _modules_loaded_by_import(["fixtures", "list"])
+        assert "detloci.fixtures" in loaded
+        assert {"dataclasses", "inspect", "ast"} & loaded == set()
 
 
 def _annotation_names(node) -> set[str]:

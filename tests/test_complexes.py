@@ -660,7 +660,7 @@ def check_against_enumeration(ring: Ring, mat, sizes) -> list[list[int | float]]
                 calls.clear()
                 got = ideal_valuation(ideal, C)
                 uncapped[C] += sum(cap is None and id(f) not in entries for f, cap in calls)
-                if ideal.minors:
+                if ideal.minors and m not in ideal.minors[0].listed:
                     levels[C] = max(levels[C], m - 1)
                 else:
                     listed[C] += 1

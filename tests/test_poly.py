@@ -43,6 +43,7 @@ from conftest import (
     random_binomial_product,
     random_divisor,
     random_torsion_point,
+    row_ideal,
     record_results,
     upoly_divmod_in,
 )
@@ -157,7 +158,7 @@ class TestIdealValuation:
         ring = Ring(2, True, 3)
         h = parse_poly("t1*t2-e(1/3)", ring)
         C = PrimeTorusDivisor((1, 1), TorsionAngle.make(1, 3))
-        ideal = IdealGens.unformed(ring, [h**4, h**2 * P("t1-2"), h**3, h**2])
+        ideal = row_ideal(ring, [h**4, h**2 * P("t1-2"), h**3, h**2])
         import detloci.poly as poly_module
 
         caps = []
@@ -411,11 +412,11 @@ class TestIdealGens:
         monkeypatch.setattr(IdealGens, "make", staticmethod(counting))
         ring = Ring(2, True, 3)
         h = parse_poly("t1*t2-e(1/3)", ring)
-        raw = IdealGens.unformed(ring, [h * h, LaurentPoly.zero(2, 12), h])
-        products = IdealGens.sum_of_products(ring, [(raw, raw)])
+        minors = row_ideal(ring, [h * h, LaurentPoly.zero(2, 12), h])
+        products = IdealGens.sum_of_products(ring, [(minors, minors)])
         formed = make(ring, [h])
         special = [IdealGens.zero_ideal(ring), IdealGens.unit_ideal(ring), formed]
-        for ideal, makes in [(raw, 1), (products, 1)] + [(x, 0) for x in special]:
+        for ideal, makes in [(minors, 1), (products, 1)] + [(x, 0) for x in special]:
             made.clear()
             first = ideal.gens
             assert ideal.gens is first
@@ -427,9 +428,9 @@ class TestIdealGens:
         h = parse_poly("t1-e(1/3)", base)
         high_zero = LaurentPoly.zero(2, 12)
         # a zero generator or a zero factor of a higher order leaves the field as it is
-        assert IdealGens.unformed(base, [h, high_zero]).ring == Ring(2, True, 3)
-        zero_factor = IdealGens.unformed(base, [high_zero])
-        quartic = IdealGens.unformed(base, [parse_poly("t2-e(1/4)", base)])
+        assert row_ideal(base, [h, high_zero]).ring == Ring(2, True, 3)
+        zero_factor = row_ideal(base, [high_zero])
+        quartic = row_ideal(base, [parse_poly("t2-e(1/4)", base)])
         assert IdealGens.sum_of_products(base, [(zero_factor, quartic)]).ring == base
         for _ in range(30):
             pool = [zero_factor, quartic, IdealGens.unit_ideal(base)]
@@ -438,7 +439,7 @@ class TestIdealGens:
                 order = rng.choice(ORDERS)
                 gens = [random_binomial_product(rng, Ring(2, True, order)) for _ in range(2)]
                 gens.insert(rng.randint(0, 2), LaurentPoly.zero(2, 12))
-                ideal = IdealGens.unformed(base, gens)
+                ideal = row_ideal(base, gens)
                 assert ideal.ring == IdealGens.make(base, gens).ring
                 pool.append(ideal)
             pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(1, 3))]

@@ -11,9 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detloci.arith import TorsionAngle
-from detloci.complexes import FreeComplex, base_change, cdf_ideal, direct_sum
+from detloci import complexes
+from detloci.complexes import (
+    FreeComplex,
+    base_change,
+    cdf_ideal,
+    direct_sum,
+    jump_ideal,
+    matrix_shape,
+)
 from detloci.arith import root_multiplicity
-from detloci.poly import LaurentPoly, Ring, fibres, parse_poly
+from detloci.poly import LaurentPoly, Ring, fibres, ideal_valuation, parse_poly
 from detloci.smith import NonTorsionError, cohomology_presentation
 from detloci.support import (
     _generic_points,
@@ -30,6 +38,7 @@ from conftest import (
     exact_divide,
     oracle_minor_gens,
     oracle_valuation,
+    random_divisor,
     random_torsion_complex,
     record_results,
     shifted_piece,
@@ -368,11 +377,51 @@ class TestCandidatesThroughTheMemo:
             support_report(E, candidates)
             monkeypatch.undo()
             for ideal, known in zip(tops, seen):
-                # whichever list ideal_valuation reads: raw minors or formed generators
-                gens = {id(g) for g in ideal.raw + ideal.gens}
+                # whichever list ideal_valuation reads: kept minors or formed generators
+                kept = ideal.minors[0].nonzero(ideal.minors[1]) if ideal.minors else ()
+                gens = {id(g) for g in kept + ideal.gens}
                 assert not [C for f, C in calls if id(f) in gens and C in known]
                 remembered += len(known & set(candidates))
         assert remembered >= 8
+
+
+class TestListingRule:
+    """Listing the minors of a size or eliminating them is a speed choice only."""
+
+    @staticmethod
+    def run(E: FreeComplex, divisors) -> tuple:
+        """On a copy of E with an empty cache: candidates, support report, and
+        every cdf and jump ideal's ring and valuations along the candidates
+        and divisors; and the copy's minor engines."""
+        E = FreeComplex.make(E.ring, (E.imin, E.imax), E.ranks, E.diffs)
+        candidates = candidate_divisors(E)
+        report = support_report(E, candidates)
+        values = [
+            [ideal.ring] + [ideal_valuation(ideal, C) for C in candidates + divisors]
+            for i in E.degrees()
+            for k in range(-1, 4)
+            for ideal in (cdf_ideal(E, i, k), jump_ideal(E, i, k))
+        ]
+        engines = [e for key, e in E.minor_cache.items() if key[0] == "engine"]
+        return (candidates, report, values), engines
+
+    def test_every_size_listed_or_eliminated_gives_the_same_results(self, monkeypatch, rng):
+        rule = complexes.lists_minors
+        moved = {True: 0, False: 0}  # sizes that the patch takes off the rule's side
+        for _ in range(12):
+            E = torsion_sum(rng, R2, rng.randint(3, 5))
+            divisors = [random_divisor(rng, 2) for _ in range(3)]
+            want, _ = self.run(E, divisors)
+            for lists in (True, False):
+                monkeypatch.setattr(complexes, "lists_minors", lambda nrows, ncols, m: lists)
+                got, engines = self.run(E, divisors)
+                monkeypatch.undo()
+                assert got == want, lists
+                for e in engines:
+                    assert e.listed == (set(e._nonzero) if lists else set())
+                    assert not (lists and e._eliminations)
+                    moved[lists] += sum(rule(*matrix_shape(e.mat), m) != lists for m in e._nonzero)
+        assert min(moved.values()) >= 10, moved
 
 
 class TestSupportReport:

@@ -37,6 +37,8 @@ from detloci import (
 from detloci.poly import fibres, parse_poly
 from detloci.support import SpecializationRecord
 
+from conftest import row_ideal
+
 R1 = Ring(1, True)
 
 
@@ -259,31 +261,31 @@ class TestIdealGens:
             IdealGens.make(R1, [parse_poly("t1+t2", Ring(2, True))])
 
     def test_repr(self):
+        # an engine-held ideal's repr carries the engine's address
         f = parse_poly("t1-1", R1)
-        assert repr(IdealGens.make(R1, [f])) == (
+        formed = IdealGens.make(R1, [f])
+        shown = "IdealGens(ring=Ring(nvars=1, laurent=True, cyclotomic_order=1), parts=(), minors=())"
+        assert repr(formed) == shown
+        assert repr(IdealGens.sum_of_products(R1, [(formed, formed)])) == (
             "IdealGens(ring=Ring(nvars=1, laurent=True, cyclotomic_order=1), "
-            "parts=(), raw=(), minors=())"
-        )
-        assert repr(IdealGens.unformed(R1, [f])) == (
-            "IdealGens(ring=Ring(nvars=1, laurent=True, cyclotomic_order=1), "
-            "parts=(), raw=(LaurentPoly(t1-1),), minors=())"
+            f"parts=(({shown}, {shown}),), minors=())"
         )
 
     def test_gens_fill_their_slot_once(self):
         f = parse_poly("t1^2-1", R1)
-        ideal = IdealGens.unformed(R1, [f, f * f])
+        ideal = row_ideal(R1, [f, f * f])
         first = ideal.gens
         assert first == IdealGens.make(R1, [f, f * f]).gens and ideal.gens is first
         assert not hasattr(ideal, "__dict__")
 
     def test_equality_hash_and_assignment(self):
         f, g = parse_poly("t1-1", R1), parse_poly("2*t1-2", R1)
-        assert IdealGens.unformed(R1, [f]) == IdealGens.make(R1, [g])
+        assert row_ideal(R1, [f]) == IdealGens.make(R1, [g])
         assert IdealGens.make(R1, [f]) != IdealGens.unit_ideal(R1)
         with pytest.raises(TypeError):
             hash(IdealGens.make(R1, [f]))
         ideal = IdealGens.make(R1, [f])
-        for name in ("ring", "raw", "valuations", "gens"):
+        for name in ("ring", "minors", "valuations", "gens"):
             with pytest.raises(AttributeError, match="^IdealGens values are immutable$"):
                 setattr(ideal, name, None)
 
@@ -293,9 +295,17 @@ class TestIdealGens:
         divisor = PrimeTorusDivisor((1,), TorsionAngle(0, 1))
         formed = IdealGens.make(R1, [f * f])
         assert ideal_valuation(formed, divisor) == 2
-        for ideal in (formed, IdealGens.unformed(R1, [f]), IdealGens.sum_of_products(R1, [(one, formed)])):
+        for ideal in (formed, IdealGens.sum_of_products(R1, [(one, formed)])):
             assert_round_trips(ideal)
         assert round_trips(formed)[-1].valuations == {divisor: 2}
+        # an engine-held ideal's repr carries the engine's address, so it
+        # round-trips in value, in its matrix and size, and in its valuations
+        minors = row_ideal(R1, [f, f * f])
+        assert ideal_valuation(minors, divisor) == 1
+        for back in round_trips(minors):
+            assert type(back) is IdealGens and back == minors
+            assert (back.minors[0].mat, back.minors[1]) == (minors.minors[0].mat, 1)
+            assert back.valuations == {divisor: 1} and ideal_valuation(back, divisor) == 1
 
 
 def koszul() -> FreeComplex:
