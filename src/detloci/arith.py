@@ -3,7 +3,9 @@
 Roots of unity are stored as reduced rational angles a/b (the number
 e^{2*pi*i*a/b}), and field constants live in Q(zeta_N) = Q[z]/Phi_N(z) for a
 cyclotomic order N fixed per computation.  Everything is arbitrary-precision
-rational arithmetic; no floating point anywhere.
+rational arithmetic; no floating point anywhere.  `prime_root_of_unity` gives
+a prime field onto which Z[zeta_N] maps, for the modular certificates of the
+minor valuations.
 """
 
 from __future__ import annotations
@@ -139,6 +141,40 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
             raise ArithmeticError("cyclotomic product did not divide exactly")
         rem = quot
     return tuple(rem)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, which decide every n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
+            return False
+    return True
+
+
+@lru_cache(maxsize=64)
+def prime_root_of_unity(order: int) -> tuple[int, int]:
+    """(p, w): the least prime p = 1 (mod order) above 2^29, and the least
+    power w = a^((p-1)/order), a = 2, 3, ..., of exact multiplicative order
+    `order` modulo p.  Phi_order splits modulo p and w is one of its roots, so
+    z -> w maps Z[zeta_order], and each Z[zeta_n] for n | order by
+    zeta_n -> w^(order/n), homomorphically onto F_p."""
+    p = (2**29 // order + 1) * order + 1
+    while not _is_prime(p):
+        p += order
+    primes = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]
+    a = 2
+    while True:
+        w = pow(a, (p - 1) // order, p)
+        if all(pow(w, order // q, p) != 1 for q in primes):
+            return p, w
+        a += 1
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,23 @@ def _int_list(text: str) -> list[int]:
     raise InputError(f"expected a comma-separated integer list, got {text!r}")
 
 
+# the options read by `_int_list`; argparse takes a value such as -1,2 for an
+# option, so `_glued` joins it to its option as --b=-1,2
+LIST_OPTIONS = ("--b", "--c", "--m", "--pi")
+
+
+def _glued(argv: list[str]) -> list[str]:
+    """argv with each list option joined to a next argument that starts with
+    a minus and a digit, so that the value reaches `_int_list`."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in LIST_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _load_locus(path: str):
     return locus_from_json(load_json_file(path))
 
@@ -351,7 +368,7 @@ def _json_text(value, indent: str = "") -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glued(sys.argv[1:] if argv is None else argv))
     try:
         code, payload = args.handler(args)
     except ValueError as exc:

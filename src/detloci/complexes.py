@@ -10,7 +10,10 @@ minor without a nonzero pair is the engine's one shared zero.  A minor ideal
 is valued along a prime divisor without expanding every minor: one local
 elimination per divisor, pivoting on the least-valued bordered minor, gives
 the valuation of every size that is not listed (`MinorEngine`); its
-generators are enumerated only when read.
+generators are enumerated only when read.  The elimination starts from the
+block that the rank of the matrix at one point of the divisor modulo a prime
+certifies to be a unit there (`_unit_block`), so the sizes whose valuation is
+0 expand no minor.
 """
 
 from __future__ import annotations
@@ -19,13 +22,17 @@ import itertools
 import math
 from typing import Iterator, Mapping, Sequence
 
-from .arith import Frozen
+from .arith import Frozen, prime_root_of_unity
 from .poly import IdealGens, LaurentPoly, Ring, least_valuation, sum_of_products, valuation_along
-from .torus import PrimeTorusDivisor
+from .torus import PrimeTorusDivisor, rref
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
 
 MAX_MINOR_DIM = 12
+
+# y_2, y_3, ... of the point `_point_on` builds are the powers of this
+# constant, which is below every prime of `arith.prime_root_of_unity`
+_GENERIC = 314159265
 
 
 def matrix_make(rows: Sequence[Sequence[LaurentPoly]]) -> Matrix:
@@ -47,6 +54,76 @@ def lists_minors(nrows: int, ncols: int, m: int) -> bool:
     or fewer minors than entries, take fewer valuations one by one than the
     elimination's first level, which weighs every entry.  A speed choice only."""
     return m == 1 or math.comb(nrows, m) * math.comb(ncols, m) < nrows * ncols
+
+
+def _point_on(u: tuple[int, ...], eta: int, p: int) -> list[int]:
+    """A point x of (F_p^*)^r with x^u = eta.  Euclid's algorithm on the entries
+    of the primitive u, each step a row operation, gives a unimodular B with
+    B u = e_1; then x_j = prod_i y_i^(B_ij) has x^u = prod_i y_i^((B u)_i) =
+    y_1, so y_1 = eta, and y_i = _GENERIC^(i-1) for i >= 2."""
+    r = len(u)
+    b = [[int(i == j) for j in range(r)] for i in range(r)]  # the rows of B
+    v = list(u)
+    while sum(map(bool, v)) > 1:
+        k = min((i for i in range(r) if v[i]), key=v.__getitem__)
+        for i in range(r):
+            if i != k and v[i]:
+                q = v[i] // v[k]
+                v[i] -= q * v[k]
+                b[i] = [x - q * y for x, y in zip(b[i], b[k])]
+    k = v.index(1)
+    b[0], b[k] = b[k], b[0]
+    y = [eta] + [pow(_GENERIC, i, p) for i in range(1, r)]
+    return [math.prod(pow(y[i], b[i][j], p) for i in range(r)) % p for j in range(r)]
+
+
+def _unit_block(mat: Matrix, order: int, divisor: PrimeTorusDivisor) -> tuple[list[int], list[int]]:
+    """Rows R and columns C, ascending, with det M[R, C] of valuation 0 along
+    D = {t^u = xi}, from the rank of M at one point of D modulo a prime.
+
+    With L = lcm(order, den xi) and (p, w) = `arith.prime_root_of_unity(L)`,
+    zeta_n maps to w^(L/n) for each entry order n | L, and xi to
+    w^(L num/den), which is a ring homomorphism on the coefficients; x is a
+    point of (F_p^*)^r with x^u the image of xi (`_point_on`).  `torus.rref`
+    modulo p gives the first independent columns C of M(x), and the first
+    independent rows R of M[:, C](x), so det M[R, C](x) != 0.  Were t^u - xi
+    to divide det M[R, C], the quotient would be integral at p too (Gauss's
+    lemma: t^u - xi has unit content), and det M[R, C](x) would vanish
+    modulo p.  So v_D(det M[R, C]) = 0, and the local Smith exponents s_1,
+    ..., s_|R| are 0.  An entry denominator that p divides gives no block,
+    ([], []).  A degenerate point, where M(x) has less than the rank of M
+    along D, gives a smaller block; no value depends on the point.
+    """
+    num, den = divisor.xi
+    top = math.lcm(order, den)
+    p, w = prime_root_of_unity(top)
+    point = _point_on(divisor.u, pow(w, top // den * num, p), p)
+    powers = [1] * top  # the images of zeta_top^k
+    for k in range(1, top):
+        powers[k] = powers[k - 1] * w % p
+    monomials: dict[tuple[int, ...], int] = {}
+    values = []
+    for row in mat:
+        out = []
+        for f in row:
+            value = 0
+            if f.rows:
+                if f.den % p == 0:
+                    return [], []
+                step = top // f.order
+                for e, nums in f.rows.items():
+                    x = monomials.get(e)
+                    if x is None:
+                        x = monomials[e] = math.prod(map(pow, point, e, [p] * len(e))) % p
+                    value += x * sum([n * powers[j * step] for j, n in enumerate(nums) if n])
+                if f.den != 1:
+                    value *= pow(f.den, -1, p)
+            out.append(value % p)
+        values.append(out)
+    nrows, ncols = matrix_shape(mat)
+    cols, _ = rref(values, ncols, p)
+    rows, _ = rref([[row[j] for row in values] for j in cols], nrows, p)
+    return rows, cols
 
 
 class MinorEngine:
@@ -75,7 +152,17 @@ class MinorEngine:
     and each valuation is capped at the least one found so far.  The levels
     are computed as sizes ask for them and shared by every size; a first
     nonzero minor of valuation 0 (cap 1, shared by every divisor) decides a
-    size before any level is computed.
+    size before any level is computed.  Otherwise the first elimination along
+    D starts from the block M[R, C] of `_unit_block`, whose determinant is
+    certified a unit at D by one modular rank at a point of D: so s_1 = ... =
+    s_|R| = 0, levels 1 to |R| are 0 with no minor expanded or valued, and
+    level |R| + 1 borders that block as it would border its own.  A
+    degenerate point gives a smaller block, and the levels it leaves out are
+    computed as before, so no value depends on the point.
+
+    `order` is a multiple of every entry's order (`_engine_for` takes their
+    lcm).  Copy and pickle rebuild the engine from (mat, nvars, order),
+    without what it has computed, and its repr shows those three.
     """
 
     def __init__(self, mat: Matrix, nvars: int, order: int):
@@ -89,6 +176,12 @@ class MinorEngine:
         self._nonzero: dict[int, tuple[LaurentPoly, ...]] = {}
         # divisor -> (pivot rows, pivot columns, [s_1 + ... + s_k for each level k])
         self._eliminations: dict = {}
+
+    def __reduce__(self):
+        return MinorEngine, (self.mat, self.nvars, self.order)
+
+    def __repr__(self) -> str:
+        return f"MinorEngine(mat={self.mat!r}, nvars={self.nvars!r}, order={self.order!r})"
 
     def det(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> LaurentPoly:
         if len(rows) != len(cols):
@@ -142,6 +235,9 @@ class MinorEngine:
         rows, cols, sums = self._eliminations.setdefault(divisor, ([], [], [0]))
         if len(sums) <= m and valuation_along(kept[0], divisor, cap=1) == 0:
             return 0
+        if len(sums) == 1:
+            rows[:], cols[:] = _unit_block(self.mat, self.order, divisor)
+            sums += [0] * len(rows)
         nrows, ncols = matrix_shape(self.mat)
         while len(sums) <= m:
             # s_(k+1) >= s_k bounds the level from below

@@ -208,12 +208,15 @@ class TranslatedSubtorus(namedtuple("TranslatedSubtorus", "equations")):
         return all(_monomial_at(u, point) == xi for u, xi in self.equations)
 
 
-def rref(rows: list, ncols: int) -> tuple[list[int], list[list[int]]]:
+def rref(rows: list, ncols: int, modulus: int = 0) -> tuple[list[int], list[list[int]]]:
     """Fraction-free Gauss-Jordan elimination on integer rows, pivoting in the
     first ncols columns only: the pivot columns (as many as the rank of those
     columns) and the reduced rows, each primitive with a positive entry at its
-    own pivot and zeros at the other pivots."""
-    mat = [list(row) for row in rows]
+    own pivot and zeros at the other pivots.  With a prime modulus p the rows
+    are reduced modulo p and eliminated over F_p instead, each reduced row with
+    1 at its pivot: the pivot columns are then the first independent columns
+    of the matrix modulo p."""
+    mat = [[x % modulus for x in row] for row in rows] if modulus else [list(row) for row in rows]
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
@@ -221,16 +224,23 @@ def rref(rows: list, ncols: int) -> tuple[list[int], list[list[int]]]:
         if pivot is None:
             continue
         row = mat[pivot]
-        g = math.gcd(*row) if row[col] > 0 else -math.gcd(*row)
-        prow = [x // g for x in row]
+        if modulus:
+            inverse = pow(row[col], -1, modulus)
+            prow = [x * inverse % modulus for x in row]
+        else:
+            g = math.gcd(*row) if row[col] > 0 else -math.gcd(*row)
+            prow = [x // g for x in row]
         mat[pivot], mat[rank] = mat[rank], prow
         p = prow[col]
         for i, row in enumerate(mat):
             f = row[col]
             if f and i != rank:
-                row = [p * x - f * y for x, y in zip(row, prow)]
-                g = math.gcd(*row)  # 0 on an all-zero row, which stays as it is
-                mat[i] = [x // g for x in row] if g > 1 else row
+                if modulus:
+                    mat[i] = [(x - f * y) % modulus for x, y in zip(row, prow)]
+                else:
+                    row = [p * x - f * y for x, y in zip(row, prow)]
+                    g = math.gcd(*row)  # 0 on an all-zero row, which stays as it is
+                    mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
     return pivots, mat[: len(pivots)]
 

@@ -13,6 +13,7 @@ from detloci.arith import (
     cyclotomic_poly,
     euler_phi,
     inverse_row,
+    prime_root_of_unity,
     root_multiplicity,
 )
 
@@ -407,3 +408,21 @@ class TestFieldLaws:
         for x in results:
             assert_canonical(x)
         assert (a - a).nums == (0,) * euler_phi(a.order)
+
+
+class TestPrimeRootOfUnity:
+    @pytest.mark.parametrize("order", list(range(1, 61)) + [120, 210, 997])
+    def test_prime_and_root(self, order):
+        """p is a prime = 1 (mod order) above 2^29, w has exact order `order`
+        modulo p, and is a root of Phi_order there, so zeta -> w is a ring map."""
+        p, w = prime_root_of_unity(order)
+        assert p > 2**29 and (p - 1) % order == 0
+        assert all(p % q for q in range(2, 3000))
+        assert pow(w, order, p) == 1
+        assert all(pow(w, k, p) != 1 for k in range(1, order) if order % k == 0)
+        assert sum(c * pow(w, i, p) for i, c in enumerate(cyclotomic_poly(order))) % p == 0
+        # the least such prime: no smaller candidate above 2^29 is one
+        k = p - order
+        while k > 2**29:
+            assert any(k % q == 0 for q in range(2, math.isqrt(k) + 1))
+            k -= order

@@ -220,6 +220,25 @@ class TestIntegerLists:
         assert (code, out) == (2, "")
         assert err.startswith(f"input error: cannot read {missing}")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["slice", "--model", "L", "--b", "-1,2"], "direction entries must be positive"),
+            (["filter", "--locus", "L", "--c", "-1,0", "--c0", "3"],
+             "hyperplane normal must have natural entries"),
+            (["combine", "--m", "-1,2", "--e1", "L", "--e2", "L"], "the exponent vector must be natural"),
+        ],
+    )
+    def test_leading_minus_reaches_the_command(self, capsys, ex71_bf_file, argv, message):
+        """A list that starts with a minus is the command's input error, spelled
+        as a separate argument or after "=" alike, not an argparse usage error."""
+        argv = [ex71_bf_file if a == "L" else a for a in argv]
+        k = next(k for k, a in enumerate(argv) if a.startswith("-") and a[1:2].isdigit())
+        joined = argv[: k - 1] + [f"{argv[k - 1]}={argv[k]}"] + argv[k + 1 :]
+        for spelling in (argv, joined):
+            code, out, err = run_cli(capsys, spelling)
+            assert (code, out, err) == (2, "", f"input error: {message}\n")
+
     def test_combine_reads_m_before_the_components(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.json")
         code, out, err = run_cli(capsys, ["combine", "--m", "1,,2", "--e1", missing])
@@ -1078,8 +1097,17 @@ class TestCacheInventory:
         assert _cached_names(sorted(src.glob("*.py"))) == {
             "arith.cyclotomic_poly",
             "arith._phi_tail",
+            "arith.prime_root_of_unity",
             "cli.build_parser",
         }
+
+    def test_modular_root_table_is_bounded(self):
+        """(p, w) per field order L, for the certificates of the minor
+        valuations: bounded, since every divisor of a new denominator adds an
+        L; each entry is two integers, and a miss costs a prime search."""
+        from detloci.arith import prime_root_of_unity
+
+        assert prime_root_of_unity.cache_info().maxsize == 64
 
     def test_detects_every_cache_spelling(self, tmp_path):
         module = tmp_path / "m.py"

@@ -10,12 +10,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detloci.complexes import (
     FreeComplex,
     MinorEngine,
+    _point_on,
+    _unit_block,
     base_change,
     cdf_ideal,
     differential_minors,
@@ -27,7 +29,7 @@ from detloci.complexes import (
     matrix_shape,
     minors_ideal,
 )
-from detloci.arith import CycloElem, TorsionAngle
+from detloci.arith import CycloElem, TorsionAngle, prime_root_of_unity
 from detloci.poly import IdealGens, LaurentPoly, Ring, ideal_valuation, parse_poly, valuation_along
 from detloci.torus import PrimeTorusDivisor
 
@@ -624,10 +626,12 @@ def planted_minor_matrices(draw):
     return ring, [list(row) for row in mat]
 
 
-def check_against_enumeration(ring: Ring, mat, sizes) -> list[list[int | float]]:
-    """Every minor ideal of mat, built and valued in the order of sizes,
-    against the valuations of all its minors; returns the values by size,
-    then divisor.  Along each divisor, a listed size values one polynomial
+def check_against_enumeration(
+    ring: Ring, mat, sizes, divisors=VALUATION_DIVISORS
+) -> list[list[int | float]]:
+    """Every minor ideal of mat, built and valued in the order of sizes along
+    each of the divisors, against the valuations of all its minors; returns
+    the values by size, then divisor.  Along each divisor, a listed size values one polynomial
     that is not an entry without a cap, and an engine size m adds the levels
     1..m-1 of its elimination, each of which values one such polynomial
     without a cap; so every other valuation is capped."""
@@ -652,11 +656,11 @@ def check_against_enumeration(ring: Ring, mat, sizes) -> list[list[int | float]]
         complexes_module.valuation_along = poly_module.valuation_along = recording
         for m in sizes:
             ideal = differential_minors(F, 0, m)
-            gens = oracle_minor_gens(mat, m, F.ring) if m > 0 else [LaurentPoly.one(2, ring.cyclotomic_order)]
+            gens = oracle_minor_gens(mat, m, F.ring) if m > 0 else [LaurentPoly.one(ring.nvars, ring.cyclotomic_order)]
             nonzero = [g for g in gens if not g.is_zero()]
             assert ideal.is_zero() == (not nonzero)
             values.append([])
-            for C in VALUATION_DIVISORS:
+            for C in divisors:
                 calls.clear()
                 got = ideal_valuation(ideal, C)
                 uncapped[C] += sum(cap is None and id(f) not in entries for f, cap in calls)
@@ -723,10 +727,12 @@ class TestTropicalValuation:
         values = check_against_enumeration(ring, mat, [3, 2, 4, 1])
         assert [row[VALUATION_DIVISORS.index(C)] for row in values] == [3, 2, 5, 1]
 
-    def test_entries_are_weighed_once_per_divisor(self, monkeypatch):
+    def test_seeded_divisor_weighs_no_entry(self, monkeypatch):
         """Every size of one differential shares its elimination along a divisor,
-        whose first level weighs each entry at most once: three of four rows
-        vanish on {t1 = 1}, so I_2 and I_3 do, to orders 1 and 2."""
+        seeded with the block that the modular rank certifies: three of four
+        rows vanish on {t1 = 1}, so the rank there is 1, the zero level is
+        seeded, and no entry is weighed; each bordered minor is weighed at most
+        once, and I_2 and I_3 vanish to orders 1 and 2."""
         base = [["t2+2", "3", "t1+t2", "t2-5"], ["1", "t1*t2+1", "t2", "-2"],
                 ["t1+2", "t2^2", "5", "t1-t2"], ["t2+1", "2*t1", "t2-3", "7"]]
         h = P("t1-1")
@@ -736,10 +742,163 @@ class TestTropicalValuation:
         record_results(monkeypatch, "valuation_along", calls)
         C = PrimeTorusDivisor((1, 0), TorsionAngle.make(0, 1))
         values = [ideal_valuation(differential_minors(F, 0, m), C) for m in (2, 3)]
-        entries = [id(e) for row in F.differential(0) for e in row]
-        weighed = collections.Counter(id(f) for f, _ in calls if id(f) in entries)
+        engine = F.minor_cache[("engine", 0)]
+        rows, cols, sums = engine._eliminations[C]
+        assert (rows[:1], sums[:2]) == ([3], [0, 0])
+        entries = {id(e) for row in F.differential(0) for e in row}
+        weighed = collections.Counter(id(f) for f, _ in calls)
         assert values == [1, 2]
-        assert weighed and set(weighed.values()) == {1}
+        assert weighed and not entries & set(weighed)
+        assert set(weighed.values()) == {1}
+
+
+# per torus dimension, divisors with angle denominators that divide the field
+# order and ones that do not, and supports with no entry 1 (Euclid's steps)
+CERTIFICATE_DIVISORS = {
+    r: [PrimeTorusDivisor(u, TorsionAngle.make(*a)) for u, a in divisors]
+    for r, divisors in {
+        1: [((1,), (0, 1)), ((1,), (1, 2)), ((1,), (1, 3)), ((1,), (1, 4)), ((1,), (5, 6))],
+        2: [((1, 0), (0, 1)), ((0, 1), (1, 3)), ((1, 1), (1, 2)), ((1, 2), (1, 4)), ((2, 3), (1, 6))],
+        3: [((1, 0, 0), (0, 1)), ((0, 1, 1), (1, 2)), ((1, 1, 1), (1, 3)), ((2, 1, 0), (1, 4)),
+            ((2, 3, 5), (5, 6))],
+    }.items()
+}
+CERTIFICATE_KINDS = ["planted", "dense conjugated", "rank deficient"]
+
+
+@st.composite
+def certificate_matrices(draw):
+    """(ring, matrix, divisors): over r = 1, 2 or 3 variables and Q(zeta_N), N
+    in 1..12, U diag(d_1, ...) V with unimodular U and V (3 elementary
+    operations a side, or densely size + 2), each d_i a root of unity times
+    h_1^a h_2^b, a <= 2 and b <= 1, for the binomials h_1 and h_2 of two of
+    the divisors; rank deficient puts zeros on the diagonal, so that the
+    largest minors all vanish.  The divisors are those two and a third, not
+    planted.  Three variables take at most 12 entries: the oracle's
+    permutation sums over term-by-term products grow quickly there."""
+    r = draw(st.sampled_from([1, 2, 3]))
+    order = draw(st.integers(1, 12))
+    ring = Ring(r, True, order)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(CERTIFICATE_KINDS))
+    nrows, ncols = draw(st.sampled_from([s for s in MINOR_SHAPES if r < 3 or s[0] * s[1] <= 12]))
+    divisors = rng.sample(CERTIFICATE_DIVISORS[r], 3)
+    zero = LaurentPoly.zero(r, order)
+    planted = [LaurentPoly.binomial_divisor(r, d, order) for d in divisors[:2]]
+
+    def diagonal_entry(i):
+        if kind == "rank deficient" and i >= min(nrows, ncols) - rng.randint(1, 2):
+            return zero
+        root = CycloElem.from_angle(order, TorsionAngle.make(rng.randrange(order), order))
+        out = LaurentPoly.constant(r, root)
+        for h, top in zip(planted, (2, 1)):
+            out = out * h ** rng.randint(0, top)
+        return out
+
+    diag = [[diagonal_entry(i) if i == j else zero for j in range(ncols)] for i in range(nrows)]
+    n_ops = max(nrows, ncols) + 2 if kind == "dense conjugated" else 3
+    left, _ = random_unimodular_ops(rng, nrows, ring, n_ops=n_ops)
+    _, right = random_unimodular_ops(rng, ncols, ring, n_ops=n_ops)
+    mat = matrix_mul(matrix_mul(left, diag, zero), right, zero)
+    return ring, [list(row) for row in mat], divisors
+
+
+class TestModularCertificate:
+    """The block that one modular rank at a point of a divisor certifies to be
+    a unit there, and the eliminations it seeds."""
+
+    @given(certificate_matrices())
+    @settings(max_examples=50, deadline=None)
+    def test_against_enumeration(self, case):
+        ring, mat, divisors = case
+        sizes = list(range(0, min(len(mat), len(mat[0])) + 2))
+        random.Random(len(mat) * 7 + len(mat[0])).shuffle(sizes)
+        values = check_against_enumeration(ring, mat, sizes, divisors)
+        F = two_term_complex(ring, mat)
+        order = F.ring.cyclotomic_order
+        mat = [list(row) for row in F.differential(0)]
+        for k, C in enumerate(divisors):
+            # the block is a unit along C, so no larger than the zero levels
+            rows, cols = _unit_block(matrix_make(mat), order, C)
+            zeros = max(m for m, row in zip(sizes, values) if row[k] == 0)
+            assert len(rows) == len(cols) <= zeros
+            if rows:
+                block = [[mat[i][j] for j in cols] for i in rows]
+                assert valuation_along(oracle_det(block, F.ring), C) == 0
+
+    def test_degenerate_point_falls_back(self):
+        """Rows 0 and 1 of M carry h = t1 - 1, and row 3 is row 2 plus
+        (t2 - y) e_2, so M has rank 2 along {t1 = 1}; but the certificate's
+        point of that divisor is (1, y), where M has rank 1.  The block is
+        smaller, the elimination computes the second zero level, and the
+        values equal those of every minor."""
+        C = PrimeTorusDivisor((1, 0), TorsionAngle.make(0, 1))
+        p, _ = prime_root_of_unity(R2.cyclotomic_order)
+        y = _point_on(C.u, 1, p)[1]
+        h = P("t1-1")
+        rows = [["t2+2", "3", "t1+t2", "1"], ["1", "t1*t2+1", "t2", "-2"],
+                ["1", "t2", "0", "2"], ["1", "t2", f"t2-{y}", "2"]]
+        mat = [[P(t) * h if i < 2 else P(t) for t in row] for i, row in enumerate(rows)]
+        assert len(_unit_block(matrix_make(mat), 3, C)[0]) == 1
+        values = check_against_enumeration(R2, mat, [2, 3, 4, 1], [C])
+        assert values == [[0], [1], [2], [0]]
+        F = two_term_complex(R2, mat)
+        assert ideal_valuation(differential_minors(F, 0, 2), C) == 0
+        block_rows, _, sums = F.minor_cache[("engine", 0)]._eliminations[C]
+        assert (len(block_rows), sums) == (2, [0, 0, 0])
+
+    @pytest.mark.parametrize(
+        "h, divisor",
+        [
+            # a rational binomial with the root e(1/4): L = 12, and each zeta_3
+            # of the entries maps to w^4
+            ("t1^2+1", ((1, 0), (1, 4))),
+            # xi = e(1/3) and the zeta_3 of the entries map to the same power of w
+            ("t1*t2-e(1/3)", ((1, 1), (1, 3))),
+        ],
+    )
+    def test_images_of_the_roots_of_unity(self, h, divisor):
+        """M = a b^T + h N over Q(zeta_3) is of rank 1 along D: its block is
+        one row and one column, and I_2, I_3 and I_1 have valuations 1, 2, 0."""
+        C = PrimeTorusDivisor(divisor[0], TorsionAngle.make(*divisor[1]))
+        h = P(h)
+        a = [P(t) for t in ("t2-2*e(1/3)", "3", "e(2/3)*t1*t2+1")]
+        b = [P(t) for t in ("1", "t2+3*e(1/3)", "2*t1-5")]
+        n = [[P(t) for t in row] for row in
+             (("1", "e(1/3)*t2", "-2"), ("t1", "3", "t2-1"), ("2", "-t1", "e(2/3)"))]
+        mat = [[a[i] * b[j] + h * n[i][j] for j in range(3)] for i in range(3)]
+        assert len(_unit_block(matrix_make(mat), 3, C)[0]) == 1
+        assert check_against_enumeration(R2, mat, [2, 3, 1], [C]) == [[1], [2], [0]]
+
+    def test_denominator_of_the_prime_gives_no_block(self):
+        """M = a b^T + h N is of rank 1 along h = t1 + 1, with one entry of N
+        over the certificate's prime p: reduced modulo p, that entry would
+        vanish along h where M's does not, so no block is certified, and the
+        values are the elimination's, equal to those of every minor."""
+        C = PrimeTorusDivisor((1, 0), TorsionAngle.make(1, 2))
+        p, _ = prime_root_of_unity(6)
+        h = P("t1+1")
+        a = [P(t) for t in ("t2-2", "3", "t1*t2+1")]
+        b = [P(t) for t in ("1", "t2+3", "2*t1-5")]
+        n = [[P(t) for t in row] for row in
+             ((f"1/{p}", "t2", "-2"), ("t1", "3", "t2-1"), ("2", "-t1", "1"))]
+        mat = [[a[i] * b[j] + h * n[i][j] for j in range(3)] for i in range(3)]
+        assert mat[0][0].den % p == 0
+        assert _unit_block(matrix_make(mat), 3, C) == ([], [])
+        values = check_against_enumeration(R2, mat, [2, 3, 1], [C])
+        assert values == [[1], [2], [0]]
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=4), st.integers(1, 12), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_point_lies_on_the_divisor(self, u, order, data):
+        g = math.gcd(*u)
+        assume(g)
+        u = tuple(x // g for x in u)
+        p, w = prime_root_of_unity(order)
+        eta = pow(w, data.draw(st.integers(0, order - 1)), p)
+        x = _point_on(u, eta, p)
+        assert all(0 < xj < p for xj in x)
+        assert math.prod(pow(xj, uj, p) for xj, uj in zip(x, u)) % p == eta
 
 
 class TestMinorValuationCliff:

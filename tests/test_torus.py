@@ -21,6 +21,7 @@ from detloci.torus import (
     exp_hyperplane,
     is_oblique,
     nondegeneracy_check,
+    rref,
     slope,
     tau_preimage,
 )
@@ -117,6 +118,53 @@ class TestIntegerElimination:
 
     def test_guard_sees_fraction(self):
         assert "Fraction" in _names(bsloci._point_avoiding)
+
+
+def _rank_mod(rows, p: int) -> int:
+    """The largest k with a k x k minor that is nonzero modulo p, each minor a
+    permutation sum: the oracle of the modular elimination."""
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for rs in itertools.combinations(range(nrows), k):
+            for cs in itertools.combinations(range(ncols), k):
+                det = 0
+                for perm in itertools.permutations(range(k)):
+                    sign = (-1) ** sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+                    det += sign * math.prod(rows[rs[i]][cs[perm[i]]] for i in range(k))
+                if det % p:
+                    return k
+    return 0
+
+
+class TestModularRref:
+    @given(
+        st.sampled_from([2, 3, 7, 536871001]),  # the last, the prime of order 12
+        st.integers(1, 4).flatmap(
+            lambda ncols: st.lists(
+                st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols), min_size=1, max_size=4
+            )
+        ),
+    )
+    def test_against_minors_modulo_p(self, p, rows):
+        """The pivots are the first columns independent modulo p, and each
+        reduced row has 1 at its pivot and 0 at the others; every row is the
+        combination of the reduced rows by its entries at the pivots."""
+        ncols = len(rows[0])
+        pivots, reduced = rref(rows, ncols, p)
+        columns = [[row[j] for row in rows] for j in range(ncols)]
+        want, rank = [], 0
+        for j in range(ncols):
+            if _rank_mod([columns[c] for c in want + [j]], p) > rank:
+                want.append(j)
+                rank += 1
+        assert pivots == want
+        for row, col in zip(reduced, pivots, strict=True):
+            assert all(0 <= x < p for x in row)
+            assert [row[other] for other in pivots] == [int(other == col) for other in pivots]
+            assert _rank_mod(rows + [row], p) == rank
+        for row in rows:
+            combination = [sum(row[c] * r[j] for c, r in zip(pivots, reduced)) for j in range(ncols)]
+            assert all((x - y) % p == 0 for x, y in zip(row, combination))
 
 
 class TestExpHyperplane:

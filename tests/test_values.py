@@ -34,6 +34,7 @@ from detloci import (
     specialization_multiplicity,
     support_report,
 )
+from detloci.complexes import MinorEngine, matrix_make
 from detloci.poly import fibres, parse_poly
 from detloci.support import SpecializationRecord
 
@@ -261,7 +262,6 @@ class TestIdealGens:
             IdealGens.make(R1, [parse_poly("t1+t2", Ring(2, True))])
 
     def test_repr(self):
-        # an engine-held ideal's repr carries the engine's address
         f = parse_poly("t1-1", R1)
         formed = IdealGens.make(R1, [f])
         shown = "IdealGens(ring=Ring(nvars=1, laurent=True, cyclotomic_order=1), parts=(), minors=())"
@@ -269,6 +269,12 @@ class TestIdealGens:
         assert repr(IdealGens.sum_of_products(R1, [(formed, formed)])) == (
             "IdealGens(ring=Ring(nvars=1, laurent=True, cyclotomic_order=1), "
             f"parts=(({shown}, {shown}),), minors=())"
+        )
+        # an engine-held ideal shows its engine by value
+        assert repr(row_ideal(R1, [f, f * f])) == (
+            "IdealGens(ring=Ring(nvars=1, laurent=True, cyclotomic_order=1), parts=(), "
+            "minors=(MinorEngine(mat=((LaurentPoly(t1-1), LaurentPoly(t1^2-2*t1+1)),), "
+            "nvars=1, order=1), 1))"
         )
 
     def test_gens_fill_their_slot_once(self):
@@ -298,14 +304,36 @@ class TestIdealGens:
         for ideal in (formed, IdealGens.sum_of_products(R1, [(one, formed)])):
             assert_round_trips(ideal)
         assert round_trips(formed)[-1].valuations == {divisor: 2}
-        # an engine-held ideal's repr carries the engine's address, so it
-        # round-trips in value, in its matrix and size, and in its valuations
+        # an engine-held ideal round-trips with its repr, its matrix and size
+        # and its valuations; pickled, its engine is rebuilt from (mat, nvars,
+        # order), without the minors and eliminations it has computed
         minors = row_ideal(R1, [f, f * f])
-        assert ideal_valuation(minors, divisor) == 1
+        shown = repr(minors)
+        assert ideal_valuation(minors, divisor) == 1 and minors.minors[0]._memo
         for back in round_trips(minors):
-            assert type(back) is IdealGens and back == minors
+            assert type(back) is IdealGens and back == minors and repr(back) == shown
             assert (back.minors[0].mat, back.minors[1]) == (minors.minors[0].mat, 1)
             assert back.valuations == {divisor: 1} and ideal_valuation(back, divisor) == 1
+        for back in round_trips(minors)[:-2]:
+            engine = back.minors[0]
+            assert not engine._memo and not engine._nonzero and not engine._eliminations
+
+    def test_engine_round_trips_without_its_work(self):
+        """A minor engine pickles and copies as (mat, nvars, order), whatever
+        it has expanded, listed or eliminated, and its repr is that of those."""
+        ring = Ring(2, True, 3)
+        mat = matrix_make([[parse_poly(t, ring) for t in row] for row in
+                           (("t1-1", "t2", "0"), ("1", "t1*t2-e(1/3)", "t2+2"), ("t1", "3", "t1-1"))])
+        engine = MinorEngine(mat, 2, 3)
+        fresh = repr(engine)
+        divisor = PrimeTorusDivisor((1, 0), TorsionAngle(0, 1))
+        values = [engine.valuation(m, divisor) for m in (1, 2, 3)]
+        assert engine._memo and engine._eliminations and repr(engine) == fresh
+        for back in round_trips(engine):
+            assert type(back) is MinorEngine and repr(back) == fresh
+            assert (back.mat, back.nvars, back.order) == (mat, 2, 3)
+            assert not (back._memo or back._nonzero or back._eliminations or back.listed)
+            assert [back.valuation(m, divisor) for m in (1, 2, 3)] == values
 
 
 def koszul() -> FreeComplex:
