@@ -34,14 +34,12 @@ from .poly import (
 )
 from .smith import (
     DeterminantalFactors,
-    SmithDiagonal,
     SmithForm,
     cohomology_presentation,
     determinantal_factors,
     fitting_generator,
     max_jordan_size,
     principal_generator,
-    smith_diagonal,
     smith_normal_form,
 )
 from .support import (

@@ -252,10 +252,7 @@ def _cmd_fixtures(args) -> tuple[int, dict]:
             ]
         }
     names = None if args.name in (None, "all") else [args.name]
-    try:
-        ok, report = run_fixtures(names)
-    except KeyError as exc:
-        raise InputError(str(exc)) from None
+    ok, report = run_fixtures(names)
     return (0 if ok else 1), {"passed": ok, "fixtures": report}
 
 

@@ -132,16 +132,15 @@ class MinorEngine:
 
     Each minor of size >= 2 is one `sum_of_products` over its nonzero
     cofactor pairs along the first row; a minor with no such pair is the
-    engine's one shared zero.  Per size the engine keeps nonzero minors in
-    combination order (`nonzero`): every one for a size that `lists_minors`
-    lists (recorded in `listed`), the first one for any other size.
+    engine's one shared zero.  Per size the engine keeps the first nonzero
+    minor in combination order (`nonzero`).
 
     `valuation(m, D)` is v_D(I_m), the least valuation along D of an m x m
-    minor.  A listed size takes the least valuation of its kept minors, each
-    capped at the least so far (`poly.least_valuation`).  Any other size is
-    read off one local elimination per divisor.  Along D the matrix has local
-    Smith exponents s_1 <= s_2 <= ... over the discrete valuation
-    ring at D, and v_D(I_m) = s_1 + ... + s_m (Newman, Integral Matrices).
+    minor.  A size that `lists_minors` lists takes the least valuation of its
+    nonzero minors, each capped at the least so far (`poly.least_valuation`).
+    Any other size is read off one local elimination per divisor.  Along D
+    the matrix has local Smith exponents s_1 <= s_2 <= ... over the discrete
+    valuation ring at D, and v_D(I_m) = s_1 + ... + s_m (Newman, Integral Matrices).
     Level k of the elimination holds a pivot block M[R, C] of size k with
     valuation s_1 + ... + s_k, and values the minors that border it,
     det M[R + {i}, C + {j}]: each is det M[R, C] times an entry of the Schur
@@ -169,10 +168,9 @@ class MinorEngine:
         self.mat = mat
         self.nvars = nvars
         self.order = order
-        self.listed: set[int] = set()  # the sizes kept in full, decided by `nonzero`
         self.zero = LaurentPoly.zero(nvars, order)
         self._memo: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
-        # size -> the nonzero minors kept for it (see the class)
+        # size -> (its first nonzero minor,), or () when every one is zero
         self._nonzero: dict[int, tuple[LaurentPoly, ...]] = {}
         # divisor -> (pivot rows, pivot columns, [s_1 + ... + s_k for each level k])
         self._eliminations: dict = {}
@@ -217,21 +215,17 @@ class MinorEngine:
                 yield self.det(rows, cols)
 
     def nonzero(self, m: int) -> tuple[LaurentPoly, ...]:
-        """The nonzero m x m minors kept, in combination order: all of them for
-        a listed size, else the first; () when every one is zero."""
+        """(the first nonzero m x m minor in combination order,), or () when
+        every one is zero."""
         if m not in self._nonzero:
-            if lists_minors(*matrix_shape(self.mat), m):
-                self.listed.add(m)
-                self._nonzero[m] = tuple([f for f in self.minors(m) if f.rows])
-            else:
-                self._nonzero[m] = tuple(itertools.islice((f for f in self.minors(m) if f.rows), 1))
+            self._nonzero[m] = tuple(itertools.islice((f for f in self.minors(m) if f.rows), 1))
         return self._nonzero[m]
 
     def valuation(self, m: int, divisor: PrimeTorusDivisor) -> int:
         """v(I_m) along divisor, for an m with a nonzero m x m minor (see the class)."""
+        if lists_minors(*matrix_shape(self.mat), m):
+            return least_valuation(self.minors(m), divisor)
         kept = self.nonzero(m)
-        if m in self.listed:
-            return least_valuation(kept, divisor)
         rows, cols, sums = self._eliminations.setdefault(divisor, ([], [], [0]))
         if len(sums) <= m and valuation_along(kept[0], divisor, cap=1) == 0:
             return 0
@@ -271,8 +265,9 @@ def _decided_by_size(nrows: int, ncols: int, m: int, unit: IdealGens) -> IdealGe
 def _minors_from_engine(engine: MinorEngine, m: int, unit: IdealGens) -> IdealGens:
     """The ideal of the m x m minors, (0) when every minor is zero; raises
     ValueError for a matrix beyond the enumeration limit.  It holds (engine,
-    m) and has the ring of the minors the engine keeps (for m >= 2, every
-    minor has the engine's order)."""
+    m) and has the ring of its nonzero minors: the orders of the nonzero
+    entries for m = 1, the engine's order for m >= 2, which every larger
+    minor has."""
     nrows, ncols = matrix_shape(engine.mat)
     decided = _decided_by_size(nrows, ncols, m, unit)
     if decided is not None:
@@ -281,10 +276,12 @@ def _minors_from_engine(engine: MinorEngine, m: int, unit: IdealGens) -> IdealGe
         raise ValueError(
             f"matrix exceeds the {MAX_MINOR_DIM}x{MAX_MINOR_DIM} minor enumeration limit"
         )
-    kept = engine.nonzero(m)
-    if not kept:
+    if not engine.nonzero(m):
         return IdealGens.zero_ideal(unit.ring)
-    return IdealGens(unit.ring.with_order(math.lcm(*[f.order for f in kept])), minors=(engine, m))
+    order = engine.order
+    if m == 1:
+        order = math.lcm(*[f.order for row in engine.mat for f in row if f.rows])
+    return IdealGens(unit.ring.with_order(order), minors=(engine, m))
 
 
 def _engine_for(mat: Matrix, ring: Ring) -> MinorEngine:
@@ -440,6 +437,15 @@ def differential_minors(complex_: FreeComplex, i: int, size: int) -> IdealGens:
     ideal = _minors_from_engine(engine, size, _unit_ideal(complex_))
     cache[key] = ideal
     return ideal
+
+
+class NonTorsionError(ValueError):
+    """A complex has non-torsion cohomology in some degree: over a domain, the
+    top-minor ideal of that degree (`cdf_ideal` at k = 0) is zero."""
+
+    def __init__(self, degree: int):
+        super().__init__(f"cohomology in degree {degree} is not torsion")
+        self.degree = degree
 
 
 def cdf_ideal(complex_: FreeComplex, i: int, k: int) -> IdealGens:

@@ -350,7 +350,7 @@ def run_fixtures(names: list[str] | None = None) -> tuple[bool, list[dict]]:
     all_ok = True
     for name in selected:
         if name not in REGISTRY:
-            raise KeyError(f"unknown fixture {name!r}")
+            raise ValueError(f"unknown fixture {name!r}")
         results = REGISTRY[name].runner()
         ok = all(r.passed for r in results)
         all_ok = all_ok and ok

@@ -1,10 +1,11 @@
 """Multivariate Laurent polynomials over Q(zeta_N) and ideal generator lists.
 
 A polynomial keeps, per exponent vector, the integer numerators of its
-coefficient on 1, z, ..., z^(phi(N)-1), over one positive denominator, as
-`upoly.UPoly` does per power of t, with a graded-lexicographic canonical
-order.  Every product, a*b as well as the signed sum of a minor's cofactor
-products, is one fused integer kernel, `sum_of_products`.  Valuation along
+coefficient on 1, z, ..., z^(phi(N)-1), over one positive denominator, with a
+graded-lexicographic canonical order; the Smith layer's `upoly.UPoly` keeps
+the same rows per power of t, and `smith` converts between the two.  Every
+product, a*b as well as the signed sum of a minor's cofactor products, is one
+fused integer kernel, `sum_of_products`.  Valuation along
 binomial prime divisors, read off the one-variable fibres, is the workhorse
 for everything downstream; no Groebner machinery anywhere.
 """
@@ -32,7 +33,6 @@ from .arith import (
     root_multiplicity,
 )
 from .torus import PrimeTorusDivisor
-from .upoly import UPoly
 
 
 class Ring(namedtuple("Ring", "nvars laurent cyclotomic_order")):
@@ -421,12 +421,14 @@ def valuation_along(f: LaurentPoly, divisor: PrimeTorusDivisor, cap: int | None 
 
 
 def least_valuation(gens: Iterable[LaurentPoly], divisor: PrimeTorusDivisor):
-    """min of valuation_along over nonzero gens (inf for none), each capped at the least so far."""
+    """min of valuation_along over the nonzero gens (inf for none), zero gens
+    skipped, each capped at the least so far."""
     best = math.inf
     for g in gens:
-        best = valuation_along(g, divisor, cap=None if best == math.inf else best)
-        if best == 0:
-            break
+        if g.rows:
+            best = valuation_along(g, divisor, cap=None if best == math.inf else best)
+            if best == 0:
+                break
     return best
 
 
@@ -566,26 +568,6 @@ def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
         best = least_valuation(ideal.gens, divisor)
     ideal.valuations[divisor] = best
     return best
-
-
-# ---------------------------------------------------------------------------
-# Univariate helpers on one-variable polynomials (exponents >= 0)
-
-
-def u_dense(f: LaurentPoly, order: int) -> UPoly:
-    """A one-variable polynomial without negative exponents as a dense one over
-    Q(zeta_order); both keep canonical rows over one denominator."""
-    f = f.lift(order)
-    if f.rows and min(f.rows)[0] < 0:
-        raise ValueError("dense polynomials need exponents >= 0")
-    rows = [(0,) * _phi_tail(order)[0]] * (max(f.rows, default=(-1,))[0] + 1)
-    for (k,), nums in f.rows.items():
-        rows[k] = nums
-    return UPoly(order, f.den, tuple(rows))
-
-
-def u_laurent(f: UPoly) -> LaurentPoly:
-    return LaurentPoly(1, f.order, f.den, {(k,): row for k, row in enumerate(f.rows) if any(row)})
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,18 @@ diagonal of a k x k relation matrix, not from the n x n t*id - phi.
 One pivoting loop (`_pivot`) takes the bordered [[M, I], [I, 0]] to
 [[D, U], [V, 0]], and one routine (`_smith`) checks U*M*V = D and the
 divisibility chain of the diagonal for every caller: `smith_normal_form`,
-which returns U and V, and the callers that read only the diagonal.  The
-product checks every column of V, those past the rank (the kernel of M) included.
+the one public Smith entry point, which returns U and V, and the callers
+that read only the diagonal.  The product checks every column of V, those
+past the rank (the kernel of M) included.
 
 The loop, the check, the Krylov vectors (coordinate i as the t^i
 coefficient) and the products behind the determinantal factors and Fitting
-generators run on `upoly.UPoly`, converted from LaurentPoly once on entry and
-back once on exit; no field element is built.  Check products fuse each entry
-into one `upoly.sum_of_products`; a unit pivot divides by one product with the
-constant of its inverse, the offender search and the chain check take
-remainders only.  The Krylov echelon reduces each vector with the division
+generators run on `upoly.UPoly`, converted from LaurentPoly once on entry
+(`u_dense`) and back once on exit (`u_laurent`); no field element is built.
+This module is the only one that imports `upoly`.  Check products fuse each
+entry into one `upoly.sum_of_products`; a unit pivot divides by one product
+with the constant of its inverse, the offender search and the chain check
+take remainders only.  The Krylov echelon reduces each vector with the division
 loop of `upoly`, on unreduced rows normalized once per vector.
 """
 
@@ -32,13 +34,9 @@ import math
 from typing import NamedTuple, Sequence
 
 from .arith import TorsionAngle, _phi_tail, root_multiplicity
-from .complexes import FreeComplex, Matrix, matrix_make, matrix_shape
-from .poly import IdealGens, LaurentPoly, u_dense, u_laurent
+from .complexes import FreeComplex, Matrix, NonTorsionError, matrix_make, matrix_shape
+from .poly import IdealGens, LaurentPoly
 from .upoly import UPoly, _accumulate, _eliminate, _make, _reduced, sum_of_products
-
-
-def _rank(diagonal: Sequence[LaurentPoly | UPoly]) -> int:
-    return sum(1 for entry in diagonal if not entry.is_zero())
 
 
 class SmithForm(NamedTuple):
@@ -50,17 +48,23 @@ class SmithForm(NamedTuple):
 
     @property
     def rank(self) -> int:
-        return _rank(self.diagonal)
+        return sum(1 for entry in self.diagonal if not entry.is_zero())
 
 
-class SmithDiagonal(NamedTuple):
-    """The Smith diagonal of M, without the transforms that produce it."""
+def u_dense(f: LaurentPoly, order: int) -> UPoly:
+    """A one-variable polynomial without negative exponents as a dense one over
+    Q(zeta_order); both keep canonical rows over one denominator."""
+    f = f.lift(order)
+    if f.rows and min(f.rows)[0] < 0:
+        raise ValueError("dense polynomials need exponents >= 0")
+    rows = [(0,) * _phi_tail(order)[0]] * (max(f.rows, default=(-1,))[0] + 1)
+    for (k,), nums in f.rows.items():
+        rows[k] = nums
+    return UPoly(order, f.den, tuple(rows))
 
-    diagonal: tuple[LaurentPoly, ...]
 
-    @property
-    def rank(self) -> int:
-        return _rank(self.diagonal)
+def u_laurent(f: UPoly) -> LaurentPoly:
+    return LaurentPoly(1, f.order, f.den, {(k,): row for k, row in enumerate(f.rows) if any(row)})
 
 
 def _dense_matrix(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> list[list[UPoly]]:
@@ -200,11 +204,6 @@ def smith_normal_form(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithFor
         v=_laurent_matrix(v),
         diagonal=tuple(u_laurent(e) for e in diagonal),
     )
-
-
-def smith_diagonal(mat: Matrix | Sequence[Sequence[LaurentPoly]]) -> SmithDiagonal:
-    """The Smith diagonal of a matrix, checked as `smith_normal_form` checks it."""
-    return SmithDiagonal(tuple(u_laurent(e) for e in _smith(_dense_matrix(mat))[0]))
 
 
 def _check_chain(diagonal: Sequence[UPoly]):
@@ -377,14 +376,6 @@ def max_jordan_size(phi: Matrix | Sequence[Sequence[LaurentPoly]], xi: TorsionAn
 # Cohomology of one-variable complexes
 
 
-class NonTorsionError(ValueError):
-    """A complex has non-torsion cohomology in some degree."""
-
-    def __init__(self, degree: int):
-        super().__init__(f"cohomology in degree {degree} is not torsion")
-        self.degree = degree
-
-
 def _cleared_polynomial_matrix(mat: Matrix, order: int) -> Matrix:
     """Scale the whole matrix by a t-power so all entries are polynomial."""
     low = min((e.min_exponents()[0] for row in mat for e in row if not e.is_zero()), default=0)
@@ -412,7 +403,7 @@ def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
         if 0 not in matrix_shape(mat):
             diagonals[j] = _smith(_dense_matrix(mat))[0]
     for j in complex_.degrees():
-        if complex_.rank(j) != _rank(diagonals.get(j, ())) + _rank(diagonals.get(j - 1, ())):
+        if complex_.rank(j) != sum(1 for k in (j, j - 1) for e in diagonals.get(k, ()) if e.rows):
             raise NonTorsionError(j)
     torsion = tuple(entry for entry in diagonals.get(i - 1, ()) if len(entry.rows) > 1)
     zero = UPoly(order, 1, ())

@@ -14,9 +14,8 @@ import math
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import TorsionAngle, angle_roots, euler_phi, root_multiplicity
-from .complexes import FreeComplex, base_change, cdf_ideal
+from .complexes import FreeComplex, NonTorsionError, base_change, cdf_ideal
 from .poly import IdealGens, LaurentPoly, fibres, ideal_valuation
-from .smith import NonTorsionError
 from .torus import PrimeTorusDivisor, TorusDivisor
 
 
@@ -112,30 +111,31 @@ class SupportReport(NamedTuple):
 def support_report(
     complex_: FreeComplex, candidates: Sequence[PrimeTorusDivisor]
 ) -> SupportReport:
-    """Valuations of the first two minor ideals along each candidate, per degree.
-
-    The minimal divisor in each degree is the difference of the two divisor
-    rows and is checked to be effective.
-    """
+    """Valuations of the first two minor ideals along each candidate, per degree,
+    and their difference, the minimal divisor (`_divisor_rows`)."""
     unique = list(dict.fromkeys(candidates))
     if len(unique) != len(list(candidates)):
         raise ValueError("candidate divisors must be distinct")
-    delta0: dict[int, TorusDivisor] = {}
-    delta1: dict[int, TorusDivisor] = {}
-    minimal: dict[int, TorusDivisor] = {}
-    for i, ideal0 in _top_ideals(complex_).items():
-        ideal1 = cdf_ideal(complex_, i, 1)
-        # finite: a nonzero top-minor ideal makes the next one nonzero too
-        delta0[i] = TorusDivisor({c: ideal_valuation(ideal0, c) for c in unique})
-        delta1[i] = TorusDivisor({c: ideal_valuation(ideal1, c) for c in unique})
-        diff = delta0[i] - delta1[i]
-        if not diff.is_effective():
-            raise ArithmeticError(
-                f"minimal divisor in degree {i} is not effective; "
-                "the candidate list is inconsistent"
-            )
-        minimal[i] = diff
+    rows = {i: _divisor_rows(complex_, i, unique) for i in _top_ideals(complex_)}
+    delta0, delta1, minimal = ({i: r[k] for i, r in rows.items()} for k in range(3))
     return SupportReport(tuple(unique), delta0, delta1, minimal)
+
+
+def _divisor_rows(
+    complex_: FreeComplex, i: int, divisors: Sequence[PrimeTorusDivisor]
+) -> tuple[TorusDivisor, TorusDivisor, TorusDivisor]:
+    """delta0, delta1 and the minimal divisor delta0 - delta1 of a torsion
+    degree i over the divisors, the minimal divisor checked to be effective."""
+    ideal0, ideal1 = cdf_ideal(complex_, i, 0), cdf_ideal(complex_, i, 1)
+    # finite: a nonzero top-minor ideal makes the next one nonzero too
+    delta0 = TorusDivisor({c: ideal_valuation(ideal0, c) for c in divisors})
+    delta1 = TorusDivisor({c: ideal_valuation(ideal1, c) for c in divisors})
+    minimal = delta0 - delta1
+    if not minimal.is_effective():
+        raise ArithmeticError(
+            f"minimal divisor in degree {i} is not effective; the candidate list is inconsistent"
+        )
+    return delta0, delta1, minimal
 
 
 def _generic_points(divisor: PrimeTorusDivisor, avoid: Sequence[PrimeTorusDivisor]):
@@ -175,16 +175,9 @@ def _minimal_order(complex_: FreeComplex, divisor: PrimeTorusDivisor, i: int) ->
     """The multiplicity of divisor in the minimal divisor of degree i, as
     `support_report` gives it, valuing degree i only; like the report, it
     raises NonTorsionError when the top-minor ideal of some degree is zero."""
-    tops = _top_ideals(complex_)
-    if i not in tops:
+    if i not in _top_ideals(complex_):
         return 0
-    order = ideal_valuation(tops[i], divisor)
-    order -= ideal_valuation(cdf_ideal(complex_, i, 1), divisor)
-    if order < 0:
-        raise ArithmeticError(
-            f"minimal divisor in degree {i} is not effective; the candidate list is inconsistent"
-        )
-    return order
+    return _divisor_rows(complex_, i, [divisor])[2].multiplicity(divisor)
 
 
 def _jordan_size(complex_: FreeComplex, lam: TorsionAngle, b: tuple[int, ...], i: int) -> int:

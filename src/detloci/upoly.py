@@ -19,7 +19,8 @@ modulo Phi_N, and normalizes all rows only when the denominator has grown by
 a machine word; division reads its quotient off the steps the loop took.
 A monic form is one product with the inverse of the leading coefficient, a
 one-row constant from `arith.inverse_row`: no field element is built.
-Internal to the package: callers convert with `poly.u_dense` and `u_laurent`.
+Internal to the package and imported by `smith` only, which converts with
+`smith.u_dense` and `smith.u_laurent`.
 """
 
 from __future__ import annotations

@@ -577,7 +577,7 @@ def oracle_valuation(f: LaurentPoly, divisor: PrimeTorusDivisor) -> int:
 
 def division_multiplicity(f: LaurentPoly, value: CycloElem) -> int:
     """Multiplicity of (t - value) in a one-variable f by repeated UPoly.divmod."""
-    from detloci.poly import u_dense
+    from detloci.smith import u_dense
 
     order = math.lcm(f.order, value.order)
     factor = u_dense(
@@ -799,7 +799,7 @@ def cohomology_dims_at_point(complex_: FreeComplex, point) -> dict[int, int]:
     """Dimensions of the cohomology of the complex evaluated at a torsion
     point, from the ranks of the checked Smith diagonals of the evaluated
     differentials, their entries read as one-variable constants."""
-    from detloci.smith import smith_diagonal
+    from detloci.smith import smith_normal_form
 
     order = math.lcm(complex_.ring.cyclotomic_order, *(a.den for a in point))
     ranks = {}
@@ -808,7 +808,7 @@ def cohomology_dims_at_point(complex_: FreeComplex, point) -> dict[int, int]:
             [LaurentPoly.constant(1, e.evaluate(point, order)) for e in row]
             for row in complex_.differential(i)
         ]
-        ranks[i] = smith_diagonal(mat).rank
+        ranks[i] = smith_normal_form(mat).rank
     return {i: complex_.rank(i) - ranks[i] - ranks[i - 1] for i in complex_.degrees()}
 
 

@@ -1132,6 +1132,68 @@ class TestCacheInventory:
         assert _cached_names([module]) == {"m.a", "m.b", "m.c", "m.K.d", "m.K.e.inner"}
 
 
+def _package_imports(paths: list[Path]) -> dict[str, set[str]]:
+    """{module: the package modules it imports}, module-level and
+    function-local, relative (`from .m import x`, `from . import m`) or
+    absolute (`import detloci.m`, `from detloci.m import x`)."""
+    graph = {}
+    for path in paths:
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found |= {node.module} if node.module else {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("detloci."):
+                found.add(node.module)
+            elif isinstance(node, ast.Import):
+                found |= {a.name for a in node.names if a.name.startswith("detloci.")}
+        graph[path.stem] = {name.removeprefix("detloci.") for name in found}
+    return graph
+
+
+# Which package modules each module imports.  Smith forms serve only the
+# smith and detfactors commands and the PID and Jordan oracles, so `smith`
+# is a leaf that nothing but the entry points imports, and the only module
+# that imports its one-variable representation, `upoly`.
+IMPORTS = {
+    "__init__": {"arith", "bsloci", "complexes", "poly", "smith", "support", "torus"},
+    "arith": set(),
+    "bsloci": {"arith", "torus"},
+    "cli": {"bsloci", "complexes", "fixtures", "io", "poly", "smith", "support", "torus"},
+    "complexes": {"arith", "poly", "torus"},
+    "fixtures": {"arith", "bsloci", "torus"},
+    "io": {"bsloci", "complexes", "poly", "torus"},
+    "poly": {"arith", "torus"},
+    "smith": {"arith", "complexes", "poly", "upoly"},
+    "support": {"arith", "complexes", "poly", "torus"},
+    "torus": {"arith"},
+    "upoly": {"arith"},
+}
+
+
+class TestImportGraph:
+    """Every import between package modules is pinned here, so a new edge is a
+    reviewed decision."""
+
+    def test_imports_are_pinned(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "detloci"
+        assert _package_imports(sorted(src.glob("*.py"))) == IMPORTS
+
+    def test_detects_every_import_spelling(self, tmp_path):
+        module = tmp_path / "m.py"
+        module.write_text(
+            "import json\n"
+            "import detloci.a\n"
+            "from . import b\n"
+            "from .c import x\n"
+            "from detloci.d import y\n"
+            "from fractions import Fraction\n"
+            "def f():\n"
+            "    from .e import z\n"
+            "    import detloci.g as g\n"
+        )
+        assert _package_imports([module]) == {"m": {"a", "b", "c", "d", "e", "g"}}
+
+
 def _field_reads(classes: dict[str, ast.ClassDef]) -> dict[int, str]:
     """The class whose attribute each `self.f.name` read names: {id(node): class},
     for every field f annotated by the bare name of a class, in its class body
@@ -1230,7 +1292,6 @@ LIBRARY_ONLY = {
     "torus.TranslatedSubtorus",
     "complexes.minors_ideal",
     "complexes.insert_trivial_summand",
-    "smith.smith_diagonal",
     "smith.fitting_generator",
     "smith.max_jordan_size",
     "smith.cohomology_presentation",
@@ -1416,6 +1477,10 @@ class TestFixturesCommand:
         code, out, _ = run_cli(capsys, ["fixtures", "list"])
         assert code == 0
         assert len(json.loads(out)["fixtures"]) == 3
+
+    def test_unknown_fixture_is_a_plain_input_error(self, capsys):
+        code, out, err = run_cli(capsys, ["fixtures", "run", "nope"])
+        assert (code, out, err) == (2, "", "input error: unknown fixture 'nope'\n")
 
 
 class TestErrors:

@@ -25,6 +25,7 @@ from detloci.complexes import (
     euler_truncation,
     insert_trivial_summand,
     jump_ideal,
+    lists_minors,
     matrix_make,
     matrix_shape,
     minors_ideal,
@@ -664,7 +665,7 @@ def check_against_enumeration(
                 calls.clear()
                 got = ideal_valuation(ideal, C)
                 uncapped[C] += sum(cap is None and id(f) not in entries for f, cap in calls)
-                if ideal.minors and m not in ideal.minors[0].listed:
+                if ideal.minors and not lists_minors(*matrix_shape(mat), m):
                     levels[C] = max(levels[C], m - 1)
                 else:
                     listed[C] += 1

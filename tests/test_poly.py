@@ -24,10 +24,9 @@ from detloci.poly import (
     ideal_valuation,
     parse_poly,
     sum_of_products,
-    u_dense,
-    u_laurent,
     valuation_along,
 )
+from detloci.smith import u_dense, u_laurent
 from detloci.torus import PrimeTorusDivisor
 
 from conftest import (

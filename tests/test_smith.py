@@ -12,23 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detloci.arith import CycloElem, TorsionAngle, euler_phi
-from detloci.complexes import FreeComplex, matrix_make
+from detloci.complexes import FreeComplex, NonTorsionError, matrix_make
 from detloci.poly import (
     IdealGens,
     LaurentPoly,
     Ring,
     parse_poly,
-    u_dense,
 )
 from detloci.smith import (
-    NonTorsionError,
     cohomology_presentation,
     determinantal_factors,
     fitting_generator,
     max_jordan_size,
     principal_generator,
-    smith_diagonal,
     smith_normal_form,
+    u_dense,
 )
 from detloci.upoly import UPoly, sum_of_products as upoly_sum_of_products
 
@@ -39,6 +37,7 @@ from conftest import (
     planted_factors,
     division_multiplicity,
     exact_divide,
+    matrix_mul,
     oracle_det,
     random_torsion_complex,
     upoly_divmod_in,
@@ -145,14 +144,17 @@ class TestSmithDiagonal:
     # at 5 and 9 the unreduced product rows run past z^N and fold
     @pytest.mark.parametrize("order", [1, 3, 4, 5, 6, 9, 12])
     def test_matches_the_full_form(self, rng, order):
+        # the returned Laurent U and V take M to the diagonal, in schoolbook products
+        zero = LaurentPoly.zero(1, order)
         for _ in range(2):
             for mat in seeded_matrices(rng, order):
-                full = smith_normal_form(mat)
-                short = smith_diagonal(mat)
-                assert short.diagonal == full.diagonal
-                assert short.rank == full.rank
+                form = smith_normal_form(mat)
+                product = matrix_mul(matrix_mul(form.u, mat, zero), form.v, zero)
+                for i, row in enumerate(product):
+                    want = [form.diagonal[i] if i == j else zero for j in range(len(row))]
+                    assert list(row) == want
 
-    @pytest.mark.parametrize("entry", [smith_normal_form, smith_diagonal])
+    @pytest.mark.parametrize("entry", [smith_normal_form])
     def test_coprime_diagonal_is_chained(self, entry):
         # diag(t, t - 1) is diagonal but not chained: the pivot row must take
         # in the offending row to reach diag(1, t^2 - t)
@@ -165,9 +167,9 @@ class TestSmithDiagonal:
     def test_rank_deficient_has_trailing_zero(self, rng):
         for order in (1, 6):
             deficient = seeded_matrices(rng, order)[3]
-            assert smith_diagonal(deficient).diagonal[-1].is_zero()
+            assert smith_normal_form(deficient).diagonal[-1].is_zero()
 
-    @pytest.mark.parametrize("entry", [smith_normal_form, smith_diagonal])
+    @pytest.mark.parametrize("entry", [smith_normal_form])
     def test_corrupt_column_update_raises(self, monkeypatch, entry):
         import detloci.smith as smith_module
 
@@ -193,7 +195,7 @@ class TestSmithDiagonal:
             entry(char)
         assert corrupted
 
-    @pytest.mark.parametrize("entry", [smith_normal_form, smith_diagonal])
+    @pytest.mark.parametrize("entry", [smith_normal_form])
     def test_corrupt_row_transform_raises(self, monkeypatch, entry):
         import detloci.smith as smith_module
 
@@ -209,7 +211,7 @@ class TestSmithDiagonal:
         with pytest.raises(ArithmeticError, match="Smith verification failed"):
             entry([[t, LaurentPoly.one(1)], [LaurentPoly.zero(1), t]])
 
-    @pytest.mark.parametrize("entry", [smith_normal_form, smith_diagonal])
+    @pytest.mark.parametrize("entry", [smith_normal_form])
     def test_corrupt_column_transform_raises(self, monkeypatch, entry):
         import detloci.smith as smith_module
 
@@ -227,7 +229,7 @@ class TestSmithDiagonal:
 
 
 class TestDivisibilityChainCheck:
-    """A transform-consistent but unchained diagonal is refused by both entry points."""
+    """A transform-consistent but unchained diagonal is refused."""
 
     @staticmethod
     def identity_pivot(monkeypatch):
@@ -244,14 +246,14 @@ class TestDivisibilityChainCheck:
 
         monkeypatch.setattr(smith_module, "_pivot", identity)
 
-    @pytest.mark.parametrize("entry", [smith_normal_form, smith_diagonal])
+    @pytest.mark.parametrize("entry", [smith_normal_form])
     def test_zero_before_nonzero(self, monkeypatch, entry):
         zero = LaurentPoly.zero(1)
         self.identity_pivot(monkeypatch)
         with pytest.raises(ArithmeticError, match="zero before a nonzero"):
             entry([[zero, zero], [zero, P("t1")]])
 
-    @pytest.mark.parametrize("entry", [smith_normal_form, smith_diagonal])
+    @pytest.mark.parametrize("entry", [smith_normal_form])
     def test_not_chained(self, monkeypatch, entry):
         zero = LaurentPoly.zero(1)
         self.identity_pivot(monkeypatch)
@@ -291,13 +293,13 @@ class TestAnnihilatorGenerator:
         t = P("t1")
         zero = LaurentPoly.zero(1)
         pres = matrix_make([[t * t, zero, t], [zero, t, P("t1-1")]])
-        ann = smith_diagonal(pres).diagonal[1]
+        ann = smith_normal_form(pres).diagonal[1]
         b0, b1 = fitting_generator(pres, 0), fitting_generator(pres, 1)
         assert ann == exact_divide(b0, b1, laurent=False)
         assert ann == P("t1^2")
 
     def test_no_generators_gives_one(self):
-        assert smith_diagonal(matrix_make([])).diagonal == ()
+        assert smith_normal_form(matrix_make([])).diagonal == ()
         assert fitting_generator(matrix_make([]), 0).is_one()
 
 
@@ -505,7 +507,7 @@ def smith_route_determinantal_factors(phi):
     """b_0, ..., b_m from the Smith diagonal of the whole characteristic matrix."""
     order = math.lcm(*(entry.order for row in phi for entry in row))
     prefixes = [LaurentPoly.one(1, order)]
-    for entry in smith_diagonal(characteristic_matrix(phi)).diagonal:
+    for entry in smith_normal_form(characteristic_matrix(phi)).diagonal:
         prefixes.append(prefixes[-1] * entry)
     return prefixes[::-1]
 
@@ -783,7 +785,7 @@ class TestCohomologyPresentation:
         pres = cohomology_presentation(self.koszul(), 1)
         assert fitting_generator(pres, 0).normalized(True) == parse_poly("t1-1", R1L)
 
-    @pytest.mark.parametrize("entry", ["smith_diagonal", "cohomology_presentation"])
+    @pytest.mark.parametrize("entry", ["smith_normal_form", "cohomology_presentation"])
     def test_corrupt_kernel_column_of_v_raises(self, monkeypatch, entry):
         # the columns of V past the rank span the kernel of M, where D is
         # zero; U*M*V = D checks them too.  Both matrices have rank 1 and no
@@ -806,8 +808,8 @@ class TestCohomologyPresentation:
         complex_ = self.koszul()
         monkeypatch.setattr(smith_module, "_pivot", corrupt)
         with pytest.raises(ArithmeticError, match="U\\*M\\*V != D"):
-            if entry == "smith_diagonal":
-                smith_diagonal([[t, t * t], [t - LaurentPoly.one(1), t * t - t]])
+            if entry == "smith_normal_form":
+                smith_normal_form([[t, t * t], [t - LaurentPoly.one(1), t * t - t]])
             else:
                 cohomology_presentation(complex_, 1)
         assert corrupted
@@ -856,7 +858,7 @@ class TestCohomologyPresentation:
                     for i in range(size)
                 ]
             )
-            ann = smith_diagonal(pres).diagonal[size - 1]
+            ann = smith_normal_form(pres).diagonal[size - 1]
             # annihilates every cyclic summand: each diagonal entry divides ann
             for i in range(size):
                 assert exact_divide(ann, factors[i].monic(), laurent=False) is not None
@@ -910,7 +912,7 @@ class TestOneSmithFormPerMatrix:
         pres = matrix_make([[t * t * P("t1-1"), zero], [zero, t]])
         b0, b1 = fitting_generator(pres, 0), fitting_generator(pres, 1)
         calls = count_smith_calls(monkeypatch)
-        ann = smith_diagonal(pres).diagonal[1]
+        ann = smith_normal_form(pres).diagonal[1]
         assert len(calls) == 1
         assert ann == exact_divide(b0, b1, laurent=False) == P("t1^3-t1^2")
 

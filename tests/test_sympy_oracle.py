@@ -25,7 +25,7 @@ from detloci.arith import (  # noqa: E402
 )
 from detloci.complexes import MinorEngine, matrix_make, minors_ideal  # noqa: E402
 from detloci.poly import IdealGens, LaurentPoly, Ring  # noqa: E402
-from detloci.smith import determinantal_factors, smith_diagonal  # noqa: E402
+from detloci.smith import determinantal_factors, smith_normal_form  # noqa: E402
 
 X = sympy.symbols("x")
 QQX = sympy.QQ[X]
@@ -145,7 +145,7 @@ class TestInvariantFactors:
         for _ in range(4):
             for mat in seeded_matrices(rng):
                 laurent = [[to_laurent(mat[i, j]) for j in range(mat.cols)] for i in range(mat.rows)]
-                ours = smith_diagonal(laurent).diagonal
+                ours = smith_normal_form(laurent).diagonal
                 theirs = invariant_factors(mat, domain=QQX)
                 assert [detloci_coeffs(d) for d in ours] == [monic_coeffs(d) for d in theirs]
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detloci.arith import CycloElem, euler_phi, reduce_mod_phi, zeta_power
-from detloci.poly import LaurentPoly, u_dense, u_laurent
+from detloci.poly import LaurentPoly
+from detloci.smith import u_dense, u_laurent
 from detloci.smith import _dense_mul, _mat_vec
 from detloci.upoly import UPoly, _make, _reduced, sum_of_products
 

@@ -20,7 +20,6 @@ from detloci import (
     IdealGens,
     PrimeTorusDivisor,
     Ring,
-    SmithDiagonal,
     SmithForm,
     SupportReport,
     TorsionAngle,
@@ -29,7 +28,6 @@ from detloci import (
     candidate_divisors,
     determinantal_factors,
     ideal_valuation,
-    smith_diagonal,
     smith_normal_form,
     specialization_multiplicity,
     support_report,
@@ -332,7 +330,7 @@ class TestIdealGens:
         for back in round_trips(engine):
             assert type(back) is MinorEngine and repr(back) == fresh
             assert (back.mat, back.nvars, back.order) == (mat, 2, 3)
-            assert not (back._memo or back._nonzero or back._eliminations or back.listed)
+            assert not (back._memo or back._nonzero or back._eliminations)
             assert [back.valuation(m, divisor) for m in (1, 2, 3)] == values
 
 
@@ -386,20 +384,18 @@ class TestRecords:
         candidates = candidate_divisors(complex_)
         return [
             smith_normal_form([[f, f], [f * f, f]]),
-            smith_diagonal([[f, f], [f * f, f]]),
             determinantal_factors([[parse_poly("2", R1)]]),
             support_report(complex_, candidates),
             specialization_multiplicity(complex_, candidates[0], 0, candidates),
         ]
 
     def test_reprs(self):
-        smith, diagonal, factors, report, record = self.records()
+        smith, factors, report, record = self.records()
         assert repr(smith) == (
             "SmithForm(u=((LaurentPoly(1), LaurentPoly(0)), (LaurentPoly(t1-1), LaurentPoly(-1))), "
             "v=((LaurentPoly(1), LaurentPoly(-1)), (LaurentPoly(0), LaurentPoly(1))), "
             "diagonal=(LaurentPoly(t1-1), LaurentPoly(t1^2-3*t1+2)))"
         )
-        assert repr(diagonal) == "SmithDiagonal(diagonal=(LaurentPoly(t1-1), LaurentPoly(t1^2-3*t1+2)))"
         assert repr(factors) == (
             "DeterminantalFactors(b=(LaurentPoly(t1-2), LaurentPoly(1)), minimal=LaurentPoly(t1-2))"
         )
@@ -412,7 +408,7 @@ class TestRecords:
         assert repr(record) == (
             "SpecializationRecord(ord=0, jordan=0, lam=TorsionAngle(num=1, den=2), b=(2,), generic=True)"
         )
-        assert (smith.rank, diagonal.rank) == (2, 2)
+        assert smith.rank == 2
 
     def test_fields_equality_and_assignment(self):
         for record in self.records():
@@ -423,9 +419,8 @@ class TestRecords:
         record = self.records()[-1]
         assert hash(record) == hash(tuple(record))
         assert type(record) is SpecializationRecord
-        assert [type(r) for r in self.records()[:4]] == [
+        assert [type(r) for r in self.records()[:3]] == [
             SmithForm,
-            SmithDiagonal,
             DeterminantalFactors,
             SupportReport,
         ]
