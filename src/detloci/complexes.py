@@ -303,8 +303,8 @@ class FreeComplex(Frozen):
     """A bounded complex of free modules given by composition-zero matrices.
 
     Equality and repr are those of the fields (ring, imin, imax, ranks, diffs);
-    `minor_cache` holds one unit ideal, minor engines, minors ideals and jump
-    ideals, filled on demand.
+    `minor_cache` holds one unit ideal, minor engines, minors ideals, jump
+    ideals and the `top_ideals` of a torsion complex, filled on demand.
     """
 
     _fields = ("ring", "imin", "imax", "ranks", "diffs")  # compared and shown
@@ -440,8 +440,7 @@ def differential_minors(complex_: FreeComplex, i: int, size: int) -> IdealGens:
 
 
 class NonTorsionError(ValueError):
-    """A complex has non-torsion cohomology in some degree: over a domain, the
-    top-minor ideal of that degree (`cdf_ideal` at k = 0) is zero."""
+    """Some H^j of a complex is not torsion; `degree` is the lowest such j (`top_ideals`)."""
 
     def __init__(self, degree: int):
         super().__init__(f"cohomology in degree {degree} is not torsion")
@@ -452,6 +451,32 @@ def cdf_ideal(complex_: FreeComplex, i: int, k: int) -> IdealGens:
     """Minors ideal of d^{i-1} at size r_i - k (truncated-Euler indexing)."""
     size = euler_truncation(complex_, i) - k
     return differential_minors(complex_, i - 1, size)
+
+
+def top_ideals(complex_: FreeComplex) -> dict[int, tuple[IdealGens, LaurentPoly]]:
+    """(`cdf_ideal` at k = 0, one nonzero generator of it) per degree, once
+    every H^j is torsion; else NonTorsionError names the lowest j that is not.
+
+    Over a domain rank d^j + rank d^(j-1) <= r_j, with equality exactly when
+    H^j is torsion (Buchsbaum-Eisenbud).  So with f_j = r_j - f_(j-1) counted
+    up from the bottom, the first j with I_(f_j)(d^j) = 0 is the lowest
+    non-torsion degree.  With none, f_j = e_(j+1): the ideal checked at j is
+    `cdf_ideal` of degree j + 1, and its generator its engine's first nonzero
+    minor (1 for the unit ideal), so no other minor is expanded.  The verdict
+    is kept in `minor_cache`; a failure is not, and raises again on every call.
+    """
+    tops = complex_.minor_cache.get(("tops",))
+    if tops is None:
+        ideal, size, tops = _unit_ideal(complex_), 0, {}
+        for j in complex_.degrees():
+            top = ideal.minors[0].nonzero(ideal.minors[1])[0] if ideal.minors else ideal.gens[0]
+            tops[j] = ideal, top
+            size = complex_.rank(j) - size
+            ideal = differential_minors(complex_, j, size)
+            if ideal.is_zero():
+                raise NonTorsionError(j)
+        complex_.minor_cache[("tops",)] = tops
+    return tops
 
 
 def jump_ideal(complex_: FreeComplex, i: int, k: int) -> IdealGens:

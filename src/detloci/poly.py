@@ -573,10 +573,10 @@ def ideal_valuation(ideal: IdealGens, divisor: PrimeTorusDivisor):
 # ---------------------------------------------------------------------------
 # Text grammar: sums of terms, e(a/b) constants, s/t variable spellings
 
-# Each term opens with a run of signs.  A factor is an ASCII decimal
-# fraction, e(a/b) or a variable with an optional power, followed by the "*"
-# that continues its term; an empty denominator, index or power matches too,
-# so that the scan can say which integer is missing.
+# Each term opens with a run of signs, which only the first may leave empty.
+# A factor is an ASCII decimal fraction, e(a/b) or a variable with an optional
+# power, followed by the "*" that continues its term; an empty denominator,
+# index or power matches too, so that the scan can say which integer is missing.
 _SIGNS = re.compile(r"[+-]*")
 _FACTOR = re.compile(
     r"(?:([0-9]+)(?:/([0-9]*))?"
@@ -667,6 +667,8 @@ def parse_poly(text: str, ring: Ring) -> LaurentPoly:
                     )
                 exps[i - 1] += k
             pos = m.end()
+        if pos < n and s[pos] not in "+-" and _FACTOR.match(s, pos):
+            raise ParseError("missing '*' between factors", pos)
         if a:
             g = math.gcd(a, b)
             b //= g

@@ -34,7 +34,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .arith import TorsionAngle, _phi_tail, root_multiplicity
-from .complexes import FreeComplex, Matrix, NonTorsionError, matrix_make, matrix_shape
+from .complexes import FreeComplex, Matrix, matrix_make, matrix_shape, top_ideals
 from .poly import IdealGens, LaurentPoly
 from .upoly import UPoly, _accumulate, _eliminate, _make, _reduced, sum_of_products
 
@@ -376,13 +376,6 @@ def max_jordan_size(phi: Matrix | Sequence[Sequence[LaurentPoly]], xi: TorsionAn
 # Cohomology of one-variable complexes
 
 
-def _cleared_polynomial_matrix(mat: Matrix, order: int) -> Matrix:
-    """Scale the whole matrix by a t-power so all entries are polynomial."""
-    low = min((e.min_exponents()[0] for row in mat for e in row if not e.is_zero()), default=0)
-    shift = (max(0, -low),)
-    return matrix_make([[e.shift(shift).lift(order) for e in row] for row in mat])
-
-
 def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
     """Presentation matrix of H^i of a one-variable complex with torsion cohomology.
 
@@ -390,23 +383,20 @@ def cohomology_presentation(complex_: FreeComplex, i: int) -> Matrix:
     plus a free module, and the invariant factors of H^i are the Smith
     invariants of d^{i-1} of positive degree, chained, so the last one
     generates the annihilator.  Their diagonal matrix presents H^i over
-    Q(zeta)[t] and, after inverting t, over the Laurent ring.  The ranks of
-    the diagonals of every nonempty cleared differential decide that every
-    H^j is torsion, and NonTorsionError names the lowest degree that is not.
+    Q(zeta)[t] and, after inverting t, over the Laurent ring.  Only d^{i-1}
+    is Smith-reduced: `complexes.top_ideals` decides that every H^j is
+    torsion, and NonTorsionError names the lowest degree that is not.
     """
     if complex_.ring.nvars != 1:
         raise ValueError("cohomology presentations need a one-variable complex")
-    order = complex_.ring.cyclotomic_order
-    diagonals = {}
-    for j in range(complex_.imin - 1, complex_.imax + 1):
-        mat = _cleared_polynomial_matrix(complex_.differential(j), order)
-        if 0 not in matrix_shape(mat):
-            diagonals[j] = _smith(_dense_matrix(mat))[0]
-    for j in complex_.degrees():
-        if complex_.rank(j) != sum(1 for k in (j, j - 1) for e in diagonals.get(k, ()) if e.rows):
-            raise NonTorsionError(j)
-    torsion = tuple(entry for entry in diagonals.get(i - 1, ()) if len(entry.rows) > 1)
-    zero = UPoly(order, 1, ())
+    top_ideals(complex_)
+    mat = complex_.differential(i - 1)
+    # one power of t for the whole matrix makes every entry a polynomial
+    low = min((e.min_exponents()[0] for row in mat for e in row if e.rows), default=0)
+    cleared = [[e.shift((max(0, -low),)) for e in row] for row in mat]
+    diagonal = _smith(_dense_matrix(cleared))[0] if 0 not in matrix_shape(mat) else ()
+    torsion = tuple(entry for entry in diagonal if len(entry.rows) > 1)
+    zero = UPoly(complex_.ring.cyclotomic_order, 1, ())
     size = len(torsion)
     return _laurent_matrix(
         [[torsion[j] if j == k else zero for k in range(size)] for j in range(size)]

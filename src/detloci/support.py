@@ -4,7 +4,8 @@ Consumes user-supplied free complexes over the r-variable Laurent ring as
 stand-ins for stalk complexes, locates their codimension-one support among
 binomial prime divisors, assembles the divisor tables per degree, and compares
 divisor orders with maximal Jordan block sizes at unit-root eigenvalues along
-one-parameter specializations, both read off valued Fitting ideals, no Smith form.
+one-parameter specializations, both read off valued Fitting ideals, no Smith
+form, once `complexes.top_ideals` has found every H^j torsion.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import math
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import TorsionAngle, angle_roots, euler_phi, root_multiplicity
-from .complexes import FreeComplex, NonTorsionError, base_change, cdf_ideal
-from .poly import IdealGens, LaurentPoly, fibres, ideal_valuation
+from .complexes import FreeComplex, NonTorsionError, base_change, cdf_ideal, top_ideals
+from .poly import fibres, ideal_valuation
 from .torus import PrimeTorusDivisor, TorusDivisor
 
 
@@ -45,23 +46,6 @@ def _fibre_roots(order: int, fibre: dict[int, tuple[int, ...]]) -> Iterator[Tors
             return
 
 
-def _top_ideals(complex_: FreeComplex) -> dict[int, IdealGens]:
-    """The top-minor ideal of each degree; NonTorsionError names the lowest
-    degree where it is zero, so H^i is not torsion there."""
-    tops = {}
-    for i in complex_.degrees():
-        tops[i] = cdf_ideal(complex_, i, 0)
-        if tops[i].is_zero():
-            raise NonTorsionError(i)
-    return tops
-
-
-def _top_minor(ideal: IdealGens) -> LaurentPoly:
-    """One nonzero generator of a nonzero top-minor ideal, found without forming
-    it: the engine's first kept minor, else the one generator of (1)."""
-    return ideal.minors[0].nonzero(ideal.minors[1])[0] if ideal.minors else ideal.gens[0]
-
-
 def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:
     """Binomial prime divisors dividing every top minor of some degree.
 
@@ -76,8 +60,7 @@ def candidate_divisors(complex_: FreeComplex) -> list[PrimeTorusDivisor]:
     and mixed-sign directions are skipped.
     """
     found = set()
-    for ideal in _top_ideals(complex_).values():
-        g = _top_minor(ideal)
+    for ideal, g in top_ideals(complex_).values():
         first, *rest = g.rows
         directions = set()
         for e in rest:
@@ -116,7 +99,7 @@ def support_report(
     unique = list(dict.fromkeys(candidates))
     if len(unique) != len(list(candidates)):
         raise ValueError("candidate divisors must be distinct")
-    rows = {i: _divisor_rows(complex_, i, unique) for i in _top_ideals(complex_)}
+    rows = {i: _divisor_rows(complex_, i, unique) for i in top_ideals(complex_)}
     delta0, delta1, minimal = ({i: r[k] for i, r in rows.items()} for k in range(3))
     return SupportReport(tuple(unique), delta0, delta1, minimal)
 
@@ -174,8 +157,8 @@ def point_on_divisor(
 def _minimal_order(complex_: FreeComplex, divisor: PrimeTorusDivisor, i: int) -> int:
     """The multiplicity of divisor in the minimal divisor of degree i, as
     `support_report` gives it, valuing degree i only; like the report, it
-    raises NonTorsionError when the top-minor ideal of some degree is zero."""
-    if i not in _top_ideals(complex_):
+    raises NonTorsionError when some H^j is not torsion (`top_ideals`)."""
+    if i not in top_ideals(complex_):
         return 0
     return _divisor_rows(complex_, i, [divisor])[2].multiplicity(divisor)
 

@@ -371,7 +371,8 @@ def oracle_parse_terms(
 ) -> list[tuple[Fraction, TorsionAngle, tuple[int, ...]]]:
     """The text grammar read one character at a time into (rational, angle,
     exponents) triples, through Fraction and TorsionAngle.  Independent of
-    the integer scan it checks; integers here are ASCII decimal too."""
+    the integer scan it checks; integers here are ASCII decimal too.  Terms
+    are separated by a sign and factors by "*"."""
     s = "".join(text.split())
     if not s:
         raise ParseError("empty polynomial", 0)
@@ -389,6 +390,21 @@ def oracle_parse_terms(
         if not digits or any(ch not in "0123456789" for ch in digits):
             raise ValueError(body)
         return int(body)
+
+    def starts_factor(pos):
+        """Whether a factor, perhaps a malformed one, opens at pos: a digit, a
+        variable letter, or e( with two signed integers and a ) after it."""
+        if s[pos] in "0123456789st":
+            return True
+        close = s.find(")", pos)
+        if not s.startswith("e(", pos) or close < 0:
+            return False
+        a_str, _, b_str = s[pos + 2 : close].partition("/")
+        try:
+            signed(a_str), signed(b_str)
+        except ValueError:
+            return False
+        return True
 
     terms = []
     pos = 0
@@ -459,6 +475,9 @@ def oracle_parse_terms(
                 pos += 1
                 continue
             break
+        # the next term opens with a sign: a factor here has lost its "*"
+        if pos < n and s[pos] not in "+-" and starts_factor(pos):
+            raise ParseError("missing '*' between factors", pos)
         terms.append((coeff, angle, tuple(exps)))
     return terms
 

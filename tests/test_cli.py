@@ -327,6 +327,29 @@ class TestComplexCommands:
         assert row["ord"] == row["jordan"] == 1
         assert row["generic"] is True
 
+    @pytest.mark.parametrize(
+        "ranks, diffs, degree",
+        [
+            # 0 -> R --1--> R --0--> R -> 0: H^0 = H^1 = 0, H^2 = R
+            ({"0": 1, "1": 1, "2": 1}, {"0": [["1"]], "1": [["0"]]}, 2),
+            # R --0--> R --(t1-1)--> R --0--> R: H^0 = R, H^1 = 0
+            ({"0": 1, "1": 1, "2": 1, "3": 1}, {"0": [["0"]], "1": [["t1-1"]], "2": [["0"]]}, 0),
+        ],
+    )
+    def test_support_names_lowest_non_torsion_degree(self, capsys, tmp_path, ranks, diffs, degree):
+        path = write_json(
+            tmp_path / "c.json",
+            {
+                "ring": {"nvars": 1, "laurent": True},
+                "degrees": [0, len(ranks) - 1],
+                "ranks": ranks,
+                "differentials": diffs,
+            },
+        )
+        code, out, err = run_cli(capsys, ["support", "--complex", path])
+        assert (code, out) == (2, "")
+        assert err == f"input error: cohomology in degree {degree} is not torsion\n"
+
     def test_support_one_base_change_per_b(self, capsys, tmp_path, monkeypatch):
         # both divisors take their generic point at b = (1, 1), so the two
         # table rows share one base change and its Smith diagonals
@@ -1509,6 +1532,14 @@ class TestErrors:
         assert f"cannot parse polynomial {entry!r}: " in err
         assert f"(at position {position})" in err
 
+    @pytest.mark.parametrize("entry, position", [("2t1", 1), ("3e(1/2)", 1), ("t1 t2", 2)])
+    def test_juxtaposed_factors_exit_2(self, capsys, tmp_path, entry, position):
+        payload = {"ring": {"nvars": 2, "laurent": True}, "rows": [["1", entry]]}
+        bad = write_json(tmp_path / "bad.json", payload)
+        code, out, err = run_cli(capsys, ["smith", "--matrix", bad])
+        message = f"missing '*' between factors (at position {position})"
+        assert (code, out, err) == (2, "", f"input error: cannot parse polynomial {entry!r}: {message}\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(
             capsys, ["exp", "--locus", "/nonexistent/file.json"]
@@ -1598,41 +1629,66 @@ class TestErrors:
     @pytest.mark.parametrize(
         "ring",
         [
-            {"nvars": 1.9},
-            {"nvars": True},
-            {"nvars": "1"},
-            {"nvars": 1, "cyclotomic_order": 2.5},
-            {"nvars": 1, "laurent": "false"},
-            {"nvars": 1, "laurent": 0},
+            ({"nvars": 1.9}, "nvars must be an integer, got 1.9"),
+            ({"nvars": True}, "nvars must be an integer, got True"),
+            ({"nvars": "1"}, "nvars must be an integer, got '1'"),
+            ({"nvars": 1, "cyclotomic_order": 2.5}, "cyclotomic_order must be an integer, got 2.5"),
+            ({"nvars": 1, "laurent": "false"}, "laurent must be true or false, got 'false'"),
+            ({"nvars": 1, "laurent": 0}, "laurent must be true or false, got 0"),
+            ([1, True], "ring descriptor must be an object"),
         ],
     )
     def test_ring_fields_exit_2(self, capsys, tmp_path, ring):
+        ring, message = ring
         matrix = write_json(tmp_path / "m.json", {"ring": ring, "rows": [["1", "2"], ["3", "4"]]})
         code, out, err = run_cli(capsys, ["detfactors", "--matrix", matrix])
-        assert code == 2 and not out
-        assert err.startswith("input error:")
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
 
     @pytest.mark.parametrize(
         "field",
         [
-            {"degrees": [0, 1.0]},
-            {"degrees": [False, 1]},
-            {"ranks": {"0": 1.5, "1": 1}},
-            {"ranks": {"0": 2, "1": 2}, "differentials": {"0": [["t1", "0"], ["0"]]}},
+            ({"degrees": [0, 1.0]}, "degrees must be an integer, got 1.0"),
+            ({"degrees": [False, 1]}, "degrees must be an integer, got False"),
+            ({"ranks": {"0": 1.5, "1": 1}}, "rank must be an integer, got 1.5"),
+            (
+                {"ranks": {"0": 2, "1": 2}, "differentials": {"0": [["t1", "0"], ["0"]]}},
+                "differential at degree 0 has shape (2, 1), expected (2, 2)",
+            ),
+            ({"degrees": [0]}, "degrees must be a pair [imin, imax]"),
+            ({"ranks": [1, 1]}, "ranks must map degree strings to ranks"),
+            ({"differentials": [[["t1-1"]]]}, "differentials must map degree strings to matrices"),
+            # a field that is not a dict stands for the whole file
+            ([{"degrees": [0, 1]}], "complex file must contain an object"),
         ],
     )
     def test_complex_fields_exit_2(self, capsys, tmp_path, field):
+        field, message = field
         payload = {
             "ring": {"nvars": 1, "laurent": True},
             "degrees": [0, 1],
             "ranks": {"0": 1, "1": 1},
             "differentials": {"0": [["t1-1"]]},
-            **field,
         }
+        payload = {**payload, **field} if isinstance(field, dict) else field
         complex_ = write_json(tmp_path / "c.json", payload)
         code, out, err = run_cli(capsys, ["cdf", "--complex", complex_, "--degree", "1", "--k", "0"])
-        assert code == 2 and not out
-        assert err.startswith("input error:")
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            ({"rows": [["1", "2"], ["3"]]}, "matrix rows have inconsistent lengths"),
+            # a field that is not a dict stands for the whole file
+            ([["1", "2"], ["3", "4"]], "matrix file must contain an object"),
+        ],
+    )
+    def test_matrix_fields_exit_2(self, capsys, tmp_path, field):
+        field, message = field
+        payload = {"ring": {"nvars": 1, "laurent": False}, "rows": [["1", "2"], ["3", "4"]]}
+        payload = {**payload, **field} if isinstance(field, dict) else field
+        matrix = write_json(tmp_path / "m.json", payload)
+        code, out, err = run_cli(capsys, ["smith", "--matrix", matrix])
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv", [["cdf", "--degree", "1", "--k", "0"], ["jump", "--degree", "1", "--k", "0"], ["support"]]
@@ -1652,19 +1708,27 @@ class TestErrors:
     @pytest.mark.parametrize(
         "locus",
         [
-            {"r": 2.0, "hyperplanes": [{"c": [1, 1], "c0": 2}]},
-            {"r": 2, "hyperplanes": [{"c": [1.5, 1], "c0": 2}]},
-            {"r": 2, "hyperplanes": [{"c": [1, 1], "c0": 2.9}]},
-            {"r": 2, "hyperplanes": [{"c": [1, 1], "c0": 2, "mult": 1.7}]},
-            {"r": 2, "hyperplanes": [{"c": [1, 1], "c0": True}]},
-            {"r": 2, "hyperplanes": [{"c": "11", "c0": 2}]},
+            ({"r": 2.0, "hyperplanes": [{"c": [1, 1], "c0": 2}]}, "r must be an integer, got 2.0"),
+            ({"r": 2, "hyperplanes": [{"c": [1.5, 1], "c0": 2}]}, "c must be an integer, got 1.5"),
+            ({"r": 2, "hyperplanes": [{"c": [1, 1], "c0": 2.9}]}, "c0 must be an integer, got 2.9"),
+            (
+                {"r": 2, "hyperplanes": [{"c": [1, 1], "c0": 2, "mult": 1.7}]},
+                "mult must be an integer, got 1.7",
+            ),
+            ({"r": 2, "hyperplanes": [{"c": [1, 1], "c0": True}]}, "c0 must be an integer, got True"),
+            (
+                {"r": 2, "hyperplanes": [{"c": "11", "c0": 2}]},
+                "hyperplane normal c must be an array, got '11'",
+            ),
+            ([{"r": 2, "hyperplanes": []}], "locus file must contain an object"),
+            ({"r": 2, "pieces": [{"c": [1, 0], "c0": 1}]}, "each piece needs a hyperplanes list"),
         ],
     )
     def test_locus_fields_exit_2(self, capsys, tmp_path, locus):
+        locus, message = locus
         path = write_json(tmp_path / "locus.json", locus)
         code, out, err = run_cli(capsys, ["exp", "--locus", path])
-        assert code == 2 and not out
-        assert err.startswith("input error:")
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
 
     @pytest.mark.parametrize(
         "locus",

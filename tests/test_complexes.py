@@ -771,10 +771,12 @@ CERTIFICATE_KINDS = ["planted", "dense conjugated", "rank deficient"]
 def certificate_matrices(draw):
     """(ring, matrix, divisors): over r = 1, 2 or 3 variables and Q(zeta_N), N
     in 1..12, U diag(d_1, ...) V with unimodular U and V (3 elementary
-    operations a side, or densely size + 2), each d_i a root of unity times
-    h_1^a h_2^b, a <= 2 and b <= 1, for the binomials h_1 and h_2 of two of
+    operations a side, or densely size + 2), each d_i a rational q times a
+    root of unity times h_1^a h_2^b, a <= 2 and b <= 1, for the binomials h_1
+    and h_2 of two of
     the divisors; rank deficient puts zeros on the diagonal, so that the
-    largest minors all vanish.  The divisors are those two and a third, not
+    largest minors all vanish.  The denominators of q, 1 to 4, give the
+    entries of the product different denominators.  The divisors are those two and a third, not
     planted.  Three variables take at most 12 entries: the oracle's
     permutation sums over term-by-term products grow quickly there."""
     r = draw(st.sampled_from([1, 2, 3]))
@@ -791,7 +793,7 @@ def certificate_matrices(draw):
         if kind == "rank deficient" and i >= min(nrows, ncols) - rng.randint(1, 2):
             return zero
         root = CycloElem.from_angle(order, TorsionAngle.make(rng.randrange(order), order))
-        out = LaurentPoly.constant(r, root)
+        out = LaurentPoly.constant(r, root.scale(Fraction(rng.randint(1, 4), rng.randint(1, 4))))
         for h, top in zip(planted, (2, 1)):
             out = out * h ** rng.randint(0, top)
         return out
@@ -870,6 +872,19 @@ class TestModularCertificate:
         mat = [[a[i] * b[j] + h * n[i][j] for j in range(3)] for i in range(3)]
         assert len(_unit_block(matrix_make(mat), 3, C)[0]) == 1
         assert check_against_enumeration(R2, mat, [2, 3, 1], [C]) == [[1], [2], [0]]
+
+    def test_entry_denominators_enter_the_point_values(self):
+        """det M[{0, 1}, {0, 1}] = (t1 + t2 + 2) - 2 (t2/2 + 3/2) = t1 - 1 and the
+        other 2 x 2 minors are 0, so I_2 has valuation 1 along {t1 = 1}.  Read
+        without its denominator, t2/2 + 3/2 would be t2 + 3 and that minor
+        t1 - t2 - 4, nonzero at the point, so a 2 x 2 block would be
+        certified and I_2 valued 0."""
+        C = PrimeTorusDivisor((1, 0), TorsionAngle.make(0, 1))
+        mat = [[P(t) for t in row] for row in
+               (("1", "1/2*t2+3/2", "0"), ("2", "t1+t2+2", "0"), ("0", "0", "0"))]
+        assert len(_unit_block(matrix_make(mat), 3, C)[0]) == 1
+        assert MinorEngine(matrix_make(mat), 2, 3).valuation(2, C) == 1
+        assert check_against_enumeration(R2, mat, [2, 1], [C]) == [[1], [0]]
 
     def test_denominator_of_the_prime_gives_no_block(self):
         """M = a b^T + h N is of rank 1 along h = t1 + 1, with one entry of N

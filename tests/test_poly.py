@@ -523,6 +523,12 @@ MALFORMED = [
     ("1/2/3", 1, True, "expected a factor", 3),
     ("e1", 1, True, "expected a factor", 0),
     ("t1*e(1/3))", 1, True, "expected a factor", 9),
+    # a factor after a finished term is not a second term: terms open with a sign
+    ("2t1", 1, True, "missing '*' between factors", 1),
+    ("3e(1/2)", 1, True, "missing '*' between factors", 1),
+    ("t1 t2", 2, True, "missing '*' between factors", 2),
+    ("t1*2 e(1/0)", 1, True, "missing '*' between factors", 4),
+    ("2e(1)", 1, True, "unit root must be written e(a/b)", 1),
 ]
 
 # integers are ASCII decimal: these were read through str.isdigit and int

@@ -811,7 +811,8 @@ class TestCohomologyPresentation:
             if entry == "smith_normal_form":
                 smith_normal_form([[t, t * t], [t - LaurentPoly.one(1), t * t - t]])
             else:
-                cohomology_presentation(complex_, 1)
+                # d^1 = (g, -f) is the differential that H^2's presentation reduces
+                cohomology_presentation(complex_, 2)
         assert corrupted
 
     @pytest.mark.parametrize("order", [1, 6, 12])
@@ -924,10 +925,6 @@ class TestOneSmithFormPerMatrix:
                 expected = cohomology_presentation(F, i)
                 calls = count_smith_calls(monkeypatch)
                 assert cohomology_presentation(F, i) == expected
-                nonempty = [
-                    j
-                    for j in range(F.imin - 1, F.imax + 1)
-                    if F.rank(j) and F.rank(j + 1)
-                ]
-                assert len(calls) == len(nonempty)
+                # only d^(i-1) is reduced; the torsion check reads no Smith form
+                assert len(calls) == (1 if F.rank(i - 1) and F.rank(i) else 0)
                 monkeypatch.undo()

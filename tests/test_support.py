@@ -23,7 +23,7 @@ from detloci.complexes import (
 )
 from detloci.arith import root_multiplicity
 from detloci.poly import LaurentPoly, Ring, fibres, ideal_valuation, parse_poly
-from detloci.smith import cohomology_presentation
+from detloci.smith import cohomology_presentation, smith_normal_form
 from detloci.support import (
     _generic_points,
     _minimal_order,
@@ -105,7 +105,8 @@ class TestCandidateDivisors:
         E = diag_complex([LaurentPoly.zero(2, 3)])
         with pytest.raises(NonTorsionError) as info:
             candidate_divisors(E)
-        assert info.value.degree in (0, 1)
+        # H^0 = H^1 = R: the lowest is named
+        assert info.value.degree == 0
 
     def test_multiple_planted(self):
         E = diag_complex([P("t1-1") * P("t2-1"), P("t1*t2-e(1/3)")])
@@ -271,7 +272,9 @@ class TestSeveralTopGenerators:
 class TestNonTorsionRefusal:
     def test_lowest_zero_top_degree_named_by_all(self):
         # ranks 1, 1, 1, 1 and d = (0, h, 0): the top-minor ideals of degrees
-        # 1 and 3 are I_1(0) = 0, those of degrees 0 and 2 are the unit ideal
+        # 1 and 3 are I_1(0) = 0, those of degrees 0 and 2 are the unit ideal;
+        # but H^0 = ker 0 = R is the lowest cohomology that is not torsion,
+        # and H^1 = R/(h) is torsion
         h = P("t1*t2-e(1/3)")
         zero = LaurentPoly.zero(2, 3)
         E = FreeComplex.make(
@@ -288,7 +291,123 @@ class TestNonTorsionRefusal:
         for call in calls:
             with pytest.raises(NonTorsionError) as info:
                 call()
-            assert info.value.degree == 1
+            assert info.value.degree == 0
+
+
+def smith_rank(mat) -> int:
+    """The rank of a one-variable Laurent matrix, from its Smith form once a
+    power of t has made every entry a polynomial."""
+    entries = [e for row in mat for e in row if not e.is_zero()]
+    if not entries:
+        return 0
+    low = min(e.min_exponents()[0] for e in entries)
+    return smith_normal_form([[e.shift((-low,)) for e in row] for row in mat]).rank
+
+
+def lowest_non_torsion(F: FreeComplex) -> int | None:
+    """The lowest j with rank d^j + rank d^(j-1) < r_j, by Smith forms."""
+    for j in F.degrees():
+        if smith_rank(F.differential(j)) + smith_rank(F.differential(j - 1)) < F.rank(j):
+            return j
+    return None
+
+
+R1 = Ring(1, True, 1)
+T1 = LaurentPoly.variable(1, 0, 1)
+ONE1, ZERO1 = LaurentPoly.one(1), LaurentPoly.zero(1)
+
+
+@st.composite
+def one_variable_complexes(draw):
+    """Over Q(zeta_N)[t, 1/t], N in 1, 2, 3, 6: a torsion sum of one or two
+    pieces in degrees 0-2, plus up to two free summands R in degrees 0-2, each
+    adding a rank to some H^j, conjugated."""
+    ring = Ring(1, True, draw(st.sampled_from([1, 2, 3, 6])))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    F = torsion_sum(rng, ring, draw(st.integers(1, 2)))
+    for degree in draw(st.lists(st.integers(0, 2), max_size=2)):
+        F = direct_sum(F, FreeComplex.make(ring, (degree, degree), {degree: 1}, {}))
+    return conjugate_complex(rng, F)
+
+
+class TestOneTorsionCheck:
+    """Every entry point that needs torsion cohomology refuses a complex at the
+    lowest degree whose H^j is not torsion, by the ranks of Smith forms."""
+
+    @given(one_variable_complexes())
+    @settings(max_examples=25, deadline=None)
+    # 0 -> R --1--> R --0--> R -> 0: H^0 = H^1 = 0 and H^2 = R
+    @example(FreeComplex.make(R1, (0, 2), {0: 1, 1: 1, 2: 1}, {0: [[ONE1]], 1: [[ZERO1]]}))
+    # R --0--> R --(t-1)--> R --0--> R: H^0 = R, H^1 = 0
+    @example(
+        FreeComplex.make(
+            R1, (0, 3), {i: 1 for i in range(4)}, {0: [[ZERO1]], 1: [[T1 - ONE1]], 2: [[ZERO1]]}
+        )
+    )
+    def test_every_entry_point_names_the_lowest_degree(self, F):
+        degree = lowest_non_torsion(F)
+        D = PrimeTorusDivisor((1,), angle(0, 1))
+        calls = [
+            candidate_divisors,
+            lambda E: support_report(E, [D]),
+            lambda E: specialization_multiplicity(E, D, E.imin, candidates=[D]),
+            lambda E: cohomology_presentation(E, E.imin + 1),
+        ]
+        for call in calls:
+            # a copy with an empty cache, so that no call reads another's verdict
+            E = FreeComplex(F.ring, F.imin, F.imax, F.ranks, F.diffs)
+            if degree is None:
+                call(E)
+                continue
+            with pytest.raises(NonTorsionError) as info:
+                call(E)
+            assert info.value.degree == degree
+
+
+def swap_variables(F: FreeComplex) -> FreeComplex:
+    """F with t1 and t2 exchanged in every entry."""
+    diffs = {
+        i: [[LaurentPoly(2, e.order, e.den, {x[::-1]: row for x, row in e.rows.items()})
+             for e in row] for row in mat]
+        for i, mat in F.diffs.items()
+    }
+    return FreeComplex.make(F.ring, (F.imin, F.imax), dict(F.ranks), diffs)
+
+
+def support_table(F: FreeComplex, swap: bool = False):
+    """The candidates, the delta0, delta1 and minimal rows, and (ord, jordan,
+    generic) of each ord/jordan row of `detloci support`, each divisor's u
+    reversed when swap is set."""
+
+    def key(d):
+        return (d.u[::-1] if swap else d.u), d.xi
+
+    candidates = candidate_divisors(F)
+    report = support_report(F, candidates)
+    rows = {
+        (name, i, key(d)): m
+        for name in ("delta0", "delta1", "minimal")
+        for i, divisor in getattr(report, name).items()
+        for d, m in divisor.coeffs.items()
+    }
+    table = {}
+    for i, minimal in report.minimal.items():
+        for d in minimal.coeffs:
+            record = specialization_multiplicity(F, d, i, candidates=report.candidates)
+            table[i, key(d)] = record.ord, record.jordan, record.generic
+    return {key(d) for d in candidates}, rows, table
+
+
+class TestCoordinatePermutation:
+    """Exchanging t1 and t2 exchanges the coordinates of every u and changes
+    nothing else that `detloci support` reports; lambda and b may differ, since
+    the generic-point search is lexicographic in b."""
+
+    @given(st.sampled_from([1, 2, 3, 6]), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_swap_reverses_every_u(self, order, pieces, seed):
+        F = torsion_sum(random.Random(seed), Ring(2, True, order), pieces)
+        assert support_table(swap_variables(F)) == support_table(F, swap=True)
 
 
 @st.composite

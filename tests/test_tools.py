@@ -133,3 +133,27 @@ def test_locus_layer_times_each_step_on_its_inputs(tmp_path, monkeypatch, capsys
         timed = [f for f, *_ in namespace["calls"](group)]
         measured = getattr(importlib.import_module(f"detloci.{module}"), name)
         assert timed == [measured] * sum(calls(len(job["args"]["m"])) for job in group), step
+
+
+def test_counts_wrap_every_module_that_holds_a_name(tmp_path, monkeypatch):
+    """The counts of one pass over one cycle of support-planted and smith-jordan
+    jobs: `cdf_ideal` is counted through the name `support` imports and
+    `valuation_along` through the one `complexes` imports, and `_smith` runs
+    once per smith and detfactors job."""
+    bench_pairs = load_bench_pairs()
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    run = importlib.import_module("run")
+    workloads = importlib.import_module("workloads")
+    got = {}
+    for workload in ("support-planted", "smith-jordan"):
+        monkeypatch.setitem(run.JOBS_PER_PASS, workload, workloads.CYCLES[workload])
+        specs = run.write_inputs(workload, 1, str(tmp_path / workload))
+        got[workload] = bench_pairs.run_counts(str(ROOT), str(tmp_path / workload))
+        assert set(got[workload]) == {*bench_pairs.COUNTED, "minors_expanded", "failed_jobs"}
+        assert got[workload]["failed_jobs"] == 0
+    support = got["support-planted"]
+    assert support["smith._smith"] == 0
+    assert support["complexes.cdf_ideal"] > 0 and support["poly.valuation_along"] > 0
+    assert support["minors_expanded"] > 0
+    forms = sum(spec["kind"] in ("smith", "detfactors") for spec in specs)
+    assert got["smith-jordan"]["smith._smith"] == forms > 0

@@ -45,6 +45,14 @@ total:
   `specialize_slice` of the propagated model along both directions.
 Each layer script takes the minimum seconds per group and the job files as
 arguments and prints {group: [inputs, seconds of the fastest pass]}.
+
+Counts: one pass over the seed-1 jobs of each workload (the change's
+perfbench/out/<workload>-1, as perfbench/measure.py runs them), in a fresh
+process per checkout and workload, with `COUNTED` names wrapped from outside
+in every package module that holds them.  The file keeps per side the calls
+of each, the minors expanded (the sum of len(engine._memo) over every
+MinorEngine built, entries included) and the failed jobs.  Both sides run the
+change's program, so both count the same names.
 """
 
 from __future__ import annotations
@@ -316,6 +324,73 @@ LAYERS = {
 }
 
 
+COUNTED = ("poly.valuation_along", "complexes.cdf_ideal", "smith._smith")
+
+# argv: the checkout's perfbench directory and a run directory; prints the counts
+COUNTS = r"""
+import importlib, json, sys
+
+sys.path.insert(0, sys.argv[1])
+import measure
+from detloci import complexes
+
+COUNTED, WORKDIR = json.loads(sys.argv[2]), sys.argv[3]
+counts, engines = dict.fromkeys(COUNTED, 0), []
+
+
+def wrap(qualname):
+    module, name = qualname.split(".")
+    real = getattr(importlib.import_module(f"detloci.{module}"), name)
+
+    def counted(*args, **kwargs):
+        counts[qualname] += 1
+        return real(*args, **kwargs)
+
+    for held in list(sys.modules.values()):
+        package = getattr(held, "__name__", "").startswith("detloci")
+        if package and getattr(held, name, None) is real:
+            setattr(held, name, counted)
+
+
+def init(self, *args, real=complexes.MinorEngine.__init__):
+    real(self, *args)
+    engines.append(self)
+
+
+for qualname in COUNTED:
+    wrap(qualname)
+complexes.MinorEngine.__init__ = init
+outputs = measure.run_pass(*measure.load(WORKDIR))[0]
+counts["minors_expanded"] = sum(len(engine._memo) for engine in engines)
+counts["failed_jobs"] = sum(isinstance(out, Exception) for out in outputs)
+print(json.dumps(counts))
+"""
+
+
+def run_counts(root: str, workdir: str) -> dict:
+    """{count: value} of one pass over the jobs in workdir, run on the checkout
+    at root in a fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNTS, os.path.join(root, "perfbench"), json.dumps(COUNTED),
+         workdir],
+        cwd=root, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0"),
+    )
+    return json.loads(proc.stdout)
+
+
+def counts(parent: str, change: str, workloads: list[str]) -> dict:
+    """{"<workload> seed 1": {count: {"parent": value, "change": value}}}."""
+    rows = {}
+    for workload in workloads:
+        workdir = os.path.join(change, "perfbench", "out", f"{workload}-1")
+        sides = {"parent": run_counts(parent, workdir), "change": run_counts(change, workdir)}
+        rows[f"{workload} seed 1"] = {
+            name: {side: values[name] for side, values in sides.items()} for name in sides["change"]
+        }
+    return rows
+
+
 def seeds(text: str) -> list[int]:
     low, _, high = text.partition("-")
     return list(range(int(low), int(high or low) + 1))
@@ -461,6 +536,13 @@ def main():
                 "rows": layer(parent, change, name, job_paths(change, workloads)),
             }
             for name, (function, workloads, inputs, key, _) in LAYERS.items()
+        },
+        "counts": {
+            "what": "one pass over the seed-1 jobs, run as perfbench/measure.py runs them: "
+            + ", ".join(f"calls of {name}" for name in COUNTED)
+            + ", minors expanded (sum of len(engine._memo) over every MinorEngine built, "
+            "entries included) and failed jobs",
+            **counts(parent, change, workloads),
         },
     }
     with open(args.out, "w") as f:
