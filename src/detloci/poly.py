@@ -667,7 +667,7 @@ def parse_poly(text: str, ring: Ring) -> LaurentPoly:
                     )
                 exps[i - 1] += k
             pos = m.end()
-        if pos < n and s[pos] not in "+-" and _FACTOR.match(s, pos):
+        if pos < n and _FACTOR.match(s, pos):
             raise ParseError("missing '*' between factors", pos)
         if a:
             g = math.gcd(a, b)

@@ -692,16 +692,24 @@ class TestSpecializationMultiplicity:
         assert not record.generic
         assert record.ord == 1 and record.jordan == 2
 
-    @given(st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @example(0, True)
     @settings(max_examples=20, deadline=None)
-    def test_returned_point_gives_a_torsion_base_change(self, seed):
+    def test_returned_point_gives_a_torsion_base_change(self, seed, collapsing):
         rng = random.Random(seed)
-        F = random_torsion_complex(rng, Ring(2, True, 6), max_pieces=2)
+        ring = Ring(2, True, 6)
+        F = random_torsion_complex(rng, ring, max_pieces=2)
+        if collapsing:
+            # b = (1, 1) sends t1 - t2 to 0: the search must pass over it
+            F = conjugate_complex(rng, direct_sum(F, shifted_piece(ring, P("t1-t2", ring), 1)))
         candidates = candidate_divisors(F)
         for divisor in candidates:
             record = specialization_multiplicity(F, divisor, 1, candidates=candidates)
+            E = base_change(F, record.b)
             # refuses a base change with non-torsion cohomology in any degree
-            cohomology_presentation(base_change(F, record.b), 1)
+            cohomology_presentation(E, 1)
+            # and, independently of the top-minor ideals, by Smith ranks
+            assert lowest_non_torsion(E) is None
 
     def test_base_change_tau_compatibility(self, rng):
         from conftest import random_binomial
