@@ -34,7 +34,7 @@ def _piece_make(hyperplanes: Sequence[AffineHyperplane], r: int) -> Piece:
     for h in hyperplanes:
         if h.nvars != r:
             raise ValueError("piece member has wrong dimension")
-    pivots, _ = rref([h.c for h in hyperplanes], r)
+    pivots, _, _ = rref([h.c for h in hyperplanes], r)
     if len(pivots) != len(hyperplanes):
         raise ValueError("piece normals must be linearly independent")
     return tuple(sorted(hyperplanes))
@@ -199,7 +199,7 @@ def _parametrize(member: Piece) -> tuple[list[int], list[list[int]], int]:
     coordinates v (ascending), with integer base and directions; den > 0 is
     the lcm of the pivot entries of the primitive reduced rows."""
     n = member[0].nvars
-    pivots, rows = rref([(*h.c, -h.c0) for h in member], n)
+    pivots, rows, _ = rref([(*h.c, -h.c0) for h in member], n)
     free = [i for i in range(n) if i not in pivots]
     den = lcm(*(row[col] for row, col in zip(rows, pivots)))
     base = [0] * n

@@ -12,8 +12,9 @@ elimination per divisor, pivoting on the least-valued bordered minor, gives
 the valuation of every size that is not listed (`MinorEngine`); its
 generators are enumerated only when read.  The elimination starts from the
 block that the rank of the matrix at one point of the divisor modulo a prime
-certifies to be a unit there (`_unit_block`), so the sizes whose valuation is
-0 expand no minor.
+certifies to be a unit there (`_unit_block`): the pivot rows and columns of
+one modular elimination, on the matrix's image over F_p, reduced once per
+field order (`_fp_image`).  So the sizes whose valuation is 0 expand no minor.
 """
 
 from __future__ import annotations
@@ -77,53 +78,64 @@ def _point_on(u: tuple[int, ...], eta: int, p: int) -> list[int]:
     return [math.prod(pow(y[i], b[i][j], p) for i in range(r)) % p for j in range(r)]
 
 
-def _unit_block(mat: Matrix, order: int, divisor: PrimeTorusDivisor) -> tuple[list[int], list[int]]:
-    """Rows R and columns C, ascending, with det M[R, C] of valuation 0 along
-    D = {t^u = xi}, from the rank of M at one point of D modulo a prime.
-
-    With L = lcm(order, den xi) and (p, w) = `arith.prime_root_of_unity(L)`,
-    zeta_n maps to w^(L/n) for each entry order n | L, and xi to
-    w^(L num/den), which is a ring homomorphism on the coefficients; x is a
-    point of (F_p^*)^r with x^u the image of xi (`_point_on`).  `torus.rref`
-    modulo p gives the first independent columns C of M(x), and the first
-    independent rows R of M[:, C](x), so det M[R, C](x) != 0.  Were t^u - xi
-    to divide det M[R, C], the quotient would be integral at p too (Gauss's
-    lemma: t^u - xi has unit content), and det M[R, C](x) would vanish
-    modulo p.  So v_D(det M[R, C]) = 0, and the local Smith exponents s_1,
-    ..., s_|R| are 0.  An entry denominator that p divides gives no block,
-    ([], []).  A degenerate point, where M(x) has less than the rank of M
-    along D, gives a smaller block; no value depends on the point.
-    """
-    num, den = divisor.xi
-    top = math.lcm(order, den)
+def _fp_image(mat: Matrix, top: int) -> tuple | None:
+    """M over F_p for a field order L = top that every entry order divides,
+    as `_unit_block` evaluates it: (p, [w^k for k < L], the monomials of M,
+    the rows of M with each entry a list of (monomial index, coefficient)
+    pairs, () for a zero entry), with (p, w) =
+    `arith.prime_root_of_unity(L)` and zeta_n -> w^(L/n) for each entry
+    order n, a ring homomorphism on the coefficients; None when p divides an
+    entry denominator."""
     p, w = prime_root_of_unity(top)
-    point = _point_on(divisor.u, pow(w, top // den * num, p), p)
     powers = [1] * top  # the images of zeta_top^k
     for k in range(1, top):
         powers[k] = powers[k - 1] * w % p
     monomials: dict[tuple[int, ...], int] = {}
-    values = []
+    entries = []
     for row in mat:
         out = []
         for f in row:
-            value = 0
+            pairs = ()
             if f.rows:
                 if f.den % p == 0:
-                    return [], []
-                step = top // f.order
-                for e, nums in f.rows.items():
-                    x = monomials.get(e)
-                    if x is None:
-                        x = monomials[e] = math.prod(map(pow, point, e, [p] * len(e))) % p
-                    value += x * sum([n * powers[j * step] for j, n in enumerate(nums) if n])
-                if f.den != 1:
-                    value *= pow(f.den, -1, p)
-            out.append(value % p)
-        values.append(out)
-    nrows, ncols = matrix_shape(mat)
-    cols, _ = rref(values, ncols, p)
-    rows, _ = rref([[row[j] for row in values] for j in cols], nrows, p)
-    return rows, cols
+                    return None
+                step, inverse = top // f.order, pow(f.den, -1, p)
+                pairs = [
+                    (monomials.setdefault(e, len(monomials)),
+                     sum([n * powers[j * step] for j, n in enumerate(nums) if n]) * inverse % p)
+                    for e, nums in f.rows.items()
+                ]
+            out.append(pairs)
+        entries.append(out)
+    return p, powers, list(monomials), entries
+
+
+def _unit_block(image: tuple | None, divisor: PrimeTorusDivisor) -> tuple[list[int], list[int]]:
+    """Rows R and columns C, ascending, with det M[R, C] of valuation 0 along
+    D = {t^u = xi}, from the rank of M at one point of D modulo a prime.
+
+    With the image of M modulo p for L = lcm(order, den xi) (`_fp_image`),
+    xi maps to w^(L num/den), and x is a point of (F_p^*)^r with x^u that
+    image (`_point_on`), at which only the monomials of M are evaluated.
+    One `torus.rref` of M(x) modulo p gives its pivot columns C and the rows
+    R they were pivoted from, so det M[R, C](x) != 0.  Were t^u - xi to
+    divide det M[R, C], the quotient would be integral at p too (Gauss's
+    lemma: t^u - xi has unit content), and det M[R, C](x) would vanish
+    modulo p.  So v_D(det M[R, C]) = 0, and the local Smith exponents s_1,
+    ..., s_|R| are 0.  No image (an entry denominator that p divides)
+    gives no block, ([], []).  A degenerate point, where M(x) has less than
+    the rank of M along D, gives a smaller block; no value depends on the
+    point.
+    """
+    if image is None:
+        return [], []
+    p, powers, monomials, entries = image
+    num, den = divisor.xi
+    point = _point_on(divisor.u, powers[len(powers) // den * num], p)
+    values = [math.prod(map(pow, point, e, [p] * len(e))) % p for e in monomials]
+    mat = [[sum([values[k] * c for k, c in f]) % p if f else 0 for f in row] for row in entries]
+    cols, _, rows = rref(mat, len(mat[0]), p)
+    return sorted(rows), cols
 
 
 class MinorEngine:
@@ -133,7 +145,8 @@ class MinorEngine:
     Each minor of size >= 2 is one `sum_of_products` over its nonzero
     cofactor pairs along the first row; a minor with no such pair is the
     engine's one shared zero.  Per size the engine keeps the first nonzero
-    minor in combination order (`nonzero`).
+    minor in combination order (`nonzero`), and, once the size is valued,
+    whether `lists_minors` lists it and, if so, its nonzero minors.
 
     `valuation(m, D)` is v_D(I_m), the least valuation along D of an m x m
     minor.  A size that `lists_minors` lists takes the least valuation of its
@@ -153,15 +166,18 @@ class MinorEngine:
     nonzero minor of valuation 0 (cap 1, shared by every divisor) decides a
     size before any level is computed.  Otherwise the first elimination along
     D starts from the block M[R, C] of `_unit_block`, whose determinant is
-    certified a unit at D by one modular rank at a point of D: so s_1 = ... =
-    s_|R| = 0, levels 1 to |R| are 0 with no minor expanded or valued, and
-    level |R| + 1 borders that block as it would border its own.  A
-    degenerate point gives a smaller block, and the levels it leaves out are
-    computed as before, so no value depends on the point.
+    certified a unit at D by one modular rank at a point of D, on the image
+    of the matrix over F_p that the engine keeps per field order L =
+    lcm(order, den xi) (`_fp_image`): so s_1 = ... = s_|R| = 0, levels 1 to
+    |R| are 0 with no minor expanded or valued, and level |R| + 1 borders
+    that block as it would border its own.  A degenerate point gives a
+    smaller block, and the levels it leaves out are computed as before, so
+    no value depends on the point.
 
     `order` is a multiple of every entry's order (`_engine_for` takes their
     lcm).  Copy and pickle rebuild the engine from (mat, nvars, order),
-    without what it has computed, and its repr shows those three.
+    without what it has computed (minors, listings, eliminations and images),
+    and its repr shows those three.
     """
 
     def __init__(self, mat: Matrix, nvars: int, order: int):
@@ -172,8 +188,12 @@ class MinorEngine:
         self._memo: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
         # size -> (its first nonzero minor,), or () when every one is zero
         self._nonzero: dict[int, tuple[LaurentPoly, ...]] = {}
+        # size -> its nonzero minors if `lists_minors` lists the size, else None
+        self._listed: dict[int, tuple[LaurentPoly, ...] | None] = {}
         # divisor -> (pivot rows, pivot columns, [s_1 + ... + s_k for each level k])
         self._eliminations: dict = {}
+        # field order L -> the image of mat over F_p (`_fp_image`)
+        self._images: dict[int, tuple | None] = {}
 
     def __reduce__(self):
         return MinorEngine, (self.mat, self.nvars, self.order)
@@ -223,14 +243,23 @@ class MinorEngine:
 
     def valuation(self, m: int, divisor: PrimeTorusDivisor) -> int:
         """v(I_m) along divisor, for an m with a nonzero m x m minor (see the class)."""
-        if lists_minors(*matrix_shape(self.mat), m):
-            return least_valuation(self.minors(m), divisor)
+        if m not in self._listed:
+            self._listed[m] = (
+                tuple(f for f in self.minors(m) if f.rows)
+                if lists_minors(*matrix_shape(self.mat), m) else None
+            )
+        listed = self._listed[m]
+        if listed is not None:
+            return least_valuation(listed, divisor)
         kept = self.nonzero(m)
         rows, cols, sums = self._eliminations.setdefault(divisor, ([], [], [0]))
         if len(sums) <= m and valuation_along(kept[0], divisor, cap=1) == 0:
             return 0
         if len(sums) == 1:
-            rows[:], cols[:] = _unit_block(self.mat, self.order, divisor)
+            top = math.lcm(self.order, divisor.xi.den)
+            if top not in self._images:
+                self._images[top] = _fp_image(self.mat, top)
+            rows[:], cols[:] = _unit_block(self._images[top], divisor)
             sums += [0] * len(rows)
         nrows, ncols = matrix_shape(self.mat)
         while len(sums) <= m:
@@ -262,26 +291,23 @@ def _decided_by_size(nrows: int, ncols: int, m: int, unit: IdealGens) -> IdealGe
     return None
 
 
-def _minors_from_engine(engine: MinorEngine, m: int, unit: IdealGens) -> IdealGens:
-    """The ideal of the m x m minors, (0) when every minor is zero; raises
-    ValueError for a matrix beyond the enumeration limit.  It holds (engine,
-    m) and has the ring of its nonzero minors: the orders of the nonzero
-    entries for m = 1, the engine's order for m >= 2, which every larger
-    minor has."""
+def _minors_from_engine(engine: MinorEngine, m: int, ring: Ring) -> IdealGens:
+    """The ideal of the m x m minors for a size that the size conventions
+    leave open, (0) when every minor is zero; raises ValueError for a matrix
+    beyond the enumeration limit.  It holds (engine, m) and has the ring of
+    its nonzero minors: the orders of the nonzero entries for m = 1, the
+    engine's order for m >= 2, which every larger minor has."""
     nrows, ncols = matrix_shape(engine.mat)
-    decided = _decided_by_size(nrows, ncols, m, unit)
-    if decided is not None:
-        return decided
     if nrows > MAX_MINOR_DIM or ncols > MAX_MINOR_DIM:
         raise ValueError(
             f"matrix exceeds the {MAX_MINOR_DIM}x{MAX_MINOR_DIM} minor enumeration limit"
         )
     if not engine.nonzero(m):
-        return IdealGens.zero_ideal(unit.ring)
+        return IdealGens.zero_ideal(ring)
     order = engine.order
     if m == 1:
         order = math.lcm(*[f.order for row in engine.mat for f in row if f.rows])
-    return IdealGens(unit.ring.with_order(order), minors=(engine, m))
+    return IdealGens(ring.with_order(order), minors=(engine, m))
 
 
 def _engine_for(mat: Matrix, ring: Ring) -> MinorEngine:
@@ -296,7 +322,10 @@ def minors_ideal(mat: Matrix, m: int, ring: Ring) -> IdealGens:
     zero ideal.  Its generators, read, enumerate every row/column subset in
     ascending combination order; its valuations need not.
     """
-    return _minors_from_engine(_engine_for(mat, ring), m, IdealGens.unit_ideal(ring))
+    decided = _decided_by_size(*matrix_shape(mat), m, IdealGens.unit_ideal(ring))
+    if decided is not None:
+        return decided
+    return _minors_from_engine(_engine_for(mat, ring), m, ring)
 
 
 class FreeComplex(Frozen):
@@ -424,17 +453,20 @@ def _unit_ideal(complex_: FreeComplex) -> IdealGens:
 
 def differential_minors(complex_: FreeComplex, i: int, size: int) -> IdealGens:
     """Minors ideal of d^i, sharing the expansion memo and the eliminations
-    along each divisor across all sizes."""
+    along each divisor across all sizes; a size that the size conventions
+    decide, as every size > 0 of the 0-row d^imax, builds no engine."""
     cache = complex_.minor_cache
     key = ("ideal", i, size)
     found = cache.get(key)
     if found is not None:
         return found
-    engine = cache.get(("engine", i))
-    if engine is None:
-        engine = _engine_for(complex_.differential(i), complex_.ring)
-        cache[("engine", i)] = engine
-    ideal = _minors_from_engine(engine, size, _unit_ideal(complex_))
+    mat = complex_.differential(i)
+    ideal = _decided_by_size(*matrix_shape(mat, complex_.rank(i)), size, _unit_ideal(complex_))
+    if ideal is None:
+        engine = cache.get(("engine", i))
+        if engine is None:
+            engine = cache[("engine", i)] = _engine_for(mat, complex_.ring)
+        ideal = _minors_from_engine(engine, size, complex_.ring)
     cache[key] = ideal
     return ideal
 

@@ -195,7 +195,7 @@ class TranslatedSubtorus(namedtuple("TranslatedSubtorus", "equations")):
         equations = tuple(sorted(equations))
         if not equations:
             raise ValueError("a translated subtorus needs at least one equation")
-        pivots, _ = rref([u for u, _ in equations], len(equations[0][0]))
+        pivots, _, _ = rref([u for u, _ in equations], len(equations[0][0]))
         if len(pivots) != len(equations):
             raise ValueError("subtorus equations must be linearly independent")
         return tuple.__new__(cls, (equations,))
@@ -208,15 +208,23 @@ class TranslatedSubtorus(namedtuple("TranslatedSubtorus", "equations")):
         return all(_monomial_at(u, point) == xi for u, xi in self.equations)
 
 
-def rref(rows: list, ncols: int, modulus: int = 0) -> tuple[list[int], list[list[int]]]:
+def rref(rows: list, ncols: int, modulus: int = 0) -> tuple[list[int], list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination on integer rows, pivoting in the
     first ncols columns only: the pivot columns (as many as the rank of those
-    columns) and the reduced rows, each primitive with a positive entry at its
-    own pivot and zeros at the other pivots.  With a prime modulus p the rows
-    are reduced modulo p and eliminated over F_p instead, each reduced row with
-    1 at its pivot: the pivot columns are then the first independent columns
-    of the matrix modulo p."""
+    columns), the reduced rows, each primitive with a positive entry at its
+    own pivot and zeros at the other pivots, and the index in `rows` of the
+    row that each reduced row was pivoted from.  With a prime modulus p the
+    rows are reduced modulo p and eliminated over F_p instead, each reduced
+    row with 1 at its pivot: the pivot columns are then the first independent
+    columns of the matrix modulo p.
+
+    The origins travel with the rows through each swap, and every other step
+    scales a row by a nonzero factor or adds a multiple of a pivot row, so the
+    reduced rows are T M[R, :] with R the origins and T invertible.  At the
+    pivot columns C they are diagonal with a nonzero diagonal, so M[R, C] is
+    invertible (modulo p with a modulus)."""
     mat = [[x % modulus for x in row] for row in rows] if modulus else [list(row) for row in rows]
+    origin = list(range(len(mat)))
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
@@ -231,6 +239,7 @@ def rref(rows: list, ncols: int, modulus: int = 0) -> tuple[list[int], list[list
             g = math.gcd(*row) if row[col] > 0 else -math.gcd(*row)
             prow = [x // g for x in row]
         mat[pivot], mat[rank] = mat[rank], prow
+        origin[pivot], origin[rank] = origin[rank], origin[pivot]
         p = prow[col]
         for i, row in enumerate(mat):
             f = row[col]
@@ -242,7 +251,7 @@ def rref(rows: list, ncols: int, modulus: int = 0) -> tuple[list[int], list[list
                     g = math.gcd(*row)  # 0 on an all-zero row, which stays as it is
                     mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
-    return pivots, mat[: len(pivots)]
+    return pivots, mat[: len(pivots)], origin[: len(pivots)]
 
 
 def tau_preimage(

@@ -315,9 +315,12 @@ class TestIntegerRref:
     @example(([[6, 4, -2], [3, 0, 9]], 3))
     def test_against_fraction_oracle(self, case):
         rows, ncols = case
-        pivots, reduced = rref(rows, ncols)
+        pivots, reduced, origin = rref(rows, ncols)
         want_pivots, want_rows = _rref(rows, ncols)
         assert pivots == want_pivots
+        # the rows the pivots came from are independent at the pivot columns
+        block = [[rows[i][j] for j in pivots] for i in origin]
+        assert len(_rref(block, len(pivots))[0]) == len(origin) == len(pivots)
         for row, col, want in zip(reduced, pivots, want_rows, strict=True):
             assert all(type(x) is int for x in row)
             assert math.gcd(*row) == 1 and row[col] > 0

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from detloci.complexes import (
     FreeComplex,
     MinorEngine,
+    _fp_image,
     _point_on,
     _unit_block,
     base_change,
@@ -29,6 +30,7 @@ from detloci.complexes import (
     matrix_make,
     matrix_shape,
     minors_ideal,
+    top_ideals,
 )
 from detloci.arith import CycloElem, TorsionAngle, prime_root_of_unity
 from detloci.poly import IdealGens, LaurentPoly, Ring, ideal_valuation, parse_poly, valuation_along
@@ -767,6 +769,11 @@ CERTIFICATE_DIVISORS = {
 CERTIFICATE_KINDS = ["planted", "dense conjugated", "rank deficient"]
 
 
+def unit_block(mat, order: int, C: PrimeTorusDivisor) -> tuple[list[int], list[int]]:
+    """`_unit_block` along C of mat's image for the field order lcm(order, den xi)."""
+    return _unit_block(_fp_image(matrix_make(mat), math.lcm(order, C.xi.den)), C)
+
+
 @st.composite
 def certificate_matrices(draw):
     """(ring, matrix, divisors): over r = 1, 2 or 3 variables and Q(zeta_N), N
@@ -822,7 +829,7 @@ class TestModularCertificate:
         mat = [list(row) for row in F.differential(0)]
         for k, C in enumerate(divisors):
             # the block is a unit along C, so no larger than the zero levels
-            rows, cols = _unit_block(matrix_make(mat), order, C)
+            rows, cols = unit_block(mat, order, C)
             zeros = max(m for m, row in zip(sizes, values) if row[k] == 0)
             assert len(rows) == len(cols) <= zeros
             if rows:
@@ -842,7 +849,7 @@ class TestModularCertificate:
         rows = [["t2+2", "3", "t1+t2", "1"], ["1", "t1*t2+1", "t2", "-2"],
                 ["1", "t2", "0", "2"], ["1", "t2", f"t2-{y}", "2"]]
         mat = [[P(t) * h if i < 2 else P(t) for t in row] for i, row in enumerate(rows)]
-        assert len(_unit_block(matrix_make(mat), 3, C)[0]) == 1
+        assert len(unit_block(mat, 3, C)[0]) == 1
         values = check_against_enumeration(R2, mat, [2, 3, 4, 1], [C])
         assert values == [[0], [1], [2], [0]]
         F = two_term_complex(R2, mat)
@@ -870,7 +877,7 @@ class TestModularCertificate:
         n = [[P(t) for t in row] for row in
              (("1", "e(1/3)*t2", "-2"), ("t1", "3", "t2-1"), ("2", "-t1", "e(2/3)"))]
         mat = [[a[i] * b[j] + h * n[i][j] for j in range(3)] for i in range(3)]
-        assert len(_unit_block(matrix_make(mat), 3, C)[0]) == 1
+        assert len(unit_block(mat, 3, C)[0]) == 1
         assert check_against_enumeration(R2, mat, [2, 3, 1], [C]) == [[1], [2], [0]]
 
     def test_entry_denominators_enter_the_point_values(self):
@@ -882,7 +889,7 @@ class TestModularCertificate:
         C = PrimeTorusDivisor((1, 0), TorsionAngle.make(0, 1))
         mat = [[P(t) for t in row] for row in
                (("1", "1/2*t2+3/2", "0"), ("2", "t1+t2+2", "0"), ("0", "0", "0"))]
-        assert len(_unit_block(matrix_make(mat), 3, C)[0]) == 1
+        assert len(unit_block(mat, 3, C)[0]) == 1
         assert MinorEngine(matrix_make(mat), 2, 3).valuation(2, C) == 1
         assert check_against_enumeration(R2, mat, [2, 1], [C]) == [[1], [0]]
 
@@ -900,9 +907,32 @@ class TestModularCertificate:
              ((f"1/{p}", "t2", "-2"), ("t1", "3", "t2-1"), ("2", "-t1", "1"))]
         mat = [[a[i] * b[j] + h * n[i][j] for j in range(3)] for i in range(3)]
         assert mat[0][0].den % p == 0
-        assert _unit_block(matrix_make(mat), 3, C) == ([], [])
+        assert _fp_image(matrix_make(mat), 6) is None and unit_block(mat, 3, C) == ([], [])
         values = check_against_enumeration(R2, mat, [2, 3, 1], [C])
         assert values == [[1], [2], [0]]
+
+    def test_image_kept_per_field_order(self):
+        """An order-1 matrix valued along {t1 = e(1/2)} and then {t1 = e(1/3)}
+        keeps one image modulo p for each field order, 2 and 3, since the
+        point of each divisor is read off its own.  M = a b^T + Phi_3(t1) N
+        with row 0 times t1 + 1 has rank 2 at t1 = -1, rank 1 along Phi_3 and
+        rank 3 at t1 = 1, so a block certified along {t1 = e(1/3)} at a point
+        of the other divisor, or at t1 = 1, would value I_2 there 0."""
+        ring = Ring(2, True, 1)
+        h = parse_poly("t1^2+t1+1", ring)
+        a = [parse_poly(t, ring) for t in ("t2-2", "3", "t1*t2+1")]
+        b = [parse_poly(t, ring) for t in ("1", "t2+3", "2*t1-5")]
+        n = [[parse_poly(t, ring) for t in row] for row in
+             (("1", "t2", "-2"), ("t1", "3", "t2-1"), ("2", "-t1", "1"))]
+        mat = [[a[i] * b[j] + h * n[i][j] for j in range(3)] for i in range(3)]
+        mat[0] = [parse_poly("t1+1", ring) * f for f in mat[0]]
+        half, third = (PrimeTorusDivisor((1, 0), TorsionAngle.make(1, d)) for d in (2, 3))
+        assert check_against_enumeration(ring, mat, [2, 3, 1], [half, third]) == [[0, 1], [1, 2], [0, 0]]
+        F = two_term_complex(ring, mat)
+        assert [ideal_valuation(differential_minors(F, 0, 2), C) for C in (half, third)] == [0, 1]
+        engine = F.minor_cache[("engine", 0)]
+        assert sorted(engine._images) == [2, 3]
+        assert [len(engine._eliminations[C][0]) for C in (half, third)] == [2, 2]
 
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=4), st.integers(1, 12), st.data())
     @settings(max_examples=100, deadline=None)
@@ -915,6 +945,71 @@ class TestModularCertificate:
         x = _point_on(u, eta, p)
         assert all(0 < xj < p for xj in x)
         assert math.prod(pow(xj, uj, p) for xj, uj in zip(x, u)) % p == eta
+
+
+GALOIS_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)]
+
+
+def galois(f: LaurentPoly, k: int, order: int) -> LaurentPoly:
+    """sigma_k on every coefficient of f in Q(zeta_order): z^j -> z^(jk mod
+    order), then reduced modulo Phi_order."""
+    terms = {}
+    for e, c in f.lift(order).terms.items():
+        dense = [Fraction(0)] * order
+        for j, q in enumerate(c.coeffs):
+            dense[j * k % order] += q
+        terms[e] = CycloElem.make(order, dense)
+    return LaurentPoly.make(f.nvars, order, terms)
+
+
+class TestGaloisLaw:
+    """sigma_k, k coprime to the field order M, is a ring automorphism of the
+    Laurent ring over Q(zeta_M) that maps t^u - xi to t^u - xi^k, so it keeps
+    every valuation of a minor ideal when the divisor moves with it."""
+
+    @given(st.sampled_from([4, 6, 12]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_conjugated_complex_keeps_every_valuation(self, order, seed):
+        """d^0 = a b^T + h_1 N with row 0 times h_2, 4 x 4 over Q(zeta_M), M
+        the order: its rank is 1 along D_1 and 3 along D_2, so both
+        eliminations start from a certified block, and sizes 2 and 3 are
+        eliminated.  Every cdf and jump valuation along D_1, D_2 and a third
+        divisor equals that of the conjugated complex along the conjugated
+        divisors."""
+        rng = random.Random(seed)
+        ring = Ring(2, True, order)
+        k = rng.choice([k for k in range(2, order) if math.gcd(k, order) == 1])
+
+        def divisor(u):
+            return PrimeTorusDivisor(u, TorsionAngle.make(rng.randrange(order), order))
+
+        def entry():
+            root = CycloElem.from_angle(order, TorsionAngle.make(rng.randrange(order), order))
+            h = LaurentPoly.binomial_divisor(2, divisor(rng.choice(GALOIS_DIRECTIONS)), order)
+            return LaurentPoly.constant(2, root) * h
+
+        divisors = [divisor(u) for u in rng.sample(GALOIS_DIRECTIONS, 3)]
+        h1, h2 = (LaurentPoly.binomial_divisor(2, C, order) for C in divisors[:2])
+        a, b = [entry() for _ in range(4)], [entry() for _ in range(4)]
+        mat = [[a[i] * b[j] + h1 * entry() for j in range(4)] for i in range(4)]
+        mat[0] = [h2 * f for f in mat[0]]
+        conjugated = [[galois(f, k, order) for f in row] for row in mat]
+
+        def values(E, divisors):
+            return [
+                ideal_valuation(ideal, C)
+                for i in E.degrees()
+                for j in range(-1, 4)
+                for ideal in (cdf_ideal(E, i, j), jump_ideal(E, i, j))
+                for C in divisors
+            ]
+
+        E, F = two_term_complex(ring, mat), two_term_complex(ring, conjugated)
+        moved = [PrimeTorusDivisor(C.u, C.xi ** k) for C in divisors]
+        assert values(F, moved) == values(E, divisors)
+        for G, Cs in ((E, divisors), (F, moved)):
+            engine = G.minor_cache[("engine", 0)]
+            assert engine._images and all(engine._eliminations[C][0] for C in Cs[:2])
 
 
 class TestMinorValuationCliff:
@@ -1004,6 +1099,26 @@ class TestJumpPruning:
                 if key[0] == "ideal":
                     _, j, size = key
                     assert size <= min(matrix_shape(F.differential(j), F.rank(j)))
+
+
+class TestEnginesOnlyWhereSizesAreOpen:
+    def test_torsion_check_builds_no_top_engine(self, rng):
+        """The torsion check asks every degree up to imax for a minor ideal of
+        its differential, but d^imax has no rows, so the size conventions
+        decide its ideal, and no engine is built for it, on the complex or on
+        any base change; a size beyond a differential's shape builds none
+        either."""
+        for _ in range(4):
+            E = random_torsion_complex(rng, R2)
+            for F in (E, base_change(E, (1, 2))):
+                nrows, ncols = matrix_shape(F.differential(F.imin), F.rank(F.imin))
+                assert differential_minors(F, F.imin, min(nrows, ncols) + 1).is_zero()
+                assert ("engine", F.imin) not in F.minor_cache
+                top_ideals(F)
+                assert differential_minors(F, F.imax, 1).is_zero()
+                assert differential_minors(F, F.imax, 0).contains_one()
+                engines = [key[1] for key in F.minor_cache if key[0] == "engine"]
+                assert engines and max(engines) < F.imax
 
 
 class TestBaseChange:

@@ -7,7 +7,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from detloci import bsloci, torus
@@ -136,7 +136,35 @@ def _rank_mod(rows, p: int) -> int:
     return 0
 
 
+@st.composite
+def planted_rank_matrices(draw):
+    """(p, rows): A B modulo p, entries of the size of p, of rank at most
+    the inner dimension (0 to 4, so some are rank deficient), with up to two
+    zero rows inserted, so that pivots are swapped in from later rows."""
+    p = draw(st.sampled_from([3, 7, 536870923, 536871001]))
+    nrows, inner, ncols = draw(st.integers(1, 5)), draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    entry = st.integers(0, p - 1)
+    a = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=nrows, max_size=nrows))
+    b = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=inner, max_size=inner))
+    rows = [[sum(x * y[j] for x, y in zip(row, b)) % p for j in range(ncols)] for row in a]
+    for position in draw(st.lists(st.integers(0, nrows), max_size=2)):
+        rows.insert(position, [0] * ncols)
+    return p, rows
+
+
 class TestModularRref:
+    @given(planted_rank_matrices())
+    @example((7, [[0, 0], [1, 2], [2, 4]]))
+    def test_pivot_rows_give_a_unit_block(self, case):
+        """The rows R that the reduced rows were pivoted from, as indices of
+        the input, are as many as the rank modulo p, and with the pivot
+        columns C give det M[R, C] != 0 modulo p."""
+        p, rows = case
+        pivots, _, origin = rref(rows, len(rows[0]), p)
+        assert len(set(origin)) == len(origin) == len(pivots) == _rank_mod(rows, p)
+        block = [[rows[i][j] for j in pivots] for i in origin]
+        assert _rank_mod(block, p) == len(block)
+
     @given(
         st.sampled_from([2, 3, 7, 536871001]),  # the last, the prime of order 12
         st.integers(1, 4).flatmap(
@@ -150,7 +178,7 @@ class TestModularRref:
         reduced row has 1 at its pivot and 0 at the others; every row is the
         combination of the reduced rows by its entries at the pivots."""
         ncols = len(rows[0])
-        pivots, reduced = rref(rows, ncols, p)
+        pivots, reduced, _ = rref(rows, ncols, p)
         columns = [[row[j] for row in rows] for j in range(ncols)]
         want, rank = [], 0
         for j in range(ncols):

@@ -314,23 +314,29 @@ class TestIdealGens:
             assert back.valuations == {divisor: 1} and ideal_valuation(back, divisor) == 1
         for back in round_trips(minors)[:-2]:
             engine = back.minors[0]
-            assert not engine._memo and not engine._nonzero and not engine._eliminations
+            assert not (engine._memo or engine._nonzero or engine._listed)
+            assert not (engine._eliminations or engine._images)
 
     def test_engine_round_trips_without_its_work(self):
         """A minor engine pickles and copies as (mat, nvars, order), whatever
-        it has expanded, listed or eliminated, and its repr is that of those."""
+        it has expanded, listed or eliminated, and without the listed minors
+        or the images modulo p that it keeps; its repr is that of those
+        three.  Row 0 vanishes along {t1 = 1}, so the elimination of size 2
+        starts from a certified block."""
         ring = Ring(2, True, 3)
         mat = matrix_make([[parse_poly(t, ring) for t in row] for row in
-                           (("t1-1", "t2", "0"), ("1", "t1*t2-e(1/3)", "t2+2"), ("t1", "3", "t1-1"))])
+                           (("t1-1", "t1*t2-t2", "0"), ("1", "t1*t2-e(1/3)", "t2+2"), ("t1", "3", "t1-1"))])
         engine = MinorEngine(mat, 2, 3)
         fresh = repr(engine)
         divisor = PrimeTorusDivisor((1, 0), TorsionAngle(0, 1))
         values = [engine.valuation(m, divisor) for m in (1, 2, 3)]
-        assert engine._memo and engine._eliminations and repr(engine) == fresh
+        assert engine._memo and engine._listed and repr(engine) == fresh
+        assert engine._eliminations and engine._images
         for back in round_trips(engine):
             assert type(back) is MinorEngine and repr(back) == fresh
             assert (back.mat, back.nvars, back.order) == (mat, 2, 3)
-            assert not (back._memo or back._nonzero or back._eliminations)
+            assert not (back._memo or back._nonzero or back._listed)
+            assert not (back._eliminations or back._images)
             assert [back.valuation(m, divisor) for m in (1, 2, 3)] == values
 
 

@@ -324,7 +324,10 @@ LAYERS = {
 }
 
 
-COUNTED = ("poly.valuation_along", "complexes.cdf_ideal", "smith._smith")
+COUNTED = (
+    "poly.valuation_along", "complexes.cdf_ideal", "complexes._unit_block", "torus.rref",
+    "smith._smith",
+)
 
 # argv: the checkout's perfbench directory and a run directory; prints the counts
 COUNTS = r"""
