@@ -10,11 +10,15 @@ minor without a nonzero pair is the engine's one shared zero.  A minor ideal
 is valued along a prime divisor without expanding every minor: one local
 elimination per divisor, pivoting on the least-valued bordered minor, gives
 the valuation of every size that is not listed (`MinorEngine`); its
-generators are enumerated only when read.  The elimination starts from the
-block that the rank of the matrix at one point of the divisor modulo a prime
-certifies to be a unit there (`_unit_block`): the pivot rows and columns of
-one modular elimination, on the matrix's image over F_p, reduced once per
-field order (`_fp_image`).  So the sizes whose valuation is 0 expand no minor.
+generators are enumerated only when read.
+
+Above the listing size, one modular rank decides every zero: the rank of the
+matrix's image over F_p (`_fp_image`, once per field order) at one point,
+from one modular `torus.rref` (`_unit_block`).  At a generic point it
+certifies that a minor ideal is not zero; at a point of a divisor, that a
+block is a unit there, which seeds the elimination, so the sizes whose
+valuation is 0 expand no minor.  The points, and the values of monomials at
+them, are shared by the engines of a complex.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ Matrix = tuple[tuple[LaurentPoly, ...], ...]
 
 MAX_MINOR_DIM = 12
 
-# y_2, y_3, ... of the point `_point_on` builds are the powers of this
-# constant, which is below every prime of `arith.prime_root_of_unity`
+# the generic point x_j = _GENERIC^j of `MinorEngine.rank_bound`, and y_2,
+# y_3, ... of the point `_point_on` builds, are powers of this constant, which
+# is below every prime of `arith.prime_root_of_unity`
 _GENERIC = 314159265
 
 
@@ -110,30 +115,32 @@ def _fp_image(mat: Matrix, top: int) -> tuple | None:
     return p, powers, list(monomials), entries
 
 
-def _unit_block(image: tuple | None, divisor: PrimeTorusDivisor) -> tuple[list[int], list[int]]:
-    """Rows R and columns C, ascending, with det M[R, C] of valuation 0 along
-    D = {t^u = xi}, from the rank of M at one point of D modulo a prime.
+def _unit_block(image: tuple, point: list[int], values: dict) -> tuple[list[int], list[int]]:
+    """Rows R and columns C, ascending, with det M[R, C](x) != 0 modulo p, as
+    many as the rank of M(x) modulo p: the pivot columns and origin rows of
+    one modular `torus.rref` of M(x), with the image of M over F_p (`_fp_image`)
+    and x a point of (F_p^*)^r.  Only the monomials of M are evaluated at x,
+    each read from `values`, the monomial values at x that every engine of a
+    complex shares, or computed and kept there.
 
-    With the image of M modulo p for L = lcm(order, den xi) (`_fp_image`),
-    xi maps to w^(L num/den), and x is a point of (F_p^*)^r with x^u that
-    image (`_point_on`), at which only the monomials of M are evaluated.
-    One `torus.rref` of M(x) modulo p gives its pivot columns C and the rows
-    R they were pivoted from, so det M[R, C](x) != 0.  Were t^u - xi to
-    divide det M[R, C], the quotient would be integral at p too (Gauss's
-    lemma: t^u - xi has unit content), and det M[R, C](x) would vanish
-    modulo p.  So v_D(det M[R, C]) = 0, and the local Smith exponents s_1,
-    ..., s_|R| are 0.  No image (an entry denominator that p divides)
-    gives no block, ([], []).  A degenerate point, where M(x) has less than
-    the rank of M along D, gives a smaller block; no value depends on the
-    point.
+    With x on D = {t^u = xi} (`_point_on`, with xi mapped to w^(L num/den)
+    for the field order L = lcm(order, den xi)), det M[R, C] has valuation 0
+    along D.  Were t^u - xi to divide det M[R, C], the quotient would be
+    integral at p too (Gauss's lemma: t^u - xi has unit content), and det
+    M[R, C](x) would vanish modulo p.  So the local Smith exponents s_1, ...,
+    s_|R| are 0.  At any point of the torus, det M[R, C] != 0: evaluation is
+    a ring homomorphism, and p divides no denominator of the image.  A
+    degenerate point, where M(x) has less than the rank of M (along D), gives
+    a smaller block; no value depends on the point.
     """
-    if image is None:
-        return [], []
-    p, powers, monomials, entries = image
-    num, den = divisor.xi
-    point = _point_on(divisor.u, powers[len(powers) // den * num], p)
-    values = [math.prod(map(pow, point, e, [p] * len(e))) % p for e in monomials]
-    mat = [[sum([values[k] * c for k, c in f]) % p if f else 0 for f in row] for row in entries]
+    p, _, monomials, entries = image
+    evaluated = []
+    for e in monomials:
+        value = values.get(e)
+        if value is None:
+            value = values[e] = math.prod(map(pow, point, e, [p] * len(e))) % p
+        evaluated.append(value)
+    mat = [[sum([evaluated[k] * c for k, c in f]) % p if f else 0 for f in row] for row in entries]
     cols, _, rows = rref(mat, len(mat[0]), p)
     return sorted(rows), cols
 
@@ -145,8 +152,9 @@ class MinorEngine:
     Each minor of size >= 2 is one `sum_of_products` over its nonzero
     cofactor pairs along the first row; a minor with no such pair is the
     engine's one shared zero.  Per size the engine keeps the first nonzero
-    minor in combination order (`nonzero`), and, once the size is valued,
-    whether `lists_minors` lists it and, if so, its nonzero minors.
+    minor in combination order once it is asked for (`nonzero`), and, once
+    the size is valued, whether `lists_minors` lists it and, if so, its
+    nonzero minors.
 
     `valuation(m, D)` is v_D(I_m), the least valuation along D of an m x m
     minor.  A size that `lists_minors` lists takes the least valuation of its
@@ -162,25 +170,31 @@ class MinorEngine:
     complete pivoting by valuation and needs no division.  Since s_(k+1) >=
     s_k, a bordered minor of valuation s_1 + ... + s_k + s_k ends the level,
     and each valuation is capped at the least one found so far.  The levels
-    are computed as sizes ask for them and shared by every size; a first
-    nonzero minor of valuation 0 (cap 1, shared by every divisor) decides a
-    size before any level is computed.  Otherwise the first elimination along
-    D starts from the block M[R, C] of `_unit_block`, whose determinant is
-    certified a unit at D by one modular rank at a point of D, on the image
-    of the matrix over F_p that the engine keeps per field order L =
-    lcm(order, den xi) (`_fp_image`): so s_1 = ... = s_|R| = 0, levels 1 to
-    |R| are 0 with no minor expanded or valued, and level |R| + 1 borders
-    that block as it would border its own.  A degenerate point gives a
-    smaller block, and the levels it leaves out are computed as before, so
-    no value depends on the point.
+    are computed as sizes ask for them and shared by every size, a listed one
+    included once its level is reached.  The first elimination along D starts
+    from the block M[R, C] of `_unit_block`, whose determinant is certified a
+    unit at D by one modular rank at a point of D, on the image of the matrix
+    over F_p that the engine keeps per field order L = lcm(order, den xi)
+    (`_fp_image`): so s_1 = ... = s_|R| = 0, levels 1 to |R| are 0 with no
+    minor expanded or valued, and level |R| + 1 borders that block as it
+    would border its own.  So a size of valuation 0 expands no minor.  A
+    degenerate point gives a smaller block, and the levels it leaves out are
+    computed as before, so no value depends on the point.
+
+    `rank_bound()` is the rank of the matrix at the generic point x_j =
+    _GENERIC^j modulo the prime of the engine's order, a lower bound on its
+    rank that `_minors_from_engine` reads to certify nonzero minor ideals.
+    The points and their monomial values are shared with the other engines
+    of a complex through `points` ({(divisor or None, L): (x, {monomial:
+    value at x})}), which the complex keeps in its `minor_cache`.
 
     `order` is a multiple of every entry's order (`_engine_for` takes their
     lcm).  Copy and pickle rebuild the engine from (mat, nvars, order),
-    without what it has computed (minors, listings, eliminations and images),
-    and its repr shows those three.
+    without what it has computed (minors, listings, eliminations, images and
+    points), and its repr shows those three.
     """
 
-    def __init__(self, mat: Matrix, nvars: int, order: int):
+    def __init__(self, mat: Matrix, nvars: int, order: int, points: dict | None = None):
         self.mat = mat
         self.nvars = nvars
         self.order = order
@@ -194,12 +208,45 @@ class MinorEngine:
         self._eliminations: dict = {}
         # field order L -> the image of mat over F_p (`_fp_image`)
         self._images: dict[int, tuple | None] = {}
+        # the rank at the generic point, once `rank_bound` has computed it
+        self._rank: int | None = None
+        # (divisor, or None for the generic point; L) -> (the point, {monomial:
+        # its value there}), shared by the engines of a complex
+        self._points = {} if points is None else points
 
     def __reduce__(self):
         return MinorEngine, (self.mat, self.nvars, self.order)
 
     def __repr__(self) -> str:
         return f"MinorEngine(mat={self.mat!r}, nvars={self.nvars!r}, order={self.order!r})"
+
+    def _block(self, divisor: PrimeTorusDivisor | None) -> tuple[list[int], list[int]]:
+        """`_unit_block` at the engine's point of divisor, or at the generic
+        point for None, with the image for its field order; ([], []) without
+        an image (an entry denominator that p divides)."""
+        top = self.order if divisor is None else math.lcm(self.order, divisor.xi.den)
+        if top not in self._images:
+            self._images[top] = _fp_image(self.mat, top)
+        image = self._images[top]
+        if image is None:
+            return [], []
+        key = (divisor, top)
+        if key not in self._points:
+            p, powers = image[0], image[1]
+            if divisor is None:
+                point = [pow(_GENERIC, j, p) for j in range(1, self.nvars + 1)]
+            else:
+                num, den = divisor.xi
+                point = _point_on(divisor.u, powers[top // den * num], p)
+            self._points[key] = point, {}
+        return _unit_block(image, *self._points[key])
+
+    def rank_bound(self) -> int:
+        """The rank of the matrix at the generic point modulo p, 0 without an
+        image: for every m up to it, some m x m minor is nonzero."""
+        if self._rank is None:
+            self._rank = len(self._block(None)[0])
+        return self._rank
 
     def det(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> LaurentPoly:
         if len(rows) != len(cols):
@@ -243,6 +290,9 @@ class MinorEngine:
 
     def valuation(self, m: int, divisor: PrimeTorusDivisor) -> int:
         """v(I_m) along divisor, for an m with a nonzero m x m minor (see the class)."""
+        elimination = self._eliminations.get(divisor)
+        if elimination is not None and len(elimination[2]) > m:
+            return elimination[2][m]
         if m not in self._listed:
             self._listed[m] = (
                 tuple(f for f in self.minors(m) if f.rows)
@@ -251,16 +301,10 @@ class MinorEngine:
         listed = self._listed[m]
         if listed is not None:
             return least_valuation(listed, divisor)
-        kept = self.nonzero(m)
-        rows, cols, sums = self._eliminations.setdefault(divisor, ([], [], [0]))
-        if len(sums) <= m and valuation_along(kept[0], divisor, cap=1) == 0:
-            return 0
-        if len(sums) == 1:
-            top = math.lcm(self.order, divisor.xi.den)
-            if top not in self._images:
-                self._images[top] = _fp_image(self.mat, top)
-            rows[:], cols[:] = _unit_block(self._images[top], divisor)
-            sums += [0] * len(rows)
+        if elimination is None:
+            rows, cols = self._block(divisor)
+            elimination = self._eliminations[divisor] = (rows, cols, [0] * (len(rows) + 1))
+        rows, cols, sums = elimination
         nrows, ncols = matrix_shape(self.mat)
         while len(sums) <= m:
             # s_(k+1) >= s_k bounds the level from below
@@ -296,13 +340,20 @@ def _minors_from_engine(engine: MinorEngine, m: int, ring: Ring) -> IdealGens:
     leave open, (0) when every minor is zero; raises ValueError for a matrix
     beyond the enumeration limit.  It holds (engine, m) and has the ring of
     its nonzero minors: the orders of the nonzero entries for m = 1, the
-    engine's order for m >= 2, which every larger minor has."""
+    engine's order for m >= 2, which every larger minor has.
+
+    A size that `lists_minors` does not list is certified nonzero when the
+    engine's `rank_bound` is at least m: an m x m minor of M(x) is nonzero
+    modulo p, so that minor of M is nonzero, since evaluation is a ring
+    homomorphism and p divides no denominator.  Otherwise, and for a listed
+    size, the minors are walked to the first nonzero one (`nonzero`)."""
     nrows, ncols = matrix_shape(engine.mat)
     if nrows > MAX_MINOR_DIM or ncols > MAX_MINOR_DIM:
         raise ValueError(
             f"matrix exceeds the {MAX_MINOR_DIM}x{MAX_MINOR_DIM} minor enumeration limit"
         )
-    if not engine.nonzero(m):
+    certified = not lists_minors(nrows, ncols, m) and engine.rank_bound() >= m
+    if not (certified or engine.nonzero(m)):
         return IdealGens.zero_ideal(ring)
     order = engine.order
     if m == 1:
@@ -310,9 +361,9 @@ def _minors_from_engine(engine: MinorEngine, m: int, ring: Ring) -> IdealGens:
     return IdealGens(ring.with_order(order), minors=(engine, m))
 
 
-def _engine_for(mat: Matrix, ring: Ring) -> MinorEngine:
+def _engine_for(mat: Matrix, ring: Ring, points: dict | None = None) -> MinorEngine:
     order = math.lcm(ring.cyclotomic_order, *(entry.order for row in mat for entry in row))
-    return MinorEngine(mat, ring.nvars, order)
+    return MinorEngine(mat, ring.nvars, order, points)
 
 
 def minors_ideal(mat: Matrix, m: int, ring: Ring) -> IdealGens:
@@ -465,7 +516,8 @@ def differential_minors(complex_: FreeComplex, i: int, size: int) -> IdealGens:
     if ideal is None:
         engine = cache.get(("engine", i))
         if engine is None:
-            engine = cache[("engine", i)] = _engine_for(mat, complex_.ring)
+            points = cache.setdefault(("points",), {})
+            engine = cache[("engine", i)] = _engine_for(mat, complex_.ring, points)
         ideal = _minors_from_engine(engine, size, complex_.ring)
     cache[key] = ideal
     return ideal

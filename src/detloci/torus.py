@@ -213,17 +213,51 @@ def rref(rows: list, ncols: int, modulus: int = 0) -> tuple[list[int], list[list
     first ncols columns only: the pivot columns (as many as the rank of those
     columns), the reduced rows, each primitive with a positive entry at its
     own pivot and zeros at the other pivots, and the index in `rows` of the
-    row that each reduced row was pivoted from.  With a prime modulus p the
-    rows are reduced modulo p and eliminated over F_p instead, each reduced
-    row with 1 at its pivot: the pivot columns are then the first independent
-    columns of the matrix modulo p.
+    row that each reduced row was pivoted from.
 
     The origins travel with the rows through each swap, and every other step
     scales a row by a nonzero factor or adds a multiple of a pivot row, so the
     reduced rows are T M[R, :] with R the origins and T invertible.  At the
     pivot columns C they are diagonal with a nonzero diagonal, so M[R, C] is
-    invertible (modulo p with a modulus)."""
-    mat = [[x % modulus for x in row] for row in rows] if modulus else [list(row) for row in rows]
+    invertible.
+
+    With a prime modulus p only the rank is computed, and no reduced row is
+    returned (the second list is empty).  The rows are reduced modulo p and
+    eliminated fraction-free below each pivot only, with no inverse: a row
+    with f at the pivot column becomes p_c row - f pivot row, with p_c the
+    pivot entry.  A row that becomes zero is dropped, and the elimination
+    stops when no row is left.  The pivot columns are the first independent
+    columns of the matrix modulo p.  Each pivot row is a nonzero multiple of
+    its origin's row plus multiples of earlier pivot rows, so the pivot rows
+    are T M[R, :] with T triangular and invertible modulo p; at C they are
+    triangular with the pivot entries on the diagonal, so M[R, C] is
+    invertible modulo p."""
+    if modulus:
+        left = [(i, r) for i, r in enumerate([x % modulus for x in row] for row in rows) if any(r)]
+        pivots, origin = [], []
+        for col in range(ncols):
+            if not left:
+                break
+            for k, (i, prow) in enumerate(left):
+                p = prow[col]
+                if p:
+                    break
+            else:
+                continue
+            del left[k]
+            pivots.append(col)
+            origin.append(i)
+            kept = []
+            for j, row in left:
+                f = row[col]
+                if f:
+                    row = [(p * x - f * y) % modulus for x, y in zip(row, prow)]
+                    if not any(row):
+                        continue
+                kept.append((j, row))
+            left = kept
+        return pivots, [], origin
+    mat = [list(row) for row in rows]
     origin = list(range(len(mat)))
     pivots: list[int] = []
     for col in range(ncols):
@@ -232,24 +266,17 @@ def rref(rows: list, ncols: int, modulus: int = 0) -> tuple[list[int], list[list
         if pivot is None:
             continue
         row = mat[pivot]
-        if modulus:
-            inverse = pow(row[col], -1, modulus)
-            prow = [x * inverse % modulus for x in row]
-        else:
-            g = math.gcd(*row) if row[col] > 0 else -math.gcd(*row)
-            prow = [x // g for x in row]
+        g = math.gcd(*row) if row[col] > 0 else -math.gcd(*row)
+        prow = [x // g for x in row]
         mat[pivot], mat[rank] = mat[rank], prow
         origin[pivot], origin[rank] = origin[rank], origin[pivot]
         p = prow[col]
         for i, row in enumerate(mat):
             f = row[col]
             if f and i != rank:
-                if modulus:
-                    mat[i] = [(x - f * y) % modulus for x, y in zip(row, prow)]
-                else:
-                    row = [p * x - f * y for x, y in zip(row, prow)]
-                    g = math.gcd(*row)  # 0 on an all-zero row, which stays as it is
-                    mat[i] = [x // g for x in row] if g > 1 else row
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)  # 0 on an all-zero row, which stays as it is
+                mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
     return pivots, mat[: len(pivots)], origin[: len(pivots)]
 

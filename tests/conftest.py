@@ -188,6 +188,43 @@ def torsion_sum(
     return conjugate_complex(rng, total, n_ops)
 
 
+def fox_complex(generators, relators, abelianization) -> FreeComplex:
+    """The cochain complex R^k -> R^n -> R of the universal abelian cover of the
+    presentation 2-complex of <generators | relators>, over R = Q[t^+-1] with
+    one variable per coordinate of the abelianization (Fox, "Free
+    differential calculus I", Ann. of Math. 57, 1953).  A relator is a word of
+    (generator, power) letters, and `abelianization` maps each generator x to
+    the exponent vector a of its image t^a.  d^0 is the abelianized Fox
+    Jacobian, entry (j, i) the image of d r_i / d x_j: each letter x^e adds its
+    prefix's image times 1 + x + ... + x^(e-1) for e > 0, or times -(x^-1 +
+    ... + x^e) for e < 0.  d^1 is the row of the t^(a_j) - 1, and d^1 d^0 = 0
+    is the fundamental formula r - 1 = sum_j (d r / d x_j)(x_j - 1)."""
+    nvars = len(next(iter(abelianization.values())))
+    ring = Ring(nvars, True, 1)
+
+    def image(terms):
+        return LaurentPoly.make(nvars, 1, {e: CycloElem.make(1, [c]) for e, c in terms.items() if c})
+
+    jacobian = []
+    for word in relators:
+        derivatives = {x: {} for x in generators}
+        prefix = (0,) * nvars
+        for x, e in word:
+            a = abelianization[x]
+            powers = range(e) if e > 0 else range(-1, e - 1, -1)
+            for k in powers:
+                monomial = tuple(p + k * ai for p, ai in zip(prefix, a))
+                terms = derivatives[x]
+                terms[monomial] = terms.get(monomial, 0) + (1 if e > 0 else -1)
+            prefix = tuple(p + e * ai for p, ai in zip(prefix, a))
+        jacobian.append([image(derivatives[x]) for x in generators])
+    one = LaurentPoly.one(nvars, 1)
+    d1 = [[image({abelianization[x]: 1}) - one for x in generators]]
+    d0 = [[jacobian[i][j] for i in range(len(relators))] for j in range(len(generators))]
+    ranks = {0: len(relators), 1: len(generators), 2: 1}
+    return FreeComplex.make(ring, (0, 2), ranks, {0: d0, 1: d1})
+
+
 def dense_planted_jordan(
     rng: random.Random, n: int, order: int
 ) -> tuple[list[list[CycloElem]], dict[int, list[int]]]:

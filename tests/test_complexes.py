@@ -13,12 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import detloci.complexes as complexes_module
 from detloci.complexes import (
     FreeComplex,
     MinorEngine,
     _fp_image,
     _point_on,
-    _unit_block,
     base_change,
     cdf_ideal,
     differential_minors,
@@ -345,9 +345,9 @@ class TestJumpFromBlockMinors:
         built, calls = [], []
         init, det = MinorEngine.__init__, MinorEngine.det
 
-        def counting_init(self, mat, nvars, order):
+        def counting_init(self, mat, nvars, order, points=None):
             built.append(mat)
-            init(self, mat, nvars, order)
+            init(self, mat, nvars, order, points)
 
         def counting_det(self, rows, cols):
             calls.append(len(rows))
@@ -770,12 +770,13 @@ CERTIFICATE_KINDS = ["planted", "dense conjugated", "rank deficient"]
 
 
 def unit_block(mat, order: int, C: PrimeTorusDivisor) -> tuple[list[int], list[int]]:
-    """`_unit_block` along C of mat's image for the field order lcm(order, den xi)."""
-    return _unit_block(_fp_image(matrix_make(mat), math.lcm(order, C.xi.den)), C)
+    """`_unit_block` at the point of C, on mat's image for the field order
+    lcm(order, den xi), as an engine of order `order` computes it."""
+    return MinorEngine(matrix_make(mat), C.nvars, order)._block(C)
 
 
 @st.composite
-def certificate_matrices(draw):
+def certificate_matrices(draw, kinds=CERTIFICATE_KINDS):
     """(ring, matrix, divisors): over r = 1, 2 or 3 variables and Q(zeta_N), N
     in 1..12, U diag(d_1, ...) V with unimodular U and V (3 elementary
     operations a side, or densely size + 2), each d_i a rational q times a
@@ -790,7 +791,7 @@ def certificate_matrices(draw):
     order = draw(st.integers(1, 12))
     ring = Ring(r, True, order)
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(CERTIFICATE_KINDS))
+    kind = draw(st.sampled_from(kinds))
     nrows, ncols = draw(st.sampled_from([s for s in MINOR_SHAPES if r < 3 or s[0] * s[1] <= 12]))
     divisors = rng.sample(CERTIFICATE_DIVISORS[r], 3)
     zero = LaurentPoly.zero(r, order)
@@ -914,7 +915,8 @@ class TestModularCertificate:
     def test_image_kept_per_field_order(self):
         """An order-1 matrix valued along {t1 = e(1/2)} and then {t1 = e(1/3)}
         keeps one image modulo p for each field order, 2 and 3, since the
-        point of each divisor is read off its own.  M = a b^T + Phi_3(t1) N
+        point of each divisor is read off its own, beside the image for its
+        own order 1 that certified I_2 nonzero.  M = a b^T + Phi_3(t1) N
         with row 0 times t1 + 1 has rank 2 at t1 = -1, rank 1 along Phi_3 and
         rank 3 at t1 = 1, so a block certified along {t1 = e(1/3)} at a point
         of the other divisor, or at t1 = 1, would value I_2 there 0."""
@@ -931,7 +933,7 @@ class TestModularCertificate:
         F = two_term_complex(ring, mat)
         assert [ideal_valuation(differential_minors(F, 0, 2), C) for C in (half, third)] == [0, 1]
         engine = F.minor_cache[("engine", 0)]
-        assert sorted(engine._images) == [2, 3]
+        assert sorted(engine._images) == [1, 2, 3]
         assert [len(engine._eliminations[C][0]) for C in (half, third)] == [2, 2]
 
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=4), st.integers(1, 12), st.data())
@@ -945,6 +947,161 @@ class TestModularCertificate:
         x = _point_on(u, eta, p)
         assert all(0 < xj < p for xj in x)
         assert math.prod(pow(xj, uj, p) for xj, uj in zip(x, u)) % p == eta
+
+
+def oracle_rank(mat, ring: Ring) -> int:
+    """The largest m with a nonzero m x m minor, each minor a permutation sum."""
+    nrows, ncols = len(mat), len(mat[0])
+    return max(
+        (m for m in range(1, min(nrows, ncols) + 1)
+         for rows in itertools.combinations(range(nrows), m)
+         for cols in itertools.combinations(range(ncols), m)
+         if not oracle_det([[mat[i][j] for j in cols] for i in rows], ring).is_zero()),
+        default=0,
+    )
+
+
+def rank_one_plus(ring: Ring, k: int, n: int):
+    """sum_(l < k) a_l b_l^T, n x n with fixed entries: of rank k, so I_(k+1) = 0
+    although no entry is."""
+    texts = ["t1+2", "t2-3", "t1*t2+1", "2*t1-t2", "t2^2+5", "t1-7"]
+    vectors = [[parse_poly(texts[(3 * l + i) % 6], ring) for i in range(n)] for l in range(2 * k)]
+    zero = LaurentPoly.zero(ring.nvars, ring.cyclotomic_order)
+    mat = [[zero] * n for _ in range(n)]
+    for a, b in zip(vectors[:k], vectors[k:]):
+        mat = [[mat[i][j] + a[i] * b[j] for j in range(n)] for i in range(n)]
+    return mat
+
+
+class TestZeroTestByRank:
+    """Above the listing size a minor ideal is certified nonzero by the rank
+    of its matrix at the generic point modulo p, and its minors are walked
+    only below that rank."""
+
+    @given(certificate_matrices(kinds=["rank deficient", "dense conjugated"]))
+    @settings(max_examples=40, deadline=None)
+    def test_verdicts_against_enumeration(self, case):
+        """Every verdict and valuation equals enumeration's; the certified
+        rank is at most the rank, and a size walks its minors exactly when it
+        is listed or above the certified rank."""
+        ring, mat, divisors = case
+        sizes = list(range(1, min(len(mat), len(mat[0])) + 2))
+        check_against_enumeration(ring, mat, sizes, divisors)
+        F = two_term_complex(ring, mat)
+        for m in sizes:
+            differential_minors(F, 0, m)
+        engine = F.minor_cache[("engine", 0)]
+        mat = [list(row) for row in F.differential(0)]
+        assert engine.rank_bound() <= oracle_rank(mat, F.ring)
+        for m in sizes[:-1]:
+            walked = lists_minors(len(mat), len(mat[0]), m) or m > engine.rank_bound()
+            assert (m in engine._nonzero) == walked
+
+    @pytest.mark.parametrize("order", [1, 5, 12])
+    @pytest.mark.parametrize("k, n", [(1, 3), (2, 4), (1, 4)])
+    def test_rank_deficient_size_is_walked_to_zero(self, order, k, n):
+        """A sum of k rank-one n x n matrices has I_(k+1) = 0 at a size that
+        is not listed: its certified rank is k, so the size is walked, to
+        (0); I_k is certified without a walk."""
+        ring = Ring(2, True, order)
+        mat = rank_one_plus(ring, k, n)
+        assert not lists_minors(n, n, k + 1)
+        values = check_against_enumeration(ring, mat, [k + 1, k, 1], SMALL_DIVISORS[:4])
+        assert values[0] == [math.inf] * 4
+        F = two_term_complex(ring, mat)
+        assert differential_minors(F, 0, k + 1).is_zero()
+        assert differential_minors(F, 0, k).minors
+        engine = F.minor_cache[("engine", 0)]
+        assert engine.rank_bound() == k and engine._nonzero[k + 1] == ()
+        assert (k in engine._nonzero) == lists_minors(n, n, k)
+
+    @staticmethod
+    def ideals(F: FreeComplex) -> list[IdealGens]:
+        n = min(matrix_shape(F.differential(0)))
+        return [differential_minors(F, 0, m) for m in range(1, n + 1)]
+
+    def test_degenerate_generic_point_walks(self, monkeypatch):
+        """With the generic point forced to (1, 1), where M = (t1 - 1) N
+        vanishes, the certified rank is 0: every size walks its minors, and the
+        ideals equal those certified at the true generic point."""
+        ring = Ring(2, True, 3)
+        n = [[parse_poly(t, ring) for t in row] for row in
+             (("t2+2", "3", "t1+t2"), ("1", "t1*t2+1", "t2"), ("t1+2", "t2^2", "5"))]
+        h = parse_poly("t1-1", ring)
+        mat = [[h * e for e in row] for row in n]
+        F = two_term_complex(ring, mat)
+        want = self.ideals(F)
+        assert F.minor_cache[("engine", 0)].rank_bound() == 3
+        assert 2 not in F.minor_cache[("engine", 0)]._nonzero
+        monkeypatch.setattr(complexes_module, "_GENERIC", 1)
+        G = two_term_complex(ring, mat)
+        assert self.ideals(G) == want
+        engine = G.minor_cache[("engine", 0)]
+        assert engine.rank_bound() == 0 and set(engine._nonzero) == {1, 2, 3}
+        assert check_against_enumeration(ring, mat, [2, 3, 1], SMALL_DIVISORS[:1]) == [[2], [3], [1]]
+
+    def test_no_image_walks(self):
+        """An entry denominator that the prime of the field order divides gives
+        no image, so the certified rank is 0 and the size is walked, with the
+        ideal that enumeration gives."""
+        p, _ = prime_root_of_unity(3)
+        mat = [[P(t) for t in row] for row in
+               ((f"1/{p}*t1", "t2+1", "2"), ("3", "t1*t2", "t2-1"), ("t1+t2", "1", "t1"))]
+        F = two_term_complex(R2, mat)
+        ideal = differential_minors(F, 0, 2)
+        engine = F.minor_cache[("engine", 0)]
+        assert engine.rank_bound() == 0 and 2 in engine._nonzero
+        assert ideal == IdealGens.make(F.ring, oracle_minor_gens(mat, 2, F.ring))
+        check_against_enumeration(R2, mat, [2, 3, 1], SMALL_DIVISORS[:4])
+
+    def test_points_shared_by_the_engines_of_a_complex(self):
+        """The engines of d^0 = (A; 0) and d^1 = (0 B) share one table of
+        points and monomial values, held in the complex's cache, which holds
+        the generic point and one point per divisor and field order; a copy or
+        pickle of an engine keeps neither its rank nor the table."""
+        import copy
+        import pickle
+
+        a = [[P(t) for t in row] for row in
+             (("t1-1", "t2", "2"), ("1", "t1*t2-1", "t2+2"), ("t1", "3", "t1-1"))]
+        b = [[P(t) for t in row] for row in
+             (("t2+1", "t1", "1"), ("2", "t2-1", "t1*t2"), ("t1+t2", "1", "5"))]
+        F = direct_sum(two_term_complex(R2, a), two_term_complex(R2, b, low=1))
+        C = PrimeTorusDivisor((1, 0), TorsionAngle.make(0, 1))
+        for i in (1, 2):
+            for k in (0, 1):
+                ideal_valuation(cdf_ideal(F, i, k), C)
+        engines = [F.minor_cache[("engine", i)] for i in (0, 1)]
+        points = F.minor_cache[("points",)]
+        assert all(engine._points is points for engine in engines)
+        assert set(points) == {(None, 3), (C, 3)}
+        x, values = points[(C, 3)]
+        assert set(values) >= {e for row in a + b for f in row for e in f.rows}
+        for engine in engines:
+            assert engine._rank == 3
+            for back in (copy.copy(engine), copy.deepcopy(engine), pickle.loads(pickle.dumps(engine))):
+                assert back._rank is None and not back._points
+
+    def test_listed_size_read_off_a_reached_level(self):
+        """A listed size is answered by a level that the divisor's elimination
+        has reached, and listed otherwise: on a 3 x 3 matrix of rank 3 along
+        {t1 = 1}, valuing I_2 certifies all three levels, so I_1 and I_3 list
+        no minor; along {t1 = -1}, where M = a b^T + (t1 + 1) N has rank 1,
+        the elimination stops at level 2, and I_3 is listed."""
+        ring = Ring(2, True, 1)
+        h = parse_poly("t1+1", ring)
+        a = [parse_poly(t, ring) for t in ("t2-2", "3", "t1*t2+1")]
+        b = [parse_poly(t, ring) for t in ("1", "t2+3", "2*t1-5")]
+        n = [[parse_poly(t, ring) for t in row] for row in
+             (("1", "t2", "-2"), ("t1", "3", "t2-1"), ("2", "-t1", "1"))]
+        mat = [[a[i] * b[j] + h * n[i][j] for j in range(3)] for i in range(3)]
+        one, minus_one = (PrimeTorusDivisor((1, 0), TorsionAngle.make(k, 2)) for k in (0, 1))
+        engine = MinorEngine(matrix_make(mat), 2, 1)
+        assert [engine.valuation(m, one) for m in (2, 1, 3)] == [0, 0, 0]
+        assert engine._listed == {2: None} and not engine._memo
+        assert [engine.valuation(m, minus_one) for m in (2, 3, 1)] == [1, 2, 0]
+        assert len(engine._eliminations[minus_one][2]) == 3
+        assert engine._listed[3] is not None and 1 not in engine._listed
 
 
 GALOIS_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)]

@@ -37,6 +37,7 @@ from detloci.torus import PrimeTorusDivisor, tau_preimage
 from conftest import (
     conjugate_complex,
     exact_divide,
+    fox_complex,
     oracle_minor_gens,
     oracle_valuation,
     random_divisor,
@@ -830,6 +831,81 @@ SUPPORT_ROWS = (
     "        rows += 1\n"
     "print(len(report.candidates), rows)\n"
 )
+
+
+def alexander_support(generators, relators, abelianization):
+    """(candidates, delta0, minimal, rows) of `fox_complex`, as `detloci
+    support` computes them: the rows are (degree, divisor, ord, jordan, generic)
+    for every positive multiplicity of a minimal divisor."""
+    F = fox_complex(generators, relators, abelianization)
+    report = support_report(F, candidate_divisors(F))
+    rows = [
+        (i, divisor, record.ord, record.jordan, record.generic)
+        for i in sorted(report.minimal)
+        for divisor, _ in report.minimal[i].items()
+        for record in [specialization_multiplicity(F, divisor, i, candidates=report.candidates)]
+    ]
+    return report.candidates, report.delta0, report.minimal, rows
+
+
+def angle_divisor(u, num, den):
+    return PrimeTorusDivisor(tuple(u), TorsionAngle.make(num, den))
+
+
+class TestAlexanderComplexes:
+    """Alexander complexes of group presentations (Fox calculus), whose
+    support has a classical closed form."""
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (2, 5), (3, 4), (3, 5), (5, 7)])
+    def test_torus_knot(self, p, q):
+        """T(p, q) = <a, b | a^p = b^q>, a -> t^q, b -> t^p: the degree-1
+        divisors are the roots e(k/p + l/q), 0 < k < p, 0 < l < q, of the
+        Alexander polynomial (t^pq - 1)(t - 1)/((t^p - 1)(t^q - 1)), the
+        monodromy eigenvalues of x^p - y^q (Milnor 1968), each simple; degree 2
+        (H_0 of the cover) is {t1 = 1}."""
+        candidates, delta0, minimal, rows = alexander_support(
+            ["a", "b"], [[("a", p), ("b", -q)]], {"a": (q,), "b": (p,)}
+        )
+        roots = {angle_divisor((1,), k * q + l * p, p * q) for k in range(1, p) for l in range(1, q)}
+        assert len(roots) == (p - 1) * (q - 1)
+        assert dict(delta0[1].items()) == dict(minimal[1].items()) == dict.fromkeys(roots, 1)
+        assert dict(minimal[2].items()) == {angle_divisor((1,), 0, 1): 1}
+        assert set(candidates) == roots | {angle_divisor((1,), 0, 1)}
+        assert {(i, d) for i, d, *_ in rows} == {(1, d) for d in roots} | {(2, angle_divisor((1,), 0, 1))}
+        assert all((o, j, g) == (1, 1, True) for *_, o, j, g in rows)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_torus_link(self, k):
+        """T(2, 2k) = <a, b | (ab)^k = (ba)^k>, a -> t1, b -> t2: the
+        candidates are the zeros {t1 t2 = e(j/k)}, 0 < j < k, of
+        ((t1 t2)^k - 1)/(t1 t2 - 1), each of minimal multiplicity 1."""
+        relator = [("a", 1), ("b", 1)] * k + [("a", -1), ("b", -1)] * k
+        candidates, delta0, minimal, rows = alexander_support(
+            ["a", "b"], [relator], {"a": (1, 0), "b": (0, 1)}
+        )
+        roots = {angle_divisor((1, 1), j, k) for j in range(1, k)}
+        assert set(candidates) == roots
+        assert dict(minimal[1].items()) == dict.fromkeys(roots, 1)
+        assert not minimal[0].items() and not minimal[2].items()
+        assert [(i, o, j, g) for i, _, o, j, g in rows] == [(1, 1, 1, True)] * (k - 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_central_line_arrangement(self, n):
+        """n lines through a point, <g_1..g_n | [g_1...g_n, g_i], i < n>,
+        g_i -> t_i: one candidate {t_1...t_n = 1}, with delta0 = n - 2, the
+        generic rank of H^1 on that component of the characteristic variety
+        (Libgober; Arapura 1997), and minimal multiplicity 1."""
+        gens = [f"g{i}" for i in range(n)]
+        abelianization = {g: tuple(int(i == j) for j in range(n)) for i, g in enumerate(gens)}
+        loop = [(g, 1) for g in gens]
+        inverse = [(g, -1) for g in reversed(gens)]
+        relators = [loop + [(gens[i], 1)] + inverse + [(gens[i], -1)] for i in range(n - 1)]
+        candidates, delta0, minimal, rows = alexander_support(gens, relators, abelianization)
+        D = angle_divisor((1,) * n, 0, 1)
+        assert candidates == (D,)
+        assert dict(delta0[1].items()) == {D: n - 2}
+        assert dict(minimal[1].items()) == {D: 1}
+        assert rows == [(1, D, 1, 1, True)]
 
 
 class TestSpecializationCliff:

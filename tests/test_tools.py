@@ -139,8 +139,11 @@ def test_counts_wrap_every_module_that_holds_a_name(tmp_path, monkeypatch):
     """The counts of one pass over one cycle of support-planted, smith-jordan
     and minors-valuation jobs: `cdf_ideal` is counted through the name
     `support` imports, `valuation_along` and `rref` through the ones
-    `complexes` imports, `_smith` runs once per smith and detfactors job, and
-    each unit block takes one `rref`, the only one on these workloads."""
+    `complexes` imports, and the engine's `rank_bound` and `nonzero` on their
+    class; `_smith` runs once per smith and detfactors job.  Every modular
+    rank pass, for a unit block or a zero test, is one `_unit_block` and one
+    `rref`, and only minors-valuation reaches one: the other two list every
+    size they ask for."""
     bench_pairs = load_bench_pairs()
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     run = importlib.import_module("run")
@@ -152,11 +155,17 @@ def test_counts_wrap_every_module_that_holds_a_name(tmp_path, monkeypatch):
         got[workload] = bench_pairs.run_counts(str(ROOT), str(tmp_path / workload))
         assert set(got[workload]) == {*bench_pairs.COUNTED, "minors_expanded", "failed_jobs"}
         assert got[workload]["failed_jobs"] == 0
-        assert got[workload]["torus.rref"] == got[workload]["complexes._unit_block"]
+        assert got[workload]["complexes.MinorEngine.nonzero"] > 0
     support = got["support-planted"]
     assert support["smith._smith"] == 0
     assert support["complexes.cdf_ideal"] > 0 and support["poly.valuation_along"] > 0
     assert support["minors_expanded"] > 0
     forms = sum(spec["kind"] in ("smith", "detfactors") for spec in specs["smith-jordan"])
     assert got["smith-jordan"]["smith._smith"] == forms > 0
-    assert got["minors-valuation"]["complexes._unit_block"] > 0
+    for workload in ("support-planted", "smith-jordan"):
+        for name in ("_fp_image", "_unit_block", "MinorEngine.rank_bound"):
+            assert got[workload][f"complexes.{name}"] == 0
+        assert got[workload]["torus.rref"] == 0
+    minors = got["minors-valuation"]
+    assert minors["complexes.MinorEngine.rank_bound"] > 0
+    assert minors["torus.rref"] == minors["complexes._unit_block"] > minors["complexes._fp_image"] > 0

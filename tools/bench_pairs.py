@@ -49,10 +49,15 @@ arguments and prints {group: [inputs, seconds of the fastest pass]}.
 Counts: one pass over the seed-1 jobs of each workload (the change's
 perfbench/out/<workload>-1, as perfbench/measure.py runs them), in a fresh
 process per checkout and workload, with `COUNTED` names wrapped from outside
-in every package module that holds them.  The file keeps per side the calls
-of each, the minors expanded (the sum of len(engine._memo) over every
-MinorEngine built, entries included) and the failed jobs.  Both sides run the
-change's program, so both count the same names.
+in every package module that holds them (a method on its class).  Every
+modular rank pass, for a unit block along a divisor or for the zero test at
+the generic point, is one `complexes._unit_block` and one `torus.rref`;
+`MinorEngine.rank_bound` counts the zero tests asked for and
+`MinorEngine.nonzero` the minor walks.  The file keeps per side the calls of
+each (null for a name that side does not have), the minors expanded (the sum
+of len(engine._memo) over every MinorEngine built, entries included) and the
+failed jobs.  Both sides run the change's program, so both count the same
+names.
 """
 
 from __future__ import annotations
@@ -325,7 +330,8 @@ LAYERS = {
 
 
 COUNTED = (
-    "poly.valuation_along", "complexes.cdf_ideal", "complexes._unit_block", "torus.rref",
+    "poly.valuation_along", "complexes.cdf_ideal", "complexes._fp_image", "complexes._unit_block",
+    "torus.rref", "complexes.MinorEngine.rank_bound", "complexes.MinorEngine.nonzero",
     "smith._smith",
 )
 
@@ -342,21 +348,30 @@ counts, engines = dict.fromkeys(COUNTED, 0), []
 
 
 def wrap(qualname):
-    module, name = qualname.split(".")
-    real = getattr(importlib.import_module(f"detloci.{module}"), name)
+    module, *owner, name = qualname.split(".")
+    held = importlib.import_module(f"detloci.{module}")
+    if owner:
+        held = getattr(held, owner[0])
+    real = getattr(held, name, None)
+    if real is None:  # a name this side does not have
+        counts[qualname] = None
+        return
 
     def counted(*args, **kwargs):
         counts[qualname] += 1
         return real(*args, **kwargs)
 
+    if owner:  # a method, wrapped on its class
+        setattr(held, name, counted)
+        return
     for held in list(sys.modules.values()):
         package = getattr(held, "__name__", "").startswith("detloci")
         if package and getattr(held, name, None) is real:
             setattr(held, name, counted)
 
 
-def init(self, *args, real=complexes.MinorEngine.__init__):
-    real(self, *args)
+def init(self, *args, real=complexes.MinorEngine.__init__, **kwargs):
+    real(self, *args, **kwargs)
     engines.append(self)
 
 
@@ -542,7 +557,7 @@ def main():
         },
         "counts": {
             "what": "one pass over the seed-1 jobs, run as perfbench/measure.py runs them: "
-            + ", ".join(f"calls of {name}" for name in COUNTED)
+            "calls (null where a side lacks the name) of " + ", ".join(COUNTED)
             + ", minors expanded (sum of len(engine._memo) over every MinorEngine built, "
             "entries included) and failed jobs",
             **counts(parent, change, workloads),
